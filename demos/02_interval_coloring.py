@@ -9,8 +9,8 @@ monochromatic edge).
 
 from eqcolor import (
     Hypergraph,
+    IntervalPartition,
     WeightAssignment,
-    build_partition,
     choose_p,
     run_interval_coloring,
     sample_weights,
@@ -22,7 +22,7 @@ for n, r in ((100, 2), (1000, 3)):
 
 # A partition for r=2 at p=0.2: large_1 = [0, 0.4), small_1 = [0.4, 0.6),
 # large_2 = [0.6, 1.0).
-part = build_partition(0.2, 2)
+part = IntervalPartition(0.2, 2)
 print("slot lengths:", [round(w, 3) for w in part.slot_lengths()])
 for x in (0.1, 0.45, 0.95):
     print(f"  locate({x}) ->", part.locate(x))
@@ -50,8 +50,8 @@ print("class-size identity: ok")
 # (instance, r, partition, seed).
 h2 = Hypergraph(30, 3, [(i, i + 1, i + 2) for i in range(28)])
 wa2 = sample_weights(30, seed=7)
-a = run_interval_coloring(h2, 3, build_partition(choose_p(3, 3), 3), wa2)
-b = run_interval_coloring(h2, 3, build_partition(choose_p(3, 3), 3), wa2)
+a = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), wa2)
+b = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), wa2)
 assert a.coloring.colors == b.coloring.colors
 print("30-vertex run: sizes", list(a.coloring.sizes),
       "deflections", a.deflections)

@@ -13,13 +13,14 @@ from eqcolor import (
     COMPLEX,
     Deflected,
     Hypergraph,
+    IntervalPartition,
     MonoEdge,
     WeightAssignment,
-    analytic_bound,
-    build_partition,
     chain_event_occurs,
+    chain_probability_bound,
     enumerate_chain_candidates,
     extract_chain,
+    mono_edge_probability_bound,
     run_interval_coloring,
     validate_chain,
 )
@@ -28,7 +29,7 @@ from eqcolor import (
 # small_1, vertex 2 in large_2.  Stage 2 deflects vertex 1 (edge (0,1) would
 # go mono in color 1), which hands edge (1,2) to color 2 monochromatically.
 h = Hypergraph(3, 2, [(0, 1), (1, 2)])
-part = build_partition(0.2, 2)
+part = IntervalPartition(0.2, 2)
 wa = WeightAssignment([0.1, 0.45, 0.7])
 init = run_interval_coloring(h, 2, part, wa)
 print("colors:", init.coloring.colors)
@@ -70,6 +71,6 @@ print("complex k=2 ending at edge 3:", count,
 # threshold.  They are asymptotic statements; at desk scale they can exceed
 # observed frequencies by orders of magnitude without contradiction.
 print("P(fixed 1-chain) at n=100, r=2:",
-      analytic_bound("chain-probability", n=100, r=2, k=1))
+      chain_probability_bound(100, 2, 1))
 print("P(any mono edge) bound:",
-      analytic_bound("mono-edge-probability"))
+      mono_edge_probability_bound())

@@ -10,9 +10,9 @@ import numpy as np
 
 from eqcolor import (
     Hypergraph,
+    IntervalPartition,
     RegimeViolation,
     apply_recolor,
-    build_partition,
     build_rebalance_plan,
     class_targets,
     compute_p_tilde,
@@ -43,7 +43,7 @@ except RegimeViolation as exc:
 # come back infeasible when the candidate draw leaves too few unpinned
 # vertices; the caller just redraws.
 h = Hypergraph(12, 2, [(0, 3), (2, 7), (4, 9), (5, 11), (1, 8)])
-part = build_partition(0.3, 2)
+part = IntervalPartition(0.3, 2)
 targets = class_targets(12, 2)
 rng = np.random.default_rng(0)
 attempts = 0

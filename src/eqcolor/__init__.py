@@ -18,7 +18,6 @@ from .chains import (
     DangerousEdge,
     Deflected,
     MonoEdge,
-    analytic_bound,
     chain_event_occurs,
     chain_probability_bound,
     dangerous_count_bound,
@@ -52,7 +51,6 @@ from .intervals import (
     Subinterval,
     WeightAssignment,
     balanced_mono_prob,
-    build_partition,
     choose_p,
     run_interval_coloring,
     sample_balanced_coloring,

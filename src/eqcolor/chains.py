@@ -35,6 +35,7 @@ from .intervals import (
     IntervalPartition,
     Subinterval,
     WeightAssignment,
+    _weight_slots,
 )
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "DangerousEdge",
     "Deflected",
     "MonoEdge",
-    "analytic_bound",
     "chain_event_occurs",
     "chain_probability_bound",
     "dangerous_count_bound",
@@ -142,18 +142,28 @@ def is_conflicting_pair(
     """True iff (A, B) conflict for ``color``: they share exactly one vertex v,
     v is the last vertex of B and the first of A, v lies in small_{color-1},
     and all of B minus v carries color-1."""
+    slots = _weight_slots(partition, wa.weights)
+    return _conflicting(h, slots, wa.rank, init.coloring.colors, b_edge, a_edge, color)
+
+
+def _conflicting(h, slots, key, colors, b_edge, a_edge, color) -> bool:
+    """``is_conflicting_pair`` on discrete input: ``slots[v]`` is v's flat
+    subinterval index and vertices are ordered by (key[v], v)."""
     b = h.edges[b_edge]
     a = h.edges[a_edge]
     shared = set(b) & set(a)
     if len(shared) != 1:
         return False
     v = shared.pop()
-    if wa.last_vertex(b) != v or wa.first_vertex(a) != v:
+
+    def position(u):
+        return key[u], u
+
+    if max(b, key=position) != v or min(a, key=position) != v:
         return False
-    if partition.locate(wa.weights[v]) != Subinterval(SMALL, color - 1):
+    if slots[v] != 2 * color - 3:
         return False
-    cols = init.coloring.colors
-    return all(cols[u] == color - 1 for u in b if u != v)
+    return all(colors[u] == color - 1 for u in b if u != v)
 
 
 def _walk_back(
@@ -435,30 +445,27 @@ def chain_event_occurs(
     conflicts at its color, and the leading edge starts in its large block
     or lies wholly inside its small block.
     """
+    slots = _weight_slots(partition, wa.weights)
+    return _chain_event_holds(h, slots, wa.rank, init.coloring.colors, edge_seq, color)
+
+
+def _chain_event_holds(h, slots, key, colors, edge_seq, color) -> bool:
+    """``chain_event_occurs`` on discrete input, as ``_conflicting`` takes
+    it; the Monte Carlo ``chain-event`` statistic calls it per trial."""
     k = len(edge_seq)
     if color - k + 1 < 1:
         return False
-    cols = init.coloring.colors
-    last = h.edges[edge_seq[-1]]
-    if any(cols[v] != color for v in last):
+    if any(colors[v] != color for v in h.edges[edge_seq[-1]]):
         return False
     if k == 1:
-        return all(
-            partition.locate(wa.weights[v]) == Subinterval(LARGE, color) for v in last
-        )
+        return all(slots[v] == 2 * color - 2 for v in h.edges[edge_seq[0]])
     for j in range(1, k):
         c_j = color - k + j + 1
-        if not is_conflicting_pair(
-            h, partition, wa, init, edge_seq[j - 1], edge_seq[j], c_j
-        ):
+        if not _conflicting(h, slots, key, colors, edge_seq[j - 1], edge_seq[j], c_j):
             return False
-    first_members = h.edges[edge_seq[0]]
-    u = wa.first_vertex(first_members)
+    u = min(h.edges[edge_seq[0]], key=lambda w: (key[w], w))
     c_1 = color - k + 1
-    return partition.locate(wa.weights[u]) in (
-        Subinterval(LARGE, c_1),
-        Subinterval(SMALL, c_1),
-    )
+    return slots[u] in (2 * c_1 - 2, 2 * c_1 - 1)
 
 
 def enumerate_chain_candidates(
@@ -581,16 +588,3 @@ def dangerous_count_bound(n: int, r: int) -> float:
     if n < 2 or r < 2:
         raise ValueError("bound requires n >= 2 and r >= 2")
     return n / (r * math.log(n))
-
-
-def analytic_bound(kind: str, n: int = 0, r: int = 0, k: int = 0) -> float:
-    """Dispatch the closed-form bound calculators by kind."""
-    if kind == "chain-probability":
-        return chain_probability_bound(n, r, k)
-    if kind == "mono-edge-probability":
-        return mono_edge_probability_bound()
-    if kind == "expected-deflections":
-        return expected_deflections_bound(n, r)
-    if kind == "dangerous-count":
-        return dangerous_count_bound(n, r)
-    raise ValueError(f"unknown bound kind {kind!r}")

@@ -19,7 +19,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .chains import analytic_bound
+from .chains import (
+    chain_probability_bound,
+    dangerous_count_bound,
+    expected_deflections_bound,
+    mono_edge_probability_bound,
+)
 from .hypergraph import (
     BudgetExceeded,
     Coloring,
@@ -272,10 +277,10 @@ def _cmd_bounds(args) -> int:
         "edge-threshold-log": thr.log_value,
         "asymptotic-regime": thr.asymptotic_regime,
         "p": choose_p(n, r),
-        "chain-probability": analytic_bound("chain-probability", n=n, r=r, k=k),
-        "mono-edge-probability": analytic_bound("mono-edge-probability"),
-        "expected-deflections": analytic_bound("expected-deflections", n=n, r=r),
-        "dangerous-count": analytic_bound("dangerous-count", n=n, r=r),
+        "chain-probability": chain_probability_bound(n, r, k),
+        "mono-edge-probability": mono_edge_probability_bound(),
+        "expected-deflections": expected_deflections_bound(n, r),
+        "dangerous-count": dangerous_count_bound(n, r),
     }
     if args.m is not None:
         p = obj["p"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -201,16 +201,24 @@ class Coloring:
         return col
 
 
+def _mono_edges(h: Hypergraph, colors: Sequence[int]) -> Iterator[int]:
+    """Indices of the monochromatic edges under ``colors``, in increasing
+    order, found lazily: the one edge scan behind ``is_proper``, the
+    solver's rejection step and the Monte Carlo ``mono-edge`` statistic."""
+    for idx, e in enumerate(h.edges):
+        first = colors[e[0]]
+        for v in e:
+            if colors[v] != first:
+                break
+        else:
+            yield idx
+
+
 def is_proper(h: Hypergraph, coloring: Coloring) -> bool:
     """True iff no edge is monochromatic.  The coloring must be total."""
     if not coloring.is_total():
         raise ValueError("properness is only defined for total colorings")
-    cols = coloring.colors
-    for e in h.edges:
-        first = cols[e[0]]
-        if all(cols[v] == first for v in e[1:]):
-            return False
-    return True
+    return next(_mono_edges(h, coloring.colors), None) is None
 
 
 def is_equitable(h: Hypergraph, coloring: Coloring) -> bool:

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "Subinterval",
     "WeightAssignment",
     "balanced_mono_prob",
-    "build_partition",
     "choose_p",
     "run_interval_coloring",
     "sample_balanced_coloring",
@@ -122,10 +121,6 @@ class IntervalPartition:
         return out
 
 
-def build_partition(p: float, r: int) -> IntervalPartition:
-    return IntervalPartition(p, r)
-
-
 class WeightAssignment:
     """Vertex weights plus the induced vertex order.
 
@@ -190,31 +185,46 @@ class InitialColoring:
         return out
 
 
+def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
+    """Flat subinterval index of every weight, as ``partition.slot_of`` gives
+    it, for an array of weights of any shape."""
+    w = np.asarray(weights, dtype=float)
+    inside = (w >= 0.0) & (w < 1.0)
+    if not inside.all():
+        raise ValueError(f"weight {w[~inside][0]} outside [0, 1)")
+    return np.searchsorted(partition.lefts, w, side="right") - 1
+
+
 def _stage_colors(
-    h: Hypergraph, r: int, partition: IntervalPartition, wa: WeightAssignment
+    h: Hypergraph, r: int, slots: Sequence[int], order: Sequence[int]
 ) -> tuple[list[int], list[int], list[int], dict[int, int]]:
-    """Core of the two-stage coloring, shared with the Monte Carlo driver."""
-    m = h.m
-    weights = wa.weights
-    slot_of = partition.slot_of
-    colors = [0] * m
+    """Both stages on discrete input: ``slots[v]`` is vertex v's flat
+    subinterval index (even slots are large blocks, odd ones small) and
+    ``order`` lists the vertices in increasing weight, ties by id.
+
+    The one production kernel: ``run_interval_coloring`` and the Monte
+    Carlo driver both call it.  Returns colors, deflections, occupancy and
+    blocking as described on InitialColoring.
+    """
+    colors = [0] * h.m
     occupancy = [0] * r
     deflections = [0] * (r - 1)
     blocking: dict[int, int] = {}
     edges = h.edges
     incidence = h.incidence
 
-    pending: list[tuple[int, int]] = []
-    for v in wa.sorted_order:
-        s = slot_of(weights[v])
+    pending: list[int] = []
+    for v in order:
+        s = slots[v]
         block = s // 2
         occupancy[block] += 1
         if s % 2 == 0:
             colors[v] = block + 1
         else:
-            pending.append((int(v), block + 1))
+            pending.append(v)
 
-    for v, i in pending:
+    for v in pending:
+        i = slots[v] // 2 + 1
         blocked = -1
         for e_idx in incidence[v]:
             e = edges[e_idx]
@@ -238,13 +248,17 @@ def run_interval_coloring(
     Stage 2 processes small-block vertices in increasing weight (ties by
     vertex id).  A vertex of small_i only ever receives color i or i+1;
     deflection to i+1 is unconditional even if it completes a
-    monochromatic edge of color i+1.
+    monochromatic edge of color i+1.  Raises ValueError on a weight
+    outside [0, 1).
     """
     if partition.r != r:
         raise ValueError("partition was built for a different number of colors")
     if wa.m != h.m:
         raise ValueError("weight vector length does not match vertex count")
-    colors, deflections, occupancy, blocking = _stage_colors(h, r, partition, wa)
+    slots = _weight_slots(partition, wa.weights).tolist()
+    colors, deflections, occupancy, blocking = _stage_colors(
+        h, r, slots, wa.sorted_order.tolist()
+    )
     return InitialColoring(
         Coloring(h.m, r, colors), tuple(deflections), tuple(occupancy), blocking
     )
@@ -276,17 +290,19 @@ def balanced_mono_prob(m: int, n: int, r: int) -> MonoProbability:
 def sample_balanced_coloring(m: int, r: int, seed) -> Coloring:
     """Uniformly random coloring with every class of size exactly m/r.
 
-    A uniform permutation is cut into r consecutive blocks; each balanced
-    coloring arises from the same number of permutations, so the draw is
-    uniform.  ``seed`` may be an integer or a numpy Generator.
+    ``seed`` may be an integer or a numpy Generator.
     """
     if m % r != 0:
         raise ValueError(f"balanced colorings need r | m, got m={m}, r={r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    perm = rng.permutation(m)
-    colors = [0] * m
-    size = m // r
-    for c in range(r):
-        for v in perm[c * size : (c + 1) * size]:
-            colors[v] = c + 1
-    return Coloring(m, r, colors)
+    return _coloring_at_sizes(m, [m // r] * r, rng)
+
+
+def _coloring_at_sizes(m: int, sizes: Sequence[int], rng: np.random.Generator) -> Coloring:
+    """Uniformly random coloring whose class i holds exactly sizes[i-1]
+    vertices.  A uniform permutation is cut into consecutive blocks; each
+    such coloring arises from the same number of permutations, so the draw
+    is uniform."""
+    colors = np.empty(m, dtype=np.int64)
+    colors[rng.permutation(m)] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    return Coloring(m, len(sizes), colors.tolist())

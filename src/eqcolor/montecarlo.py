@@ -4,9 +4,11 @@ process.
 The estimators sample the two-stage coloring (or the balanced draw) in
 chunks and report a point estimate with a 3-sigma half-width, next to a
 comparison value: the exact oracle where enumeration is affordable, the
-closed-form bound otherwise.  Each trial's randomness is a pure function of
-(seed, trial index), so aggregate counts do not depend on execution order
-or on the total trial count.
+closed-form bound otherwise.  Each trial runs the production kernel
+``intervals._stage_colors`` and the production event predicates.  Chunk j
+is seeded from (seed, j) and holds ``_chunk_rows`` trials, a number set by
+CHUNK_ROWS and the vertex count.  So a longer run extends a shorter one,
+but changing the chunk size changes every estimate (ROADMAP.md, item 3).
 
 The oracle exploits a discreteness property of the process: the outcome
 depends only on which of the 2r-1 subintervals each vertex falls in (the
@@ -29,13 +31,20 @@ import numpy as np
 
 from .chains import (
     Deflected,
+    _chain_event_holds,
     chain_probability_bound,
     dangerous_count_bound,
     expected_deflections_bound,
     mono_edge_probability_bound,
 )
-from .hypergraph import BudgetExceeded, Hypergraph, class_targets
-from .intervals import balanced_mono_prob, build_partition, choose_p
+from .hypergraph import BudgetExceeded, Hypergraph, _mono_edges, class_targets
+from .intervals import (
+    IntervalPartition,
+    _stage_colors,
+    _weight_slots,
+    balanced_mono_prob,
+    choose_p,
+)
 from .rebalance import compute_p_tilde
 from .seeding import ROLE_TRIALS, derive
 
@@ -107,38 +116,6 @@ def _chunk_rows(width: int) -> int:
     return max(1, min(CHUNK_ROWS, _CHUNK_CELLS // max(1, width)))
 
 
-def _trial_colors(h: Hypergraph, r: int, slots_row, order_row) -> list[int]:
-    """Colors after both stages, given each vertex's subinterval slot (0,
-    2, ... are large blocks; 1, 3, ... small) and the vertices in weight
-    order.  Mirrors the floating-point pipeline; the two are held equal by
-    tests."""
-    colors = [0] * h.m
-    for v in range(h.m):
-        s = slots_row[v]
-        if s % 2 == 0:
-            colors[v] = s // 2 + 1
-    for v in order_row:
-        s = slots_row[v]
-        if s % 2 == 0:
-            continue
-        i = (s + 1) // 2
-        deflect = False
-        for e in h.incidence[v]:
-            if all(colors[u] == i for u in h.edges[e] if u != v):
-                deflect = True
-                break
-        colors[v] = i + 1 if deflect else i
-    return colors
-
-
-def _mono_exists(h: Hypergraph, colors: Sequence[int]) -> bool:
-    for edge in h.edges:
-        c = colors[edge[0]]
-        if all(colors[v] == c for v in edge[1:]):
-            return True
-    return False
-
-
 def _run_two_stage(
     h: Hypergraph,
     r: int,
@@ -148,11 +125,11 @@ def _run_two_stage(
     stat,
     with_keep: bool = False,
 ) -> tuple[float, float]:
-    """Chunked sampling loop.  ``stat(colors, slots_row, u_row, keep_row)``
-    returns the trial's statistic; the sums of values and squared values
-    come back for the caller to turn into estimate and half-width."""
-    partition = build_partition(p, r)
-    lefts = np.asarray(partition.lefts)
+    """Chunked sampling loop.  ``stat(colors, deflections, slots_row, u_row,
+    keep_row)`` returns the trial's statistic; the sums of values and
+    squared values come back for the caller to turn into estimate and
+    half-width."""
+    partition = IntervalPartition(p, r)
     m = h.m
     width = 2 * m if with_keep else m
     rows = _chunk_rows(width)
@@ -165,14 +142,13 @@ def _run_two_stage(
         rng = derive(seed, chunk, ROLE_TRIALS)
         mat = rng.random((take, width))
         u = mat[:, :m]
-        slots = np.searchsorted(lefts, u, side="right") - 1
+        slots = _weight_slots(partition, u)
         order = np.argsort(u, axis=1, kind="stable")
         for t in range(take):
             slots_row = slots[t].tolist()
-            order_row = order[t].tolist()
-            colors = _trial_colors(h, r, slots_row, order_row)
+            colors, deflections, _, _ = _stage_colors(h, r, slots_row, order[t].tolist())
             keep_row = mat[t, m:] if with_keep else None
-            val = stat(colors, slots_row, u[t], keep_row)
+            val = stat(colors, deflections, slots_row, u[t], keep_row)
             total += val
             total_sq += val * val
         done += take
@@ -291,8 +267,8 @@ def mc_estimate(
     if quantity == "mono-edge":
         _reject_extra(params)
 
-        def stat(colors, slots, u, keep):
-            return 1 if _mono_exists(h, colors) else 0
+        def stat(colors, deflections, slots, u, keep):
+            return 0 if next(_mono_edges(h, colors), None) is None else 1
 
         total, _ = _run_two_stage(h, r, p, trials, seed, stat)
         comparison = (
@@ -307,12 +283,9 @@ def mc_estimate(
         _reject_extra(params)
         if not 1 <= i <= r - 1:
             raise ValueError(f"small-block index must lie in 1..{r - 1}")
-        slot = 2 * i - 1
 
-        def stat(colors, slots, u, keep):
-            return sum(
-                1 for v in range(m) if slots[v] == slot and colors[v] == i + 1
-            )
+        def stat(colors, deflections, slots, u, keep):
+            return deflections[i - 1]
 
         total, total_sq = _run_two_stage(h, r, p, trials, seed, stat)
         comparison = None
@@ -334,7 +307,7 @@ def mc_estimate(
         _reject_extra(params)
         targets = class_targets(m, r)
 
-        def stat(colors, slots, u, keep):
+        def stat(colors, deflections, slots, u, keep):
             sizes = [0] * r
             for c in colors:
                 sizes[c - 1] += 1
@@ -353,7 +326,7 @@ def mc_estimate(
         if not 0.0 <= p_tilde <= 1.0:
             raise ValueError("keep probability must lie in [0, 1]")
 
-        def stat(colors, slots, u, keep):
+        def stat(colors, deflections, slots, u, keep):
             count = 0
             for edge in h.edges:
                 has_candidate = False
@@ -386,35 +359,12 @@ def mc_estimate(
             raise ValueError("edges must index into the hypergraph")
         if color - k + 1 < 1 or color > r:
             raise ValueError("chain length does not fit the color")
-        members = [h.edges[e] for e in seq]
-        shared = []
         for j in range(k - 1):
-            common = set(members[j]) & set(members[j + 1])
-            if len(common) != 1:
+            if len(set(h.edges[seq[j]]) & set(h.edges[seq[j + 1]])) != 1:
                 raise ValueError("consecutive edges must share exactly one vertex")
-            shared.append(common.pop())
 
-        def stat(colors, slots, u, keep):
-            if any(colors[v] != color for v in members[-1]):
-                return 0
-            for j in range(k - 1):
-                c = color - k + j + 2
-                v = shared[j]
-                if slots[v] != 2 * c - 3:
-                    return 0
-                b_others = [w for w in members[j] if w != v]
-                a_others = [w for w in members[j + 1] if w != v]
-                if any(u[w] > u[v] for w in b_others):
-                    return 0
-                if any(u[w] < u[v] for w in a_others):
-                    return 0
-                if any(colors[w] != c - 1 for w in b_others):
-                    return 0
-            if k == 1:
-                return 1 if all(slots[v] == 2 * color - 2 for v in members[0]) else 0
-            c1 = color - k + 1
-            first = min(members[0], key=lambda w: u[w])
-            return 1 if slots[first] in (2 * c1 - 2, 2 * c1 - 1) else 0
+        def stat(colors, deflections, slots, u, keep):
+            return 1 if _chain_event_holds(h, slots, u, colors, seq, color) else 0
 
         total, _ = _run_two_stage(h, r, p, trials, seed, stat)
         comparison = (
@@ -442,7 +392,7 @@ def mc_estimate(
         if not 1 <= i <= r - 1:
             raise ValueError(f"small-block index must lie in 1..{r - 1}")
 
-    def stat(colors, slots, u, keep):
+    def stat(colors, deflections, slots, u, keep):
         s = slots[v0]
         if s % 2 == 0:
             return 0
@@ -545,7 +495,7 @@ def _simulate_discrete(
 
 def _event_holds(h, r, event, slots, orders, colors) -> bool:
     if isinstance(event, MonoEdgeExists):
-        return _mono_exists(h, colors)
+        return any(len({colors[v] for v in e}) == 1 for e in h.edges)
 
     if isinstance(event, Deflected):
         v = event.vertex

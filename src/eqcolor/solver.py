@@ -24,13 +24,15 @@ from .chains import ChainRecord, MonoEdge, extract_chain
 from .hypergraph import (
     Coloring,
     Hypergraph,
+    _mono_edges,
     brute_force_equitable,
     class_targets,
     is_equitable,
     is_proper,
 )
 from .intervals import (
-    build_partition,
+    IntervalPartition,
+    _coloring_at_sizes,
     choose_p,
     run_interval_coloring,
     sample_weights,
@@ -122,28 +124,13 @@ def _route(h: Hypergraph, r: int, cfg: SolveConfig) -> str:
         return PATH_BALANCED
     if cfg.force_path == TWO_STAGE_ONLY:
         return PATH_TWO_STAGE
-    if h.n < 2:
-        return PATH_BALANCED
     if h.m < h.n**2 * (r - 1) / (2.0 * math.log(h.n)):
         return PATH_BALANCED
     return PATH_TWO_STAGE
 
 
-def _sample_at_targets(m: int, targets: tuple[int, ...], rng) -> Coloring:
-    """Uniformly random coloring with class i holding exactly targets[i-1]
-    vertices: permute the vertices and cut consecutive blocks."""
-    perm = rng.permutation(m)
-    coloring = Coloring(m, len(targets))
-    pos = 0
-    for i, t in enumerate(targets, start=1):
-        for v in perm[pos : pos + t]:
-            coloring.assign(int(v), i)
-        pos += t
-    return coloring
-
-
 def _verified(h: Hypergraph, coloring: Coloring) -> bool:
-    return coloring.is_total() and is_proper(h, coloring) and is_equitable(h, coloring)
+    return coloring.is_total() and is_equitable(h, coloring)
 
 
 def greedy_repair(
@@ -223,12 +210,12 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
 
     partition = None
     if path == PATH_TWO_STAGE:
-        partition = build_partition(choose_p(h.n, r), r)
+        partition = IntervalPartition(choose_p(h.n, r), r)
 
     for attempt in range(cfg.max_restarts):
         if path == PATH_BALANCED:
             rng = derive(cfg.seed, attempt, ROLE_BALANCED)
-            coloring = _sample_at_targets(h.m, targets, rng)
+            coloring = _coloring_at_sizes(h.m, targets, rng)
             if is_proper(h, coloring):
                 return SolveReport(
                     SUCCESS, coloring, attempt + 1, path, r, diagnostics, chains, plan
@@ -239,11 +226,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
         wa = sample_weights(h.m, derive(cfg.seed, attempt, ROLE_WEIGHTS))
         init = run_interval_coloring(h, r, partition, wa)
         cols = init.coloring.colors
-        mono = [
-            e
-            for e, edge in enumerate(h.edges)
-            if all(cols[v] == cols[edge[0]] for v in edge)
-        ]
+        mono = list(_mono_edges(h, cols))
         if mono:
             diagnostics["mono-edge"] += 1
             chains = tuple(

@@ -23,6 +23,7 @@ from eqcolor import (
     ChainEventSpec,
     Deflected,
     Hypergraph,
+    IntervalPartition,
     MonoEdge,
     MonoEdgeExists,
     SolveConfig,
@@ -30,7 +31,6 @@ from eqcolor import (
     apply_recolor,
     balanced_mono_prob,
     brute_force_equitable,
-    build_partition,
     build_rebalance_plan,
     chain_probability_bound,
     choose_p,
@@ -121,10 +121,10 @@ def test_interval_coloring_deterministic():
             p = float(rng.uniform(0.05, 0.45))
             wseed = int(rng.integers(0, 2**32))
             a = run_interval_coloring(
-                Hypergraph(m, n, edges), r, build_partition(p, r), sample_weights(m, wseed)
+                Hypergraph(m, n, edges), r, IntervalPartition(p, r), sample_weights(m, wseed)
             )
             b = run_interval_coloring(
-                Hypergraph(m, n, edges), r, build_partition(p, r), sample_weights(m, wseed)
+                Hypergraph(m, n, edges), r, IntervalPartition(p, r), sample_weights(m, wseed)
             )
             assert a.coloring.colors == b.coloring.colors
             assert a.deflections == b.deflections
@@ -147,7 +147,7 @@ def coloring_runs():
         m = int(rng.integers(max(n, r), 31))
         ne = int(rng.integers(0, min(math.comb(m, n), 3 * m) + 1))
         h = Hypergraph(m, n, _random_edges(rng, m, n, ne))
-        part = build_partition(float(rng.uniform(0.05, 0.45)), r)
+        part = IntervalPartition(float(rng.uniform(0.05, 0.45)), r)
         wa = sample_weights(m, int(rng.integers(0, 2**32)))
         runs.append((h, r, part, wa, run_interval_coloring(h, r, part, wa)))
     return runs
@@ -332,7 +332,7 @@ def test_rebalance_safety():
                 continue
             ne = int(rng.integers(1, min(math.comb(m, 2), 8) + 1))
             h = Hypergraph(m, 2, _random_edges(rng, m, 2, ne))
-            part = build_partition(float(rng.uniform(0.1, 0.5)), r)
+            part = IntervalPartition(float(rng.uniform(0.1, 0.5)), r)
             wa = sample_weights(m, int(rng.integers(0, 2**32)))
             coloring = run_interval_coloring(h, r, part, wa).coloring
             if not coloring.is_total() or not is_proper(h, coloring):
@@ -402,7 +402,7 @@ def test_partition_soundness():
         for _ in range(1000):
             r = int(rng.integers(2, 8))
             p = float(rng.uniform(0.01, 0.9))
-            part = build_partition(p, r)
+            part = IntervalPartition(p, r)
             lengths = part.slot_lengths()
             assert len(lengths) == 2 * r - 1
             assert abs(sum(lengths) - 1.0) <= 1e-12

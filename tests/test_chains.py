@@ -16,11 +16,10 @@ from eqcolor import (
     Deflected,
     Hypergraph,
     IMPROPER,
+    IntervalPartition,
     MonoEdge,
     ORDERED,
     WeightAssignment,
-    analytic_bound,
-    build_partition,
     chain_event_occurs,
     chain_probability_bound,
     choose_p,
@@ -35,7 +34,7 @@ from eqcolor import (
     validate_chain,
 )
 
-P2 = build_partition(0.2, 2)
+P2 = IntervalPartition(0.2, 2)
 
 
 def _setup(m, edges, weights, r=2, part=P2):
@@ -188,7 +187,7 @@ def test_extraction_agrees_with_event_predicate():
         n = int(rng.integers(2, min(m, 4) + 1))
         ne = int(rng.integers(1, min(math.comb(m, n), 7) + 1))
         h = _random_instance(m, n, ne, rng)
-        part = build_partition(choose_p(max(n, 3), r), r)
+        part = IntervalPartition(choose_p(max(n, 3), r), r)
         wa = sample_weights(m, int(rng.integers(0, 2**32)))
         init = run_interval_coloring(h, r, part, wa)
         cols = init.coloring.colors
@@ -278,12 +277,3 @@ def test_bound_spot_values():
 def test_bound_chain_decays_in_k():
     values = [chain_probability_bound(100, 2, k) for k in (1, 2, 3)]
     assert values[0] > values[1] > values[2] > 0
-
-
-def test_analytic_bound_dispatch():
-    assert analytic_bound("chain-probability", n=100, r=2, k=1) == chain_probability_bound(100, 2, 1)
-    assert analytic_bound("mono-edge-probability") == mono_edge_probability_bound()
-    assert analytic_bound("expected-deflections", n=100, r=2) == expected_deflections_bound(100, 2)
-    assert analytic_bound("dangerous-count", n=100, r=2) == dangerous_count_bound(100, 2)
-    with pytest.raises(ValueError):
-        analytic_bound("no-such-bound", n=10, r=2)

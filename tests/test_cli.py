@@ -194,6 +194,8 @@ def test_bounds_json_values(capsys):
     assert obj["asymptotic-regime"] is False
     assert obj["mono-edge-probability"] == pytest.approx(0.10873127313836181, abs=1e-12)
     assert obj["chain-probability"] == pytest.approx(3.385737404144304e-31, rel=1e-9)
+    assert obj["expected-deflections"] == pytest.approx(1.1805347983576451, rel=1e-9)
+    assert obj["dangerous-count"] == pytest.approx(10.857362047581296, rel=1e-9)
 
 
 def test_bounds_with_vertex_count(capsys):

@@ -18,7 +18,6 @@ from eqcolor import (
     Subinterval,
     WeightAssignment,
     balanced_mono_prob,
-    build_partition,
     choose_p,
     run_interval_coloring,
     sample_balanced_coloring,
@@ -45,7 +44,7 @@ def test_choose_p_rejects_degenerate_inputs():
 
 
 def test_partition_boundaries_p02_r2():
-    part = build_partition(0.2, 2)
+    part = IntervalPartition(0.2, 2)
     flat = [x for lo_hi in part.large_bounds for x in lo_hi]
     assert flat == pytest.approx([0.0, 0.4, 0.6, 1.0], abs=1e-15)
     assert part.small_bounds[0] == pytest.approx((0.4, 0.6), abs=1e-15)
@@ -56,7 +55,7 @@ def test_partition_boundaries_p02_r2():
 
 
 def test_partition_degenerate_p_zero():
-    part = build_partition(0.0, 3)
+    part = IntervalPartition(0.0, 3)
     for lo, hi in part.large_bounds:
         assert hi - lo == pytest.approx(1 / 3, abs=1e-15)
     for lo, hi in part.small_bounds:
@@ -64,7 +63,7 @@ def test_partition_degenerate_p_zero():
 
 
 def test_partition_five_colors_alternates():
-    part = build_partition(0.1, 5)
+    part = IntervalPartition(0.1, 5)
     assert len(part.large_bounds) == 5 and len(part.small_bounds) == 4
     bounds = []
     for i in range(4):
@@ -77,7 +76,7 @@ def test_partition_five_colors_alternates():
 
 
 def test_locate_rejects_out_of_range():
-    part = build_partition(0.2, 2)
+    part = IntervalPartition(0.2, 2)
     with pytest.raises(ValueError):
         part.locate(1.0)
     with pytest.raises(ValueError):
@@ -89,7 +88,7 @@ def test_slot_lengths_sum_to_one_random():
     for _ in range(200):
         r = int(rng.integers(2, 9))
         p = float(rng.uniform(0.0, 0.999))
-        part = build_partition(p, r)
+        part = IntervalPartition(p, r)
         assert abs(sum(part.slot_lengths()) - 1.0) < 1e-12
         for kind, idx, lo, hi in _iter_bounds(part):
             if hi > lo:
@@ -107,7 +106,7 @@ def _iter_bounds(part):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 0.99), st.integers(2, 10))
 def test_partition_lengths_property(p, r):
-    part = build_partition(p, r)
+    part = IntervalPartition(p, r)
     assert abs(sum(part.slot_lengths()) - 1.0) < 1e-12
 
 
@@ -138,7 +137,7 @@ def test_two_stage_hand_trace():
     # v3=0.45 (small 1).  Stage 2 colors v3 first (weight order), then v1:
     # coloring v1 with 1 would finish edge {0,1}, so it deflects to 2.
     h = Hypergraph(4, 2, [(0, 1)])
-    part = build_partition(0.2, 2)
+    part = IntervalPartition(0.2, 2)
     wa = WeightAssignment((0.1, 0.5, 0.7, 0.45))
     init = run_interval_coloring(h, 2, part, wa)
     assert init.coloring.colors == [1, 2, 2, 1]
@@ -149,7 +148,7 @@ def test_two_stage_hand_trace():
 
 def test_two_stage_all_large_is_pure_stage_one():
     h = Hypergraph(4, 2, [(0, 1), (2, 3)])
-    part = build_partition(0.2, 2)
+    part = IntervalPartition(0.2, 2)
     wa = WeightAssignment((0.1, 0.2, 0.7, 0.8))
     init = run_interval_coloring(h, 2, part, wa)
     assert init.coloring.colors == [1, 1, 2, 2]
@@ -159,7 +158,7 @@ def test_two_stage_all_large_is_pure_stage_one():
 def test_two_stage_mono_edge_survives():
     # both endpoints land in the first large block, nothing can deflect them
     h = Hypergraph(2, 2, [(0, 1)])
-    part = build_partition(0.2, 2)
+    part = IntervalPartition(0.2, 2)
     init = run_interval_coloring(h, 2, part, WeightAssignment((0.1, 0.2)))
     assert init.coloring.colors == [1, 1]
 
@@ -167,7 +166,7 @@ def test_two_stage_mono_edge_survives():
 def test_two_stage_deflection_is_unconditional():
     # v2 deflects to color 2 even though that completes {1,2} in color 2
     h = Hypergraph(3, 2, [(0, 2), (1, 2)])
-    part = build_partition(0.2, 2)
+    part = IntervalPartition(0.2, 2)
     wa = WeightAssignment((0.1, 0.7, 0.5))
     init = run_interval_coloring(h, 2, part, wa)
     assert init.coloring.colors == [1, 2, 2]
@@ -182,7 +181,7 @@ def test_class_size_identity_random_runs():
         r = int(rng.integers(2, 4))
         ne = int(rng.integers(0, min(math.comb(m, n), 8) + 1))
         h = _random_instance(m, n, ne, rng)
-        part = build_partition(choose_p(max(n, 3), r), r)
+        part = IntervalPartition(choose_p(max(n, 3), r), r)
         wa = sample_weights(m, int(rng.integers(0, 2**32)))
         init = run_interval_coloring(h, r, part, wa)
         x = (0,) + init.deflections
@@ -198,7 +197,7 @@ def test_stage_two_colors_stay_local():
         m = int(rng.integers(2, 20))
         r = int(rng.integers(2, 5))
         h = _random_instance(m, 2, int(rng.integers(0, min(math.comb(m, 2), 10) + 1)), rng)
-        part = build_partition(0.3, r)
+        part = IntervalPartition(0.3, r)
         wa = sample_weights(m, int(rng.integers(0, 2**32)))
         init = run_interval_coloring(h, r, part, wa)
         for v in range(m):
@@ -218,7 +217,7 @@ def _random_instance(m, n, ne, rng):
 
 def test_two_stage_determinism():
     h = _random_instance(12, 3, 6, np.random.default_rng(0))
-    part = build_partition(choose_p(3, 2), 2)
+    part = IntervalPartition(choose_p(3, 2), 2)
     wa = sample_weights(12, seed=5)
     a = run_interval_coloring(h, 2, part, wa)
     b = run_interval_coloring(h, 2, part, wa)
@@ -229,11 +228,19 @@ def test_two_stage_determinism():
 def test_initial_coloring_json_shape():
     h = Hypergraph(4, 2, [(0, 1)])
     init = run_interval_coloring(
-        h, 2, build_partition(0.2, 2), WeightAssignment((0.1, 0.5, 0.7, 0.45))
+        h, 2, IntervalPartition(0.2, 2), WeightAssignment((0.1, 0.5, 0.7, 0.45))
     )
     obj = init.to_json_dict()
     assert obj["colors"] == [1, 2, 2, 1]
     assert obj["X"] == [1] and obj["Z"] == [3, 1]
+
+
+def test_interval_coloring_rejects_weights_outside_unit_interval():
+    h = Hypergraph(3, 2, [(0, 1)])
+    part = IntervalPartition(0.2, 2)
+    for bad in (1.0, -0.1):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            run_interval_coloring(h, 2, part, WeightAssignment((0.1, bad, 0.7)))
 
 
 def test_balanced_mono_prob_exact_values():

@@ -10,16 +10,16 @@ from eqcolor import (
     ChainEventSpec,
     Comparison,
     Hypergraph,
+    IntervalPartition,
     MonoEdgeExists,
     WeightAssignment,
     balanced_mono_prob,
-    build_partition,
     choose_p,
     exact_c0_event_prob,
     mc_estimate,
     run_interval_coloring,
 )
-from eqcolor.montecarlo import QUANTITIES, Deflected, _trial_colors
+from eqcolor.montecarlo import QUANTITIES, Deflected, _simulate_discrete
 
 SINGLE = Hypergraph(2, 2, [(0, 1)])
 # two triangles sharing vertices with a third, forcing interactions between
@@ -204,8 +204,9 @@ def test_mc_report_json_shape():
 
 
 def test_vectorized_kernel_matches_reference_coloring():
-    # the integer kernel inside the estimator must color exactly like the
-    # reference implementation, draw for draw
+    # the production kernel (vectorized slot lookup, shared by the solver
+    # and the estimator) must color exactly like the oracle's independent
+    # simulator given the same slots and per-small-block orders, draw for draw
     rng = np.random.default_rng(23)
     for _ in range(300):
         m = int(rng.integers(2, 12))
@@ -217,13 +218,16 @@ def test_vectorized_kernel_matches_reference_coloring():
         h = Hypergraph(m, n, sorted(edges))
         r = int(rng.integers(2, 4))
         p = float(rng.uniform(0.05, 0.6))
-        part = build_partition(p, r)
+        part = IntervalPartition(p, r)
         u = rng.random(m)
-        slots = np.searchsorted(part.lefts, u, side="right") - 1
-        order = np.argsort(u, kind="stable")
-        kernel = _trial_colors(h, r, slots, order)
-        reference = run_interval_coloring(h, r, part, WeightAssignment(u))
-        assert kernel == reference.coloring.colors
+        wa = WeightAssignment(u)
+        slots = [part.slot_of(x) for x in u]
+        orders = [
+            [v for v in wa.sorted_order.tolist() if slots[v] == 2 * i - 1]
+            for i in range(1, r)
+        ]
+        reference = _simulate_discrete(h, r, slots, orders)
+        assert run_interval_coloring(h, r, part, wa).coloring.colors == reference
 
 
 def test_oracle_orders_small_blocks_by_weight_not_id():

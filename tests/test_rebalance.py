@@ -8,10 +8,10 @@ import pytest
 from eqcolor import (
     Coloring,
     Hypergraph,
+    IntervalPartition,
     RegimeViolation,
     WeightAssignment,
     apply_recolor,
-    build_partition,
     build_rebalance_plan,
     choose_p,
     class_targets,
@@ -101,7 +101,7 @@ def test_compute_p_tilde_rejects_small_instances():
 
 def _fixture_run(m=14, seed=5, r=3):
     h = Hypergraph(m, 2, [(0, 1), (2, 3), (4, 5)])
-    part = build_partition(0.3, r)
+    part = IntervalPartition(0.3, r)
     wa = sample_weights(m, seed)
     init = run_interval_coloring(h, r, part, wa)
     return h, part, wa, init
@@ -262,7 +262,7 @@ def test_rebalance_safety_property():
         while len(edges) < ne:
             edges.add(tuple(sorted(rng.choice(m, 2, replace=False).tolist())))
         h = Hypergraph(m, 2, sorted(edges))
-        part = build_partition(float(rng.uniform(0.1, 0.5)), r)
+        part = IntervalPartition(float(rng.uniform(0.1, 0.5)), r)
         wa = sample_weights(m, int(rng.integers(0, 2**32)))
         init = run_interval_coloring(h, r, part, wa)
         coloring = init.coloring
