@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, combinations
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,10 +43,12 @@ class Hypergraph:
     Edges are normalized to sorted vertex tuples and deduplicated in
     first-seen order, so serialization round-trips are stable.  A per-vertex
     incidence index (edge indices in increasing order) supports the
-    incremental monochromaticity checks used throughout.
+    incremental monochromaticity checks used throughout, and ``edge_array``
+    holds the same edges as a read-only int32 (|E| x n) array for the
+    vectorized scans.
     """
 
-    __slots__ = ("m", "n", "edges", "incidence")
+    __slots__ = ("m", "n", "edges", "incidence", "edge_array")
 
     def __init__(self, m: int, n: int, edges: Iterable[Sequence[int]]):
         if m <= 0:
@@ -74,6 +76,9 @@ class Hypergraph:
             for v in t:
                 incidence[v].append(idx)
         self.incidence: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in incidence)
+        flat = np.fromiter(chain.from_iterable(self.edges), np.int32, len(self.edges) * n)
+        self.edge_array = flat.reshape(len(self.edges), n)
+        self.edge_array.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -201,24 +206,23 @@ class Coloring:
         return col
 
 
-def _mono_edges(h: Hypergraph, colors: Sequence[int]) -> Iterator[int]:
-    """Indices of the monochromatic edges under ``colors``, in increasing
-    order, found lazily: the one edge scan behind ``is_proper``, the
-    solver's rejection step and the Monte Carlo ``mono-edge`` statistic."""
-    for idx, e in enumerate(h.edges):
-        first = colors[e[0]]
-        for v in e:
-            if colors[v] != first:
-                break
-        else:
-            yield idx
+def _mono_edges(h: Hypergraph, colors) -> np.ndarray:
+    """Boolean mask of the monochromatic edges under ``colors``, one numpy
+    pass over ``h.edge_array``: colors of shape (m,) give a mask of shape
+    (|E|,), colors of shape (T, m) one row of masks per trial.  The one
+    edge scan behind ``is_proper``, the solver's rejection step and the
+    Monte Carlo ``mono-edge`` statistic."""
+    # (..., n, |E|): comparing whole rows is far faster than reducing over a
+    # short last axis
+    edge_colors = np.asarray(colors, dtype=np.int64)[..., h.edge_array.T]
+    return (edge_colors == edge_colors[..., :1, :]).all(axis=-2)
 
 
 def is_proper(h: Hypergraph, coloring: Coloring) -> bool:
     """True iff no edge is monochromatic.  The coloring must be total."""
     if not coloring.is_total():
         raise ValueError("properness is only defined for total colorings")
-    return next(_mono_edges(h, coloring.colors), None) is None
+    return not _mono_edges(h, coloring.colors).any()
 
 
 def is_equitable(h: Hypergraph, coloring: Coloring) -> bool:

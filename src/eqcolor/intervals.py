@@ -19,6 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -187,57 +188,107 @@ class InitialColoring:
 
 def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
     """Flat subinterval index of every weight, as ``partition.slot_of`` gives
-    it, for an array of weights of any shape."""
+    it, for an array of weights of any shape.  The indices are int8 when
+    they fit (r <= 64), which keeps the kernel's gathers small."""
     w = np.asarray(weights, dtype=float)
-    inside = (w >= 0.0) & (w < 1.0)
-    if not inside.all():
-        raise ValueError(f"weight {w[~inside][0]} outside [0, 1)")
-    return np.searchsorted(partition.lefts, w, side="right") - 1
+    if not (w.min() >= 0.0 and w.max() < 1.0):
+        raise ValueError(f"weight {w[~((w >= 0.0) & (w < 1.0))][0]} outside [0, 1)")
+    # lefts[0] = 0 <= w, so the slot is the number of later left ends <= w
+    slots = np.searchsorted(partition.lefts[1:], w, side="right")
+    return slots.astype(np.int8) if partition.r <= 64 else slots
 
 
 def _stage_colors(
-    h: Hypergraph, r: int, slots: Sequence[int], order: Sequence[int]
-) -> tuple[list[int], list[int], list[int], dict[int, int]]:
-    """Both stages on discrete input: ``slots[v]`` is vertex v's flat
-    subinterval index (even slots are large blocks, odd ones small) and
-    ``order`` lists the vertices in increasing weight, ties by id.
+    h: Hypergraph, r: int, slots: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[dict[int, int]]]:
+    """Both stages on T trials at once: ``slots`` and ``weights`` are
+    (T, m) arrays, ``slots[t, v]`` the flat subinterval index of vertex v in
+    trial t (even slots are large blocks, odd ones small) and
+    ``weights[t, v]`` its weight, which orders the trial's vertices (ties
+    by id).
 
-    The one production kernel: ``run_interval_coloring`` and the Monte
-    Carlo driver both call it.  Returns colors, deflections, occupancy and
-    blocking as described on InitialColoring.
+    The one production kernel: ``run_interval_coloring`` calls it with
+    T = 1 and the Monte Carlo driver once per sub-batch of trials.  Stage 1
+    is ``slots // 2 + 1`` for every vertex, which is also the color of every
+    small-block vertex that is not deflected.  A vertex of small_i can only
+    be deflected by an edge whose other vertices all carry color i, so all
+    of its vertices lie in small_{i-1}, large_i or small_i: its largest
+    slot is odd and its smallest at least that minus 2.  Only such live
+    edges are found (one gather over ``h.edge_array``), and stage 2 walks,
+    per trial that has one, just their small-block vertices in weight
+    order, each reading as uncolored until visited and checked against its
+    live edges in increasing index.  Returns colors (T, m), deflections
+    (T, r-1) and one blocking dict per trial, as described on
+    InitialColoring.
     """
-    colors = [0] * h.m
-    occupancy = [0] * r
-    deflections = [0] * (r - 1)
-    blocking: dict[int, int] = {}
+    colors = slots // 2 + 1
+    deflections = np.zeros((len(slots), r - 1), dtype=np.int64)
+    blocking: list[dict[int, int]] = [{} for _ in range(len(slots))]
+    if not h.edges:
+        return colors, deflections, blocking
+    # (T, n, |E|): reducing over the middle axis is far faster than over a
+    # short last one
+    edge_slots = slots[:, h.edge_array.T]
+    top = edge_slots.max(axis=1)
+    live = top & 1
+    if r > 2:  # with r = 2 no slot lies below top - 2
+        live &= edge_slots.min(axis=1) >= top - 2
+    flat = np.flatnonzero(live)
+    if not len(flat):
+        return colors, deflections, blocking
+    rows, eids = np.divmod(flat, len(h.edges))
+    # flat lists, n entries per pair: nested ones would put two container
+    # objects per pair in front of the cyclic garbage collector
+    live_slots = edge_slots[rows, :, eids].ravel().tolist()
+    live_weights = weights[rows[:, None], h.edge_array[eids]].ravel().tolist()
+    rows = rows.tolist()
+    eids = eids.tolist()
     edges = h.edges
-    incidence = h.incidence
-
-    pending: list[int] = []
-    for v in order:
-        s = slots[v]
-        block = s // 2
-        occupancy[block] += 1
-        if s % 2 == 0:
-            colors[v] = block + 1
-        else:
-            pending.append(v)
-
-    for v in pending:
-        i = slots[v] // 2 + 1
-        blocked = -1
-        for e_idx in incidence[v]:
-            e = edges[e_idx]
-            if all(colors[u] == i for u in e if u != v):
-                blocked = e_idx
-                break
-        if blocked >= 0:
-            colors[v] = i + 1
-            deflections[i - 1] += 1
-            blocking[v] = blocked
-        else:
-            colors[v] = i
-    return colors, deflections, occupancy, blocking
+    n = h.n
+    # trial, vertex and new color of every deflection
+    hits_t: list[int] = []
+    hits_v: list[int] = []
+    hits_c: list[int] = []
+    # the (trial, edge) pairs come sorted by trial: one run of pairs per trial
+    for t, run in groupby(range(len(rows)), rows.__getitem__):
+        # current color of every vertex of a live edge, 0 until visited for
+        # small-block ones; live incident edges of each small-block vertex
+        current: dict[int, int] = {}
+        incident: dict[int, list[int]] = {}
+        visit = []
+        for j in run:
+            e = eids[j]
+            k = j * n
+            for v, s, w in zip(edges[e], live_slots[k : k + n], live_weights[k : k + n]):
+                if s & 1:
+                    current[v] = 0
+                    if v in incident:
+                        incident[v].append(e)
+                    else:
+                        incident[v] = [e]
+                        visit.append((w, v, s))
+                else:
+                    current[v] = (s >> 1) + 1
+        visit.sort()
+        for _, v, s in visit:
+            i = (s >> 1) + 1
+            current[v] = i
+            for e in incident[v]:
+                for u in edges[e]:
+                    if u != v and current[u] != i:
+                        break
+                else:
+                    current[v] = i + 1
+                    blocking[t][v] = e
+                    hits_t.append(t)
+                    hits_v.append(v)
+                    hits_c.append(i + 1)
+                    break
+    if hits_t:
+        colors[hits_t, hits_v] = hits_c
+        # a vertex deflected to color c left small_{c-1}, column c - 2
+        np.add.at(deflections, (hits_t, np.subtract(hits_c, 2)), 1)
+    return colors, deflections, blocking
 
 
 def run_interval_coloring(
@@ -255,12 +306,14 @@ def run_interval_coloring(
         raise ValueError("partition was built for a different number of colors")
     if wa.m != h.m:
         raise ValueError("weight vector length does not match vertex count")
-    slots = _weight_slots(partition, wa.weights).tolist()
-    colors, deflections, occupancy, blocking = _stage_colors(
-        h, r, slots, wa.sorted_order.tolist()
-    )
+    slots = _weight_slots(partition, wa.weights)[None, :]
+    colors, deflections, blocking = _stage_colors(h, r, slots, wa.weights[None, :])
+    occupancy = np.bincount(slots[0] // 2, minlength=r)
     return InitialColoring(
-        Coloring(h.m, r, colors), tuple(deflections), tuple(occupancy), blocking
+        Coloring(h.m, r, colors[0].tolist()),
+        tuple(deflections[0].tolist()),
+        tuple(occupancy.tolist()),
+        blocking[0],
     )
 
 

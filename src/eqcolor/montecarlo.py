@@ -4,20 +4,26 @@ process.
 The estimators sample the two-stage coloring (or the balanced draw) in
 chunks and report a point estimate with a 3-sigma half-width, next to a
 comparison value: the exact oracle where enumeration is affordable, the
-closed-form bound otherwise.  Each trial runs the production kernel
-``intervals._stage_colors`` and the production event predicates.  Chunk j
-is seeded from (seed, j) and holds ``_chunk_rows`` trials, a number set by
-CHUNK_ROWS and the vertex count.  So a longer run extends a shorter one,
-but changing the chunk size changes every estimate (ROADMAP.md, item 3).
+closed-form bound otherwise.  Chunk j is seeded from (seed, j) and holds
+``_chunk_rows`` trials, a number set by CHUNK_ROWS and the vertex count.
+So a longer run extends a shorter one, but changing the chunk size changes
+every estimate (ROADMAP.md, item 3).  A chunk is split into sub-batches of
+at most ``_SUB_BATCH_CELLS`` gathered edge cells, which bounds memory and
+changes no draw.  Each sub-batch makes one call of the production kernel
+``intervals._stage_colors``, and the statistics act on the whole
+sub-batch through the production predicates: ``hypergraph._mono_edges``
+for ``mono-edge``, array expressions for the other counts, and
+``chains._chain_event_holds`` per trial for ``chain-event``.
 
 The oracle exploits a discreteness property of the process: the outcome
 depends only on which of the 2r-1 subintervals each vertex falls in (the
 probability is a product of subinterval lengths) and on the relative order
 of vertices inside each small block (uniform over permutations).  Summing
 the exact measure over all such configurations gives the event probability
-with no sampling error.  The oracle's simulator is written against that
-discrete representation, separately from the sampling kernel, so the two
-routes can check each other.
+with no sampling error.  The configurations are counted before any is
+enumerated, so an over-budget request fails at once.  The oracle's
+simulator is written against that discrete representation, separately
+from the sampling kernel, so the two routes can check each other.
 """
 
 from __future__ import annotations
@@ -60,6 +66,9 @@ __all__ = [
 
 CHUNK_ROWS = 16384
 _CHUNK_CELLS = 1 << 22
+# cap on the (trials x edges x n) cells one kernel call gathers; splitting a
+# chunk into sub-batches changes no draw
+_SUB_BATCH_CELLS = 1 << 16
 
 QUANTITIES = (
     "mono-edge",
@@ -125,35 +134,37 @@ def _run_two_stage(
     stat,
     with_keep: bool = False,
 ) -> tuple[float, float]:
-    """Chunked sampling loop.  ``stat(colors, deflections, slots_row, u_row,
-    keep_row)`` returns the trial's statistic; the sums of values and
-    squared values come back for the caller to turn into estimate and
-    half-width."""
+    """Chunked sampling loop.  Each chunk is split into sub-batches of at
+    most ``_SUB_BATCH_CELLS`` gathered edge cells (at least one trial) and
+    the kernel runs once per sub-batch.  ``stat(colors, deflections, slots,
+    u, keep)`` gets the sub-batch's (T, m) arrays (``keep`` is None unless
+    ``with_keep``) and returns one integer or boolean value per trial; the
+    sums of values and squared values come back for the caller to turn
+    into estimate and half-width."""
     partition = IntervalPartition(p, r)
     m = h.m
     width = 2 * m if with_keep else m
     rows = _chunk_rows(width)
-    total = 0.0
-    total_sq = 0.0
+    sub = max(1, _SUB_BATCH_CELLS // max(1, h.edge_array.size))
+    total = 0
+    total_sq = 0
     done = 0
     chunk = 0
     while done < trials:
         take = min(rows, trials - done)
         rng = derive(seed, chunk, ROLE_TRIALS)
         mat = rng.random((take, width))
-        u = mat[:, :m]
-        slots = _weight_slots(partition, u)
-        order = np.argsort(u, axis=1, kind="stable")
-        for t in range(take):
-            slots_row = slots[t].tolist()
-            colors, deflections, _, _ = _stage_colors(h, r, slots_row, order[t].tolist())
-            keep_row = mat[t, m:] if with_keep else None
-            val = stat(colors, deflections, slots_row, u[t], keep_row)
-            total += val
-            total_sq += val * val
+        for lo in range(0, take, sub):
+            u = mat[lo : lo + sub, :m]
+            slots = _weight_slots(partition, u)
+            colors, deflections, _ = _stage_colors(h, r, slots, u)
+            keep = mat[lo : lo + sub, m:] if with_keep else None
+            vals = np.asarray(stat(colors, deflections, slots, u, keep), dtype=np.int64)
+            total += int(vals.sum())
+            total_sq += int((vals * vals).sum())
         done += take
         chunk += 1
-    return total, total_sq
+    return float(total), float(total_sq)
 
 
 def _prob_report(quantity: str, trials: int, successes: float, comparison) -> EstimateReport:
@@ -268,7 +279,7 @@ def mc_estimate(
         _reject_extra(params)
 
         def stat(colors, deflections, slots, u, keep):
-            return 0 if next(_mono_edges(h, colors), None) is None else 1
+            return _mono_edges(h, colors).any(axis=1)
 
         total, _ = _run_two_stage(h, r, p, trials, seed, stat)
         comparison = (
@@ -285,7 +296,7 @@ def mc_estimate(
             raise ValueError(f"small-block index must lie in 1..{r - 1}")
 
         def stat(colors, deflections, slots, u, keep):
-            return deflections[i - 1]
+            return deflections[:, i - 1]
 
         total, total_sq = _run_two_stage(h, r, p, trials, seed, stat)
         comparison = None
@@ -308,10 +319,10 @@ def mc_estimate(
         targets = class_targets(m, r)
 
         def stat(colors, deflections, slots, u, keep):
-            sizes = [0] * r
-            for c in colors:
-                sizes[c - 1] += 1
-            return 1 if all(sizes[c] >= targets[c] for c in range(r - 1)) else 0
+            offsets = r * np.arange(len(colors))[:, None]
+            sizes = np.bincount((colors - 1 + offsets).ravel(), minlength=r * len(colors))
+            sizes = sizes.reshape(len(colors), r)
+            return (sizes[:, : r - 1] >= targets[: r - 1]).all(axis=1)
 
         total, _ = _run_two_stage(h, r, p, trials, seed, stat)
         comparison = Comparison("bound", 0.5 - 0.04 * math.e) if compare else None
@@ -327,20 +338,14 @@ def mc_estimate(
             raise ValueError("keep probability must lie in [0, 1]")
 
         def stat(colors, deflections, slots, u, keep):
-            count = 0
-            for edge in h.edges:
-                has_candidate = False
-                rest_all_r = True
-                for v in edge:
-                    s = slots[v]
-                    if s % 2 == 0 and s // 2 + 1 <= r - 1 and keep[v] < p_tilde:
-                        has_candidate = True
-                    elif colors[v] != r:
-                        rest_all_r = False
-                        break
-                if has_candidate and rest_all_r:
-                    count += 1
-            return count
+            # a candidate sits in large_i, i <= r - 1, and is kept; an edge is
+            # dangerous when it has one and every other vertex carries color r
+            candidate = (slots % 2 == 0) & (slots < 2 * r - 2) & (keep < p_tilde)
+            edge_candidate = candidate[:, h.edge_array.T]
+            dangerous = edge_candidate.any(axis=1) & (
+                edge_candidate | (colors[:, h.edge_array.T] == r)
+            ).all(axis=1)
+            return dangerous.sum(axis=1)
 
         total, total_sq = _run_two_stage(h, r, p, trials, seed, stat, with_keep=True)
         comparison = (
@@ -363,8 +368,17 @@ def mc_estimate(
             if len(set(h.edges[seq[j]]) & set(h.edges[seq[j + 1]])) != 1:
                 raise ValueError("consecutive edges must share exactly one vertex")
 
+        last = h.edge_array[seq[-1]]
+
         def stat(colors, deflections, slots, u, keep):
-            return 1 if _chain_event_holds(h, slots, u, colors, seq, color) else 0
+            # the predicate needs the last edge monochromatic in ``color``
+            # first; only those trials reach the per-trial check
+            out = np.zeros(len(colors), dtype=bool)
+            for t in np.flatnonzero((colors[:, last] == color).all(axis=1)).tolist():
+                out[t] = _chain_event_holds(
+                    h, slots[t].tolist(), u[t].tolist(), colors[t].tolist(), seq, color
+                )
+            return out
 
         total, _ = _run_two_stage(h, r, p, trials, seed, stat)
         comparison = (
@@ -393,13 +407,10 @@ def mc_estimate(
             raise ValueError(f"small-block index must lie in 1..{r - 1}")
 
     def stat(colors, deflections, slots, u, keep):
-        s = slots[v0]
-        if s % 2 == 0:
-            return 0
+        s = slots[:, v0]
         block = (s + 1) // 2
-        if i is not None and block != i:
-            return 0
-        return 1 if colors[v0] == block + 1 else 0
+        hit = (s % 2 == 1) & (colors[:, v0] == block + 1)
+        return hit if i is None else hit & (block == i)
 
     total, _ = _run_two_stage(h, r, p, trials, seed, stat)
     comparison = (
@@ -433,7 +444,8 @@ def exact_c0_event_prob(
 
     Supports MonoEdgeExists, Deflected (interval None means any small
     block), and ChainEventSpec.  Requires m <= 8 and r <= 3; raises
-    BudgetExceeded when the configuration count passes ``budget``.
+    BudgetExceeded, before enumerating anything, when the configuration
+    count passes ``budget``.
     """
     if r < 2:
         raise ValueError("need at least 2 colors")
@@ -448,9 +460,17 @@ def exact_c0_event_prob(
     small_len = p / (r - 1)
     lengths = [large_len if s % 2 == 0 else small_len for s in range(2 * r - 1)]
     factorial = math.factorial
+    # K vertices in small blocks: m!/(m-K)! ordered picks, C(K+r-2, r-2)
+    # ways to cut them into r-1 ordered blocks, r large slots for the rest
+    configurations = sum(
+        math.comb(k + r - 2, r - 2) * math.perm(m, k) * r ** (m - k) for k in range(m + 1)
+    )
+    if configurations > budget:
+        raise BudgetExceeded(
+            f"exact enumeration of {configurations} configurations exceeds budget {budget}"
+        )
 
     total = 0.0
-    visits = 0
     for slots in product(range(2 * r - 1), repeat=m):
         weight = 1.0
         for s in slots:
@@ -463,9 +483,6 @@ def exact_c0_event_prob(
             denom *= factorial(len(g))
         w_order = weight / denom
         for orders in product(*(permutations(g) for g in occupants)):
-            visits += 1
-            if visits > budget:
-                raise BudgetExceeded(f"exact enumeration exceeded budget {budget}")
             colors = _simulate_discrete(h, r, slots, orders)
             if _event_holds(h, r, event, slots, orders, colors):
                 total += w_order

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chains import DangerousEdge
 from .hypergraph import Coloring, Hypergraph
-from .intervals import LARGE, IntervalPartition, WeightAssignment
+from .intervals import IntervalPartition, WeightAssignment, _weight_slots
 from .seeding import ROLE_VSETS, derive
 
 __all__ = [
@@ -129,12 +129,11 @@ def sample_candidate_sets(
         raise ValueError("keep probability must lie in [0, 1]")
     rng = seed if isinstance(seed, np.random.Generator) else derive(seed, ROLE_VSETS)
     keep = rng.random(h.m) < p_tilde
-    members: list[set] = [set() for _ in range(partition.r - 1)]
-    for v in range(h.m):
-        loc = partition.locate(wa.weights[v])
-        if loc.kind == LARGE and loc.index <= partition.r - 1 and keep[v]:
-            members[loc.index - 1].add(v)
-    return tuple(frozenset(s) for s in members)
+    # large_i is slot 2i - 2
+    slots = np.where(keep, _weight_slots(partition, wa.weights), -1)
+    return tuple(
+        frozenset(np.flatnonzero(slots == 2 * i).tolist()) for i in range(partition.r - 1)
+    )
 
 
 def find_dangerous_edges(

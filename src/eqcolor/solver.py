@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .chains import ChainRecord, MonoEdge, extract_chain
 from .hypergraph import (
     Coloring,
@@ -205,7 +207,9 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     path = _route(h, r, cfg)
     targets = class_targets(h.m, r)
     diagnostics = {"mono-edge": 0, "rebalance-infeasible": 0, "repair-failed": 0}
-    chains: tuple[ChainRecord, ...] = ()
+    # (weights, initial coloring, mono edges) of the last attempt rejected
+    # on a monochromatic edge; its chains are extracted only for the report
+    rejected = None
     plan: Optional[RebalancePlan] = None
 
     partition = None
@@ -217,27 +221,22 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
             rng = derive(cfg.seed, attempt, ROLE_BALANCED)
             coloring = _coloring_at_sizes(h.m, targets, rng)
             if is_proper(h, coloring):
-                return SolveReport(
-                    SUCCESS, coloring, attempt + 1, path, r, diagnostics, chains, plan
-                )
+                return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics)
             diagnostics["mono-edge"] += 1
             continue
 
         wa = sample_weights(h.m, derive(cfg.seed, attempt, ROLE_WEIGHTS))
         init = run_interval_coloring(h, r, partition, wa)
-        cols = init.coloring.colors
-        mono = list(_mono_edges(h, cols))
+        mono = np.flatnonzero(_mono_edges(h, init.coloring.colors)).tolist()
         if mono:
             diagnostics["mono-edge"] += 1
-            chains = tuple(
-                extract_chain(h, partition, wa, init, MonoEdge(e, cols[h.edges[e][0]]))
-                for e in mono
-            )
+            rejected = (wa, init, mono)
             continue
 
         if is_equitable(h, init.coloring):
             return SolveReport(
-                SUCCESS, init.coloring, attempt + 1, path, r, diagnostics, chains, plan
+                SUCCESS, init.coloring, attempt + 1, path, r, diagnostics,
+                _chains(h, partition, rejected), plan,
             )
 
         ex, sh = excess_shortage(init.coloring, targets)
@@ -259,7 +258,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
                     if _verified(h, candidate):
                         return SolveReport(
                             SUCCESS, candidate, attempt + 1, path, r,
-                            diagnostics, chains, plan,
+                            diagnostics, _chains(h, partition, rejected), plan,
                         )
                 diagnostics["rebalance-infeasible"] += 1
 
@@ -267,7 +266,8 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
             repaired = greedy_repair(h, init.coloring, targets, weights=wa.weights)
             if repaired is not None and _verified(h, repaired):
                 return SolveReport(
-                    SUCCESS, repaired, attempt + 1, path, r, diagnostics, chains, plan
+                    SUCCESS, repaired, attempt + 1, path, r, diagnostics,
+                    _chains(h, partition, rejected), plan,
                 )
             diagnostics["repair-failed"] += 1
 
@@ -278,6 +278,19 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
         )
     outcome = INFEASIBLE if oracle_feasible is False else EXHAUSTED
     return SolveReport(
-        outcome, None, cfg.max_restarts, path, r, diagnostics, chains, plan,
-        oracle_feasible=oracle_feasible,
+        outcome, None, cfg.max_restarts, path, r, diagnostics,
+        _chains(h, partition, rejected), plan, oracle_feasible=oracle_feasible,
+    )
+
+
+def _chains(
+    h: Hypergraph, partition: IntervalPartition, rejected
+) -> tuple[ChainRecord, ...]:
+    """Ordered chains of every monochromatic edge of a rejected attempt."""
+    if rejected is None:
+        return ()
+    wa, init, mono = rejected
+    cols = init.coloring.colors
+    return tuple(
+        extract_chain(h, partition, wa, init, MonoEdge(e, cols[h.edges[e][0]])) for e in mono
     )

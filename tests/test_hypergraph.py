@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from eqcolor import (
     is_proper,
     parse_hypergraph,
 )
+from eqcolor.hypergraph import _mono_edges
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (1, 2), (0, 2)])
 K4 = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -117,6 +119,25 @@ def test_is_proper_and_equitable():
     assert is_equitable(PATH4, skew)
     lopsided = Coloring(4, 4, [1, 2, 1, 2])  # proper, but sizes (2,2,0,0)
     assert is_proper(PATH4, lopsided) and not is_equitable(PATH4, lopsided)
+
+
+def test_mono_edges_is_one_scan_for_single_and_batched_colorings():
+    assert _mono_edges(PATH4, [1, 1, 2, 2]).tolist() == [True, False, True]
+    batch = np.array([[1, 1, 2, 2], [1, 2, 1, 2], [3, 3, 3, 3]])
+    assert _mono_edges(PATH4, batch).tolist() == [
+        [True, False, True],
+        [False, False, False],
+        [True, True, True],
+    ]
+    assert PATH4.edge_array.dtype == np.int32 and PATH4.edge_array.shape == (3, 2)
+
+
+def test_mono_edges_on_edgeless_hypergraph():
+    h = Hypergraph(4, 3, [])
+    assert h.edge_array.shape == (0, 3)
+    assert _mono_edges(h, [1, 1, 1, 1]).shape == (0,)
+    assert _mono_edges(h, np.ones((5, 4), dtype=np.int64)).shape == (5, 0)
+    assert is_proper(h, Coloring(4, 2, [1, 1, 1, 1]))
 
 
 def test_is_proper_requires_total():

@@ -1,5 +1,6 @@
 """Monte Carlo estimators against the exact discrete oracle and the bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from eqcolor import (
     mc_estimate,
     run_interval_coloring,
 )
+from eqcolor import montecarlo
+from eqcolor.intervals import _stage_colors, _weight_slots
 from eqcolor.montecarlo import QUANTITIES, Deflected, _simulate_discrete
 
 SINGLE = Hypergraph(2, 2, [(0, 1)])
@@ -67,6 +70,23 @@ def test_oracle_frozen_values_on_calibration_instance():
 def test_oracle_respects_budget():
     with pytest.raises(BudgetExceeded):
         exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=10)
+
+
+def test_oracle_counts_configurations_before_enumerating(monkeypatch):
+    # the tri-pair at r = 2 has sum_K m!/(m-K)! 2^(m-K) = 5296 configurations
+    def never(*args):
+        raise AssertionError("the simulator ran on an over-budget instance")
+
+    assert exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=5296) > 0.0
+    monkeypatch.setattr(montecarlo, "_simulate_discrete", never)
+    with pytest.raises(BudgetExceeded):
+        exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=5295)
+    # m = 8, r = 3 has 4 860 297 configurations, over the default MC budget
+    cycle = Hypergraph(8, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)])
+    with pytest.raises(BudgetExceeded):
+        exact_c0_event_prob(cycle, 3, MonoEdgeExists(), budget=10**6)
+    rep = mc_estimate("mono-edge", cycle, 3, trials=10, seed=0)
+    assert rep.comparison.kind == "bound"
 
 
 def test_oracle_rejects_oversized_instances():
@@ -241,3 +261,88 @@ def test_oracle_orders_small_blocks_by_weight_not_id():
     val = exact_c0_event_prob(h, 2, MonoEdgeExists(), p=p)
     # direct: both in large 1 (0.0625) + both in large 2 (0.0625)
     assert val == pytest.approx(2 * (0.25 * 0.25), abs=1e-12)
+
+
+def _reference_blocking(h, slots, orders, colors):
+    """Lowest-index incident edge whose other vertices all carried the
+    deflected vertex's block color when it was visited, replayed from the
+    oracle simulator's final colors."""
+    colored = [s % 2 == 0 for s in slots]
+    out = {}
+    for i, block in enumerate(orders, start=1):
+        for v in block:
+            if colors[v] == i + 1:
+                out[v] = min(
+                    e
+                    for e in h.incidence[v]
+                    if all(colored[u] and colors[u] == i for u in h.edges[e] if u != v)
+                )
+            colored[v] = True
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
+    # many trials per kernel call, checked trial by trial against the
+    # oracle's independent simulator: colors, deflection counts, blocking
+    rng = np.random.default_rng(31 + r)
+    instances = [TRI_PAIR, Hypergraph(8, 2, [(i, (i + 1) % 8) for i in range(8)])]
+    for _ in range(4):
+        m = int(rng.integers(5, 13))
+        n = int(rng.integers(2, 4))
+        pool = [tuple(c) for c in itertools.combinations(range(m), n)]
+        picks = rng.choice(len(pool), size=min(len(pool), 4 * m), replace=False)
+        instances.append(Hypergraph(m, n, [pool[k] for k in picks]))  # dense
+    trials = 0
+    deflected = 0
+    for h in instances:
+        for p in (choose_p(h.n, r), 0.5, 0.9):
+            part = IntervalPartition(p, r)
+            u = rng.random((60, h.m))
+            slots = _weight_slots(part, u)
+            colors, deflections, blocking = _stage_colors(h, r, slots, u)
+            assert colors.shape == (60, h.m) and deflections.shape == (60, r - 1)
+            for t in range(60):
+                order = np.lexsort((np.arange(h.m), u[t])).tolist()
+                row = slots[t].tolist()
+                orders = [[v for v in order if row[v] == 2 * i - 1] for i in range(1, r)]
+                reference = _simulate_discrete(h, r, row, orders)
+                assert colors[t].tolist() == reference
+                counts = [
+                    sum(1 for v in orders[i - 1] if reference[v] == i + 1) for i in range(1, r)
+                ]
+                assert deflections[t].tolist() == counts
+                assert blocking[t] == _reference_blocking(h, row, orders, reference)
+                trials += 1
+                deflected += sum(counts)
+    assert trials == 3 * 6 * 60 and deflected > 100
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 20])
+def test_mc_sub_batch_size_changes_no_estimate(monkeypatch, cells):
+    # on a 79-edge path the default cap splits 1500 trials into four
+    # sub-batches; a cap of 1 makes one per trial and 2^20 one per chunk
+    path = Hypergraph(80, 2, [(k, k + 1) for k in range(79)])
+    trials = 1500
+    assert 1 < trials * path.edge_array.size // montecarlo._SUB_BATCH_CELLS < 4
+    cases = [
+        ("mono-edge", 4, {"p": 0.9}),
+        ("expected-deflections", 2, {"i": 1}),
+        ("excess-pattern", 2, {}),
+        ("dangerous-count", 2, {"p_tilde": 0.5}),
+        ("balanced-mono", 2, {}),
+        ("chain-event", 2, {"edges": (0, 1), "color": 2}),
+        ("deflected", 2, {"v": 2}),
+    ]
+    assert {c[0] for c in cases} == set(QUANTITIES)
+    before = [
+        mc_estimate(q, path, r, dict(params), trials=trials, seed=13, compare=False)
+        for q, r, params in cases
+    ]
+    monkeypatch.setattr(montecarlo, "_SUB_BATCH_CELLS", cells)
+    after = [
+        mc_estimate(q, path, r, dict(params), trials=trials, seed=13, compare=False)
+        for q, r, params in cases
+    ]
+    assert after == before
+    assert all(0 < rep.estimate for rep in before)

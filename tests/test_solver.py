@@ -197,3 +197,21 @@ def test_attempt_counter_counts_restarts():
     report = solve_equitable(K4, 2, SolveConfig(max_restarts=7, enumeration_budget=0))
     assert report.outcome == EXHAUSTED and report.attempts == 7
     assert report.diagnostics  # failure counters populated
+
+
+def test_chains_are_extracted_only_for_the_reported_attempt(monkeypatch):
+    from eqcolor import generate_random, solver
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return extract(*args)
+
+    extract = solver.extract_chain
+    monkeypatch.setattr(solver, "extract_chain", counting)
+    h = generate_random(1000, 6, 1200, 5)
+    report = solve_equitable(h, 3, SolveConfig(seed=0))
+    assert report.outcome == SUCCESS and report.diagnostics["mono-edge"] >= 2
+    assert len(calls) == len(report.chains) > 0
+    assert [c.edges[-1] for c in report.chains] == [f.edge for f in calls]
