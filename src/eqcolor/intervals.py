@@ -130,7 +130,7 @@ class WeightAssignment:
     package goes through the rank array so the order is used consistently.
     """
 
-    __slots__ = ("weights", "sorted_order", "rank")
+    __slots__ = ("weights", "rank")
 
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(weights, dtype=float)
@@ -138,7 +138,6 @@ class WeightAssignment:
             raise ValueError("weights must be one-dimensional")
         self.weights = w
         order = np.lexsort((np.arange(len(w)), w))
-        self.sorted_order = order
         rank = np.empty(len(w), dtype=np.int64)
         rank[order] = np.arange(len(w))
         self.rank = rank
@@ -188,14 +187,12 @@ class InitialColoring:
 
 def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
     """Flat subinterval index of every weight, as ``partition.slot_of`` gives
-    it, for an array of weights of any shape.  The indices are int8 when
-    they fit (r <= 64), which keeps the kernel's gathers small."""
+    it, for an array of weights of any shape."""
     w = np.asarray(weights, dtype=float)
     if not (w.min() >= 0.0 and w.max() < 1.0):
         raise ValueError(f"weight {w[~((w >= 0.0) & (w < 1.0))][0]} outside [0, 1)")
     # lefts[0] = 0 <= w, so the slot is the number of later left ends <= w
-    slots = np.searchsorted(partition.lefts[1:], w, side="right")
-    return slots.astype(np.int8) if partition.r <= 64 else slots
+    return np.searchsorted(partition.lefts[1:], w, side="right")
 
 
 def _stage_colors(
@@ -230,9 +227,7 @@ def _stage_colors(
     # short last one
     edge_slots = slots[:, h.edge_array.T]
     top = edge_slots.max(axis=1)
-    live = top & 1
-    if r > 2:  # with r = 2 no slot lies below top - 2
-        live &= edge_slots.min(axis=1) >= top - 2
+    live = (top % 2 == 1) & (edge_slots.min(axis=1) >= top - 2)
     flat = np.flatnonzero(live)
     if not len(flat):
         return colors, deflections, blocking

@@ -368,17 +368,14 @@ def mc_estimate(
             if len(set(h.edges[seq[j]]) & set(h.edges[seq[j + 1]])) != 1:
                 raise ValueError("consecutive edges must share exactly one vertex")
 
-        last = h.edge_array[seq[-1]]
-
         def stat(colors, deflections, slots, u, keep):
-            # the predicate needs the last edge monochromatic in ``color``
-            # first; only those trials reach the per-trial check
-            out = np.zeros(len(colors), dtype=bool)
-            for t in np.flatnonzero((colors[:, last] == color).all(axis=1)).tolist():
-                out[t] = _chain_event_holds(
-                    h, slots[t].tolist(), u[t].tolist(), colors[t].tolist(), seq, color
-                )
-            return out
+            return np.array(
+                [
+                    _chain_event_holds(h, s, key, c, seq, color)
+                    for s, key, c in zip(slots.tolist(), u.tolist(), colors.tolist())
+                ],
+                dtype=bool,
+            )
 
         total, _ = _run_two_stage(h, r, p, trials, seed, stat)
         comparison = (

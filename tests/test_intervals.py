@@ -112,8 +112,7 @@ def test_partition_lengths_property(p, r):
 
 def test_weight_assignment_order_and_ties():
     wa = WeightAssignment((0.5, 0.1, 0.5, 0.3))
-    assert wa.sorted_order.tolist() == [1, 3, 0, 2]  # id breaks the 0.5 tie
-    assert wa.rank[1] == 0 and wa.rank[2] == 3
+    assert wa.rank.tolist() == [2, 0, 3, 1]  # id breaks the 0.5 tie
     assert wa.first_vertex((0, 2, 3)) == 3
     assert wa.last_vertex((0, 2, 3)) == 2
 

@@ -243,7 +243,7 @@ def test_vectorized_kernel_matches_reference_coloring():
         wa = WeightAssignment(u)
         slots = [part.slot_of(x) for x in u]
         orders = [
-            [v for v in wa.sorted_order.tolist() if slots[v] == 2 * i - 1]
+            [v for v in np.argsort(wa.rank).tolist() if slots[v] == 2 * i - 1]
             for i in range(1, r)
         ]
         reference = _simulate_discrete(h, r, slots, orders)
