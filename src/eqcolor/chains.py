@@ -143,7 +143,7 @@ def is_conflicting_pair(
     v is the last vertex of B and the first of A, v lies in small_{color-1},
     and all of B minus v carries color-1."""
     slots = _weight_slots(partition, wa.weights)
-    return _conflicting(h, slots, wa.rank, init.coloring.colors, b_edge, a_edge, color)
+    return _conflicting(h, slots, wa.weights, init.coloring.colors, b_edge, a_edge, color)
 
 
 def _conflicting(h, slots, key, colors, b_edge, a_edge, color) -> bool:
@@ -446,7 +446,7 @@ def chain_event_occurs(
     or lies wholly inside its small block.
     """
     slots = _weight_slots(partition, wa.weights)
-    return _chain_event_holds(h, slots, wa.rank, init.coloring.colors, edge_seq, color)
+    return _chain_event_holds(h, slots, wa.weights, init.coloring.colors, edge_seq, color)
 
 
 def _chain_event_holds(h, slots, key, colors, edge_seq, color) -> bool:

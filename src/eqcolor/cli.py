@@ -38,7 +38,7 @@ from .hypergraph import (
     parse_hypergraph,
 )
 from .intervals import choose_p
-from .montecarlo import QUANTITIES, mc_estimate
+from .montecarlo import _SPECS, QUANTITIES, mc_estimate
 from .rebalance import compute_p_tilde, compute_q
 from .solver import (
     AUTO,
@@ -124,13 +124,13 @@ def _build_parser() -> _Parser:
     mc.add_argument("--quantity", choices=list(QUANTITIES), required=True)
     mc.add_argument("--trials", type=int, default=10**5)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--p", type=float, help="override the subinterval parameter")
-    mc.add_argument("--p-tilde", type=float, help="candidate keep probability")
-    mc.add_argument("--i", type=int, help="small-block index")
-    mc.add_argument("--v", type=int, help="vertex for the deflected quantity")
-    mc.add_argument("--edge", type=int, help="edge index for balanced-mono")
-    mc.add_argument("--edges", help="comma-separated edge tuple for chain-event")
-    mc.add_argument("--color", type=int, help="chain color")
+    takers = {}  # one flag per param name, with the quantities that take it
+    for quantity, spec in _SPECS.items():
+        for prm in spec.params:
+            takers.setdefault(prm.name, (prm, []))[1].append(quantity)
+    for prm, quantities in takers.values():
+        help_text = f"{prm.help} ({', '.join(quantities)})"
+        mc.add_argument("--" + prm.name.replace("_", "-"), type=prm.type, help=help_text)
     mc.add_argument("--no-compare", action="store_true")
     mc.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
@@ -223,21 +223,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_mc(args) -> int:
     h = _read_instance(args.instance)
-    params = {}
-    if args.p is not None:
-        params["p"] = args.p
-    if args.p_tilde is not None:
-        params["p_tilde"] = args.p_tilde
-    if args.i is not None:
-        params["i"] = args.i
-    if args.v is not None:
-        params["v"] = args.v
-    if args.edge is not None:
-        params["edge"] = args.edge
-    if args.edges is not None:
-        params["edges"] = [int(x) for x in args.edges.split(",") if x.strip() != ""]
-    if args.color is not None:
-        params["color"] = args.color
+    names = {prm.name for spec in _SPECS.values() for prm in spec.params}
+    params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     report = mc_estimate(
         args.quantity,
         h,

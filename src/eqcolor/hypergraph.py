@@ -300,8 +300,11 @@ def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optiona
     monochromatic.  Restricting classes to the fixed target profile loses
     no solutions: color classes of any equitable coloring can be permuted
     onto the profile.  Returns None when no equitable proper coloring
-    exists.  Raises BudgetExceeded when r^m is beyond ``budget``.
+    exists.  Raises ValueError when r < 1 and BudgetExceeded when r^m is
+    beyond ``budget``.
     """
+    if r < 1:
+        raise ValueError(f"need at least one color, got r={r}")
     m = h.m
     if r**m > budget:
         raise BudgetExceeded(f"{r}^{m} assignments exceed the budget of {budget}")

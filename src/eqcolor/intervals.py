@@ -123,34 +123,30 @@ class IntervalPartition:
 
 
 class WeightAssignment:
-    """Vertex weights plus the induced vertex order.
+    """Vertex weights, which order the vertices.
 
     Ties (which have probability zero under continuous draws but can be
-    constructed) break by vertex id, and every first/last comparison in the
-    package goes through the rank array so the order is used consistently.
+    constructed) break by vertex id: every first/last comparison in the
+    package orders vertices by the key (weights[v], v).
     """
 
-    __slots__ = ("weights", "rank")
+    __slots__ = ("weights",)
 
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be one-dimensional")
         self.weights = w
-        order = np.lexsort((np.arange(len(w)), w))
-        rank = np.empty(len(w), dtype=np.int64)
-        rank[order] = np.arange(len(w))
-        self.rank = rank
 
     @property
     def m(self) -> int:
         return len(self.weights)
 
     def first_vertex(self, vertices: Sequence[int]) -> int:
-        return min(vertices, key=lambda v: self.rank[v])
+        return min(vertices, key=lambda v: (self.weights[v], v))
 
     def last_vertex(self, vertices: Sequence[int]) -> int:
-        return max(vertices, key=lambda v: self.rank[v])
+        return max(vertices, key=lambda v: (self.weights[v], v))
 
 
 def sample_weights(m: int, seed) -> WeightAssignment:

@@ -1,19 +1,22 @@
 """Monte Carlo estimators and an exact discrete oracle for the coloring
 process.
 
-The estimators sample the two-stage coloring (or the balanced draw) in
-chunks and report a point estimate with a 3-sigma half-width, next to a
-comparison value: the exact oracle where enumeration is affordable, the
-closed-form bound otherwise.  Chunk j is seeded from (seed, j) and holds
+Each quantity ``mc_estimate`` knows is one entry of the private table
+``_SPECS``: its params, which the CLI turns into ``mc`` flags, and a
+builder that validates them and gives the per-trial statistic, the report
+label and the comparison.  One generic path samples, compares and reports.
+
+Trials run in chunks.  Chunk j is seeded from (seed, j) and holds
 ``_chunk_rows`` trials, a number set by CHUNK_ROWS and the vertex count.
 So a longer run extends a shorter one, but changing the chunk size changes
 every estimate (ROADMAP.md, item 3).  A chunk is split into sub-batches of
 at most ``_SUB_BATCH_CELLS`` gathered edge cells, which bounds memory and
-changes no draw.  Each sub-batch makes one call of the production kernel
-``intervals._stage_colors``, and the statistics act on the whole
-sub-batch through the production predicates: ``hypergraph._mono_edges``
-for ``mono-edge``, array expressions for the other counts, and
-``chains._chain_event_holds`` per trial for ``chain-event``.
+changes no draw.  Each sub-batch is colored at once, by one call of the
+production kernel ``intervals._stage_colors`` or, for ``balanced-mono``,
+by a balanced draw, and the statistics act on the whole sub-batch through
+the production predicates: ``hypergraph._mono_edges`` for ``mono-edge``,
+array expressions for the other counts, and ``chains._chain_event_holds``
+per trial for ``chain-event``.
 
 The oracle exploits a discreteness property of the process: the outcome
 depends only on which of the 2r-1 subintervals each vertex falls in (the
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,17 +72,6 @@ _CHUNK_CELLS = 1 << 22
 # cap on the (trials x edges x n) cells one kernel call gathers; splitting a
 # chunk into sub-batches changes no draw
 _SUB_BATCH_CELLS = 1 << 16
-
-QUANTITIES = (
-    "mono-edge",
-    "expected-deflections",
-    "excess-pattern",
-    "dangerous-count",
-    "balanced-mono",
-    "chain-event",
-    "deflected",
-)
-
 
 @dataclass(frozen=True)
 class MonoEdgeExists:
@@ -125,23 +117,26 @@ def _chunk_rows(width: int) -> int:
     return max(1, min(CHUNK_ROWS, _CHUNK_CELLS // max(1, width)))
 
 
-def _run_two_stage(
+def _sample(
     h: Hypergraph,
     r: int,
-    p: float,
+    p: Optional[float],
     trials: int,
     seed: int,
     stat,
-    with_keep: bool = False,
+    with_keep: bool,
 ) -> tuple[float, float]:
     """Chunked sampling loop.  Each chunk is split into sub-batches of at
-    most ``_SUB_BATCH_CELLS`` gathered edge cells (at least one trial) and
-    the kernel runs once per sub-batch.  ``stat(colors, deflections, slots,
-    u, keep)`` gets the sub-batch's (T, m) arrays (``keep`` is None unless
-    ``with_keep``) and returns one integer or boolean value per trial; the
-    sums of values and squared values come back for the caller to turn
-    into estimate and half-width."""
-    partition = IntervalPartition(p, r)
+    most ``_SUB_BATCH_CELLS`` gathered edge cells (at least one trial), and
+    every sub-batch is colored at once: by the two-stage kernel with
+    subinterval parameter ``p``, or, when ``p`` is None, by a uniform
+    balanced draw (the ranks of each row of weights cut into r equal
+    classes).  ``stat(colors, deflections, slots, u, keep)`` gets the
+    sub-batch's (T, m) arrays (``deflections`` and ``slots`` are None for
+    balanced draws, ``keep`` is None unless ``with_keep``) and returns one
+    integer or boolean value per trial; the sums of values and squared
+    values come back for the caller to turn into estimate and half-width."""
+    partition = None if p is None else IntervalPartition(p, r)
     m = h.m
     width = 2 * m if with_keep else m
     rows = _chunk_rows(width)
@@ -156,9 +151,13 @@ def _run_two_stage(
         mat = rng.random((take, width))
         for lo in range(0, take, sub):
             u = mat[lo : lo + sub, :m]
-            slots = _weight_slots(partition, u)
-            colors, deflections, _ = _stage_colors(h, r, slots, u)
             keep = mat[lo : lo + sub, m:] if with_keep else None
+            if partition is None:
+                ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
+                colors, deflections, slots = ranks // (m // r) + 1, None, None
+            else:
+                slots = _weight_slots(partition, u)
+                colors, deflections, _ = _stage_colors(h, r, slots, u)
             vals = np.asarray(stat(colors, deflections, slots, u, keep), dtype=np.int64)
             total += int(vals.sum())
             total_sq += int((vals * vals).sum())
@@ -167,40 +166,196 @@ def _run_two_stage(
     return float(total), float(total_sq)
 
 
-def _prob_report(quantity: str, trials: int, successes: float, comparison) -> EstimateReport:
-    p_hat = successes / trials
-    hw = 3.0 * math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / trials)
-    return EstimateReport(quantity, trials, p_hat, hw, comparison)
-
-
-def _mean_report(
-    quantity: str, trials: int, total: float, total_sq: float, comparison
-) -> EstimateReport:
-    mean = total / trials
-    if trials >= 2:
-        var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
-        hw = 3.0 * math.sqrt(var / trials)
-    else:
-        hw = 0.0
-    return EstimateReport(quantity, trials, mean, hw, comparison)
-
-
-def _oracle_or_bound(
-    h: Hypergraph,
-    r: int,
-    p: float,
-    event,
-    bound_value: Optional[float],
-    budget: int = 10**6,
-) -> Optional[Comparison]:
+def _oracle_or_bound(h, r, p, event, bound_value: Optional[float]) -> Optional[Comparison]:
     if h.m <= 8 and r <= 3:
         try:
-            return Comparison("exact", exact_c0_event_prob(h, r, event, p=p, budget=budget))
+            return Comparison("exact", exact_c0_event_prob(h, r, event, p=p, budget=10**6))
         except BudgetExceeded:
             pass
     if bound_value is None:
         return None
     return Comparison("bound", bound_value)
+
+
+class _Param(NamedTuple):
+    """A key of ``mc_estimate``'s params; ``type`` parses its CLI flag."""
+
+    name: str
+    type: Callable[[str], object]
+    required: bool
+    help: str
+
+
+class _Spec(NamedTuple):
+    """A quantity.  ``build(h, r, p, values)`` validates the param values
+    and returns the report label, the per-trial statistic (see ``_sample``)
+    and a function computing the comparison.  ``mean``: the estimate is a
+    mean, not a probability; ``with_keep``: each trial draws m keep values
+    after its m weights.  Quantities that take ``p`` run the two stages, the
+    others get p = None and balanced draws."""
+
+    build: Callable
+    params: tuple[_Param, ...]
+    mean: bool = False
+    with_keep: bool = False
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _small_block(i, r: int) -> int:
+    i = int(i)
+    if not 1 <= i <= r - 1:
+        raise ValueError(f"small-block index must lie in 1..{r - 1}")
+    return i
+
+
+def _mono_edge(h, r, p, values):
+    def stat(colors, deflections, slots, u, keep):
+        return _mono_edges(h, colors).any(axis=1)
+
+    return "mono-edge", stat, lambda: _oracle_or_bound(
+        h, r, p, MonoEdgeExists(), mono_edge_probability_bound()
+    )
+
+
+def _expected_deflections(h, r, p, values):
+    i = _small_block(values["i"], r)
+
+    def stat(colors, deflections, slots, u, keep):
+        return deflections[:, i - 1]
+
+    # one enumeration sums the deflection probabilities of all m vertices;
+    # the generator builds the m events only if the oracle runs
+    return f"expected-deflections(i={i})", stat, lambda: _oracle_or_bound(
+        h, r, p, (Deflected(v, i) for v in range(h.m)), expected_deflections_bound(h.n, r)
+    )
+
+
+def _excess_pattern(h, r, p, values):
+    targets = class_targets(h.m, r)
+
+    def stat(colors, deflections, slots, u, keep):
+        offsets = r * np.arange(len(colors))[:, None]
+        sizes = np.bincount((colors - 1 + offsets).ravel(), minlength=r * len(colors))
+        sizes = sizes.reshape(len(colors), r)
+        return (sizes[:, : r - 1] >= targets[: r - 1]).all(axis=1)
+
+    return "excess-pattern", stat, lambda: Comparison("bound", 0.5 - 0.04 * math.e)
+
+
+def _dangerous_count(h, r, p, values):
+    p_tilde = values.get("p_tilde")
+    p_tilde = float(p_tilde) if p_tilde is not None else compute_p_tilde(h.m, h.n, r, p)
+    if not 0.0 <= p_tilde <= 1.0:
+        raise ValueError("keep probability must lie in [0, 1]")
+
+    def stat(colors, deflections, slots, u, keep):
+        # a candidate sits in large_i, i <= r - 1, and is kept; an edge is
+        # dangerous when it has one and every other vertex carries color r
+        candidate = (slots % 2 == 0) & (slots < 2 * r - 2) & (keep < p_tilde)
+        edge_candidate = candidate[:, h.edge_array.T]
+        dangerous = edge_candidate.any(axis=1) & (
+            edge_candidate | (colors[:, h.edge_array.T] == r)
+        ).all(axis=1)
+        return dangerous.sum(axis=1)
+
+    label = f"dangerous-count(p_tilde={p_tilde:.6g})"
+    return label, stat, lambda: Comparison("bound", dangerous_count_bound(h.n, r))
+
+
+def _balanced_mono(h, r, p, values):
+    if r < 1:
+        raise ValueError("balanced draws need at least one color")
+    if h.m % r != 0:
+        raise ValueError("balanced draws require r | m")
+    if not h.edges:
+        raise ValueError("balanced-mono needs an edge to watch")
+    edge_idx = int(values.get("edge", 0))
+    if not 0 <= edge_idx < len(h.edges):
+        raise ValueError("edge must index into the hypergraph")
+    edge = list(h.edges[edge_idx])
+
+    def stat(colors, deflections, slots, u, keep):
+        sub = colors[:, edge]
+        return np.all(sub == sub[:, :1], axis=1)
+
+    label = f"balanced-mono(edge={edge_idx})"
+    return label, stat, lambda: Comparison("exact", balanced_mono_prob(h.m, h.n, r).value)
+
+
+def _chain_event(h, r, p, values):
+    seq = tuple(int(e) for e in values["edges"])
+    color = int(values["color"])
+    k = len(seq)
+    if k < 1 or not all(0 <= e < len(h.edges) for e in seq):
+        raise ValueError("edges must index into the hypergraph")
+    if color - k + 1 < 1 or color > r:
+        raise ValueError("chain length does not fit the color")
+    for j in range(k - 1):
+        if len(set(h.edges[seq[j]]) & set(h.edges[seq[j + 1]])) != 1:
+            raise ValueError("consecutive edges must share exactly one vertex")
+
+    def stat(colors, deflections, slots, u, keep):
+        return np.array(
+            [
+                _chain_event_holds(h, s, key, c, seq, color)
+                for s, key, c in zip(slots.tolist(), u.tolist(), colors.tolist())
+            ],
+            dtype=bool,
+        )
+
+    label = f"chain-event(edges={','.join(map(str, seq))};color={color})"
+    return label, stat, lambda: _oracle_or_bound(
+        h, r, p, ChainEventSpec(seq, color), chain_probability_bound(h.n, r, k)
+    )
+
+
+def _deflected(h, r, p, values):
+    v0 = int(values["v"])
+    i = values.get("i")
+    if not 0 <= v0 < h.m:
+        raise ValueError("vertex out of range")
+    if i is not None:
+        i = _small_block(i, r)
+
+    def stat(colors, deflections, slots, u, keep):
+        s = slots[:, v0]
+        block = (s + 1) // 2
+        hit = (s % 2 == 1) & (colors[:, v0] == block + 1)
+        return hit if i is None else hit & (block == i)
+
+    label = f"deflected(v={v0})" if i is None else f"deflected(v={v0},i={i})"
+    return label, stat, lambda: _oracle_or_bound(h, r, p, Deflected(v0, i), None)
+
+
+_P = _Param("p", float, False, "override the subinterval parameter")
+_I = _Param("i", int, True, "small-block index")
+_SPECS = {
+    "mono-edge": _Spec(_mono_edge, (_P,)),
+    "expected-deflections": _Spec(_expected_deflections, (_P, _I), mean=True),
+    "excess-pattern": _Spec(_excess_pattern, (_P,)),
+    "dangerous-count": _Spec(
+        _dangerous_count,
+        (_P, _Param("p_tilde", float, False, "candidate keep probability")),
+        mean=True,
+        with_keep=True,
+    ),
+    "balanced-mono": _Spec(_balanced_mono, (_Param("edge", int, False, "edge index, default 0"),)),
+    "chain-event": _Spec(
+        _chain_event,
+        (
+            _P,
+            _Param("edges", _int_list, True, "comma-separated edge tuple"),
+            _Param("color", int, True, "chain color"),
+        ),
+    ),
+    "deflected": _Spec(
+        _deflected, (_P, _Param("v", int, True, "vertex"), _I._replace(required=False))
+    ),
+}
+QUANTITIES = tuple(_SPECS)
 
 
 def mc_estimate(
@@ -214,218 +369,68 @@ def mc_estimate(
 ) -> EstimateReport:
     """Estimate one quantity of the coloring process by simulation.
 
-    Quantities and their params:
+    Quantities, their params and their comparison values:
 
     * ``mono-edge``: probability that the two stages leave some edge
-      monochromatic.
+      monochromatic.  Exact when enumerable, else the bound 0.04e.
     * ``expected-deflections`` (``i``): mean number of deflections out of
-      small_i.
+      small_i.  Exact when enumerable, else the bound 0.04e n / (r ln n).
     * ``excess-pattern``: probability that every class below r ends at or
-      above its target size (its closed-form comparison is a lower bound).
+      above its target size.  Always the lower bound 1/2 - 0.04e.
     * ``dangerous-count`` (optional ``p_tilde``): mean number of dangerous
       edges when candidate sets are drawn after every run, monochromatic
-      or not; the comparison value is the tail threshold the count should
-      rarely exceed, not its mean.
-    * ``balanced-mono`` (optional ``edge``): probability that a fixed edge
-      is monochromatic under a uniform balanced draw; requires r | m.
-    * ``chain-event`` (``edges``, ``color``): probability that the fixed
+      or not.  Always the tail threshold n / (r ln n) that the count
+      should rarely exceed, not its mean.
+    * ``balanced-mono`` (optional ``edge``, default 0): probability that
+      the edge is monochromatic under a uniform balanced draw; requires
+      r | m.  Always its exact closed form.
+    * ``chain-event`` (``edges``, ``color``): probability that the edge
       tuple forms an ordered chain certifying a monochromatic last edge.
-    * ``deflected`` (``v``, optional ``i``): probability that a fixed
-      vertex is deflected, out of small_i or out of any small block.
+      Exact when enumerable, else the chain bound.
+    * ``deflected`` (``v``, optional ``i``): probability that vertex v is
+      deflected, out of small_i or out of any small block.  Exact when
+      enumerable, else none.
 
-    ``p`` in params overrides the derived subinterval parameter.  With
-    ``compare`` the report carries the exact oracle value when m <= 8 and
-    r <= 3 allow enumeration, falling back to the closed-form bound.
+    Every quantity but ``balanced-mono`` also takes ``p``, which overrides
+    the derived subinterval parameter.  With ``compare`` the report
+    carries the comparison value; "enumerable" means the exact oracle runs
+    within its budget, which needs m <= 8 and r <= 3.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if quantity not in QUANTITIES:
+    if quantity not in _SPECS:
         raise ValueError(f"unknown quantity {quantity!r}")
+    spec = _SPECS[quantity]
     params = dict(params or {})
-    m = h.m
-
-    if quantity == "balanced-mono":
-        if m % r != 0:
-            raise ValueError("balanced draws require r | m")
-        if not h.edges:
-            raise ValueError("balanced-mono needs an edge to watch")
-        edge_idx = int(params.pop("edge", 0))
-        _reject_extra(params)
-        edge = list(h.edges[edge_idx])
-        rows = _chunk_rows(m)
-        block = m // r
-        successes = 0
-        done = 0
-        chunk = 0
-        while done < trials:
-            take = min(rows, trials - done)
-            rng = derive(seed, chunk, ROLE_TRIALS)
-            u = rng.random((take, m))
-            ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
-            cols = ranks // block
-            sub = cols[:, edge]
-            successes += int(np.sum(np.all(sub == sub[:, :1], axis=1)))
-            done += take
-            chunk += 1
-        comparison = None
-        if compare:
-            comparison = Comparison("exact", float(balanced_mono_prob(m, h.n, r).value))
-        return _prob_report(f"balanced-mono(edge={edge_idx})", trials, successes, comparison)
-
-    p_param = params.pop("p", None)
-    p = float(p_param) if p_param is not None else choose_p(h.n, r)
-
-    if quantity == "mono-edge":
-        _reject_extra(params)
-
-        def stat(colors, deflections, slots, u, keep):
-            return _mono_edges(h, colors).any(axis=1)
-
-        total, _ = _run_two_stage(h, r, p, trials, seed, stat)
-        comparison = (
-            _oracle_or_bound(h, r, p, MonoEdgeExists(), mono_edge_probability_bound())
-            if compare
-            else None
-        )
-        return _prob_report("mono-edge", trials, total, comparison)
-
-    if quantity == "expected-deflections":
-        i = int(_require(params, "i", quantity))
-        _reject_extra(params)
-        if not 1 <= i <= r - 1:
-            raise ValueError(f"small-block index must lie in 1..{r - 1}")
-
-        def stat(colors, deflections, slots, u, keep):
-            return deflections[:, i - 1]
-
-        total, total_sq = _run_two_stage(h, r, p, trials, seed, stat)
-        comparison = None
-        if compare:
-            if m <= 8 and r <= 3:
-                try:
-                    exact = sum(
-                        exact_c0_event_prob(h, r, Deflected(v, i), p=p, budget=10**6)
-                        for v in range(m)
-                    )
-                    comparison = Comparison("exact", exact)
-                except BudgetExceeded:
-                    comparison = None
-            if comparison is None:
-                comparison = Comparison("bound", expected_deflections_bound(h.n, r))
-        return _mean_report(f"expected-deflections(i={i})", trials, total, total_sq, comparison)
-
-    if quantity == "excess-pattern":
-        _reject_extra(params)
-        targets = class_targets(m, r)
-
-        def stat(colors, deflections, slots, u, keep):
-            offsets = r * np.arange(len(colors))[:, None]
-            sizes = np.bincount((colors - 1 + offsets).ravel(), minlength=r * len(colors))
-            sizes = sizes.reshape(len(colors), r)
-            return (sizes[:, : r - 1] >= targets[: r - 1]).all(axis=1)
-
-        total, _ = _run_two_stage(h, r, p, trials, seed, stat)
-        comparison = Comparison("bound", 0.5 - 0.04 * math.e) if compare else None
-        return _prob_report("excess-pattern", trials, total, comparison)
-
-    if quantity == "dangerous-count":
-        p_tilde = params.pop("p_tilde", None)
-        _reject_extra(params)
-        p_tilde = (
-            float(p_tilde) if p_tilde is not None else compute_p_tilde(m, h.n, r, p)
-        )
-        if not 0.0 <= p_tilde <= 1.0:
-            raise ValueError("keep probability must lie in [0, 1]")
-
-        def stat(colors, deflections, slots, u, keep):
-            # a candidate sits in large_i, i <= r - 1, and is kept; an edge is
-            # dangerous when it has one and every other vertex carries color r
-            candidate = (slots % 2 == 0) & (slots < 2 * r - 2) & (keep < p_tilde)
-            edge_candidate = candidate[:, h.edge_array.T]
-            dangerous = edge_candidate.any(axis=1) & (
-                edge_candidate | (colors[:, h.edge_array.T] == r)
-            ).all(axis=1)
-            return dangerous.sum(axis=1)
-
-        total, total_sq = _run_two_stage(h, r, p, trials, seed, stat, with_keep=True)
-        comparison = (
-            Comparison("bound", dangerous_count_bound(h.n, r)) if compare else None
-        )
-        return _mean_report(
-            f"dangerous-count(p_tilde={p_tilde:.6g})", trials, total, total_sq, comparison
-        )
-
-    if quantity == "chain-event":
-        seq = tuple(int(e) for e in _require(params, "edges", quantity))
-        color = int(_require(params, "color", quantity))
-        _reject_extra(params)
-        k = len(seq)
-        if k < 1 or not all(0 <= e < len(h.edges) for e in seq):
-            raise ValueError("edges must index into the hypergraph")
-        if color - k + 1 < 1 or color > r:
-            raise ValueError("chain length does not fit the color")
-        for j in range(k - 1):
-            if len(set(h.edges[seq[j]]) & set(h.edges[seq[j + 1]])) != 1:
-                raise ValueError("consecutive edges must share exactly one vertex")
-
-        def stat(colors, deflections, slots, u, keep):
-            return np.array(
-                [
-                    _chain_event_holds(h, s, key, c, seq, color)
-                    for s, key, c in zip(slots.tolist(), u.tolist(), colors.tolist())
-                ],
-                dtype=bool,
-            )
-
-        total, _ = _run_two_stage(h, r, p, trials, seed, stat)
-        comparison = (
-            _oracle_or_bound(
-                h,
-                r,
-                p,
-                ChainEventSpec(seq, color),
-                chain_probability_bound(h.n, r, k),
-            )
-            if compare
-            else None
-        )
-        label = f"chain-event(edges={','.join(map(str, seq))};color={color})"
-        return _prob_report(label, trials, total, comparison)
-
-    # deflected
-    v0 = int(_require(params, "v", quantity))
-    i = params.pop("i", None)
-    _reject_extra(params)
-    if not 0 <= v0 < m:
-        raise ValueError("vertex out of range")
-    if i is not None:
-        i = int(i)
-        if not 1 <= i <= r - 1:
-            raise ValueError(f"small-block index must lie in 1..{r - 1}")
-
-    def stat(colors, deflections, slots, u, keep):
-        s = slots[:, v0]
-        block = (s + 1) // 2
-        hit = (s % 2 == 1) & (colors[:, v0] == block + 1)
-        return hit if i is None else hit & (block == i)
-
-    total, _ = _run_two_stage(h, r, p, trials, seed, stat)
-    comparison = (
-        _oracle_or_bound(h, r, p, Deflected(v0, i), None) if compare else None
-    )
-    label = f"deflected(v={v0})" if i is None else f"deflected(v={v0},i={i})"
-    return _prob_report(label, trials, total, comparison)
-
-
-def _reject_extra(params: dict) -> None:
+    values = {}
+    for prm in spec.params:
+        if prm.name in params:
+            values[prm.name] = params.pop(prm.name)
+        elif prm.required:
+            raise ValueError(f"{quantity} needs params[{prm.name!r}]")
     if params:
         raise ValueError(f"unexpected params: {sorted(params)}")
+    p = None
+    if _P in spec.params:
+        p = values.pop("p", None)
+        p = float(p) if p is not None else choose_p(h.n, r)
+    label, stat, comparison = spec.build(h, r, p, values)
+    total, total_sq = _sample(h, r, p, trials, seed, stat, spec.with_keep)
+    return _report(label, trials, total, total_sq, spec.mean, comparison() if compare else None)
 
 
-def _require(params: dict, key: str, quantity: str):
-    if key not in params:
-        raise ValueError(f"{quantity} needs params[{key!r}]")
-    return params.pop(key)
+def _report(label, trials, total, total_sq, mean: bool, comparison) -> EstimateReport:
+    """Point estimate and 3-sigma half-width: binomial for a probability,
+    from the sample variance for a mean."""
+    estimate = total / trials
+    if not mean:
+        hw = 3.0 * math.sqrt(max(0.0, estimate * (1.0 - estimate)) / trials)
+    elif trials >= 2:
+        var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
+        hw = 3.0 * math.sqrt(var / trials)
+    else:
+        hw = 0.0
+    return EstimateReport(label, trials, estimate, hw, comparison)
 
 
 def exact_c0_event_prob(
@@ -440,9 +445,12 @@ def exact_c0_event_prob(
     configuration with its exact measure.
 
     Supports MonoEdgeExists, Deflected (interval None means any small
-    block), and ChainEventSpec.  Requires m <= 8 and r <= 3; raises
-    BudgetExceeded, before enumerating anything, when the configuration
-    count passes ``budget``.
+    block), and ChainEventSpec.  Given a list (or other iterable) of
+    events, returns the sum of their probabilities from one enumeration:
+    each event has its own accumulator and the accumulators are summed in
+    order, so the sum equals that of one call per event.  Requires m <= 8
+    and r <= 3; raises BudgetExceeded, before enumerating anything, when
+    the configuration count passes ``budget``.
     """
     if r < 2:
         raise ValueError("need at least 2 colors")
@@ -467,7 +475,9 @@ def exact_c0_event_prob(
             f"exact enumeration of {configurations} configurations exceeds budget {budget}"
         )
 
-    total = 0.0
+    single = isinstance(event, (MonoEdgeExists, Deflected, ChainEventSpec))
+    events = [event] if single else list(event)
+    totals = [0.0] * len(events)
     for slots in product(range(2 * r - 1), repeat=m):
         weight = 1.0
         for s in slots:
@@ -481,9 +491,10 @@ def exact_c0_event_prob(
         w_order = weight / denom
         for orders in product(*(permutations(g) for g in occupants)):
             colors = _simulate_discrete(h, r, slots, orders)
-            if _event_holds(h, r, event, slots, orders, colors):
-                total += w_order
-    return total
+            for j, ev in enumerate(events):
+                if _event_holds(h, r, ev, slots, orders, colors):
+                    totals[j] += w_order
+    return sum(totals)
 
 
 def _simulate_discrete(

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from eqcolor import Coloring, Hypergraph, parse_hypergraph
+from eqcolor import Coloring, Hypergraph, mc_estimate, parse_hypergraph
 from eqcolor.cli import run_cli
+from eqcolor.montecarlo import QUANTITIES
 
 K4_TEXT = "4 2 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 PATH_TEXT = "4 2 3\n0 1\n1 2\n2 3\n"
@@ -175,6 +176,48 @@ def test_mc_chain_event_edge_list(capsys, path_file):
         ]
     )
     assert code == 0
+
+
+# params each quantity is run with: the required ones, and a keep
+# probability, since the derived one exceeds 1 on a 4-vertex path
+MC_PARAMS = {
+    "expected-deflections": {"i": 1},
+    "dangerous-count": {"p_tilde": 0.5},
+    "chain-event": {"edges": [0, 1], "color": 2},
+    "deflected": {"v": 1},
+}
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_mc_flags_match_direct_call(capsys, path_file, quantity):
+    params = MC_PARAMS.get(quantity, {})
+    flags = []
+    for name, value in params.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        flags += ["--" + name.replace("_", "-"), text]
+    code = run_cli(
+        ["mc", path_file, "-r", "2", "--quantity", quantity, "--trials", "300", "--seed", "5"]
+        + flags
+        + ["--format", "json"]
+    )
+    assert code == 0
+    direct = mc_estimate(quantity, parse_hypergraph(PATH_TEXT), 2, params, trials=300, seed=5)
+    assert json.loads(capsys.readouterr().out) == direct.to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--quantity", "balanced-mono", "--edge", "99"],
+        ["mc", "--quantity", "balanced-mono", "--edge", "-1"],
+        ["mc", "--quantity", "balanced-mono", "-r", "0"],
+        ["oracle", "-r", "0"],
+        ["oracle", "-r", "-1"],
+    ],
+)
+def test_out_of_range_values_exit_1(capsys, path_file, argv):
+    assert run_cli(argv[:1] + [path_file] + argv[1:]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_mc_missing_required_param(capsys, path_file):

@@ -112,9 +112,14 @@ def test_partition_lengths_property(p, r):
 
 def test_weight_assignment_order_and_ties():
     wa = WeightAssignment((0.5, 0.1, 0.5, 0.3))
-    assert wa.rank.tolist() == [2, 0, 3, 1]  # id breaks the 0.5 tie
+    order = np.lexsort((np.arange(4), wa.weights)).tolist()
+    assert order == [1, 3, 0, 2]  # id breaks the 0.5 tie
     assert wa.first_vertex((0, 2, 3)) == 3
     assert wa.last_vertex((0, 2, 3)) == 2
+    assert wa.first_vertex((2, 0)) == 0 and wa.last_vertex((2, 0)) == 2
+    for k in range(1, 5):
+        assert wa.first_vertex(order[k - 1 :]) == order[k - 1]
+        assert wa.last_vertex(order[:k]) == order[k - 1]
 
 
 def test_sample_weights_deterministic_and_in_range():

@@ -89,6 +89,29 @@ def test_oracle_counts_configurations_before_enumerating(monkeypatch):
     assert rep.comparison.kind == "bound"
 
 
+def test_oracle_sums_a_list_of_events_in_one_enumeration():
+    events = [Deflected(v, 1) for v in range(TRI_PAIR.m)]
+    events += [MonoEdgeExists(), ChainEventSpec((0, 1), 2), Deflected(2, None)]
+    singles = [exact_c0_event_prob(TRI_PAIR, 2, ev) for ev in events]
+    assert exact_c0_event_prob(TRI_PAIR, 2, events) == sum(singles)
+
+
+def test_expected_deflections_comparison_is_one_enumeration(monkeypatch):
+    calls = []
+    simulate = montecarlo._simulate_discrete
+
+    def counted(*args):
+        calls.append(1)
+        return simulate(*args)
+
+    monkeypatch.setattr(montecarlo, "_simulate_discrete", counted)
+    mono = mc_estimate("mono-edge", TRI_PAIR, 2, trials=10, seed=0)
+    one_enumeration = len(calls)
+    defl = mc_estimate("expected-deflections", TRI_PAIR, 2, {"i": 1}, trials=10, seed=0)
+    assert mono.comparison.kind == defl.comparison.kind == "exact"
+    assert len(calls) == 2 * one_enumeration > 0
+
+
 def test_oracle_rejects_oversized_instances():
     big = Hypergraph(40, 2, [(0, 1)])
     with pytest.raises(ValueError):
@@ -243,7 +266,7 @@ def test_vectorized_kernel_matches_reference_coloring():
         wa = WeightAssignment(u)
         slots = [part.slot_of(x) for x in u]
         orders = [
-            [v for v in np.argsort(wa.rank).tolist() if slots[v] == 2 * i - 1]
+            [v for v in np.lexsort((np.arange(m), u)).tolist() if slots[v] == 2 * i - 1]
             for i in range(1, r)
         ]
         reference = _simulate_discrete(h, r, slots, orders)
