@@ -50,7 +50,8 @@ print("K4 equitable 2-coloring:", brute_force_equitable(k4, 2))
 # A feasible instance instead; the oracle returns a witness.
 path = Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
 witness = brute_force_equitable(path, 2)
-print("path witness:", witness.colors, "sizes", list(witness.sizes))
+print("path witness:", witness.colors.tolist(), "sizes", list(witness.sizes))
+assert witness.colors.tolist() == [1, 2, 1, 2, 1]
 
 # Random instances are seeded and reproducible.
 h = generate_random(m=12, n=3, num_edges=8, seed=42)

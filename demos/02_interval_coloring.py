@@ -33,7 +33,8 @@ for x in (0.1, 0.45, 0.95):
 h = Hypergraph(4, 2, [(0, 1)])
 wa = WeightAssignment([0.1, 0.5, 0.7, 0.45])
 init = run_interval_coloring(h, 2, part, wa)
-print("colors:", init.coloring.colors)
+print("colors:", init.coloring.colors.tolist())
+assert init.coloring.colors.tolist() == [1, 2, 2, 1]
 print("deflections X:", init.deflections)
 print("occupancy Z:", init.occupancy)
 print("blocking edge per deflected vertex:", init.blocking)
@@ -52,6 +53,6 @@ h2 = Hypergraph(30, 3, [(i, i + 1, i + 2) for i in range(28)])
 wa2 = sample_weights(30, seed=7)
 a = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), wa2)
 b = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), wa2)
-assert a.coloring.colors == b.coloring.colors
+assert a.coloring.colors.tolist() == b.coloring.colors.tolist()
 print("30-vertex run: sizes", list(a.coloring.sizes),
       "deflections", a.deflections)

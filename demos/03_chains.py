@@ -32,7 +32,7 @@ h = Hypergraph(3, 2, [(0, 1), (1, 2)])
 part = IntervalPartition(0.2, 2)
 wa = WeightAssignment([0.1, 0.45, 0.7])
 init = run_interval_coloring(h, 2, part, wa)
-print("colors:", init.coloring.colors)
+print("colors:", init.coloring.colors.tolist())
 
 # The mono edge extracts to an ordered 2-chain: edge (0,1) explains why
 # vertex 1 carries color 2 inside edge (1,2).

@@ -17,7 +17,7 @@ from eqcolor import Coloring
 h = Hypergraph(10, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 0)])
 report = solve_equitable(h, 3, SolveConfig(seed=1))
 print("outcome:", report.outcome)
-print("coloring:", report.coloring.colors, "sizes", list(report.coloring.sizes))
+print("coloring:", report.coloring.colors.tolist(), "sizes", list(report.coloring.sizes))
 print("attempts:", report.attempts, "path:", report.path)
 assert is_equitable(h, report.coloring)
 
@@ -45,7 +45,8 @@ for path in ("balanced-only", "two-stage-only"):
 # properness.
 pairs = Hypergraph(6, 2, [(0, 1), (2, 3)])
 fixed = greedy_repair(pairs, Coloring(6, 2, [1, 2, 1, 2, 1, 1]), [3, 3])
-print("repaired:", fixed.colors, "sizes", list(fixed.sizes))
+print("repaired:", fixed.colors.tolist(), "sizes", list(fixed.sizes))
+assert fixed.colors.tolist() == [1, 2, 1, 2, 2, 1]
 
 star = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
 print("stuck star repair:", greedy_repair(star, Coloring(4, 2, [1, 2, 2, 2]), [2, 2]))

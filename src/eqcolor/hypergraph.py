@@ -143,7 +143,11 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
 class Coloring:
     """Mutable assignment of colors 1..r to vertices, with 0 = unassigned.
 
-    Class sizes are maintained incrementally on every assignment.
+    ``colors`` is an int64 numpy array of length m (``colors.tolist()``
+    gives a plain list) and ``sizes`` a list of the r class sizes, kept in
+    step on every assignment.  The public constructor and
+    ``from_json_dict`` validate their input; the JSON shapes are plain
+    lists.
     """
 
     __slots__ = ("r", "colors", "sizes")
@@ -151,16 +155,29 @@ class Coloring:
     def __init__(self, m: int, r: int, colors: Optional[Sequence[int]] = None):
         if r < 1:
             raise ValueError(f"color count must be positive, got {r}")
-        self.r = r
-        self.colors: list[int] = [0] * m if colors is None else [int(c) for c in colors]
-        if len(self.colors) != m:
+        values = [0] * m if colors is None else [int(c) for c in colors]
+        if len(values) != m:
             raise ValueError("color vector length does not match vertex count")
-        if any(c < 0 or c > r for c in self.colors):
+        try:
+            array = np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("color out of range 0..r") from None
+        if m and (array.min() < 0 or array.max() > r):
             raise ValueError("color out of range 0..r")
-        self.sizes: list[int] = [0] * r
-        for c in self.colors:
-            if c:
-                self.sizes[c - 1] += 1
+        self.r = r
+        self.colors = array
+        self.sizes = _class_sizes(array, r)
+
+    @classmethod
+    def _trusted(cls, r: int, colors: np.ndarray) -> "Coloring":
+        """Wrap an int64 array of colors in 0..r without checking it, for
+        colorings the package computed itself (kernel output, balanced
+        draws, repairs).  The coloring takes ownership of the array."""
+        out = cls.__new__(cls)
+        out.r = r
+        out.colors = colors
+        out.sizes = _class_sizes(colors, r)
+        return out
 
     @property
     def m(self) -> int:
@@ -169,28 +186,32 @@ class Coloring:
     def assign(self, v: int, c: int) -> None:
         if not 1 <= c <= self.r:
             raise ValueError(f"color {c} out of range 1..{self.r}")
-        old = self.colors[v]
+        old = int(self.colors[v])
         if old:
             self.sizes[old - 1] -= 1
         self.colors[v] = c
         self.sizes[c - 1] += 1
 
     def is_total(self) -> bool:
-        return all(c != 0 for c in self.colors)
+        return bool(self.colors.all())
 
     def copy(self) -> "Coloring":
-        return Coloring(self.m, self.r, self.colors)
+        out = Coloring.__new__(Coloring)
+        out.r = self.r
+        out.colors = self.colors.copy()
+        out.sizes = list(self.sizes)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coloring):
             return NotImplemented
-        return self.r == other.r and self.colors == other.colors
+        return self.r == other.r and np.array_equal(self.colors, other.colors)
 
     def __repr__(self) -> str:
         return f"Coloring(r={self.r}, sizes={self.sizes})"
 
     def to_json_dict(self) -> dict:
-        return {"r": self.r, "colors": list(self.colors), "sizes": list(self.sizes)}
+        return {"r": self.r, "colors": self.colors.tolist(), "sizes": list(self.sizes)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -204,6 +225,11 @@ class Coloring:
         if "sizes" in obj and list(obj["sizes"]) != col.sizes:
             raise FormatError("coloring JSON sizes disagree with the color vector")
         return col
+
+
+def _class_sizes(colors: np.ndarray, r: int) -> list[int]:
+    """Sizes of classes 1..r of a color array with values in 0..r."""
+    return np.bincount(colors, minlength=r + 1)[1:].tolist()
 
 
 def _mono_edges(h: Hypergraph, colors) -> np.ndarray:
@@ -248,6 +274,8 @@ def generate_random(m: int, n: int, num_edges: int, seed: int) -> Hypergraph:
 
     Deterministic for a fixed seed (PCG64 via numpy's default generator).
     """
+    if num_edges < 0:
+        raise ValueError(f"num_edges must be non-negative, got {num_edges}")
     if n > m:
         raise ValueError(f"cannot place edges of size {n} on {m} vertices")
     universe = math.comb(m, n)

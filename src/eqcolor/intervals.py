@@ -301,7 +301,7 @@ def run_interval_coloring(
     colors, deflections, blocking = _stage_colors(h, r, slots, wa.weights[None, :])
     occupancy = np.bincount(slots[0] // 2, minlength=r)
     return InitialColoring(
-        Coloring(h.m, r, colors[0].tolist()),
+        Coloring._trusted(r, colors[0]),
         tuple(deflections[0].tolist()),
         tuple(occupancy.tolist()),
         blocking[0],
@@ -349,4 +349,4 @@ def _coloring_at_sizes(m: int, sizes: Sequence[int], rng: np.random.Generator) -
     is uniform."""
     colors = np.empty(m, dtype=np.int64)
     colors[rng.permutation(m)] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-    return Coloring(m, len(sizes), colors.tolist())
+    return Coloring._trusted(len(sizes), colors)

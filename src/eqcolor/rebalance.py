@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -143,17 +144,17 @@ def find_dangerous_edges(
 ) -> list[DangerousEdge]:
     """Edges that would turn monochromatic in color r if every one of their
     candidate-set vertices were recolored: some vertex lies in the union of
-    the candidate sets and every other vertex already carries color r."""
-    union = set().union(*vsets) if vsets else set()
-    r = coloring.r
-    out = []
-    for e, edge in enumerate(h.edges):
-        u = tuple(v for v in edge if v in union)
-        if not u:
-            continue
-        if all(coloring.colors[v] == r for v in edge if v not in union):
-            out.append(DangerousEdge(e, u))
-    return out
+    the candidate sets and every other vertex already carries color r.
+    One boolean pass over ``h.edge_array``."""
+    union = np.zeros(h.m, dtype=bool)
+    union[np.fromiter(chain.from_iterable(vsets), np.int64)] = True
+    in_union = union[h.edge_array]
+    at_top = coloring.colors[h.edge_array] == coloring.r
+    hit = in_union.any(axis=1) & (in_union | at_top).all(axis=1)
+    return [
+        DangerousEdge(e, tuple(h.edge_array[e][in_union[e]].tolist()))
+        for e in np.flatnonzero(hit).tolist()
+    ]
 
 
 def select_recolor_sets(
@@ -174,10 +175,12 @@ def select_recolor_sets(
     wsets = []
     for i, vs in enumerate(vsets):
         need = excess[i]
-        pool = sorted(vs - pinned, key=lambda v: (wa.weights[v], v))
+        pool = np.fromiter(vs - pinned, np.int64)
         if len(pool) < need:
             return None
-        wsets.append(frozenset(pool[:need]))
+        # (weight, id) order, ties by id
+        order = np.lexsort((pool, wa.weights[pool]))
+        wsets.append(frozenset(pool[order[:need]].tolist()))
     return tuple(wsets)
 
 
@@ -188,10 +191,14 @@ def apply_recolor(coloring: Coloring, wsets: Sequence[frozenset]) -> Coloring:
         raise ValueError("need one recolor set per color below r")
     out = coloring.copy()
     for i, ws in enumerate(wsets, start=1):
-        for v in ws:
-            if out.colors[v] != i:
-                raise ValueError(f"recolor set {i} contains vertex {v} not colored {i}")
-            out.assign(v, r)
+        ids = np.fromiter(ws, np.int64, len(ws))
+        wrong = np.flatnonzero(out.colors[ids] != i)
+        if len(wrong):
+            v = int(ids[wrong[0]])
+            raise ValueError(f"recolor set {i} contains vertex {v} not colored {i}")
+        out.colors[ids] = r
+        out.sizes[i - 1] -= len(ids)
+        out.sizes[r - 1] += len(ids)
     return out
 
 

@@ -145,43 +145,56 @@ def greedy_repair(
     the move keeps the coloring proper, scanning vertices in increasing
     weight (vertex order when no weights are given).  Returns a proper
     coloring meeting the targets, or None when no move applies.
+
+    Each move takes the first vertex in scan order that has an over-target
+    color and a proper move, to the lowest under-target color that allows
+    one.  One pass finds every move: classes only shrink or grow toward
+    their targets and never cross them, so a vertex of an under-target
+    class is never moved, a move blocked by such vertices stays blocked,
+    and a vertex the scan passed over stays passed over.
     """
     if not coloring.is_total() or not is_proper(h, coloring):
         raise ValueError("repair requires a total proper coloring")
     targets = tuple(targets)
-    if len(targets) != coloring.r:
+    r = coloring.r
+    if len(targets) != r:
         raise ValueError("need one target per color")
-    out = coloring.copy()
     if weights is None:
-        order = list(range(h.m))
+        order = range(h.m)
+    elif len(weights) != h.m:
+        raise ValueError("need one weight per vertex")
     else:
-        order = sorted(range(h.m), key=lambda v: (weights[v], v))
-    max_moves = h.m * out.r
-    for _ in range(max_moves):
-        over = [c for c in range(1, out.r + 1) if out.sizes[c - 1] > targets[c - 1]]
-        under = [c for c in range(1, out.r + 1) if out.sizes[c - 1] < targets[c - 1]]
+        order = np.argsort(np.asarray(weights), kind="stable").tolist()
+    colors = coloring.colors.tolist()
+    sizes = list(coloring.sizes)
+
+    def classes():
+        over = [c for c in range(1, r + 1) if sizes[c - 1] > targets[c - 1]]
+        under = [c for c in range(1, r + 1) if sizes[c - 1] < targets[c - 1]]
+        return over, under
+
+    over, under = classes()
+    for v in order:
         if not over:
-            return out
-        moved = False
-        for v in order:
-            c_from = out.colors[v]
-            if c_from not in over:
-                continue
-            for c_to in under:
-                if _move_keeps_proper(h, out, v, c_to):
-                    out.assign(v, c_to)
-                    moved = True
-                    break
-            if moved:
+            break
+        c_from = colors[v]
+        if c_from not in over:
+            continue
+        for c_to in under:
+            if _move_keeps_proper(h, colors, v, c_to):
+                colors[v] = c_to
+                sizes[c_from - 1] -= 1
+                sizes[c_to - 1] += 1
+                over, under = classes()
                 break
-        if not moved:
-            return None
-    return out if tuple(out.sizes) == targets else None
+    if over:
+        return None
+    return Coloring._trusted(r, np.array(colors, dtype=np.int64))
 
 
-def _move_keeps_proper(h: Hypergraph, coloring: Coloring, v: int, c_to: int) -> bool:
+def _move_keeps_proper(h: Hypergraph, colors: list[int], v: int, c_to: int) -> bool:
     for e in h.incidence[v]:
-        if all(coloring.colors[u] == c_to for u in h.edges[e] if u != v):
+        if all(colors[u] == c_to for u in h.edges[e] if u != v):
             return False
     return True
 
@@ -292,5 +305,5 @@ def _chains(
     wa, init, mono = rejected
     cols = init.coloring.colors
     return tuple(
-        extract_chain(h, partition, wa, init, MonoEdge(e, cols[h.edges[e][0]])) for e in mono
+        extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edges[e][0]]))) for e in mono
     )

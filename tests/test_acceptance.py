@@ -126,7 +126,7 @@ def test_interval_coloring_deterministic():
             b = run_interval_coloring(
                 Hypergraph(m, n, edges), r, IntervalPartition(p, r), sample_weights(m, wseed)
             )
-            assert a.coloring.colors == b.coloring.colors
+            assert a.coloring == b.coloring
             assert a.deflections == b.deflections
             assert a.occupancy == b.occupancy
             assert a.blocking == b.blocking

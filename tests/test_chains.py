@@ -48,7 +48,7 @@ def test_conflicting_pair_hand_trace():
     # v1 sits in the small block, is last of B={0,1} and first of A={1,2},
     # and v0 carries color 1, so (A, B) conflict for color 2
     h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    assert init.coloring.colors == [1, 2, 2]
+    assert init.coloring.colors.tolist() == [1, 2, 2]
     assert is_conflicting_pair(h, P2, wa, init, 0, 1, 2)
 
 
@@ -70,7 +70,7 @@ def test_conflicting_pair_needs_small_block_link():
 
 def test_extract_one_chain_from_mono_edge():
     h, wa, init = _setup(2, [(0, 1)], (0.1, 0.2))
-    assert init.coloring.colors == [1, 1]
+    assert init.coloring.colors.tolist() == [1, 1]
     rec = extract_chain(h, P2, wa, init, MonoEdge(0, 1))
     assert rec.kind == ORDERED and rec.k == 1
     assert rec.edges == (0,) and rec.links == () and rec.color == 1
@@ -99,7 +99,7 @@ def test_extract_improper_chain_degenerate_start():
     # the blocking edge lies wholly inside the small block: the walk stops
     # at a small-block vertex that kept its own color
     h, wa, init = _setup(2, [(0, 1)], (0.45, 0.5))
-    assert init.coloring.colors == [1, 2]
+    assert init.coloring.colors.tolist() == [1, 2]
     rec = extract_chain(h, P2, wa, init, Deflected(1, 1))
     assert rec.kind == IMPROPER and rec.edges == (0,)
     validate_chain(h, P2, wa, init, rec)

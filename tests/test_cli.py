@@ -262,6 +262,12 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(["mc", "x.txt", "-r", "2"]) == 1  # missing --quantity
 
 
+def test_gen_rejects_negative_edge_count(capsys):
+    assert run_cli(["gen", "-m", "5", "-n", "2", "--edges", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "num_edges" in err and "-1" in err
+
+
 def test_missing_file_errors(capsys, tmp_path):
     assert run_cli(["solve", str(tmp_path / "ghost.txt"), "-r", "2"]) == 1
     assert "error:" in capsys.readouterr().err

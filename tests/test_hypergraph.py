@@ -100,6 +100,47 @@ def test_coloring_rejects_out_of_range():
         c.assign(0, 0)
 
 
+def test_coloring_constructor_validates_and_stores_an_array():
+    with pytest.raises(ValueError):
+        Coloring(3, 2, [1, 2])  # wrong length
+    with pytest.raises(ValueError):
+        Coloring(2, 2, [1, 2, 1])
+    with pytest.raises(ValueError):
+        Coloring(3, 2, [1, -1, 2])
+    with pytest.raises(ValueError):
+        Coloring(3, 2, [1, 2, 2**70])  # beyond int64 is still out of range
+    with pytest.raises(ValueError):
+        Coloring(3, 0, [0, 0, 0])
+    with pytest.raises(ValueError):
+        Coloring(3, 0)
+    partial = Coloring(4, 3, [0, 3, 0, 3])  # 0 = unassigned is accepted
+    assert not partial.is_total() and partial.sizes == [0, 0, 2]
+    assert isinstance(partial.colors, np.ndarray) and partial.colors.dtype == np.int64
+    assert partial.colors.tolist() == [0, 3, 0, 3]
+    assert all(type(s) is int for s in partial.sizes)
+    assert Coloring(3, 2).colors.tolist() == [0, 0, 0]
+
+
+def test_coloring_equality_and_copy():
+    c = Coloring(4, 2, [1, 2, 1, 2])
+    assert c == Coloring(4, 2, np.array([1, 2, 1, 2]))
+    assert c != Coloring(4, 3, [1, 2, 1, 2])  # same colors, other r
+    assert c != Coloring(3, 2, [1, 2, 1])
+    d = c.copy()
+    assert d == c and d.colors is not c.colors and d.sizes is not c.sizes
+    d.assign(3, 1)
+    assert c.colors.tolist() == [1, 2, 1, 2] and c.sizes == [2, 2]
+    assert d.sizes == [3, 1]
+
+
+def test_coloring_json_is_plain_lists():
+    c = Coloring(3, 2, [2, 1, 2])
+    obj = c.to_json_dict()
+    assert obj == {"r": 2, "colors": [2, 1, 2], "sizes": [1, 2]}
+    assert type(obj["colors"]) is list and all(type(x) is int for x in obj["colors"])
+    assert json.loads(c.to_json()) == obj
+
+
 def test_coloring_json_roundtrip_checks_sizes():
     c = Coloring(4, 2, [1, 2, 1, 2])
     obj = c.to_json_dict()
@@ -165,6 +206,11 @@ def test_generate_random_is_deterministic_and_valid():
 def test_generate_random_rejects_impossible_count():
     with pytest.raises(ValueError):
         generate_random(4, 2, math.comb(4, 2) + 1, seed=0)
+
+
+def test_generate_random_rejects_negative_count():
+    with pytest.raises(ValueError, match="num_edges must be non-negative, got -1"):
+        generate_random(5, 2, -1, seed=0)
 
 
 def test_edge_threshold_spot_values():

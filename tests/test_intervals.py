@@ -1,6 +1,7 @@
 """Interval partition, weight order, the two-stage coloring, and balanced colorings."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -144,7 +145,7 @@ def test_two_stage_hand_trace():
     part = IntervalPartition(0.2, 2)
     wa = WeightAssignment((0.1, 0.5, 0.7, 0.45))
     init = run_interval_coloring(h, 2, part, wa)
-    assert init.coloring.colors == [1, 2, 2, 1]
+    assert init.coloring.colors.tolist() == [1, 2, 2, 1]
     assert init.deflections == (1,)
     assert init.occupancy == (3, 1)
     assert init.blocking == {1: 0}  # only the deflected vertex has an entry
@@ -155,7 +156,7 @@ def test_two_stage_all_large_is_pure_stage_one():
     part = IntervalPartition(0.2, 2)
     wa = WeightAssignment((0.1, 0.2, 0.7, 0.8))
     init = run_interval_coloring(h, 2, part, wa)
-    assert init.coloring.colors == [1, 1, 2, 2]
+    assert init.coloring.colors.tolist() == [1, 1, 2, 2]
     assert init.deflections == (0,)
 
 
@@ -164,7 +165,7 @@ def test_two_stage_mono_edge_survives():
     h = Hypergraph(2, 2, [(0, 1)])
     part = IntervalPartition(0.2, 2)
     init = run_interval_coloring(h, 2, part, WeightAssignment((0.1, 0.2)))
-    assert init.coloring.colors == [1, 1]
+    assert init.coloring.colors.tolist() == [1, 1]
 
 
 def test_two_stage_deflection_is_unconditional():
@@ -173,7 +174,7 @@ def test_two_stage_deflection_is_unconditional():
     part = IntervalPartition(0.2, 2)
     wa = WeightAssignment((0.1, 0.7, 0.5))
     init = run_interval_coloring(h, 2, part, wa)
-    assert init.coloring.colors == [1, 2, 2]
+    assert init.coloring.colors.tolist() == [1, 2, 2]
     assert init.coloring.colors[2] == 2 and init.blocking[2] == 0
 
 
@@ -225,7 +226,7 @@ def test_two_stage_determinism():
     wa = sample_weights(12, seed=5)
     a = run_interval_coloring(h, 2, part, wa)
     b = run_interval_coloring(h, 2, part, wa)
-    assert a.coloring.colors == b.coloring.colors
+    assert a.coloring == b.coloring
     assert a.deflections == b.deflections and a.occupancy == b.occupancy
 
 
@@ -277,9 +278,40 @@ def test_balanced_mono_prob_matches_enumeration():
 def test_sample_balanced_sizes_and_determinism():
     c = sample_balanced_coloring(6, 3, seed=1)
     assert isinstance(c, Coloring) and c.sizes == [2, 2, 2]
-    assert sample_balanced_coloring(6, 3, seed=1).colors == c.colors
+    assert sample_balanced_coloring(6, 3, seed=1) == c
     with pytest.raises(ValueError):
         sample_balanced_coloring(5, 2, seed=0)
+
+
+def test_trusted_colorings_equal_validated_ones():
+    # kernel output and balanced draws skip validation; rebuilding them
+    # through the public constructor must give the same coloring and sizes
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        m = int(rng.integers(8, 40))
+        n = int(rng.integers(2, 6))
+        r = int(rng.integers(2, 5))
+        edges = {tuple(sorted(rng.choice(m, n, replace=False).tolist())) for _ in range(m)}
+        h = Hypergraph(m, n, sorted(edges))
+        part = IntervalPartition(float(rng.uniform(0.05, 0.5)), r)
+        drawn = [
+            run_interval_coloring(h, r, part, sample_weights(m, int(rng.integers(2**32)))).coloring,
+            sample_balanced_coloring(m - m % r, r, int(rng.integers(2**32))),
+        ]
+        for c in drawn:
+            again = Coloring(c.m, c.r, c.colors.tolist())
+            assert c == again and c.sizes == again.sizes
+            assert c.colors.dtype == np.int64 and all(type(s) is int for s in c.sizes)
+
+
+def test_initial_coloring_json_is_plain():
+    h = Hypergraph(4, 2, [(0, 1)])
+    wa = WeightAssignment([0.1, 0.5, 0.7, 0.45])
+    init = run_interval_coloring(h, 2, IntervalPartition(0.2, 2), wa)
+    obj = init.to_json_dict()
+    assert json.loads(json.dumps(obj)) == obj
+    for key in ("colors", "sizes", "X", "Z"):
+        assert type(obj[key]) is list and all(type(x) is int for x in obj[key])
 
 
 def test_sample_balanced_hits_every_coloring():
@@ -287,7 +319,7 @@ def test_sample_balanced_hits_every_coloring():
     seen = {}
     trials = 6000
     for t in range(trials):
-        key = tuple(sample_balanced_coloring(4, 2, seed=1000 + t).colors)
+        key = tuple(sample_balanced_coloring(4, 2, seed=1000 + t).colors.tolist())
         seen[key] = seen.get(key, 0) + 1
     assert len(seen) == 6
     for count in seen.values():

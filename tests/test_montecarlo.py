@@ -270,7 +270,7 @@ def test_vectorized_kernel_matches_reference_coloring():
             for i in range(1, r)
         ]
         reference = _simulate_discrete(h, r, slots, orders)
-        assert run_interval_coloring(h, r, part, wa).coloring.colors == reference
+        assert run_interval_coloring(h, r, part, wa).coloring.colors.tolist() == reference
 
 
 def test_oracle_orders_small_blocks_by_weight_not_id():

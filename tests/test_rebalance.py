@@ -164,6 +164,49 @@ def test_find_dangerous_edges_takes_maximal_candidate_set():
     assert dangerous == [DangerousEdge(0, (0, 1))]
 
 
+def _dangerous_reference(h, coloring, vsets):
+    """The per-edge loop that find_dangerous_edges replaced, kept as its
+    reference."""
+    union = set().union(*vsets) if vsets else set()
+    r = coloring.r
+    out = []
+    for e, edge in enumerate(h.edges):
+        u = tuple(v for v in edge if v in union)
+        if not u:
+            continue
+        if all(coloring.colors[v] == r for v in edge if v not in union):
+            out.append(DangerousEdge(e, u))
+    return out
+
+
+def test_find_dangerous_edges_matches_per_edge_reference():
+    rng = np.random.default_rng(23)
+    nonempty = 0
+    for _ in range(300):
+        m = int(rng.integers(3, 20))
+        n = int(rng.integers(2, min(m, 4) + 1))
+        r = int(rng.integers(2, 4))
+        edges = {tuple(sorted(rng.choice(m, n, replace=False).tolist())) for _ in range(2 * m)}
+        h = Hypergraph(m, n, sorted(edges))
+        # skewed toward the top color so that dangerous edges are common
+        colors = np.where(rng.random(m) < 0.5, r, rng.integers(1, r + 1, m))
+        coloring = Coloring(m, r, colors.tolist())
+        vsets = tuple(
+            frozenset(np.flatnonzero(rng.random(m) < 0.2).tolist()) for _ in range(r - 1)
+        )
+        got = find_dangerous_edges(h, coloring, vsets)
+        assert got == _dangerous_reference(h, coloring, vsets)
+        assert all(type(v) is int for d in got for v in (d.edge, *d.u_vertices))
+        nonempty += bool(got)
+    assert nonempty > 100
+
+
+def test_find_dangerous_edges_without_edges_or_candidates():
+    coloring = Coloring(3, 2, [1, 2, 2])
+    assert find_dangerous_edges(Hypergraph(3, 2, []), coloring, (frozenset({0}),)) == []
+    assert find_dangerous_edges(Hypergraph(3, 2, [(1, 2)]), coloring, ()) == []
+
+
 def test_select_recolor_sets_basic():
     wa = WeightAssignment((0.05, 0.15, 0.25, 0.35))
     vsets = (frozenset({0, 1, 2}),)
@@ -207,10 +250,46 @@ def test_select_recolor_sets_never_swallows_a_candidate_set():
             assert not set(d.u_vertices) <= wsets[0]
 
 
+def test_select_recolor_sets_breaks_weight_ties_by_id():
+    wa = WeightAssignment((0.5, 0.2, 0.5, 0.2, 0.5, 0.1))
+    vsets = (frozenset({0, 1, 2, 3, 4}), frozenset({5, 4}))
+    assert select_recolor_sets(vsets, [], (3, 0), wa) == (frozenset({1, 3, 0}), frozenset())
+    assert select_recolor_sets(vsets, [], (4, 1), wa) == (
+        frozenset({1, 3, 0, 2}),
+        frozenset({5}),
+    )
+    # pinning vertex 1 lets the next vertex in (weight, id) order in
+    pinned = [DangerousEdge(0, (1, 2))]
+    assert select_recolor_sets(vsets[:1], pinned, (2,), wa) == (frozenset({3, 0}),)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m = int(rng.integers(2, 30))
+        wa = WeightAssignment(rng.integers(0, 3, m) / 4)  # heavy ties
+        vs = frozenset(np.flatnonzero(rng.random(m) < 0.6).tolist())
+        need = int(rng.integers(0, len(vs) + 1))
+        expected = frozenset(sorted(vs, key=lambda v: (wa.weights[v], v))[:need])
+        assert select_recolor_sets((vs,), [], (need,), wa) == (expected,)
+
+
+def test_apply_recolor_names_first_offending_vertex():
+    c = Coloring(6, 3, [1, 1, 2, 2, 3, 3])
+    ws = frozenset({0, 4, 5})
+    first_bad = next(v for v in ws if c.colors[v] != 1)
+    message = f"recolor set 1 contains vertex {first_bad} not colored 1"
+    with pytest.raises(ValueError, match=message):
+        apply_recolor(c, (ws, frozenset()))
+    # a vertex in two sets has already moved to r when the second is checked
+    with pytest.raises(ValueError, match="recolor set 2 contains vertex 0 not colored 2"):
+        apply_recolor(Coloring(4, 3, [1, 2, 1, 3]), (frozenset({0}), frozenset({0})))
+    moved = apply_recolor(c, (frozenset({0, 1}), frozenset({3})))
+    assert moved.colors.tolist() == [3, 3, 2, 3, 3, 3] and moved.sizes == [0, 1, 5]
+    assert moved == Coloring(6, 3, moved.colors.tolist())
+
+
 def test_apply_recolor_examples():
     c = _coloring_with_sizes((3, 1))
     unchanged = apply_recolor(c, (frozenset(),))
-    assert unchanged.colors == c.colors and unchanged is not c
+    assert unchanged == c and unchanged is not c
     moved = apply_recolor(c, (frozenset({0}),))
     assert moved.sizes == [2, 2] and moved.colors[0] == 2
     assert c.sizes == [3, 1]  # original untouched

@@ -1,5 +1,6 @@
 """End-to-end solving: routing, restarts, repair, and the exhaustion oracle."""
 
+import json
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ def test_single_edge_two_vertices():
     report = solve_equitable(h, 2)
     assert report.outcome == SUCCESS
     assert is_equitable(h, report.coloring)
-    assert sorted(report.coloring.colors) == [1, 2]
+    assert sorted(report.coloring.colors.tolist()) == [1, 2]
 
 
 def test_two_disjoint_edges():
@@ -141,7 +142,7 @@ def test_greedy_repair_leaves_balanced_input_alone():
     h = Hypergraph(4, 2, [(0, 1)])
     ok = Coloring(4, 2, [1, 2, 1, 2])
     fixed = greedy_repair(h, ok, (2, 2))
-    assert fixed.colors == ok.colors
+    assert fixed == ok
 
 
 def test_greedy_repair_rejects_improper_input():
@@ -167,6 +168,139 @@ def test_greedy_repair_respects_weight_order():
     by_weight = greedy_repair(h, skew, (2, 2), weights=(0.9, 0.5, 0.1, 0.7))
     assert by_id.colors[0] == 2  # vertex 0 moves first without weights
     assert by_weight.colors[2] == 2  # lowest weight moves first with them
+
+
+def _repair_restart_scan(h, coloring, targets, weights=None):
+    """greedy_repair as it was before the one-pass scan, kept as its
+    reference: after every move the scan starts again at the first vertex."""
+    targets = tuple(targets)
+    out = coloring.copy()
+    if weights is None:
+        order = list(range(h.m))
+    else:
+        order = sorted(range(h.m), key=lambda v: (weights[v], v))
+
+    def keeps_proper(v, c_to):
+        return not any(
+            all(out.colors[u] == c_to for u in h.edges[e] if u != v) for e in h.incidence[v]
+        )
+
+    for _ in range(h.m * out.r):
+        over = [c for c in range(1, out.r + 1) if out.sizes[c - 1] > targets[c - 1]]
+        under = [c for c in range(1, out.r + 1) if out.sizes[c - 1] < targets[c - 1]]
+        if not over:
+            return out
+        moved = False
+        for v in order:
+            if out.colors[v] not in over:
+                continue
+            for c_to in under:
+                if keeps_proper(v, c_to):
+                    out.assign(v, c_to)
+                    moved = True
+                    break
+            if moved:
+                break
+        if not moved:
+            return None
+    return out if tuple(out.sizes) == targets else None
+
+
+def test_greedy_repair_matches_restart_scan_reference():
+    rng = np.random.default_rng(61)
+    checked = repaired = 0
+    while checked < 400:
+        m = int(rng.integers(2, 31))
+        r = int(rng.integers(2, 5))
+        n = int(rng.integers(2, min(m, 4) + 1))
+        edges = {
+            tuple(sorted(rng.choice(m, n, replace=False).tolist()))
+            for _ in range(int(rng.integers(0, m + 1)))
+        }
+        h = Hypergraph(m, n, sorted(edges))
+        coloring = Coloring(m, r, rng.integers(1, r + 1, m).tolist())
+        if not is_proper(h, coloring):
+            continue
+        weights = rng.random(m) if checked % 2 else None
+        targets = class_targets(m, r)
+        got = greedy_repair(h, coloring, targets, weights=weights)
+        want = _repair_restart_scan(h, coloring, targets, weights=weights)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == want and got.sizes == want.sizes == targets
+            repaired += 1
+        checked += 1
+    assert repaired > 100
+
+
+def test_greedy_repair_is_one_pass(monkeypatch):
+    from eqcolor import solver
+
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return keeps(*args)
+
+    keeps = solver._move_keeps_proper
+    monkeypatch.setattr(solver, "_move_keeps_proper", counting)
+    m, r = 2000, 2
+    # vertices 0..499 wear color 1 but are pinned there by an edge to a
+    # color-2 partner; a scan that restarts at vertex 0 after each of the
+    # 500 moves re-checks all of them every time
+    blocked = Hypergraph(m, 2, [(v, 500 + v) for v in range(500)])
+    colors = [1] * 500 + [2] * 500 + [1] * 1000
+    for h in (Hypergraph(m, 2, []), blocked):
+        calls = 0
+        fixed = greedy_repair(h, Coloring(m, r, colors), class_targets(m, r))
+        assert fixed.sizes == class_targets(m, r) and is_proper(h, fixed)
+        assert 0 < calls <= m * r
+
+
+def test_greedy_repair_checks_weight_length():
+    with pytest.raises(ValueError):
+        greedy_repair(Hypergraph(3, 2, []), Coloring(3, 2, [1, 1, 2]), (2, 1), weights=(0.1, 0.2))
+
+
+def _assert_plain_json(obj):
+    """Only built-in JSON types all the way down, so no numpy scalar hides
+    in a report (json.dumps would take a numpy float silently)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            assert type(key) is str
+            _assert_plain_json(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            _assert_plain_json(value)
+    else:
+        assert obj is None or type(obj) in (str, int, float, bool), (obj, type(obj))
+
+
+def test_reports_serialize_to_plain_json_on_every_path():
+    from eqcolor import generate_random
+
+    def solve(m, n, ne, r, **cfg):
+        return solve_equitable(generate_random(m, n, ne, seed=1), r, SolveConfig(**cfg))
+
+    balanced = solve(12, 3, 6, 2, seed=0, force_path=BALANCED_ONLY)
+    accepted = solve(250, 6, 125, 3, seed=0)
+    rebalanced = solve(600, 5, 200, 3, seed=5)
+    repaired = solve(250, 6, 125, 3, seed=1)
+    exhausted = solve_equitable(K4, 2, SolveConfig(max_restarts=30, enumeration_budget=0))
+    zero = {"mono-edge": 0, "rebalance-infeasible": 0, "repair-failed": 0}
+    assert balanced.path == PATH_BALANCED and balanced.outcome == SUCCESS
+    # each two-stage success came on the first attempt, by the route named
+    assert accepted.attempts == 1 and accepted.plan is None and accepted.diagnostics == zero
+    assert rebalanced.attempts == 1 and rebalanced.plan.feasible
+    assert rebalanced.diagnostics == zero
+    assert repaired.attempts == 1 and repaired.diagnostics["rebalance-infeasible"] == 1
+    assert repaired.diagnostics["repair-failed"] == 0 and repaired.outcome == SUCCESS
+    assert exhausted.outcome == EXHAUSTED and exhausted.chains
+    for report in (balanced, accepted, rebalanced, repaired, exhausted):
+        obj = report.to_json_dict(explain=True)
+        _assert_plain_json(obj)
+        assert json.loads(json.dumps(obj)) == obj
 
 
 def test_solved_instances_are_never_invalid():
