@@ -21,11 +21,12 @@ for n, r in ((100, 2), (1000, 3)):
     print(f"choose_p(n={n}, r={r}) = {choose_p(n, r):.6f}")
 
 # A partition for r=2 at p=0.2: large_1 = [0, 0.4), small_1 = [0.4, 0.6),
-# large_2 = [0.6, 1.0).
+# large_2 = [0.6, 1.0).  Blocks are numbered by slot: large_i is slot 2i-2
+# and small_i slot 2i-1.
 part = IntervalPartition(0.2, 2)
 print("slot lengths:", [round(w, 3) for w in part.slot_lengths()])
 for x in (0.1, 0.45, 0.95):
-    print(f"  locate({x}) ->", part.locate(x))
+    print(f"  slot_of({x}) ->", part.slot_of(x))
 
 # Hand-picked weights.  Vertex 1 lands in small_1; when its turn comes,
 # vertex 0 already wears color 1 and edge (0,1) would go monochromatic, so

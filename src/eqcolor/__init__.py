@@ -43,12 +43,9 @@ from .hypergraph import (
     parse_hypergraph,
 )
 from .intervals import (
-    LARGE,
-    SMALL,
     InitialColoring,
     IntervalPartition,
     MonoProbability,
-    Subinterval,
     WeightAssignment,
     balanced_mono_prob,
     choose_p,

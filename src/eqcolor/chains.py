@@ -19,6 +19,9 @@ then colored there without deflection, so no earlier edge exists).  The
 leading edge of a chain may therefore start inside a small block; validation
 accepts both terminal shapes and otherwise checks the full membership,
 ordering, coloring, and intersection pattern edge by edge.
+
+Places are integer slots, as ``IntervalPartition.slot_of`` gives them:
+large_c is slot 2c-2 and small_c is slot 2c-1.
 """
 
 from __future__ import annotations
@@ -28,15 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hypergraph import BudgetExceeded, Hypergraph
-from .intervals import (
-    LARGE,
-    SMALL,
-    InitialColoring,
-    IntervalPartition,
-    Subinterval,
-    WeightAssignment,
-    _weight_slots,
-)
+from .intervals import InitialColoring, IntervalPartition, WeightAssignment, _weight_slots
 
 __all__ = [
     "ChainInvalid",
@@ -166,6 +161,11 @@ def _conflicting(h, slots, key, colors, b_edge, a_edge, color) -> bool:
     return all(colors[u] == color - 1 for u in b if u != v)
 
 
+def _block(slot: int) -> str:
+    """Name of a slot: large_c for slot 2c-2, small_c for slot 2c-1."""
+    return f"{'small' if slot % 2 else 'large'}_{slot // 2 + 1}"
+
+
 def _walk_back(
     h: Hypergraph,
     partition: IntervalPartition,
@@ -187,16 +187,14 @@ def _walk_back(
             raise RuntimeError(
                 f"chain walk inconsistency: vertex {u} should carry color {c}, found {cols[u]}"
             )
-        loc = partition.locate(wa.weights[u])
-        if loc == Subinterval(LARGE, c):
+        s = partition.slot_of(wa.weights[u])
+        # large_c, or the whole edge sits inside small_c: either way u was
+        # colored c without deflection, so the chain starts here
+        if s == 2 * c - 2 or s == 2 * c - 1:
             break
-        if loc == Subinterval(SMALL, c):
-            # the whole edge sits inside small_c; u was colored there
-            # without deflection, so the chain starts here
-            break
-        if loc != Subinterval(SMALL, c - 1):
+        if s != 2 * c - 3:
             raise RuntimeError(
-                f"chain walk inconsistency: vertex {u} colored {c} from subinterval {loc}"
+                f"chain walk inconsistency: vertex {u} colored {c} from {_block(s)}"
             )
         if u not in init.blocking:
             raise RuntimeError(
@@ -219,11 +217,16 @@ def extract_chain(
 ) -> ChainRecord:
     """Build the certificate chain for an observed failure event.
 
-    Raises ValueError when the event did not actually occur, and
-    RuntimeError on walk inconsistencies that would indicate a bug in the
-    coloring stages themselves.
+    Raises ValueError when the event names an edge or vertex that does not
+    exist or did not actually occur, and RuntimeError on walk
+    inconsistencies that would indicate a bug in the coloring stages
+    themselves.
     """
     cols = init.coloring.colors
+    if isinstance(failure, (MonoEdge, DangerousEdge)):
+        if not 0 <= failure.edge < len(h.edges):
+            raise ValueError(f"edge {failure.edge} outside 0..{len(h.edges) - 1}")
+
     if isinstance(failure, MonoEdge):
         edge = h.edges[failure.edge]
         if any(cols[v] != failure.color for v in edge):
@@ -237,7 +240,9 @@ def extract_chain(
 
     if isinstance(failure, Deflected):
         v, i = failure.vertex, failure.interval
-        if partition.locate(wa.weights[v]) != Subinterval(SMALL, i):
+        if not 0 <= v < h.m:
+            raise ValueError(f"vertex {v} outside 0..{h.m - 1}")
+        if partition.slot_of(wa.weights[v]) != 2 * i - 1:
             raise ValueError(f"vertex {v} does not lie in small_{i}")
         if cols[v] != i + 1 or v not in init.blocking:
             raise ValueError(f"vertex {v} was not deflected out of small_{i}")
@@ -261,10 +266,11 @@ def extract_chain(
                 f"edge {failure.edge} is not dangerous: not all non-candidate vertices carry color {r}"
             )
         for v in reduced:
-            loc = partition.locate(wa.weights[v])
-            if loc not in (Subinterval(SMALL, r - 1), Subinterval(LARGE, r)):
+            s = partition.slot_of(wa.weights[v])
+            # small_{r-1} or large_r
+            if s != 2 * r - 3 and s != 2 * r - 2:
                 raise RuntimeError(
-                    f"chain walk inconsistency: vertex {v} carries color {r} from subinterval {loc}"
+                    f"chain walk inconsistency: vertex {v} carries color {r} from {_block(s)}"
                 )
         edges, links = _walk_back(h, partition, wa, init, reduced, failure.edge, r)
         return ChainRecord(
@@ -296,21 +302,22 @@ def validate_chain(
     ChainInvalid on the first violation.
 
     Edge j of a k-chain for color i belongs to color c_j = i - k + j.  The
-    checks cover the intersection pattern (consecutive edges share exactly
-    the link vertex, non-consecutive edges are disjoint), link placement
-    (link j sits in small_{c_j}, was deflected by edge j, and is the last
-    vertex of edge j and the first of edge j+1), and per-vertex membership:
-    interior vertices of edge j carry color c_j from small_{c_j-1},
-    large_{c_j}, or small_{c_j}, except that the leading edge admits no
-    small_{c_1 - 1} vertices and the last edge of an ordered or complex
-    chain admits no small_{c_k} ones.
+    checks cover the range of every edge index and vertex named, the
+    intersection pattern (consecutive edges share exactly the link vertex,
+    non-consecutive edges are disjoint), link placement (link j sits in
+    small_{c_j}, was deflected by edge j, and is the last vertex of edge j
+    and the first of edge j+1), and per-vertex membership: interior
+    vertices of edge j carry color c_j from small_{c_j-1}, large_{c_j}, or
+    small_{c_j}, except that the leading edge admits no small_{c_1 - 1}
+    vertices and the last edge of an ordered or complex chain admits no
+    small_{c_k} ones.
     """
     k = record.k
     i = record.color
     cols = init.coloring.colors
 
-    def locate(v: int) -> Subinterval:
-        return partition.locate(wa.weights[v])
+    def slot(v: int) -> int:
+        return partition.slot_of(wa.weights[v])
 
     _check(k >= 1, "chain has no edges")
     _check(len(record.links) == k - 1, "link count must be k - 1")
@@ -326,6 +333,10 @@ def validate_chain(
         _check(record.candidate_vertices is not None, "complex chains need candidate vertices")
     else:
         raise ChainInvalid(f"unknown chain kind {record.kind!r}")
+    for e in record.edges:
+        _check(0 <= e < len(h.edges), f"edge {e} outside 0..{len(h.edges) - 1}")
+    for v in [ln.vertex for ln in record.links] + [record.terminal_vertex]:
+        _check(v is None or 0 <= v < h.m, f"vertex {v} outside 0..{h.m - 1}")
 
     # vertex sets; for complex chains the last edge participates through
     # its reduced pseudo-edge
@@ -364,7 +375,7 @@ def validate_chain(
         link = record.links[j]
         v = link.vertex
         c_j = i - k + j + 1
-        _check(locate(v) == Subinterval(SMALL, c_j), f"link {j} must lie in small_{c_j}")
+        _check(slot(v) == 2 * c_j - 1, f"link {j} must lie in small_{c_j}")
         _check(cols[v] == c_j + 1, f"link {j} must carry color {c_j + 1}")
         _check(
             init.blocking.get(v) == record.edges[j],
@@ -386,7 +397,7 @@ def validate_chain(
     # terminal vertex of an improper chain
     terminal = record.terminal_vertex
     if record.kind == IMPROPER:
-        _check(locate(terminal) == Subinterval(SMALL, i), "terminal must lie in small_i")
+        _check(slot(terminal) == 2 * i - 1, "terminal must lie in small_i")
         _check(cols[terminal] == i + 1, "terminal must carry color i + 1")
         _check(
             init.blocking.get(terminal) == record.edges[-1],
@@ -397,35 +408,35 @@ def validate_chain(
             "terminal must be the last vertex of the last edge",
         )
 
-    # per-vertex membership and coloring
+    # per-vertex membership and coloring: slots small_{c_j-1}, large_{c_j}
+    # and small_{c_j}, trimmed at the chain's ends
     link_vertices = {ln.vertex for ln in record.links}
     for j in range(k):
         c_j = i - k + j + 1
-        allowed = {Subinterval(SMALL, c_j - 1), Subinterval(LARGE, c_j), Subinterval(SMALL, c_j)}
-        if j == 0:
-            allowed.discard(Subinterval(SMALL, c_j - 1))
-        if j == k - 1 and record.kind in (ORDERED, COMPLEX):
-            allowed.discard(Subinterval(SMALL, c_j))
+        lo = 2 * c_j - 2 if j == 0 else 2 * c_j - 3
+        hi = 2 * c_j - 2 if j == k - 1 and record.kind in (ORDERED, COMPLEX) else 2 * c_j - 1
         for v in member_sets[j]:
             if v in link_vertices or v == terminal:
                 continue
             _check(cols[v] == c_j, f"vertex {v} of edge {j} must carry color {c_j}")
+            s = slot(v)
             _check(
-                locate(v) in allowed,
-                f"vertex {v} of edge {j} lies in {locate(v)}, outside its allowed subintervals",
+                lo <= s <= hi,
+                f"vertex {v} of edge {j} lies in {_block(s)}, outside its allowed subintervals",
             )
 
-    # candidate vertices of a complex chain live in the matching candidate set
+    # candidate vertices of a complex chain live in the matching candidate
+    # set: large_c below color r is slot 2c-2 <= 2r-4
     if record.kind == COMPLEX and vsets is not None:
         for v in record.candidate_vertices:
-            loc = locate(v)
+            s = slot(v)
             _check(
-                loc.kind == LARGE and loc.index <= init.coloring.r - 1,
+                s % 2 == 0 and s <= 2 * init.coloring.r - 4,
                 f"candidate vertex {v} must sit in a large block below color r",
             )
             _check(
-                v in vsets[loc.index - 1],
-                f"candidate vertex {v} missing from candidate set {loc.index}",
+                v in vsets[s // 2],
+                f"candidate vertex {v} missing from candidate set {s // 2 + 1}",
             )
 
 
@@ -488,71 +499,50 @@ def enumerate_chain_candidates(
         raise ValueError("chain length must be positive")
     edges = [set(e) for e in h.edges]
     num = len(edges)
+    if last_edge is not None and not 0 <= last_edge < num:
+        raise ValueError(f"last edge {last_edge} outside 0..{num - 1}")
+    if kind == ORDERED:
+        starts = range(num) if last_edge is None else [last_edge]
+        # the complex pattern differs in two ways: the edge before the last
+        # need only meet it, and no earlier edge has to avoid it
+        meet_last, avoid_from = False, 0
+    elif kind == COMPLEX:
+        if last_edge is None or k < 2:
+            raise ValueError("complex enumeration needs last_edge and k >= 2")
+        starts = [last_edge]
+        meet_last, avoid_from = True, 1
+    else:
+        raise ValueError(f"unknown candidate kind {kind!r}")
     visits = 0
     results: list[tuple[int, ...]] = []
 
-    def bump() -> None:
+    # build backward from the last edge, so a fixed last edge prunes at once
+    def grow(seq: list[int]) -> None:
         nonlocal visits
         visits += 1
         if visits > budget:
             raise BudgetExceeded(f"candidate enumeration exceeded budget {budget}")
+        if len(seq) == k:
+            results.append(tuple(reversed(seq)))
+            return
+        head = edges[seq[-1]]
+        loose = meet_last and len(seq) == 1
+        avoid = seq[avoid_from:-1]
+        for cand in range(num):
+            if cand in seq:
+                continue
+            shared = len(edges[cand] & head)
+            if shared != 1 and not (loose and shared):
+                continue
+            if any(edges[cand] & edges[e] for e in avoid):
+                continue
+            seq.append(cand)
+            grow(seq)
+            seq.pop()
 
-    if kind == ORDERED:
-        # build backward so a fixed last edge prunes immediately
-        def grow(seq: list[int]) -> None:
-            bump()
-            if len(seq) == k:
-                results.append(tuple(reversed(seq)))
-                return
-            head = edges[seq[-1]]
-            earlier = seq[:-1]
-            for cand in range(num):
-                if cand in seq:
-                    continue
-                if len(edges[cand] & head) != 1:
-                    continue
-                if any(edges[cand] & edges[e] for e in earlier):
-                    continue
-                seq.append(cand)
-                grow(seq)
-                seq.pop()
-
-        starts = range(num) if last_edge is None else [last_edge]
-        for s in starts:
-            grow([s])
-        return len(results), results
-
-    if kind == COMPLEX:
-        if last_edge is None or k < 2:
-            raise ValueError("complex enumeration needs last_edge and k >= 2")
-        target = edges[last_edge]
-
-        def grow_c(seq: list[int]) -> None:
-            # seq holds C_{k-1}, C_{k-2}, ... so far (backward)
-            bump()
-            if len(seq) == k - 1:
-                results.append(tuple(reversed(seq)) + (last_edge,))
-                return
-            head = edges[seq[-1]] if seq else None
-            for cand in range(num):
-                if cand == last_edge or cand in seq:
-                    continue
-                if head is None:
-                    if not edges[cand] & target:
-                        continue
-                else:
-                    if len(edges[cand] & head) != 1:
-                        continue
-                    if any(edges[cand] & edges[e] for e in seq[:-1]):
-                        continue
-                seq.append(cand)
-                grow_c(seq)
-                seq.pop()
-
-        grow_c([])
-        return len(results), results
-
-    raise ValueError(f"unknown candidate kind {kind!r}")
+    for s in starts:
+        grow([s])
+    return len(results), results
 
 
 def chain_probability_bound(n: int, r: int, k: int) -> float:

@@ -27,12 +27,9 @@ import numpy as np
 from .hypergraph import Coloring, Hypergraph
 
 __all__ = [
-    "LARGE",
-    "SMALL",
     "InitialColoring",
     "IntervalPartition",
     "MonoProbability",
-    "Subinterval",
     "WeightAssignment",
     "balanced_mono_prob",
     "choose_p",
@@ -40,15 +37,6 @@ __all__ = [
     "sample_balanced_coloring",
     "sample_weights",
 ]
-
-LARGE = "large"
-SMALL = "small"
-
-
-class Subinterval(NamedTuple):
-    kind: str
-    index: int
-
 
 def choose_p(n: int, r: int) -> float:
     """Total small-block mass p = ((r-1)/r) * ln(n / ln n) / n.
@@ -100,16 +88,11 @@ class IntervalPartition:
         object.__setattr__(self, "lefts", tuple(lefts))
 
     def slot_of(self, x: float) -> int:
-        """Flat subinterval index 0..2r-2; even slots are large, odd small."""
+        """Flat subinterval index 0..2r-2: large_i is slot 2i-2 and small_i
+        slot 2i-1."""
         if not 0.0 <= x < 1.0:
             raise ValueError(f"weight {x} outside [0, 1)")
         return bisect_right(self.lefts, x) - 1
-
-    def locate(self, x: float) -> Subinterval:
-        s = self.slot_of(x)
-        if s % 2 == 0:
-            return Subinterval(LARGE, s // 2 + 1)
-        return Subinterval(SMALL, s // 2 + 1)
 
     def slot_lengths(self) -> list[float]:
         big = (1.0 - self.p) / self.r

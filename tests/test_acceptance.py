@@ -17,9 +17,7 @@ import pytest
 
 from eqcolor import (
     IMPROPER,
-    LARGE,
     ORDERED,
-    SMALL,
     ChainEventSpec,
     Deflected,
     Hypergraph,
@@ -27,7 +25,6 @@ from eqcolor import (
     MonoEdge,
     MonoEdgeExists,
     SolveConfig,
-    Subinterval,
     apply_recolor,
     balanced_mono_prob,
     brute_force_equitable,
@@ -184,9 +181,9 @@ def test_failure_events_yield_valid_chains(coloring_runs):
                     validate_chain(h, part, wa, init, rec)
                     mono_hits += 1
             for v in init.blocking:
-                loc = part.locate(wa.weights[v])
-                assert loc.kind == SMALL
-                rec = extract_chain(h, part, wa, init, Deflected(v, loc.index))
+                s = part.slot_of(wa.weights[v])
+                assert s % 2 == 1  # small_i is slot 2i-1
+                rec = extract_chain(h, part, wa, init, Deflected(v, s // 2 + 1))
                 assert rec.kind == IMPROPER
                 validate_chain(h, part, wa, init, rec)
                 improper_hits += 1
@@ -233,6 +230,34 @@ def test_candidate_enumeration_bounds():
                 _counts_within_bounds(Hypergraph(m, 3, [pool[i] for i in idx]))
                 checked += 1
         assert checked == 24451
+
+
+# ---------------------------------------------------------------------------
+# the chain lemma, exactly
+
+
+def test_chain_lemma_exact():
+    """Every monochromatic edge is certified by an ordered chain, so the
+    exact P(some edge is monochromatic) is at most the sum of the exact
+    ChainEventSpec probabilities over every enumerated k-chain and every
+    color it can end in (1 <= k <= color <= r), on seven tiny instances."""
+    single = Hypergraph(2, 2, [(0, 1)])
+    path4 = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+    path5 = Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    cyc6 = Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)])
+    tri = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
+    k4 = Hypergraph(4, 2, list(itertools.combinations(range(4), 2)))
+    cases = [(single, 2), (path4, 2), (path5, 2), (cyc6, 2), (tri, 2), (path4, 3), (k4, 3)]
+    with gate("P(mono edge) <= sum of exact chain-event probabilities on 7 instances"):
+        for h, r in cases:
+            events = [
+                ChainEventSpec(seq, color)
+                for k in range(1, r + 1)
+                for seq in enumerate_chain_candidates(h, k)[1]
+                for color in range(k, r + 1)
+            ]
+            mono = exact_c0_event_prob(h, r, MonoEdgeExists())
+            assert mono <= exact_c0_event_prob(h, r, events), (h.edges, r)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +421,9 @@ def test_bound_spot_values():
 
 def test_partition_soundness():
     """For 1000 random (p, r) the subinterval lengths sum to one within
-    1e-12 and locate() maps every subinterval midpoint back to its owner."""
+    1e-12 and slot_of() maps every subinterval midpoint back to its owner."""
     rng = np.random.default_rng(10)
-    with gate("partition lengths sum to 1 and locate() finds every owner (1000 draws)"):
+    with gate("partition lengths sum to 1 and slot_of() finds every owner (1000 draws)"):
         for _ in range(1000):
             r = int(rng.integers(2, 8))
             p = float(rng.uniform(0.01, 0.9))
@@ -409,6 +434,5 @@ def test_partition_soundness():
             left = 0.0
             for s, width in enumerate(lengths):
                 mid = left + width / 2
-                want = Subinterval(LARGE if s % 2 == 0 else SMALL, s // 2 + 1)
-                assert part.locate(mid) == want, (p, r, s)
+                assert part.slot_of(mid) == s, (p, r, s)
                 left += width

@@ -136,6 +136,28 @@ def test_extract_rejects_events_that_did_not_happen():
         extract_chain(h, P2, wa, init, DangerousEdge(0, (1,)))  # reduced {0} wears color 1, not r
 
 
+def test_extract_and_validate_reject_indices_out_of_range():
+    # edge -1 used to alias the only edge and pass validation
+    h, wa, init = _setup(2, [(0, 1)], (0.1, 0.2))
+    for e in (-1, 1):
+        with pytest.raises(ValueError):
+            extract_chain(h, P2, wa, init, MonoEdge(e, 1))
+        with pytest.raises(ValueError):
+            extract_chain(h, P2, wa, init, DangerousEdge(e, (0,)))
+    for v in (-1, 2):
+        with pytest.raises(ValueError):
+            extract_chain(h, P2, wa, init, Deflected(v, 1))
+    rec = extract_chain(h, P2, wa, init, MonoEdge(0, 1))
+    for e in (-1, 1):
+        with pytest.raises(ChainInvalid):
+            validate_chain(h, P2, wa, init, dataclasses.replace(rec, edges=(e,)))
+    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    rec = extract_chain(h, P2, wa, init, MonoEdge(1, 2))
+    for v in (-2, 3):
+        with pytest.raises(ChainInvalid):
+            validate_chain(h, P2, wa, init, dataclasses.replace(rec, links=(ChainLink(v, 0.45),)))
+
+
 def test_validate_rejects_tampered_records():
     h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
     rec = extract_chain(h, P2, wa, init, MonoEdge(1, 2))
@@ -264,6 +286,124 @@ def test_enumerate_budget():
     h = Hypergraph(8, 2, [(i, j) for i in range(8) for j in range(i + 1, 8)])
     with pytest.raises(BudgetExceeded):
         enumerate_chain_candidates(h, 3, budget=10)
+
+
+def test_enumerate_rejects_last_edge_out_of_range():
+    # -1 used to alias the final edge and name it twice in a complex chain
+    h = Hypergraph(5, 2, [(0, 1), (1, 2), (3, 4)])
+    for last in (-1, 3):
+        with pytest.raises(ValueError):
+            enumerate_chain_candidates(h, 2, kind=COMPLEX, last_edge=last)
+        with pytest.raises(ValueError):
+            enumerate_chain_candidates(h, 2, last_edge=last)
+
+
+def _enumerate_two_walks(h, k, kind=ORDERED, last_edge=None, budget=10**7):
+    """enumerate_chain_candidates as it was with one walk per pattern, kept
+    as the reference for the single grower."""
+    edges = [set(e) for e in h.edges]
+    num = len(edges)
+    visits = 0
+    results = []
+
+    def bump():
+        nonlocal visits
+        visits += 1
+        if visits > budget:
+            raise BudgetExceeded(f"candidate enumeration exceeded budget {budget}")
+
+    if kind == ORDERED:
+
+        def grow(seq):
+            bump()
+            if len(seq) == k:
+                results.append(tuple(reversed(seq)))
+                return
+            head = edges[seq[-1]]
+            earlier = seq[:-1]
+            for cand in range(num):
+                if cand in seq:
+                    continue
+                if len(edges[cand] & head) != 1:
+                    continue
+                if any(edges[cand] & edges[e] for e in earlier):
+                    continue
+                seq.append(cand)
+                grow(seq)
+                seq.pop()
+
+        for s in range(num) if last_edge is None else [last_edge]:
+            grow([s])
+        return len(results), results
+
+    target = edges[last_edge]
+
+    def grow_c(seq):
+        bump()
+        if len(seq) == k - 1:
+            results.append(tuple(reversed(seq)) + (last_edge,))
+            return
+        head = edges[seq[-1]] if seq else None
+        for cand in range(num):
+            if cand == last_edge or cand in seq:
+                continue
+            if head is None:
+                if not edges[cand] & target:
+                    continue
+            else:
+                if len(edges[cand] & head) != 1:
+                    continue
+                if any(edges[cand] & edges[e] for e in seq[:-1]):
+                    continue
+            seq.append(cand)
+            grow_c(seq)
+            seq.pop()
+
+    grow_c([])
+    return len(results), results
+
+
+def test_one_grower_matches_two_walk_reference():
+    rng = np.random.default_rng(47)
+    complex_hits = 0
+    for _ in range(300):
+        m = int(rng.integers(4, 10))
+        ne = int(rng.integers(1, min(math.comb(m, 3), 6) + 1))
+        h = _random_instance(m, 3, ne, rng)
+        for k in range(1, ne + 1):
+            assert enumerate_chain_candidates(h, k) == _enumerate_two_walks(h, k)
+            for last in range(ne):
+                got = enumerate_chain_candidates(h, k, last_edge=last)
+                assert got == _enumerate_two_walks(h, k, last_edge=last)
+                if k >= 2:
+                    got = enumerate_chain_candidates(h, k, kind=COMPLEX, last_edge=last)
+                    assert got == _enumerate_two_walks(h, k, kind=COMPLEX, last_edge=last)
+                    complex_hits += got[0]
+    assert complex_hits > 100  # the sweep found complex chains to compare
+
+
+def test_one_grower_exceeds_budget_where_the_reference_does():
+    # a run fits a budget iff it makes at most that many visits, so the
+    # smallest budget that fits is found by bisection and pins the count
+    k8 = Hypergraph(8, 2, [(i, j) for i in range(8) for j in range(i + 1, 8)])
+
+    def fits(enumerate_, kind, last, k, budget):
+        try:
+            enumerate_(k8, k, kind=kind, last_edge=last, budget=budget)
+            return True
+        except BudgetExceeded:
+            return False
+
+    for kind, last, k in ((ORDERED, None, 3), (ORDERED, 0, 4), (COMPLEX, 5, 4), (COMPLEX, 0, 3)):
+        caps = []
+        for enumerate_ in (enumerate_chain_candidates, _enumerate_two_walks):
+            lo, hi = 0, 10**6  # lo never fits, hi always does
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if fits(enumerate_, kind, last, k, mid) else (mid, hi)
+            assert not fits(enumerate_, kind, last, k, hi - 1)
+            caps.append(hi)
+        assert caps[0] == caps[1] > 1, (kind, last, k, caps)
 
 
 def test_bound_spot_values():

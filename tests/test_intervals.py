@@ -14,9 +14,6 @@ from eqcolor import (
     Hypergraph,
     InitialColoring,
     IntervalPartition,
-    LARGE,
-    SMALL,
-    Subinterval,
     WeightAssignment,
     balanced_mono_prob,
     choose_p,
@@ -49,10 +46,11 @@ def test_partition_boundaries_p02_r2():
     flat = [x for lo_hi in part.large_bounds for x in lo_hi]
     assert flat == pytest.approx([0.0, 0.4, 0.6, 1.0], abs=1e-15)
     assert part.small_bounds[0] == pytest.approx((0.4, 0.6), abs=1e-15)
-    assert part.locate(0.4) == Subinterval(SMALL, 1)
-    assert part.locate(0.39999) == Subinterval(LARGE, 1)
-    assert part.locate(0.999) == Subinterval(LARGE, 2)
-    assert part.locate(0.0) == Subinterval(LARGE, 1)
+    # large_i is slot 2i-2 and small_i slot 2i-1
+    assert part.slot_of(0.4) == 1  # small_1
+    assert part.slot_of(0.39999) == 0  # large_1
+    assert part.slot_of(0.999) == 2  # large_2
+    assert part.slot_of(0.0) == 0  # large_1
 
 
 def test_partition_degenerate_p_zero():
@@ -76,12 +74,12 @@ def test_partition_five_colors_alternates():
     assert bounds[0][0] == 0.0 and bounds[-1][1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_locate_rejects_out_of_range():
+def test_slot_of_rejects_out_of_range():
     part = IntervalPartition(0.2, 2)
     with pytest.raises(ValueError):
-        part.locate(1.0)
+        part.slot_of(1.0)
     with pytest.raises(ValueError):
-        part.locate(-0.1)
+        part.slot_of(-0.1)
 
 
 def test_slot_lengths_sum_to_one_random():
@@ -91,17 +89,18 @@ def test_slot_lengths_sum_to_one_random():
         p = float(rng.uniform(0.0, 0.999))
         part = IntervalPartition(p, r)
         assert abs(sum(part.slot_lengths()) - 1.0) < 1e-12
-        for kind, idx, lo, hi in _iter_bounds(part):
+        for slot, lo, hi in _iter_bounds(part):
             if hi > lo:
                 mid = (lo + hi) / 2
-                assert part.locate(mid) == Subinterval(kind, idx)
+                assert part.slot_of(mid) == slot
 
 
 def _iter_bounds(part):
+    """(slot, lo, hi) per block: large_i is slot 2i-2, small_i slot 2i-1."""
     for i, (lo, hi) in enumerate(part.large_bounds, start=1):
-        yield LARGE, i, lo, hi
+        yield 2 * i - 2, lo, hi
     for i, (lo, hi) in enumerate(part.small_bounds, start=1):
-        yield SMALL, i, lo, hi
+        yield 2 * i - 1, lo, hi
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,8 +205,9 @@ def test_stage_two_colors_stay_local():
         wa = sample_weights(m, int(rng.integers(0, 2**32)))
         init = run_interval_coloring(h, r, part, wa)
         for v in range(m):
-            kind, i = part.locate(wa.weights[v])
-            if kind == SMALL:
+            s = part.slot_of(wa.weights[v])
+            i = s // 2 + 1
+            if s % 2:  # small_i
                 assert init.coloring.colors[v] in (i, i + 1)
             else:
                 assert init.coloring.colors[v] == i

@@ -114,9 +114,10 @@ def test_sample_candidate_sets_extremes_and_determinism():
     full = sample_candidate_sets(h, part, wa, 1.0, seed=1)
     occupants = [set() for _ in range(part.r - 1)]
     for v in range(h.m):
-        loc = part.locate(wa.weights[v])
-        if loc.kind == "large" and loc.index < part.r:
-            occupants[loc.index - 1].add(v)
+        s = part.slot_of(wa.weights[v])
+        # large_i, i < r, is slot 2i-2
+        if s % 2 == 0 and s // 2 + 1 < part.r:
+            occupants[s // 2].add(v)
     assert [set(s) for s in full] == occupants
     again = sample_candidate_sets(h, part, wa, 0.5, seed=7)
     assert sample_candidate_sets(h, part, wa, 0.5, seed=7) == again
