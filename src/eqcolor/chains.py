@@ -218,7 +218,8 @@ def extract_chain(
     """Build the certificate chain for an observed failure event.
 
     Raises ValueError when the event names an edge or vertex that does not
-    exist or did not actually occur, and RuntimeError on walk
+    exist or did not actually occur, or a dangerous edge that lies wholly
+    in the candidate sets (no vertex to walk back from), and RuntimeError on walk
     inconsistencies that would indicate a bug in the coloring stages
     themselves.
     """
@@ -260,6 +261,11 @@ def extract_chain(
         if set(u_set) != set(failure.u_vertices):
             raise ValueError(
                 f"candidate vertices of edge {failure.edge} must be members of it"
+            )
+        if not reduced:
+            raise ValueError(
+                f"edge {failure.edge} lies wholly in the candidate sets: "
+                "no reduced edge to walk back from"
             )
         if any(cols[v] != r for v in reduced):
             raise ValueError(

@@ -37,48 +37,61 @@ class BudgetExceeded(RuntimeError):
     """An exhaustive computation would exceed its configured budget."""
 
 
+# edge_array stores vertex ids as int32, so the ids 0..m-1 must fit it
+_MAX_VERTICES = 2**31
+
+
 class Hypergraph:
     """Vertex set 0..m-1 with edges of exactly n distinct vertices each.
 
     Edges are normalized to sorted vertex tuples and deduplicated in
-    first-seen order, so serialization round-trips are stable.  A per-vertex
-    incidence index (edge indices in increasing order) supports the
-    incremental monochromaticity checks used throughout, and ``edge_array``
-    holds the same edges as a read-only int32 (|E| x n) array for the
-    vectorized scans.
+    first-seen order, so serialization round-trips are stable.
+    ``edge_array`` holds the same edges as a read-only int32 (|E| x n)
+    array for the vectorized scans, so m is at most 2^31.  ``incidence``,
+    the per-vertex index of edge indices in increasing order behind the
+    incremental monochromaticity checks, is built from ``edge_array`` on
+    first access and then cached.
     """
 
-    __slots__ = ("m", "n", "edges", "incidence", "edge_array")
+    __slots__ = ("m", "n", "edges", "edge_array", "_incidence")
 
     def __init__(self, m: int, n: int, edges: Iterable[Sequence[int]]):
         if m <= 0:
             raise FormatError(f"vertex count must be positive, got {m}")
         if n < 2:
             raise FormatError(f"edge size must be at least 2, got {n}")
+        if m > _MAX_VERTICES:
+            raise FormatError(f"vertex count {m} exceeds 2^31: vertex ids are stored as int32")
         self.m = m
         self.n = n
-        seen: set[tuple[int, ...]] = set()
-        stored: list[tuple[int, ...]] = []
-        for e in edges:
-            t = tuple(sorted(int(v) for v in e))
-            if len(t) != n:
-                raise FormatError(f"edge {t} has {len(t)} vertices, expected {n}")
-            if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
-                raise FormatError(f"edge {t} repeats a vertex")
-            if t[0] < 0 or t[-1] >= m:
-                raise FormatError(f"edge {t} has a vertex outside 0..{m - 1}")
-            if t not in seen:
-                seen.add(t)
-                stored.append(t)
-        self.edges: tuple[tuple[int, ...], ...] = tuple(stored)
-        incidence: list[list[int]] = [[] for _ in range(m)]
-        for idx, t in enumerate(self.edges):
-            for v in t:
-                incidence[v].append(idx)
-        self.incidence: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in incidence)
-        flat = np.fromiter(chain.from_iterable(self.edges), np.int32, len(self.edges) * n)
-        self.edge_array = flat.reshape(len(self.edges), n)
+        raw = edges if isinstance(edges, np.ndarray) else list(edges)
+        rows = _int_rows(raw, n)
+        if rows is not None:
+            rows.sort(axis=1)
+            bad = (rows[:, 0] < 0) | (rows[:, -1] >= m) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        if rows is None or bad.any():
+            raise _first_bad_edge(raw, n, m)
+        if len(rows):
+            _, first = np.unique(rows, axis=0, return_index=True)
+            rows = rows[np.sort(first)]
+        self.edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows.tolist()))
+        self.edge_array = rows.astype(np.int32)
         self.edge_array.flags.writeable = False
+        self._incidence: Optional[tuple[tuple[int, ...], ...]] = None
+
+    @property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex, the indices of its edges in increasing order."""
+        if self._incidence is None:
+            num_edges = len(self.edges)
+            # the keys vertex * |E| + edge are distinct, so one plain sort
+            # lists each vertex's edges in index order (three times faster
+            # than a stable argsort of the vertices)
+            keys = self.edge_array.astype(np.int64) * num_edges + np.arange(num_edges)[:, None]
+            ids = (np.sort(keys, axis=None) % num_edges).tolist()
+            ends = np.cumsum(np.bincount(self.edge_array.ravel(), minlength=self.m)).tolist()
+            self._incidence = tuple(tuple(ids[s:e]) for s, e in zip([0] + ends[:-1], ends))
+        return self._incidence
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -107,17 +120,48 @@ class Hypergraph:
             raise FormatError(f"malformed hypergraph JSON: {exc}") from exc
 
 
+def _int_rows(raw, n: int) -> Optional[np.ndarray]:
+    """The edges as a fresh (|E| x n) int64 array, or None when some edge
+    does not have n entries or some entry fails ``int()`` or int64."""
+    if isinstance(raw, np.ndarray) and raw.ndim == 2 and np.can_cast(raw.dtype, np.int64):
+        if raw.shape[1] != n and len(raw):
+            return None
+        return raw.astype(np.int64).reshape(len(raw), n)
+    try:
+        if not set(map(len, raw)) <= {n}:
+            return None
+        flat = np.fromiter(map(int, chain.from_iterable(raw)), np.int64, len(raw) * n)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return flat.reshape(len(raw), n)
+
+
+def _first_bad_edge(raw, n: int, m: int) -> Exception:
+    """The error for the first malformed edge of ``raw``, each edge checked
+    in turn for its size, a repeated vertex and the vertex range; an entry
+    that ``int()`` rejects raises its own error when its edge is reached.
+    Runs only once the array checks have found a fault."""
+    for e in raw:
+        t = tuple(sorted(int(v) for v in e))
+        if len(t) != n:
+            return FormatError(f"edge {t} has {len(t)} vertices, expected {n}")
+        if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
+            return FormatError(f"edge {t} repeats a vertex")
+        if t[0] < 0 or t[-1] >= m:
+            return FormatError(f"edge {t} has a vertex outside 0..{m - 1}")
+    return TypeError("every edge must be a sequence of vertex ids")
+
+
 def parse_hypergraph(text: str | bytes) -> Hypergraph:
     """Parse the text instance format.
 
     Line 1 holds ``m n E``; each of the following E lines holds n
     space-separated vertex ids.  Blank lines and lines starting with '#'
-    are ignored.
+    are ignored.  The body is converted in one pass into an (E x n) array.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    content = [ln.strip() for ln in text.splitlines()]
-    content = [ln for ln in content if ln and not ln.startswith("#")]
+    content = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not content:
         raise FormatError("empty instance: no header line")
     header = content[0].split()
@@ -130,14 +174,27 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
     body = content[1:]
     if len(body) != num_edges:
         raise FormatError(f"header promises {num_edges} edges, found {len(body)}")
-    edges = []
-    for ln in body:
-        parts = ln.split()
+    rows = None
+    # each line is split twice, so no list holds every token at once
+    if set(map(len, map(str.split, body))) == {n}:
+        tokens = chain.from_iterable(map(str.split, body))
         try:
-            edges.append([int(x) for x in parts])
-        except ValueError as exc:
-            raise FormatError(f"malformed edge line {ln!r}: {exc}") from exc
-    return Hypergraph(m, n, edges)
+            rows = np.fromiter(map(int, tokens), np.int64, len(body) * n)
+        except (ValueError, OverflowError):
+            pass
+    if rows is None:
+        # no body, or a line that is short, long, malformed or beyond int64:
+        # convert line by line, so the first malformed line is named before
+        # the constructor checks any edge
+        return Hypergraph(m, n, [_edge_line(ln) for ln in body])
+    return Hypergraph(m, n, rows.reshape(len(body), n))
+
+
+def _edge_line(ln: str) -> list[int]:
+    try:
+        return [int(x) for x in ln.split()]
+    except ValueError as exc:
+        raise FormatError(f"malformed edge line {ln!r}: {exc}") from exc
 
 
 class Coloring:

@@ -20,9 +20,11 @@ from eqcolor import (
     MonoEdge,
     ORDERED,
     WeightAssignment,
+    build_rebalance_plan,
     chain_event_occurs,
     chain_probability_bound,
     choose_p,
+    class_targets,
     dangerous_count_bound,
     enumerate_chain_candidates,
     expected_deflections_bound,
@@ -122,6 +124,29 @@ def test_extract_complex_chain_with_deflected_reduced_vertex():
     assert rec.kind == COMPLEX and rec.k == 2
     assert rec.links == (ChainLink(1, 0.45),)
     validate_chain(h, P2, wa, init, rec)
+
+
+def test_extract_names_a_dangerous_edge_wholly_in_the_candidate_sets():
+    # a rebalance plan can report an edge every vertex of which lies in the
+    # candidate sets; its reduced edge is empty, so there is nothing to walk
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        edges = {tuple(sorted(rng.choice(12, 3, replace=False).tolist())) for _ in range(10)}
+        h = Hypergraph(12, 3, sorted(edges))
+        part = IntervalPartition(0.3, 2)
+        wa = sample_weights(12, seed)
+        init = run_interval_coloring(h, 2, part, wa)
+        plan = build_rebalance_plan(
+            h, part, wa, init.coloring, class_targets(12, 2), seed=seed, p_tilde=0.7
+        )
+        whole = [d for d in plan.dangerous if len(d.u_vertices) == h.n]
+        if whole:
+            break
+    else:
+        pytest.fail("no plan with a dangerous edge wholly in the candidate sets")
+    for d in whole:
+        with pytest.raises(ValueError, match=f"edge {d.edge} lies wholly in the candidate sets"):
+            extract_chain(h, part, wa, init, d)
 
 
 def test_extract_rejects_events_that_did_not_happen():

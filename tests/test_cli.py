@@ -280,6 +280,18 @@ def test_malformed_instance_errors(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["3 2 1\n0 5\n", "3 2 1\n0 99999999999999999999\n", "3000000000 2 0\n"],
+)
+def test_out_of_range_instances_exit_1(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run_cli(["solve", "-", "-r", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_gen_solve_verify_pipeline(capsys, tmp_path):
     inst = tmp_path / "inst.txt"
     run_cli(["gen", "-m", "8", "-n", "3", "--edges", "4", "--seed", "7"])
