@@ -326,10 +326,18 @@ def class_targets(m: int, r: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(r)]
 
 
+# largest C(m, n) for which generate_random lists every possible edge
+_POOL_LIMIT = 200_000
+
+
 def generate_random(m: int, n: int, num_edges: int, seed: int) -> Hypergraph:
     """Draw ``num_edges`` distinct uniformly random n-subsets of 0..m-1.
 
     Deterministic for a fixed seed (PCG64 via numpy's default generator).
+    Up to _POOL_LIMIT possible edges, they are picked from the list of all
+    of them.  Above it, random n-subsets are drawn until enough distinct
+    ones are found; that is allowed for at most C(m, n) // 2 edges, so each
+    draw is new with probability at least 1/2.
     """
     if num_edges < 0:
         raise ValueError(f"num_edges must be non-negative, got {num_edges}")
@@ -338,8 +346,13 @@ def generate_random(m: int, n: int, num_edges: int, seed: int) -> Hypergraph:
     universe = math.comb(m, n)
     if num_edges > universe:
         raise ValueError(f"requested {num_edges} edges but only {universe} exist")
+    if universe > _POOL_LIMIT and num_edges > universe // 2:
+        raise ValueError(
+            f"num_edges = {num_edges} exceeds C({m}, {n}) // 2 = {universe // 2}, "
+            f"the limit when C(m, n) > {_POOL_LIMIT}"
+        )
     rng = np.random.default_rng(seed)
-    if universe <= 200_000:
+    if universe <= _POOL_LIMIT:
         pool = list(combinations(range(m), n))
         idx = rng.choice(universe, size=num_edges, replace=False)
         chosen = [pool[i] for i in idx]

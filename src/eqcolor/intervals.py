@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -37,6 +37,12 @@ __all__ = [
     "sample_balanced_coloring",
     "sample_weights",
 ]
+
+# cap on the cells one kernel call gathers: trials x n x |E| for a Monte
+# Carlo sub-batch, attempts x max(m, n x |E|) for a batch of solver attempts;
+# splitting a batch changes no draw
+_SUB_BATCH_CELLS = 1 << 16
+
 
 def choose_p(n: int, r: int) -> float:
     """Total small-block mass p = ((r-1)/r) * ln(n / ln n) / n.
@@ -183,19 +189,20 @@ def _stage_colors(
     ``weights[t, v]`` its weight, which orders the trial's vertices (ties
     by id).
 
-    The one production kernel: ``run_interval_coloring`` calls it with
-    T = 1 and the Monte Carlo driver once per sub-batch of trials.  Stage 1
-    is ``slots // 2 + 1`` for every vertex, which is also the color of every
-    small-block vertex that is not deflected.  A vertex of small_i can only
-    be deflected by an edge whose other vertices all carry color i, so all
-    of its vertices lie in small_{i-1}, large_i or small_i: its largest
-    slot is odd and its smallest at least that minus 2.  Only such live
-    edges are found (one gather over ``h.edge_array``), and stage 2 walks,
-    per trial that has one, just their small-block vertices in weight
-    order, each reading as uncolored until visited and checked against its
-    live edges in increasing index.  Returns colors (T, m), deflections
-    (T, r-1) and one blocking dict per trial, as described on
-    InitialColoring.
+    The one production kernel: ``run_interval_coloring`` calls it once per
+    list of weight assignments (the solver's batches of attempts; T = 1
+    for a single assignment) and the Monte Carlo driver once per sub-batch
+    of trials.  Stage 1 is ``slots // 2 + 1`` for every vertex, which is
+    also the color of every small-block vertex that is not deflected.  A
+    vertex of small_i can only be deflected by an edge whose other vertices
+    all carry color i, so all of its vertices lie in small_{i-1}, large_i
+    or small_i: its largest slot is odd and its smallest at least that
+    minus 2.  Only such live edges are found (one gather over
+    ``h.edge_array``), and stage 2 walks, per trial that has one, just their
+    small-block vertices in weight order, each reading as uncolored until
+    visited and checked against its live edges in increasing index.
+    Returns colors (T, m), deflections (T, r-1) and one blocking dict per
+    trial, as described on InitialColoring.
     """
     colors = slots // 2 + 1
     deflections = np.zeros((len(slots), r - 1), dtype=np.int64)
@@ -266,8 +273,11 @@ def _stage_colors(
 
 
 def run_interval_coloring(
-    h: Hypergraph, r: int, partition: IntervalPartition, wa: WeightAssignment
-) -> InitialColoring:
+    h: Hypergraph,
+    r: int,
+    partition: IntervalPartition,
+    wa: Union[WeightAssignment, Sequence[WeightAssignment]],
+) -> Union[InitialColoring, list[InitialColoring]]:
     """Run both stages deterministically for the given weights.
 
     Stage 2 processes small-block vertices in increasing weight (ties by
@@ -275,20 +285,36 @@ def run_interval_coloring(
     deflection to i+1 is unconditional even if it completes a
     monochromatic edge of color i+1.  Raises ValueError on a weight
     outside [0, 1).
+
+    Given one WeightAssignment, returns one InitialColoring.  Given a
+    list of them, colors all of them in one kernel call and returns a list
+    of InitialColorings in the same order, each the same as a call on its
+    own assignment would give; their color arrays are rows of one shared
+    array.
     """
     if partition.r != r:
         raise ValueError("partition was built for a different number of colors")
-    if wa.m != h.m:
+    single = isinstance(wa, WeightAssignment)
+    was = [wa] if single else list(wa)
+    if any(w.m != h.m for w in was):
         raise ValueError("weight vector length does not match vertex count")
-    slots = _weight_slots(partition, wa.weights)[None, :]
-    colors, deflections, blocking = _stage_colors(h, r, slots, wa.weights[None, :])
-    occupancy = np.bincount(slots[0] // 2, minlength=r)
-    return InitialColoring(
-        Coloring._trusted(r, colors[0]),
-        tuple(deflections[0].tolist()),
-        tuple(occupancy.tolist()),
-        blocking[0],
-    )
+    if not was:
+        return []
+    # one assignment is colored from a view of its weights, not a copy
+    weights = was[0].weights[None, :] if len(was) == 1 else np.stack([w.weights for w in was])
+    slots = _weight_slots(partition, weights)
+    colors, deflections, blocking = _stage_colors(h, r, slots, weights)
+    # per-row counts of slots // 2 in one bincount, row t offset by t * r
+    blocks = slots // 2
+    blocks += np.arange(0, len(was) * r, r)[:, None]
+    occupancy = np.bincount(blocks.ravel(), minlength=len(was) * r)
+    out = [
+        InitialColoring(Coloring._trusted(r, row), tuple(defl), tuple(occ), block)
+        for row, defl, occ, block in zip(
+            colors, deflections.tolist(), occupancy.reshape(-1, r).tolist(), blocking
+        )
+    ]
+    return out[0] if single else out
 
 
 class MonoProbability(NamedTuple):

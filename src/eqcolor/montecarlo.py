@@ -48,6 +48,7 @@ from .chains import (
 )
 from .hypergraph import BudgetExceeded, Hypergraph, _mono_edges, class_targets
 from .intervals import (
+    _SUB_BATCH_CELLS,
     IntervalPartition,
     _stage_colors,
     _weight_slots,
@@ -69,9 +70,6 @@ __all__ = [
 
 CHUNK_ROWS = 16384
 _CHUNK_CELLS = 1 << 22
-# cap on the (trials x edges x n) cells one kernel call gathers; splitting a
-# chunk into sub-batches changes no draw
-_SUB_BATCH_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class MonoEdgeExists:

@@ -8,6 +8,11 @@ the shortage is confined to color r, a greedy repair otherwise.  Every
 candidate is verified before it is returned, so the output is correct
 whenever there is one; only the number of restarts is random.
 
+Two-stage attempts are screened in batches of 1, 2, 4, ... attempts: one
+kernel call colors a batch and one edge scan finds its monochromatic
+edges, then its rows are taken in attempt order.  Seeding stays per
+attempt, from (seed, attempt), so batching changes no report.
+
 At desk scale the per-attempt success probability carries no guarantee, so
 after exhausting its restarts the solver consults the brute-force oracle
 when the instance fits the enumeration budget, separating "provably no
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -33,7 +38,10 @@ from .hypergraph import (
     is_proper,
 )
 from .intervals import (
+    _SUB_BATCH_CELLS,
+    InitialColoring,
     IntervalPartition,
+    WeightAssignment,
     _coloring_at_sizes,
     choose_p,
     run_interval_coloring,
@@ -204,7 +212,10 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     return the first verified equitable coloring.
 
     Attempt t draws all of its randomness through seeds derived from
-    (cfg.seed, t), so identical inputs give an identical report.  With
+    (cfg.seed, t), so identical inputs give an identical report.  On the
+    two-stage path attempts are screened in batches (see
+    ``_screened_attempts``), which changes no attempt's draws and no
+    report: only the attempts up to the returned one are counted.  With
     strict_divisibility only perfectly balanced targets are accepted and
     r | m is enforced up front; otherwise targets differ by at most one.
     After exhaustion,
@@ -220,28 +231,27 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     path = _route(h, r, cfg)
     targets = class_targets(h.m, r)
     diagnostics = {"mono-edge": 0, "rebalance-infeasible": 0, "repair-failed": 0}
-    # (weights, initial coloring, mono edges) of the last attempt rejected
-    # on a monochromatic edge; its chains are extracted only for the report
+    # (weights, initial coloring, mono-edge mask) of the last attempt
+    # rejected on a monochromatic edge; its chains are extracted only for
+    # the report
     rejected = None
     plan: Optional[RebalancePlan] = None
 
     partition = None
-    if path == PATH_TWO_STAGE:
-        partition = IntervalPartition(choose_p(h.n, r), r)
-
-    for attempt in range(cfg.max_restarts):
-        if path == PATH_BALANCED:
+    screened = ()
+    if path == PATH_BALANCED:
+        for attempt in range(cfg.max_restarts):
             rng = derive(cfg.seed, attempt, ROLE_BALANCED)
             coloring = _coloring_at_sizes(h.m, targets, rng)
             if is_proper(h, coloring):
                 return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics)
             diagnostics["mono-edge"] += 1
-            continue
+    else:
+        partition = IntervalPartition(choose_p(h.n, r), r)
+        screened = _screened_attempts(h, r, partition, cfg)
 
-        wa = sample_weights(h.m, derive(cfg.seed, attempt, ROLE_WEIGHTS))
-        init = run_interval_coloring(h, r, partition, wa)
-        mono = np.flatnonzero(_mono_edges(h, init.coloring.colors)).tolist()
-        if mono:
+    for attempt, wa, init, mono in screened:
+        if mono.any():
             diagnostics["mono-edge"] += 1
             rejected = (wa, init, mono)
             continue
@@ -296,6 +306,42 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     )
 
 
+def _screened_attempts(
+    h: Hypergraph, r: int, partition: IntervalPartition, cfg: SolveConfig
+) -> Iterator[tuple[int, WeightAssignment, InitialColoring, np.ndarray]]:
+    """Two-stage attempts in order, as (attempt, weights, initial coloring,
+    mask of its monochromatic edges).
+
+    Attempts run in batches of 1, 2, 4, ... attempts, at most
+    ``_SUB_BATCH_CELLS`` // max(m, n |E|) of them (at least one): one
+    kernel call and one edge scan per batch.  Attempt t still draws its
+    weights from derive(cfg.seed, t, ROLE_WEIGHTS), so a batch yields
+    what one call per attempt would.  A solve that succeeds on attempt 1
+    colors one attempt; one that stops inside a batch has drawn and
+    colored the rest of that batch for nothing.
+    """
+    cap = max(1, _SUB_BATCH_CELLS // max(1, h.m, h.edge_array.size))
+    start, size = 0, 1
+    while start < cfg.max_restarts:
+        batch = range(start, min(start + size, cfg.max_restarts))
+        # a batch is dropped before the next one is built
+        yield from _screen_batch(h, r, partition, cfg.seed, batch)
+        start, size = batch.stop, min(2 * size, cap)
+
+
+def _screen_batch(h: Hypergraph, r: int, partition: IntervalPartition, seed: int, batch: range):
+    """The attempts of ``batch`` colored by one kernel call and scanned by
+    one ``_mono_edges`` call, zipped as ``_screened_attempts`` yields them."""
+    was = [sample_weights(h.m, derive(seed, t, ROLE_WEIGHTS)) for t in batch]
+    inits = run_interval_coloring(h, r, partition, was)
+    colors = (
+        inits[0].coloring.colors[None, :]
+        if len(inits) == 1
+        else np.stack([init.coloring.colors for init in inits])
+    )
+    return zip(batch, was, inits, _mono_edges(h, colors))
+
+
 def _chains(
     h: Hypergraph, partition: IntervalPartition, rejected
 ) -> tuple[ChainRecord, ...]:
@@ -305,5 +351,6 @@ def _chains(
     wa, init, mono = rejected
     cols = init.coloring.colors
     return tuple(
-        extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edges[e][0]]))) for e in mono
+        extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edges[e][0]])))
+        for e in np.flatnonzero(mono).tolist()
     )

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from eqcolor import Coloring, Hypergraph, mc_estimate, parse_hypergraph
@@ -266,6 +267,16 @@ def test_gen_rejects_negative_edge_count(capsys):
     assert run_cli(["gen", "-m", "5", "-n", "2", "--edges", "-1"]) == 1
     err = capsys.readouterr().err
     assert "num_edges" in err and "-1" in err
+
+
+def test_gen_rejects_edge_count_past_the_draw_bound(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no random draw may happen before the limit check")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert run_cli(["gen", "-m", "60", "-n", "4", "--edges", "243818"]) == 1
+    err = capsys.readouterr().err
+    assert "num_edges = 243818" in err and "243817" in err
 
 
 def test_missing_file_errors(capsys, tmp_path):

@@ -215,6 +215,37 @@ def test_generate_random_rejects_negative_count():
         generate_random(5, 2, -1, seed=0)
 
 
+def _no_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no random draw may happen before the limit check")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+def test_generate_random_bounds_the_rejection_draw(monkeypatch):
+    # above 200000 possible edges, edges are drawn until distinct: allowed
+    # for at most half of them, checked before any draw
+    assert math.comb(60, 4) // 2 == 243817
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"num_edges = 243818 exceeds C\(60, 4\) // 2 = 243817"):
+        generate_random(60, 4, 243818, seed=0)
+    with pytest.raises(ValueError, match="exceeds"):
+        generate_random(10**6, 3, 10**17, seed=0)
+
+
+def test_generate_random_outputs_below_the_bound_are_unchanged():
+    # frozen before the bound existed: the draw branch and the pool branch,
+    # which still takes every possible edge
+    assert generate_random(60, 4, 5, seed=3).edges == (
+        (2, 5, 19, 33),
+        (4, 10, 14, 46),
+        (9, 15, 40, 44),
+        (9, 42, 44, 57),
+        (22, 25, 30, 51),
+    )
+    assert generate_random(6, 3, 20, seed=0).edges == tuple(itertools.combinations(range(6), 3))
+
+
 def test_edge_threshold_spot_values():
     t = edge_threshold(100, 2)
     assert t.value == pytest.approx(2.9535663302651655e28, rel=1e-9)

@@ -230,6 +230,33 @@ def test_two_stage_determinism():
     assert a.deflections == b.deflections and a.occupancy == b.occupancy
 
 
+def test_list_of_weight_assignments_colors_each_as_alone():
+    rng = np.random.default_rng(12)
+    deflected = 0
+    for m, n, ne, r in ((12, 3, 6, 2), (30, 3, 40, 3), (25, 4, 30, 4), (9, 2, 0, 2)):
+        h = _random_instance(m, n, ne, rng)
+        part = IntervalPartition(choose_p(n, r), r)
+        was = [sample_weights(m, seed) for seed in range(7)]
+        batch = run_interval_coloring(h, r, part, was)
+        assert isinstance(batch, list) and len(batch) == len(was)
+        for wa, got in zip(was, batch):
+            alone = run_interval_coloring(h, r, part, wa)
+            assert isinstance(alone, InitialColoring)
+            assert got.coloring == alone.coloring and got.coloring.sizes == alone.coloring.sizes
+            assert (got.deflections, got.occupancy, got.blocking) == (
+                alone.deflections,
+                alone.occupancy,
+                alone.blocking,
+            )
+            assert got.to_json_dict() == alone.to_json_dict()
+            deflected += sum(got.deflections)
+        assert run_interval_coloring(h, r, part, was[:1])[0].coloring == batch[0].coloring
+    assert deflected > 0
+    assert run_interval_coloring(h, r, part, []) == []
+    with pytest.raises(ValueError, match="vertex count"):
+        run_interval_coloring(h, r, part, [was[0], sample_weights(m + 1, 0)])
+
+
 def test_initial_coloring_json_shape():
     h = Hypergraph(4, 2, [(0, 1)])
     init = run_interval_coloring(

@@ -1,5 +1,6 @@
 """End-to-end solving: routing, restarts, repair, and the exhaustion oracle."""
 
+import itertools
 import json
 import math
 
@@ -349,3 +350,284 @@ def test_chains_are_extracted_only_for_the_reported_attempt(monkeypatch):
     assert report.outcome == SUCCESS and report.diagnostics["mono-edge"] >= 2
     assert len(calls) == len(report.chains) > 0
     assert [c.edges[-1] for c in report.chains] == [f.edge for f in calls]
+
+
+# The solver before attempts were screened in batches: one kernel call and
+# one edge scan per attempt.  Kept verbatim (only renamed) as the reference
+# the batched loop must reproduce report for report.
+def _solve_per_attempt(h, r, cfg=SolveConfig()):
+    from eqcolor.chains import MonoEdge, extract_chain
+    from eqcolor.hypergraph import _mono_edges
+    from eqcolor.intervals import (
+        IntervalPartition,
+        _coloring_at_sizes,
+        choose_p,
+        run_interval_coloring,
+        sample_weights,
+    )
+    from eqcolor.rebalance import (
+        RegimeViolation,
+        apply_recolor,
+        build_rebalance_plan,
+        excess_shortage,
+    )
+    from eqcolor.seeding import ROLE_BALANCED, ROLE_VSETS, ROLE_WEIGHTS, derive
+    from eqcolor.solver import _route, _verified
+
+    def _chains(h, partition, rejected):
+        if rejected is None:
+            return ()
+        wa, init, mono = rejected
+        cols = init.coloring.colors
+        return tuple(
+            extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edges[e][0]]))) for e in mono
+        )
+
+    if r < 2:
+        raise ValueError("need at least 2 colors")
+    if cfg.strict_divisibility and h.m % r != 0:
+        raise ValueError(f"strict divisibility requires r | m, got m={h.m}, r={r}")
+
+    path = _route(h, r, cfg)
+    targets = class_targets(h.m, r)
+    diagnostics = {"mono-edge": 0, "rebalance-infeasible": 0, "repair-failed": 0}
+    rejected = None
+    plan = None
+
+    partition = None
+    if path == PATH_TWO_STAGE:
+        partition = IntervalPartition(choose_p(h.n, r), r)
+
+    for attempt in range(cfg.max_restarts):
+        if path == PATH_BALANCED:
+            rng = derive(cfg.seed, attempt, ROLE_BALANCED)
+            coloring = _coloring_at_sizes(h.m, targets, rng)
+            if is_proper(h, coloring):
+                return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics)
+            diagnostics["mono-edge"] += 1
+            continue
+
+        wa = sample_weights(h.m, derive(cfg.seed, attempt, ROLE_WEIGHTS))
+        init = run_interval_coloring(h, r, partition, wa)
+        mono = np.flatnonzero(_mono_edges(h, init.coloring.colors)).tolist()
+        if mono:
+            diagnostics["mono-edge"] += 1
+            rejected = (wa, init, mono)
+            continue
+
+        if is_equitable(h, init.coloring):
+            return SolveReport(
+                SUCCESS, init.coloring, attempt + 1, path, r, diagnostics,
+                _chains(h, partition, rejected), plan,
+            )
+
+        ex, sh = excess_shortage(init.coloring, targets)
+        if all(s == 0 for s in sh[:-1]) and any(sh):
+            try:
+                plan = build_rebalance_plan(
+                    h,
+                    partition,
+                    wa,
+                    init.coloring,
+                    targets,
+                    derive(cfg.seed, attempt, ROLE_VSETS),
+                )
+            except RegimeViolation:
+                diagnostics["rebalance-infeasible"] += 1
+            else:
+                if plan.feasible:
+                    candidate = apply_recolor(init.coloring, plan.wsets)
+                    if _verified(h, candidate):
+                        return SolveReport(
+                            SUCCESS, candidate, attempt + 1, path, r,
+                            diagnostics, _chains(h, partition, rejected), plan,
+                        )
+                diagnostics["rebalance-infeasible"] += 1
+
+        if cfg.allow_fallback_repair:
+            repaired = greedy_repair(h, init.coloring, targets, weights=wa.weights)
+            if repaired is not None and _verified(h, repaired):
+                return SolveReport(
+                    SUCCESS, repaired, attempt + 1, path, r, diagnostics,
+                    _chains(h, partition, rejected), plan,
+                )
+            diagnostics["repair-failed"] += 1
+
+    oracle_feasible = None
+    if h.m >= 1 and r**h.m <= cfg.enumeration_budget:
+        oracle_feasible = (
+            brute_force_equitable(h, r, budget=cfg.enumeration_budget) is not None
+        )
+    outcome = INFEASIBLE if oracle_feasible is False else EXHAUSTED
+    return SolveReport(
+        outcome, None, cfg.max_restarts, path, r, diagnostics,
+        _chains(h, partition, rejected), plan, oracle_feasible=oracle_feasible,
+    )
+
+
+def _assert_matches_per_attempt(h, r, cfg):
+    report = solve_equitable(h, r, cfg)
+    assert report.to_json_dict(explain=True) == _solve_per_attempt(h, r, cfg).to_json_dict(
+        explain=True
+    )
+    if report.coloring is not None:
+        assert is_equitable(h, report.coloring)
+    return report
+
+
+def _batch_starts(limit, h):
+    """First attempt index of every batch up to ``limit``: batches hold 1,
+    2, 4, ... attempts, up to the cell cap."""
+    from eqcolor.intervals import _SUB_BATCH_CELLS
+
+    cap = max(1, _SUB_BATCH_CELLS // max(h.m, h.n * len(h.edges)))
+    starts, size = [0], 1
+    while starts[-1] + size <= limit:
+        starts.append(starts[-1] + size)
+        size = min(2 * size, cap)
+    return starts
+
+
+def _attempt_outcomes(h, r, cfg, attempts):
+    """The diagnostics counters each of the first ``attempts`` attempts
+    raised, read off the reference run cut after each attempt."""
+    import dataclasses
+
+    out, before = [], dict.fromkeys(("mono-edge", "rebalance-infeasible", "repair-failed"), 0)
+    for k in range(1, attempts + 1):
+        cut = dataclasses.replace(cfg, max_restarts=k, enumeration_budget=0)
+        after = _solve_per_attempt(h, r, cut).diagnostics
+        out.append({key for key in after if after[key] > before[key]})
+        before = after
+    return out
+
+
+@pytest.mark.parametrize("max_restarts", [1, 2, 3, 7, 100])
+def test_batched_attempts_match_per_attempt_reference(max_restarts):
+    from eqcolor import generate_random
+
+    shapes = [(1000, 6, 1200, 3), (40, 3, 30, 3), (250, 6, 125, 3), (60, 3, 40, 2)]
+    outcomes = set()
+    for (m, n, ne, r), seed in zip(shapes * 2, range(8)):
+        h = generate_random(m, n, ne, seed)
+        cfg = SolveConfig(seed=seed, max_restarts=max_restarts)
+        report = _assert_matches_per_attempt(h, r, cfg)
+        # the next attempt would open a batch iff the solve used its whole batch
+        outcomes.add((report.outcome, report.attempts in _batch_starts(max_restarts, h)))
+    if max_restarts == 100:
+        # some solve succeeded before the last row of its batch
+        assert (SUCCESS, False) in outcomes
+
+
+def _accepted_after_failed_row(failure):
+    """(instance, r, config) whose accepted attempt is not the first of its
+    batch and follows, in that batch, a clean row that failed as named."""
+    from eqcolor import generate_random
+
+    if failure == "rebalance-infeasible":
+        # attempt 3 is accepted in the batch of attempts 2-3
+        cfg = SolveConfig(seed=25, max_restarts=40, allow_fallback_repair=False)
+        return generate_random(40, 3, 30, 2), 3, cfg
+    # attempt 7 is accepted in the batch of attempts 4-7
+    edges = [(0, 2), (0, 8), (1, 9), (2, 7), (3, 4), (4, 5), (4, 6), (4, 7), (5, 8), (5, 9)]
+    return Hypergraph(10, 2, edges), 3, SolveConfig(seed=118, max_restarts=200)
+
+
+@pytest.mark.parametrize("failure", ["rebalance-infeasible", "repair-failed"])
+def test_accept_after_failed_row_in_same_batch_matches_reference(failure):
+    h, r, cfg = _accepted_after_failed_row(failure)
+    report = _assert_matches_per_attempt(h, r, cfg)
+    assert report.outcome == SUCCESS
+    accepted = report.attempts - 1
+    start = max(s for s in _batch_starts(accepted + 1, h) if s <= accepted)
+    assert start < accepted
+    before = _attempt_outcomes(h, r, cfg, accepted)[start:]
+    assert any(failure in raised for raised in before), before
+
+
+def test_exhausted_path_matches_reference_with_chains_and_verdict():
+    k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    for seed, max_restarts in ((0, 100), (3, 7)):
+        report = _assert_matches_per_attempt(k6, 2, SolveConfig(seed=seed, max_restarts=max_restarts))
+        assert report.outcome == INFEASIBLE and report.oracle_feasible is False
+        assert report.attempts == report.diagnostics["mono-edge"] == max_restarts
+        assert report.chains
+    report = _assert_matches_per_attempt(
+        K4, 2, SolveConfig(seed=2, max_restarts=30, enumeration_budget=0)
+    )
+    assert report.outcome == EXHAUSTED and report.chains
+
+
+def test_forced_two_stage_matches_reference_on_a_balanced_route_instance():
+    from eqcolor import generate_random
+    from eqcolor.solver import _route
+
+    h = generate_random(16, 6, 300, 1)
+    assert _route(h, 3, SolveConfig()) == PATH_BALANCED
+    outcomes = set()
+    for seed in range(6):
+        cfg = SolveConfig(seed=seed, max_restarts=50, force_path=TWO_STAGE_ONLY)
+        report = _assert_matches_per_attempt(h, 3, cfg)
+        assert report.path == PATH_TWO_STAGE
+        outcomes.add((report.outcome, report.attempts))
+    # seed 0 accepts attempt 3, the second row of the batch of attempts 2-3
+    assert (SUCCESS, 3) in outcomes
+    _assert_matches_per_attempt(h, 3, SolveConfig(seed=0))
+
+
+def test_no_fallback_repair_matches_reference():
+    from eqcolor import generate_random
+
+    for (m, n, ne, r), seed in itertools.product(((40, 3, 30, 3), (250, 6, 125, 3)), range(4)):
+        h = generate_random(m, n, ne, seed)
+        cfg = SolveConfig(seed=seed, max_restarts=60, allow_fallback_repair=False)
+        report = _assert_matches_per_attempt(h, r, cfg)
+        assert report.diagnostics["repair-failed"] == 0
+
+
+def _record_batch_sizes(monkeypatch):
+    from eqcolor import intervals
+
+    sizes = []
+    kernel = intervals._stage_colors
+
+    def recording(h, r, slots, weights):
+        sizes.append(len(slots))
+        return kernel(h, r, slots, weights)
+
+    monkeypatch.setattr(intervals, "_stage_colors", recording)
+    return sizes
+
+
+def test_attempt_batches_start_at_one_and_respect_the_cell_cap(monkeypatch):
+    from eqcolor import generate_random
+    from eqcolor.intervals import _SUB_BATCH_CELLS
+
+    sizes = _record_batch_sizes(monkeypatch)
+    k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    cases = [
+        (k6, 2, SolveConfig(seed=1, max_restarts=300)),
+        (generate_random(1000, 6, 1200, 5), 3, SolveConfig(seed=0)),
+        (generate_random(2000, 10, 1000, 0), 2, SolveConfig(seed=4, max_restarts=40)),
+        (generate_random(40, 3, 30, 2), 3, SolveConfig(seed=25, allow_fallback_repair=False)),
+    ]
+    for h, r, cfg in cases:
+        sizes.clear()
+        report = solve_equitable(h, r, cfg)
+        width = max(h.m, h.n * len(h.edges))
+        assert sizes[0] == 1
+        assert all(t == 1 or t * width <= _SUB_BATCH_CELLS for t in sizes), sizes
+        assert report.attempts <= sum(sizes) < 2 * report.attempts
+    # K6 (n |E| = 60 cells per attempt) doubles up to 1024, then is capped
+    sizes.clear()
+    solve_equitable(k6, 2, SolveConfig(seed=1, max_restarts=4000))
+    assert sizes == [2**k for k in range(11)] + [_SUB_BATCH_CELLS // 60, 4000 - 2047 - 1092]
+
+
+def test_first_attempt_success_makes_one_kernel_call(monkeypatch):
+    from eqcolor import generate_random
+
+    sizes = _record_batch_sizes(monkeypatch)
+    report = solve_equitable(generate_random(250, 6, 125, 1), 3, SolveConfig(seed=0))
+    assert report.outcome == SUCCESS and report.attempts == 1
+    assert sizes == [1]
