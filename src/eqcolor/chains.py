@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hypergraph import BudgetExceeded, Hypergraph
-from .intervals import InitialColoring, IntervalPartition, WeightAssignment, _weight_slots
+from .intervals import InitialColoring, IntervalPartition, WeightAssignment, _assignment_slots
 
 __all__ = [
     "ChainInvalid",
@@ -137,7 +137,7 @@ def is_conflicting_pair(
     """True iff (A, B) conflict for ``color``: they share exactly one vertex v,
     v is the last vertex of B and the first of A, v lies in small_{color-1},
     and all of B minus v carries color-1."""
-    slots = _weight_slots(partition, wa.weights)
+    slots = _assignment_slots(partition, wa)
     return _conflicting(h, slots, wa.weights, init.coloring.colors, b_edge, a_edge, color)
 
 
@@ -462,7 +462,7 @@ def chain_event_occurs(
     conflicts at its color, and the leading edge starts in its large block
     or lies wholly inside its small block.
     """
-    slots = _weight_slots(partition, wa.weights)
+    slots = _assignment_slots(partition, wa)
     return _chain_event_holds(h, slots, wa.weights, init.coloring.colors, edge_seq, color)
 
 

@@ -294,10 +294,11 @@ def _mono_edges(h: Hypergraph, colors) -> np.ndarray:
     pass over ``h.edge_array``: colors of shape (m,) give a mask of shape
     (|E|,), colors of shape (T, m) one row of masks per trial.  The one
     edge scan behind ``is_proper``, the solver's rejection step and the
-    Monte Carlo ``mono-edge`` statistic."""
+    Monte Carlo ``mono-edge`` statistic.  Colors keep their dtype: the
+    kernel's narrow ones are gathered as they are."""
     # (..., n, |E|): comparing whole rows is far faster than reducing over a
     # short last axis
-    edge_colors = np.asarray(colors, dtype=np.int64)[..., h.edge_array.T]
+    edge_colors = np.asarray(colors)[..., h.edge_array.T]
     return (edge_colors == edge_colors[..., :1, :]).all(axis=-2)
 
 

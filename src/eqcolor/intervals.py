@@ -42,6 +42,10 @@ __all__ = [
 # Carlo sub-batch, attempts x max(m, n x |E|) for a batch of solver attempts;
 # splitting a batch changes no draw
 _SUB_BATCH_CELLS = 1 << 16
+# rounds of the stage-2 fixed point; a trial still changing after them is
+# walked in weight order instead, so long deflection chains cost no more
+# than the walk
+_FIXPOINT_ROUNDS = 8
 
 
 def choose_p(n: int, r: int) -> float:
@@ -116,16 +120,20 @@ class WeightAssignment:
 
     Ties (which have probability zero under continuous draws but can be
     constructed) break by vertex id: every first/last comparison in the
-    package orders vertices by the key (weights[v], v).
+    package orders vertices by the key (weights[v], v).  The weights must
+    not change after construction: the slots computed from them are kept
+    (see ``_assignment_slots``).
     """
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "_slots")
 
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be one-dimensional")
         self.weights = w
+        # (partition, slots) once computed for some partition
+        self._slots = None
 
     @property
     def m(self) -> int:
@@ -172,12 +180,31 @@ class InitialColoring:
 
 def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
     """Flat subinterval index of every weight, as ``partition.slot_of`` gives
-    it, for an array of weights of any shape."""
+    it, for an array of weights of any shape.
+
+    lefts[0] = 0 <= w, so the slot of w is the number of the 2r - 2 later
+    left ends ``partition.lefts[1:]`` that are at most w: a sum of 2r - 2
+    comparisons, accumulated in the smallest signed integer dtype that
+    holds -2r (int8 for r <= 64).  Slots, stage-1 colors and colors stay in
+    that dtype through the kernel and the Monte Carlo statistics; every
+    value they derive from a slot lies within +-(2r - 1)."""
     w = np.asarray(weights, dtype=float)
     if not (w.min() >= 0.0 and w.max() < 1.0):
         raise ValueError(f"weight {w[~((w >= 0.0) & (w < 1.0))][0]} outside [0, 1)")
-    # lefts[0] = 0 <= w, so the slot is the number of later left ends <= w
-    return np.searchsorted(partition.lefts[1:], w, side="right")
+    slots = np.zeros(w.shape, dtype=np.min_scalar_type(-2 * partition.r))
+    for left in partition.lefts[1:]:
+        slots += w >= left
+    return slots
+
+
+def _assignment_slots(partition: IntervalPartition, wa: WeightAssignment) -> np.ndarray:
+    """Slots of ``wa``'s weights under ``partition``, computed once per
+    assignment: ``run_interval_coloring`` stores the rows of its batch's
+    slot array, and rebalancing and the chain predicates read them here."""
+    kept = wa._slots
+    if kept is None or not (kept[0] is partition or kept[0] == partition):
+        kept = wa._slots = (partition, _weight_slots(partition, wa.weights))
+    return kept[1]
 
 
 def _stage_colors(
@@ -197,16 +224,33 @@ def _stage_colors(
     vertex of small_i can only be deflected by an edge whose other vertices
     all carry color i, so all of its vertices lie in small_{i-1}, large_i
     or small_i: its largest slot is odd and its smallest at least that
-    minus 2.  Only such live edges are found (one gather over
-    ``h.edge_array``), and stage 2 walks, per trial that has one, just their
-    small-block vertices in weight order, each reading as uncolored until
-    visited and checked against its live edges in increasing index.
-    Returns colors (T, m), deflections (T, r-1) and one blocking dict per
-    trial, as described on InitialColoring.
+    minus 2.  Only such live edges are found, by one gather over
+    ``h.edge_array`` in the slots' dtype.
+
+    Stage 2 visits vertices in weight order, and a vertex reads as
+    uncolored until visited, so a live (trial, edge) pair can only deflect
+    its last vertex L by (weight, id), which sits in its top slot small_i.
+    Every other vertex is final by then: the pair blocks L iff each of them
+    ends at color i, i.e. each of small_i stays at i and each of small_{i-1}
+    is deflected to i (large_i ones always are at i).  L is deflected iff
+    some pair blocks it, and its ``blocking`` edge is the lowest-index one.
+    These conditions are solved as a fixed point: start with nothing
+    deflected and recompute every pair each round until no deflection that
+    some pair depends on changes.  A deflection depends only on earlier
+    vertices, so the fixed point is the walk's outcome, and it is reached
+    in about as many rounds as the longest chain of edges linked through
+    such dependencies.  After ``_FIXPOINT_ROUNDS`` rounds, the trials that
+    still change are colored by the sequential walk instead: their
+    small-block vertices of live edges in weight order, each checked
+    against its live edges in increasing index.
+
+    Returns colors (T, m) in the slots' dtype, deflections (T, r-1) and
+    one blocking dict per trial, as described on InitialColoring.
     """
     colors = slots // 2 + 1
-    deflections = np.zeros((len(slots), r - 1), dtype=np.int64)
-    blocking: list[dict[int, int]] = [{} for _ in range(len(slots))]
+    trials, m = slots.shape
+    deflections = np.zeros((trials, r - 1), dtype=np.int64)
+    blocking: list[dict[int, int]] = [{} for _ in range(trials)]
     if not h.edges:
         return colors, deflections, blocking
     # (T, n, |E|): reducing over the middle axis is far faster than over a
@@ -214,23 +258,94 @@ def _stage_colors(
     edge_slots = slots[:, h.edge_array.T]
     top = edge_slots.max(axis=1)
     live = (top % 2 == 1) & (edge_slots.min(axis=1) >= top - 2)
-    flat = np.flatnonzero(live)
-    if not len(flat):
+    rows, eids = np.divmod(np.flatnonzero(live), len(h.edges))
+    if not len(rows):
         return colors, deflections, blocking
-    rows, eids = np.divmod(flat, len(h.edges))
+    pairs = np.arange(len(rows))
+    verts = h.edge_array[eids]
+    pair_slots = edge_slots[rows, :, eids]
+    pair_weights = weights[rows[:, None], verts]
+    # edge rows list ids in increasing order: L is the last maximal weight
+    last = (h.n - 1) - np.argmax(pair_weights[:, ::-1], axis=1)
+    # vertex v of trial t is t * m + v, in int64
+    keys = rows[:, None] * m + verts
+    lkey = keys[pairs, last]
+    ltop = pair_slots[pairs, last]
+    # each other small-block vertex of a pair must be deflected iff it sits
+    # below L's block
+    dep = pair_slots % 2 == 1
+    dep[pairs, last] = False
+    dep_pair, dep_col = np.nonzero(dep)
+    dep_key = keys[dep_pair, dep_col]
+    dep_need = pair_slots[dep_pair, dep_col] != ltop[dep_pair]
+    deflected = np.zeros(trials * m, dtype=bool)
+    # pairs whose L some pair depends on: only their changes can spread
+    feeds = np.zeros(trials * m, dtype=bool)
+    feeds[dep_key] = True
+    feeds = feeds[lkey]
+    blocks = np.zeros(len(rows), dtype=bool)
+    walk = None
+    for _ in range(_FIXPOINT_ROUNDS):
+        new = np.ones(len(rows), dtype=bool)
+        new[dep_pair[deflected[dep_key] != dep_need]] = False
+        spread = (new != blocks) & feeds
+        blocks = new
+        deflected[lkey] = False
+        deflected[lkey[blocks]] = True
+        if not spread.any():
+            break
+    else:
+        # the pairs of every trial that still changes
+        walked = np.zeros(trials, dtype=bool)
+        walked[rows[spread]] = True
+        walk = np.flatnonzero(walked[rows])
+        blocks[walk] = False
+    # first blocking pair of each deflected vertex: pairs come sorted by
+    # (trial, edge), and a stable sort by vertex keeps that order
+    hit = np.flatnonzero(blocks)
+    hit = hit[np.argsort(lkey[hit], kind="stable")]
+    hit_keys = lkey[hit]
+    first = np.ones(len(hit), dtype=bool)
+    first[1:] = hit_keys[1:] != hit_keys[:-1]
+    hit = hit[first]
+    hit_rows = rows[hit]
+    hit_verts = verts[hit, last[hit]]
+    hit_colors = ltop[hit] // 2 + 2
+    colors[hit_rows, hit_verts] = hit_colors
+    for t, v, e in zip(hit_rows.tolist(), hit_verts.tolist(), eids[hit].tolist()):
+        blocking[t][v] = e
+    if walk is not None:
+        walk_rows, walk_colors = _walk(
+            h, rows[walk], eids[walk], pair_slots[walk], pair_weights[walk], colors, blocking
+        )
+        hit_rows = np.concatenate([hit_rows, walk_rows])
+        hit_colors = np.concatenate([hit_colors, walk_colors])
+    # a vertex deflected to color c left small_{c-1}, column c - 2
+    deflections = np.bincount(
+        hit_rows * (r - 1) + (hit_colors - 2), minlength=trials * (r - 1)
+    ).reshape(trials, r - 1)
+    return colors, deflections, blocking
+
+
+def _walk(h, rows, eids, pair_slots, pair_weights, colors, blocking):
+    """Stage 2 walked per trial over the given live (trial, edge) pairs,
+    sorted by trial: the small-block vertices of the pairs in weight order,
+    each reading as uncolored until visited and checked against its live
+    edges in increasing index.  Writes the deflections into ``colors`` and
+    ``blocking`` and returns their trials and new colors."""
+    n = h.n
+    edges = h.edges
     # flat lists, n entries per pair: nested ones would put two container
     # objects per pair in front of the cyclic garbage collector
-    live_slots = edge_slots[rows, :, eids].ravel().tolist()
-    live_weights = weights[rows[:, None], h.edge_array[eids]].ravel().tolist()
+    live_slots = pair_slots.ravel().tolist()
+    live_weights = pair_weights.ravel().tolist()
     rows = rows.tolist()
     eids = eids.tolist()
-    edges = h.edges
-    n = h.n
     # trial, vertex and new color of every deflection
     hits_t: list[int] = []
     hits_v: list[int] = []
     hits_c: list[int] = []
-    # the (trial, edge) pairs come sorted by trial: one run of pairs per trial
+    # one run of pairs per trial
     for t, run in groupby(range(len(rows)), rows.__getitem__):
         # current color of every vertex of a live edge, 0 until visited for
         # small-block ones; live incident edges of each small-block vertex
@@ -265,11 +380,8 @@ def _stage_colors(
                     hits_v.append(v)
                     hits_c.append(i + 1)
                     break
-    if hits_t:
-        colors[hits_t, hits_v] = hits_c
-        # a vertex deflected to color c left small_{c-1}, column c - 2
-        np.add.at(deflections, (hits_t, np.subtract(hits_c, 2)), 1)
-    return colors, deflections, blocking
+    colors[hits_t, hits_v] = hits_c
+    return np.array(hits_t, dtype=np.int64), np.array(hits_c, dtype=colors.dtype)
 
 
 def run_interval_coloring(
@@ -290,7 +402,8 @@ def run_interval_coloring(
     list of them, colors all of them in one kernel call and returns a list
     of InitialColorings in the same order, each the same as a call on its
     own assignment would give; their color arrays are rows of one shared
-    array.
+    int64 array.  Each assignment keeps its row of the batch's slots for
+    rebalancing and the chain predicates (``_assignment_slots``).
     """
     if partition.r != r:
         raise ValueError("partition was built for a different number of colors")
@@ -303,15 +416,20 @@ def run_interval_coloring(
     # one assignment is colored from a view of its weights, not a copy
     weights = was[0].weights[None, :] if len(was) == 1 else np.stack([w.weights for w in was])
     slots = _weight_slots(partition, weights)
+    for w, row in zip(was, slots):
+        w._slots = (partition, row)
     colors, deflections, blocking = _stage_colors(h, r, slots, weights)
-    # per-row counts of slots // 2 in one bincount, row t offset by t * r
-    blocks = slots // 2
-    blocks += np.arange(0, len(was) * r, r)[:, None]
+    # per-row counts of slots // 2 in one bincount, row t offset by t * r,
+    # which leaves the slots' dtype for long lists
+    blocks = slots // 2 + np.arange(0, len(was) * r, r, dtype=np.int64)[:, None]
     occupancy = np.bincount(blocks.ravel(), minlength=len(was) * r)
     out = [
         InitialColoring(Coloring._trusted(r, row), tuple(defl), tuple(occ), block)
         for row, defl, occ, block in zip(
-            colors, deflections.tolist(), occupancy.reshape(-1, r).tolist(), blocking
+            colors.astype(np.int64),
+            deflections.tolist(),
+            occupancy.reshape(-1, r).tolist(),
+            blocking,
         )
     ]
     return out[0] if single else out

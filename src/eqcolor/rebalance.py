@@ -25,7 +25,7 @@ import numpy as np
 
 from .chains import DangerousEdge
 from .hypergraph import Coloring, Hypergraph
-from .intervals import IntervalPartition, WeightAssignment, _weight_slots
+from .intervals import IntervalPartition, WeightAssignment, _assignment_slots
 from .seeding import ROLE_VSETS, derive
 
 __all__ = [
@@ -131,7 +131,7 @@ def sample_candidate_sets(
     rng = seed if isinstance(seed, np.random.Generator) else derive(seed, ROLE_VSETS)
     keep = rng.random(h.m) < p_tilde
     # large_i is slot 2i - 2
-    slots = np.where(keep, _weight_slots(partition, wa.weights), -1)
+    slots = np.where(keep, _assignment_slots(partition, wa), -1)
     return tuple(
         frozenset(np.flatnonzero(slots == 2 * i).tolist()) for i in range(partition.r - 1)
     )

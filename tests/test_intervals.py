@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqcolor import intervals
 from eqcolor import (
     Coloring,
     Hypergraph,
@@ -21,6 +22,9 @@ from eqcolor import (
     sample_balanced_coloring,
     sample_weights,
 )
+from eqcolor.chains import chain_event_occurs, is_conflicting_pair
+from eqcolor.intervals import _assignment_slots, _weight_slots
+from eqcolor.rebalance import sample_candidate_sets
 
 
 def test_choose_p_spot_values():
@@ -80,6 +84,43 @@ def test_slot_of_rejects_out_of_range():
         part.slot_of(1.0)
     with pytest.raises(ValueError):
         part.slot_of(-0.1)
+
+
+def _searchsorted_slots(partition, weights):
+    """The slot lookup before comparison slots, verbatim."""
+    w = np.asarray(weights, dtype=float)
+    # lefts[0] = 0 <= w, so the slot is the number of later left ends <= w
+    return np.searchsorted(partition.lefts[1:], w, side="right")
+
+
+@pytest.mark.parametrize("r", [2, 3, 63, 64, 65, 200])
+def test_comparison_slots_equal_searchsorted_and_slot_of(r):
+    rng = np.random.default_rng(r)
+    for p in (choose_p(8, r), 0.5, 0.9):
+        part = IntervalPartition(p, r)
+        lefts = np.array(part.lefts)
+        # every left end exactly, its neighbours on both sides, the top
+        # weight below 1, and random weights
+        w = np.concatenate(
+            [
+                lefts,
+                np.nextafter(lefts, 0.0),
+                np.nextafter(lefts, 1.0),
+                [np.nextafter(1.0, 0.0)],
+                rng.random(3000),
+            ]
+        )
+        slots = _weight_slots(part, w)
+        # signed, wide enough for every value the kernel derives from a
+        # slot (at most 2r - 1), and the smallest such dtype
+        info = np.iinfo(slots.dtype)
+        assert info.min <= -2 * r and info.max >= 2 * r - 1
+        assert slots.dtype.itemsize == (1 if r <= 64 else 2)
+        assert slots.tolist() == _searchsorted_slots(part, w).tolist()
+        assert slots.tolist() == [part.slot_of(x) for x in w.tolist()]
+        assert (slots[: len(lefts)] == np.arange(2 * r - 1)).all()
+        grid = _weight_slots(part, w[:3000].reshape(3, 1000))
+        assert grid.dtype == slots.dtype and grid.ravel().tolist() == slots[:3000].tolist()
 
 
 def test_slot_lengths_sum_to_one_random():
@@ -255,6 +296,59 @@ def test_list_of_weight_assignments_colors_each_as_alone():
     assert run_interval_coloring(h, r, part, []) == []
     with pytest.raises(ValueError, match="vertex count"):
         run_interval_coloring(h, r, part, [was[0], sample_weights(m + 1, 0)])
+
+
+def test_long_lists_keep_occupancy_offsets_wide():
+    # B * r > 127: the per-row offsets t * r of the occupancy count pass the
+    # int8 range of the slots
+    rng = np.random.default_rng(4)
+    for r, count, p in ((4, 40, choose_p(3, 4)), (64, 3, 0.5)):
+        assert count * r > 127
+        h = _random_instance(50, 3, 40, rng)
+        part = IntervalPartition(p, r)
+        was = [sample_weights(50, seed) for seed in range(count)]
+        batch = run_interval_coloring(h, r, part, was)
+        for wa, got in zip(was, batch):
+            alone = run_interval_coloring(h, r, part, wa)
+            blocks = [part.slot_of(x) // 2 for x in wa.weights.tolist()]
+            assert got.occupancy == alone.occupancy == tuple(blocks.count(i) for i in range(r))
+            assert got.coloring == alone.coloring
+            assert got.coloring.colors.dtype == np.int64
+
+
+def test_slots_are_computed_once_per_weight_assignment(monkeypatch):
+    # the kernel keeps each assignment's row of its slots; rebalancing and
+    # the chain predicates read it instead of recomputing over all m
+    calls = []
+
+    def counted(partition, weights):
+        calls.append(np.shape(weights))
+        return _weight_slots(partition, weights)
+
+    monkeypatch.setattr(intervals, "_weight_slots", counted)
+    h = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
+    part = IntervalPartition(0.5, 2)
+    was = [sample_weights(6, seed) for seed in range(5)]
+    inits = run_interval_coloring(h, 2, part, was)
+    assert calls == [(5, 6)]
+    for wa, init in zip(was, inits):
+        kept = _assignment_slots(part, wa)
+        assert kept.tolist() == [part.slot_of(x) for x in wa.weights.tolist()]
+        sample_candidate_sets(h, part, wa, 0.5, 3)
+        is_conflicting_pair(h, part, wa, init, 0, 1, 2)
+        chain_event_occurs(h, part, wa, init, (0, 1), 2)
+    assert calls == [(5, 6)]
+    # an equal partition reads the kept slots, another one recomputes them
+    assert _assignment_slots(IntervalPartition(0.5, 2), was[0]) is _assignment_slots(part, was[0])
+    other = IntervalPartition(0.2, 3)
+    assert _assignment_slots(other, was[0]).tolist() == [
+        other.slot_of(x) for x in was[0].weights.tolist()
+    ]
+    assert calls == [(5, 6), (6,)]
+    # a fresh assignment computes its slots on first use
+    fresh = WeightAssignment(was[1].weights)
+    assert _assignment_slots(part, fresh).tolist() == _assignment_slots(part, was[1]).tolist()
+    assert calls == [(5, 6), (6,), (6,)]
 
 
 def test_initial_coloring_json_shape():

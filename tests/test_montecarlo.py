@@ -20,7 +20,7 @@ from eqcolor import (
     mc_estimate,
     run_interval_coloring,
 )
-from eqcolor import montecarlo
+from eqcolor import intervals, montecarlo
 from eqcolor.intervals import _stage_colors, _weight_slots
 from eqcolor.montecarlo import QUANTITIES, Deflected, _simulate_discrete
 
@@ -339,6 +339,73 @@ def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
                 trials += 1
                 deflected += sum(counts)
     assert trials == 3 * 6 * 60 and deflected > 100
+
+
+@pytest.mark.parametrize("rounds", [1, 10**6])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_batched_kernel_matches_oracle_simulator_under_round_cap(monkeypatch, r, rounds):
+    # one round leaves most trials with a deflection to the sequential
+    # walk; 10^6 rounds leave none, so the fixed point alone colors them
+    walked = []
+    walk = intervals._walk
+
+    def counted(h, rows, *rest):
+        walked.append(len(set(rows.tolist())))
+        return walk(h, rows, *rest)
+
+    monkeypatch.setattr(intervals, "_walk", counted)
+    monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
+    test_batched_kernel_matches_oracle_simulator_row_by_row(r)
+    if rounds == 1:
+        assert sum(walked) > 100
+    else:
+        assert walked == []
+
+
+@pytest.mark.parametrize("rounds", [1, 10**6])
+def test_batched_kernel_breaks_weight_ties_by_id(monkeypatch, rounds):
+    # weights on a grid of ten values tie often; the walk and the fixed
+    # point both order tied vertices by id, as the oracle's orders do
+    monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
+    rng = np.random.default_rng(57)
+    instances = [TRI_PAIR, Hypergraph(8, 2, [(i, (i + 1) % 8) for i in range(8)])]
+    instances.append(Hypergraph(7, 3, list(itertools.combinations(range(7), 3))[::2]))
+    deflected = 0
+    for h in instances:
+        for r, p in ((2, 0.5), (2, 0.9), (3, 0.6)):
+            part = IntervalPartition(p, r)
+            u = rng.integers(0, 10, size=(80, h.m)) / 10.0
+            slots = _weight_slots(part, u)
+            colors, deflections, blocking = _stage_colors(h, r, slots, u)
+            for t in range(80):
+                order = np.lexsort((np.arange(h.m), u[t])).tolist()
+                row = slots[t].tolist()
+                orders = [[v for v in order if row[v] == 2 * i - 1] for i in range(1, r)]
+                reference = _simulate_discrete(h, r, row, orders)
+                assert colors[t].tolist() == reference
+                assert blocking[t] == _reference_blocking(h, row, orders, reference)
+                deflected += int(deflections[t].sum())
+    assert deflected > 100
+
+
+@pytest.mark.parametrize("m, rounds", [(8000, None), (300, 10**6)])
+def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
+    # a path inside small_1 with increasing weights: each vertex is
+    # deflected iff its predecessor is not, one chain of m - 1 edges.  The
+    # round cap hands it to the walk; without a cap the fixed point needs
+    # about m rounds
+    if rounds is not None:
+        monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
+    h = Hypergraph(m, 2, [(k, k + 1) for k in range(m - 1)])
+    part = IntervalPartition(0.99, 2)
+    lo, hi = part.small_bounds[0]
+    u = np.linspace(lo, hi, m, endpoint=False)[None, :]
+    slots = _weight_slots(part, u)
+    assert (slots == 1).all()
+    colors, deflections, blocking = _stage_colors(h, 2, slots, u)
+    assert colors[0].tolist() == _simulate_discrete(h, 2, slots[0].tolist(), [list(range(m))])
+    assert deflections.tolist() == [[m // 2]]
+    assert blocking == [{v: v - 1 for v in range(1, m, 2)}]
 
 
 @pytest.mark.parametrize("cells", [1, 1 << 20])

@@ -631,3 +631,39 @@ def test_first_attempt_success_makes_one_kernel_call(monkeypatch):
     report = solve_equitable(generate_random(250, 6, 125, 1), 3, SolveConfig(seed=0))
     assert report.outcome == SUCCESS and report.attempts == 1
     assert sizes == [1]
+
+
+def test_slots_are_computed_once_per_kernel_batch(monkeypatch):
+    # rebalancing reads the slots the kernel computed for the same weights
+    # instead of recomputing them over all m vertices
+    from eqcolor import chains, generate_random, intervals, rebalance, solver
+
+    sizes = _record_batch_sizes(monkeypatch)
+    slot_calls = []
+    weight_slots = intervals._weight_slots
+
+    def counting(partition, weights):
+        slot_calls.append(np.shape(weights))
+        return weight_slots(partition, weights)
+
+    for module in (intervals, rebalance, chains):
+        if hasattr(module, "_weight_slots"):
+            monkeypatch.setattr(module, "_weight_slots", counting)
+    plans = []
+    plan = solver.build_rebalance_plan
+
+    def planning(*args, **kwargs):
+        plans.append(args[2])
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_rebalance_plan", planning)
+    # the solve-sparse shape: one attempt per kernel batch at this m
+    h = generate_random(100_000, 8, 10_000, 1)
+    attempts = []
+    for seed in (0, 2):
+        report = solve_equitable(h, 4, SolveConfig(seed=seed))
+        assert report.outcome == SUCCESS
+        attempts.append(report.attempts)
+    assert attempts == [1, 2] and len(plans) == 2
+    assert sizes == [1, 1, 1]
+    assert slot_calls == [(1, 100_000)] * 3
