@@ -2,7 +2,8 @@
 
 mc_estimate simulates the two-stage coloring in vectorized chunks and
 reports an estimate with a 3-sigma half-width.  For instances small enough
-to enumerate (m <= 8, r <= 3) an independent exact oracle integrates over
+to enumerate (for mc_estimate, m <= 8 and r <= 3; the oracle itself goes to
+m = 10 at r = 2) an independent exact oracle integrates over
 every subinterval assignment and within-block order, giving ground truth
 the estimates are checked against; beyond that the report falls back to the
 closed-form bound.
@@ -46,7 +47,8 @@ rep = mc_estimate("expected-deflections", tri, 2, params={"i": 1},
 print(f"E[X(1)] estimate: {rep.estimate:.4f} +- {rep.half_width:.4f}",
       "exact:", rep.comparison.value)
 
-# Past m=8 the oracle refuses and the comparison degrades to the bound.
+# Past m=8 mc_estimate does not ask the oracle and the comparison degrades
+# to the bound.
 big = Hypergraph(12, 3, [(i, i + 1, i + 2) for i in range(10)])
 rep = mc_estimate("mono-edge", big, 2, trials=50_000, seed=4)
 print("m=12 comparison kind:", rep.comparison.kind,

@@ -394,13 +394,20 @@ def edge_threshold(n: int, r: int) -> ThresholdBound:
 def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optional[Coloring]:
     """Exhaustive search for an equitable proper r-coloring.
 
-    Enumerates assignments vertex by vertex, pruning any class that would
-    exceed its balanced target and any completed edge that went
-    monochromatic.  Restricting classes to the fixed target profile loses
-    no solutions: color classes of any equitable coloring can be permuted
-    onto the profile.  Returns None when no equitable proper coloring
-    exists.  Raises ValueError when r < 1 and BudgetExceeded when r^m is
-    beyond ``budget``.
+    Colors vertices in order of degree, highest first, ties broken by id
+    (the largest-degree-first order of Welsh and Powell, 1967), pruning any
+    class that would exceed its balanced target.  Each edge is checked
+    once, when the last of its vertices in that order is colored, by
+    testing its vertex bitmask against the bitmask of the new vertex's
+    class.  Restricting classes to the fixed target profile loses no
+    solutions: color classes of any equitable coloring can be permuted onto
+    the profile.  For the same reason classes with equal targets are
+    interchangeable, so a vertex may open at most one untouched class among
+    them, the lowest (the color-symmetry breaking of Brelaz, CACM 1979).
+    The witness returned may therefore differ from that of an id-order
+    search.  Returns None when no equitable proper coloring exists.
+    Raises ValueError when r < 1 and BudgetExceeded when r^m is beyond
+    ``budget``.
     """
     if r < 1:
         raise ValueError(f"need at least one color, got r={r}")
@@ -408,28 +415,43 @@ def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optiona
     if r**m > budget:
         raise BudgetExceeded(f"{r}^{m} assignments exceed the budget of {budget}")
     targets = class_targets(m, r)
-
-    # edges become checkable once their largest vertex is colored
-    edges_by_max = [[] for _ in range(m)]
+    degree = np.bincount(h.edge_array.ravel(), minlength=m)
+    order = np.lexsort((np.arange(m), -degree)).tolist()
+    position = [0] * m
+    for t, v in enumerate(order):
+        position[v] = t
+    # each edge as a vertex bitmask, checked at the position of its last vertex
+    checks = [[] for _ in range(m)]
     for e in h.edges:
-        edges_by_max[e[-1]].append(e)
+        checks[max(position[v] for v in e)].append(sum(1 << v for v in e))
 
     colors = [0] * m
     sizes = [0] * r
+    members = [0] * r  # per class, the bitmask of its vertices
 
-    def extend(v: int) -> bool:
-        if v == m:
+    def extend(t: int) -> bool:
+        if t == m:
             return True
-        for c in range(1, r + 1):
-            if sizes[c - 1] == targets[c - 1]:
+        v = order[t]
+        opened = None  # target of the last untouched class tried
+        for c in range(r):
+            if sizes[c] == targets[c]:
                 continue
-            colors[v] = c
-            if not any(all(colors[u] == c for u in e) for e in edges_by_max[v]):
-                sizes[c - 1] += 1
-                if extend(v + 1):
-                    return True
-                sizes[c - 1] -= 1
-        colors[v] = 0
+            if sizes[c] == 0:
+                # targets do not increase with c, so equal ones are adjacent
+                if targets[c] == opened:
+                    continue
+                opened = targets[c]
+            grown = members[c] | 1 << v
+            if any(e & grown == e for e in checks[t]):
+                continue
+            members[c] = grown
+            sizes[c] += 1
+            colors[v] = c + 1
+            if extend(t + 1):
+                return True
+            members[c] ^= 1 << v
+            sizes[c] -= 1
         return False
 
     if extend(0):

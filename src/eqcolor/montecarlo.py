@@ -24,17 +24,20 @@ probability is a product of subinterval lengths) and on the relative order
 of vertices inside each small block (uniform over permutations).  Summing
 the exact measure over all such configurations gives the event probability
 with no sampling error.  The configurations are counted before any is
-enumerated, so an over-budget request fails at once.  The oracle's
-simulator is written against that discrete representation, separately
-from the sampling kernel, so the two routes can check each other.
+enumerated, so an over-budget request fails at once.  They are then
+enumerated as arrays: slot vectors grouped by their small-block sizes,
+crossed with every order of each small block, in blocks of at most
+``_ORACLE_ROWS`` rows.  The oracle's simulator colors a whole block at
+once, stepping over small-block positions; it is written against that
+discrete representation and calls no production kernel or predicate, so
+the two routes can check each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,6 +73,9 @@ __all__ = [
 
 CHUNK_ROWS = 16384
 _CHUNK_CELLS = 1 << 22
+# the exact oracle's largest m per r, and its most configurations per block
+_ORACLE_MAX_M = {2: 10, 3: 8}
+_ORACLE_ROWS = 1024
 
 @dataclass(frozen=True)
 class MonoEdgeExists:
@@ -395,8 +401,9 @@ def mc_estimate(
 
     Every quantity but ``balanced-mono`` also takes ``p``, which overrides
     the derived subinterval parameter.  With ``compare`` the report
-    carries the comparison value; "enumerable" means the exact oracle runs
-    within its budget, which needs m <= 8 and r <= 3.
+    carries the comparison value; "enumerable" means m <= 8, r <= 3 and at
+    most 10^6 configurations, within the oracle's own limits of m <= 10 at
+    r = 2 and m <= 8 at r = 3.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -450,23 +457,23 @@ def exact_c0_event_prob(
     block), and ChainEventSpec.  Given a list (or other iterable) of
     events, returns the sum of their probabilities from one enumeration:
     each event has its own accumulator and the accumulators are summed in
-    order, so the sum equals that of one call per event.  Requires m <= 8
-    and r <= 3; raises BudgetExceeded, before enumerating anything, when
-    the configuration count passes ``budget``.
+    order, so the sum equals that of one call per event.  Requires m <= 10
+    at r = 2 and m <= 8 at r = 3; raises BudgetExceeded, before enumerating
+    anything, when the configuration count passes ``budget``.
+
+    Configurations are simulated in blocks of at most ``_ORACLE_ROWS`` rows
+    by ``_simulate_configs``, so memory stays bounded at every size.
     """
     if r < 2:
         raise ValueError("need at least 2 colors")
-    if h.m > 8 or r > 3:
-        raise ValueError("exact enumeration supports m <= 8 and r <= 3")
+    if r > 3 or h.m > _ORACLE_MAX_M[r]:
+        raise ValueError("exact enumeration supports m <= 10 at r = 2 and m <= 8 at r = 3")
     if p is None:
         p = choose_p(h.n, r)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     m = h.m
-    large_len = (1.0 - p) / r
-    small_len = p / (r - 1)
-    lengths = [large_len if s % 2 == 0 else small_len for s in range(2 * r - 1)]
-    factorial = math.factorial
+    lengths = [(1.0 - p) / r if s % 2 == 0 else p / (r - 1) for s in range(2 * r - 1)]
     # K vertices in small blocks: m!/(m-K)! ordered picks, C(K+r-2, r-2)
     # ways to cut them into r-1 ordered blocks, r large slots for the rest
     configurations = sum(
@@ -478,98 +485,163 @@ def exact_c0_event_prob(
         )
 
     single = isinstance(event, (MonoEdgeExists, Deflected, ChainEventSpec))
-    events = [event] if single else list(event)
-    totals = [0.0] * len(events)
-    for slots in product(range(2 * r - 1), repeat=m):
-        weight = 1.0
-        for s in slots:
-            weight *= lengths[s]
-        occupants = [
-            [v for v in range(m) if slots[v] == 2 * i - 1] for i in range(1, r)
+    tests = [_event_test(h, ev) for ev in ([event] if single else event)]
+    totals = [0.0] * len(tests)
+    # every slot vector, grouped by its per-small-block counts k_1..k_{r-1}:
+    # within a group each small block has the same size in every row
+    slot_rows = np.indices((2 * r - 1,) * m, dtype=np.int8).reshape(m, -1).T
+    counts = np.stack([(slot_rows == 2 * i - 1).sum(axis=1) for i in range(1, r)], axis=1)
+    groups, group_of = np.unique(counts, axis=0, return_inverse=True)
+    for g, ks in enumerate(groups.tolist()):
+        vectors = slot_rows[group_of.ravel() == g]
+        # the measure of one configuration: the slot lengths times one over
+        # the number of orders of each small block
+        weight = math.prod(lengths[s] for s in vectors[0].tolist())
+        weight /= math.prod(math.factorial(k) for k in ks)
+        # members of each small block in id order, one row per slot vector
+        members = [
+            np.nonzero(vectors == 2 * i - 1)[1].reshape(len(vectors), k)
+            for i, k in enumerate(ks, 1)
         ]
-        denom = 1
-        for g in occupants:
-            denom *= factorial(len(g))
-        w_order = weight / denom
-        for orders in product(*(permutations(g) for g in occupants)):
-            colors = _simulate_discrete(h, r, slots, orders)
-            for j, ev in enumerate(events):
-                if _event_holds(h, r, ev, slots, orders, colors):
-                    totals[j] += w_order
+        shape = (len(vectors),) + tuple(math.factorial(k) for k in ks)
+        size = math.prod(shape)
+        for lo in range(0, size, _ORACLE_ROWS):
+            vector, *order_index = np.unravel_index(
+                np.arange(lo, min(size, lo + _ORACLE_ROWS)), shape
+            )
+            slots = vectors[vector].astype(np.int64)
+            ranks = np.zeros_like(slots)
+            for mem, k, index in zip(members, ks, order_index):
+                np.put_along_axis(ranks, mem[vector], _permutation_rows(k, index), axis=1)
+            colors = _simulate_configs(h, r, slots, ranks)
+            for j, test in enumerate(tests):
+                totals[j] += weight * int(np.count_nonzero(test(slots, ranks, colors)))
     return sum(totals)
 
 
-def _simulate_discrete(
-    h: Hypergraph, r: int, slots: Sequence[int], orders
-) -> list[int]:
-    """The oracle's own simulator: color large blocks, then process each
-    small block in position order, deflecting a vertex whenever keeping it
-    would finish a monochromatic edge among colored vertices."""
-    colors = [0] * h.m
-    for v in range(h.m):
-        if slots[v] % 2 == 0:
-            colors[v] = slots[v] // 2 + 1
-    for i, block in enumerate(orders, start=1):
-        for v in block:
-            deflect = False
-            for e in h.incidence[v]:
-                if all(colors[u] == i for u in h.edges[e] if u != v):
-                    deflect = True
-                    break
-            colors[v] = i + 1 if deflect else i
-    return colors
+def _simulate_configs(h: Hypergraph, r: int, slots: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The oracle's own simulator, over a (B, m) batch of configurations:
+    ``slots`` holds each vertex's subinterval 0..2r-2 and ``ranks`` its
+    position inside its small block (ignored in large blocks).  Every row
+    must have the same number of vertices in each small block, as the rows
+    of one group of the enumeration do; ValueError otherwise.  Large
+    blocks are colored first; then, for each small block i and position q,
+    the vertex at rank q is deflected to i + 1 iff one of its incident
+    edges has its n - 1 other vertices at color i, else it gets color i.
+    Each step gathers only that vertex's edges from a padded incidence
+    table, so it is linear in B.  Returns the (B, m) colors as int8, so r
+    must stay below 127."""
+    slots = np.asarray(slots, dtype=np.int64)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    batch, m = slots.shape
+    n = h.n
+    # padded incidence: table[:, v] lists v's edges, then the padding edge
+    # |E|, which holds only the vertex m, never colored; around[:, v] lists
+    # the n vertices of each of those edges, (n * d, m) in all.  v itself
+    # reads as the vertex m + 1, which carries the color of the block being
+    # processed, so an edge whose n - 1 other vertices carry color i reads
+    # as wholly at color i
+    d = max(1, max(map(len, h.incidence)))
+    table = np.array([es + (len(h.edges),) * (d - len(es)) for es in h.incidence]).T
+    padded = np.hstack([h.edge_array.T, np.full((n, 1), m, dtype=h.edge_array.dtype)])
+    around = padded[:, table].reshape(n * d, m).astype(np.intp)
+    around[around == np.arange(m)] = m + 1
+
+    width = m + 2
+    colors = np.zeros((batch, width), dtype=np.int8)
+    colors[:, :m] = np.where(slots % 2 == 0, slots // 2 + 1, 0)
+    cells = colors.reshape(-1)
+    bases = np.arange(batch) * width
+    # processing order: the small-block vertices first, by slot and then by
+    # rank; with equal block sizes, step t is in the same block in every row
+    key = np.where(slots % 2 == 1, slots * m + ranks, (2 * r - 1) * m)
+    step_slots = np.sort(key, axis=1) // m
+    if (step_slots != step_slots[0]).any():
+        raise ValueError("every configuration must have the same small-block sizes")
+    step_slots = [s for s in step_slots[0].tolist() if s < 2 * r - 1]
+    steps = np.argsort(key, axis=1, kind="stable").T[: len(step_slots)]
+    for v, s in zip(np.ascontiguousarray(steps), step_slots):
+        i = (s + 1) // 2
+        colors[:, m + 1] = i
+        at_i = cells.take(around.take(v, axis=1) + bases) == i
+        cells[bases + v] = i + at_i.reshape(n, d, batch).all(axis=0).any(axis=0)
+    return colors[:, :m]
 
 
-def _event_holds(h, r, event, slots, orders, colors) -> bool:
+def _permutation_rows(k: int, index: np.ndarray) -> np.ndarray:
+    """Rows ``index`` of ``permutations(range(k))``, whose order is
+    lexicographic, unranked from their factorial-base digits, so no table
+    of all k! rows is ever built.  Digit j picks the digit-th smallest
+    value left; right to left, each later entry steps over the earlier
+    pick at or below it."""
+    left = np.arange(k, 0, -1)[:, None]  # values left at digit j: k - j
+    place = np.array([math.factorial(j - 1) for j in range(k, 0, -1)], dtype=np.int64)
+    out = index // place[:, None] % left
+    for j in range(k - 2, -1, -1):
+        out[j + 1 :] += out[j + 1 :] >= out[j]
+    return out.T
+
+
+def _event_test(h: Hypergraph, event) -> Callable:
+    """The oracle's predicate for one event: a function of a block's
+    (slots, ranks, colors), as given to and returned by
+    ``_simulate_configs``, giving one boolean per configuration."""
     if isinstance(event, MonoEdgeExists):
-        return any(len({colors[v] for v in e}) == 1 for e in h.edges)
+        edge_array = h.edge_array
+
+        def mono(slots, ranks, colors):
+            ec = colors[:, edge_array]
+            return (ec == ec[:, :, :1]).all(axis=2).any(axis=1)
+
+        return mono
 
     if isinstance(event, Deflected):
-        v = event.vertex
-        s = slots[v]
-        if s % 2 == 0:
-            return False
-        block = (s + 1) // 2
-        if event.interval is not None and block != event.interval:
-            return False
-        return colors[v] == block + 1
+        v, interval = event.vertex, event.interval
+
+        def deflected(slots, ranks, colors):
+            block = (slots[:, v] + 1) // 2
+            hit = (slots[:, v] % 2 == 1) & (colors[:, v] == block + 1)
+            return hit if interval is None else hit & (block == interval)
+
+        return deflected
 
     if isinstance(event, ChainEventSpec):
-        seq = event.edges
-        color = event.color
-        k = len(seq)
-        if color - k + 1 < 1:
-            return False
-        members = [h.edges[e] for e in seq]
-        if any(colors[v] != color for v in members[-1]):
-            return False
-        # rank: slots order first, then position inside the small block;
-        # vertex id breaks ties inside large blocks, where order is
-        # immaterial to every comparison below
-        pos = {}
-        for block in orders:
-            for idx, v in enumerate(block):
-                pos[v] = idx
-
-        def rank(v):
-            return (slots[v], pos.get(v, v))
-
-        if k == 1:
-            return all(slots[v] == 2 * color - 2 for v in members[0])
-        for j in range(k - 1):
-            c = color - k + j + 2
-            common = set(members[j]) & set(members[j + 1])
-            if len(common) != 1:
-                return False
-            v = common.pop()
-            if slots[v] != 2 * c - 3:
-                return False
-            if max(members[j], key=rank) != v or min(members[j + 1], key=rank) != v:
-                return False
-            if any(colors[w] != c - 1 for w in members[j] if w != v):
-                return False
-        c1 = color - k + 1
-        first = min(members[0], key=rank)
-        return slots[first] in (2 * c1 - 2, 2 * c1 - 1)
+        return _chain_test(h, event)
 
     raise TypeError(f"unknown event type {type(event).__name__}")
+
+
+def _chain_test(h: Hypergraph, event: ChainEventSpec) -> Callable:
+    seq, color = event.edges, event.color
+    k = len(seq)
+    m = h.m
+    members = [list(h.edges[e]) for e in seq]
+    links = []  # (vertex shared by edges j and j + 1, the others of edge j, c)
+    for j in range(k - 1):
+        common = set(members[j]) & set(members[j + 1])
+        if len(common) != 1:
+            links = None
+            break
+        v = common.pop()
+        links.append((v, [w for w in members[j] if w != v], color - k + j + 2))
+    c1 = color - k + 1
+
+    def chain(slots, ranks, colors):
+        if c1 < 1 or links is None:
+            return np.zeros(len(slots), dtype=bool)
+        ok = (colors[:, members[-1]] == color).all(axis=1)
+        if k == 1:
+            return ok & (slots[:, members[0]] == 2 * color - 2).all(axis=1)
+        # rank key (slot, position in the small block, id): vertex id breaks
+        # ties inside large blocks, where order is immaterial to every
+        # comparison below; the slot is key // m^2
+        key = (slots * m + ranks) * m + np.arange(m)
+        for j, (v, others, c) in enumerate(links):
+            ok &= slots[:, v] == 2 * c - 3
+            ok &= key[:, v] == key[:, members[j]].max(axis=1)
+            ok &= key[:, v] == key[:, members[j + 1]].min(axis=1)
+            ok &= (colors[:, others] == c - 1).all(axis=1)
+        first_slot = key[:, members[0]].min(axis=1) // (m * m)
+        return ok & ((first_slot == 2 * c1 - 2) | (first_slot == 2 * c1 - 1))
+
+    return chain

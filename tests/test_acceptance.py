@@ -240,15 +240,18 @@ def test_chain_lemma_exact():
     """Every monochromatic edge is certified by an ordered chain, so the
     exact P(some edge is monochromatic) is at most the sum of the exact
     ChainEventSpec probabilities over every enumerated k-chain and every
-    color it can end in (1 <= k <= color <= r), on seven tiny instances."""
+    color it can end in (1 <= k <= color <= r), on ten tiny instances."""
     single = Hypergraph(2, 2, [(0, 1)])
     path4 = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
     path5 = Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
     cyc6 = Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)])
     tri = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
     k4 = Hypergraph(4, 2, list(itertools.combinations(range(4), 2)))
+    # three triangles around a fourth, sharing one vertex with it each
+    tri4 = Hypergraph(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (1, 3, 5)])
     cases = [(single, 2), (path4, 2), (path5, 2), (cyc6, 2), (tri, 2), (path4, 3), (k4, 3)]
-    with gate("P(mono edge) <= sum of exact chain-event probabilities on 7 instances"):
+    cases += [(cyc6, 3), (tri, 3), (tri4, 2)]
+    with gate("P(mono edge) <= sum of exact chain-event probabilities on 10 instances"):
         for h, r in cases:
             events = [
                 ChainEventSpec(seq, color)

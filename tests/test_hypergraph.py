@@ -1,5 +1,6 @@
 """Instance parsing, coloring predicates, thresholds, and the brute-force oracle."""
 
+import functools
 import itertools
 import json
 import math
@@ -295,6 +296,79 @@ def _all_colorings(m, r):
     for _ in range(m):
         out = [cols + [c] for cols in out for c in range(1, r + 1)]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _balanced_colorings(m, r):
+    """The balanced rows among all r^m total colorings."""
+    grid = np.indices((r,) * m).reshape(m, -1).T + 1
+    sizes = np.stack([(grid == c).sum(axis=1) for c in range(1, r + 1)], axis=1)
+    return grid[sizes.max(axis=1) - sizes.min(axis=1) <= 1]
+
+
+def _equitable_exists(h, r):
+    """Direct scan of all r^m colorings for an equitable proper one."""
+    edge_colors = _balanced_colorings(h.m, r)[:, h.edge_array]
+    return not (edge_colors == edge_colors[:, :, :1]).all(axis=2).any(axis=1).all()
+
+
+def _check_brute_force(h, r, exists):
+    found = brute_force_equitable(h, r)
+    assert (found is not None) == exists, (h.edges, r)
+    assert found is None or is_equitable(h, found), (h.edges, r)
+
+
+def test_brute_force_matches_direct_scan_on_every_graph_up_to_m5():
+    # every 2-uniform edge set on m <= 5 vertices, r in {2, 3}; m = 4 at
+    # r = 2 and m = 3 at r = 3 make every target equal, so the search
+    # opens only the lowest untouched class
+    checked = infeasible = 0
+    for m in range(1, 6):
+        pool = list(itertools.combinations(range(m), 2))
+        for r in (2, 3):
+            grid = _balanced_colorings(m, r)
+            ends = np.array(pool, dtype=np.int64).reshape(len(pool), 2)
+            mono = grid[:, ends[:, 0]] == grid[:, ends[:, 1]]
+            for bits in range(2 ** len(pool)):
+                chosen = [k for k in range(len(pool)) if bits >> k & 1]
+                exists = not mono[:, chosen].any(axis=1).all()
+                _check_brute_force(Hypergraph(m, 2, [pool[k] for k in chosen]), r, exists)
+                checked += 1
+                infeasible += not exists
+    assert checked == 2 * (1 + 2 + 8 + 64 + 1024) and infeasible > 500
+
+
+def test_brute_force_matches_direct_scan_when_r_divides_m():
+    # classes of equal target only: the symmetry rule prunes the most here
+    rng = np.random.default_rng(41)
+    feasible = infeasible = 0
+    for m, n, r in ((6, 2, 2), (6, 2, 3), (6, 3, 2), (6, 3, 3), (8, 3, 2), (8, 3, 4), (9, 3, 3)):
+        pool = list(itertools.combinations(range(m), n))
+        for _ in range(25):
+            ne = int(rng.integers(0, min(len(pool), 3 * m) + 1))
+            h = Hypergraph(m, n, [pool[k] for k in rng.choice(len(pool), ne, replace=False)])
+            exists = _equitable_exists(h, r)
+            _check_brute_force(h, r, exists)
+            feasible += exists
+            infeasible += not exists
+    assert feasible > 50 and infeasible > 25
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_brute_force_finds_no_coloring_around_a_planted_clique(n, r, where):
+    # a complete n-uniform hypergraph on (n - 1) r + 1 vertices puts n of
+    # them in one class under any r-coloring, wherever its ids sit
+    m = 12 if r == 2 else 9
+    k = (n - 1) * r + 1
+    clique = range(k) if where == "first" else range(m - k, m)
+    rest = [v for v in range(m) if v not in clique]
+    rng = np.random.default_rng(7 + r)
+    for _ in range(3):
+        others = [tuple(sorted(rng.choice(rest, n, replace=False).tolist())) for _ in range(4)]
+        h = Hypergraph(m, n, list(itertools.combinations(clique, n)) + others)
+        assert not _equitable_exists(h, r)
+        _check_brute_force(h, r, False)
 
 
 @settings(max_examples=40, deadline=None)

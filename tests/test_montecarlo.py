@@ -20,14 +20,23 @@ from eqcolor import (
     mc_estimate,
     run_interval_coloring,
 )
-from eqcolor import intervals, montecarlo
+from eqcolor import chains, hypergraph, intervals, montecarlo
 from eqcolor.intervals import _stage_colors, _weight_slots
-from eqcolor.montecarlo import QUANTITIES, Deflected, _simulate_discrete
+from eqcolor.montecarlo import QUANTITIES, Deflected, _permutation_rows, _simulate_configs
 
 SINGLE = Hypergraph(2, 2, [(0, 1)])
 # two triangles sharing vertices with a third, forcing interactions between
 # deflections: the workhorse calibration instance
 TRI_PAIR = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
+
+
+def _oracle_colors(h, r, slots, orders):
+    """The oracle simulator's colors for one configuration, given as the
+    slot of each vertex and each small block's vertices in processing order."""
+    ranks = np.zeros(h.m, dtype=np.int64)
+    for block in orders:
+        ranks[list(block)] = np.arange(len(block))
+    return _simulate_configs(h, r, np.asarray(slots)[None, :], ranks[None, :])[0].tolist()
 
 
 def test_oracle_single_edge_hand_value():
@@ -78,7 +87,7 @@ def test_oracle_counts_configurations_before_enumerating(monkeypatch):
         raise AssertionError("the simulator ran on an over-budget instance")
 
     assert exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=5296) > 0.0
-    monkeypatch.setattr(montecarlo, "_simulate_discrete", never)
+    monkeypatch.setattr(montecarlo, "_simulate_configs", never)
     with pytest.raises(BudgetExceeded):
         exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=5295)
     # m = 8, r = 3 has 4 860 297 configurations, over the default MC budget
@@ -97,25 +106,91 @@ def test_oracle_sums_a_list_of_events_in_one_enumeration():
 
 
 def test_expected_deflections_comparison_is_one_enumeration(monkeypatch):
+    # the simulator sees each of the 5296 configurations once per enumeration
     calls = []
-    simulate = montecarlo._simulate_discrete
+    simulate = montecarlo._simulate_configs
 
-    def counted(*args):
-        calls.append(1)
-        return simulate(*args)
+    def counted(h, r, slots, ranks):
+        calls.append(len(slots))
+        return simulate(h, r, slots, ranks)
 
-    monkeypatch.setattr(montecarlo, "_simulate_discrete", counted)
+    monkeypatch.setattr(montecarlo, "_simulate_configs", counted)
     mono = mc_estimate("mono-edge", TRI_PAIR, 2, trials=10, seed=0)
-    one_enumeration = len(calls)
+    one_enumeration = sum(calls)
     defl = mc_estimate("expected-deflections", TRI_PAIR, 2, {"i": 1}, trials=10, seed=0)
     assert mono.comparison.kind == defl.comparison.kind == "exact"
-    assert len(calls) == 2 * one_enumeration > 0
+    assert sum(calls) == 2 * one_enumeration == 2 * 5296
 
 
 def test_oracle_rejects_oversized_instances():
     big = Hypergraph(40, 2, [(0, 1)])
     with pytest.raises(ValueError):
         exact_c0_event_prob(big, 2, MonoEdgeExists())
+
+
+def test_oracle_limits_are_m10_at_two_colors_and_m8_at_three():
+    for m, r in ((11, 2), (9, 3), (4, 4)):
+        with pytest.raises(ValueError):
+            exact_c0_event_prob(Hypergraph(m, 2, [(0, 1)]), r, MonoEdgeExists())
+    # inside the limits the budget decides: (10, 2) has 26 813 184
+    # configurations and (8, 3) has 4 860 297
+    with pytest.raises(BudgetExceeded):
+        exact_c0_event_prob(Hypergraph(10, 2, [(0, 1)]), 2, MonoEdgeExists())
+    with pytest.raises(BudgetExceeded):
+        exact_c0_event_prob(Hypergraph(8, 2, [(0, 1)]), 3, MonoEdgeExists(), budget=4_860_296)
+
+
+def test_oracle_ignores_isolated_vertices():
+    # vertices on no edge are never deflected and block nothing, so adding
+    # them changes no probability
+    p = 0.3
+    for r, m in ((2, 7), (3, 6)):
+        padded = Hypergraph(m, 2, [(0, 1)])
+        assert exact_c0_event_prob(padded, r, MonoEdgeExists(), p=p) == pytest.approx(
+            exact_c0_event_prob(SINGLE, r, MonoEdgeExists(), p=p), rel=1e-12
+        )
+
+
+def test_oracle_simulates_in_bounded_blocks(monkeypatch):
+    calls = []
+    simulate = montecarlo._simulate_configs
+
+    def counted(h, r, slots, ranks):
+        calls.append(len(slots))
+        return simulate(h, r, slots, ranks)
+
+    monkeypatch.setattr(montecarlo, "_simulate_configs", counted)
+    monkeypatch.setattr(montecarlo, "_ORACLE_ROWS", 100)
+    value = exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists())
+    assert max(calls) <= 100 and sum(calls) == 5296
+    assert value == pytest.approx(0.41634184975008515, rel=1e-12)
+
+
+def test_oracle_simulator_refuses_rows_with_different_block_sizes():
+    slots = np.array([[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]])
+    with pytest.raises(ValueError):
+        _simulate_configs(TRI_PAIR, 2, slots, np.zeros_like(slots))
+
+
+def test_oracle_calls_no_production_kernel_or_predicate(monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("the oracle called production code")
+
+    for name in ("_stage_colors", "_weight_slots", "_chain_event_holds", "_mono_edges"):
+        monkeypatch.setattr(montecarlo, name, banned)
+    monkeypatch.setattr(intervals, "_stage_colors", banned)
+    monkeypatch.setattr(intervals, "_weight_slots", banned)
+    monkeypatch.setattr(chains, "_chain_event_holds", banned)
+    monkeypatch.setattr(hypergraph, "_mono_edges", banned)
+    test_oracle_frozen_values_on_calibration_instance()
+
+
+def test_permutation_rows_follow_itertools_order():
+    for k in range(7):
+        expected = list(itertools.permutations(range(k)))
+        got = _permutation_rows(k, np.arange(len(expected)))
+        assert got.shape == (len(expected), k)
+        assert list(map(tuple, got.tolist())) == expected
 
 
 def test_mc_quantities_registry():
@@ -269,7 +344,7 @@ def test_vectorized_kernel_matches_reference_coloring():
             [v for v in np.lexsort((np.arange(m), u)).tolist() if slots[v] == 2 * i - 1]
             for i in range(1, r)
         ]
-        reference = _simulate_discrete(h, r, slots, orders)
+        reference = _oracle_colors(h, r, slots, orders)
         assert run_interval_coloring(h, r, part, wa).coloring.colors.tolist() == reference
 
 
@@ -329,7 +404,7 @@ def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
                 order = np.lexsort((np.arange(h.m), u[t])).tolist()
                 row = slots[t].tolist()
                 orders = [[v for v in order if row[v] == 2 * i - 1] for i in range(1, r)]
-                reference = _simulate_discrete(h, r, row, orders)
+                reference = _oracle_colors(h, r, row, orders)
                 assert colors[t].tolist() == reference
                 counts = [
                     sum(1 for v in orders[i - 1] if reference[v] == i + 1) for i in range(1, r)
@@ -381,7 +456,7 @@ def test_batched_kernel_breaks_weight_ties_by_id(monkeypatch, rounds):
                 order = np.lexsort((np.arange(h.m), u[t])).tolist()
                 row = slots[t].tolist()
                 orders = [[v for v in order if row[v] == 2 * i - 1] for i in range(1, r)]
-                reference = _simulate_discrete(h, r, row, orders)
+                reference = _oracle_colors(h, r, row, orders)
                 assert colors[t].tolist() == reference
                 assert blocking[t] == _reference_blocking(h, row, orders, reference)
                 deflected += int(deflections[t].sum())
@@ -403,7 +478,7 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
     slots = _weight_slots(part, u)
     assert (slots == 1).all()
     colors, deflections, blocking = _stage_colors(h, 2, slots, u)
-    assert colors[0].tolist() == _simulate_discrete(h, 2, slots[0].tolist(), [list(range(m))])
+    assert colors[0].tolist() == _oracle_colors(h, 2, slots[0], [list(range(m))])
     assert deflections.tolist() == [[m // 2]]
     assert blocking == [{v: v - 1 for v in range(1, m, 2)}]
 
