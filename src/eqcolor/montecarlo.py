@@ -485,8 +485,8 @@ def exact_c0_event_prob(
         )
 
     single = isinstance(event, (MonoEdgeExists, Deflected, ChainEventSpec))
-    tests = [_event_test(h, ev) for ev in ([event] if single else event)]
-    totals = [0.0] * len(tests)
+    events = [event] if single else list(event)
+    totals = [0.0] * len(events)
     # every slot vector, grouped by its per-small-block counts k_1..k_{r-1}:
     # within a group each small block has the same size in every row
     slot_rows = np.indices((2 * r - 1,) * m, dtype=np.int8).reshape(m, -1).T
@@ -514,8 +514,9 @@ def exact_c0_event_prob(
             for mem, k, index in zip(members, ks, order_index):
                 np.put_along_axis(ranks, mem[vector], _permutation_rows(k, index), axis=1)
             colors = _simulate_configs(h, r, slots, ranks)
-            for j, test in enumerate(tests):
-                totals[j] += weight * int(np.count_nonzero(test(slots, ranks, colors)))
+            for j, ev in enumerate(events):
+                hits = np.count_nonzero(_event_mask(h, ev, slots, ranks, colors))
+                totals[j] += weight * int(hits)
     return sum(totals)
 
 
@@ -582,66 +583,43 @@ def _permutation_rows(k: int, index: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _event_test(h: Hypergraph, event) -> Callable:
-    """The oracle's predicate for one event: a function of a block's
-    (slots, ranks, colors), as given to and returned by
-    ``_simulate_configs``, giving one boolean per configuration."""
+def _event_mask(h: Hypergraph, event, slots, ranks, colors) -> np.ndarray:
+    """The oracle's predicate for one event over a block of configurations,
+    given as ``_simulate_configs`` takes and returns them: one boolean per
+    configuration."""
     if isinstance(event, MonoEdgeExists):
-        edge_array = h.edge_array
-
-        def mono(slots, ranks, colors):
-            ec = colors[:, edge_array]
-            return (ec == ec[:, :, :1]).all(axis=2).any(axis=1)
-
-        return mono
+        ec = colors[:, h.edge_array]
+        return (ec == ec[:, :, :1]).all(axis=2).any(axis=1)
 
     if isinstance(event, Deflected):
-        v, interval = event.vertex, event.interval
+        v = event.vertex
+        block = (slots[:, v] + 1) // 2
+        hit = (slots[:, v] % 2 == 1) & (colors[:, v] == block + 1)
+        return hit if event.interval is None else hit & (block == event.interval)
 
-        def deflected(slots, ranks, colors):
-            block = (slots[:, v] + 1) // 2
-            hit = (slots[:, v] % 2 == 1) & (colors[:, v] == block + 1)
-            return hit if interval is None else hit & (block == interval)
-
-        return deflected
-
-    if isinstance(event, ChainEventSpec):
-        return _chain_test(h, event)
-
-    raise TypeError(f"unknown event type {type(event).__name__}")
-
-
-def _chain_test(h: Hypergraph, event: ChainEventSpec) -> Callable:
+    if not isinstance(event, ChainEventSpec):
+        raise TypeError(f"unknown event type {type(event).__name__}")
     seq, color = event.edges, event.color
     k = len(seq)
-    m = h.m
+    c1 = color - k + 1
     members = [list(h.edges[e]) for e in seq]
-    links = []  # (vertex shared by edges j and j + 1, the others of edge j, c)
+    ok = (colors[:, members[-1]] == color).all(axis=1) & (c1 >= 1)
+    if k == 1:
+        return ok & (slots[:, members[0]] == 2 * color - 2).all(axis=1)
+    # rank key (slot, position in the small block, id): vertex id breaks
+    # ties inside large blocks, where order is immaterial to every
+    # comparison below; the slot is key // m^2
+    m = h.m
+    key = (slots * m + ranks) * m + np.arange(m)
     for j in range(k - 1):
         common = set(members[j]) & set(members[j + 1])
         if len(common) != 1:
-            links = None
-            break
-        v = common.pop()
-        links.append((v, [w for w in members[j] if w != v], color - k + j + 2))
-    c1 = color - k + 1
-
-    def chain(slots, ranks, colors):
-        if c1 < 1 or links is None:
             return np.zeros(len(slots), dtype=bool)
-        ok = (colors[:, members[-1]] == color).all(axis=1)
-        if k == 1:
-            return ok & (slots[:, members[0]] == 2 * color - 2).all(axis=1)
-        # rank key (slot, position in the small block, id): vertex id breaks
-        # ties inside large blocks, where order is immaterial to every
-        # comparison below; the slot is key // m^2
-        key = (slots * m + ranks) * m + np.arange(m)
-        for j, (v, others, c) in enumerate(links):
-            ok &= slots[:, v] == 2 * c - 3
-            ok &= key[:, v] == key[:, members[j]].max(axis=1)
-            ok &= key[:, v] == key[:, members[j + 1]].min(axis=1)
-            ok &= (colors[:, others] == c - 1).all(axis=1)
-        first_slot = key[:, members[0]].min(axis=1) // (m * m)
-        return ok & ((first_slot == 2 * c1 - 2) | (first_slot == 2 * c1 - 1))
-
-    return chain
+        v = common.pop()
+        c = color - k + j + 2
+        ok &= slots[:, v] == 2 * c - 3
+        ok &= key[:, v] == key[:, members[j]].max(axis=1)
+        ok &= key[:, v] == key[:, members[j + 1]].min(axis=1)
+        ok &= (colors[:, [w for w in members[j] if w != v]] == c - 1).all(axis=1)
+    first_slot = key[:, members[0]].min(axis=1) // (m * m)
+    return ok & ((first_slot == 2 * c1 - 2) | (first_slot == 2 * c1 - 1))

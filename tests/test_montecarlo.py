@@ -151,6 +151,15 @@ def test_oracle_ignores_isolated_vertices():
         )
 
 
+def test_oracle_deflection_splits_by_small_block():
+    # at r = 3 a vertex is deflected out of small_1 or out of small_2
+    path4 = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+    for v in range(4):
+        one, two, either = (exact_c0_event_prob(path4, 3, Deflected(v, i)) for i in (1, 2, None))
+        assert one > 0.0 and two > 0.0
+        assert one + two == pytest.approx(either, rel=1e-12)
+
+
 def test_oracle_simulates_in_bounded_blocks(monkeypatch):
     calls = []
     simulate = montecarlo._simulate_configs
