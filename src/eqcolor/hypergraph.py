@@ -275,8 +275,13 @@ class Coloring:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Coloring":
+        """Parse and validate untrusted JSON.  Its r is bounded by max(m, 1)
+        for m colored vertices, since the class sizes take O(r) memory."""
         try:
-            col = cls(len(obj["colors"]), int(obj["r"]), obj["colors"])
+            m, r = len(obj["colors"]), int(obj["r"])
+            if r > max(m, 1):
+                raise FormatError(f"coloring JSON has r={r} colors for {m} vertices")
+            col = cls(m, r, obj["colors"])
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed coloring JSON: {exc}") from exc
         if "sizes" in obj and list(obj["sizes"]) != col.sizes:
@@ -405,15 +410,19 @@ def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optiona
     interchangeable, so a vertex may open at most one untouched class among
     them, the lowest (the color-symmetry breaking of Brelaz, CACM 1979).
     The witness returned may therefore differ from that of an id-order
-    search.  Returns None when no equitable proper coloring exists.
-    Raises ValueError when r < 1 and BudgetExceeded when r^m is beyond
-    ``budget``.
+    search.  At r = 1 the answer is direct: the one-class coloring when
+    there are no edges, None otherwise.  Returns None when no equitable
+    proper coloring exists.  Raises ValueError when r < 1 and
+    BudgetExceeded when r^m is beyond ``budget``.
     """
     if r < 1:
         raise ValueError(f"need at least one color, got r={r}")
     m = h.m
     if r**m > budget:
         raise BudgetExceeded(f"{r}^{m} assignments exceed the budget of {budget}")
+    if r == 1:
+        # the search below recurses once per vertex, which 1^m never bounds
+        return None if h.edges else Coloring(m, 1, [1] * m)
     targets = class_targets(m, r)
     degree = np.bincount(h.edge_array.ravel(), minlength=m)
     order = np.lexsort((np.arange(m), -degree)).tolist()

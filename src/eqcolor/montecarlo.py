@@ -456,10 +456,11 @@ def exact_c0_event_prob(
     Supports MonoEdgeExists, Deflected (interval None means any small
     block), and ChainEventSpec.  Given a list (or other iterable) of
     events, returns the sum of their probabilities from one enumeration:
-    each event has its own accumulator and the accumulators are summed in
-    order, so the sum equals that of one call per event.  Requires m <= 10
-    at r = 2 and m <= 8 at r = 3; raises BudgetExceeded, before enumerating
-    anything, when the configuration count passes ``budget``.
+    each event has its own accumulator, capped at 1 against rounding, and
+    the accumulators are summed in order, so the sum equals that of one
+    call per event.  Requires m <= 10 at r = 2 and m <= 8 at r = 3;
+    raises BudgetExceeded, before enumerating anything, when the
+    configuration count passes ``budget``.
 
     Configurations are simulated in blocks of at most ``_ORACLE_ROWS`` rows
     by ``_simulate_configs``, so memory stays bounded at every size.
@@ -517,7 +518,8 @@ def exact_c0_event_prob(
             for j, ev in enumerate(events):
                 hits = np.count_nonzero(_event_mask(h, ev, slots, ranks, colors))
                 totals[j] += weight * int(hits)
-    return sum(totals)
+    # a sure event's group weights can sum to a rounding error above 1
+    return sum(min(total, 1.0) for total in totals)
 
 
 def _simulate_configs(h: Hypergraph, r: int, slots: np.ndarray, ranks: np.ndarray) -> np.ndarray:

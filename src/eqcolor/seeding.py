@@ -8,8 +8,11 @@ mixing function is documented and stable across numpy releases:
     derive(seed, a, b, ...) -> Generator seeded from SeedSequence((seed, a, b, ...))
 
 Call sites tag each purpose with a distinct path so no two draws share a
-stream: the solver uses (seed, attempt, role) and the Monte Carlo driver
-uses (seed, chunk, ROLE_TRIALS).
+stream.  The solver draws weights and balanced colorings from
+(seed, block, role), one stream per block of 64 attempts that the block's
+attempts draw from in turn, and rebalancing sets from
+(seed, attempt, ROLE_VSETS); the Monte Carlo driver uses
+(seed, chunk, ROLE_TRIALS).
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ whenever there is one; only the number of restarts is random.
 
 Two-stage attempts are screened in batches of 1, 2, 4, ... attempts: one
 kernel call colors a batch and one edge scan finds its monochromatic
-edges, then its rows are taken in attempt order.  Seeding stays per
-attempt, from (seed, attempt), so batching changes no report.
+edges, then its rows are taken in attempt order.  Seeding is per block of
+``_BLOCK`` attempts, a constant apart from the batch sizes: attempt t
+draws from derive(seed, t // _BLOCK, role), after the earlier attempts of
+its block, so batching changes no report.
 
 At desk scale the per-attempt success probability carries no guarantee, so
 after exhausting its restarts the solver consults the brute-force oracle
@@ -21,6 +23,7 @@ equitable coloring" from "gave up".
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -79,6 +82,9 @@ INFEASIBLE = "infeasible-by-oracle"
 
 PATH_BALANCED = "balanced"
 PATH_TWO_STAGE = "two-stage"
+
+# attempts that share one derived generator (see ``_attempt_streams``)
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -211,17 +217,19 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     """Attempt up to cfg.max_restarts independently seeded constructions and
     return the first verified equitable coloring.
 
-    Attempt t draws all of its randomness through seeds derived from
-    (cfg.seed, t), so identical inputs give an identical report.  On the
-    two-stage path attempts are screened in batches (see
-    ``_screened_attempts``), which changes no attempt's draws and no
-    report: only the attempts up to the returned one are counted.  With
-    strict_divisibility only perfectly balanced targets are accepted and
-    r | m is enforced up front; otherwise targets differ by at most one.
-    After exhaustion,
-    instances with r**m within the enumeration budget get a brute-force
-    verdict, upgrading Exhausted to Infeasible-by-oracle when no equitable
-    coloring exists at all.
+    Attempt t draws its weights or its balanced coloring from the
+    generator of its block, derive(cfg.seed, t // _BLOCK, role), right
+    after the earlier attempts of that block (see ``_attempt_streams``),
+    and its rebalancing sets from derive(cfg.seed, t, ROLE_VSETS); so
+    identical inputs give an identical report.  On the two-stage path
+    attempts are screened in batches (see ``_screened_attempts``), which
+    changes no attempt's draws and no report: only the attempts up to the
+    returned one are counted.  With strict_divisibility only perfectly
+    balanced targets are accepted and r | m is enforced up front;
+    otherwise targets differ by at most one.  After exhaustion, instances
+    with r**m within the enumeration budget get a brute-force verdict,
+    upgrading Exhausted to Infeasible-by-oracle when no equitable coloring
+    exists at all.
     """
     if r < 2:
         raise ValueError("need at least 2 colors")
@@ -240,8 +248,8 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     partition = None
     screened = ()
     if path == PATH_BALANCED:
-        for attempt in range(cfg.max_restarts):
-            rng = derive(cfg.seed, attempt, ROLE_BALANCED)
+        streams = _attempt_streams(cfg.seed, ROLE_BALANCED)
+        for attempt, rng in zip(range(cfg.max_restarts), streams):
             coloring = _coloring_at_sizes(h.m, targets, rng)
             if is_proper(h, coloring):
                 return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics)
@@ -306,6 +314,17 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     )
 
 
+def _attempt_streams(seed: int, role: int) -> Iterator[np.random.Generator]:
+    """Generators for attempts 0, 1, 2, ... in turn.  The ``_BLOCK``
+    attempts of block b share derive(seed, b, role) and draw from it in
+    attempt order.  Consecutive draws do not depend on how they are split,
+    so attempt t's draws do not depend on the batch sizes; rows are drawn
+    as attempts run, never a block ahead (block seeding as in Salmon et
+    al., SC'11)."""
+    for block in itertools.count():
+        yield from itertools.repeat(derive(seed, block, role), _BLOCK)
+
+
 def _screened_attempts(
     h: Hypergraph, r: int, partition: IntervalPartition, cfg: SolveConfig
 ) -> Iterator[tuple[int, WeightAssignment, InitialColoring, np.ndarray]]:
@@ -314,25 +333,34 @@ def _screened_attempts(
 
     Attempts run in batches of 1, 2, 4, ... attempts, at most
     ``_SUB_BATCH_CELLS`` // max(m, n |E|) of them (at least one): one
-    kernel call and one edge scan per batch.  Attempt t still draws its
-    weights from derive(cfg.seed, t, ROLE_WEIGHTS), so a batch yields
-    what one call per attempt would.  A solve that succeeds on attempt 1
-    colors one attempt; one that stops inside a batch has drawn and
-    colored the rest of that batch for nothing.
+    kernel call and one edge scan per batch.  Attempt t draws its weights
+    from ``_attempt_streams``(cfg.seed, ROLE_WEIGHTS), whose rows do not
+    depend on the batch sizes, so a batch yields what one call per attempt
+    would.  A solve that succeeds on attempt 1 colors one attempt; one
+    that stops inside a batch has drawn and colored the rest of that batch
+    for nothing.
     """
     cap = max(1, _SUB_BATCH_CELLS // max(1, h.m, h.edge_array.size))
+    streams = _attempt_streams(cfg.seed, ROLE_WEIGHTS)
     start, size = 0, 1
     while start < cfg.max_restarts:
         batch = range(start, min(start + size, cfg.max_restarts))
         # a batch is dropped before the next one is built
-        yield from _screen_batch(h, r, partition, cfg.seed, batch)
+        yield from _screen_batch(h, r, partition, streams, batch)
         start, size = batch.stop, min(2 * size, cap)
 
 
-def _screen_batch(h: Hypergraph, r: int, partition: IntervalPartition, seed: int, batch: range):
+def _screen_batch(
+    h: Hypergraph,
+    r: int,
+    partition: IntervalPartition,
+    streams: Iterator[np.random.Generator],
+    batch: range,
+):
     """The attempts of ``batch`` colored by one kernel call and scanned by
-    one ``_mono_edges`` call, zipped as ``_screened_attempts`` yields them."""
-    was = [sample_weights(h.m, derive(seed, t, ROLE_WEIGHTS)) for t in batch]
+    one ``_mono_edges`` call, zipped as ``_screened_attempts`` yields them;
+    ``streams`` gives each attempt's generator, in order."""
+    was = [sample_weights(h.m, next(streams)) for _ in batch]
     inits = run_interval_coloring(h, r, partition, was)
     colors = (
         inits[0].coloring.colors[None, :]

@@ -126,6 +126,21 @@ def test_oracle_feasible_and_not(capsys, path_file, k4_file):
     assert json.loads(capsys.readouterr().out)["feasible"] is False
 
 
+def test_oracle_with_one_color(capsys, tmp_path, k4_file):
+    inst = tmp_path / "free.txt"
+    inst.write_text("1200 2 0\n")
+    assert run_cli(["oracle", str(inst), "-r", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["coloring"]["sizes"] == [1200]
+    assert run_cli(["oracle", k4_file, "-r", "1"]) == 2
+
+
+def test_verify_rejects_more_colors_than_vertices(capsys, tmp_path, path_file):
+    cfile = tmp_path / "wide.json"
+    cfile.write_text(json.dumps({"r": 5, "colors": [1, 2, 1, 2]}))
+    assert run_cli(["verify", path_file, str(cfile)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_oracle_budget_error(capsys, k4_file):
     assert run_cli(["oracle", k4_file, "-r", "2", "--budget", "3"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -153,6 +153,18 @@ def test_coloring_json_roundtrip_checks_sizes():
         Coloring.from_json_dict(obj)
 
 
+def test_coloring_json_bounds_r_by_the_vertex_count():
+    # r sizes the class-size count, so an unbounded r would allocate O(r)
+    with pytest.raises(FormatError):
+        Coloring.from_json_dict({"r": 3, "colors": [1, 2]})
+    with pytest.raises(FormatError):
+        Coloring.from_json_dict({"r": 10**12, "colors": [1, 2]})
+    with pytest.raises(FormatError):
+        Coloring.from_json_dict({"r": 2, "colors": []})
+    assert Coloring.from_json_dict({"r": 2, "colors": [1, 2]}).sizes == [1, 1]
+    assert Coloring.from_json_dict({"r": 1, "colors": []}).sizes == [0]
+
+
 def test_is_proper_and_equitable():
     c = Coloring(4, 2, [1, 2, 1, 2])
     assert is_proper(PATH4, c)
@@ -271,6 +283,15 @@ def test_brute_force_finds_equitable_on_path():
 def test_brute_force_reports_none_on_k4():
     # any (2,2) split of K4 leaves one edge inside each class
     assert brute_force_equitable(K4, 2) is None
+
+
+def test_brute_force_answers_one_color_directly():
+    # one class holds every vertex, so only an edgeless instance is
+    # feasible; m = 1200 is far past the search's recursion depth
+    c = brute_force_equitable(Hypergraph(1200, 2, []), 1)
+    assert c is not None and c.sizes == [1200] and is_equitable(Hypergraph(1200, 2, []), c)
+    assert brute_force_equitable(Hypergraph(1200, 2, [(0, 1199)]), 1) is None
+    assert brute_force_equitable(K4, 1) is None
 
 
 def test_brute_force_respects_budget():

@@ -76,6 +76,13 @@ def test_oracle_frozen_values_on_calibration_instance():
     )
 
 
+def test_oracle_probability_of_a_sure_event_is_exactly_one():
+    # at r = 3 every configuration of K4 has a monochromatic edge; the group
+    # weights alone sum to 1.0000000000000002
+    k4 = Hypergraph(4, 2, list(itertools.combinations(range(4), 2)))
+    assert exact_c0_event_prob(k4, 3, MonoEdgeExists()) == 1.0
+
+
 def test_oracle_respects_budget():
     with pytest.raises(BudgetExceeded):
         exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=10)

@@ -352,18 +352,24 @@ def test_chains_are_extracted_only_for_the_reported_attempt(monkeypatch):
     assert [c.edges[-1] for c in report.chains] == [f.edge for f in calls]
 
 
+# Attempts that share one seeding block, written here independently of the
+# solver's constant.
+BLOCK = 64
+
+
 # The solver before attempts were screened in batches: one kernel call and
-# one edge scan per attempt.  Kept verbatim (only renamed) as the reference
-# the batched loop must reproduce report for report.
+# one edge scan per attempt.  Kept as the reference the batched loop must
+# reproduce report for report; its only change is the seeding rule, where
+# attempt t takes row t mod BLOCK of block t // BLOCK, drawn whole.
 def _solve_per_attempt(h, r, cfg=SolveConfig()):
     from eqcolor.chains import MonoEdge, extract_chain
     from eqcolor.hypergraph import _mono_edges
     from eqcolor.intervals import (
         IntervalPartition,
+        WeightAssignment,
         _coloring_at_sizes,
         choose_p,
         run_interval_coloring,
-        sample_weights,
     )
     from eqcolor.rebalance import (
         RegimeViolation,
@@ -400,14 +406,16 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
 
     for attempt in range(cfg.max_restarts):
         if path == PATH_BALANCED:
-            rng = derive(cfg.seed, attempt, ROLE_BALANCED)
-            coloring = _coloring_at_sizes(h.m, targets, rng)
+            rng = derive(cfg.seed, attempt // BLOCK, ROLE_BALANCED)
+            for _ in range(attempt % BLOCK + 1):
+                coloring = _coloring_at_sizes(h.m, targets, rng)
             if is_proper(h, coloring):
                 return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics)
             diagnostics["mono-edge"] += 1
             continue
 
-        wa = sample_weights(h.m, derive(cfg.seed, attempt, ROLE_WEIGHTS))
+        block = derive(cfg.seed, attempt // BLOCK, ROLE_WEIGHTS).random((BLOCK, h.m))
+        wa = WeightAssignment(block[attempt % BLOCK])
         init = run_interval_coloring(h, r, partition, wa)
         mono = np.flatnonzero(_mono_edges(h, init.coloring.colors)).tolist()
         if mono:
@@ -525,12 +533,12 @@ def _accepted_after_failed_row(failure):
     from eqcolor import generate_random
 
     if failure == "rebalance-infeasible":
-        # attempt 3 is accepted in the batch of attempts 2-3
-        cfg = SolveConfig(seed=25, max_restarts=40, allow_fallback_repair=False)
+        # attempt 10 is accepted in the batch of attempts 8-15
+        cfg = SolveConfig(seed=17, max_restarts=40, allow_fallback_repair=False)
         return generate_random(40, 3, 30, 2), 3, cfg
-    # attempt 7 is accepted in the batch of attempts 4-7
+    # attempt 6 is accepted in the batch of attempts 4-7
     edges = [(0, 2), (0, 8), (1, 9), (2, 7), (3, 4), (4, 5), (4, 6), (4, 7), (5, 8), (5, 9)]
-    return Hypergraph(10, 2, edges), 3, SolveConfig(seed=118, max_restarts=200)
+    return Hypergraph(10, 2, edges), 3, SolveConfig(seed=53, max_restarts=200)
 
 
 @pytest.mark.parametrize("failure", ["rebalance-infeasible", "repair-failed"])
@@ -565,12 +573,12 @@ def test_forced_two_stage_matches_reference_on_a_balanced_route_instance():
     h = generate_random(16, 6, 300, 1)
     assert _route(h, 3, SolveConfig()) == PATH_BALANCED
     outcomes = set()
-    for seed in range(6):
+    for seed in (*range(6), 12):
         cfg = SolveConfig(seed=seed, max_restarts=50, force_path=TWO_STAGE_ONLY)
         report = _assert_matches_per_attempt(h, 3, cfg)
         assert report.path == PATH_TWO_STAGE
         outcomes.add((report.outcome, report.attempts))
-    # seed 0 accepts attempt 3, the second row of the batch of attempts 2-3
+    # seed 12 accepts attempt 3, the second row of the batch of attempts 2-3
     assert (SUCCESS, 3) in outcomes
     _assert_matches_per_attempt(h, 3, SolveConfig(seed=0))
 
@@ -583,6 +591,87 @@ def test_no_fallback_repair_matches_reference():
         cfg = SolveConfig(seed=seed, max_restarts=60, allow_fallback_repair=False)
         report = _assert_matches_per_attempt(h, r, cfg)
         assert report.diagnostics["repair-failed"] == 0
+
+
+def test_balanced_route_matches_reference_past_the_first_block():
+    # K_{5,5} at r = 2 has one equitable proper coloring up to swapping
+    # colors, so balanced draws succeed about once in 126 attempts
+    k55 = Hypergraph(10, 2, [(a, b) for a in range(5) for b in range(5, 10)])
+    for seed, attempts in ((9, 89), (2, 188)):
+        cfg = SolveConfig(seed=seed, force_path=BALANCED_ONLY)
+        report = _assert_matches_per_attempt(k55, 2, cfg)
+        assert report.path == PATH_BALANCED and report.attempts == attempts
+
+
+def test_batch_sizes_change_no_report(monkeypatch):
+    from eqcolor import generate_random, solver
+
+    k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    cases = [
+        (k6, 2, SolveConfig(seed=1, max_restarts=300)),
+        (generate_random(1000, 6, 1200, 5), 3, SolveConfig(seed=0)),
+        _accepted_after_failed_row("rebalance-infeasible"),
+        _accepted_after_failed_row("repair-failed"),
+    ]
+    reports = []
+    for cells in (1, 2**24):
+        monkeypatch.setattr(solver, "_SUB_BATCH_CELLS", cells)
+        reports.append([solve_equitable(h, r, cfg).to_json_dict(explain=True) for h, r, cfg in cases])
+    assert reports[0] == reports[1]
+    assert reports[0][0]["attempts"] == 300 and reports[0][1]["attempts"] > 1
+
+
+def _recording(monkeypatch, name):
+    """Replace ``solver.<name>`` by a wrapper that records (args, result)."""
+    from eqcolor import solver
+
+    calls = []
+    fn = getattr(solver, name)
+
+    def recording(*args):
+        out = fn(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(solver, name, recording)
+    return calls
+
+
+def test_attempt_64_takes_row_0_of_block_1(monkeypatch):
+    from eqcolor.seeding import ROLE_WEIGHTS, derive
+
+    weights = _recording(monkeypatch, "sample_weights")
+    k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    solve_equitable(k6, 2, SolveConfig(seed=5, max_restarts=65, enumeration_budget=0))
+    drawn = np.array([out.weights for _, out in weights])
+    assert drawn.shape == (65, 6)
+    assert np.array_equal(drawn[:BLOCK], derive(5, 0, ROLE_WEIGHTS).random((BLOCK, 6)))
+    assert np.array_equal(drawn[BLOCK], derive(5, 1, ROLE_WEIGHTS).random((BLOCK, 6))[0])
+
+
+def test_k6_solve_derives_once_per_block(monkeypatch):
+    derives = _recording(monkeypatch, "derive")
+    k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    report = solve_equitable(k6, 2, SolveConfig(seed=11, max_restarts=10_000))
+    assert report.outcome == INFEASIBLE and report.attempts == 10_000
+    # one call per block of attempts, made through the solver's global
+    blocks = math.ceil(10_000 / BLOCK)
+    assert blocks <= len(derives) <= blocks + 1
+
+
+def test_first_attempt_success_draws_m_weights(monkeypatch):
+    from eqcolor import generate_random
+    from eqcolor.seeding import ROLE_WEIGHTS, derive
+
+    derives = _recording(monkeypatch, "derive")
+    h = generate_random(250, 6, 125, 1)
+    report = solve_equitable(h, 3, SolveConfig(seed=0))
+    assert report.outcome == SUCCESS and report.attempts == 1
+    assert [args for args, _ in derives] == [(0, 0, ROLE_WEIGHTS)]
+    # the block's generator has moved past exactly one row of m weights
+    fresh = derive(0, 0, ROLE_WEIGHTS)
+    fresh.random(h.m)
+    assert derives[0][1].bit_generator.state == fresh.bit_generator.state
 
 
 def _record_batch_sizes(monkeypatch):
