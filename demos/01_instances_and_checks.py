@@ -33,7 +33,7 @@ text = """\
 """
 assert parse_hypergraph(text).edges == cycle.edges
 
-# Colorings use colors 1..r; 0 marks an unassigned vertex.
+# Colorings give every vertex one of the colors 1..r, and never change.
 alternating = Coloring(4, 2, [1, 2, 1, 2])
 lopsided = Coloring(4, 2, [1, 1, 2, 2])
 print("alternating proper:", is_proper(cycle, alternating))

@@ -20,7 +20,7 @@ leading edge of a chain may therefore start inside a small block; validation
 accepts both terminal shapes and otherwise checks the full membership,
 ordering, coloring, and intersection pattern edge by edge.
 
-Places are integer slots, as ``IntervalPartition.slot_of`` gives them:
+Places are integer slots, read from ``intervals._assignment_slots``:
 large_c is slot 2c-2 and small_c is slot 2c-1.
 """
 
@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .hypergraph import BudgetExceeded, Hypergraph
 from .intervals import InitialColoring, IntervalPartition, WeightAssignment, _assignment_slots
@@ -137,28 +139,27 @@ def is_conflicting_pair(
     """True iff (A, B) conflict for ``color``: they share exactly one vertex v,
     v is the last vertex of B and the first of A, v lies in small_{color-1},
     and all of B minus v carries color-1."""
-    slots = _assignment_slots(partition, wa)
-    return _conflicting(h, slots, wa.weights, init.coloring.colors, b_edge, a_edge, color)
+    slots = _assignment_slots(partition, wa)[None]
+    key, colors = wa.weights[None], init.coloring.colors[None]
+    return bool(_conflicting(h, slots, key, colors, b_edge, a_edge, color)[0])
 
 
-def _conflicting(h, slots, key, colors, b_edge, a_edge, color) -> bool:
-    """``is_conflicting_pair`` on discrete input: ``slots[v]`` is v's flat
-    subinterval index and vertices are ordered by (key[v], v)."""
-    b = h.edges[b_edge]
-    a = h.edges[a_edge]
-    shared = set(b) & set(a)
+def _conflicting(h, slots, key, colors, b_edge, a_edge, color) -> np.ndarray:
+    """``is_conflicting_pair`` for T trials: ``slots``, ``key`` and
+    ``colors`` are (T, m) arrays, and trial t orders vertices by
+    (key[t, v], v).  Returns one boolean per trial."""
+    b = np.array(h.edges[b_edge])
+    a = np.array(h.edges[a_edge])
+    shared = np.intersect1d(b, a)
     if len(shared) != 1:
-        return False
-    v = shared.pop()
-
-    def position(u):
-        return key[u], u
-
-    if max(b, key=position) != v or min(a, key=position) != v:
-        return False
-    if slots[v] != 2 * color - 3:
-        return False
-    return all(colors[u] == color - 1 for u in b if u != v)
+        return np.zeros(len(slots), dtype=bool)
+    v = shared[0]
+    # edges list their vertices in id order, so ties by (key, id) go to the
+    # last maximal key of B (a reversed argmax) and the first minimal of A
+    last = b[len(b) - 1 - np.argmax(key[:, b[::-1]], axis=1)]
+    first = a[np.argmin(key[:, a], axis=1)]
+    ok = (last == v) & (first == v) & (slots[:, v] == 2 * color - 3)
+    return ok & (colors[:, b[b != v]] == color - 1).all(axis=1)
 
 
 def _block(slot: int) -> str:
@@ -168,7 +169,7 @@ def _block(slot: int) -> str:
 
 def _walk_back(
     h: Hypergraph,
-    partition: IntervalPartition,
+    slots: np.ndarray,
     wa: WeightAssignment,
     init: InitialColoring,
     members: Sequence[int],
@@ -187,7 +188,7 @@ def _walk_back(
             raise RuntimeError(
                 f"chain walk inconsistency: vertex {u} should carry color {c}, found {cols[u]}"
             )
-        s = partition.slot_of(wa.weights[u])
+        s = slots[u]
         # large_c, or the whole edge sits inside small_c: either way u was
         # colored c without deflection, so the chain starts here
         if s == 2 * c - 2 or s == 2 * c - 1:
@@ -224,6 +225,7 @@ def extract_chain(
     themselves.
     """
     cols = init.coloring.colors
+    slots = _assignment_slots(partition, wa)
     if isinstance(failure, (MonoEdge, DangerousEdge)):
         if not 0 <= failure.edge < len(h.edges):
             raise ValueError(f"edge {failure.edge} outside 0..{len(h.edges) - 1}")
@@ -234,21 +236,19 @@ def extract_chain(
             raise ValueError(
                 f"edge {failure.edge} is not monochromatic in color {failure.color}"
             )
-        edges, links = _walk_back(
-            h, partition, wa, init, edge, failure.edge, failure.color
-        )
+        edges, links = _walk_back(h, slots, wa, init, edge, failure.edge, failure.color)
         return ChainRecord(ORDERED, failure.color, tuple(edges), tuple(links))
 
     if isinstance(failure, Deflected):
         v, i = failure.vertex, failure.interval
         if not 0 <= v < h.m:
             raise ValueError(f"vertex {v} outside 0..{h.m - 1}")
-        if partition.slot_of(wa.weights[v]) != 2 * i - 1:
+        if slots[v] != 2 * i - 1:
             raise ValueError(f"vertex {v} does not lie in small_{i}")
         if cols[v] != i + 1 or v not in init.blocking:
             raise ValueError(f"vertex {v} was not deflected out of small_{i}")
         start = init.blocking[v]
-        edges, links = _walk_back(h, partition, wa, init, h.edges[start], start, i)
+        edges, links = _walk_back(h, slots, wa, init, h.edges[start], start, i)
         return ChainRecord(IMPROPER, i, tuple(edges), tuple(links), terminal_vertex=v)
 
     if isinstance(failure, DangerousEdge):
@@ -272,13 +272,13 @@ def extract_chain(
                 f"edge {failure.edge} is not dangerous: not all non-candidate vertices carry color {r}"
             )
         for v in reduced:
-            s = partition.slot_of(wa.weights[v])
+            s = slots[v]
             # small_{r-1} or large_r
             if s != 2 * r - 3 and s != 2 * r - 2:
                 raise RuntimeError(
                     f"chain walk inconsistency: vertex {v} carries color {r} from {_block(s)}"
                 )
-        edges, links = _walk_back(h, partition, wa, init, reduced, failure.edge, r)
+        edges, links = _walk_back(h, slots, wa, init, reduced, failure.edge, r)
         return ChainRecord(
             COMPLEX,
             r,
@@ -321,9 +321,7 @@ def validate_chain(
     k = record.k
     i = record.color
     cols = init.coloring.colors
-
-    def slot(v: int) -> int:
-        return partition.slot_of(wa.weights[v])
+    slots = _assignment_slots(partition, wa)
 
     _check(k >= 1, "chain has no edges")
     _check(len(record.links) == k - 1, "link count must be k - 1")
@@ -381,7 +379,7 @@ def validate_chain(
         link = record.links[j]
         v = link.vertex
         c_j = i - k + j + 1
-        _check(slot(v) == 2 * c_j - 1, f"link {j} must lie in small_{c_j}")
+        _check(slots[v] == 2 * c_j - 1, f"link {j} must lie in small_{c_j}")
         _check(cols[v] == c_j + 1, f"link {j} must carry color {c_j + 1}")
         _check(
             init.blocking.get(v) == record.edges[j],
@@ -403,7 +401,7 @@ def validate_chain(
     # terminal vertex of an improper chain
     terminal = record.terminal_vertex
     if record.kind == IMPROPER:
-        _check(slot(terminal) == 2 * i - 1, "terminal must lie in small_i")
+        _check(slots[terminal] == 2 * i - 1, "terminal must lie in small_i")
         _check(cols[terminal] == i + 1, "terminal must carry color i + 1")
         _check(
             init.blocking.get(terminal) == record.edges[-1],
@@ -425,7 +423,7 @@ def validate_chain(
             if v in link_vertices or v == terminal:
                 continue
             _check(cols[v] == c_j, f"vertex {v} of edge {j} must carry color {c_j}")
-            s = slot(v)
+            s = slots[v]
             _check(
                 lo <= s <= hi,
                 f"vertex {v} of edge {j} lies in {_block(s)}, outside its allowed subintervals",
@@ -435,7 +433,7 @@ def validate_chain(
     # set: large_c below color r is slot 2c-2 <= 2r-4
     if record.kind == COMPLEX and vsets is not None:
         for v in record.candidate_vertices:
-            s = slot(v)
+            s = slots[v]
             _check(
                 s % 2 == 0 and s <= 2 * init.coloring.r - 4,
                 f"candidate vertex {v} must sit in a large block below color r",
@@ -462,27 +460,31 @@ def chain_event_occurs(
     conflicts at its color, and the leading edge starts in its large block
     or lies wholly inside its small block.
     """
-    slots = _assignment_slots(partition, wa)
-    return _chain_event_holds(h, slots, wa.weights, init.coloring.colors, edge_seq, color)
+    slots = _assignment_slots(partition, wa)[None]
+    key, colors = wa.weights[None], init.coloring.colors[None]
+    return bool(_chain_event_holds(h, slots, key, colors, edge_seq, color)[0])
 
 
-def _chain_event_holds(h, slots, key, colors, edge_seq, color) -> bool:
-    """``chain_event_occurs`` on discrete input, as ``_conflicting`` takes
-    it; the Monte Carlo ``chain-event`` statistic calls it per trial."""
+def _chain_event_holds(h, slots, key, colors, edge_seq, color) -> np.ndarray:
+    """``chain_event_occurs`` for T trials, on (T, m) arrays as
+    ``_conflicting`` takes them; the Monte Carlo ``chain-event`` statistic
+    calls it once per sub-batch."""
     k = len(edge_seq)
+    trials = len(slots)
     if color - k + 1 < 1:
-        return False
-    if any(colors[v] != color for v in h.edges[edge_seq[-1]]):
-        return False
+        return np.zeros(trials, dtype=bool)
+    lead = np.array(h.edges[edge_seq[0]])
+    holds = (colors[:, list(h.edges[edge_seq[-1]])] == color).all(axis=1)
     if k == 1:
-        return all(slots[v] == 2 * color - 2 for v in h.edges[edge_seq[0]])
+        return holds & (slots[:, lead] == 2 * color - 2).all(axis=1)
     for j in range(1, k):
         c_j = color - k + j + 1
-        if not _conflicting(h, slots, key, colors, edge_seq[j - 1], edge_seq[j], c_j):
-            return False
-    u = min(h.edges[edge_seq[0]], key=lambda w: (key[w], w))
+        holds &= _conflicting(h, slots, key, colors, edge_seq[j - 1], edge_seq[j], c_j)
+    # the first vertex of the leading edge by (key, id)
+    first = lead[np.argmin(key[:, lead], axis=1)]
+    s = slots[np.arange(trials), first]
     c_1 = color - k + 1
-    return slots[u] in (2 * c_1 - 2, 2 * c_1 - 1)
+    return holds & ((s == 2 * c_1 - 2) | (s == 2 * c_1 - 1))
 
 
 def enumerate_chain_candidates(

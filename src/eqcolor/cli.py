@@ -155,6 +155,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     h = _read_instance(args.instance)
+    # a class would stay empty, and the coloring reader refuses r > m
+    if args.r > h.m:
+        raise ValueError(f"-r {args.r} exceeds the {h.m} vertices of the instance")
     cfg = SolveConfig(
         seed=args.seed,
         max_restarts=args.restarts,
@@ -187,7 +190,7 @@ def _cmd_verify(args) -> int:
     coloring = _read_coloring(args.coloring)
     if coloring.m != h.m:
         raise ValueError(f"coloring covers {coloring.m} vertices, instance has {h.m}")
-    proper = coloring.is_total() and is_proper(h, coloring)
+    proper = is_proper(h, coloring)
     equitable = proper and is_equitable(h, coloring)
     verdict = {
         "proper": proper,

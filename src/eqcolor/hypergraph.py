@@ -1,7 +1,7 @@
 """n-uniform hypergraphs, colorings, and exact small-instance oracles.
 
-Vertices are the integers 0..m-1, colors are 1..r (0 means unassigned).
-An edge is a set of exactly n distinct vertices, stored as a sorted tuple.
+Vertices are the integers 0..m-1, and a coloring gives each one a color in
+1..r.  An edge is a set of exactly n distinct vertices, a sorted tuple.
 Instances round-trip through a plain text format and through JSON.
 """
 
@@ -198,66 +198,49 @@ def _edge_line(ln: str) -> list[int]:
 
 
 class Coloring:
-    """Mutable assignment of colors 1..r to vertices, with 0 = unassigned.
+    """Total assignment of colors 1..r to vertices, never changed once made.
 
-    ``colors`` is an int64 numpy array of length m (``colors.tolist()``
-    gives a plain list) and ``sizes`` a list of the r class sizes, kept in
-    step on every assignment.  The public constructor and
-    ``from_json_dict`` validate their input; the JSON shapes are plain
-    lists.
+    ``colors`` is a read-only int64 numpy array of length m
+    (``colors.tolist()`` gives a plain list) and ``sizes`` a list of the r
+    class sizes.  The public constructor and ``from_json_dict`` validate
+    their input; the JSON shapes are plain lists.
     """
 
     __slots__ = ("r", "colors", "sizes")
 
-    def __init__(self, m: int, r: int, colors: Optional[Sequence[int]] = None):
+    def __init__(self, m: int, r: int, colors: Sequence[int]):
         if r < 1:
             raise ValueError(f"color count must be positive, got {r}")
-        values = [0] * m if colors is None else [int(c) for c in colors]
+        values = [int(c) for c in colors]
         if len(values) != m:
             raise ValueError("color vector length does not match vertex count")
         try:
             array = np.array(values, dtype=np.int64)
         except OverflowError:
-            raise ValueError("color out of range 0..r") from None
-        if m and (array.min() < 0 or array.max() > r):
-            raise ValueError("color out of range 0..r")
+            raise ValueError("color out of range 1..r") from None
+        if m and (array.min() < 1 or array.max() > r):
+            raise ValueError("color out of range 1..r")
         self.r = r
+        self.sizes = np.bincount(array, minlength=r + 1)[1:].tolist()
+        array.flags.writeable = False
         self.colors = array
-        self.sizes = _class_sizes(array, r)
 
     @classmethod
-    def _trusted(cls, r: int, colors: np.ndarray) -> "Coloring":
-        """Wrap an int64 array of colors in 0..r without checking it, for
-        colorings the package computed itself (kernel output, balanced
-        draws, repairs).  The coloring takes ownership of the array."""
+    def _trusted(cls, r: int, colors: np.ndarray, sizes: list[int]) -> "Coloring":
+        """Wrap a read-only int64 array of colors in 1..r and its class sizes
+        unchecked, for colorings the package computed itself.  ``np.bincount``
+        copies a read-only array, so callers count before they set the flag, or
+        keep the sizes up as they build, and flag once per batch where they can
+        (about 0.5 us per array)."""
         out = cls.__new__(cls)
         out.r = r
         out.colors = colors
-        out.sizes = _class_sizes(colors, r)
+        out.sizes = sizes
         return out
 
     @property
     def m(self) -> int:
         return len(self.colors)
-
-    def assign(self, v: int, c: int) -> None:
-        if not 1 <= c <= self.r:
-            raise ValueError(f"color {c} out of range 1..{self.r}")
-        old = int(self.colors[v])
-        if old:
-            self.sizes[old - 1] -= 1
-        self.colors[v] = c
-        self.sizes[c - 1] += 1
-
-    def is_total(self) -> bool:
-        return bool(self.colors.all())
-
-    def copy(self) -> "Coloring":
-        out = Coloring.__new__(Coloring)
-        out.r = self.r
-        out.colors = self.colors.copy()
-        out.sizes = list(self.sizes)
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coloring):
@@ -275,23 +258,19 @@ class Coloring:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Coloring":
-        """Parse and validate untrusted JSON.  Its r is bounded by max(m, 1)
-        for m colored vertices, since the class sizes take O(r) memory."""
+        """Parse and validate untrusted JSON: every color lies in 1..r, and
+        r is bounded by max(m, 1) for m colored vertices, since the class
+        sizes take O(r) memory.  Raises FormatError otherwise."""
         try:
             m, r = len(obj["colors"]), int(obj["r"])
             if r > max(m, 1):
-                raise FormatError(f"coloring JSON has r={r} colors for {m} vertices")
+                raise ValueError(f"r={r} colors for {m} vertices")
             col = cls(m, r, obj["colors"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed coloring JSON: {exc}") from exc
         if "sizes" in obj and list(obj["sizes"]) != col.sizes:
             raise FormatError("coloring JSON sizes disagree with the color vector")
         return col
-
-
-def _class_sizes(colors: np.ndarray, r: int) -> list[int]:
-    """Sizes of classes 1..r of a color array with values in 0..r."""
-    return np.bincount(colors, minlength=r + 1)[1:].tolist()
 
 
 def _mono_edges(h: Hypergraph, colors) -> np.ndarray:
@@ -308,9 +287,7 @@ def _mono_edges(h: Hypergraph, colors) -> np.ndarray:
 
 
 def is_proper(h: Hypergraph, coloring: Coloring) -> bool:
-    """True iff no edge is monochromatic.  The coloring must be total."""
-    if not coloring.is_total():
-        raise ValueError("properness is only defined for total colorings")
+    """True iff no edge is monochromatic."""
     return not _mono_edges(h, coloring.colors).any()
 
 

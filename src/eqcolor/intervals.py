@@ -16,7 +16,6 @@ color i+1 unconditionally.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -98,11 +97,11 @@ class IntervalPartition:
         object.__setattr__(self, "lefts", tuple(lefts))
 
     def slot_of(self, x: float) -> int:
-        """Flat subinterval index 0..2r-2: large_i is slot 2i-2 and small_i
-        slot 2i-1."""
+        """Flat subinterval index 0..2r-2 (large_i is 2i-2, small_i 2i-1): the
+        rule of ``_weight_slots`` in plain Python, for one weight."""
         if not 0.0 <= x < 1.0:
             raise ValueError(f"weight {x} outside [0, 1)")
-        return bisect_right(self.lefts, x) - 1
+        return sum(1 for left in self.lefts[1:] if left <= x)
 
     def slot_lengths(self) -> list[float]:
         big = (1.0 - self.p) / self.r
@@ -402,8 +401,8 @@ def run_interval_coloring(
     list of them, colors all of them in one kernel call and returns a list
     of InitialColorings in the same order, each the same as a call on its
     own assignment would give; their color arrays are rows of one shared
-    int64 array.  Each assignment keeps its row of the batch's slots for
-    rebalancing and the chain predicates (``_assignment_slots``).
+    read-only int64 array.  Each assignment keeps its row of the batch's
+    slots for rebalancing and the chain predicates (``_assignment_slots``).
     """
     if partition.r != r:
         raise ValueError("partition was built for a different number of colors")
@@ -419,20 +418,27 @@ def run_interval_coloring(
     for w, row in zip(was, slots):
         w._slots = (partition, row)
     colors, deflections, blocking = _stage_colors(h, r, slots, weights)
-    # per-row counts of slots // 2 in one bincount, row t offset by t * r,
-    # which leaves the slots' dtype for long lists
-    blocks = slots // 2 + np.arange(0, len(was) * r, r, dtype=np.int64)[:, None]
-    occupancy = np.bincount(blocks.ravel(), minlength=len(was) * r)
+    # flagged once for the batch: its rows inherit the flag
+    batch = colors.astype(np.int64)
+    batch.flags.writeable = False
     out = [
-        InitialColoring(Coloring._trusted(r, row), tuple(defl), tuple(occ), block)
-        for row, defl, occ, block in zip(
-            colors.astype(np.int64),
+        InitialColoring(Coloring._trusted(r, row, size), tuple(defl), tuple(occ), block)
+        for row, size, defl, occ, block in zip(
+            batch,
+            _row_counts(colors, r + 1)[:, 1:].tolist(),
             deflections.tolist(),
-            occupancy.reshape(-1, r).tolist(),
+            _row_counts(slots // 2, r).tolist(),
             blocking,
         )
     ]
     return out[0] if single else out
+
+
+def _row_counts(values: np.ndarray, k: int) -> np.ndarray:
+    """(T, k) counts of the values 0..k-1 in each row of a (T, m) integer
+    array: one bincount, row t offset by t * k in int64 (no narrow overflow)."""
+    offsets = np.arange(0, len(values) * k, k, dtype=np.int64)[:, None]
+    return np.bincount((values + offsets).ravel(), minlength=len(values) * k).reshape(-1, k)
 
 
 class MonoProbability(NamedTuple):
@@ -476,4 +482,5 @@ def _coloring_at_sizes(m: int, sizes: Sequence[int], rng: np.random.Generator) -
     is uniform."""
     colors = np.empty(m, dtype=np.int64)
     colors[rng.permutation(m)] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-    return Coloring._trusted(len(sizes), colors)
+    colors.flags.writeable = False
+    return Coloring._trusted(len(sizes), colors, list(sizes))

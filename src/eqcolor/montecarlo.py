@@ -13,10 +13,10 @@ every estimate (ROADMAP.md, item 3).  A chunk is split into sub-batches of
 at most ``_SUB_BATCH_CELLS`` gathered edge cells, which bounds memory and
 changes no draw.  Each sub-batch is colored at once, by one call of the
 production kernel ``intervals._stage_colors`` or, for ``balanced-mono``,
-by a balanced draw, and the statistics act on the whole sub-batch through
-the production predicates: ``hypergraph._mono_edges`` for ``mono-edge``,
-array expressions for the other counts, and ``chains._chain_event_holds``
-per trial for ``chain-event``.
+by a balanced draw, and every statistic acts on the whole sub-batch: the
+production predicates ``hypergraph._mono_edges``, ``rebalance._candidates``
+and ``_dangerous_edges``, and ``chains._chain_event_holds`` for their
+quantities, array expressions for the other counts.
 
 The oracle exploits a discreteness property of the process: the outcome
 depends only on which of the 2r-1 subintervals each vertex falls in (the
@@ -53,12 +53,13 @@ from .hypergraph import BudgetExceeded, Hypergraph, _mono_edges, class_targets
 from .intervals import (
     _SUB_BATCH_CELLS,
     IntervalPartition,
+    _row_counts,
     _stage_colors,
     _weight_slots,
     balanced_mono_prob,
     choose_p,
 )
-from .rebalance import compute_p_tilde
+from .rebalance import _candidates, _dangerous_edges, compute_p_tilde
 from .seeding import ROLE_TRIALS, derive
 
 __all__ = [
@@ -245,9 +246,7 @@ def _excess_pattern(h, r, p, values):
     targets = class_targets(h.m, r)
 
     def stat(colors, deflections, slots, u, keep):
-        offsets = r * np.arange(len(colors))[:, None]
-        sizes = np.bincount((colors - 1 + offsets).ravel(), minlength=r * len(colors))
-        sizes = sizes.reshape(len(colors), r)
+        sizes = _row_counts(colors, r + 1)[:, 1:]
         return (sizes[:, : r - 1] >= targets[: r - 1]).all(axis=1)
 
     return "excess-pattern", stat, lambda: Comparison("bound", 0.5 - 0.04 * math.e)
@@ -260,14 +259,8 @@ def _dangerous_count(h, r, p, values):
         raise ValueError("keep probability must lie in [0, 1]")
 
     def stat(colors, deflections, slots, u, keep):
-        # a candidate sits in large_i, i <= r - 1, and is kept; an edge is
-        # dangerous when it has one and every other vertex carries color r
-        candidate = (slots % 2 == 0) & (slots < 2 * r - 2) & (keep < p_tilde)
-        edge_candidate = candidate[:, h.edge_array.T]
-        dangerous = edge_candidate.any(axis=1) & (
-            edge_candidate | (colors[:, h.edge_array.T] == r)
-        ).all(axis=1)
-        return dangerous.sum(axis=1)
+        candidate = _candidates(slots, keep, p_tilde, r)
+        return _dangerous_edges(h, candidate, colors, r).sum(axis=1)
 
     label = f"dangerous-count(p_tilde={p_tilde:.6g})"
     return label, stat, lambda: Comparison("bound", dangerous_count_bound(h.n, r))
@@ -306,13 +299,7 @@ def _chain_event(h, r, p, values):
             raise ValueError("consecutive edges must share exactly one vertex")
 
     def stat(colors, deflections, slots, u, keep):
-        return np.array(
-            [
-                _chain_event_holds(h, s, key, c, seq, color)
-                for s, key, c in zip(slots.tolist(), u.tolist(), colors.tolist())
-            ],
-            dtype=bool,
-        )
+        return _chain_event_holds(h, slots, u, colors, seq, color)
 
     label = f"chain-event(edges={','.join(map(str, seq))};color={color})"
     return label, stat, lambda: _oracle_or_bound(

@@ -129,12 +129,30 @@ def sample_candidate_sets(
     if not 0.0 <= p_tilde <= 1.0:
         raise ValueError("keep probability must lie in [0, 1]")
     rng = seed if isinstance(seed, np.random.Generator) else derive(seed, ROLE_VSETS)
-    keep = rng.random(h.m) < p_tilde
+    slots = _assignment_slots(partition, wa)
+    candidate = _candidates(slots, rng.random(h.m), p_tilde, partition.r)
     # large_i is slot 2i - 2
-    slots = np.where(keep, _assignment_slots(partition, wa), -1)
     return tuple(
-        frozenset(np.flatnonzero(slots == 2 * i).tolist()) for i in range(partition.r - 1)
+        frozenset(np.flatnonzero(candidate & (slots == 2 * i)).tolist())
+        for i in range(partition.r - 1)
     )
+
+
+def _candidates(slots, keep, p_tilde: float, r: int) -> np.ndarray:
+    """The candidate rule: a vertex joins V_i when it sits in large_i,
+    i <= r - 1, and its keep draw is below ``p_tilde``.  Elementwise, so
+    (m,) input gives one mask and (T, m) input one row per trial."""
+    # slots & 1 tests parity far faster than slots % 2 on int8
+    return (slots & 1 == 0) & (slots < 2 * r - 2) & (keep < p_tilde)
+
+
+def _dangerous_edges(h: Hypergraph, candidate, colors, r: int) -> np.ndarray:
+    """The dangerous-edge predicate: some vertex of the edge is a candidate and
+    every other one carries color r.  Shaped like ``hypergraph._mono_edges``:
+    (m,) input gives an (|E|,) mask, (T, m) input one row per trial."""
+    in_sets = candidate[..., h.edge_array.T]
+    at_top = colors[..., h.edge_array.T] == r
+    return in_sets.any(axis=-2) & (in_sets | at_top).all(axis=-2)
 
 
 def find_dangerous_edges(
@@ -144,16 +162,15 @@ def find_dangerous_edges(
 ) -> list[DangerousEdge]:
     """Edges that would turn monochromatic in color r if every one of their
     candidate-set vertices were recolored: some vertex lies in the union of
-    the candidate sets and every other vertex already carries color r.
-    One boolean pass over ``h.edge_array``."""
+    the candidate sets and every other vertex already carries color r
+    (``_dangerous_edges``)."""
     union = np.zeros(h.m, dtype=bool)
     union[np.fromiter(chain.from_iterable(vsets), np.int64)] = True
-    in_union = union[h.edge_array]
-    at_top = coloring.colors[h.edge_array] == coloring.r
-    hit = in_union.any(axis=1) & (in_union | at_top).all(axis=1)
+    hit = np.flatnonzero(_dangerous_edges(h, union, coloring.colors, coloring.r))
+    rows = h.edge_array[hit]
     return [
-        DangerousEdge(e, tuple(h.edge_array[e][in_union[e]].tolist()))
-        for e in np.flatnonzero(hit).tolist()
+        DangerousEdge(e, tuple(row[in_sets].tolist()))
+        for e, row, in_sets in zip(hit.tolist(), rows, union[rows])
     ]
 
 
@@ -185,21 +202,24 @@ def select_recolor_sets(
 
 
 def apply_recolor(coloring: Coloring, wsets: Sequence[frozenset]) -> Coloring:
-    """Move every vertex of W_i out of class i into class r, on a copy."""
+    """Move every vertex of W_i out of class i into class r, in a new coloring."""
     r = coloring.r
     if len(wsets) != r - 1:
         raise ValueError("need one recolor set per color below r")
-    out = coloring.copy()
+    colors = coloring.colors.copy()
+    # the sizes follow the moves: a recount would be a pass over all m
+    sizes = list(coloring.sizes)
     for i, ws in enumerate(wsets, start=1):
         ids = np.fromiter(ws, np.int64, len(ws))
-        wrong = np.flatnonzero(out.colors[ids] != i)
+        wrong = np.flatnonzero(colors[ids] != i)
         if len(wrong):
             v = int(ids[wrong[0]])
             raise ValueError(f"recolor set {i} contains vertex {v} not colored {i}")
-        out.colors[ids] = r
-        out.sizes[i - 1] -= len(ids)
-        out.sizes[r - 1] += len(ids)
-    return out
+        colors[ids] = r
+        sizes[i - 1] -= len(ids)
+        sizes[r - 1] += len(ids)
+    colors.flags.writeable = False
+    return Coloring._trusted(r, colors, sizes)
 
 
 def build_rebalance_plan(

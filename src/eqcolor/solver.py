@@ -145,10 +145,6 @@ def _route(h: Hypergraph, r: int, cfg: SolveConfig) -> str:
     return PATH_TWO_STAGE
 
 
-def _verified(h: Hypergraph, coloring: Coloring) -> bool:
-    return coloring.is_total() and is_equitable(h, coloring)
-
-
 def greedy_repair(
     h: Hypergraph,
     coloring: Coloring,
@@ -167,8 +163,8 @@ def greedy_repair(
     class is never moved, a move blocked by such vertices stays blocked,
     and a vertex the scan passed over stays passed over.
     """
-    if not coloring.is_total() or not is_proper(h, coloring):
-        raise ValueError("repair requires a total proper coloring")
+    if not is_proper(h, coloring):
+        raise ValueError("repair requires a proper coloring")
     targets = tuple(targets)
     r = coloring.r
     if len(targets) != r:
@@ -203,7 +199,9 @@ def greedy_repair(
                 break
     if over:
         return None
-    return Coloring._trusted(r, np.array(colors, dtype=np.int64))
+    out = np.array(colors, dtype=np.int64)
+    out.flags.writeable = False
+    return Coloring._trusted(r, out, sizes)
 
 
 def _move_keeps_proper(h: Hypergraph, colors: list[int], v: int, c_to: int) -> bool:
@@ -286,7 +284,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
             else:
                 if plan.feasible:
                     candidate = apply_recolor(init.coloring, plan.wsets)
-                    if _verified(h, candidate):
+                    if is_equitable(h, candidate):
                         return SolveReport(
                             SUCCESS, candidate, attempt + 1, path, r,
                             diagnostics, _chains(h, partition, rejected), plan,
@@ -295,7 +293,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
 
         if cfg.allow_fallback_repair:
             repaired = greedy_repair(h, init.coloring, targets, weights=wa.weights)
-            if repaired is not None and _verified(h, repaired):
+            if repaired is not None and is_equitable(h, repaired):
                 return SolveReport(
                     SUCCESS, repaired, attempt + 1, path, r, diagnostics,
                     _chains(h, partition, rejected), plan,

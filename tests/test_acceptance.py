@@ -363,7 +363,7 @@ def test_rebalance_safety():
             part = IntervalPartition(float(rng.uniform(0.1, 0.5)), r)
             wa = sample_weights(m, int(rng.integers(0, 2**32)))
             coloring = run_interval_coloring(h, r, part, wa).coloring
-            if not coloring.is_total() or not is_proper(h, coloring):
+            if not is_proper(h, coloring):
                 continue
             targets = class_targets(m, r)
             ex, sh = excess_shortage(coloring, targets)

@@ -35,6 +35,8 @@ from eqcolor import (
     sample_weights,
     validate_chain,
 )
+from eqcolor.chains import _chain_event_holds, _conflicting
+from eqcolor.intervals import _assignment_slots
 
 P2 = IntervalPartition(0.2, 2)
 
@@ -442,3 +444,90 @@ def test_bound_spot_values():
 def test_bound_chain_decays_in_k():
     values = [chain_probability_bound(100, 2, k) for k in (1, 2, 3)]
     assert values[0] > values[1] > values[2] > 0
+
+
+def _chain_event_per_trial(h, slots, key, colors, seq, color):
+    """The chain predicate as it was before it took (T, m) arrays, on one
+    trial's plain lists, kept as the reference for the array version."""
+
+    def conflicting(b_edge, a_edge, c):
+        b, a = h.edges[b_edge], h.edges[a_edge]
+        shared = set(b) & set(a)
+        if len(shared) != 1:
+            return False
+        v = shared.pop()
+
+        def position(u):
+            return key[u], u
+
+        if max(b, key=position) != v or min(a, key=position) != v:
+            return False
+        if slots[v] != 2 * c - 3:
+            return False
+        return all(colors[u] == c - 1 for u in b if u != v)
+
+    k = len(seq)
+    if color - k + 1 < 1:
+        return False
+    if any(colors[v] != color for v in h.edges[seq[-1]]):
+        return False
+    if k == 1:
+        return all(slots[v] == 2 * color - 2 for v in h.edges[seq[0]])
+    if not all(conflicting(seq[j - 1], seq[j], color - k + j + 1) for j in range(1, k)):
+        return False
+    u = min(h.edges[seq[0]], key=lambda w: (key[w], w))
+    c_1 = color - k + 1
+    return slots[u] in (2 * c_1 - 2, 2 * c_1 - 1)
+
+
+def test_chain_predicates_over_a_batch_match_each_trial():
+    rng = np.random.default_rng(31)
+    instances = [
+        (Hypergraph(8, 2, [(v, v + 1) for v in range(7)]), 3),
+        (Hypergraph(9, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (0, 4, 8)]), 3),
+        (Hypergraph(10, 2, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6), (6, 0), (7, 8)]), 4),
+    ]
+    events = pairs = 0
+    for h, r in instances:
+        part = IntervalPartition(0.5, r)
+        # weights on a grid of 16 values, so ties broken by id are common
+        was = [WeightAssignment(rng.integers(0, 16, h.m) / 16) for _ in range(60)]
+        inits = run_interval_coloring(h, r, part, was)
+        slots = np.stack([_assignment_slots(part, wa) for wa in was])
+        key = np.stack([wa.weights for wa in was])
+        colors = np.stack([init.coloring.colors for init in inits])
+        lists = list(zip(slots.tolist(), key.tolist(), colors.tolist()))
+        num = len(h.edges)
+        for b in range(num):
+            for a in range(num):
+                for c in range(2, r + 1):
+                    batch = _conflicting(h, slots, key, colors, b, a, c).tolist()
+                    rows = [
+                        is_conflicting_pair(h, part, wa, init, b, a, c)
+                        for wa, init in zip(was, inits)
+                    ]
+                    assert batch == rows
+                    pairs += sum(rows)
+        # every edge sequence of length k <= 3 whose consecutive edges
+        # share exactly one vertex
+        seqs = [(e,) for e in range(num)]
+        for k in (2, 3):
+            seqs += [
+                s + (e,)
+                for s in seqs
+                if len(s) == k - 1
+                for e in range(num)
+                if e not in s and len(set(h.edges[s[-1]]) & set(h.edges[e])) == 1
+            ]
+        for seq in seqs:
+            for color in range(1, r + 1):
+                batch = _chain_event_holds(h, slots, key, colors, seq, color).tolist()
+                rows = [
+                    chain_event_occurs(h, part, wa, init, seq, color)
+                    for wa, init in zip(was, inits)
+                ]
+                reference = [_chain_event_per_trial(h, s, w, c, seq, color) for s, w, c in lists]
+                assert batch == rows == reference, (seq, color)
+                events += sum(rows) if len(seq) > 1 else 0
+    # conflicting pairs and chains of two or more edges both occur
+    assert pairs > 50 and events > 20

@@ -141,6 +141,26 @@ def test_verify_rejects_more_colors_than_vertices(capsys, tmp_path, path_file):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_rejects_an_unassigned_vertex(capsys, tmp_path, path_file):
+    # colorings are total: a 0 is a format error, not an improper coloring
+    cfile = tmp_path / "partial.json"
+    cfile.write_text(json.dumps({"r": 2, "colors": [1, 0, 1, 2]}))
+    assert run_cli(["verify", path_file, str(cfile)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_rejects_more_colors_than_vertices(capsys, tmp_path):
+    # solve would write a coloring with an empty class, which verify refuses
+    inst = tmp_path / "pair.txt"
+    inst.write_text("3 2 1\n0 1\n")
+    assert run_cli(["solve", str(inst), "-r", "5"]) == 1
+    assert "exceeds the 3 vertices" in capsys.readouterr().err
+    assert run_cli(["solve", str(inst), "-r", "3"]) == 0
+    cfile = tmp_path / "c.json"
+    cfile.write_text(capsys.readouterr().out)
+    assert run_cli(["verify", str(inst), str(cfile)]) == 0
+
+
 def test_oracle_budget_error(capsys, k4_file):
     assert run_cli(["oracle", k4_file, "-r", "2", "--budget", "3"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -80,27 +80,14 @@ def test_duplicate_edges_collapse():
     assert h.edges == ((0, 1), (1, 2))
 
 
-def test_coloring_sizes_track_assignments():
-    c = Coloring(4, 2)
-    assert not c.is_total()
-    c.assign(0, 1)
-    c.assign(1, 2)
-    c.assign(1, 1)  # reassignment moves the count
-    assert c.sizes == [2, 0]
-    c.assign(2, 2)
-    c.assign(3, 2)
-    assert c.is_total() and c.sizes == [2, 2]
-    d = c.copy()
-    d.assign(0, 2)
-    assert c.colors[0] == 1
-
-
 def test_coloring_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        Coloring(3, 2, [0, 1, 3])
-    c = Coloring(3, 2)
-    with pytest.raises(ValueError):
-        c.assign(0, 0)
+    # colorings are total: 0 is not a color, so no vertex is unassigned
+    with pytest.raises(ValueError, match="out of range 1..r"):
+        Coloring(3, 2, [0, 1, 2])
+    with pytest.raises(ValueError, match="out of range 1..r"):
+        Coloring(3, 2, [1, 1, 3])
+    with pytest.raises(FormatError, match="out of range 1..r"):
+        Coloring.from_json_dict({"r": 2, "colors": [1, 0, 2]})
 
 
 def test_coloring_constructor_validates_and_stores_an_array():
@@ -115,25 +102,19 @@ def test_coloring_constructor_validates_and_stores_an_array():
     with pytest.raises(ValueError):
         Coloring(3, 0, [0, 0, 0])
     with pytest.raises(ValueError):
-        Coloring(3, 0)
-    partial = Coloring(4, 3, [0, 3, 0, 3])  # 0 = unassigned is accepted
-    assert not partial.is_total() and partial.sizes == [0, 0, 2]
-    assert isinstance(partial.colors, np.ndarray) and partial.colors.dtype == np.int64
-    assert partial.colors.tolist() == [0, 3, 0, 3]
-    assert all(type(s) is int for s in partial.sizes)
-    assert Coloring(3, 2).colors.tolist() == [0, 0, 0]
+        Coloring(4, 3, [0, 3, 0, 3])  # a 0, once "unassigned", is refused
+    c = Coloring(4, 3, [1, 3, 1, 3])
+    assert c.sizes == [2, 0, 2]
+    assert isinstance(c.colors, np.ndarray) and c.colors.dtype == np.int64
+    assert c.colors.tolist() == [1, 3, 1, 3]
+    assert all(type(s) is int for s in c.sizes)
 
 
-def test_coloring_equality_and_copy():
+def test_coloring_equality():
     c = Coloring(4, 2, [1, 2, 1, 2])
     assert c == Coloring(4, 2, np.array([1, 2, 1, 2]))
     assert c != Coloring(4, 3, [1, 2, 1, 2])  # same colors, other r
     assert c != Coloring(3, 2, [1, 2, 1])
-    d = c.copy()
-    assert d == c and d.colors is not c.colors and d.sizes is not c.sizes
-    d.assign(3, 1)
-    assert c.colors.tolist() == [1, 2, 1, 2] and c.sizes == [2, 2]
-    assert d.sizes == [3, 1]
 
 
 def test_coloring_json_is_plain_lists():
@@ -194,11 +175,6 @@ def test_mono_edges_on_edgeless_hypergraph():
     assert _mono_edges(h, [1, 1, 1, 1]).shape == (0,)
     assert _mono_edges(h, np.ones((5, 4), dtype=np.int64)).shape == (5, 0)
     assert is_proper(h, Coloring(4, 2, [1, 1, 1, 1]))
-
-
-def test_is_proper_requires_total():
-    with pytest.raises(ValueError):
-        is_proper(PATH4, Coloring(4, 2, [1, 0, 1, 2]))
 
 
 def test_class_targets_split():

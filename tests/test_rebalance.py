@@ -19,13 +19,16 @@ from eqcolor import (
     compute_q,
     excess_shortage,
     find_dangerous_edges,
+    greedy_repair,
     is_proper,
     run_interval_coloring,
+    sample_balanced_coloring,
     sample_candidate_sets,
     sample_weights,
     select_recolor_sets,
 )
 from eqcolor.chains import DangerousEdge
+from eqcolor.rebalance import _candidates, _dangerous_edges
 
 
 def _coloring_with_sizes(sizes):
@@ -346,7 +349,7 @@ def test_rebalance_safety_property():
         wa = sample_weights(m, int(rng.integers(0, 2**32)))
         init = run_interval_coloring(h, r, part, wa)
         coloring = init.coloring
-        if not coloring.is_total() or not is_proper(h, coloring):
+        if not is_proper(h, coloring):
             continue
         targets = class_targets(m, r)
         ex, sh = excess_shortage(coloring, targets)
@@ -363,3 +366,44 @@ def test_rebalance_safety_property():
         assert list(after.sizes) == targets
         applied += 1
     assert applied == 40
+
+
+def test_dangerous_predicates_over_a_batch_match_each_trial():
+    rng = np.random.default_rng(43)
+    m, r, trials = 12, 3, 80
+    h = Hypergraph(m, 2, [(v, (v + 1) % m) for v in range(m)] + [(0, 6), (3, 9)])
+    slots = rng.integers(0, 2 * r - 1, (trials, m)).astype(np.int8)
+    keep = rng.random((trials, m))
+    colors = rng.integers(1, r + 1, (trials, m))
+    candidate = _candidates(slots, keep, 0.6, r)
+    assert candidate.tolist() == [_candidates(s, k, 0.6, r).tolist() for s, k in zip(slots, keep)]
+    dangerous = _dangerous_edges(h, candidate, colors, r)
+    hits = 0
+    for t in range(trials):
+        assert dangerous[t].tolist() == _dangerous_edges(h, candidate[t], colors[t], r).tolist()
+        # large_i is slot 2i - 2
+        vsets = [
+            frozenset(np.flatnonzero(candidate[t] & (slots[t] == 2 * i)).tolist())
+            for i in range(r - 1)
+        ]
+        found = find_dangerous_edges(h, Coloring(m, r, colors[t]), vsets)
+        assert [d.edge for d in found] == np.flatnonzero(dangerous[t]).tolist()
+        hits += len(found)
+    assert hits > trials
+
+
+def test_colorings_are_read_only():
+    h = Hypergraph(6, 2, [(0, 1), (2, 3)])
+    part = IntervalPartition(0.3, 3)
+    made = Coloring(6, 3, [1, 1, 2, 2, 3, 3])
+    single = run_interval_coloring(h, 3, part, sample_weights(6, 1)).coloring
+    batch = run_interval_coloring(h, 3, part, [sample_weights(6, s) for s in range(3)])
+    moved = apply_recolor(made, (frozenset({0}), frozenset({2})))
+    repaired = greedy_repair(Hypergraph(6, 2, []), Coloring(6, 3, [1] * 4 + [2, 3]), (2, 2, 2))
+    balanced = sample_balanced_coloring(6, 3, 5)
+    for c in [made, single, *(init.coloring for init in batch), moved, repaired, balanced]:
+        assert not c.colors.flags.writeable
+        with pytest.raises(ValueError):
+            c.colors[0] = 2
+    assert made.colors.tolist() == [1, 1, 2, 2, 3, 3]
+    assert moved.colors.tolist() == [3, 1, 3, 2, 3, 3] and moved.sizes == [1, 1, 4]
