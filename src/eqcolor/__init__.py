@@ -44,6 +44,7 @@ from .hypergraph import (
 )
 from .intervals import (
     InitialColoring,
+    InitialColoringBatch,
     IntervalPartition,
     MonoProbability,
     WeightAssignment,

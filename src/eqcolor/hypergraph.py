@@ -211,7 +211,7 @@ class Coloring:
     def __init__(self, m: int, r: int, colors: Sequence[int]):
         if r < 1:
             raise ValueError(f"color count must be positive, got {r}")
-        values = [int(c) for c in colors]
+        values = [_integer_color(c) for c in colors]
         if len(values) != m:
             raise ValueError("color vector length does not match vertex count")
         try:
@@ -271,6 +271,14 @@ class Coloring:
         if "sizes" in obj and list(obj["sizes"]) != col.sizes:
             raise FormatError("coloring JSON sizes disagree with the color vector")
         return col
+
+
+def _integer_color(c) -> int:
+    """``c`` as an int if it is a Python or numpy integer; a bool, a float
+    or anything else is refused rather than truncated."""
+    if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+        raise ValueError(f"color {c!r} is not an integer")
+    return int(c)
 
 
 def _mono_edges(h: Hypergraph, colors) -> np.ndarray:

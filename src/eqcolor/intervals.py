@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .hypergraph import Coloring, Hypergraph
 
 __all__ = [
     "InitialColoring",
+    "InitialColoringBatch",
     "IntervalPartition",
     "MonoProbability",
     "WeightAssignment",
@@ -145,13 +146,21 @@ class WeightAssignment:
         return max(vertices, key=lambda v: (self.weights[v], v))
 
 
-def sample_weights(m: int, seed) -> WeightAssignment:
+def sample_weights(
+    m: int, seed, rows: Optional[int] = None
+) -> Union[WeightAssignment, np.ndarray]:
     """Independent uniform [0,1) weights for m vertices (PCG64, fixed seed).
 
     ``seed`` may be an integer or a numpy Generator to draw from directly.
+    Without ``rows``, returns one WeightAssignment.  With it, makes one
+    (rows, m) draw and returns the array, one row per attempt, as
+    ``run_interval_coloring`` takes it; a generator yields the same rows
+    however its draws are split.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return WeightAssignment(rng.random(m))
+    if rows is None:
+        return WeightAssignment(rng.random(m))
+    return rng.random((rows, m))
 
 
 @dataclass
@@ -188,7 +197,7 @@ def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
     that dtype through the kernel and the Monte Carlo statistics; every
     value they derive from a slot lies within +-(2r - 1)."""
     w = np.asarray(weights, dtype=float)
-    if not (w.min() >= 0.0 and w.max() < 1.0):
+    if w.size and not (w.min() >= 0.0 and w.max() < 1.0):
         raise ValueError(f"weight {w[~((w >= 0.0) & (w < 1.0))][0]} outside [0, 1)")
     slots = np.zeros(w.shape, dtype=np.min_scalar_type(-2 * partition.r))
     for left in partition.lefts[1:]:
@@ -216,9 +225,9 @@ def _stage_colors(
     by id).
 
     The one production kernel: ``run_interval_coloring`` calls it once per
-    list of weight assignments (the solver's batches of attempts; T = 1
-    for a single assignment) and the Monte Carlo driver once per sub-batch
-    of trials.  Stage 1 is ``slots // 2 + 1`` for every vertex, which is
+    (T, m) weight array (the solver's batches of attempts; T = 1 for a
+    single assignment) and the Monte Carlo driver once per sub-batch of
+    trials.  Stage 1 is ``slots // 2 + 1`` for every vertex, which is
     also the color of every small-block vertex that is not deflected.  A
     vertex of small_i can only be deflected by an edge whose other vertices
     all carry color i, so all of its vertices lie in small_{i-1}, large_i
@@ -256,7 +265,8 @@ def _stage_colors(
     # short last one
     edge_slots = slots[:, h.edge_array.T]
     top = edge_slots.max(axis=1)
-    live = (top % 2 == 1) & (edge_slots.min(axis=1) >= top - 2)
+    # & 1 tests parity far faster than % 2 on int8
+    live = (top & 1 == 1) & (edge_slots.min(axis=1) >= top - 2)
     rows, eids = np.divmod(np.flatnonzero(live), len(h.edges))
     if not len(rows):
         return colors, deflections, blocking
@@ -272,7 +282,7 @@ def _stage_colors(
     ltop = pair_slots[pairs, last]
     # each other small-block vertex of a pair must be deflected iff it sits
     # below L's block
-    dep = pair_slots % 2 == 1
+    dep = pair_slots & 1 == 1
     dep[pairs, last] = False
     dep_pair, dep_col = np.nonzero(dep)
     dep_key = keys[dep_pair, dep_col]
@@ -387,8 +397,8 @@ def run_interval_coloring(
     h: Hypergraph,
     r: int,
     partition: IntervalPartition,
-    wa: Union[WeightAssignment, Sequence[WeightAssignment]],
-) -> Union[InitialColoring, list[InitialColoring]]:
+    wa: Union[WeightAssignment, np.ndarray],
+) -> Union[InitialColoring, "InitialColoringBatch"]:
     """Run both stages deterministically for the given weights.
 
     Stage 2 processes small-block vertices in increasing weight (ties by
@@ -397,41 +407,72 @@ def run_interval_coloring(
     monochromatic edge of color i+1.  Raises ValueError on a weight
     outside [0, 1).
 
-    Given one WeightAssignment, returns one InitialColoring.  Given a
-    list of them, colors all of them in one kernel call and returns a list
-    of InitialColorings in the same order, each the same as a call on its
-    own assignment would give; their color arrays are rows of one shared
-    read-only int64 array.  Each assignment keeps its row of the batch's
-    slots for rebalancing and the chain predicates (``_assignment_slots``).
+    Given one WeightAssignment, returns one InitialColoring, and the
+    assignment keeps its slots for rebalancing and the chain predicates
+    (``_assignment_slots``).  Given a (T, m) array of weights, one row per
+    attempt, colors all T rows in one kernel call and returns an
+    ``InitialColoringBatch``: the read-only int64 colors of every row, and
+    per-row objects only for the rows asked for.  A single assignment is
+    the T = 1 case of the same call.
     """
+    if isinstance(wa, WeightAssignment):
+        batch = run_interval_coloring(h, r, partition, wa.weights[None, :])
+        wa._slots = (partition, batch._slots[0])
+        return batch._initial(0)
     if partition.r != r:
         raise ValueError("partition was built for a different number of colors")
-    single = isinstance(wa, WeightAssignment)
-    was = [wa] if single else list(wa)
-    if any(w.m != h.m for w in was):
+    weights = np.asarray(wa, dtype=float)
+    if weights.ndim != 2:
+        raise ValueError("weights must be a WeightAssignment or a (T, m) array")
+    if weights.shape[1] != h.m:
         raise ValueError("weight vector length does not match vertex count")
-    if not was:
-        return []
-    # one assignment is colored from a view of its weights, not a copy
-    weights = was[0].weights[None, :] if len(was) == 1 else np.stack([w.weights for w in was])
     slots = _weight_slots(partition, weights)
-    for w, row in zip(was, slots):
-        w._slots = (partition, row)
     colors, deflections, blocking = _stage_colors(h, r, slots, weights)
-    # flagged once for the batch: its rows inherit the flag
-    batch = colors.astype(np.int64)
-    batch.flags.writeable = False
-    out = [
-        InitialColoring(Coloring._trusted(r, row, size), tuple(defl), tuple(occ), block)
-        for row, size, defl, occ, block in zip(
-            batch,
-            _row_counts(colors, r + 1)[:, 1:].tolist(),
-            deflections.tolist(),
-            _row_counts(slots // 2, r).tolist(),
-            blocking,
+    return InitialColoringBatch(partition, weights, slots, colors, deflections, blocking)
+
+
+class InitialColoringBatch:
+    """The two stages run on a (T, m) array of weights, one row per attempt.
+
+    ``colors`` holds the colors of every row as one read-only int64
+    (T, m) array.  ``row(t)`` builds row t's (WeightAssignment,
+    InitialColoring) pair, the same as ``run_interval_coloring`` gives for
+    that row alone; both are views of the batch's arrays, and the
+    assignment keeps its row of the batch's slots.
+    """
+
+    __slots__ = ("colors", "_weights", "_partition", "_slots", "_narrow", "_deflections", "_blocking")
+
+    def __init__(self, partition, weights, slots, narrow, deflections, blocking):
+        self._weights = weights
+        self.colors = narrow.astype(np.int64)
+        self.colors.flags.writeable = False
+        self._partition = partition
+        self._slots = slots
+        # the kernel's colors in the slots' dtype; class sizes are counted
+        # from them
+        self._narrow = narrow
+        self._deflections = deflections
+        self._blocking = blocking
+
+    def __len__(self) -> int:
+        return len(self.colors)
+
+    def row(self, t: int) -> tuple[WeightAssignment, InitialColoring]:
+        wa = WeightAssignment(self._weights[t])
+        wa._slots = (self._partition, self._slots[t])
+        return wa, self._initial(t)
+
+    def _initial(self, t: int) -> InitialColoring:
+        r = self._partition.r
+        sizes = np.bincount(self._narrow[t], minlength=r + 1)[1:].tolist()
+        occupancy = np.bincount(self._slots[t] // 2, minlength=r)
+        return InitialColoring(
+            Coloring._trusted(r, self.colors[t], sizes),
+            tuple(self._deflections[t].tolist()),
+            tuple(occupancy.tolist()),
+            self._blocking[t],
         )
-    ]
-    return out[0] if single else out
 
 
 def _row_counts(values: np.ndarray, k: int) -> np.ndarray:

@@ -318,7 +318,7 @@ def _deflected(h, r, p, values):
     def stat(colors, deflections, slots, u, keep):
         s = slots[:, v0]
         block = (s + 1) // 2
-        hit = (s % 2 == 1) & (colors[:, v0] == block + 1)
+        hit = (s & 1 == 1) & (colors[:, v0] == block + 1)
         return hit if i is None else hit & (block == i)
 
     label = f"deflected(v={v0})" if i is None else f"deflected(v={v0},i={i})"

@@ -8,10 +8,14 @@ the shortage is confined to color r, a greedy repair otherwise.  Every
 candidate is verified before it is returned, so the output is correct
 whenever there is one; only the number of restarts is random.
 
-Two-stage attempts are screened in batches of 1, 2, 4, ... attempts: one
-kernel call colors a batch and one edge scan finds its monochromatic
-edges, then its rows are taken in attempt order.  Seeding is per block of
-``_BLOCK`` attempts, a constant apart from the batch sizes: attempt t
+Two-stage attempts are screened as arrays in batches of 1, 2, 4, ...
+attempts: one ``sample_weights`` draw per block segment of the batch, one
+kernel call and one edge scan per batch, then the rows with no
+monochromatic edge are taken in attempt order.  Per-attempt objects (a
+WeightAssignment and an InitialColoring) are built only for those rows and
+for the last rejected row, whose chains the report carries; the rejected
+rows before a passing one are counted in one step.  Seeding is per block
+of ``_BLOCK`` attempts, a constant apart from the batch sizes: attempt t
 draws from derive(seed, t // _BLOCK, role), after the earlier attempts of
 its block, so batching changes no report.
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .hypergraph import (
 from .intervals import (
     _SUB_BATCH_CELLS,
     InitialColoring,
+    InitialColoringBatch,
     IntervalPartition,
     WeightAssignment,
     _coloring_at_sizes,
@@ -237,9 +242,8 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     path = _route(h, r, cfg)
     targets = class_targets(h.m, r)
     diagnostics = {"mono-edge": 0, "rebalance-infeasible": 0, "repair-failed": 0}
-    # (weights, initial coloring, mono-edge mask) of the last attempt
-    # rejected on a monochromatic edge; its chains are extracted only for
-    # the report
+    # the last run of attempts rejected on a monochromatic edge; the chains
+    # of its last attempt are extracted only for the report
     rejected = None
     plan: Optional[RebalancePlan] = None
 
@@ -256,11 +260,13 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
         partition = IntervalPartition(choose_p(h.n, r), r)
         screened = _screened_attempts(h, r, partition, cfg)
 
-    for attempt, wa, init, mono in screened:
-        if mono.any():
-            diagnostics["mono-edge"] += 1
-            rejected = (wa, init, mono)
+    for attempt, run, row in screened:
+        if run is not None:
+            diagnostics["mono-edge"] += run.count
+            rejected = run
+        if row is None:
             continue
+        wa, init = row
 
         if is_equitable(h, init.coloring):
             return SolveReport(
@@ -323,15 +329,29 @@ def _attempt_streams(seed: int, role: int) -> Iterator[np.random.Generator]:
         yield from itertools.repeat(derive(seed, block, role), _BLOCK)
 
 
+class _Rejected(NamedTuple):
+    """A run of ``count`` consecutive attempts rejected on a monochromatic
+    edge, ending at row ``t`` of ``batch``."""
+
+    count: int
+    batch: InitialColoringBatch
+    t: int
+
+
 def _screened_attempts(
     h: Hypergraph, r: int, partition: IntervalPartition, cfg: SolveConfig
-) -> Iterator[tuple[int, WeightAssignment, InitialColoring, np.ndarray]]:
-    """Two-stage attempts in order, as (attempt, weights, initial coloring,
-    mask of its monochromatic edges).
+) -> Iterator[tuple[int, Optional[_Rejected], Optional[tuple[WeightAssignment, InitialColoring]]]]:
+    """Two-stage attempts in order, as (attempt, rejected, row): one item
+    per attempt with no monochromatic edge, with ``row`` its (weights,
+    initial coloring) and ``rejected`` the run of rejected attempts just
+    before it (None if there is none), and one item with ``row`` None for a
+    run of rejected attempts that ends a batch.
 
     Attempts run in batches of 1, 2, 4, ... attempts, at most
-    ``_SUB_BATCH_CELLS`` // max(m, n |E|) of them (at least one): one
-    kernel call and one edge scan per batch.  Attempt t draws its weights
+    ``_SUB_BATCH_CELLS`` // max(m, n |E|) of them (at least one), screened
+    as arrays by ``_screen_batch``.  Per-attempt objects are built only
+    for the rows yielded, when they are yielded, and for the last rejected
+    row when the report asks for its chains.  Attempt t draws its weights
     from ``_attempt_streams``(cfg.seed, ROLE_WEIGHTS), whose rows do not
     depend on the batch sizes, so a batch yields what one call per attempt
     would.  A solve that succeeds on attempt 1 colors one attempt; one
@@ -342,10 +362,17 @@ def _screened_attempts(
     streams = _attempt_streams(cfg.seed, ROLE_WEIGHTS)
     start, size = 0, 1
     while start < cfg.max_restarts:
-        batch = range(start, min(start + size, cfg.max_restarts))
-        # a batch is dropped before the next one is built
-        yield from _screen_batch(h, r, partition, streams, batch)
-        start, size = batch.stop, min(2 * size, cap)
+        stop = min(start + size, cfg.max_restarts)
+        batch, mono = _screen_batch(h, r, partition, streams, stop - start)
+        prev = 0
+        for t in np.flatnonzero(~mono.any(axis=1)).tolist() + [len(batch)]:
+            run = _Rejected(t - prev, batch, t - 1) if t > prev else None
+            if t < len(batch):
+                yield start + t, run, batch.row(t)
+            elif run is not None:
+                yield stop, run, None
+            prev = t + 1
+        start, size = stop, min(2 * size, cap)
 
 
 def _screen_batch(
@@ -353,30 +380,32 @@ def _screen_batch(
     r: int,
     partition: IntervalPartition,
     streams: Iterator[np.random.Generator],
-    batch: range,
-):
-    """The attempts of ``batch`` colored by one kernel call and scanned by
-    one ``_mono_edges`` call, zipped as ``_screened_attempts`` yields them;
-    ``streams`` gives each attempt's generator, in order."""
-    was = [sample_weights(h.m, next(streams)) for _ in batch]
-    inits = run_interval_coloring(h, r, partition, was)
-    colors = (
-        inits[0].coloring.colors[None, :]
-        if len(inits) == 1
-        else np.stack([init.coloring.colors for init in inits])
-    )
-    return zip(batch, was, inits, _mono_edges(h, colors))
+    size: int,
+) -> tuple[InitialColoringBatch, np.ndarray]:
+    """The next ``size`` attempts colored by one kernel call and scanned by
+    one ``_mono_edges`` call, as the batch and its (size, |E|) mask of
+    monochromatic edges.  ``streams`` gives each attempt's generator, in
+    order; the attempts that share one generator, a block segment, draw
+    their weights in one ``sample_weights`` call."""
+    draws = [
+        sample_weights(h.m, rng, len(list(segment)))
+        for rng, segment in itertools.groupby(itertools.islice(streams, size))
+    ]
+    weights = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    batch = run_interval_coloring(h, r, partition, weights)
+    return batch, _mono_edges(h, batch.colors)
 
 
 def _chains(
     h: Hypergraph, partition: IntervalPartition, rejected
 ) -> tuple[ChainRecord, ...]:
-    """Ordered chains of every monochromatic edge of a rejected attempt."""
+    """Ordered chains of every monochromatic edge of the last attempt of a
+    rejected run, whose weights and initial coloring are built here."""
     if rejected is None:
         return ()
-    wa, init, mono = rejected
+    wa, init = rejected.batch.row(rejected.t)
     cols = init.coloring.colors
     return tuple(
         extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edges[e][0]])))
-        for e in np.flatnonzero(mono).tolist()
+        for e in np.flatnonzero(_mono_edges(h, cols)).tolist()
     )

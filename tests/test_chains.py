@@ -491,8 +491,8 @@ def test_chain_predicates_over_a_batch_match_each_trial():
     for h, r in instances:
         part = IntervalPartition(0.5, r)
         # weights on a grid of 16 values, so ties broken by id are common
-        was = [WeightAssignment(rng.integers(0, 16, h.m) / 16) for _ in range(60)]
-        inits = run_interval_coloring(h, r, part, was)
+        batch = run_interval_coloring(h, r, part, rng.integers(0, 16, (60, h.m)) / 16)
+        was, inits = zip(*(batch.row(t) for t in range(len(batch))))
         slots = np.stack([_assignment_slots(part, wa) for wa in was])
         key = np.stack([wa.weights for wa in was])
         colors = np.stack([init.coloring.colors for init in inits])

@@ -149,6 +149,17 @@ def test_verify_rejects_an_unassigned_vertex(capsys, tmp_path, path_file):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_non_integer_color(capsys, tmp_path):
+    # 1.9 and true were once truncated to 1 and read as an uneven coloring
+    inst = tmp_path / "pair.txt"
+    inst.write_text("2 2 1\n0 1\n")
+    cfile = tmp_path / "float.json"
+    cfile.write_text(json.dumps({"r": 2, "colors": [1.9, True]}))
+    assert run_cli(["verify", str(inst), str(cfile)]) == 1
+    captured = capsys.readouterr()
+    assert "not an integer" in captured.err and "sizes" not in captured.out
+
+
 def test_solve_rejects_more_colors_than_vertices(capsys, tmp_path):
     # solve would write a coloring with an empty class, which verify refuses
     inst = tmp_path / "pair.txt"

@@ -110,6 +110,22 @@ def test_coloring_constructor_validates_and_stores_an_array():
     assert all(type(s) is int for s in c.sizes)
 
 
+def test_coloring_refuses_non_integer_colors():
+    # a float or a bool is refused, not truncated to an int
+    for bad in ([1.9, True], [1, 2.0], [True, 2], [np.float64(1.0), 2], [1, "2"]):
+        with pytest.raises(ValueError, match="not an integer"):
+            Coloring(2, 2, bad)
+        with pytest.raises(FormatError, match="not an integer"):
+            Coloring.from_json_dict({"r": 2, "colors": bad})
+    with pytest.raises(ValueError, match="not an integer"):
+        Coloring(2, 2, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="not an integer"):
+        Coloring(2, 2, np.array([True, True]))
+    # numpy integers of any width are colors
+    for colors in (np.array([1, 2], dtype=np.int8), np.array([1, 2], dtype=np.uint64), [np.int32(1), 2]):
+        assert Coloring(2, 2, colors).colors.tolist() == [1, 2]
+
+
 def test_coloring_equality():
     c = Coloring(4, 2, [1, 2, 1, 2])
     assert c == Coloring(4, 2, np.array([1, 2, 1, 2]))

@@ -14,6 +14,7 @@ from eqcolor import (
     Coloring,
     Hypergraph,
     InitialColoring,
+    InitialColoringBatch,
     IntervalPartition,
     WeightAssignment,
     balanced_mono_prob,
@@ -271,19 +272,23 @@ def test_two_stage_determinism():
     assert a.deflections == b.deflections and a.occupancy == b.occupancy
 
 
-def test_list_of_weight_assignments_colors_each_as_alone():
+def test_weight_array_colors_each_row_as_alone():
     rng = np.random.default_rng(12)
     deflected = 0
     for m, n, ne, r in ((12, 3, 6, 2), (30, 3, 40, 3), (25, 4, 30, 4), (9, 2, 0, 2)):
         h = _random_instance(m, n, ne, rng)
         part = IntervalPartition(choose_p(n, r), r)
-        was = [sample_weights(m, seed) for seed in range(7)]
-        batch = run_interval_coloring(h, r, part, was)
-        assert isinstance(batch, list) and len(batch) == len(was)
-        for wa, got in zip(was, batch):
-            alone = run_interval_coloring(h, r, part, wa)
+        weights = np.stack([sample_weights(m, seed).weights for seed in range(7)])
+        batch = run_interval_coloring(h, r, part, weights)
+        assert isinstance(batch, InitialColoringBatch) and len(batch) == len(weights)
+        assert batch.colors.dtype == np.int64 and not batch.colors.flags.writeable
+        for t, row in enumerate(weights):
+            wa, got = batch.row(t)
+            assert np.array_equal(wa.weights, row)
+            alone = run_interval_coloring(h, r, part, WeightAssignment(row))
             assert isinstance(alone, InitialColoring)
             assert got.coloring == alone.coloring and got.coloring.sizes == alone.coloring.sizes
+            assert np.array_equal(batch.colors[t], alone.coloring.colors)
             assert (got.deflections, got.occupancy, got.blocking) == (
                 alone.deflections,
                 alone.occupancy,
@@ -291,26 +296,30 @@ def test_list_of_weight_assignments_colors_each_as_alone():
             )
             assert got.to_json_dict() == alone.to_json_dict()
             deflected += sum(got.deflections)
-        assert run_interval_coloring(h, r, part, was[:1])[0].coloring == batch[0].coloring
+        one = run_interval_coloring(h, r, part, weights[:1])
+        assert len(one) == 1 and one.row(0)[1].coloring == batch.row(0)[1].coloring
+        empty = run_interval_coloring(h, r, part, np.empty((0, m)))
+        assert len(empty) == 0 and empty.colors.shape == (0, m)
     assert deflected > 0
-    assert run_interval_coloring(h, r, part, []) == []
     with pytest.raises(ValueError, match="vertex count"):
-        run_interval_coloring(h, r, part, [was[0], sample_weights(m + 1, 0)])
+        run_interval_coloring(h, r, part, np.zeros((2, m + 1)))
+    with pytest.raises(ValueError, match="array"):
+        run_interval_coloring(h, r, part, weights[0])
 
 
-def test_long_lists_keep_occupancy_offsets_wide():
-    # B * r > 127: the per-row offsets t * r of the occupancy count pass the
-    # int8 range of the slots
+def test_long_weight_arrays_keep_occupancy_wide():
+    # B * r > 127: counts over a batch pass the int8 range of the slots
     rng = np.random.default_rng(4)
     for r, count, p in ((4, 40, choose_p(3, 4)), (64, 3, 0.5)):
         assert count * r > 127
         h = _random_instance(50, 3, 40, rng)
         part = IntervalPartition(p, r)
-        was = [sample_weights(50, seed) for seed in range(count)]
-        batch = run_interval_coloring(h, r, part, was)
-        for wa, got in zip(was, batch):
-            alone = run_interval_coloring(h, r, part, wa)
-            blocks = [part.slot_of(x) // 2 for x in wa.weights.tolist()]
+        weights = np.stack([sample_weights(50, seed).weights for seed in range(count)])
+        batch = run_interval_coloring(h, r, part, weights)
+        for t, row in enumerate(weights):
+            _, got = batch.row(t)
+            alone = run_interval_coloring(h, r, part, WeightAssignment(row))
+            blocks = [part.slot_of(x) // 2 for x in row.tolist()]
             assert got.occupancy == alone.occupancy == tuple(blocks.count(i) for i in range(r))
             assert got.coloring == alone.coloring
             assert got.coloring.colors.dtype == np.int64
@@ -328,10 +337,12 @@ def test_slots_are_computed_once_per_weight_assignment(monkeypatch):
     monkeypatch.setattr(intervals, "_weight_slots", counted)
     h = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
     part = IntervalPartition(0.5, 2)
-    was = [sample_weights(6, seed) for seed in range(5)]
-    inits = run_interval_coloring(h, 2, part, was)
+    batch = run_interval_coloring(h, 2, part, np.random.default_rng(0).random((5, 6)))
     assert calls == [(5, 6)]
-    for wa, init in zip(was, inits):
+    was = []
+    for t in range(len(batch)):
+        wa, init = batch.row(t)
+        was.append(wa)
         kept = _assignment_slots(part, wa)
         assert kept.tolist() == [part.slot_of(x) for x in wa.weights.tolist()]
         sample_candidate_sets(h, part, wa, 0.5, 3)

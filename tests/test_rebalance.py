@@ -397,13 +397,15 @@ def test_colorings_are_read_only():
     part = IntervalPartition(0.3, 3)
     made = Coloring(6, 3, [1, 1, 2, 2, 3, 3])
     single = run_interval_coloring(h, 3, part, sample_weights(6, 1)).coloring
-    batch = run_interval_coloring(h, 3, part, [sample_weights(6, s) for s in range(3)])
+    batch = run_interval_coloring(h, 3, part, np.random.default_rng(1).random((3, 6)))
     moved = apply_recolor(made, (frozenset({0}), frozenset({2})))
     repaired = greedy_repair(Hypergraph(6, 2, []), Coloring(6, 3, [1] * 4 + [2, 3]), (2, 2, 2))
     balanced = sample_balanced_coloring(6, 3, 5)
-    for c in [made, single, *(init.coloring for init in batch), moved, repaired, balanced]:
+    rows = [batch.row(t)[1].coloring for t in range(len(batch))]
+    for c in [made, single, *rows, moved, repaired, balanced]:
         assert not c.colors.flags.writeable
         with pytest.raises(ValueError):
             c.colors[0] = 2
+    assert not batch.colors.flags.writeable
     assert made.colors.tolist() == [1, 1, 2, 2, 3, 3]
     assert moved.colors.tolist() == [3, 1, 3, 2, 3, 3] and moved.sizes == [1, 1, 4]

@@ -555,6 +555,45 @@ def test_accept_after_failed_row_in_same_batch_matches_reference(failure):
     assert any(failure in raised for raised in before), before
 
 
+def _accepted_after_rejection_in_earlier_batch():
+    """(instance, r, config) whose accepted attempt 1 opens the batch of
+    attempts 1-2, after attempt 0 was rejected in the batch before."""
+    from eqcolor import generate_random
+
+    return generate_random(250, 6, 125, 0), 3, SolveConfig(seed=0)
+
+
+def _accepted_after_failed_rows():
+    """(instance, r, config) whose accepted attempt 93 follows, in the batch
+    of attempts 63-126, three clean rows that failed rebalancing or repair
+    (attempt 87 both), and the last rejected attempt 92."""
+    from eqcolor import generate_random
+
+    return generate_random(9, 2, 12, 312), 3, SolveConfig(seed=312, max_restarts=200)
+
+
+def test_accept_after_rejection_in_earlier_batch_matches_reference():
+    h, r, cfg = _accepted_after_rejection_in_earlier_batch()
+    report = _assert_matches_per_attempt(h, r, cfg)
+    accepted = report.attempts - 1
+    assert report.outcome == SUCCESS and accepted in _batch_starts(accepted, h)
+    assert _attempt_outcomes(h, r, cfg, accepted)[-1] == {"mono-edge"}
+    assert report.chains
+
+
+def test_accept_after_several_failed_rows_in_same_batch_matches_reference():
+    h, r, cfg = _accepted_after_failed_rows()
+    report = _assert_matches_per_attempt(h, r, cfg)
+    assert report.outcome == SUCCESS and report.attempts == 94
+    assert max(_batch_starts(94, h)) == 63
+    raised = _attempt_outcomes(h, r, cfg, 93)
+    failed = [t for t in range(63, 93) if "mono-edge" not in raised[t]]
+    assert failed == [65, 77, 87]
+    assert raised[87] == {"rebalance-infeasible", "repair-failed"}
+    assert all(raised[t] == {"repair-failed"} for t in (65, 77))
+    assert report.chains
+
+
 def test_exhausted_path_matches_reference_with_chains_and_verdict():
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
     for seed, max_restarts in ((0, 100), (3, 7)):
@@ -614,6 +653,8 @@ def test_batch_sizes_change_no_report(monkeypatch):
         (generate_random(1000, 6, 1200, 5), 3, SolveConfig(seed=0)),
         _accepted_after_failed_row("rebalance-infeasible"),
         _accepted_after_failed_row("repair-failed"),
+        _accepted_after_rejection_in_earlier_batch(),
+        _accepted_after_failed_rows(),
     ]
     reports = []
     for cells in (1, 2**24):
@@ -645,7 +686,10 @@ def test_attempt_64_takes_row_0_of_block_1(monkeypatch):
     weights = _recording(monkeypatch, "sample_weights")
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
     solve_equitable(k6, 2, SolveConfig(seed=5, max_restarts=65, enumeration_budget=0))
-    drawn = np.array([out.weights for _, out in weights])
+    # one draw per block segment: the last batch, attempts 63-64, spans
+    # the end of block 0 and the start of block 1
+    assert [len(out) for _, out in weights] == [1, 2, 4, 8, 16, 32, 1, 1]
+    drawn = np.concatenate([out for _, out in weights])
     assert drawn.shape == (65, 6)
     assert np.array_equal(drawn[:BLOCK], derive(5, 0, ROLE_WEIGHTS).random((BLOCK, 6)))
     assert np.array_equal(drawn[BLOCK], derive(5, 1, ROLE_WEIGHTS).random((BLOCK, 6))[0])
@@ -659,6 +703,26 @@ def test_k6_solve_derives_once_per_block(monkeypatch):
     # one call per block of attempts, made through the solver's global
     blocks = math.ceil(10_000 / BLOCK)
     assert blocks <= len(derives) <= blocks + 1
+
+
+def test_k6_solve_builds_at_most_one_initial_coloring_per_batch(monkeypatch):
+    # rejected attempts are screened as arrays: only the last one, whose
+    # chains the report carries, becomes an InitialColoring
+    from eqcolor.intervals import InitialColoring
+
+    sizes = _record_batch_sizes(monkeypatch)
+    built = []
+    init = InitialColoring.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(InitialColoring, "__init__", counting)
+    k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    report = solve_equitable(k6, 2, SolveConfig(seed=11, max_restarts=10_000))
+    assert report.outcome == INFEASIBLE and report.chains
+    assert sum(sizes) == 10_000 and 1 <= len(built) <= len(sizes)
 
 
 def test_first_attempt_success_draws_m_weights(monkeypatch):
