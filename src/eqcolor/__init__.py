@@ -18,13 +18,11 @@ from .chains import (
     DangerousEdge,
     Deflected,
     MonoEdge,
-    chain_event_occurs,
     chain_probability_bound,
     dangerous_count_bound,
     enumerate_chain_candidates,
     expected_deflections_bound,
     extract_chain,
-    is_conflicting_pair,
     mono_edge_probability_bound,
     validate_chain,
 )
@@ -51,7 +49,6 @@ from .intervals import (
     balanced_mono_prob,
     choose_p,
     run_interval_coloring,
-    sample_balanced_coloring,
     sample_weights,
 )
 from .montecarlo import (

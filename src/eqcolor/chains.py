@@ -42,13 +42,11 @@ __all__ = [
     "DangerousEdge",
     "Deflected",
     "MonoEdge",
-    "chain_event_occurs",
     "chain_probability_bound",
     "dangerous_count_bound",
     "enumerate_chain_candidates",
     "expected_deflections_bound",
     "extract_chain",
-    "is_conflicting_pair",
     "mono_edge_probability_bound",
     "validate_chain",
 ]
@@ -127,27 +125,12 @@ class ChainRecord:
         }
 
 
-def is_conflicting_pair(
-    h: Hypergraph,
-    partition: IntervalPartition,
-    wa: WeightAssignment,
-    init: InitialColoring,
-    b_edge: int,
-    a_edge: int,
-    color: int,
-) -> bool:
-    """True iff (A, B) conflict for ``color``: they share exactly one vertex v,
-    v is the last vertex of B and the first of A, v lies in small_{color-1},
-    and all of B minus v carries color-1."""
-    slots = _assignment_slots(partition, wa)[None]
-    key, colors = wa.weights[None], init.coloring.colors[None]
-    return bool(_conflicting(h, slots, key, colors, b_edge, a_edge, color)[0])
-
-
 def _conflicting(h, slots, key, colors, b_edge, a_edge, color) -> np.ndarray:
-    """``is_conflicting_pair`` for T trials: ``slots``, ``key`` and
-    ``colors`` are (T, m) arrays, and trial t orders vertices by
-    (key[t, v], v).  Returns one boolean per trial."""
+    """Whether (A, B) conflict for ``color`` in each of T trials: they share
+    exactly one vertex v, v is the last vertex of B and the first of A, v
+    lies in small_{color-1}, and all of B minus v carries color-1.
+    ``slots``, ``key`` and ``colors`` are (T, m) arrays, and trial t orders
+    vertices by (key[t, v], v).  Returns one boolean per trial."""
     b = np.array(h.edges[b_edge])
     a = np.array(h.edges[a_edge])
     shared = np.intersect1d(b, a)
@@ -444,31 +427,16 @@ def validate_chain(
             )
 
 
-def chain_event_occurs(
-    h: Hypergraph,
-    partition: IntervalPartition,
-    wa: WeightAssignment,
-    init: InitialColoring,
-    edge_seq: Sequence[int],
-    color: int,
-) -> bool:
-    """Did ``edge_seq`` come out as an ordered chain certifying a
-    monochromatic last edge of ``color``?
+def _chain_event_holds(h, slots, key, colors, edge_seq, color) -> np.ndarray:
+    """Whether ``edge_seq`` came out as an ordered chain certifying a
+    monochromatic last edge of ``color``, in each of T trials given as
+    (T, m) arrays as ``_conflicting`` takes them.
 
     For k = 1 this asks for the whole edge to sit in large_color.  For
     longer chains: the last edge is monochromatic, every consecutive pair
     conflicts at its color, and the leading edge starts in its large block
-    or lies wholly inside its small block.
-    """
-    slots = _assignment_slots(partition, wa)[None]
-    key, colors = wa.weights[None], init.coloring.colors[None]
-    return bool(_chain_event_holds(h, slots, key, colors, edge_seq, color)[0])
-
-
-def _chain_event_holds(h, slots, key, colors, edge_seq, color) -> np.ndarray:
-    """``chain_event_occurs`` for T trials, on (T, m) arrays as
-    ``_conflicting`` takes them; the Monte Carlo ``chain-event`` statistic
-    calls it once per sub-batch."""
+    or lies wholly inside its small block.  The Monte Carlo ``chain-event``
+    statistic calls it once per sub-batch."""
     k = len(edge_seq)
     trials = len(slots)
     if color - k + 1 < 1:

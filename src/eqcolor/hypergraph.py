@@ -114,9 +114,11 @@ class Hypergraph:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Hypergraph":
+        """Parse and validate untrusted JSON: m and n are integers and the
+        edges pass the constructor's checks.  Raises FormatError otherwise."""
         try:
-            return cls(int(obj["m"]), int(obj["n"]), obj["edges"])
-        except (KeyError, TypeError) as exc:
+            return cls(_integer(obj["m"], "m"), _integer(obj["n"], "n"), obj["edges"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed hypergraph JSON: {exc}") from exc
 
 
@@ -211,7 +213,7 @@ class Coloring:
     def __init__(self, m: int, r: int, colors: Sequence[int]):
         if r < 1:
             raise ValueError(f"color count must be positive, got {r}")
-        values = [_integer_color(c) for c in colors]
+        values = [_integer(c, "color") for c in colors]
         if len(values) != m:
             raise ValueError("color vector length does not match vertex count")
         try:
@@ -258,11 +260,12 @@ class Coloring:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Coloring":
-        """Parse and validate untrusted JSON: every color lies in 1..r, and
-        r is bounded by max(m, 1) for m colored vertices, since the class
-        sizes take O(r) memory.  Raises FormatError otherwise."""
+        """Parse and validate untrusted JSON: r and every color are
+        integers, every color lies in 1..r, and r is bounded by max(m, 1)
+        for m colored vertices, since the class sizes take O(r) memory.
+        Raises FormatError otherwise."""
         try:
-            m, r = len(obj["colors"]), int(obj["r"])
+            m, r = len(obj["colors"]), _integer(obj["r"], "r")
             if r > max(m, 1):
                 raise ValueError(f"r={r} colors for {m} vertices")
             col = cls(m, r, obj["colors"])
@@ -273,12 +276,13 @@ class Coloring:
         return col
 
 
-def _integer_color(c) -> int:
-    """``c`` as an int if it is a Python or numpy integer; a bool, a float
-    or anything else is refused rather than truncated."""
-    if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-        raise ValueError(f"color {c!r} is not an integer")
-    return int(c)
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer; a bool, a
+    float, a string or anything else is refused rather than truncated, by
+    a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 def _mono_edges(h: Hypergraph, colors) -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "balanced_mono_prob",
     "choose_p",
     "run_interval_coloring",
-    "sample_balanced_coloring",
     "sample_weights",
 ]
 
@@ -505,23 +504,16 @@ def balanced_mono_prob(m: int, n: int, r: int) -> MonoProbability:
     return MonoProbability(float(frac), frac)
 
 
-def sample_balanced_coloring(m: int, r: int, seed) -> Coloring:
-    """Uniformly random coloring with every class of size exactly m/r.
-
-    ``seed`` may be an integer or a numpy Generator.
-    """
-    if m % r != 0:
-        raise ValueError(f"balanced colorings need r | m, got m={m}, r={r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _coloring_at_sizes(m, [m // r] * r, rng)
-
-
-def _coloring_at_sizes(m: int, sizes: Sequence[int], rng: np.random.Generator) -> Coloring:
-    """Uniformly random coloring whose class i holds exactly sizes[i-1]
-    vertices.  A uniform permutation is cut into consecutive blocks; each
-    such coloring arises from the same number of permutations, so the draw
-    is uniform."""
-    colors = np.empty(m, dtype=np.int64)
-    colors[rng.permutation(m)] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+def _colors_at_sizes(perms: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Read-only int64 colors, one row per row of the (T, m) permutations
+    ``perms``: vertex perms[t, j] takes the j-th entry of 1, ..., 1, 2, ...,
+    r, which holds sizes[i-1] copies of color i.  A uniform permutation
+    cut into consecutive blocks gives each coloring with those class sizes
+    from the same number of permutations, so a uniform row gives a uniform
+    coloring.  The solver's balanced route and the Monte Carlo
+    ``balanced-mono`` draw both color through it."""
+    colors = np.empty(perms.shape, dtype=np.int64)
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    colors[np.arange(len(perms))[:, None], perms] = labels
     colors.flags.writeable = False
-    return Coloring._trusted(len(sizes), colors, list(sizes))
+    return colors

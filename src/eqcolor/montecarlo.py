@@ -13,10 +13,13 @@ every estimate (ROADMAP.md, item 3).  A chunk is split into sub-batches of
 at most ``_SUB_BATCH_CELLS`` gathered edge cells, which bounds memory and
 changes no draw.  Each sub-batch is colored at once, by one call of the
 production kernel ``intervals._stage_colors`` or, for ``balanced-mono``,
-by a balanced draw, and every statistic acts on the whole sub-batch: the
-production predicates ``hypergraph._mono_edges``, ``rebalance._candidates``
-and ``_dangerous_edges``, and ``chains._chain_event_holds`` for their
-quantities, array expressions for the other counts.
+by a balanced draw: each row of weights sorted into a permutation, which
+``intervals._colors_at_sizes`` cuts into r equal classes, the same helper
+that colors the solver's balanced attempts.  Every statistic acts on the
+whole sub-batch: the production predicates ``hypergraph._mono_edges``,
+``rebalance._candidates`` and ``_dangerous_edges``, and
+``chains._chain_event_holds`` for their quantities, array expressions for
+the other counts.
 
 The oracle exploits a discreteness property of the process: the outcome
 depends only on which of the 2r-1 subintervals each vertex falls in (the
@@ -53,6 +56,7 @@ from .hypergraph import BudgetExceeded, Hypergraph, _mono_edges, class_targets
 from .intervals import (
     _SUB_BATCH_CELLS,
     IntervalPartition,
+    _colors_at_sizes,
     _row_counts,
     _stage_colors,
     _weight_slots,
@@ -135,11 +139,12 @@ def _sample(
     most ``_SUB_BATCH_CELLS`` gathered edge cells (at least one trial), and
     every sub-batch is colored at once: by the two-stage kernel with
     subinterval parameter ``p``, or, when ``p`` is None, by a uniform
-    balanced draw (the ranks of each row of weights cut into r equal
-    classes).  ``stat(colors, deflections, slots, u, keep)`` gets the
-    sub-batch's (T, m) arrays (``deflections`` and ``slots`` are None for
-    balanced draws, ``keep`` is None unless ``with_keep``) and returns one
-    integer or boolean value per trial.  From the kernel, ``slots`` and
+    balanced draw (each row of weights sorted into a permutation, cut into
+    r equal classes by ``_colors_at_sizes``).
+    ``stat(colors, deflections, slots, u, keep)`` gets the sub-batch's
+    (T, m) arrays (``deflections`` and ``slots`` are None for balanced
+    draws, ``keep`` is None unless ``with_keep``) and returns one integer
+    or boolean value per trial.  From the kernel, ``slots`` and
     ``colors`` come in the narrow signed dtype of ``_weight_slots`` (int8
     for r <= 64; balanced colors are int64), so a statistic computes in
     that dtype only what stays within +-2r and widens the rest.  The sums
@@ -147,6 +152,7 @@ def _sample(
     estimate and half-width."""
     partition = None if p is None else IntervalPartition(p, r)
     m = h.m
+    sizes = class_targets(m, r)
     width = 2 * m if with_keep else m
     rows = _chunk_rows(width)
     sub = max(1, _SUB_BATCH_CELLS // max(1, h.edge_array.size))
@@ -162,8 +168,8 @@ def _sample(
             u = mat[lo : lo + sub, :m]
             keep = mat[lo : lo + sub, m:] if with_keep else None
             if partition is None:
-                ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
-                colors, deflections, slots = ranks // (m // r) + 1, None, None
+                perms = np.argsort(u, axis=1, kind="stable")
+                colors, deflections, slots = _colors_at_sizes(perms, sizes), None, None
             else:
                 slots = _weight_slots(partition, u)
                 colors, deflections, _ = _stage_colors(h, r, slots, u)

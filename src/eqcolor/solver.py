@@ -8,16 +8,16 @@ the shortage is confined to color r, a greedy repair otherwise.  Every
 candidate is verified before it is returned, so the output is correct
 whenever there is one; only the number of restarts is random.
 
-Two-stage attempts are screened as arrays in batches of 1, 2, 4, ...
-attempts: one ``sample_weights`` draw per block segment of the batch, one
-kernel call and one edge scan per batch, then the rows with no
-monochromatic edge are taken in attempt order.  Per-attempt objects (a
-WeightAssignment and an InitialColoring) are built only for those rows and
-for the last rejected row, whose chains the report carries; the rejected
-rows before a passing one are counted in one step.  Seeding is per block
-of ``_BLOCK`` attempts, a constant apart from the batch sizes: attempt t
-draws from derive(seed, t // _BLOCK, role), after the earlier attempts of
-its block, so batching changes no report.
+Attempts of both routes run through one loop, screened as arrays in
+batches of 1, 2, 4, ... attempts.  A route picks only how a batch is drawn
+and colored: one ``sample_weights`` draw per block segment and one kernel
+call, or one permutation per attempt cut at the class targets.  One edge
+scan per batch finds the rows with no monochromatic edge, taken in attempt
+order; per-attempt objects are built only for them and for the last
+rejected two-stage row, whose chains the report carries.  Seeding is per
+block of ``_BLOCK`` attempts, a constant apart from the batch sizes:
+attempt t draws from derive(seed, t // _BLOCK, role), after the earlier
+attempts of its block, so batching changes no report.
 
 At desk scale the per-attempt success probability carries no guarantee, so
 after exhausting its restarts the solver consults the brute-force oracle
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -46,11 +46,10 @@ from .hypergraph import (
 )
 from .intervals import (
     _SUB_BATCH_CELLS,
-    InitialColoring,
     InitialColoringBatch,
     IntervalPartition,
     WeightAssignment,
-    _coloring_at_sizes,
+    _colors_at_sizes,
     choose_p,
     run_interval_coloring,
     sample_weights,
@@ -224,15 +223,16 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     generator of its block, derive(cfg.seed, t // _BLOCK, role), right
     after the earlier attempts of that block (see ``_attempt_streams``),
     and its rebalancing sets from derive(cfg.seed, t, ROLE_VSETS); so
-    identical inputs give an identical report.  On the two-stage path
-    attempts are screened in batches (see ``_screened_attempts``), which
-    changes no attempt's draws and no report: only the attempts up to the
-    returned one are counted.  With strict_divisibility only perfectly
-    balanced targets are accepted and r | m is enforced up front;
-    otherwise targets differ by at most one.  After exhaustion, instances
-    with r**m within the enumeration budget get a brute-force verdict,
-    upgrading Exhausted to Infeasible-by-oracle when no equitable coloring
-    exists at all.
+    identical inputs give an identical report.  Both routes screen their
+    attempts in batches (see ``_screened_attempts``), which changes no
+    attempt's draws and no report: only the attempts up to the returned
+    one are counted.  Every returned coloring has passed ``is_equitable``;
+    chains come only from two-stage attempts.  With strict_divisibility
+    only perfectly balanced targets are accepted and r | m is enforced up
+    front; otherwise targets differ by at most one.  After exhaustion,
+    instances with r**m within the enumeration budget get a brute-force
+    verdict, upgrading Exhausted to Infeasible-by-oracle when no equitable
+    coloring exists at all.
     """
     if r < 2:
         raise ValueError("need at least 2 colors")
@@ -248,40 +248,31 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     plan: Optional[RebalancePlan] = None
 
     partition = None
-    screened = ()
-    if path == PATH_BALANCED:
-        streams = _attempt_streams(cfg.seed, ROLE_BALANCED)
-        for attempt, rng in zip(range(cfg.max_restarts), streams):
-            coloring = _coloring_at_sizes(h.m, targets, rng)
-            if is_proper(h, coloring):
-                return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics)
-            diagnostics["mono-edge"] += 1
-    else:
+    if path == PATH_TWO_STAGE:
         partition = IntervalPartition(choose_p(h.n, r), r)
-        screened = _screened_attempts(h, r, partition, cfg)
 
-    for attempt, run, row in screened:
+    for attempt, run, row in _screened_attempts(h, r, partition, cfg):
         if run is not None:
             diagnostics["mono-edge"] += run.count
             rejected = run
         if row is None:
             continue
-        wa, init = row
+        wa, coloring = row
 
-        if is_equitable(h, init.coloring):
+        if is_equitable(h, coloring):
             return SolveReport(
-                SUCCESS, init.coloring, attempt + 1, path, r, diagnostics,
+                SUCCESS, coloring, attempt + 1, path, r, diagnostics,
                 _chains(h, partition, rejected), plan,
             )
 
-        ex, sh = excess_shortage(init.coloring, targets)
+        ex, sh = excess_shortage(coloring, targets)
         if all(s == 0 for s in sh[:-1]) and any(sh):
             try:
                 plan = build_rebalance_plan(
                     h,
                     partition,
                     wa,
-                    init.coloring,
+                    coloring,
                     targets,
                     derive(cfg.seed, attempt, ROLE_VSETS),
                 )
@@ -289,7 +280,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
                 diagnostics["rebalance-infeasible"] += 1
             else:
                 if plan.feasible:
-                    candidate = apply_recolor(init.coloring, plan.wsets)
+                    candidate = apply_recolor(coloring, plan.wsets)
                     if is_equitable(h, candidate):
                         return SolveReport(
                             SUCCESS, candidate, attempt + 1, path, r,
@@ -298,7 +289,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
                 diagnostics["rebalance-infeasible"] += 1
 
         if cfg.allow_fallback_repair:
-            repaired = greedy_repair(h, init.coloring, targets, weights=wa.weights)
+            repaired = greedy_repair(h, coloring, targets, weights=wa.weights)
             if repaired is not None and is_equitable(h, repaired):
                 return SolveReport(
                     SUCCESS, repaired, attempt + 1, path, r, diagnostics,
@@ -331,44 +322,49 @@ def _attempt_streams(seed: int, role: int) -> Iterator[np.random.Generator]:
 
 class _Rejected(NamedTuple):
     """A run of ``count`` consecutive attempts rejected on a monochromatic
-    edge, ending at row ``t`` of ``batch``."""
+    edge, ending at row ``t`` of ``batch`` (as ``_screen_batch`` gives it)."""
 
     count: int
-    batch: InitialColoringBatch
+    batch: Union[InitialColoringBatch, np.ndarray]
     t: int
 
 
+# a screened attempt's weights (None on the balanced route) and coloring
+_Row = tuple[Optional[WeightAssignment], Coloring]
+
+
 def _screened_attempts(
-    h: Hypergraph, r: int, partition: IntervalPartition, cfg: SolveConfig
-) -> Iterator[tuple[int, Optional[_Rejected], Optional[tuple[WeightAssignment, InitialColoring]]]]:
-    """Two-stage attempts in order, as (attempt, rejected, row): one item
-    per attempt with no monochromatic edge, with ``row`` its (weights,
-    initial coloring) and ``rejected`` the run of rejected attempts just
-    before it (None if there is none), and one item with ``row`` None for a
-    run of rejected attempts that ends a batch.
+    h: Hypergraph, r: int, partition: Optional[IntervalPartition], cfg: SolveConfig
+) -> Iterator[tuple[int, Optional[_Rejected], Optional[_Row]]]:
+    """Attempts in order, as (attempt, rejected, row): one item per attempt
+    with no monochromatic edge, with ``row`` its (weights, coloring) and
+    ``rejected`` the run of rejected attempts just before it (None if there
+    is none), and one item with ``row`` None for a run of rejected attempts
+    that ends a batch.  Two-stage attempts run when ``partition`` is given,
+    balanced ones when it is None.
 
     Attempts run in batches of 1, 2, 4, ... attempts, at most
     ``_SUB_BATCH_CELLS`` // max(m, n |E|) of them (at least one), screened
     as arrays by ``_screen_batch``.  Per-attempt objects are built only
     for the rows yielded, when they are yielded, and for the last rejected
-    row when the report asks for its chains.  Attempt t draws its weights
-    from ``_attempt_streams``(cfg.seed, ROLE_WEIGHTS), whose rows do not
-    depend on the batch sizes, so a batch yields what one call per attempt
-    would.  A solve that succeeds on attempt 1 colors one attempt; one
-    that stops inside a batch has drawn and colored the rest of that batch
-    for nothing.
+    two-stage row when the report asks for its chains.  Attempt t draws
+    from ``_attempt_streams``(cfg.seed, ROLE_WEIGHTS or ROLE_BALANCED),
+    whose rows do not depend on the batch sizes, so a batch yields what one
+    draw per attempt would.  A solve that succeeds on attempt 1 draws one
+    attempt; one that stops inside a batch has drawn and colored the rest
+    of that batch for nothing.
     """
     cap = max(1, _SUB_BATCH_CELLS // max(1, h.m, h.edge_array.size))
-    streams = _attempt_streams(cfg.seed, ROLE_WEIGHTS)
+    streams = _attempt_streams(cfg.seed, ROLE_BALANCED if partition is None else ROLE_WEIGHTS)
     start, size = 0, 1
     while start < cfg.max_restarts:
         stop = min(start + size, cfg.max_restarts)
-        batch, mono = _screen_batch(h, r, partition, streams, stop - start)
+        batch, mono, row = _screen_batch(h, r, partition, streams, stop - start)
         prev = 0
         for t in np.flatnonzero(~mono.any(axis=1)).tolist() + [len(batch)]:
             run = _Rejected(t - prev, batch, t - 1) if t > prev else None
             if t < len(batch):
-                yield start + t, run, batch.row(t)
+                yield start + t, run, row(t)
             elif run is not None:
                 yield stop, run, None
             prev = t + 1
@@ -378,30 +374,49 @@ def _screened_attempts(
 def _screen_batch(
     h: Hypergraph,
     r: int,
-    partition: IntervalPartition,
+    partition: Optional[IntervalPartition],
     streams: Iterator[np.random.Generator],
     size: int,
-) -> tuple[InitialColoringBatch, np.ndarray]:
-    """The next ``size`` attempts colored by one kernel call and scanned by
-    one ``_mono_edges`` call, as the batch and its (size, |E|) mask of
-    monochromatic edges.  ``streams`` gives each attempt's generator, in
-    order; the attempts that share one generator, a block segment, draw
-    their weights in one ``sample_weights`` call."""
-    draws = [
-        sample_weights(h.m, rng, len(list(segment)))
-        for rng, segment in itertools.groupby(itertools.islice(streams, size))
-    ]
-    weights = draws[0] if len(draws) == 1 else np.concatenate(draws)
-    batch = run_interval_coloring(h, r, partition, weights)
-    return batch, _mono_edges(h, batch.colors)
+) -> tuple[Union[InitialColoringBatch, np.ndarray], np.ndarray, Callable[[int], _Row]]:
+    """The next ``size`` attempts, drawn and colored as arrays and scanned
+    by one ``_mono_edges`` call: the batch, its (size, |E|) mask of
+    monochromatic edges, and the function building row t's (weights,
+    coloring).  ``streams`` gives each attempt's generator, in order.
+
+    A two-stage batch draws one ``sample_weights`` array per block
+    segment (its attempts that share one generator) and is colored by one
+    kernel call.  A balanced batch draws one ``permutation(m)`` per attempt
+    and is colored at the class targets by one ``_colors_at_sizes`` call;
+    its colors array is the batch, and its rows have no weights."""
+    rngs = list(itertools.islice(streams, size))
+    if partition is None:
+        targets = class_targets(h.m, r)
+        batch = colors = _colors_at_sizes(np.stack([rng.permutation(h.m) for rng in rngs]), targets)
+
+        def row(t: int) -> _Row:
+            return None, Coloring._trusted(r, colors[t], list(targets))
+
+    else:
+        draws = [sample_weights(h.m, rng, len(list(seg))) for rng, seg in itertools.groupby(rngs)]
+        batch = run_interval_coloring(
+            h, r, partition, draws[0] if len(draws) == 1 else np.concatenate(draws)
+        )
+        colors = batch.colors
+
+        def row(t: int) -> _Row:
+            wa, init = batch.row(t)
+            return wa, init.coloring
+
+    return batch, _mono_edges(h, colors), row
 
 
 def _chains(
-    h: Hypergraph, partition: IntervalPartition, rejected
+    h: Hypergraph, partition: Optional[IntervalPartition], rejected
 ) -> tuple[ChainRecord, ...]:
     """Ordered chains of every monochromatic edge of the last attempt of a
-    rejected run, whose weights and initial coloring are built here."""
-    if rejected is None:
+    rejected two-stage run, whose weights and initial coloring are built
+    here.  Balanced attempts (``partition`` None) have no chains."""
+    if rejected is None or partition is None:
         return ()
     wa, init = rejected.batch.row(rejected.t)
     cols = init.coloring.colors

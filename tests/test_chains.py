@@ -21,7 +21,6 @@ from eqcolor import (
     ORDERED,
     WeightAssignment,
     build_rebalance_plan,
-    chain_event_occurs,
     chain_probability_bound,
     choose_p,
     class_targets,
@@ -29,7 +28,6 @@ from eqcolor import (
     enumerate_chain_candidates,
     expected_deflections_bound,
     extract_chain,
-    is_conflicting_pair,
     mono_edge_probability_bound,
     run_interval_coloring,
     sample_weights,
@@ -48,28 +46,34 @@ def _setup(m, edges, weights, r=2, part=P2):
     return h, wa, init
 
 
+def _trial(part, wa, init):
+    """One trial's (slots, key, colors) as the (1, m) arrays that the chain
+    predicates ``_conflicting`` and ``_chain_event_holds`` take."""
+    return _assignment_slots(part, wa)[None], wa.weights[None], init.coloring.colors[None]
+
+
 def test_conflicting_pair_hand_trace():
     # v1 sits in the small block, is last of B={0,1} and first of A={1,2},
     # and v0 carries color 1, so (A, B) conflict for color 2
     h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
     assert init.coloring.colors.tolist() == [1, 2, 2]
-    assert is_conflicting_pair(h, P2, wa, init, 0, 1, 2)
+    assert _conflicting(h, *_trial(P2, wa, init), 0, 1, 2)[0]
 
 
 def test_conflicting_pair_rejects_disjoint_edges():
     h, wa, init = _setup(4, [(0, 1), (2, 3)], (0.1, 0.45, 0.7, 0.9))
-    assert not is_conflicting_pair(h, P2, wa, init, 0, 1, 2)
+    assert not _conflicting(h, *_trial(P2, wa, init), 0, 1, 2)[0]
 
 
 def test_conflicting_pair_rejects_two_shared_vertices():
     h, wa, init = _setup(4, [(0, 1, 2), (1, 2, 3)], (0.1, 0.2, 0.45, 0.7))
-    assert not is_conflicting_pair(h, P2, wa, init, 0, 1, 2)
+    assert not _conflicting(h, *_trial(P2, wa, init), 0, 1, 2)[0]
 
 
 def test_conflicting_pair_needs_small_block_link():
     # shared vertex in a large block never links a pair
     h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.2, 0.7))
-    assert not is_conflicting_pair(h, P2, wa, init, 0, 1, 2)
+    assert not _conflicting(h, *_trial(P2, wa, init), 0, 1, 2)[0]
 
 
 def test_extract_one_chain_from_mono_edge():
@@ -88,7 +92,7 @@ def test_extract_two_chain_from_mono_edge():
     assert rec.edges == (0, 1)
     assert rec.links == (ChainLink(1, 0.45),)
     validate_chain(h, P2, wa, init, rec)
-    assert chain_event_occurs(h, P2, wa, init, rec.edges, rec.color)
+    assert _chain_event_holds(h, *_trial(P2, wa, init), rec.edges, rec.color)[0]
 
 
 def test_extract_improper_chain_from_deflection():
@@ -220,10 +224,10 @@ def test_chain_record_json_shape():
 
 def test_chain_event_requires_mono_last_edge():
     h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    assert chain_event_occurs(h, P2, wa, init, (0, 1), 2)
-    assert not chain_event_occurs(h, P2, wa, init, (0,), 1)  # edge 0 not mono
-    assert not chain_event_occurs(h, P2, wa, init, (1,), 2)  # v1 outside large 2
-    assert not chain_event_occurs(h, P2, wa, init, (1, 0), 2)  # wrong direction
+    assert _chain_event_holds(h, *_trial(P2, wa, init), (0, 1), 2)[0]
+    assert not _chain_event_holds(h, *_trial(P2, wa, init), (0,), 1)[0]  # edge 0 not mono
+    assert not _chain_event_holds(h, *_trial(P2, wa, init), (1,), 2)[0]  # v1 outside large 2
+    assert not _chain_event_holds(h, *_trial(P2, wa, init), (1, 0), 2)[0]  # wrong direction
 
 
 def test_extraction_agrees_with_event_predicate():
@@ -245,7 +249,7 @@ def test_extraction_agrees_with_event_predicate():
             if all(cols[v] == c for v in e[1:]):
                 rec = extract_chain(h, part, wa, init, MonoEdge(idx, c))
                 validate_chain(h, part, wa, init, rec)
-                assert chain_event_occurs(h, part, wa, init, rec.edges, rec.color)
+                assert _chain_event_holds(h, *_trial(part, wa, init), rec.edges, rec.color)[0]
                 hits += 1
     assert hits > 20  # the sweep actually exercised the extraction
 
@@ -503,7 +507,7 @@ def test_chain_predicates_over_a_batch_match_each_trial():
                 for c in range(2, r + 1):
                     batch = _conflicting(h, slots, key, colors, b, a, c).tolist()
                     rows = [
-                        is_conflicting_pair(h, part, wa, init, b, a, c)
+                        _conflicting(h, *_trial(part, wa, init), b, a, c)[0]
                         for wa, init in zip(was, inits)
                     ]
                     assert batch == rows
@@ -523,7 +527,7 @@ def test_chain_predicates_over_a_batch_match_each_trial():
             for color in range(1, r + 1):
                 batch = _chain_event_holds(h, slots, key, colors, seq, color).tolist()
                 rows = [
-                    chain_event_occurs(h, part, wa, init, seq, color)
+                    _chain_event_holds(h, *_trial(part, wa, init), seq, color)[0]
                     for wa, init in zip(was, inits)
                 ]
                 reference = [_chain_event_per_trial(h, s, w, c, seq, color) for s, w, c in lists]

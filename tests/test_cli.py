@@ -160,6 +160,28 @@ def test_verify_rejects_a_non_integer_color(capsys, tmp_path):
     assert "not an integer" in captured.err and "sizes" not in captured.out
 
 
+@pytest.mark.parametrize("r", [2.7, True, "2"])
+def test_verify_rejects_a_non_integer_r(capsys, tmp_path, path_file, r):
+    # r was once read with int(): 2.7 and "2" as 2, true as 1
+    cfile = tmp_path / "r.json"
+    cfile.write_text(json.dumps({"r": r, "colors": [1, 2, 1, 2]}))
+    assert run_cli(["verify", path_file, str(cfile)]) == 1
+    assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("m", 4.5), ("m", "4"), ("n", 2.0), ("n", True)])
+def test_solve_and_verify_reject_a_non_integer_instance_size(capsys, tmp_path, key, value):
+    obj = dict(json.loads(Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)]).to_json()), **{key: value})
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(obj))
+    cfile = tmp_path / "c.json"
+    cfile.write_text(Coloring(4, 2, [1, 2, 1, 2]).to_json())
+    assert run_cli(["solve", str(inst), "-r", "2"]) == 1
+    assert "not an integer" in capsys.readouterr().err
+    assert run_cli(["verify", str(inst), str(cfile)]) == 1
+    assert "not an integer" in capsys.readouterr().err
+
+
 def test_solve_rejects_more_colors_than_vertices(capsys, tmp_path):
     # solve would write a coloring with an empty class, which verify refuses
     inst = tmp_path / "pair.txt"

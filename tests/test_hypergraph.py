@@ -126,6 +126,23 @@ def test_coloring_refuses_non_integer_colors():
         assert Coloring(2, 2, colors).colors.tolist() == [1, 2]
 
 
+def test_json_readers_refuse_non_integer_sizes():
+    # r, m and n were once read with int(), which truncates 2.7 to 2,
+    # reads true as 1 and parses "2"
+    for bad in (2.7, True, "2", 2.0, None):
+        with pytest.raises(FormatError, match="not an integer"):
+            Coloring.from_json_dict({"r": bad, "colors": [1, 2]})
+        for key in ("m", "n"):
+            obj = {"m": 4, "n": 2, "edges": [[0, 1]], key: bad}
+            with pytest.raises(FormatError, match="not an integer"):
+                Hypergraph.from_json_dict(obj)
+    # numpy integers are integers
+    assert Coloring.from_json_dict({"r": np.int64(2), "colors": [1, 2]}).r == 2
+    h = Hypergraph.from_json_dict({"m": np.int32(4), "n": np.uint8(2), "edges": [[0, 1]]})
+    assert (h.m, h.n, h.edges) == (4, 2, ((0, 1),))
+    assert type(h.m) is int and type(h.n) is int
+
+
 def test_coloring_equality():
     c = Coloring(4, 2, [1, 2, 1, 2])
     assert c == Coloring(4, 2, np.array([1, 2, 1, 2]))

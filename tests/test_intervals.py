@@ -19,12 +19,12 @@ from eqcolor import (
     WeightAssignment,
     balanced_mono_prob,
     choose_p,
+    class_targets,
     run_interval_coloring,
-    sample_balanced_coloring,
     sample_weights,
 )
-from eqcolor.chains import chain_event_occurs, is_conflicting_pair
-from eqcolor.intervals import _assignment_slots, _weight_slots
+from eqcolor.chains import _chain_event_holds, _conflicting
+from eqcolor.intervals import _assignment_slots, _colors_at_sizes, _weight_slots
 from eqcolor.rebalance import sample_candidate_sets
 
 
@@ -346,8 +346,9 @@ def test_slots_are_computed_once_per_weight_assignment(monkeypatch):
         kept = _assignment_slots(part, wa)
         assert kept.tolist() == [part.slot_of(x) for x in wa.weights.tolist()]
         sample_candidate_sets(h, part, wa, 0.5, 3)
-        is_conflicting_pair(h, part, wa, init, 0, 1, 2)
-        chain_event_occurs(h, part, wa, init, (0, 1), 2)
+        trial = kept[None], wa.weights[None], init.coloring.colors[None]
+        _conflicting(h, *trial, 0, 1, 2)
+        _chain_event_holds(h, *trial, (0, 1), 2)
     assert calls == [(5, 6)]
     # an equal partition reads the kept slots, another one recomputes them
     assert _assignment_slots(IntervalPartition(0.5, 2), was[0]) is _assignment_slots(part, was[0])
@@ -407,12 +408,26 @@ def test_balanced_mono_prob_matches_enumeration():
     assert balanced_mono_prob(m, n, r).exact == Fraction(mono, total)
 
 
+def _balanced(m, r, seed):
+    """A balanced draw as the solver makes one: a permutation from the
+    generator of ``seed``, colored at the class targets."""
+    targets = class_targets(m, r)
+    perm = np.random.default_rng(seed).permutation(m)
+    return Coloring._trusted(r, _colors_at_sizes(perm[None], targets)[0], targets)
+
+
 def test_sample_balanced_sizes_and_determinism():
-    c = sample_balanced_coloring(6, 3, seed=1)
+    c = _balanced(6, 3, seed=1)
     assert isinstance(c, Coloring) and c.sizes == [2, 2, 2]
-    assert sample_balanced_coloring(6, 3, seed=1) == c
+    assert _balanced(6, 3, seed=1) == c
+    # sizes that do not add up to m are refused
     with pytest.raises(ValueError):
-        sample_balanced_coloring(5, 2, seed=0)
+        _colors_at_sizes(np.arange(5)[None], [2, 2])
+    # vertex perms[t, j] takes the j-th color of 1, 1, 1, 2, 2 in every row
+    perms = np.array([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]])
+    colors = _colors_at_sizes(perms, [3, 2])
+    assert colors.tolist() == [[1, 1, 1, 2, 2], [2, 2, 1, 1, 1], [1, 2, 1, 2, 1]]
+    assert colors.dtype == np.int64 and not colors.flags.writeable
 
 
 def test_trusted_colorings_equal_validated_ones():
@@ -428,7 +443,7 @@ def test_trusted_colorings_equal_validated_ones():
         part = IntervalPartition(float(rng.uniform(0.05, 0.5)), r)
         drawn = [
             run_interval_coloring(h, r, part, sample_weights(m, int(rng.integers(2**32)))).coloring,
-            sample_balanced_coloring(m - m % r, r, int(rng.integers(2**32))),
+            _balanced(m - m % r, r, int(rng.integers(2**32))),
         ]
         for c in drawn:
             again = Coloring(c.m, c.r, c.colors.tolist())
@@ -451,7 +466,7 @@ def test_sample_balanced_hits_every_coloring():
     seen = {}
     trials = 6000
     for t in range(trials):
-        key = tuple(sample_balanced_coloring(4, 2, seed=1000 + t).colors.tolist())
+        key = tuple(_balanced(4, 2, seed=1000 + t).colors.tolist())
         seen[key] = seen.get(key, 0) + 1
     assert len(seen) == 6
     for count in seen.values():

@@ -300,6 +300,18 @@ def test_mc_balanced_mono_matches_formula():
         mc_estimate("balanced-mono", Hypergraph(5, 2, [(0, 1)]), 2, trials=10)
 
 
+@pytest.mark.parametrize("seed, path_hits, tri_hits", [(13, 371, 2014), (14, 370, 1986)])
+def test_mc_balanced_mono_frozen_values(seed, path_hits, tri_hits):
+    # counts frozen from the balanced draw that ranked each row of weights
+    # with a double argsort; 1500 trials on the path span four sub-batches,
+    # 20000 on TRI_PAIR two chunks
+    path = Hypergraph(80, 2, [(k, k + 1) for k in range(79)])
+    cases = ((path, 4, 5, 1500, path_hits), (TRI_PAIR, 2, 1, 20000, tri_hits))
+    for h, r, edge, trials, hits in cases:
+        rep = mc_estimate("balanced-mono", h, r, {"edge": edge}, trials, seed, compare=False)
+        assert rep.estimate == hits / trials
+
+
 def test_mc_dangerous_count_runs_and_bounds():
     rep = mc_estimate(
         "dangerous-count", TRI_PAIR, 2, params={"p_tilde": 0.5}, trials=5000, seed=11

@@ -10,6 +10,7 @@ from eqcolor import (
     Hypergraph,
     IntervalPartition,
     RegimeViolation,
+    SolveConfig,
     WeightAssignment,
     apply_recolor,
     build_rebalance_plan,
@@ -22,10 +23,10 @@ from eqcolor import (
     greedy_repair,
     is_proper,
     run_interval_coloring,
-    sample_balanced_coloring,
     sample_candidate_sets,
     sample_weights,
     select_recolor_sets,
+    solve_equitable,
 )
 from eqcolor.chains import DangerousEdge
 from eqcolor.rebalance import _candidates, _dangerous_edges
@@ -400,7 +401,10 @@ def test_colorings_are_read_only():
     batch = run_interval_coloring(h, 3, part, np.random.default_rng(1).random((3, 6)))
     moved = apply_recolor(made, (frozenset({0}), frozenset({2})))
     repaired = greedy_repair(Hypergraph(6, 2, []), Coloring(6, 3, [1] * 4 + [2, 3]), (2, 2, 2))
-    balanced = sample_balanced_coloring(6, 3, 5)
+    # a coloring the solver's balanced route drew and returned
+    report = solve_equitable(h, 3, SolveConfig(seed=5, force_path="balanced-only"))
+    assert report.path == "balanced"
+    balanced = report.coloring
     rows = [batch.row(t)[1].coloring for t in range(len(batch))]
     for c in [made, single, *rows, moved, repaired, balanced]:
         assert not c.colors.flags.writeable

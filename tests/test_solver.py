@@ -369,7 +369,6 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
     from eqcolor.intervals import (
         IntervalPartition,
         WeightAssignment,
-        _coloring_at_sizes,
         choose_p,
         run_interval_coloring,
     )
@@ -410,7 +409,11 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
         if path == PATH_BALANCED:
             rng = derive(cfg.seed, attempt // BLOCK, ROLE_BALANCED)
             for _ in range(attempt % BLOCK + 1):
-                coloring = _coloring_at_sizes(h.m, targets, rng)
+                perm = rng.permutation(h.m)
+            # the permutation cut into consecutive classes at the targets
+            colors = np.empty(h.m, dtype=np.int64)
+            colors[perm] = np.repeat(np.arange(1, r + 1), targets)
+            coloring = Coloring(h.m, r, colors.tolist())
             if is_proper(h, coloring):
                 return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics)
             diagnostics["mono-edge"] += 1
@@ -642,12 +645,19 @@ def test_balanced_route_matches_reference_past_the_first_block():
         cfg = SolveConfig(seed=seed, force_path=BALANCED_ONLY)
         report = _assert_matches_per_attempt(k55, 2, cfg)
         assert report.path == PATH_BALANCED and report.attempts == attempts
+    # exhausted inside the batch of attempts 63-126; balanced attempts
+    # carry no chains
+    cfg = SolveConfig(seed=2, max_restarts=100, force_path=BALANCED_ONLY)
+    report = _assert_matches_per_attempt(k55, 2, cfg)
+    assert report.outcome == EXHAUSTED and report.oracle_feasible is True
+    assert report.diagnostics["mono-edge"] == 100 and report.chains == ()
 
 
 def test_batch_sizes_change_no_report(monkeypatch):
     from eqcolor import generate_random, solver
 
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    k55 = Hypergraph(10, 2, [(a, b) for a in range(5) for b in range(5, 10)])
     cases = [
         (k6, 2, SolveConfig(seed=1, max_restarts=300)),
         (generate_random(1000, 6, 1200, 5), 3, SolveConfig(seed=0)),
@@ -655,13 +665,28 @@ def test_batch_sizes_change_no_report(monkeypatch):
         _accepted_after_failed_row("repair-failed"),
         _accepted_after_rejection_in_earlier_batch(),
         _accepted_after_failed_rows(),
+        # balanced route: accepted on attempt 188, in the third block and,
+        # by default, in the batch of attempts 127-254
+        (k55, 2, SolveConfig(seed=2, force_path=BALANCED_ONLY)),
+        # balanced route exhausted at 100 attempts, inside a default batch
+        (k55, 2, SolveConfig(seed=2, max_restarts=100, force_path=BALANCED_ONLY)),
     ]
     reports = []
-    for cells in (1, 2**24):
+    for cells in (1, solver._SUB_BATCH_CELLS, 2**24):
         monkeypatch.setattr(solver, "_SUB_BATCH_CELLS", cells)
-        reports.append([solve_equitable(h, r, cfg).to_json_dict(explain=True) for h, r, cfg in cases])
-    assert reports[0] == reports[1]
+        reports.append(
+            [solve_equitable(h, r, cfg).to_json_dict(explain=True) for h, r, cfg in cases]
+        )
+    assert reports[0] == reports[1] == reports[2]
     assert reports[0][0]["attempts"] == 300 and reports[0][1]["attempts"] > 1
+    accepted, exhausted = reports[0][-2:]
+    assert accepted["outcome"] == SUCCESS and accepted["attempts"] == 188
+    assert 100 not in _batch_starts(200, k55)
+    assert exhausted["outcome"] == EXHAUSTED and exhausted["attempts"] == 100
+    assert exhausted["diagnostics"] == {
+        "mono-edge": 100, "rebalance-infeasible": 0, "repair-failed": 0
+    }
+    assert exhausted["oracle_feasible"] is True and exhausted["chains"] == []
 
 
 def _recording(monkeypatch, name):
