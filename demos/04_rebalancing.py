@@ -62,9 +62,10 @@ while True:
 print(f"usable scenario after {attempts} runs")
 print("sizes before:", list(coloring.sizes), "targets:", targets)
 print("excess:", ex, "shortage:", sh)
-print("candidate sets V:", [sorted(v) for v in plan.vsets])
+# V_i and W_i are sorted vertex-id arrays
+print("candidate sets V:", [v.tolist() for v in plan.vsets])
 print("dangerous edges:", plan.dangerous)
-print("recolor sets W:", [sorted(w) for w in plan.wsets])
+print("recolor sets W:", [w.tolist() for w in plan.wsets])
 
 # The plan recolors each W_i to color r on a copy; the result is proper and
 # exactly on target.

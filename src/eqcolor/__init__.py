@@ -67,9 +67,6 @@ from .rebalance import (
     compute_p_tilde,
     compute_q,
     excess_shortage,
-    find_dangerous_edges,
-    sample_candidate_sets,
-    select_recolor_sets,
 )
 from .solver import (
     SolveConfig,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -285,7 +285,7 @@ def validate_chain(
     wa: WeightAssignment,
     init: InitialColoring,
     record: ChainRecord,
-    vsets: Optional[Sequence[frozenset]] = None,
+    vsets: Optional[Sequence[Collection[int]]] = None,
 ) -> None:
     """Check every structural invariant of a chain record, raising
     ChainInvalid on the first violation.

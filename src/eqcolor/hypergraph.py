@@ -114,10 +114,14 @@ class Hypergraph:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Hypergraph":
-        """Parse and validate untrusted JSON: m and n are integers and the
-        edges pass the constructor's checks.  Raises FormatError otherwise."""
+        """Parse and validate untrusted JSON: m, n and every vertex id are
+        integers, where the constructor would truncate a vertex id with
+        ``int()``, and the edges pass the constructor's checks.  Raises
+        FormatError otherwise."""
         try:
-            return cls(_integer(obj["m"], "m"), _integer(obj["n"], "n"), obj["edges"])
+            m, n = _integer(obj["m"], "m"), _integer(obj["n"], "n")
+            edges = [[_integer(v, "vertex id") for v in e] for e in obj["edges"]]
+            return cls(m, n, edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed hypergraph JSON: {exc}") from exc
 

@@ -65,15 +65,16 @@ def choose_p(n: int, r: int) -> float:
 class IntervalPartition:
     """The 2r-1 alternating subintervals of [0,1) for a given p and r.
 
-    Boundaries are computed from the closed forms
-    large_i = [(i-1)(L+s), iL + (i-1)s) and small_i = [iL + (i-1)s, i(L+s))
-    with L = (1-p)/r and s = p/(r-1), never by accumulating sums.
+    ``lefts`` holds their left ends in slot order, computed from the closed
+    forms large_i = [(i-1)(L+s), iL + (i-1)s) and
+    small_i = [iL + (i-1)s, i(L+s)) with L = (1-p)/r and s = p/(r-1), never
+    by accumulating sums.  Each block ends where the next one starts, so
+    large_i = [lefts[2i-2], lefts[2i-1]), small_i = [lefts[2i-1], lefts[2i])
+    and large_r = [lefts[2r-2], 1).
     """
 
     p: float
     r: int
-    large_bounds: tuple[tuple[float, float], ...] = field(init=False)
-    small_bounds: tuple[tuple[float, float], ...] = field(init=False)
     lefts: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
@@ -83,17 +84,11 @@ class IntervalPartition:
             raise ValueError(f"p must lie in [0, 1), got {self.p}")
         big = (1.0 - self.p) / self.r
         small = self.p / (self.r - 1)
-        large = tuple(
-            ((i - 1) * (big + small), i * big + (i - 1) * small) for i in range(1, self.r + 1)
-        )
-        tiny = tuple((i * big + (i - 1) * small, i * (big + small)) for i in range(1, self.r))
         lefts = []
-        for i in range(self.r - 1):
-            lefts.append(large[i][0])
-            lefts.append(tiny[i][0])
-        lefts.append(large[-1][0])
-        object.__setattr__(self, "large_bounds", large)
-        object.__setattr__(self, "small_bounds", tiny)
+        for i in range(1, self.r):
+            lefts.append((i - 1) * (big + small))
+            lefts.append(i * big + (i - 1) * small)
+        lefts.append((self.r - 1) * (big + small))
         object.__setattr__(self, "lefts", tuple(lefts))
 
     def slot_of(self, x: float) -> int:

@@ -9,6 +9,12 @@ dangerous edge pinned in place.  Pinning one vertex per dangerous edge is
 enough: an edge can only become monochromatic in r if every one of its
 candidate vertices moved, and the pinned one never does.
 
+``build_rebalance_plan`` makes the whole pass one array computation over the
+assignment's slots: the candidate mask comes from ``_candidates``, the
+dangerous edges from ``_dangerous_edges`` (both shared with the Monte Carlo
+``dangerous-count`` statistic), and the pins clear a copy of the mask.  The
+plan holds V_i and W_i as sorted vertex-id arrays.
+
 The recolor sets bring every class exactly to target when the shortage is
 confined to color r; the solver falls back to restarts or greedy repair
 when selection is infeasible or the shape does not match.
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -36,9 +42,6 @@ __all__ = [
     "compute_p_tilde",
     "compute_q",
     "excess_shortage",
-    "find_dangerous_edges",
-    "sample_candidate_sets",
-    "select_recolor_sets",
 ]
 
 
@@ -46,17 +49,19 @@ class RegimeViolation(ValueError):
     """The instance is too small for the sampling probability to make sense."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RebalancePlan:
-    """Everything one rebalancing pass decided, in evaluation order."""
+    """Everything one rebalancing pass decided, in evaluation order.  Each
+    V_i and W_i is a read-only sorted int64 array of vertex ids; ``wsets``
+    is None when some V_i cannot supply its excess."""
 
     excess: tuple[int, ...]
     shortage: tuple[int, ...]
     q: float
     p_tilde: float
-    vsets: tuple[frozenset, ...]
+    vsets: tuple[np.ndarray, ...]
     dangerous: tuple[DangerousEdge, ...]
-    wsets: Optional[tuple[frozenset, ...]]
+    wsets: Optional[tuple[np.ndarray, ...]]
 
     @property
     def feasible(self) -> bool:
@@ -68,11 +73,11 @@ class RebalancePlan:
             "sh": list(self.shortage),
             "q": self.q,
             "p_tilde": self.p_tilde,
-            "V": [sorted(s) for s in self.vsets],
+            "V": [s.tolist() for s in self.vsets],
             "dangerous": [
                 {"edge": d.edge, "U": list(d.u_vertices)} for d in self.dangerous
             ],
-            "W": None if self.wsets is None else [sorted(s) for s in self.wsets],
+            "W": None if self.wsets is None else [s.tolist() for s in self.wsets],
         }
 
 
@@ -117,27 +122,6 @@ def compute_p_tilde(m: int, n: int, r: int, p: float, q: Optional[float] = None)
     return p_tilde
 
 
-def sample_candidate_sets(
-    h: Hypergraph,
-    partition: IntervalPartition,
-    wa: WeightAssignment,
-    p_tilde: float,
-    seed: Union[int, np.random.Generator],
-) -> tuple[frozenset, ...]:
-    """Sample V_1 .. V_{r-1}: each occupant of large_i is kept in V_i
-    independently with probability p_tilde."""
-    if not 0.0 <= p_tilde <= 1.0:
-        raise ValueError("keep probability must lie in [0, 1]")
-    rng = seed if isinstance(seed, np.random.Generator) else derive(seed, ROLE_VSETS)
-    slots = _assignment_slots(partition, wa)
-    candidate = _candidates(slots, rng.random(h.m), p_tilde, partition.r)
-    # large_i is slot 2i - 2
-    return tuple(
-        frozenset(np.flatnonzero(candidate & (slots == 2 * i)).tolist())
-        for i in range(partition.r - 1)
-    )
-
-
 def _candidates(slots, keep, p_tilde: float, r: int) -> np.ndarray:
     """The candidate rule: a vertex joins V_i when it sits in large_i,
     i <= r - 1, and its keep draw is below ``p_tilde``.  Elementwise, so
@@ -155,54 +139,9 @@ def _dangerous_edges(h: Hypergraph, candidate, colors, r: int) -> np.ndarray:
     return in_sets.any(axis=-2) & (in_sets | at_top).all(axis=-2)
 
 
-def find_dangerous_edges(
-    h: Hypergraph,
-    coloring: Coloring,
-    vsets: Sequence[frozenset],
-) -> list[DangerousEdge]:
-    """Edges that would turn monochromatic in color r if every one of their
-    candidate-set vertices were recolored: some vertex lies in the union of
-    the candidate sets and every other vertex already carries color r
-    (``_dangerous_edges``)."""
-    union = np.zeros(h.m, dtype=bool)
-    union[np.fromiter(chain.from_iterable(vsets), np.int64)] = True
-    hit = np.flatnonzero(_dangerous_edges(h, union, coloring.colors, coloring.r))
-    rows = h.edge_array[hit]
-    return [
-        DangerousEdge(e, tuple(row[in_sets].tolist()))
-        for e, row, in_sets in zip(hit.tolist(), rows, union[rows])
-    ]
-
-
-def select_recolor_sets(
-    vsets: Sequence[frozenset],
-    dangerous: Sequence[DangerousEdge],
-    excess: Sequence[int],
-    wa: WeightAssignment,
-) -> Optional[tuple[frozenset, ...]]:
-    """Pick W_i, the excess_i lowest-weight vertices of V_i, skipping one
-    pinned vertex per dangerous edge.  Returns None when some V_i cannot
-    supply enough vertices.
-
-    The pinned vertex is the lowest-numbered candidate vertex of the edge.
-    Any edge that could become monochromatic in r after recoloring must have
-    had all of its candidate vertices moved, and the pin rules that out.
-    """
-    pinned = {d.u_vertices[0] for d in dangerous}
-    wsets = []
-    for i, vs in enumerate(vsets):
-        need = excess[i]
-        pool = np.fromiter(vs - pinned, np.int64)
-        if len(pool) < need:
-            return None
-        # (weight, id) order, ties by id
-        order = np.lexsort((pool, wa.weights[pool]))
-        wsets.append(frozenset(pool[order[:need]].tolist()))
-    return tuple(wsets)
-
-
-def apply_recolor(coloring: Coloring, wsets: Sequence[frozenset]) -> Coloring:
-    """Move every vertex of W_i out of class i into class r, in a new coloring."""
+def apply_recolor(coloring: Coloring, wsets: Sequence[np.ndarray]) -> Coloring:
+    """Move every vertex of W_i out of class i into class r, in a new
+    coloring.  Each W_i is an array (or sequence) of vertex ids."""
     r = coloring.r
     if len(wsets) != r - 1:
         raise ValueError("need one recolor set per color below r")
@@ -210,7 +149,7 @@ def apply_recolor(coloring: Coloring, wsets: Sequence[frozenset]) -> Coloring:
     # the sizes follow the moves: a recount would be a pass over all m
     sizes = list(coloring.sizes)
     for i, ws in enumerate(wsets, start=1):
-        ids = np.fromiter(ws, np.int64, len(ws))
+        ids = np.asarray(ws, np.int64)
         wrong = np.flatnonzero(colors[ids] != i)
         if len(wrong):
             v = int(ids[wrong[0]])
@@ -233,14 +172,57 @@ def build_rebalance_plan(
 ) -> RebalancePlan:
     """Run one full rebalancing pass and record every intermediate artifact.
 
-    ``p_tilde`` overrides the derived keep probability; without it, small
-    instances raise RegimeViolation before any sampling happens.
+    V_i keeps each occupant of large_i independently with probability
+    ``p_tilde`` (one ``rng.random(m)`` draw from derive(seed, ROLE_VSETS),
+    or from ``seed`` itself when it is a generator).  The dangerous edges
+    are those of ``_dangerous_edges``, each with U, its candidate vertices.
+    Each dangerous edge pins its lowest-numbered candidate vertex, and W_i
+    is the excess_i lowest-weight unpinned vertices of V_i, ties by id.  An
+    edge could turn monochromatic in r only if all of its candidate
+    vertices moved, and the pin rules that out.
+
+    ``p_tilde`` overrides the derived keep probability, which must lie in
+    [0, 1]; without it, small instances raise RegimeViolation before any
+    sampling happens.
     """
     ex, sh = excess_shortage(coloring, targets)
-    q = compute_q(h.m, h.n, partition.r, partition.p)
+    r = partition.r
+    q = compute_q(h.m, h.n, r, partition.p)
     if p_tilde is None:
-        p_tilde = compute_p_tilde(h.m, h.n, partition.r, partition.p, q=q)
-    vsets = sample_candidate_sets(h, partition, wa, p_tilde, seed)
-    dangerous = tuple(find_dangerous_edges(h, coloring, vsets))
-    wsets = select_recolor_sets(vsets, dangerous, ex, wa)
-    return RebalancePlan(ex, sh, q, p_tilde, vsets, dangerous, wsets)
+        p_tilde = compute_p_tilde(h.m, h.n, r, partition.p, q=q)
+    if not 0.0 <= p_tilde <= 1.0:
+        raise ValueError("keep probability must lie in [0, 1]")
+    rng = seed if isinstance(seed, np.random.Generator) else derive(seed, ROLE_VSETS)
+    slots = _assignment_slots(partition, wa)
+    candidate = _candidates(slots, rng.random(h.m), p_tilde, r)
+
+    hit = np.flatnonzero(_dangerous_edges(h, candidate, coloring.colors, coloring.r))
+    rows = h.edge_array[hit]
+    in_sets = candidate[rows]
+    dangerous = tuple(
+        DangerousEdge(e, tuple(compress(row, mask)))
+        for e, row, mask in zip(hit.tolist(), rows.tolist(), in_sets.tolist())
+    )
+    # edge rows are sorted, so the first candidate of a row is its lowest id
+    free = candidate.copy()
+    free[rows[np.arange(len(hit)), in_sets.argmax(axis=1)]] = False
+
+    vsets, wsets = [], []
+    for i in range(r - 1):
+        # large_{i+1} is slot 2i
+        vs = np.flatnonzero(candidate & (slots == 2 * i))
+        pool = vs[free[vs]]
+        if len(pool) >= ex[i]:
+            # (weight, id) order, ties by id
+            chosen = pool[np.lexsort((pool, wa.weights[pool]))[: ex[i]]]
+            wsets.append(_read_only(np.sort(chosen)))
+        vsets.append(_read_only(vs))
+    feasible = len(wsets) == r - 1
+    return RebalancePlan(
+        ex, sh, q, p_tilde, tuple(vsets), dangerous, tuple(wsets) if feasible else None
+    )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a

@@ -120,6 +120,8 @@ def test_extract_complex_chain_reduced_in_large_block():
     assert rec.reduced_edge == (1,) and rec.candidate_vertices == (0,)
     validate_chain(h, P2, wa, init, rec)
     validate_chain(h, P2, wa, init, rec, vsets=({0},))
+    # a rebalance plan holds its candidate sets as vertex-id arrays
+    validate_chain(h, P2, wa, init, rec, vsets=(np.array([0]),))
 
 
 def test_extract_complex_chain_with_deflected_reduced_vertex():
@@ -210,6 +212,8 @@ def test_validate_checks_candidate_vertices_against_vsets():
     rec = extract_chain(h, P2, wa, init, DangerousEdge(0, (0,)))
     with pytest.raises(ChainInvalid):
         validate_chain(h, P2, wa, init, rec, vsets=(set(),))
+    with pytest.raises(ChainInvalid):
+        validate_chain(h, P2, wa, init, rec, vsets=(np.array([1]),))
 
 
 def test_chain_record_json_shape():

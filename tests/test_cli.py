@@ -182,6 +182,19 @@ def test_solve_and_verify_reject_a_non_integer_instance_size(capsys, tmp_path, k
     assert "not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edges", [[[0, 1.9]], [[0, True]], [["0", "1"]]])
+def test_solve_and_verify_reject_a_non_integer_vertex_id(capsys, tmp_path, edges):
+    # each of these once read as the edge (0, 1), and solve exited 0
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps({"m": 3, "n": 2, "edges": edges}))
+    cfile = tmp_path / "c.json"
+    cfile.write_text(Coloring(3, 2, [1, 2, 1]).to_json())
+    assert run_cli(["solve", str(inst), "-r", "2"]) == 1
+    assert "not an integer" in capsys.readouterr().err
+    assert run_cli(["verify", str(inst), str(cfile)]) == 1
+    assert "not an integer" in capsys.readouterr().err
+
+
 def test_solve_rejects_more_colors_than_vertices(capsys, tmp_path):
     # solve would write a coloring with an empty class, which verify refuses
     inst = tmp_path / "pair.txt"

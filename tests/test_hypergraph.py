@@ -639,12 +639,32 @@ def test_constructor_matches_the_reference_on_odd_inputs(edges):
 
 
 def test_json_faults_match_the_reference():
-    for edges in ([[0, None]], [5], [[0, 1], [1, None]], None):
+    # edges that are not sequences fail as in the reference; a vertex id
+    # that is not an integer is refused by name before int() sees it
+    for edges in ([5], None):
         with pytest.raises(FormatError) as new:
             Hypergraph.from_json_dict({"m": 4, "n": 2, "edges": edges})
         with pytest.raises(TypeError) as ref:
             _ReferenceHypergraph(4, 2, edges)
         assert str(new.value) == f"malformed hypergraph JSON: {ref.value}"
+    for edges in ([[0, None]], [[0, 1], [1, None]]):
+        with pytest.raises(TypeError):
+            _ReferenceHypergraph(4, 2, edges)
+        with pytest.raises(FormatError) as new:
+            Hypergraph.from_json_dict({"m": 4, "n": 2, "edges": edges})
+        assert str(new.value) == "malformed hypergraph JSON: vertex id None is not an integer"
+
+
+def test_json_reader_refuses_non_integer_vertex_ids():
+    # the constructor reads each id with int(), which would take 1.9 and
+    # true as 1 and "1" as 1; the JSON reader refuses them
+    for edges, bad in (([[0, 1.9]], "1.9"), ([[0, True]], "True"), ([["0", "1"]], "'0'")):
+        assert Hypergraph(3, 2, edges).edges == ((0, 1),)
+        with pytest.raises(FormatError, match=f"vertex id {bad} is not an integer"):
+            Hypergraph.from_json_dict({"m": 3, "n": 2, "edges": edges})
+    # numpy integers are integers
+    h = Hypergraph.from_json_dict({"m": 3, "n": 2, "edges": [[np.int64(0), np.uint8(2)]]})
+    assert h.edges == ((0, 2),)
 
 
 def test_generated_instances_match_the_reference():

@@ -25,7 +25,7 @@ from eqcolor import (
 )
 from eqcolor.chains import _chain_event_holds, _conflicting
 from eqcolor.intervals import _assignment_slots, _colors_at_sizes, _weight_slots
-from eqcolor.rebalance import sample_candidate_sets
+from eqcolor.rebalance import build_rebalance_plan
 
 
 def test_choose_p_spot_values():
@@ -48,9 +48,11 @@ def test_choose_p_rejects_degenerate_inputs():
 
 def test_partition_boundaries_p02_r2():
     part = IntervalPartition(0.2, 2)
-    flat = [x for lo_hi in part.large_bounds for x in lo_hi]
-    assert flat == pytest.approx([0.0, 0.4, 0.6, 1.0], abs=1e-15)
-    assert part.small_bounds[0] == pytest.approx((0.4, 0.6), abs=1e-15)
+    # large_1 = [lefts[0], lefts[1]), small_1 = [lefts[1], lefts[2]), and
+    # large_2 starts at lefts[2] and has length (1 - p) / r, ending at 1
+    assert part.lefts == pytest.approx((0.0, 0.4, 0.6), abs=1e-15)
+    assert part.lefts[2] + (1 - part.p) / part.r == pytest.approx(1.0, abs=1e-15)
+    assert (part.lefts[1], part.lefts[2]) == pytest.approx((0.4, 0.6), abs=1e-15)
     # large_i is slot 2i-2 and small_i slot 2i-1
     assert part.slot_of(0.4) == 1  # small_1
     assert part.slot_of(0.39999) == 0  # large_1
@@ -60,23 +62,22 @@ def test_partition_boundaries_p02_r2():
 
 def test_partition_degenerate_p_zero():
     part = IntervalPartition(0.0, 3)
-    for lo, hi in part.large_bounds:
-        assert hi - lo == pytest.approx(1 / 3, abs=1e-15)
-    for lo, hi in part.small_bounds:
-        assert hi == lo
+    ends = [*part.lefts, 1.0]
+    for slot in (0, 2, 4):  # large blocks
+        assert ends[slot + 1] - ends[slot] == pytest.approx(1 / 3, abs=1e-15)
+    for slot in (1, 3):  # small blocks
+        assert ends[slot + 1] == ends[slot]
 
 
 def test_partition_five_colors_alternates():
     part = IntervalPartition(0.1, 5)
-    assert len(part.large_bounds) == 5 and len(part.small_bounds) == 4
-    bounds = []
-    for i in range(4):
-        bounds.append(part.large_bounds[i])
-        bounds.append(part.small_bounds[i])
-    bounds.append(part.large_bounds[4])
-    for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-        assert hi == pytest.approx(lo, abs=1e-15)
-    assert bounds[0][0] == 0.0 and bounds[-1][1] == pytest.approx(1.0, abs=1e-12)
+    assert len(part.lefts) == 9  # five large blocks and four small ones
+    big, small = 0.9 / 5, 0.1 / 4
+    # each block starts where the previous one ends, with the length of
+    # its kind, from 0 up to the last large block, which ends at 1
+    for slot, (lo, hi) in enumerate(zip(part.lefts, part.lefts[1:])):
+        assert hi - lo == pytest.approx(small if slot % 2 else big, abs=1e-15)
+    assert part.lefts[0] == 0.0 and part.lefts[-1] + big == pytest.approx(1.0, abs=1e-12)
 
 
 def test_slot_of_rejects_out_of_range():
@@ -139,10 +140,9 @@ def test_slot_lengths_sum_to_one_random():
 
 def _iter_bounds(part):
     """(slot, lo, hi) per block: large_i is slot 2i-2, small_i slot 2i-1."""
-    for i, (lo, hi) in enumerate(part.large_bounds, start=1):
-        yield 2 * i - 2, lo, hi
-    for i, (lo, hi) in enumerate(part.small_bounds, start=1):
-        yield 2 * i - 1, lo, hi
+    ends = [*part.lefts, 1.0]
+    for slot in range(2 * part.r - 1):
+        yield slot, ends[slot], ends[slot + 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,7 +345,7 @@ def test_slots_are_computed_once_per_weight_assignment(monkeypatch):
         was.append(wa)
         kept = _assignment_slots(part, wa)
         assert kept.tolist() == [part.slot_of(x) for x in wa.weights.tolist()]
-        sample_candidate_sets(h, part, wa, 0.5, 3)
+        build_rebalance_plan(h, part, wa, init.coloring, class_targets(6, 2), 3, p_tilde=0.5)
         trial = kept[None], wa.weights[None], init.coloring.colors[None]
         _conflicting(h, *trial, 0, 1, 2)
         _chain_event_holds(h, *trial, (0, 1), 2)

@@ -501,7 +501,7 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
         monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
     h = Hypergraph(m, 2, [(k, k + 1) for k in range(m - 1)])
     part = IntervalPartition(0.99, 2)
-    lo, hi = part.small_bounds[0]
+    lo, hi = part.lefts[1:3]  # small_1
     u = np.linspace(lo, hi, m, endpoint=False)[None, :]
     slots = _weight_slots(part, u)
     assert (slots == 1).all()

@@ -1,5 +1,7 @@
 """Excess accounting, candidate sampling, dangerous edges, and the recoloring pass."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -19,13 +21,11 @@ from eqcolor import (
     compute_p_tilde,
     compute_q,
     excess_shortage,
-    find_dangerous_edges,
+    generate_random,
     greedy_repair,
     is_proper,
     run_interval_coloring,
-    sample_candidate_sets,
     sample_weights,
-    select_recolor_sets,
     solve_equitable,
 )
 from eqcolor.chains import DangerousEdge
@@ -111,67 +111,102 @@ def _fixture_run(m=14, seed=5, r=3):
     return h, part, wa, init
 
 
-def test_sample_candidate_sets_extremes_and_determinism():
-    h, part, wa, _ = _fixture_run()
-    empty = sample_candidate_sets(h, part, wa, 0.0, seed=1)
-    assert all(len(s) == 0 for s in empty)
-    full = sample_candidate_sets(h, part, wa, 1.0, seed=1)
+def _occupants(part, wa):
+    """The occupants of large_1 .. large_{r-1}, by the scalar slot rule."""
     occupants = [set() for _ in range(part.r - 1)]
-    for v in range(h.m):
+    for v in range(wa.m):
         s = part.slot_of(wa.weights[v])
         # large_i, i < r, is slot 2i-2
         if s % 2 == 0 and s // 2 + 1 < part.r:
             occupants[s // 2].add(v)
-    assert [set(s) for s in full] == occupants
-    again = sample_candidate_sets(h, part, wa, 0.5, seed=7)
-    assert sample_candidate_sets(h, part, wa, 0.5, seed=7) == again
-    for s, occ in zip(again, occupants):
+    return occupants
+
+
+def _sets(arrays):
+    return [set(a.tolist()) for a in arrays]
+
+
+def test_sample_candidate_sets_extremes_and_determinism():
+    h, part, wa, init = _fixture_run()
+    targets = class_targets(h.m, part.r)
+
+    def vsets(p_tilde, seed):
+        plan = build_rebalance_plan(h, part, wa, init.coloring, targets, seed, p_tilde)
+        return plan.vsets
+
+    assert all(len(s) == 0 for s in vsets(0.0, 1))
+    occupants = _occupants(part, wa)
+    assert _sets(vsets(1.0, 1)) == occupants
+    again = vsets(0.5, 7)
+    assert [s.tolist() for s in vsets(0.5, 7)] == [s.tolist() for s in again]
+    for s, occ in zip(_sets(again), occupants):
         assert s <= occ
+    for s in again:
+        assert s.dtype == np.int64 and not s.flags.writeable
+        assert s.tolist() == sorted(s.tolist())
 
 
 def test_sample_candidate_sets_keep_rate():
-    h, part, wa, _ = _fixture_run(m=40, seed=2)
-    occupants = sample_candidate_sets(h, part, wa, 1.0, seed=0)
-    total_occ = sum(len(s) for s in occupants)
+    h, part, wa, init = _fixture_run(m=40, seed=2)
+    targets = class_targets(h.m, part.r)
+    total_occ = sum(map(len, _occupants(part, wa)))
     p_tilde = 0.35
     kept = 0
     trials = 3000
     for t in range(trials):
-        vs = sample_candidate_sets(h, part, wa, p_tilde, seed=t)
-        kept += sum(len(s) for s in vs)
+        plan = build_rebalance_plan(h, part, wa, init.coloring, targets, t, p_tilde)
+        kept += sum(len(s) for s in plan.vsets)
     mean = kept / trials
     sigma = math.sqrt(total_occ * p_tilde * (1 - p_tilde) / trials)
     assert abs(mean - total_occ * p_tilde) < 4 * sigma
 
 
 def test_sample_candidate_sets_rejects_bad_probability():
-    h, part, wa, _ = _fixture_run()
-    with pytest.raises(ValueError):
-        sample_candidate_sets(h, part, wa, 1.5, seed=0)
+    h, part, wa, init = _fixture_run()
+    targets = class_targets(h.m, part.r)
+    for p_tilde in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"keep probability must lie in \[0, 1\]"):
+            build_rebalance_plan(h, part, wa, init.coloring, targets, 0, p_tilde)
+
+
+# r = 2 at p = 0.2: large_1 = [0, 0.4), small_1 = [0.4, 0.6), large_2 = [0.6, 1)
+P2 = 0.2
+
+
+def _hand_plan(edges, colors, weights, targets, r=2, p=P2, p_tilde=1.0, n=None):
+    """A plan for a hand-built case.  At p_tilde = 1, V_i is exactly the set
+    of large_i occupants, so the weights choose the candidate sets; the
+    targets choose the excess."""
+    m = len(colors)
+    h = Hypergraph(m, n or len(edges[0]), edges)
+    coloring = Coloring(m, r, colors)
+    part = IntervalPartition(p, r)
+    return build_rebalance_plan(
+        h, part, WeightAssignment(weights), coloring, targets, seed=0, p_tilde=p_tilde
+    )
 
 
 def test_find_dangerous_edges_hand_case():
     # edge (2,3,4): vertices 3,4 wear the top color, vertex 2 is a candidate
-    h = Hypergraph(5, 3, [(2, 3, 4)])
-    coloring = Coloring(5, 2, [1, 1, 1, 2, 2])
-    dangerous = find_dangerous_edges(h, coloring, (frozenset({2}),))
-    assert dangerous == [DangerousEdge(0, (2,))]
-    assert find_dangerous_edges(h, coloring, (frozenset(),)) == []
+    colors = [1, 1, 1, 2, 2]
+    weights = (0.5, 0.5, 0.1, 0.7, 0.8)
+    plan = _hand_plan([(2, 3, 4)], colors, weights, (3, 2))
+    assert _sets(plan.vsets) == [{2}]
+    assert plan.dangerous == (DangerousEdge(0, (2,)),)
+    assert _hand_plan([(2, 3, 4)], colors, weights, (3, 2), p_tilde=0.0).dangerous == ()
     # vertex 1 not in any candidate set and not colored r: edge is safe
-    h2 = Hypergraph(5, 3, [(1, 2, 4)])
-    assert find_dangerous_edges(h2, coloring, (frozenset({2}),)) == []
+    assert _hand_plan([(1, 2, 4)], colors, weights, (3, 2)).dangerous == ()
 
 
 def test_find_dangerous_edges_takes_maximal_candidate_set():
-    h = Hypergraph(4, 3, [(0, 1, 3)])
-    coloring = Coloring(4, 2, [1, 1, 1, 2])
-    dangerous = find_dangerous_edges(h, coloring, (frozenset({0, 1}),))
-    assert dangerous == [DangerousEdge(0, (0, 1))]
+    plan = _hand_plan([(0, 1, 3)], [1, 1, 1, 2], (0.1, 0.2, 0.5, 0.9), (2, 2))
+    assert _sets(plan.vsets) == [{0, 1}]
+    assert plan.dangerous == (DangerousEdge(0, (0, 1)),)
 
 
 def _dangerous_reference(h, coloring, vsets):
-    """The per-edge loop that find_dangerous_edges replaced, kept as its
-    reference."""
+    """The per-edge loop that the dangerous-edge predicate replaced, kept as
+    its reference."""
     union = set().union(*vsets) if vsets else set()
     r = coloring.r
     out = []
@@ -196,110 +231,136 @@ def test_find_dangerous_edges_matches_per_edge_reference():
         # skewed toward the top color so that dangerous edges are common
         colors = np.where(rng.random(m) < 0.5, r, rng.integers(1, r + 1, m))
         coloring = Coloring(m, r, colors.tolist())
-        vsets = tuple(
-            frozenset(np.flatnonzero(rng.random(m) < 0.2).tolist()) for _ in range(r - 1)
+        part = IntervalPartition(float(rng.uniform(0.1, 0.5)), r)
+        wa = WeightAssignment(rng.random(m))
+        plan = build_rebalance_plan(
+            h, part, wa, coloring, class_targets(m, r), seed=int(rng.integers(2**32)),
+            p_tilde=0.4,
         )
-        got = find_dangerous_edges(h, coloring, vsets)
-        assert got == _dangerous_reference(h, coloring, vsets)
+        got = plan.dangerous
+        assert list(got) == _dangerous_reference(h, coloring, _sets(plan.vsets))
         assert all(type(v) is int for d in got for v in (d.edge, *d.u_vertices))
         nonempty += bool(got)
     assert nonempty > 100
 
 
 def test_find_dangerous_edges_without_edges_or_candidates():
-    coloring = Coloring(3, 2, [1, 2, 2])
-    assert find_dangerous_edges(Hypergraph(3, 2, []), coloring, (frozenset({0}),)) == []
-    assert find_dangerous_edges(Hypergraph(3, 2, [(1, 2)]), coloring, ()) == []
+    colors, weights = [1, 2, 2], (0.1, 0.7, 0.8)
+    assert _hand_plan([], colors, weights, (2, 1), n=2).dangerous == ()
+    assert _hand_plan([(1, 2)], colors, weights, (2, 1), p_tilde=0.0).dangerous == ()
 
 
 def test_select_recolor_sets_basic():
-    wa = WeightAssignment((0.05, 0.15, 0.25, 0.35))
-    vsets = (frozenset({0, 1, 2}),)
-    dangerous = [DangerousEdge(0, (0,))]  # pins vertex 0
-    wsets = select_recolor_sets(vsets, dangerous, (1,), wa)
-    assert wsets == (frozenset({1}),)  # lowest-weight unpinned candidate
+    # V_1 = {0, 1, 2}; the dangerous edge (0, 3) pins vertex 0
+    plan = _hand_plan([(0, 3)], [1, 1, 1, 2], (0.05, 0.15, 0.25, 0.95), (2, 2))
+    assert _sets(plan.vsets) == [{0, 1, 2}]
+    assert plan.dangerous == (DangerousEdge(0, (0,)),)
+    assert plan.excess == (1, 0)
+    assert _sets(plan.wsets) == [{1}]  # lowest-weight unpinned candidate
 
 
 def test_select_recolor_sets_zero_excess():
-    wa = WeightAssignment((0.05, 0.15))
-    assert select_recolor_sets((frozenset({0, 1}),), [], (0,), wa) == (frozenset(),)
+    plan = _hand_plan([], [1, 2], (0.05, 0.15), (1, 1), n=2)
+    assert _sets(plan.vsets) == [{0, 1}] and plan.excess == (0, 0)
+    assert [w.tolist() for w in plan.wsets] == [[]]
 
 
 def test_select_recolor_sets_forced_infeasible():
-    wa = WeightAssignment((0.05, 0.15))
-    vsets = (frozenset({0}),)
-    dangerous = [DangerousEdge(0, (0,))]
-    assert select_recolor_sets(vsets, dangerous, (1,), wa) is None
+    # V_1 = {0}, pinned by the dangerous edge (0, 3), and one vertex must move
+    plan = _hand_plan([(0, 3)], [1, 1, 1, 2], (0.05, 0.45, 0.5, 0.95), (2, 2))
+    assert _sets(plan.vsets) == [{0}] and plan.excess == (1, 0)
+    assert plan.dangerous == (DangerousEdge(0, (0,)),)
+    assert plan.wsets is None and not plan.feasible
+    assert plan.to_json_dict()["W"] is None
 
 
 def test_select_recolor_sets_never_swallows_a_candidate_set():
     # a recoloring chosen by the rule can never cover any dangerous edge's
     # full candidate set
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        m = int(rng.integers(3, 12))
-        wa = WeightAssignment(rng.random(m))
-        vs = frozenset(int(v) for v in rng.choice(m, rng.integers(1, m), replace=False))
-        n_d = int(rng.integers(0, 4))
-        dangerous = []
-        for _ in range(n_d):
-            size = int(rng.integers(1, max(2, len(vs))))
-            u = tuple(sorted(rng.choice(sorted(vs), min(size, len(vs)), replace=False)))
-            dangerous.append(DangerousEdge(0, u))
-        ex = int(rng.integers(0, len(vs) + 1))
-        wsets = select_recolor_sets((vs,), dangerous, (ex,), wa)
-        if wsets is None:
+    checked = covered = 0
+    for _ in range(300):
+        m = int(rng.integers(4, 16))
+        n = int(rng.integers(2, 4))
+        r = int(rng.integers(2, 4))
+        edges = {tuple(sorted(rng.choice(m, n, replace=False).tolist())) for _ in range(m)}
+        h = Hypergraph(m, n, sorted(edges))
+        colors = np.where(rng.random(m) < 0.4, r, rng.integers(1, r + 1, m))
+        coloring = Coloring(m, r, colors.tolist())
+        # targets below the class sizes give every class below r an excess
+        targets = [max(0, s - int(rng.integers(0, 4))) for s in coloring.sizes]
+        plan = build_rebalance_plan(
+            h, IntervalPartition(float(rng.uniform(0.1, 0.5)), r), WeightAssignment(rng.random(m)),
+            coloring, targets, seed=int(rng.integers(2**32)), p_tilde=float(rng.uniform(0.5, 1.0)),
+        )
+        if not plan.feasible:
             continue
-        assert len(wsets[0]) == ex and wsets[0] <= vs
-        for d in dangerous:
-            assert not set(d.u_vertices) <= wsets[0]
+        moved = set()
+        for vs, ws, need in zip(plan.vsets, plan.wsets, plan.excess):
+            assert len(ws) == need and set(ws.tolist()) <= set(vs.tolist())
+            moved |= set(ws.tolist())
+        for d in plan.dangerous:
+            assert not set(d.u_vertices) <= moved
+        checked += 1
+        covered += any(moved & set(d.u_vertices) for d in plan.dangerous)
+    assert checked > 100 and covered > 20
 
 
 def test_select_recolor_sets_breaks_weight_ties_by_id():
-    wa = WeightAssignment((0.5, 0.2, 0.5, 0.2, 0.5, 0.1))
-    vsets = (frozenset({0, 1, 2, 3, 4}), frozenset({5, 4}))
-    assert select_recolor_sets(vsets, [], (3, 0), wa) == (frozenset({1, 3, 0}), frozenset())
-    assert select_recolor_sets(vsets, [], (4, 1), wa) == (
-        frozenset({1, 3, 0, 2}),
-        frozenset({5}),
-    )
-    # pinning vertex 1 lets the next vertex in (weight, id) order in
-    pinned = [DangerousEdge(0, (1, 2))]
-    assert select_recolor_sets(vsets[:1], pinned, (2,), wa) == (frozenset({3, 0}),)
+    # r = 3 at p = 0.3: large_1 = [0, 0.233), large_2 = [0.383, 0.617)
+    weights = (0.1, 0.05, 0.1, 0.05, 0.1, 0.5)
+    colors = [1, 1, 1, 1, 1, 2]  # sizes (5, 1, 0)
+
+    def wsets(targets):
+        plan = _hand_plan([], colors, weights, targets, r=3, p=0.3, n=2)
+        assert _sets(plan.vsets) == [{0, 1, 2, 3, 4}, {5}]
+        return _sets(plan.wsets)
+
+    assert wsets((2, 1, 3)) == [{1, 3, 0}, set()]
+    assert wsets((1, 0, 5)) == [{1, 3, 0, 2}, {5}]
+    # pinning vertex 1 lets the next vertex in (weight, id) order in: the
+    # edge (1, 2, 5) has candidates 1 and 2 and vertex 5 wears color r
+    plan = _hand_plan([(1, 2, 5)], colors, (*weights[:5], 0.7), (3, 3))
+    assert plan.dangerous == (DangerousEdge(0, (1, 2)),)
+    assert _sets(plan.wsets) == [{3, 0}]
     rng = np.random.default_rng(5)
     for _ in range(200):
         m = int(rng.integers(2, 30))
-        wa = WeightAssignment(rng.integers(0, 3, m) / 4)  # heavy ties
-        vs = frozenset(np.flatnonzero(rng.random(m) < 0.6).tolist())
+        # heavy ties; 0.5 lies in small_1, the rest in large_1
+        weights = np.array([0.0, 0.125, 0.25, 0.5])[rng.integers(0, 4, m)]
+        vs = np.flatnonzero(weights < 0.4).tolist()
         need = int(rng.integers(0, len(vs) + 1))
-        expected = frozenset(sorted(vs, key=lambda v: (wa.weights[v], v))[:need])
-        assert select_recolor_sets((vs,), [], (need,), wa) == (expected,)
+        expected = set(sorted(vs, key=lambda v: (weights[v], v))[:need])
+        plan = _hand_plan([], [1] * m, weights, (m - need, 0), n=2)
+        assert _sets(plan.vsets) == [set(vs)]
+        assert _sets(plan.wsets) == [expected]
+        assert plan.wsets[0].tolist() == sorted(expected)
 
 
 def test_apply_recolor_names_first_offending_vertex():
     c = Coloring(6, 3, [1, 1, 2, 2, 3, 3])
-    ws = frozenset({0, 4, 5})
-    first_bad = next(v for v in ws if c.colors[v] != 1)
+    ws = np.array([0, 4, 5])
+    first_bad = next(v for v in ws.tolist() if c.colors[v] != 1)
     message = f"recolor set 1 contains vertex {first_bad} not colored 1"
     with pytest.raises(ValueError, match=message):
-        apply_recolor(c, (ws, frozenset()))
+        apply_recolor(c, (ws, np.array([], np.int64)))
     # a vertex in two sets has already moved to r when the second is checked
     with pytest.raises(ValueError, match="recolor set 2 contains vertex 0 not colored 2"):
-        apply_recolor(Coloring(4, 3, [1, 2, 1, 3]), (frozenset({0}), frozenset({0})))
-    moved = apply_recolor(c, (frozenset({0, 1}), frozenset({3})))
+        apply_recolor(Coloring(4, 3, [1, 2, 1, 3]), (np.array([0]), np.array([0])))
+    moved = apply_recolor(c, (np.array([0, 1]), [3]))
     assert moved.colors.tolist() == [3, 3, 2, 3, 3, 3] and moved.sizes == [0, 1, 5]
     assert moved == Coloring(6, 3, moved.colors.tolist())
 
 
 def test_apply_recolor_examples():
     c = _coloring_with_sizes((3, 1))
-    unchanged = apply_recolor(c, (frozenset(),))
+    unchanged = apply_recolor(c, (np.array([], np.int64),))
     assert unchanged == c and unchanged is not c
-    moved = apply_recolor(c, (frozenset({0}),))
+    moved = apply_recolor(c, (np.array([0]),))
     assert moved.sizes == [2, 2] and moved.colors[0] == 2
     assert c.sizes == [3, 1]  # original untouched
     with pytest.raises(ValueError):
-        apply_recolor(c, (frozenset({3}),))  # vertex 3 wears color 2, not 1
+        apply_recolor(c, (np.array([3]),))  # vertex 3 wears color 2, not 1
     with pytest.raises(ValueError):
         apply_recolor(c, ())  # needs r-1 sets
 
@@ -325,6 +386,61 @@ def test_build_rebalance_plan_regime_violation_without_override():
         build_rebalance_plan(
             h, part, wa, init.coloring, class_targets(h.m, part.r), seed=3
         )
+
+
+# Plans and a report frozen from the frozenset implementation that the
+# array plan replaced: on 12 vertices, r = 3, p = 0.3, p_tilde = 0.7, weights
+# sample_weights(12, weight_seed) and candidate draws from seed ``vseed``.
+_FROZEN_PLANS = [
+    (
+        3,
+        1,
+        [(0, 1, 10), (0, 2, 11), (0, 3, 5), (0, 5, 10), (0, 8, 10), (2, 7, 8), (4, 6, 8),
+         (4, 6, 10), (5, 6, 10), (7, 9, 11)],
+        {"ex": [1, 2, 0], "sh": [0, 0, 3], "q": 19.357548984186987, "p_tilde": 0.7,
+         "V": [[0, 7], [3, 5, 6, 10, 11]],
+         "dangerous": [{"edge": 1, "U": [0, 11]}, {"edge": 2, "U": [0, 3, 5]},
+                       {"edge": 3, "U": [0, 5, 10]}, {"edge": 8, "U": [5, 6, 10]}],
+         "W": [[7], [6, 10]]},
+    ),
+    (
+        1,
+        3,
+        [(0, 1, 9), (0, 4, 9), (0, 10, 11), (1, 3, 8), (1, 10, 11), (2, 4, 5), (3, 8, 11),
+         (4, 7, 11), (6, 7, 11), (6, 8, 11)],
+        {"ex": [0, 1, 0], "sh": [1, 0, 0], "q": 19.357548984186987, "p_tilde": 0.7,
+         "V": [[2, 9], [0, 7, 11]],
+         "dangerous": [{"edge": 0, "U": [0, 9]}, {"edge": 2, "U": [0, 11]},
+                       {"edge": 4, "U": [11]}, {"edge": 8, "U": [7, 11]}],
+         "W": None},
+    ),
+]
+
+
+@pytest.mark.parametrize("weight_seed, vseed, edges, frozen", _FROZEN_PLANS)
+def test_plan_json_is_frozen(weight_seed, vseed, edges, frozen):
+    # the first plan pins vertices 0 and 5, so W_2 skips vertex 5; the second
+    # pins all of V_2 = {0, 7, 11} and cannot move its one excess vertex
+    h = Hypergraph(12, 3, edges)
+    part = IntervalPartition(0.3, 3)
+    wa = sample_weights(12, weight_seed)
+    init = run_interval_coloring(h, 3, part, wa)
+    plan = build_rebalance_plan(
+        h, part, wa, init.coloring, class_targets(12, 3), seed=vseed, p_tilde=0.7
+    )
+    assert json.dumps(plan.to_json_dict()) == json.dumps(frozen)
+
+
+def test_explain_report_of_a_rebalanced_solve_is_frozen():
+    # accepted on attempt 3 by the rebalancing pass, after two attempts
+    # rejected on a monochromatic edge
+    h = generate_random(1000, 6, 1200, 1)
+    report = solve_equitable(h, 3, SolveConfig(seed=0))
+    assert report.attempts == 3 and report.diagnostics["mono-edge"] == 2
+    assert report.plan.feasible and len(report.plan.dangerous) == 64
+    text = json.dumps(report.to_json_dict(explain=True))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "f5f46bf3266b52bc285dc456d3aba2a5a032469891ef45130ec83e1854f2bfd5"
 
 
 def test_rebalance_safety_property():
@@ -384,10 +500,10 @@ def test_dangerous_predicates_over_a_batch_match_each_trial():
         assert dangerous[t].tolist() == _dangerous_edges(h, candidate[t], colors[t], r).tolist()
         # large_i is slot 2i - 2
         vsets = [
-            frozenset(np.flatnonzero(candidate[t] & (slots[t] == 2 * i)).tolist())
+            set(np.flatnonzero(candidate[t] & (slots[t] == 2 * i)).tolist())
             for i in range(r - 1)
         ]
-        found = find_dangerous_edges(h, Coloring(m, r, colors[t]), vsets)
+        found = _dangerous_reference(h, Coloring(m, r, colors[t]), vsets)
         assert [d.edge for d in found] == np.flatnonzero(dangerous[t]).tolist()
         hits += len(found)
     assert hits > trials
@@ -399,7 +515,7 @@ def test_colorings_are_read_only():
     made = Coloring(6, 3, [1, 1, 2, 2, 3, 3])
     single = run_interval_coloring(h, 3, part, sample_weights(6, 1)).coloring
     batch = run_interval_coloring(h, 3, part, np.random.default_rng(1).random((3, 6)))
-    moved = apply_recolor(made, (frozenset({0}), frozenset({2})))
+    moved = apply_recolor(made, (np.array([0]), np.array([2])))
     repaired = greedy_repair(Hypergraph(6, 2, []), Coloring(6, 3, [1] * 4 + [2, 3]), (2, 2, 2))
     # a coloring the solver's balanced route drew and returned
     report = solve_equitable(h, 3, SolveConfig(seed=5, force_path="balanced-only"))
