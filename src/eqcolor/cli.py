@@ -9,7 +9,8 @@ Exit codes: 0 on success; 2 when the requested object exists but the
 verdict is negative (solver exhausted or infeasible, verification failed,
 oracle found no coloring); 1 on usage or input errors.  Instances are read
 from a file or stdin, as JSON when the first character is '{' and as the
-plain text format otherwise.
+plain text format otherwise.  solve and mc refuse an instance with more
+than MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ from .solver import (
 
 __all__ = ["main", "run_cli"]
 
+# solve and mc hold O(m) values per batch row however few edges the instance
+# has, so a header alone can ask for any amount of memory.  Peak RSS grew by
+# about 97 bytes per vertex between m = 10^5 and 4 * 10^5 (header-only solve;
+# mc 53), so this cap keeps them near 1 GB.  The library takes m up to 2^31.
+MAX_VERTICES = 10**7
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the contract here is 1."""
@@ -68,6 +75,13 @@ def _read_instance(path: str) -> Hypergraph:
     if text.lstrip().startswith("{"):
         return Hypergraph.from_json_dict(json.loads(text))
     return parse_hypergraph(text)
+
+
+def _read_bounded_instance(path: str) -> Hypergraph:
+    h = _read_instance(path)
+    if h.m > MAX_VERTICES:
+        raise ValueError(f"{h.m} vertices exceed the {MAX_VERTICES} that solve and mc take")
+    return h
 
 
 def _read_coloring(path: str) -> Coloring:
@@ -154,7 +168,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    h = _read_instance(args.instance)
+    h = _read_bounded_instance(args.instance)
     # a class would stay empty, and the coloring reader refuses r > m
     if args.r > h.m:
         raise ValueError(f"-r {args.r} exceeds the {h.m} vertices of the instance")
@@ -225,7 +239,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    h = _read_instance(args.instance)
+    h = _read_bounded_instance(args.instance)
     names = {prm.name for spec in _SPECS.values() for prm in spec.params}
     params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     report = mc_estimate(

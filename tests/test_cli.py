@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eqcolor import Coloring, Hypergraph, mc_estimate, parse_hypergraph
+from eqcolor import cli
 from eqcolor.cli import run_cli
 from eqcolor.montecarlo import QUANTITIES
 
@@ -392,3 +393,29 @@ def test_gen_solve_verify_pipeline(capsys, tmp_path):
     cfile = tmp_path / "coloring.json"
     cfile.write_text(capsys.readouterr().out)
     assert run_cli(["verify", str(inst), str(cfile)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "-", "-r", "2"], ["mc", "-", "-r", "2", "--quantity", "mono-edge", "--trials", "50"]],
+)
+def test_solve_and_mc_refuse_instances_above_the_vertex_limit(capsys, monkeypatch, command):
+    import io
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be solved or estimated above the limit")
+
+    # header-only instances: the check comes before anything is sized by m
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve_equitable", refuse)
+        patch.setattr(cli, "mc_estimate", refuse)
+        for m in (cli.MAX_VERTICES + 1, 2**31 - 1):
+            patch.setattr("sys.stdin", io.StringIO(f"{m} 2 0\n"))
+            assert run_cli(command) == 1
+            assert f"{m} vertices exceed the {cli.MAX_VERTICES}" in capsys.readouterr().err
+    # the limit itself is allowed, shown at a small limit rather than at 10^7
+    monkeypatch.setattr(cli, "MAX_VERTICES", 4)
+    for m, code in ((4, 0), (5, 1)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{m} 2 1\n0 1\n"))
+        assert run_cli(command) == code
+    assert "5 vertices exceed the 4" in capsys.readouterr().err
