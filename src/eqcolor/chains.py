@@ -131,8 +131,7 @@ def _conflicting(h, slots, key, colors, b_edge, a_edge, color) -> np.ndarray:
     lies in small_{color-1}, and all of B minus v carries color-1.
     ``slots``, ``key`` and ``colors`` are (T, m) arrays, and trial t orders
     vertices by (key[t, v], v).  Returns one boolean per trial."""
-    b = np.array(h.edges[b_edge])
-    a = np.array(h.edges[a_edge])
+    b, a = h.edge_array[[b_edge, a_edge]]
     shared = np.intersect1d(b, a)
     if len(shared) != 1:
         return np.zeros(len(slots), dtype=bool)
@@ -187,7 +186,7 @@ def _walk_back(
         b = init.blocking[u]
         links.insert(0, ChainLink(u, float(wa.weights[u])))
         edges.insert(0, b)
-        members = h.edges[b]
+        members = h.edge_array[b].tolist()
         c -= 1
     return edges, links
 
@@ -210,11 +209,11 @@ def extract_chain(
     cols = init.coloring.colors
     slots = _assignment_slots(partition, wa)
     if isinstance(failure, (MonoEdge, DangerousEdge)):
-        if not 0 <= failure.edge < len(h.edges):
-            raise ValueError(f"edge {failure.edge} outside 0..{len(h.edges) - 1}")
+        if not 0 <= failure.edge < len(h.edge_array):
+            raise ValueError(f"edge {failure.edge} outside 0..{len(h.edge_array) - 1}")
 
     if isinstance(failure, MonoEdge):
-        edge = h.edges[failure.edge]
+        edge = h.edge_array[failure.edge].tolist()
         if any(cols[v] != failure.color for v in edge):
             raise ValueError(
                 f"edge {failure.edge} is not monochromatic in color {failure.color}"
@@ -231,12 +230,12 @@ def extract_chain(
         if cols[v] != i + 1 or v not in init.blocking:
             raise ValueError(f"vertex {v} was not deflected out of small_{i}")
         start = init.blocking[v]
-        edges, links = _walk_back(h, slots, wa, init, h.edges[start], start, i)
+        edges, links = _walk_back(h, slots, wa, init, h.edge_array[start].tolist(), start, i)
         return ChainRecord(IMPROPER, i, tuple(edges), tuple(links), terminal_vertex=v)
 
     if isinstance(failure, DangerousEdge):
         r = init.coloring.r
-        edge = h.edges[failure.edge]
+        edge = h.edge_array[failure.edge].tolist()
         u_set = tuple(v for v in edge if v in failure.u_vertices)
         reduced = tuple(v for v in edge if v not in failure.u_vertices)
         if not u_set:
@@ -321,13 +320,13 @@ def validate_chain(
     else:
         raise ChainInvalid(f"unknown chain kind {record.kind!r}")
     for e in record.edges:
-        _check(0 <= e < len(h.edges), f"edge {e} outside 0..{len(h.edges) - 1}")
+        _check(0 <= e < len(h.edge_array), f"edge {e} outside 0..{len(h.edge_array) - 1}")
     for v in [ln.vertex for ln in record.links] + [record.terminal_vertex]:
         _check(v is None or 0 <= v < h.m, f"vertex {v} outside 0..{h.m - 1}")
 
     # vertex sets; for complex chains the last edge participates through
     # its reduced pseudo-edge
-    member_sets = [set(h.edges[e]) for e in record.edges]
+    member_sets = [set(h.edge_array[e].tolist()) for e in record.edges]
     if record.kind == COMPLEX:
         full_last = member_sets[-1]
         member_sets[-1] = set(record.reduced_edge)
@@ -441,8 +440,8 @@ def _chain_event_holds(h, slots, key, colors, edge_seq, color) -> np.ndarray:
     trials = len(slots)
     if color - k + 1 < 1:
         return np.zeros(trials, dtype=bool)
-    lead = np.array(h.edges[edge_seq[0]])
-    holds = (colors[:, list(h.edges[edge_seq[-1]])] == color).all(axis=1)
+    lead = h.edge_array[edge_seq[0]]
+    holds = (colors[:, h.edge_array[edge_seq[-1]]] == color).all(axis=1)
     if k == 1:
         return holds & (slots[:, lead] == 2 * color - 2).all(axis=1)
     for j in range(1, k):
@@ -473,7 +472,7 @@ def enumerate_chain_candidates(
     """
     if k < 1:
         raise ValueError("chain length must be positive")
-    edges = [set(e) for e in h.edges]
+    edges = [set(e) for e in h.edge_array.tolist()]
     num = len(edges)
     if last_edge is not None and not 0 <= last_edge < num:
         raise ValueError(f"last edge {last_edge} outside 0..{num - 1}")

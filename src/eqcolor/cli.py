@@ -102,6 +102,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a random instance to stdout")
+    gen.set_defaults(handler=_cmd_gen)
     gen.add_argument("-m", type=int, required=True, help="number of vertices")
     gen.add_argument("-n", type=int, required=True, help="edge size")
     gen.add_argument("--edges", type=int, required=True, help="number of edges")
@@ -109,6 +110,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--format", choices=["text", "json"], default="text")
 
     solve = sub.add_parser("solve", help="construct an equitable coloring")
+    solve.set_defaults(handler=_cmd_solve)
     solve.add_argument("instance", nargs="?", default="-", help="file or - for stdin")
     solve.add_argument("-r", type=int, default=2, help="number of colors")
     solve.add_argument("--seed", type=int, default=0)
@@ -122,17 +124,20 @@ def _build_parser() -> _Parser:
     solve.add_argument("--format", choices=["text", "json"], default="json")
 
     verify = sub.add_parser("verify", help="check a coloring against an instance")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("instance")
     verify.add_argument("coloring", help="coloring JSON file")
     verify.add_argument("--format", choices=["text", "json"], default="text")
 
     oracle = sub.add_parser("oracle", help="brute-force equitable feasibility")
+    oracle.set_defaults(handler=_cmd_oracle)
     oracle.add_argument("instance", nargs="?", default="-")
     oracle.add_argument("-r", type=int, default=2)
     oracle.add_argument("--budget", type=int, default=10**8)
     oracle.add_argument("--format", choices=["text", "json"], default="text")
 
     mc = sub.add_parser("mc", help="Monte Carlo estimate of a process quantity")
+    mc.set_defaults(handler=_cmd_mc)
     mc.add_argument("instance", nargs="?", default="-")
     mc.add_argument("-r", type=int, default=2)
     mc.add_argument("--quantity", choices=list(QUANTITIES), required=True)
@@ -149,6 +154,7 @@ def _build_parser() -> _Parser:
     mc.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     bounds = sub.add_parser("bounds", help="threshold and bound values for n, r, k")
+    bounds.set_defaults(handler=_cmd_bounds)
     bounds.add_argument("-n", type=int, required=True)
     bounds.add_argument("-r", type=int, required=True)
     bounds.add_argument("-k", type=int, default=1)
@@ -303,22 +309,11 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "gen": _cmd_gen,
-            "solve": _cmd_solve,
-            "verify": _cmd_verify,
-            "oracle": _cmd_oracle,
-            "mc": _cmd_mc,
-            "bounds": _cmd_bounds,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (BudgetExceeded, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """n-uniform hypergraphs, colorings, and exact small-instance oracles.
 
 Vertices are the integers 0..m-1, and a coloring gives each one a color in
-1..r.  An edge is a set of exactly n distinct vertices, a sorted tuple.
+1..r.  An edge is a set of exactly n distinct vertices, a sorted row.
 Instances round-trip through a plain text format and through JSON.
 """
 
@@ -44,16 +44,17 @@ _MAX_VERTICES = 2**31
 class Hypergraph:
     """Vertex set 0..m-1 with edges of exactly n distinct vertices each.
 
-    Edges are normalized to sorted vertex tuples and deduplicated in
-    first-seen order, so serialization round-trips are stable.
-    ``edge_array`` holds the same edges as a read-only int32 (|E| x n)
-    array for the vectorized scans, so m is at most 2^31.  ``incidence``,
-    the per-vertex index of edge indices in increasing order behind the
-    incremental monochromaticity checks, is built from ``edge_array`` on
-    first access and then cached.
+    ``edge_array``, the one stored copy of the edges, is a read-only int32
+    (|E| x n) array of sorted rows, deduplicated in first-seen order so
+    serialization round-trips are stable; int32 ids bound m by 2^31.  The
+    CSR pair ``incidence`` = (indptr, indices) of read-only int64 arrays
+    lists vertex v's edges in increasing order as
+    indices[indptr[v]:indptr[v + 1]]; it is built on first read and cached.
+    ``edges``, the rows as sorted tuples, is a lazy view for users that no
+    package code reads.
     """
 
-    __slots__ = ("m", "n", "edges", "edge_array", "_incidence")
+    __slots__ = ("m", "n", "edge_array", "_incidence", "_edges")
 
     def __init__(self, m: int, n: int, edges: Iterable[Sequence[int]]):
         if m <= 0:
@@ -71,46 +72,55 @@ class Hypergraph:
             bad = (rows[:, 0] < 0) | (rows[:, -1] >= m) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         if rows is None or bad.any():
             raise _first_bad_edge(raw, n, m)
-        if len(rows):
-            # each row as one n * 8-byte key: a 1-d unique, 3-4x faster than
-            # unique(axis=0); first occurrences keep first-seen order
-            keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * n)))
-            _, first = np.unique(keys[:, 0], return_index=True)
-            rows = rows[np.sort(first)]
-        self.edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows.tolist()))
+        # each row as one n * 8-byte key: a 1-d unique, 3-4x faster than
+        # unique(axis=0); first occurrences keep first-seen order
+        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * n)))
+        _, first = np.unique(keys[:, 0], return_index=True)
+        rows = rows[np.sort(first)]
         self.edge_array = rows.astype(np.int32)
         self.edge_array.flags.writeable = False
-        self._incidence: Optional[tuple[tuple[int, ...], ...]] = None
+        self._incidence: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._edges: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the indices of its edges in increasing order."""
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): vertex v's edges, in increasing order, are
+        indices[indptr[v]:indptr[v + 1]]."""
         if self._incidence is None:
-            num_edges = len(self.edges)
-            # the keys vertex * |E| + edge are distinct, so one plain sort
-            # lists each vertex's edges in index order (three times faster
-            # than a stable argsort of the vertices)
+            num_edges = len(self.edge_array)
+            # the keys vertex * |E| + edge are distinct, so one plain sort lists
+            # each vertex's edges in index order, faster than a stable argsort
             keys = self.edge_array.astype(np.int64) * num_edges + np.arange(num_edges)[:, None]
-            ids = (np.sort(keys, axis=None) % num_edges).tolist()
-            ends = np.cumsum(np.bincount(self.edge_array.ravel(), minlength=self.m)).tolist()
-            self._incidence = tuple(tuple(ids[s:e]) for s, e in zip([0] + ends[:-1], ends))
+            indices = np.sort(keys, axis=None) % num_edges
+            indptr = np.zeros(self.m + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.edge_array.ravel(), minlength=self.m), out=indptr[1:])
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._incidence = (indptr, indices)
         return self._incidence
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``edge_array`` as sorted tuples, built on first read."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self.edge_array.tolist()))
+        return self._edges
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.m, self.n, self.edges) == (other.m, other.n, other.edges)
+        same = (self.m, self.n) == (other.m, other.n)
+        return same and np.array_equal(self.edge_array, other.edge_array)
 
     def __repr__(self) -> str:
-        return f"Hypergraph(m={self.m}, n={self.n}, edges={len(self.edges)})"
+        return f"Hypergraph(m={self.m}, n={self.n}, edges={len(self.edge_array)})"
 
     def to_text(self) -> str:
-        lines = [f"{self.m} {self.n} {len(self.edges)}"]
-        lines.extend(" ".join(str(v) for v in e) for e in self.edges)
+        lines = [f"{self.m} {self.n} {len(self.edge_array)}"]
+        lines.extend(" ".join(map(str, e)) for e in self.edge_array.tolist())
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "edges": [list(e) for e in self.edges]}
+        return {"m": self.m, "n": self.n, "edges": self.edge_array.tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -187,9 +197,7 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
     if len(body) != num_edges:
         raise FormatError(f"header promises {num_edges} edges, found {len(body)}")
     rows = _c_read(body, m, n)
-    if rows is None:
-        return Hypergraph(m, n, [_edge_line(ln) for ln in body])
-    return Hypergraph(m, n, rows)
+    return Hypergraph(m, n, [_edge_line(ln) for ln in body] if rows is None else rows)
 
 
 def _c_read(body: list[str], m: int, n: int) -> Optional[np.ndarray]:
@@ -291,9 +299,10 @@ class Coloring:
             if r > max(m, 1):
                 raise ValueError(f"r={r} colors for {m} vertices")
             col = cls(m, r, obj["colors"])
+            agree = "sizes" not in obj or list(obj["sizes"]) == col.sizes
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed coloring JSON: {exc}") from exc
-        if "sizes" in obj and list(obj["sizes"]) != col.sizes:
+        if not agree:
             raise FormatError("coloring JSON sizes disagree with the color vector")
         return col
 
@@ -407,6 +416,12 @@ def edge_threshold(n: int, r: int) -> ThresholdBound:
     return ThresholdBound(value, log_value, r < ln_n ** 0.2)
 
 
+def _power_exceeds(r: int, m: int, budget: int) -> bool:
+    """Whether r**m > budget, for r >= 1, never building r**m for m at or
+    past the bit length b of int(budget): from r = 2 on, r**m >= 2**b > budget."""
+    return r > 1 and m >= int(budget).bit_length() or r**m > budget
+
+
 def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optional[Coloring]:
     """Exhaustive search for an equitable proper r-coloring.
 
@@ -429,21 +444,20 @@ def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optiona
     if r < 1:
         raise ValueError(f"need at least one color, got r={r}")
     m = h.m
-    if r**m > budget:
+    if _power_exceeds(r, m, budget):
         raise BudgetExceeded(f"{r}^{m} assignments exceed the budget of {budget}")
     if r == 1:
         # the search below recurses once per vertex, which 1^m never bounds
-        return None if h.edges else Coloring(m, 1, [1] * m)
+        return None if len(h.edge_array) else Coloring(m, 1, [1] * m)
     targets = class_targets(m, r)
     degree = np.bincount(h.edge_array.ravel(), minlength=m)
-    order = np.lexsort((np.arange(m), -degree)).tolist()
-    position = [0] * m
-    for t, v in enumerate(order):
-        position[v] = t
+    order = np.lexsort((np.arange(m), -degree))
     # each edge as a vertex bitmask, checked at the position of its last vertex
+    last = np.argsort(order)[h.edge_array].max(axis=1)
     checks = [[] for _ in range(m)]
-    for e in h.edges:
-        checks[max(position[v] for v in e)].append(sum(1 << v for v in e))
+    for t, e in zip(last.tolist(), h.edge_array.tolist()):
+        checks[t].append(sum(1 << v for v in e))
+    order = order.tolist()
 
     colors = [0] * m
     sizes = [0] * r

@@ -253,15 +253,13 @@ def _stage_colors(
     trials, m = slots.shape
     deflections = np.zeros((trials, r - 1), dtype=np.int64)
     blocking: list[dict[int, int]] = [{} for _ in range(trials)]
-    if not h.edges:
-        return colors, deflections, blocking
     # (T, n, |E|): reducing over the middle axis is far faster than over a
     # short last one
     edge_slots = slots[:, h.edge_array.T]
     top = edge_slots.max(axis=1)
     # & 1 tests parity far faster than % 2 on int8
     live = (top & 1 == 1) & (edge_slots.min(axis=1) >= top - 2)
-    rows, eids = np.divmod(np.flatnonzero(live), len(h.edges))
+    rows, eids = np.divmod(np.flatnonzero(live), len(h.edge_array))
     if not len(rows):
         return colors, deflections, blocking
     pairs = np.arange(len(rows))
@@ -319,7 +317,8 @@ def _stage_colors(
         blocking[t][v] = e
     if walk is not None:
         walk_rows, walk_colors = _walk(
-            h, rows[walk], eids[walk], pair_slots[walk], pair_weights[walk], colors, blocking
+            rows[walk], eids[walk], verts[walk], pair_slots[walk], pair_weights[walk],
+            colors, blocking,
         )
         hit_rows = np.concatenate([hit_rows, walk_rows])
         hit_colors = np.concatenate([hit_colors, walk_colors])
@@ -330,16 +329,17 @@ def _stage_colors(
     return colors, deflections, blocking
 
 
-def _walk(h, rows, eids, pair_slots, pair_weights, colors, blocking):
+def _walk(rows, eids, verts, pair_slots, pair_weights, colors, blocking):
     """Stage 2 walked per trial over the given live (trial, edge) pairs,
-    sorted by trial: the small-block vertices of the pairs in weight order,
-    each reading as uncolored until visited and checked against its live
-    edges in increasing index.  Writes the deflections into ``colors`` and
+    sorted by trial, with their (n,) rows of vertices, slots and weights:
+    the small-block vertices of the pairs in weight order, each reading as
+    uncolored until visited and checked against its live edges in
+    increasing index.  Writes the deflections into ``colors`` and
     ``blocking`` and returns their trials and new colors."""
-    n = h.n
-    edges = h.edges
+    n = verts.shape[1]
     # flat lists, n entries per pair: nested ones would put two container
     # objects per pair in front of the cyclic garbage collector
+    live_verts = verts.ravel().tolist()
     live_slots = pair_slots.ravel().tolist()
     live_weights = pair_weights.ravel().tolist()
     rows = rows.tolist()
@@ -351,20 +351,19 @@ def _walk(h, rows, eids, pair_slots, pair_weights, colors, blocking):
     # one run of pairs per trial
     for t, run in groupby(range(len(rows)), rows.__getitem__):
         # current color of every vertex of a live edge, 0 until visited for
-        # small-block ones; live incident edges of each small-block vertex
+        # small-block ones; live pairs at each small-block vertex, by edge
         current: dict[int, int] = {}
         incident: dict[int, list[int]] = {}
         visit = []
         for j in run:
-            e = eids[j]
-            k = j * n
-            for v, s, w in zip(edges[e], live_slots[k : k + n], live_weights[k : k + n]):
+            cells = slice(j * n, j * n + n)
+            for v, s, w in zip(live_verts[cells], live_slots[cells], live_weights[cells]):
                 if s & 1:
                     current[v] = 0
                     if v in incident:
-                        incident[v].append(e)
+                        incident[v].append(j)
                     else:
-                        incident[v] = [e]
+                        incident[v] = [j]
                         visit.append((w, v, s))
                 else:
                     current[v] = (s >> 1) + 1
@@ -372,13 +371,13 @@ def _walk(h, rows, eids, pair_slots, pair_weights, colors, blocking):
         for _, v, s in visit:
             i = (s >> 1) + 1
             current[v] = i
-            for e in incident[v]:
-                for u in edges[e]:
+            for j in incident[v]:
+                for u in live_verts[j * n : j * n + n]:
                     if u != v and current[u] != i:
                         break
                 else:
                     current[v] = i + 1
-                    blocking[t][v] = e
+                    blocking[t][v] = eids[j]
                     hits_t.append(t)
                     hits_v.append(v)
                     hits_c.append(i + 1)

@@ -156,10 +156,7 @@ def _sample(
     width = 2 * m if with_keep else m
     rows = _chunk_rows(width)
     sub = max(1, _SUB_BATCH_CELLS // max(1, h.edge_array.size))
-    total = 0
-    total_sq = 0
-    done = 0
-    chunk = 0
+    total = total_sq = done = chunk = 0
     while done < trials:
         take = min(rows, trials - done)
         rng = derive(seed, chunk, ROLE_TRIALS)
@@ -277,12 +274,12 @@ def _balanced_mono(h, r, p, values):
         raise ValueError("balanced draws need at least one color")
     if h.m % r != 0:
         raise ValueError("balanced draws require r | m")
-    if not h.edges:
+    if not len(h.edge_array):
         raise ValueError("balanced-mono needs an edge to watch")
     edge_idx = int(values.get("edge", 0))
-    if not 0 <= edge_idx < len(h.edges):
+    if not 0 <= edge_idx < len(h.edge_array):
         raise ValueError("edge must index into the hypergraph")
-    edge = list(h.edges[edge_idx])
+    edge = h.edge_array[edge_idx]
 
     def stat(colors, deflections, slots, u, keep):
         sub = colors[:, edge]
@@ -296,12 +293,12 @@ def _chain_event(h, r, p, values):
     seq = tuple(int(e) for e in values["edges"])
     color = int(values["color"])
     k = len(seq)
-    if k < 1 or not all(0 <= e < len(h.edges) for e in seq):
+    if k < 1 or not all(0 <= e < len(h.edge_array) for e in seq):
         raise ValueError("edges must index into the hypergraph")
     if color - k + 1 < 1 or color > r:
         raise ValueError("chain length does not fit the color")
     for j in range(k - 1):
-        if len(set(h.edges[seq[j]]) & set(h.edges[seq[j + 1]])) != 1:
+        if len(np.intersect1d(h.edge_array[seq[j]], h.edge_array[seq[j + 1]])) != 1:
             raise ValueError("consecutive edges must share exactly one vertex")
 
     def stat(colors, deflections, slots, u, keep):
@@ -537,8 +534,10 @@ def _simulate_configs(h: Hypergraph, r: int, slots: np.ndarray, ranks: np.ndarra
     # reads as the vertex m + 1, which carries the color of the block being
     # processed, so an edge whose n - 1 other vertices carry color i reads
     # as wholly at color i
-    d = max(1, max(map(len, h.incidence)))
-    table = np.array([es + (len(h.edges),) * (d - len(es)) for es in h.incidence]).T
+    indptr, indices = (a.tolist() for a in h.incidence)
+    spans = list(zip(indptr, indptr[1:]))
+    d = max(1, max(b - a for a, b in spans))
+    table = np.array([indices[a:b] + [len(h.edge_array)] * (d - b + a) for a, b in spans]).T
     padded = np.hstack([h.edge_array.T, np.full((n, 1), m, dtype=h.edge_array.dtype)])
     around = padded[:, table].reshape(n * d, m).astype(np.intp)
     around[around == np.arange(m)] = m + 1
@@ -597,7 +596,7 @@ def _event_mask(h: Hypergraph, event, slots, ranks, colors) -> np.ndarray:
     seq, color = event.edges, event.color
     k = len(seq)
     c1 = color - k + 1
-    members = [list(h.edges[e]) for e in seq]
+    members = [h.edge_array[e].tolist() for e in seq]
     ok = (colors[:, members[-1]] == color).all(axis=1) & (c1 >= 1)
     if k == 1:
         return ok & (slots[:, members[0]] == 2 * color - 2).all(axis=1)

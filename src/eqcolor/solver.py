@@ -39,6 +39,7 @@ from .hypergraph import (
     Coloring,
     Hypergraph,
     _mono_edges,
+    _power_exceeds,
     brute_force_equitable,
     class_targets,
     is_equitable,
@@ -181,6 +182,9 @@ def greedy_repair(
         order = np.argsort(np.asarray(weights), kind="stable").tolist()
     colors = coloring.colors.tolist()
     sizes = list(coloring.sizes)
+    # the CSR incidence and the edge rows, as lists for the scalar scan
+    indptr, indices = (a.tolist() for a in h.incidence)
+    rows = h.edge_array.tolist()
 
     def classes():
         over = [c for c in range(1, r + 1) if sizes[c - 1] > targets[c - 1]]
@@ -195,7 +199,7 @@ def greedy_repair(
         if c_from not in over:
             continue
         for c_to in under:
-            if _move_keeps_proper(h, colors, v, c_to):
+            if _move_keeps_proper(rows, indptr, indices, colors, v, c_to):
                 colors[v] = c_to
                 sizes[c_from - 1] -= 1
                 sizes[c_to - 1] += 1
@@ -208,11 +212,10 @@ def greedy_repair(
     return Coloring._trusted(r, out, sizes)
 
 
-def _move_keeps_proper(h: Hypergraph, colors: list[int], v: int, c_to: int) -> bool:
-    for e in h.incidence[v]:
-        if all(colors[u] == c_to for u in h.edges[e] if u != v):
-            return False
-    return True
+def _move_keeps_proper(rows, indptr, indices, colors, v: int, c_to: int) -> bool:
+    """Whether no edge at v would turn monochromatic with v at ``c_to``."""
+    edges = indices[indptr[v] : indptr[v + 1]]
+    return not any(all(colors[u] == c_to for u in rows[e] if u != v) for e in edges)
 
 
 def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> SolveReport:
@@ -251,6 +254,10 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     if path == PATH_TWO_STAGE:
         partition = IntervalPartition(choose_p(h.n, r), r)
 
+    def success(coloring: Coloring, attempt: int) -> SolveReport:
+        chains = _chains(h, partition, rejected)
+        return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics, chains, plan)
+
     for attempt, run, row in _screened_attempts(h, r, partition, cfg):
         if run is not None:
             diagnostics["mono-edge"] += run.count
@@ -260,21 +267,13 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
         wa, coloring = row
 
         if is_equitable(h, coloring):
-            return SolveReport(
-                SUCCESS, coloring, attempt + 1, path, r, diagnostics,
-                _chains(h, partition, rejected), plan,
-            )
+            return success(coloring, attempt)
 
         ex, sh = excess_shortage(coloring, targets)
         if all(s == 0 for s in sh[:-1]) and any(sh):
             try:
                 plan = build_rebalance_plan(
-                    h,
-                    partition,
-                    wa,
-                    coloring,
-                    targets,
-                    derive(cfg.seed, attempt, ROLE_VSETS),
+                    h, partition, wa, coloring, targets, derive(cfg.seed, attempt, ROLE_VSETS)
                 )
             except RegimeViolation:
                 diagnostics["rebalance-infeasible"] += 1
@@ -282,26 +281,18 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
                 if plan.feasible:
                     candidate = apply_recolor(coloring, plan.wsets)
                     if is_equitable(h, candidate):
-                        return SolveReport(
-                            SUCCESS, candidate, attempt + 1, path, r,
-                            diagnostics, _chains(h, partition, rejected), plan,
-                        )
+                        return success(candidate, attempt)
                 diagnostics["rebalance-infeasible"] += 1
 
         if cfg.allow_fallback_repair:
             repaired = greedy_repair(h, coloring, targets, weights=wa.weights)
             if repaired is not None and is_equitable(h, repaired):
-                return SolveReport(
-                    SUCCESS, repaired, attempt + 1, path, r, diagnostics,
-                    _chains(h, partition, rejected), plan,
-                )
+                return success(repaired, attempt)
             diagnostics["repair-failed"] += 1
 
     oracle_feasible = None
-    if h.m >= 1 and r**h.m <= cfg.enumeration_budget:
-        oracle_feasible = (
-            brute_force_equitable(h, r, budget=cfg.enumeration_budget) is not None
-        )
+    if not _power_exceeds(r, h.m, cfg.enumeration_budget):
+        oracle_feasible = brute_force_equitable(h, r, budget=cfg.enumeration_budget) is not None
     outcome = INFEASIBLE if oracle_feasible is False else EXHAUSTED
     return SolveReport(
         outcome, None, cfg.max_restarts, path, r, diagnostics,
@@ -421,6 +412,6 @@ def _chains(
     wa, init = rejected.batch.row(rejected.t)
     cols = init.coloring.colors
     return tuple(
-        extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edges[e][0]])))
+        extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edge_array[e, 0]])))
         for e in np.flatnonzero(_mono_edges(h, cols)).tolist()
     )

@@ -1,11 +1,18 @@
 """Command line surface: subcommands, formats, and exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from eqcolor import Coloring, Hypergraph, mc_estimate, parse_hypergraph
+from eqcolor import Coloring, FormatError, Hypergraph, is_equitable, mc_estimate, parse_hypergraph
 from eqcolor import cli
 from eqcolor.cli import run_cli
 from eqcolor.montecarlo import QUANTITIES
@@ -211,6 +218,98 @@ def test_solve_rejects_more_colors_than_vertices(capsys, tmp_path):
 def test_oracle_budget_error(capsys, k4_file):
     assert run_cli(["oracle", k4_file, "-r", "2", "--budget", "3"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        ("from eqcolor.cli import main; main()", "error: 3^2147483648 assignments exceed"),
+        (
+            "import sys; from eqcolor import *\n"
+            "try: brute_force_equitable(parse_hypergraph(sys.stdin.read()), 3)\n"
+            "except BudgetExceeded as exc: sys.exit(f'raised: {exc}')",
+            "raised: 3^2147483648 assignments exceed",
+        ),
+    ],
+    ids=["cli", "library"],
+)
+def test_oracle_budget_check_builds_no_power_of_a_huge_header(code, expected):
+    # 3^(2^31) takes hours to build; the check must stop at the budget.  A
+    # child process under a timeout fails where a check that builds the
+    # power would hang the suite
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "oracle", "-", "-r", "3"],
+        input="2147483648 3 0\n",
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1 and proc.stderr.startswith(expected), proc.stderr
+
+
+@pytest.mark.parametrize("sizes", [5, None])
+def test_verify_reports_sizes_that_are_no_list(capsys, tmp_path, path_file, sizes):
+    # the sizes check once raised a TypeError past the reader's error handling
+    cfile = tmp_path / "sizes.json"
+    cfile.write_text(json.dumps({"r": 2, "colors": [1, 2, 1, 2], "sizes": sizes}))
+    assert run_cli(["verify", path_file, str(cfile)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed coloring JSON")
+
+
+# any JSON value, and objects shaped like a coloring so that fuzzing reaches
+# the checks behind the first key lookups
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=6) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=12,
+)
+_COLORING_JSON = _JSON | st.fixed_dictionaries(
+    {"r": st.integers(-1, 5) | _JSON, "colors": st.lists(st.integers(-1, 5), max_size=6) | _JSON},
+    optional={"sizes": st.lists(st.integers(0, 5), max_size=6) | _JSON},
+)
+_SIZES_NO_LIST = [{"r": 2, "colors": [1, 2, 1, 2], "sizes": 5}, {"r": 2, "colors": [1, 2], "sizes": None}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_COLORING_JSON)
+@example(obj=_SIZES_NO_LIST[0])
+@example(obj=_SIZES_NO_LIST[1])
+def test_coloring_reader_raises_only_format_errors(obj):
+    obj = json.loads(json.dumps(obj))
+    try:
+        col = Coloring.from_json_dict(obj)
+    except FormatError:
+        return
+    # what it accepts is a coloring with r <= max(m, 1), colors in 1..r and
+    # the sizes it states, if any
+    colors = col.colors.tolist()
+    assert 1 <= col.r <= max(col.m, 1) and all(1 <= c <= col.r for c in colors)
+    assert col.sizes == [colors.count(c) for c in range(1, col.r + 1)]
+    assert "sizes" not in obj or list(obj["sizes"]) == col.sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_COLORING_JSON)
+@example(obj=_SIZES_NO_LIST[0])
+@example(obj=_SIZES_NO_LIST[1])
+def test_verify_exits_0_1_or_2_on_any_coloring_json(tmp_path_factory, obj):
+    base = tmp_path_factory.getbasetemp()
+    inst, cfile = base / "fuzz_path.txt", base / "fuzz_coloring.json"
+    inst.write_text(PATH_TEXT)
+    cfile.write_text(json.dumps(obj))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(["verify", str(inst), str(cfile)])
+    try:
+        col = Coloring.from_json_dict(json.loads(json.dumps(obj)))
+    except FormatError:
+        col = None
+    if col is None or col.m != 4:
+        assert code == 1 and err.getvalue().startswith("error:")
+    else:
+        assert code == (0 if is_equitable(parse_hypergraph(PATH_TEXT), col) else 2)
 
 
 def test_mc_json_output(capsys, path_file):

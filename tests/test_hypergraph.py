@@ -72,8 +72,10 @@ def test_json_roundtrip():
 
 def test_incidence_lists_every_edge_once():
     h = TRIANGLE
+    indptr, indices = h.incidence
     for v in range(h.m):
-        assert [h.edges[i] for i in h.incidence[v]] == [e for e in h.edges if v in e]
+        mine = indices[indptr[v] : indptr[v + 1]].tolist()
+        assert [h.edges[i] for i in mine] == [e for e in h.edges if v in e]
 
 
 def test_duplicate_edges_collapse():
@@ -166,6 +168,10 @@ def test_coloring_json_roundtrip_checks_sizes():
     obj["sizes"] = [4, 0]
     with pytest.raises(FormatError):
         Coloring.from_json_dict(obj)
+    # sizes that are no list at all once escaped as a TypeError
+    for sizes in (5, None, 2.5):
+        with pytest.raises(FormatError, match="malformed coloring JSON"):
+            Coloring.from_json_dict(dict(obj, sizes=sizes))
 
 
 def test_coloring_json_bounds_r_by_the_vertex_count():
@@ -309,6 +315,20 @@ def test_brute_force_respects_budget():
         brute_force_equitable(K4, 2, budget=3)
 
 
+def test_power_check_agrees_with_the_power():
+    # the budget check of brute_force_equitable and of the solver's oracle
+    # verdict; it must never build r^m itself, which for m near 2^31 takes
+    # hours (the CLI test runs that case under a timeout)
+    from eqcolor.hypergraph import _power_exceeds
+
+    for r in range(1, 6):
+        for m in range(40):
+            for budget in (0, 1, 2, 7, 10.5, 1e6, 10**6, 3**20 - 1, 3**20, 2**39):
+                assert _power_exceeds(r, m, budget) == (r**m > budget), (r, m, budget)
+    assert _power_exceeds(3, 2**31, 10**8) and _power_exceeds(2, 2**31, 2**100)
+    assert not _power_exceeds(1, 2**31, 1) and _power_exceeds(1, 2**31, 0)
+
+
 def test_brute_force_matches_definition_exhaustively():
     # cross-check the oracle against a direct scan over all total colorings
     h = Hypergraph(4, 2, [(0, 1), (1, 2)])
@@ -420,7 +440,8 @@ def test_text_and_json_roundtrips_agree(m, data):
 class _ReferenceHypergraph:
     """The per-edge ``Hypergraph.__init__`` that preceded the array build,
     copied (annotations aside) as the reference for the differential tests;
-    its incidence index is built when first read, so m may be 2^31."""
+    its incidence index is built when first read, so m may be 2^31, as the
+    CSR pair (indptr, indices) of plain lists."""
 
     def __init__(self, m, n, edges):
         if m <= 0:
@@ -452,7 +473,8 @@ class _ReferenceHypergraph:
         for idx, t in enumerate(self.edges):
             for v in t:
                 incidence[v].append(idx)
-        return tuple(tuple(lst) for lst in incidence)
+        indptr = [0, *itertools.accumulate(map(len, incidence))]
+        return indptr, list(itertools.chain.from_iterable(incidence))
 
 
 def _reference_parse(text):
@@ -492,7 +514,12 @@ def _outcome(build, *args):
     except Exception as exc:  # the exception is the outcome
         return type(exc), str(exc)
     assert h.edge_array.dtype == np.int32 and h.edge_array.shape == (len(h.edges), h.n)
-    return h.edges, h.edge_array.tolist(), h.incidence if h.m <= 10**4 else None
+    return h.edges, h.edge_array.tolist(), _csr_lists(h) if h.m <= 10**4 else None
+
+
+def _csr_lists(h):
+    """The (indptr, indices) incidence pair as two plain lists."""
+    return tuple(np.asarray(a).tolist() for a in h.incidence)
 
 
 def _assert_same_as_reference(text):
@@ -751,10 +778,10 @@ def test_generated_instances_match_the_reference():
     for m, n, ne, seed in ((10, 3, 7, 42), (30, 4, 200, 1), (400, 3, 1000, 5)):
         h = generate_random(m, n, ne, seed)
         ref = _ReferenceHypergraph(m, n, h.edges)
-        assert (h.edges, h.edge_array.tolist(), h.incidence) == (
+        assert (h.edges, h.edge_array.tolist(), _csr_lists(h)) == (
             ref.edges,
             ref.edge_array.tolist(),
-            ref.incidence,
+            _csr_lists(ref),
         )
         obj = json.loads(h.to_json())
         assert _outcome(Hypergraph.from_json_dict, obj) == _outcome(
@@ -787,7 +814,8 @@ def test_parse_allocates_nothing_per_vertex_from_the_header():
         tracemalloc.stop()
     assert parse_peak < 1_000_000
     assert read_peak > 8 * m  # one pointer per vertex, at least
-    assert len(incidence) == m and h.incidence is incidence
+    indptr, indices = incidence
+    assert len(indptr) == m + 1 and len(indices) == 0 and h.incidence is incidence
 
 
 def test_edges_must_be_sequences():
@@ -799,3 +827,9 @@ def test_edges_must_be_sequences():
 def test_incidence_is_read_only():
     with pytest.raises(AttributeError):
         PATH4.incidence = ()
+    indptr, indices = PATH4.incidence
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.tolist() == [0, 1, 3, 5, 6] and indices.tolist() == [0, 0, 1, 1, 2, 2]
+    for a in (indptr, indices):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1

@@ -394,13 +394,14 @@ def _reference_blocking(h, slots, orders, colors):
     deflected vertex's block color when it was visited, replayed from the
     oracle simulator's final colors."""
     colored = [s % 2 == 0 for s in slots]
+    indptr, indices = h.incidence
     out = {}
     for i, block in enumerate(orders, start=1):
         for v in block:
             if colors[v] == i + 1:
                 out[v] = min(
                     e
-                    for e in h.incidence[v]
+                    for e in indices[indptr[v] : indptr[v + 1]].tolist()
                     if all(colored[u] and colors[u] == i for u in h.edges[e] if u != v)
                 )
             colored[v] = True

@@ -181,9 +181,12 @@ def _repair_restart_scan(h, coloring, targets, weights=None):
     else:
         order = sorted(range(h.m), key=lambda v: (weights[v], v))
 
+    indptr, indices = h.incidence
+
     def keeps_proper(v, c_to):
         return not any(
-            all(colors[u] == c_to for u in h.edges[e] if u != v) for e in h.incidence[v]
+            all(colors[u] == c_to for u in h.edges[e] if u != v)
+            for e in indices[indptr[v] : indptr[v + 1]].tolist()
         )
 
     for _ in range(h.m * r):
