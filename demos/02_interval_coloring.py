@@ -7,6 +7,8 @@ deflects a vertex to the next color when keeping it would finish a
 monochromatic edge).
 """
 
+import numpy as np
+
 from eqcolor import (
     Hypergraph,
     IntervalPartition,
@@ -38,7 +40,10 @@ print("colors:", init.coloring.colors.tolist())
 assert init.coloring.colors.tolist() == [1, 2, 2, 1]
 print("deflections X:", init.deflections)
 print("occupancy Z:", init.occupancy)
-print("blocking edge per deflected vertex:", init.blocking)
+# blocking holds, per vertex, the edge that deflected it, -1 for none.
+deflected = np.flatnonzero(init.blocking >= 0)
+for v, e in zip(deflected.tolist(), init.blocking[deflected].tolist()):
+    print(f"vertex {v} deflected by edge {e} {h.edges[e]}")
 
 # The bookkeeping identity: each class collects its block occupants, minus
 # the vertices deflected out, plus the ones deflected in.

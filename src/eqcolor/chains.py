@@ -179,11 +179,11 @@ def _walk_back(
             raise RuntimeError(
                 f"chain walk inconsistency: vertex {u} colored {c} from {_block(s)}"
             )
-        if u not in init.blocking:
+        b = int(init.blocking[u])
+        if b < 0:
             raise RuntimeError(
                 f"chain walk inconsistency: no blocking edge recorded for deflected vertex {u}"
             )
-        b = init.blocking[u]
         links.insert(0, ChainLink(u, float(wa.weights[u])))
         edges.insert(0, b)
         members = h.edge_array[b].tolist()
@@ -227,9 +227,9 @@ def extract_chain(
             raise ValueError(f"vertex {v} outside 0..{h.m - 1}")
         if slots[v] != 2 * i - 1:
             raise ValueError(f"vertex {v} does not lie in small_{i}")
-        if cols[v] != i + 1 or v not in init.blocking:
+        start = int(init.blocking[v])
+        if cols[v] != i + 1 or start < 0:
             raise ValueError(f"vertex {v} was not deflected out of small_{i}")
-        start = init.blocking[v]
         edges, links = _walk_back(h, slots, wa, init, h.edge_array[start].tolist(), start, i)
         return ChainRecord(IMPROPER, i, tuple(edges), tuple(links), terminal_vertex=v)
 
@@ -364,7 +364,7 @@ def validate_chain(
         _check(slots[v] == 2 * c_j - 1, f"link {j} must lie in small_{c_j}")
         _check(cols[v] == c_j + 1, f"link {j} must carry color {c_j + 1}")
         _check(
-            init.blocking.get(v) == record.edges[j],
+            init.blocking[v] == record.edges[j],
             f"link {j} must have been deflected by edge {j} of the chain",
         )
         _check(
@@ -386,7 +386,7 @@ def validate_chain(
         _check(slots[terminal] == 2 * i - 1, "terminal must lie in small_i")
         _check(cols[terminal] == i + 1, "terminal must carry color i + 1")
         _check(
-            init.blocking.get(terminal) == record.edges[-1],
+            init.blocking[terminal] == record.edges[-1],
             "terminal must have been deflected by the last edge",
         )
         _check(

@@ -157,21 +157,23 @@ def sample_weights(
     return rng.random((rows, m))
 
 
-@dataclass
+@dataclass(eq=False)
 class InitialColoring:
     """Output of the two-stage coloring.
 
     deflections[i-1] counts the small_i vertices pushed to color i+1, and
     occupancy[i-1] counts the vertices whose weight landed in
-    large_i union small_i (just large_r for the last color).  blocking maps
-    each deflected vertex to the edge index that forced the deflection,
-    the lowest-index incident edge that would have gone monochromatic.
+    large_i union small_i (just large_r for the last color).  blocking is a
+    read-only (m,) int64 array: -1 for a vertex that was not deflected, and
+    for a deflected one the edge index that forced the deflection, the
+    lowest-index incident edge that would have gone monochromatic.
+    ``eq=False``, since arrays have no truth value.
     """
 
     coloring: Coloring
     deflections: tuple[int, ...]
     occupancy: tuple[int, ...]
-    blocking: dict[int, int]
+    blocking: np.ndarray
 
     def to_json_dict(self) -> dict:
         out = self.coloring.to_json_dict()
@@ -211,7 +213,7 @@ def _assignment_slots(partition: IntervalPartition, wa: WeightAssignment) -> np.
 
 def _stage_colors(
     h: Hypergraph, r: int, slots: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[dict[int, int]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both stages on T trials at once: ``slots`` and ``weights`` are
     (T, m) arrays, ``slots[t, v]`` the flat subinterval index of vertex v in
     trial t (even slots are large blocks, odd ones small) and
@@ -242,17 +244,20 @@ def _stage_colors(
     vertices, so the fixed point is the walk's outcome, and it is reached
     in about as many rounds as the longest chain of edges linked through
     such dependencies.  After ``_FIXPOINT_ROUNDS`` rounds, the trials that
-    still change are colored by the sequential walk instead: their
-    small-block vertices of live edges in weight order, each checked
-    against its live edges in increasing index.
+    still change (every trial with a live pair, at 0 rounds) are colored by
+    the sequential walk ``_walk`` instead, which is linear in the chain
+    length.  Both paths only mark the first blocking pair of each deflected
+    vertex, and share one tail: it writes the pair's edge into
+    ``blocking`` and the vertex's color, one above its stage-1 color, and
+    counts the deflections in one bincount.
 
     Returns colors (T, m) in the slots' dtype, deflections (T, r-1) and
-    one blocking dict per trial, as described on InitialColoring.
+    blocking (T, m) int64: -1 where a vertex was not deflected, else the
+    lowest-index edge that blocked it, as described on InitialColoring.
     """
     colors = slots // 2 + 1
     trials, m = slots.shape
-    deflections = np.zeros((trials, r - 1), dtype=np.int64)
-    blocking: list[dict[int, int]] = [{} for _ in range(trials)]
+    blocking = np.full((trials, m), -1, dtype=np.int64)
     # (T, n, |E|): reducing over the middle axis is far faster than over a
     # short last one
     edge_slots = slots[:, h.edge_array.T]
@@ -261,7 +266,7 @@ def _stage_colors(
     live = (top & 1 == 1) & (edge_slots.min(axis=1) >= top - 2)
     rows, eids = np.divmod(np.flatnonzero(live), len(h.edge_array))
     if not len(rows):
-        return colors, deflections, blocking
+        return colors, np.zeros((trials, r - 1), dtype=np.int64), blocking
     pairs = np.arange(len(rows))
     verts = h.edge_array[eids]
     pair_slots = edge_slots[rows, :, eids]
@@ -285,7 +290,8 @@ def _stage_colors(
     feeds[dep_key] = True
     feeds = feeds[lkey]
     blocks = np.zeros(len(rows), dtype=bool)
-    walk = None
+    # before the first round every pair may still change
+    spread = np.ones(len(rows), dtype=bool)
     for _ in range(_FIXPOINT_ROUNDS):
         new = np.ones(len(rows), dtype=bool)
         new[dep_pair[deflected[dep_key] != dep_need]] = False
@@ -301,6 +307,7 @@ def _stage_colors(
         walked[rows[spread]] = True
         walk = np.flatnonzero(walked[rows])
         blocks[walk] = False
+        blocks[walk[_walk(rows[walk], verts[walk], pair_slots[walk], pair_weights[walk])]] = True
     # first blocking pair of each deflected vertex: pairs come sorted by
     # (trial, edge), and a stable sort by vertex keeps that order
     hit = np.flatnonzero(blocks)
@@ -309,47 +316,34 @@ def _stage_colors(
     first = np.ones(len(hit), dtype=bool)
     first[1:] = hit_keys[1:] != hit_keys[:-1]
     hit = hit[first]
-    hit_rows = rows[hit]
-    hit_verts = verts[hit, last[hit]]
-    hit_colors = ltop[hit] // 2 + 2
-    colors[hit_rows, hit_verts] = hit_colors
-    for t, v, e in zip(hit_rows.tolist(), hit_verts.tolist(), eids[hit].tolist()):
-        blocking[t][v] = e
-    if walk is not None:
-        walk_rows, walk_colors = _walk(
-            rows[walk], eids[walk], verts[walk], pair_slots[walk], pair_weights[walk],
-            colors, blocking,
-        )
-        hit_rows = np.concatenate([hit_rows, walk_rows])
-        hit_colors = np.concatenate([hit_colors, walk_colors])
-    # a vertex deflected to color c left small_{c-1}, column c - 2
+    hit_keys = hit_keys[first]
+    blocking.put(hit_keys, eids[hit])
+    # a vertex deflected out of small_i takes color i + 1, one above its
+    # stage-1 color, and is counted in column i - 1
+    column = ltop[hit] // 2
+    colors.put(hit_keys, column + 2)
     deflections = np.bincount(
-        hit_rows * (r - 1) + (hit_colors - 2), minlength=trials * (r - 1)
+        rows[hit] * (r - 1) + column, minlength=trials * (r - 1)
     ).reshape(trials, r - 1)
     return colors, deflections, blocking
 
 
-def _walk(rows, eids, verts, pair_slots, pair_weights, colors, blocking):
+def _walk(rows, verts, pair_slots, pair_weights) -> np.ndarray:
     """Stage 2 walked per trial over the given live (trial, edge) pairs,
-    sorted by trial, with their (n,) rows of vertices, slots and weights:
-    the small-block vertices of the pairs in weight order, each reading as
-    uncolored until visited and checked against its live edges in
-    increasing index.  Writes the deflections into ``colors`` and
-    ``blocking`` and returns their trials and new colors."""
+    sorted by (trial, edge), with their (n,) rows of vertices, slots and
+    weights: the small-block vertices of the pairs in weight order, each
+    reading as uncolored until visited and checked against its pairs in
+    increasing edge index.  Returns the index of the first blocking pair of
+    every deflected vertex."""
     n = verts.shape[1]
     # flat lists, n entries per pair: nested ones would put two container
     # objects per pair in front of the cyclic garbage collector
     live_verts = verts.ravel().tolist()
     live_slots = pair_slots.ravel().tolist()
     live_weights = pair_weights.ravel().tolist()
-    rows = rows.tolist()
-    eids = eids.tolist()
-    # trial, vertex and new color of every deflection
-    hits_t: list[int] = []
-    hits_v: list[int] = []
-    hits_c: list[int] = []
+    hits: list[int] = []
     # one run of pairs per trial
-    for t, run in groupby(range(len(rows)), rows.__getitem__):
+    for _, run in groupby(range(len(rows)), rows.tolist().__getitem__):
         # current color of every vertex of a live edge, 0 until visited for
         # small-block ones; live pairs at each small-block vertex, by edge
         current: dict[int, int] = {}
@@ -377,13 +371,9 @@ def _walk(rows, eids, verts, pair_slots, pair_weights, colors, blocking):
                         break
                 else:
                     current[v] = i + 1
-                    blocking[t][v] = eids[j]
-                    hits_t.append(t)
-                    hits_v.append(v)
-                    hits_c.append(i + 1)
+                    hits.append(j)
                     break
-    colors[hits_t, hits_v] = hits_c
-    return np.array(hits_t, dtype=np.int64), np.array(hits_c, dtype=colors.dtype)
+    return np.array(hits, dtype=np.int64)
 
 
 def run_interval_coloring(
@@ -428,10 +418,11 @@ class InitialColoringBatch:
     """The two stages run on a (T, m) array of weights, one row per attempt.
 
     ``colors`` holds the colors of every row as one read-only int64
-    (T, m) array.  ``row(t)`` builds row t's (WeightAssignment,
-    InitialColoring) pair, the same as ``run_interval_coloring`` gives for
-    that row alone; both are views of the batch's arrays, and the
-    assignment keeps its row of the batch's slots.
+    (T, m) array, kept beside the kernel's (T, m) blocking record, read-only
+    too.  ``row(t)`` builds row t's (WeightAssignment, InitialColoring)
+    pair, the same as ``run_interval_coloring`` gives for that row alone;
+    both are views of the batch's arrays, and the assignment keeps its row
+    of the batch's slots.
     """
 
     __slots__ = ("colors", "_weights", "_partition", "_slots", "_narrow", "_deflections", "_blocking")
@@ -446,6 +437,7 @@ class InitialColoringBatch:
         # from them
         self._narrow = narrow
         self._deflections = deflections
+        blocking.flags.writeable = False
         self._blocking = blocking
 
     def __len__(self) -> int:

@@ -182,9 +182,7 @@ def greedy_repair(
         order = np.argsort(np.asarray(weights), kind="stable").tolist()
     colors = coloring.colors.tolist()
     sizes = list(coloring.sizes)
-    # the CSR incidence and the edge rows, as lists for the scalar scan
-    indptr, indices = (a.tolist() for a in h.incidence)
-    rows = h.edge_array.tolist()
+    indptr, indices = h.incidence
 
     def classes():
         over = [c for c in range(1, r + 1) if sizes[c - 1] > targets[c - 1]]
@@ -198,8 +196,10 @@ def greedy_repair(
         c_from = colors[v]
         if c_from not in over:
             continue
+        # the rows of the edges at v, read only for the vertices tested
+        rows = h.edge_array[indices[indptr[v] : indptr[v + 1]]].tolist()
         for c_to in under:
-            if _move_keeps_proper(rows, indptr, indices, colors, v, c_to):
+            if _move_keeps_proper(rows, colors, v, c_to):
                 colors[v] = c_to
                 sizes[c_from - 1] -= 1
                 sizes[c_to - 1] += 1
@@ -212,10 +212,10 @@ def greedy_repair(
     return Coloring._trusted(r, out, sizes)
 
 
-def _move_keeps_proper(rows, indptr, indices, colors, v: int, c_to: int) -> bool:
-    """Whether no edge at v would turn monochromatic with v at ``c_to``."""
-    edges = indices[indptr[v] : indptr[v + 1]]
-    return not any(all(colors[u] == c_to for u in rows[e] if u != v) for e in edges)
+def _move_keeps_proper(rows, colors, v: int, c_to: int) -> bool:
+    """Whether no edge at v, given as ``rows``, would turn monochromatic
+    with v at ``c_to``."""
+    return not any(all(colors[u] == c_to for u in row if u != v) for row in rows)
 
 
 def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> SolveReport:

@@ -189,7 +189,9 @@ def test_two_stage_hand_trace():
     assert init.coloring.colors.tolist() == [1, 2, 2, 1]
     assert init.deflections == (1,)
     assert init.occupancy == (3, 1)
-    assert init.blocking == {1: 0}  # only the deflected vertex has an entry
+    # -1 for every vertex that was not deflected
+    assert init.blocking.tolist() == [-1, 0, -1, -1]
+    assert init.blocking.dtype == np.int64 and not init.blocking.flags.writeable
 
 
 def test_two_stage_all_large_is_pure_stage_one():
@@ -289,11 +291,9 @@ def test_weight_array_colors_each_row_as_alone():
             assert isinstance(alone, InitialColoring)
             assert got.coloring == alone.coloring and got.coloring.sizes == alone.coloring.sizes
             assert np.array_equal(batch.colors[t], alone.coloring.colors)
-            assert (got.deflections, got.occupancy, got.blocking) == (
-                alone.deflections,
-                alone.occupancy,
-                alone.blocking,
-            )
+            assert (got.deflections, got.occupancy) == (alone.deflections, alone.occupancy)
+            assert np.array_equal(got.blocking, alone.blocking)
+            assert got.blocking.shape == (m,) and not got.blocking.flags.writeable
             assert got.to_json_dict() == alone.to_json_dict()
             deflected += sum(got.deflections)
         one = run_interval_coloring(h, r, part, weights[:1])

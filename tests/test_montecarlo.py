@@ -392,10 +392,10 @@ def test_oracle_orders_small_blocks_by_weight_not_id():
 def _reference_blocking(h, slots, orders, colors):
     """Lowest-index incident edge whose other vertices all carried the
     deflected vertex's block color when it was visited, replayed from the
-    oracle simulator's final colors."""
+    oracle simulator's final colors; -1 for a vertex not deflected."""
     colored = [s % 2 == 0 for s in slots]
     indptr, indices = h.incidence
-    out = {}
+    out = [-1] * h.m
     for i, block in enumerate(orders, start=1):
         for v in block:
             if colors[v] == i + 1:
@@ -429,6 +429,7 @@ def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
             slots = _weight_slots(part, u)
             colors, deflections, blocking = _stage_colors(h, r, slots, u)
             assert colors.shape == (60, h.m) and deflections.shape == (60, r - 1)
+            assert blocking.shape == (60, h.m) and blocking.dtype == np.int64
             for t in range(60):
                 order = np.lexsort((np.arange(h.m), u[t])).tolist()
                 row = slots[t].tolist()
@@ -439,34 +440,38 @@ def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
                     sum(1 for v in orders[i - 1] if reference[v] == i + 1) for i in range(1, r)
                 ]
                 assert deflections[t].tolist() == counts
-                assert blocking[t] == _reference_blocking(h, row, orders, reference)
+                assert blocking[t].tolist() == _reference_blocking(h, row, orders, reference)
+                # deflected exactly where stage 2 moved a vertex off stage 1
+                assert ((blocking[t] >= 0) == (colors[t] != slots[t] // 2 + 1)).all()
                 trials += 1
                 deflected += sum(counts)
     assert trials == 3 * 6 * 60 and deflected > 100
 
 
-@pytest.mark.parametrize("rounds", [1, 10**6])
+@pytest.mark.parametrize("rounds", [0, 1, 10**6])
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_batched_kernel_matches_oracle_simulator_under_round_cap(monkeypatch, r, rounds):
-    # one round leaves most trials with a deflection to the sequential
-    # walk; 10^6 rounds leave none, so the fixed point alone colors them
+    # no round hands every trial with a live edge to the sequential walk,
+    # one round most trials with a deflection; 10^6 rounds leave none, so
+    # the fixed point alone colors them
     walked = []
     walk = intervals._walk
 
-    def counted(h, rows, *rest):
+    def counted(rows, *rest):
+        # the walked trials of this kernel call
         walked.append(len(set(rows.tolist())))
-        return walk(h, rows, *rest)
+        return walk(rows, *rest)
 
     monkeypatch.setattr(intervals, "_walk", counted)
     monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
     test_batched_kernel_matches_oracle_simulator_row_by_row(r)
-    if rounds == 1:
-        assert sum(walked) > 100
-    else:
+    if rounds == 10**6:
         assert walked == []
+    else:
+        assert sum(walked) > 100
 
 
-@pytest.mark.parametrize("rounds", [1, 10**6])
+@pytest.mark.parametrize("rounds", [0, 1, 10**6])
 def test_batched_kernel_breaks_weight_ties_by_id(monkeypatch, rounds):
     # weights on a grid of ten values tie often; the walk and the fixed
     # point both order tied vertices by id, as the oracle's orders do
@@ -487,7 +492,8 @@ def test_batched_kernel_breaks_weight_ties_by_id(monkeypatch, rounds):
                 orders = [[v for v in order if row[v] == 2 * i - 1] for i in range(1, r)]
                 reference = _oracle_colors(h, r, row, orders)
                 assert colors[t].tolist() == reference
-                assert blocking[t] == _reference_blocking(h, row, orders, reference)
+                assert blocking[t].tolist() == _reference_blocking(h, row, orders, reference)
+                assert ((blocking[t] >= 0) == (colors[t] != slots[t] // 2 + 1)).all()
                 deflected += int(deflections[t].sum())
     assert deflected > 100
 
@@ -509,7 +515,7 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
     colors, deflections, blocking = _stage_colors(h, 2, slots, u)
     assert colors[0].tolist() == _oracle_colors(h, 2, slots[0], [list(range(m))])
     assert deflections.tolist() == [[m // 2]]
-    assert blocking == [{v: v - 1 for v in range(1, m, 2)}]
+    assert blocking.tolist() == [[v - 1 if v % 2 else -1 for v in range(m)]]
 
 
 @pytest.mark.parametrize("cells", [1, 1 << 20])

@@ -239,6 +239,35 @@ def test_greedy_repair_matches_restart_scan_reference():
     assert repaired > 100
 
 
+def test_greedy_repair_of_a_large_two_stage_coloring_is_frozen():
+    # one proper 549/451 two-stage coloring of a (1000, 10, 2200) instance,
+    # repaired in weight order; the moved vertices were taken from the scan
+    # that converted the whole incidence to lists on each call
+    from eqcolor import (
+        IntervalPartition,
+        choose_p,
+        generate_random,
+        run_interval_coloring,
+        sample_weights,
+    )
+
+    h = generate_random(1000, 10, 2200, 3)
+    wa = sample_weights(h.m, 5)
+    init = run_interval_coloring(h, 2, IntervalPartition(choose_p(h.n, 2), 2), wa)
+    assert is_proper(h, init.coloring) and init.coloring.sizes == [549, 451]
+    targets = class_targets(h.m, 2)
+    fixed = greedy_repair(h, init.coloring, targets, weights=wa.weights)
+    moved = np.flatnonzero(fixed.colors != init.coloring.colors).tolist()
+    assert moved == [
+        29, 31, 48, 88, 112, 129, 130, 160, 180, 204, 238, 247, 295, 303, 310, 315, 388,
+        407, 428, 436, 460, 517, 536, 540, 541, 550, 577, 583, 585, 605, 608, 682, 709,
+        710, 722, 732, 744, 753, 756, 782, 809, 811, 831, 876, 888, 958, 965, 972, 980,
+    ]
+    assert fixed.colors[moved].tolist() == [2] * len(moved)
+    assert fixed.sizes == [500, 500] and is_proper(h, fixed)
+    assert fixed == _repair_restart_scan(h, init.coloring, targets, weights=wa.weights)
+
+
 def test_greedy_repair_is_one_pass(monkeypatch):
     from eqcolor import solver
 
