@@ -316,17 +316,33 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _edge_values(h: Hypergraph, values) -> np.ndarray:
+    """The values at every vertex of every edge, in their dtype: (m,) input
+    gives an (n, |E|) array, (T, m) input an (n, |E|, T) one.  The one edge
+    gather behind the stage-2 kernel, ``_mono_edges`` and the rebalance
+    scan; callers reduce over axis 0, which numpy does slab by slab.
+
+    (T, m) input is copied vertex-major first, so each gathered cell is one
+    contiguous run of T values.  That copy and ``np.take`` were at least as
+    fast as fancy indexing on the row-major array at every batch shape the
+    solver and the Monte Carlo driver use, from T = 1 at m = 100 000 to
+    T = 300 at m = 1000, so no shape picks another path."""
+    values = np.asarray(values)
+    if values.ndim == 1:
+        return np.take(values, h.edge_array.T)
+    return np.take(np.ascontiguousarray(values.T), h.edge_array.T, axis=0)
+
+
 def _mono_edges(h: Hypergraph, colors) -> np.ndarray:
-    """Boolean mask of the monochromatic edges under ``colors``, one numpy
-    pass over ``h.edge_array``: colors of shape (m,) give a mask of shape
+    """Boolean mask of the monochromatic edges under ``colors``, from one
+    ``_edge_values`` gather: colors of shape (m,) give a mask of shape
     (|E|,), colors of shape (T, m) one row of masks per trial.  The one
     edge scan behind ``is_proper``, the solver's rejection step and the
     Monte Carlo ``mono-edge`` statistic.  Colors keep their dtype: the
     kernel's narrow ones are gathered as they are."""
-    # (..., n, |E|): comparing whole rows is far faster than reducing over a
-    # short last axis
-    edge_colors = np.asarray(colors)[..., h.edge_array.T]
-    return (edge_colors == edge_colors[..., :1, :]).all(axis=-2)
+    # (n, |E|, ...): each vertex position is one slab, compared whole
+    edge_colors = _edge_values(h, colors)
+    return (edge_colors == edge_colors[:1]).all(axis=0).T
 
 
 def is_proper(h: Hypergraph, coloring: Coloring) -> bool:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .hypergraph import Coloring, Hypergraph
+from .hypergraph import Coloring, Hypergraph, _edge_values
 
 __all__ = [
     "InitialColoring",
@@ -228,8 +228,9 @@ def _stage_colors(
     vertex of small_i can only be deflected by an edge whose other vertices
     all carry color i, so all of its vertices lie in small_{i-1}, large_i
     or small_i: its largest slot is odd and its smallest at least that
-    minus 2.  Only such live edges are found, by one gather over
-    ``h.edge_array`` in the slots' dtype.
+    minus 2.  Only such live edges are found, by one
+    ``hypergraph._edge_values`` gather in the slots' dtype, (n, |E|, T),
+    reduced over axis 0.
 
     Stage 2 visits vertices in weight order, and a vertex reads as
     uncolored until visited, so a live (trial, edge) pair can only deflect
@@ -247,29 +248,31 @@ def _stage_colors(
     still change (every trial with a live pair, at 0 rounds) are colored by
     the sequential walk ``_walk`` instead, which is linear in the chain
     length.  Both paths only mark the first blocking pair of each deflected
-    vertex, and share one tail: it writes the pair's edge into
-    ``blocking`` and the vertex's color, one above its stage-1 color, and
-    counts the deflections in one bincount.
+    vertex, and share one tail: it writes the vertex's color, one above its
+    stage-1 color, and counts the deflections in one bincount.
 
     Returns colors (T, m) in the slots' dtype, deflections (T, r-1) and
-    blocking (T, m) int64: -1 where a vertex was not deflected, else the
-    lowest-index edge that blocked it, as described on InitialColoring.
+    the deflected vertices as a pair of int64 arrays (keys, edges): the
+    increasing keys t * m + v of the deflected vertices v of trial t, and
+    for each the lowest-index edge that blocked it, as described on
+    InitialColoring.  ``InitialColoringBatch`` spreads a row of them into
+    a dense (m,) record only when that row is read.
     """
     colors = slots // 2 + 1
     trials, m = slots.shape
-    blocking = np.full((trials, m), -1, dtype=np.int64)
-    # (T, n, |E|): reducing over the middle axis is far faster than over a
-    # short last one
-    edge_slots = slots[:, h.edge_array.T]
-    top = edge_slots.max(axis=1)
+    # (n, |E|, T): each vertex position is one slab, reduced elementwise
+    edge_slots = _edge_values(h, slots)
+    top = edge_slots.max(axis=0)
     # & 1 tests parity far faster than % 2 on int8
-    live = (top & 1 == 1) & (edge_slots.min(axis=1) >= top - 2)
-    rows, eids = np.divmod(np.flatnonzero(live), len(h.edge_array))
+    live = (top & 1 == 1) & (edge_slots.min(axis=0) >= top - 2)
+    # live.T lists the pairs in (trial, edge) order
+    rows, eids = np.divmod(np.flatnonzero(live.T), len(h.edge_array))
     if not len(rows):
-        return colors, np.zeros((trials, r - 1), dtype=np.int64), blocking
+        none = np.zeros(0, dtype=np.int64)
+        return colors, np.zeros((trials, r - 1), dtype=np.int64), (none, none)
     pairs = np.arange(len(rows))
     verts = h.edge_array[eids]
-    pair_slots = edge_slots[rows, :, eids]
+    pair_slots = edge_slots[:, eids, rows].T
     pair_weights = weights[rows[:, None], verts]
     # edge rows list ids in increasing order: L is the last maximal weight
     last = (h.n - 1) - np.argmax(pair_weights[:, ::-1], axis=1)
@@ -317,7 +320,6 @@ def _stage_colors(
     first[1:] = hit_keys[1:] != hit_keys[:-1]
     hit = hit[first]
     hit_keys = hit_keys[first]
-    blocking.put(hit_keys, eids[hit])
     # a vertex deflected out of small_i takes color i + 1, one above its
     # stage-1 color, and is counted in column i - 1
     column = ltop[hit] // 2
@@ -325,7 +327,7 @@ def _stage_colors(
     deflections = np.bincount(
         rows[hit] * (r - 1) + column, minlength=trials * (r - 1)
     ).reshape(trials, r - 1)
-    return colors, deflections, blocking
+    return colors, deflections, (hit_keys, eids[hit])
 
 
 def _walk(rows, verts, pair_slots, pair_weights) -> np.ndarray:
@@ -410,35 +412,37 @@ def run_interval_coloring(
     if weights.shape[1] != h.m:
         raise ValueError("weight vector length does not match vertex count")
     slots = _weight_slots(partition, weights)
-    colors, deflections, blocking = _stage_colors(h, r, slots, weights)
-    return InitialColoringBatch(partition, weights, slots, colors, deflections, blocking)
+    colors, deflections, deflected = _stage_colors(h, r, slots, weights)
+    return InitialColoringBatch(partition, weights, slots, colors, deflections, deflected)
 
 
 class InitialColoringBatch:
     """The two stages run on a (T, m) array of weights, one row per attempt.
 
     ``colors`` holds the colors of every row as one read-only int64
-    (T, m) array, kept beside the kernel's (T, m) blocking record, read-only
-    too.  ``row(t)`` builds row t's (WeightAssignment, InitialColoring)
-    pair, the same as ``run_interval_coloring`` gives for that row alone;
-    both are views of the batch's arrays, and the assignment keeps its row
-    of the batch's slots.
+    (T, m) array, kept beside the kernel's deflected (key, edge) pairs.
+    ``row(t)`` builds row t's (WeightAssignment, InitialColoring) pair, the
+    same as ``run_interval_coloring`` gives for that row alone; the
+    assignment and the coloring are views of the batch's arrays, the
+    assignment keeps its row of the batch's slots, and only the blocking
+    record is built for the row.
     """
 
-    __slots__ = ("colors", "_weights", "_partition", "_slots", "_narrow", "_deflections", "_blocking")
+    __slots__ = (
+        "colors", "_weights", "_partition", "_slots", "_narrow", "_deflections", "_deflected"
+    )
 
-    def __init__(self, partition, weights, slots, narrow, deflections, blocking):
+    def __init__(self, partition, weights, slots, narrow, deflections, deflected):
         self._weights = weights
         self.colors = narrow.astype(np.int64)
         self.colors.flags.writeable = False
         self._partition = partition
         self._slots = slots
         # the kernel's colors in the slots' dtype; class sizes are counted
-        # from them
+        # from them, and the solver's screen scans them
         self._narrow = narrow
         self._deflections = deflections
-        blocking.flags.writeable = False
-        self._blocking = blocking
+        self._deflected = deflected
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -450,13 +454,20 @@ class InitialColoringBatch:
 
     def _initial(self, t: int) -> InitialColoring:
         r = self._partition.r
+        m = self.colors.shape[1]
         sizes = np.bincount(self._narrow[t], minlength=r + 1)[1:].tolist()
         occupancy = np.bincount(self._slots[t] // 2, minlength=r)
+        # row t's deflected vertices are the keys in [t * m, (t + 1) * m)
+        keys, edges = self._deflected
+        lo, hi = np.searchsorted(keys, (t * m, (t + 1) * m))
+        blocking = np.full(m, -1, dtype=np.int64)
+        blocking[keys[lo:hi] - t * m] = edges[lo:hi]
+        blocking.flags.writeable = False
         return InitialColoring(
             Coloring._trusted(r, self.colors[t], sizes),
             tuple(self._deflections[t].tolist()),
             tuple(occupancy.tolist()),
-            self._blocking[t],
+            blocking,
         )
 
 

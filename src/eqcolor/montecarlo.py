@@ -453,7 +453,8 @@ def exact_c0_event_prob(
     configuration count passes ``budget``.
 
     Configurations are simulated in blocks of at most ``_ORACLE_ROWS`` rows
-    by ``_simulate_configs``, so memory stays bounded at every size.
+    by ``_simulate_configs``, so memory stays bounded at every size; the
+    padded incidence table it reads is built once per call.
     """
     if r < 2:
         raise ValueError("need at least 2 colors")
@@ -478,6 +479,7 @@ def exact_c0_event_prob(
     single = isinstance(event, (MonoEdgeExists, Deflected, ChainEventSpec))
     events = [event] if single else list(event)
     totals = [0.0] * len(events)
+    around = _padded_incidence(h)
     # every slot vector, grouped by its per-small-block counts k_1..k_{r-1}:
     # within a group each small block has the same size in every row
     slot_rows = np.indices((2 * r - 1,) * m, dtype=np.int8).reshape(m, -1).T
@@ -504,7 +506,7 @@ def exact_c0_event_prob(
             ranks = np.zeros_like(slots)
             for mem, k, index in zip(members, ks, order_index):
                 np.put_along_axis(ranks, mem[vector], _permutation_rows(k, index), axis=1)
-            colors = _simulate_configs(h, r, slots, ranks)
+            colors = _simulate_configs(h, r, slots, ranks, around)
             for j, ev in enumerate(events):
                 hits = np.count_nonzero(_event_mask(h, ev, slots, ranks, colors))
                 totals[j] += weight * int(hits)
@@ -512,7 +514,29 @@ def exact_c0_event_prob(
     return sum(min(total, 1.0) for total in totals)
 
 
-def _simulate_configs(h: Hypergraph, r: int, slots: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _padded_incidence(h: Hypergraph) -> np.ndarray:
+    """The (n * d, m) intp table ``_simulate_configs`` reads, for d the
+    largest vertex degree (at least 1): column v lists the n vertices of
+    each of v's edges, then of padding edges up to d.  A padding edge
+    holds only the vertex m, never colored, and v itself reads as the
+    vertex m + 1, which carries the color of the block being processed, so
+    an edge whose n - 1 other vertices carry color i reads as wholly at
+    color i."""
+    m, n = h.m, h.n
+    # table[:, v] lists v's edges, then the padding edge |E|
+    indptr, indices = (a.tolist() for a in h.incidence)
+    spans = list(zip(indptr, indptr[1:]))
+    d = max(1, max(b - a for a, b in spans))
+    table = np.array([indices[a:b] + [len(h.edge_array)] * (d - b + a) for a, b in spans]).T
+    padded = np.hstack([h.edge_array.T, np.full((n, 1), m, dtype=h.edge_array.dtype)])
+    around = padded[:, table].reshape(n * d, m).astype(np.intp)
+    around[around == np.arange(m)] = m + 1
+    return around
+
+
+def _simulate_configs(
+    h: Hypergraph, r: int, slots: np.ndarray, ranks: np.ndarray, around: np.ndarray
+) -> np.ndarray:
     """The oracle's own simulator, over a (B, m) batch of configurations:
     ``slots`` holds each vertex's subinterval 0..2r-2 and ``ranks`` its
     position inside its small block (ignored in large blocks).  Every row
@@ -521,27 +545,14 @@ def _simulate_configs(h: Hypergraph, r: int, slots: np.ndarray, ranks: np.ndarra
     blocks are colored first; then, for each small block i and position q,
     the vertex at rank q is deflected to i + 1 iff one of its incident
     edges has its n - 1 other vertices at color i, else it gets color i.
-    Each step gathers only that vertex's edges from a padded incidence
-    table, so it is linear in B.  Returns the (B, m) colors as int8, so r
-    must stay below 127."""
+    Each step gathers only that vertex's edges from ``around``,
+    ``_padded_incidence(h)``, so it is linear in B.  Returns the (B, m)
+    colors as int8, so r must stay below 127."""
     slots = np.asarray(slots, dtype=np.int64)
     ranks = np.asarray(ranks, dtype=np.int64)
     batch, m = slots.shape
     n = h.n
-    # padded incidence: table[:, v] lists v's edges, then the padding edge
-    # |E|, which holds only the vertex m, never colored; around[:, v] lists
-    # the n vertices of each of those edges, (n * d, m) in all.  v itself
-    # reads as the vertex m + 1, which carries the color of the block being
-    # processed, so an edge whose n - 1 other vertices carry color i reads
-    # as wholly at color i
-    indptr, indices = (a.tolist() for a in h.incidence)
-    spans = list(zip(indptr, indptr[1:]))
-    d = max(1, max(b - a for a, b in spans))
-    table = np.array([indices[a:b] + [len(h.edge_array)] * (d - b + a) for a, b in spans]).T
-    padded = np.hstack([h.edge_array.T, np.full((n, 1), m, dtype=h.edge_array.dtype)])
-    around = padded[:, table].reshape(n * d, m).astype(np.intp)
-    around[around == np.arange(m)] = m + 1
-
+    d = len(around) // n
     width = m + 2
     colors = np.zeros((batch, width), dtype=np.int8)
     colors[:, :m] = np.where(slots % 2 == 0, slots // 2 + 1, 0)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .chains import DangerousEdge
-from .hypergraph import Coloring, Hypergraph
+from .hypergraph import Coloring, Hypergraph, _edge_values
 from .intervals import IntervalPartition, WeightAssignment, _assignment_slots
 from .seeding import ROLE_VSETS, derive
 
@@ -133,10 +133,11 @@ def _candidates(slots, keep, p_tilde: float, r: int) -> np.ndarray:
 def _dangerous_edges(h: Hypergraph, candidate, colors, r: int) -> np.ndarray:
     """The dangerous-edge predicate: some vertex of the edge is a candidate and
     every other one carries color r.  Shaped like ``hypergraph._mono_edges``:
-    (m,) input gives an (|E|,) mask, (T, m) input one row per trial."""
-    in_sets = candidate[..., h.edge_array.T]
-    at_top = colors[..., h.edge_array.T] == r
-    return in_sets.any(axis=-2) & (in_sets | at_top).all(axis=-2)
+    (m,) input gives an (|E|,) mask, (T, m) input one row per trial.  Two
+    ``_edge_values`` gathers, (n, |E|, ...) each, reduced over axis 0."""
+    in_sets = _edge_values(h, candidate)
+    at_top = _edge_values(h, colors) == r
+    return (in_sets.any(axis=0) & (in_sets | at_top).all(axis=0)).T
 
 
 def apply_recolor(coloring: Coloring, wsets: Sequence[np.ndarray]) -> Coloring:

@@ -376,9 +376,10 @@ def _screen_batch(
 
     A two-stage batch draws one ``sample_weights`` array per block
     segment (its attempts that share one generator) and is colored by one
-    kernel call.  A balanced batch draws one ``permutation(m)`` per attempt
-    and is colored at the class targets by one ``_colors_at_sizes`` call;
-    its colors array is the batch, and its rows have no weights."""
+    kernel call, and the screen reads the kernel's colors in the slots'
+    narrow dtype.  A balanced batch draws one ``permutation(m)`` per
+    attempt and is colored at the class targets by one ``_colors_at_sizes``
+    call; its colors array is the batch, and its rows have no weights."""
     rngs = list(itertools.islice(streams, size))
     if partition is None:
         targets = class_targets(h.m, r)
@@ -392,7 +393,7 @@ def _screen_batch(
         batch = run_interval_coloring(
             h, r, partition, draws[0] if len(draws) == 1 else np.concatenate(draws)
         )
-        colors = batch.colors
+        colors = batch._narrow
 
         def row(t: int) -> _Row:
             wa, init = batch.row(t)

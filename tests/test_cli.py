@@ -249,6 +249,31 @@ def test_oracle_budget_check_builds_no_power_of_a_huge_header(code, expected):
     assert proc.returncode == 1 and proc.stderr.startswith(expected), proc.stderr
 
 
+@pytest.mark.parametrize("module", ["eqcolor", "eqcolor.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    # run as a script, the package and the CLI module each run the tool:
+    # a module that only defines main() would exit 0 and print nothing
+    src = Path(cli.__file__).resolve().parents[1]
+
+    def run(text):
+        return subprocess.run(
+            [sys.executable, "-m", module, "solve", "-", "-r", "2"],
+            input=text,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    solved = run(PATH_TEXT)
+    assert solved.returncode == 0, solved.stderr
+    coloring = Coloring.from_json_dict(json.loads(solved.stdout))
+    assert is_equitable(parse_hypergraph(PATH_TEXT), coloring)
+    malformed = run("3 2 1\n0 5\n")
+    assert malformed.returncode == 1 and malformed.stderr.startswith("error:"), malformed.stderr
+    assert malformed.stdout == ""
+
+
 @pytest.mark.parametrize("sizes", [5, None])
 def test_verify_reports_sizes_that_are_no_list(capsys, tmp_path, path_file, sizes):
     # the sizes check once raised a TypeError past the reader's error handling

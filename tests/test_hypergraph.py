@@ -24,7 +24,7 @@ from eqcolor import (
     is_proper,
     parse_hypergraph,
 )
-from eqcolor.hypergraph import _mono_edges
+from eqcolor.hypergraph import _edge_values, _mono_edges
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (1, 2), (0, 2)])
 K4 = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -215,6 +215,73 @@ def test_mono_edges_on_edgeless_hypergraph():
     assert _mono_edges(h, [1, 1, 1, 1]).shape == (0,)
     assert _mono_edges(h, np.ones((5, 4), dtype=np.int64)).shape == (5, 0)
     assert is_proper(h, Coloring(4, 2, [1, 1, 1, 1]))
+
+
+def _edge_values_reference(h, values):
+    # fancy indexing on the row-major array, moved to the (n, |E|, T) layout
+    if values.ndim == 1:
+        return values[h.edge_array.T]
+    return np.moveaxis(values[:, h.edge_array.T], 0, -1)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 9, 64, 300])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
+def test_edge_values_matches_fancy_indexing(trials, dtype):
+    rng = np.random.default_rng(trials)
+    h = generate_random(40, 4, 70, seed=trials)
+    values = rng.integers(0, 3, size=(trials, h.m)).astype(dtype)
+    # a (T, m) slice of a wider array, as a Monte Carlo sub-batch is cut
+    # from its chunk of weights and keep draws
+    wide = np.concatenate([values, values[:, ::-1]], axis=1)
+    frozen = values.copy()
+    frozen.flags.writeable = False
+    for batch in (values, frozen, wide[:, : h.m]):
+        assert batch.shape == (trials, h.m)
+        got = _edge_values(h, batch)
+        assert got.shape == (h.n, len(h.edge_array), trials) and got.dtype == dtype
+        assert np.array_equal(got, _edge_values_reference(h, batch))
+        for row in (batch[0], frozen[-1]):
+            got = _edge_values(h, row)
+            assert got.shape == (h.n, len(h.edge_array)) and got.dtype == dtype
+            assert np.array_equal(got, _edge_values_reference(h, row))
+
+
+def test_edge_values_on_edgeless_hypergraph():
+    h = Hypergraph(4, 3, [])
+    assert _edge_values(h, np.arange(4)).shape == (3, 0)
+    assert _edge_values(h, np.ones((5, 4), dtype=np.int8)).shape == (3, 0, 5)
+    for values in (np.arange(4), np.ones((5, 4), dtype=np.int8)):
+        assert np.array_equal(_edge_values(h, values), _edge_values_reference(h, values))
+
+
+def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
+    # each module that gathers edge values is counted apart: the kernel in
+    # intervals, the mono-edge screen in hypergraph, the rebalance scan
+    from eqcolor import hypergraph, intervals, rebalance, solver
+    from eqcolor.seeding import ROLE_WEIGHTS
+
+    calls = []
+    for module in (hypergraph, intervals, rebalance):
+
+        def counted(h, values, _name=module.__name__):
+            calls.append((_name, np.asarray(values).dtype))
+            return _edge_values(h, values)
+
+        monkeypatch.setattr(module, "_edge_values", counted)
+    h = generate_random(1000, 6, 1200, seed=1)
+    partition = intervals.IntervalPartition(intervals.choose_p(h.n, 3), 3)
+    batch, mono, row = solver._screen_batch(
+        h, 3, partition, solver._attempt_streams(0, ROLE_WEIGHTS), 9
+    )
+    assert len(batch) == 9 and mono.shape == (9, len(h.edge_array))
+    # one gather in the kernel, one in the screen, both on the narrow colors
+    assert calls == [("eqcolor.intervals", np.int8), ("eqcolor.hypergraph", np.int8)]
+    # the screen's mask is the one the int64 colors give
+    assert np.array_equal(mono, _mono_edges(h, batch.colors))
+    calls.clear()
+    wa, coloring = row(0)
+    rebalance.build_rebalance_plan(h, partition, wa, coloring, class_targets(h.m, 3), seed=0)
+    assert [name for name, _ in calls] == ["eqcolor.rebalance"] * 2
 
 
 def test_class_targets_split():

@@ -22,7 +22,13 @@ from eqcolor import (
 )
 from eqcolor import chains, hypergraph, intervals, montecarlo
 from eqcolor.intervals import _stage_colors, _weight_slots
-from eqcolor.montecarlo import QUANTITIES, Deflected, _permutation_rows, _simulate_configs
+from eqcolor.montecarlo import (
+    QUANTITIES,
+    Deflected,
+    _padded_incidence,
+    _permutation_rows,
+    _simulate_configs,
+)
 
 SINGLE = Hypergraph(2, 2, [(0, 1)])
 # two triangles sharing vertices with a third, forcing interactions between
@@ -36,7 +42,19 @@ def _oracle_colors(h, r, slots, orders):
     ranks = np.zeros(h.m, dtype=np.int64)
     for block in orders:
         ranks[list(block)] = np.arange(len(block))
-    return _simulate_configs(h, r, np.asarray(slots)[None, :], ranks[None, :])[0].tolist()
+    rows = np.asarray(slots)[None, :]
+    return _simulate_configs(h, r, rows, ranks[None, :], _padded_incidence(h))[0].tolist()
+
+
+def _dense_blocking(deflected, trials, m):
+    """The kernel's deflected (key, edge) pairs spread into a (T, m) int64
+    blocking record, -1 where a vertex was not deflected.  The keys must
+    increase, as the batch's per-row lookup assumes."""
+    keys, edges = deflected
+    assert keys.dtype == edges.dtype == np.int64 and (np.diff(keys) > 0).all()
+    blocking = np.full(trials * m, -1, dtype=np.int64)
+    blocking[keys] = edges
+    return blocking.reshape(trials, m)
 
 
 def test_oracle_single_edge_hand_value():
@@ -117,9 +135,9 @@ def test_expected_deflections_comparison_is_one_enumeration(monkeypatch):
     calls = []
     simulate = montecarlo._simulate_configs
 
-    def counted(h, r, slots, ranks):
+    def counted(h, r, slots, ranks, around):
         calls.append(len(slots))
-        return simulate(h, r, slots, ranks)
+        return simulate(h, r, slots, ranks, around)
 
     monkeypatch.setattr(montecarlo, "_simulate_configs", counted)
     mono = mc_estimate("mono-edge", TRI_PAIR, 2, trials=10, seed=0)
@@ -171,9 +189,9 @@ def test_oracle_simulates_in_bounded_blocks(monkeypatch):
     calls = []
     simulate = montecarlo._simulate_configs
 
-    def counted(h, r, slots, ranks):
+    def counted(h, r, slots, ranks, around):
         calls.append(len(slots))
-        return simulate(h, r, slots, ranks)
+        return simulate(h, r, slots, ranks, around)
 
     monkeypatch.setattr(montecarlo, "_simulate_configs", counted)
     monkeypatch.setattr(montecarlo, "_ORACLE_ROWS", 100)
@@ -185,7 +203,7 @@ def test_oracle_simulates_in_bounded_blocks(monkeypatch):
 def test_oracle_simulator_refuses_rows_with_different_block_sizes():
     slots = np.array([[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]])
     with pytest.raises(ValueError):
-        _simulate_configs(TRI_PAIR, 2, slots, np.zeros_like(slots))
+        _simulate_configs(TRI_PAIR, 2, slots, np.zeros_like(slots), _padded_incidence(TRI_PAIR))
 
 
 def test_oracle_calls_no_production_kernel_or_predicate(monkeypatch):
@@ -427,7 +445,8 @@ def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
             part = IntervalPartition(p, r)
             u = rng.random((60, h.m))
             slots = _weight_slots(part, u)
-            colors, deflections, blocking = _stage_colors(h, r, slots, u)
+            colors, deflections, pairs = _stage_colors(h, r, slots, u)
+            blocking = _dense_blocking(pairs, 60, h.m)
             assert colors.shape == (60, h.m) and deflections.shape == (60, r - 1)
             assert blocking.shape == (60, h.m) and blocking.dtype == np.int64
             for t in range(60):
@@ -485,7 +504,8 @@ def test_batched_kernel_breaks_weight_ties_by_id(monkeypatch, rounds):
             part = IntervalPartition(p, r)
             u = rng.integers(0, 10, size=(80, h.m)) / 10.0
             slots = _weight_slots(part, u)
-            colors, deflections, blocking = _stage_colors(h, r, slots, u)
+            colors, deflections, pairs = _stage_colors(h, r, slots, u)
+            blocking = _dense_blocking(pairs, 80, h.m)
             for t in range(80):
                 order = np.lexsort((np.arange(h.m), u[t])).tolist()
                 row = slots[t].tolist()
@@ -512,7 +532,8 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
     u = np.linspace(lo, hi, m, endpoint=False)[None, :]
     slots = _weight_slots(part, u)
     assert (slots == 1).all()
-    colors, deflections, blocking = _stage_colors(h, 2, slots, u)
+    colors, deflections, pairs = _stage_colors(h, 2, slots, u)
+    blocking = _dense_blocking(pairs, 1, m)
     assert colors[0].tolist() == _oracle_colors(h, 2, slots[0], [list(range(m))])
     assert deflections.tolist() == [[m // 2]]
     assert blocking.tolist() == [[v - 1 if v % 2 else -1 for v in range(m)]]
