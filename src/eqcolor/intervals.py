@@ -396,9 +396,9 @@ def run_interval_coloring(
     assignment keeps its slots for rebalancing and the chain predicates
     (``_assignment_slots``).  Given a (T, m) array of weights, one row per
     attempt, colors all T rows in one kernel call and returns an
-    ``InitialColoringBatch``: the read-only int64 colors of every row, and
-    per-row objects only for the rows asked for.  A single assignment is
-    the T = 1 case of the same call.
+    ``InitialColoringBatch``, which builds per-row objects only for the
+    rows asked for.  A single assignment is the T = 1 case of the same
+    call.
     """
     if isinstance(wa, WeightAssignment):
         batch = run_interval_coloring(h, r, partition, wa.weights[None, :])
@@ -419,23 +419,17 @@ def run_interval_coloring(
 class InitialColoringBatch:
     """The two stages run on a (T, m) array of weights, one row per attempt.
 
-    ``colors`` holds the colors of every row as one read-only int64
-    (T, m) array, kept beside the kernel's deflected (key, edge) pairs.
     ``row(t)`` builds row t's (WeightAssignment, InitialColoring) pair, the
-    same as ``run_interval_coloring`` gives for that row alone; the
-    assignment and the coloring are views of the batch's arrays, the
-    assignment keeps its row of the batch's slots, and only the blocking
-    record is built for the row.
+    same as ``run_interval_coloring`` gives for that row alone.  The
+    assignment is a view of the batch's weights and keeps its row of the
+    batch's slots; only the row's int64 colors and blocking record are
+    built for it, from the kernel's colors and deflected (key, edge) pairs.
     """
 
-    __slots__ = (
-        "colors", "_weights", "_partition", "_slots", "_narrow", "_deflections", "_deflected"
-    )
+    __slots__ = ("_weights", "_partition", "_slots", "_narrow", "_deflections", "_deflected")
 
     def __init__(self, partition, weights, slots, narrow, deflections, deflected):
         self._weights = weights
-        self.colors = narrow.astype(np.int64)
-        self.colors.flags.writeable = False
         self._partition = partition
         self._slots = slots
         # the kernel's colors in the slots' dtype; class sizes are counted
@@ -445,7 +439,7 @@ class InitialColoringBatch:
         self._deflected = deflected
 
     def __len__(self) -> int:
-        return len(self.colors)
+        return len(self._narrow)
 
     def row(self, t: int) -> tuple[WeightAssignment, InitialColoring]:
         wa = WeightAssignment(self._weights[t])
@@ -454,8 +448,10 @@ class InitialColoringBatch:
 
     def _initial(self, t: int) -> InitialColoring:
         r = self._partition.r
-        m = self.colors.shape[1]
+        m = self._narrow.shape[1]
         sizes = np.bincount(self._narrow[t], minlength=r + 1)[1:].tolist()
+        colors = self._narrow[t].astype(np.int64)
+        colors.flags.writeable = False
         occupancy = np.bincount(self._slots[t] // 2, minlength=r)
         # row t's deflected vertices are the keys in [t * m, (t + 1) * m)
         keys, edges = self._deflected
@@ -464,7 +460,7 @@ class InitialColoringBatch:
         blocking[keys[lo:hi] - t * m] = edges[lo:hi]
         blocking.flags.writeable = False
         return InitialColoring(
-            Coloring._trusted(r, self.colors[t], sizes),
+            Coloring._trusted(r, colors, sizes),
             tuple(self._deflections[t].tolist()),
             tuple(occupancy.tolist()),
             blocking,

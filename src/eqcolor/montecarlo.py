@@ -30,10 +30,12 @@ with no sampling error.  The configurations are counted before any is
 enumerated, so an over-budget request fails at once.  They are then
 enumerated as arrays: slot vectors grouped by their small-block sizes,
 crossed with every order of each small block, in blocks of at most
-``_ORACLE_ROWS`` rows.  The oracle's simulator colors a whole block at
-once, stepping over small-block positions; it is written against that
-discrete representation and calls no production kernel or predicate, so
-the two routes can check each other.
+``_ORACLE_ROWS`` rows.  The oracle's simulator holds each color class as a
+bitmask of its vertices (so m <= ``_MASK_MAX_M``) and colors a whole
+block at once, stepping over small-block positions: each step is one
+lookup, in a table built once per call from the edge masks, of whether
+an edge at the vertex has its other vertices in the class.  It calls no
+production kernel or predicate, so the two routes can check each other.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ _CHUNK_CELLS = 1 << 22
 # the exact oracle's largest m per r, and its most configurations per block
 _ORACLE_MAX_M = {2: 10, 3: 8}
 _ORACLE_ROWS = 1024
+# the largest m whose class tables (m * 2^m entries) the simulator builds
+_MASK_MAX_M = 12
 
 @dataclass(frozen=True)
 class MonoEdgeExists:
@@ -452,9 +456,9 @@ def exact_c0_event_prob(
     raises BudgetExceeded, before enumerating anything, when the
     configuration count passes ``budget``.
 
-    Configurations are simulated in blocks of at most ``_ORACLE_ROWS`` rows
-    by ``_simulate_configs``, so memory stays bounded at every size; the
-    padded incidence table it reads is built once per call.
+    Configurations are simulated on class bitmasks by
+    ``_simulate_configs`` in blocks of at most ``_ORACLE_ROWS`` rows, so
+    memory stays bounded at every size; its tables are built once per call.
     """
     if r < 2:
         raise ValueError("need at least 2 colors")
@@ -479,7 +483,7 @@ def exact_c0_event_prob(
     single = isinstance(event, (MonoEdgeExists, Deflected, ChainEventSpec))
     events = [event] if single else list(event)
     totals = [0.0] * len(events)
-    around = _padded_incidence(h)
+    tables = _class_tables(h)
     # every slot vector, grouped by its per-small-block counts k_1..k_{r-1}:
     # within a group each small block has the same size in every row
     slot_rows = np.indices((2 * r - 1,) * m, dtype=np.int8).reshape(m, -1).T
@@ -491,6 +495,9 @@ def exact_c0_event_prob(
         # the number of orders of each small block
         weight = math.prod(lengths[s] for s in vectors[0].tolist())
         weight /= math.prod(math.factorial(k) for k in ks)
+        # each vector's vertices in slot s as one mask, set once per group
+        at_slot = vectors[:, None] == np.arange(2 * r - 1)[:, None]
+        by_slot = at_slot @ np.left_shift(1, np.arange(m, dtype=np.int64))
         # members of each small block in id order, one row per slot vector
         members = [
             np.nonzero(vectors == 2 * i - 1)[1].reshape(len(vectors), k)
@@ -502,76 +509,64 @@ def exact_c0_event_prob(
             vector, *order_index = np.unravel_index(
                 np.arange(lo, min(size, lo + _ORACLE_ROWS)), shape
             )
-            slots = vectors[vector].astype(np.int64)
-            ranks = np.zeros_like(slots)
-            for mem, k, index in zip(members, ks, order_index):
-                np.put_along_axis(ranks, mem[vector], _permutation_rows(k, index), axis=1)
-            colors = _simulate_configs(h, r, slots, ranks, around)
+            config = by_slot[vector]
+            # small block i's vertices by rank; member j has rank perm[:, j]
+            steps = [np.empty((len(vector), k), dtype=np.int64) for k in ks]
+            for order, mem, k, index in zip(steps, members, ks, order_index):
+                order[np.arange(len(vector))[:, None], _permutation_rows(k, index)] = mem[vector]
+            masks = _simulate_configs(h, config[:, ::2], steps, tables)
             for j, ev in enumerate(events):
-                hits = np.count_nonzero(_event_mask(h, ev, slots, ranks, colors))
+                hits = np.count_nonzero(_event_mask(h, ev, tables[1], config, masks, steps))
                 totals[j] += weight * int(hits)
     # a sure event's group weights can sum to a rounding error above 1
     return sum(min(total, 1.0) for total in totals)
 
 
-def _padded_incidence(h: Hypergraph) -> np.ndarray:
-    """The (n * d, m) intp table ``_simulate_configs`` reads, for d the
-    largest vertex degree (at least 1): column v lists the n vertices of
-    each of v's edges, then of padding edges up to d.  A padding edge
-    holds only the vertex m, never colored, and v itself reads as the
-    vertex m + 1, which carries the color of the block being processed, so
-    an edge whose n - 1 other vertices carry color i reads as wholly at
-    color i."""
-    m, n = h.m, h.n
-    # table[:, v] lists v's edges, then the padding edge |E|
-    indptr, indices = (a.tolist() for a in h.incidence)
-    spans = list(zip(indptr, indptr[1:]))
-    d = max(1, max(b - a for a, b in spans))
-    table = np.array([indices[a:b] + [len(h.edge_array)] * (d - b + a) for a, b in spans]).T
-    padded = np.hstack([h.edge_array.T, np.full((n, 1), m, dtype=h.edge_array.dtype)])
-    around = padded[:, table].reshape(n * d, m).astype(np.intp)
-    around[around == np.arange(m)] = m + 1
-    return around
+def _class_tables(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Bool tables over vertex bitmasks S: ``blocked[v * 2^m + S]``, some
+    edge at v has its other vertices in S; ``mono[S]``, some edge lies in
+    S.  Each marks the exact masks, then their supersets one bit at a
+    time.  ValueError above m = ``_MASK_MAX_M``, before any allocation."""
+    m = h.m
+    if m > _MASK_MAX_M:
+        raise ValueError(f"class tables need m <= {_MASK_MAX_M}")
+    own = np.left_shift(1, h.edge_array.astype(np.int64))
+    whole = own.sum(axis=1)
+    table = np.zeros((m + 1, 1 << m), dtype=bool)
+    table[h.edge_array, whole[:, None] ^ own] = True
+    table[m, whole] = True
+    for b in range(m):
+        halves = table.reshape(m + 1, -1, 2, 1 << b)
+        halves[:, :, 1] |= halves[:, :, 0]
+    return table[:m].ravel(), table[m]
 
 
-def _simulate_configs(
-    h: Hypergraph, r: int, slots: np.ndarray, ranks: np.ndarray, around: np.ndarray
-) -> np.ndarray:
-    """The oracle's own simulator, over a (B, m) batch of configurations:
-    ``slots`` holds each vertex's subinterval 0..2r-2 and ``ranks`` its
-    position inside its small block (ignored in large blocks).  Every row
-    must have the same number of vertices in each small block, as the rows
-    of one group of the enumeration do; ValueError otherwise.  Large
-    blocks are colored first; then, for each small block i and position q,
-    the vertex at rank q is deflected to i + 1 iff one of its incident
-    edges has its n - 1 other vertices at color i, else it gets color i.
-    Each step gathers only that vertex's edges from ``around``,
-    ``_padded_incidence(h)``, so it is linear in B.  Returns the (B, m)
-    colors as int8, so r must stay below 127."""
-    slots = np.asarray(slots, dtype=np.int64)
-    ranks = np.asarray(ranks, dtype=np.int64)
-    batch, m = slots.shape
-    n = h.n
-    d = len(around) // n
-    width = m + 2
-    colors = np.zeros((batch, width), dtype=np.int8)
-    colors[:, :m] = np.where(slots % 2 == 0, slots // 2 + 1, 0)
-    cells = colors.reshape(-1)
-    bases = np.arange(batch) * width
-    # processing order: the small-block vertices first, by slot and then by
-    # rank; with equal block sizes, step t is in the same block in every row
-    key = np.where(slots % 2 == 1, slots * m + ranks, (2 * r - 1) * m)
-    step_slots = np.sort(key, axis=1) // m
-    if (step_slots != step_slots[0]).any():
-        raise ValueError("every configuration must have the same small-block sizes")
-    step_slots = [s for s in step_slots[0].tolist() if s < 2 * r - 1]
-    steps = np.argsort(key, axis=1, kind="stable").T[: len(step_slots)]
-    for v, s in zip(np.ascontiguousarray(steps), step_slots):
-        i = (s + 1) // 2
-        colors[:, m + 1] = i
-        at_i = cells.take(around.take(v, axis=1) + bases) == i
-        cells[bases + v] = i + at_i.reshape(n, d, batch).all(axis=0).any(axis=0)
-    return colors[:, :m]
+def _simulate_configs(h: Hypergraph, large, steps, tables=None) -> np.ndarray:
+    """The oracle's own simulator, over B configurations held as (B, r)
+    int64 class masks, bit v for vertex v.  ``large`` holds the classes
+    after stage 1; ``steps[i - 1]`` is (B, k_i), small block i's vertices
+    in processing order.  Rank by rank, a vertex of small_i
+    is deflected to i + 1 iff an edge at it has its n - 1 other vertices
+    at color i, one lookup of ``blocked`` at (v, class i); else it joins
+    class i.  ``tables`` is ``_class_tables(h)``, built here when not
+    given, so ValueError above m = ``_MASK_MAX_M``.  Returns the final
+    class masks."""
+    blocked, _ = _class_tables(h) if tables is None else tables
+    masks = large.T.copy()
+    for i, order in enumerate(steps):
+        kept, moved_to = masks[i], masks[i + 1]
+        for v in np.ascontiguousarray(order.T):
+            bit = np.left_shift(1, v)
+            moved = bit * blocked.take((v << h.m) | kept)
+            kept |= bit ^ moved
+            moved_to |= moved
+    return masks.T
+
+
+def _mask_colors(masks: np.ndarray, m: int) -> np.ndarray:
+    """(B, m): the 1-based column of the (B, k) masks holding each vertex,
+    so class masks give colors."""
+    return ((masks[:, :, None] >> np.arange(m)) & 1).argmax(axis=1) + 1
 
 
 def _permutation_rows(k: int, index: np.ndarray) -> np.ndarray:
@@ -588,19 +583,20 @@ def _permutation_rows(k: int, index: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _event_mask(h: Hypergraph, event, slots, ranks, colors) -> np.ndarray:
+def _event_mask(h: Hypergraph, event, mono, config, masks, steps) -> np.ndarray:
     """The oracle's predicate for one event over a block of configurations,
-    given as ``_simulate_configs`` takes and returns them: one boolean per
-    configuration."""
+    one boolean each: ``config`` holds the (B, 2r - 1) masks of each slot's
+    vertices, ``masks`` and ``steps`` are those of ``_simulate_configs``,
+    and ``mono`` is from ``_class_tables``."""
     if isinstance(event, MonoEdgeExists):
-        ec = colors[:, h.edge_array]
-        return (ec == ec[:, :, :1]).all(axis=2).any(axis=1)
+        return mono.take(masks).any(axis=1)
 
     if isinstance(event, Deflected):
-        v = event.vertex
-        block = (slots[:, v] + 1) // 2
-        hit = (slots[:, v] % 2 == 1) & (colors[:, v] == block + 1)
-        return hit if event.interval is None else hit & (block == event.interval)
+        # deflected out of small_i: in class i + 1 and in slot 2i - 1
+        deflected = masks[:, 1:] & config[:, 1::2]
+        if event.interval is not None:
+            deflected = deflected[:, event.interval - 1 : event.interval]
+        return (deflected & (1 << event.vertex)).any(axis=1)
 
     if not isinstance(event, ChainEventSpec):
         raise TypeError(f"unknown event type {type(event).__name__}")
@@ -608,13 +604,17 @@ def _event_mask(h: Hypergraph, event, slots, ranks, colors) -> np.ndarray:
     k = len(seq)
     c1 = color - k + 1
     members = [h.edge_array[e].tolist() for e in seq]
+    m = h.m
+    slots, colors = _mask_colors(config, m) - 1, _mask_colors(masks, m)
     ok = (colors[:, members[-1]] == color).all(axis=1) & (c1 >= 1)
     if k == 1:
         return ok & (slots[:, members[0]] == 2 * color - 2).all(axis=1)
     # rank key (slot, position in the small block, id): vertex id breaks
     # ties inside large blocks, where order is immaterial to every
     # comparison below; the slot is key // m^2
-    m = h.m
+    ranks = np.zeros_like(slots)
+    for order in steps:
+        ranks[np.arange(len(order))[:, None], order] = np.arange(order.shape[1])
     key = (slots * m + ranks) * m + np.arange(m)
     for j in range(k - 1):
         common = set(members[j]) & set(members[j + 1])

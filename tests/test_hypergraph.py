@@ -277,7 +277,7 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
     # one gather in the kernel, one in the screen, both on the narrow colors
     assert calls == [("eqcolor.intervals", np.int8), ("eqcolor.hypergraph", np.int8)]
     # the screen's mask is the one the int64 colors give
-    assert np.array_equal(mono, _mono_edges(h, batch.colors))
+    assert np.array_equal(mono, _mono_edges(h, batch._narrow.astype(np.int64)))
     calls.clear()
     wa, coloring = row(0)
     rebalance.build_rebalance_plan(h, partition, wa, coloring, class_targets(h.m, 3), seed=0)

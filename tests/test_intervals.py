@@ -283,14 +283,14 @@ def test_weight_array_colors_each_row_as_alone():
         weights = np.stack([sample_weights(m, seed).weights for seed in range(7)])
         batch = run_interval_coloring(h, r, part, weights)
         assert isinstance(batch, InitialColoringBatch) and len(batch) == len(weights)
-        assert batch.colors.dtype == np.int64 and not batch.colors.flags.writeable
         for t, row in enumerate(weights):
             wa, got = batch.row(t)
             assert np.array_equal(wa.weights, row)
             alone = run_interval_coloring(h, r, part, WeightAssignment(row))
             assert isinstance(alone, InitialColoring)
             assert got.coloring == alone.coloring and got.coloring.sizes == alone.coloring.sizes
-            assert np.array_equal(batch.colors[t], alone.coloring.colors)
+            assert got.coloring.colors.dtype == np.int64 and not got.coloring.colors.flags.writeable
+            assert np.array_equal(batch._narrow[t], alone.coloring.colors)
             assert (got.deflections, got.occupancy) == (alone.deflections, alone.occupancy)
             assert np.array_equal(got.blocking, alone.blocking)
             assert got.blocking.shape == (m,) and not got.blocking.flags.writeable
@@ -299,7 +299,7 @@ def test_weight_array_colors_each_row_as_alone():
         one = run_interval_coloring(h, r, part, weights[:1])
         assert len(one) == 1 and one.row(0)[1].coloring == batch.row(0)[1].coloring
         empty = run_interval_coloring(h, r, part, np.empty((0, m)))
-        assert len(empty) == 0 and empty.colors.shape == (0, m)
+        assert len(empty) == 0 and empty._narrow.shape == (0, m)
     assert deflected > 0
     with pytest.raises(ValueError, match="vertex count"):
         run_interval_coloring(h, r, part, np.zeros((2, m + 1)))

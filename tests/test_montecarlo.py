@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from eqcolor.intervals import _stage_colors, _weight_slots
 from eqcolor.montecarlo import (
     QUANTITIES,
     Deflected,
-    _padded_incidence,
+    _mask_colors,
     _permutation_rows,
     _simulate_configs,
 )
@@ -39,11 +40,25 @@ TRI_PAIR = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
 def _oracle_colors(h, r, slots, orders):
     """The oracle simulator's colors for one configuration, given as the
     slot of each vertex and each small block's vertices in processing order."""
-    ranks = np.zeros(h.m, dtype=np.int64)
-    for block in orders:
-        ranks[list(block)] = np.arange(len(block))
-    rows = np.asarray(slots)[None, :]
-    return _simulate_configs(h, r, rows, ranks[None, :], _padded_incidence(h))[0].tolist()
+    large = [sum(1 << v for v, s in enumerate(slots) if s == 2 * c) for c in range(r)]
+    steps = [np.array(block, dtype=np.int64).reshape(1, -1) for block in orders]
+    masks = _simulate_configs(h, np.array([large], dtype=np.int64), steps)
+    return _mask_colors(masks, h.m)[0].tolist()
+
+
+def _sequential_colors(h, slots, orders):
+    """Both stages replayed one vertex at a time: large-block vertices
+    take their block's color, then each small block's vertices, in order,
+    take color i or are deflected to i + 1 when an edge has all its other
+    vertices at color i."""
+    colors = [s // 2 + 1 if s % 2 == 0 else 0 for s in slots]
+    indptr, indices = h.incidence
+    for i, block in enumerate(orders, start=1):
+        for v in block:
+            around = indices[indptr[v] : indptr[v + 1]].tolist()
+            blocked = any(all(colors[u] == i for u in h.edges[e] if u != v) for e in around)
+            colors[v] = i + 1 if blocked else i
+    return colors
 
 
 def _dense_blocking(deflected, trials, m):
@@ -92,6 +107,13 @@ def test_oracle_frozen_values_on_calibration_instance():
     assert exact_c0_event_prob(TRI_PAIR, 2, ChainEventSpec((0, 1), 2)) == pytest.approx(
         0.008017001787568267, rel=1e-12
     )
+    # the same values to the last bit, as the oracle sums them today
+    assert exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists()) == 0.416341849750086
+    assert exact_c0_event_prob(TRI_PAIR, 2, Deflected(2, 1)) == 0.07188601748440729
+    assert exact_c0_event_prob(TRI_PAIR, 2, Deflected(2, None)) == 0.07188601748440729
+    assert exact_c0_event_prob(TRI_PAIR, 2, ChainEventSpec((0, 1), 2)) == 0.008017001787568272
+    path4 = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+    assert exact_c0_event_prob(path4, 3, Deflected(1, 2)) == 0.09433144949768552
 
 
 def test_oracle_probability_of_a_sure_event_is_exactly_one():
@@ -135,9 +157,9 @@ def test_expected_deflections_comparison_is_one_enumeration(monkeypatch):
     calls = []
     simulate = montecarlo._simulate_configs
 
-    def counted(h, r, slots, ranks, around):
-        calls.append(len(slots))
-        return simulate(h, r, slots, ranks, around)
+    def counted(h, large, steps, tables):
+        calls.append(len(large))
+        return simulate(h, large, steps, tables)
 
     monkeypatch.setattr(montecarlo, "_simulate_configs", counted)
     mono = mc_estimate("mono-edge", TRI_PAIR, 2, trials=10, seed=0)
@@ -189,9 +211,9 @@ def test_oracle_simulates_in_bounded_blocks(monkeypatch):
     calls = []
     simulate = montecarlo._simulate_configs
 
-    def counted(h, r, slots, ranks, around):
-        calls.append(len(slots))
-        return simulate(h, r, slots, ranks, around)
+    def counted(h, large, steps, tables):
+        calls.append(len(large))
+        return simulate(h, large, steps, tables)
 
     monkeypatch.setattr(montecarlo, "_simulate_configs", counted)
     monkeypatch.setattr(montecarlo, "_ORACLE_ROWS", 100)
@@ -200,10 +222,25 @@ def test_oracle_simulates_in_bounded_blocks(monkeypatch):
     assert value == pytest.approx(0.41634184975008515, rel=1e-12)
 
 
-def test_oracle_simulator_refuses_rows_with_different_block_sizes():
-    slots = np.array([[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]])
-    with pytest.raises(ValueError):
-        _simulate_configs(TRI_PAIR, 2, slots, np.zeros_like(slots), _padded_incidence(TRI_PAIR))
+def test_oracle_simulator_refuses_m_above_its_table_limit():
+    # the tables hold m * 2^m entries, 21 MB at m = 20: above the limit the
+    # simulator fails before it allocates one
+    limit = montecarlo._MASK_MAX_M
+    assert limit >= 12
+    path = Hypergraph(limit, 2, [(k, k + 1) for k in range(limit - 1)])
+    large = np.zeros((1, 2), dtype=np.int64)
+    steps = [np.arange(limit)[None, :]]
+    colors = _mask_colors(_simulate_configs(path, large, steps), limit)
+    assert colors[0].tolist() == [1 + v % 2 for v in range(limit)]
+    big = Hypergraph(20, 2, [(k, k + 1) for k in range(19)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            _simulate_configs(big, large, [np.arange(20)[None, :]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_oracle_calls_no_production_kernel_or_predicate(monkeypatch):
@@ -523,7 +560,8 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
     # a path inside small_1 with increasing weights: each vertex is
     # deflected iff its predecessor is not, one chain of m - 1 edges.  The
     # round cap hands it to the walk; without a cap the fixed point needs
-    # about m rounds
+    # about m rounds.  m is past the oracle simulator's table limit, so the
+    # reference is the sequential replay
     if rounds is not None:
         monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
     h = Hypergraph(m, 2, [(k, k + 1) for k in range(m - 1)])
@@ -534,7 +572,7 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
     assert (slots == 1).all()
     colors, deflections, pairs = _stage_colors(h, 2, slots, u)
     blocking = _dense_blocking(pairs, 1, m)
-    assert colors[0].tolist() == _oracle_colors(h, 2, slots[0], [list(range(m))])
+    assert colors[0].tolist() == _sequential_colors(h, slots[0].tolist(), [list(range(m))])
     assert deflections.tolist() == [[m // 2]]
     assert blocking.tolist() == [[v - 1 if v % 2 else -1 for v in range(m)]]
 

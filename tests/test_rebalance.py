@@ -526,6 +526,7 @@ def test_colorings_are_read_only():
         assert not c.colors.flags.writeable
         with pytest.raises(ValueError):
             c.colors[0] = 2
-    assert not batch.colors.flags.writeable
+    # each call of row(t) builds its own read-only colors
+    assert not batch.row(0)[1].coloring.colors.flags.writeable
     assert made.colors.tolist() == [1, 1, 2, 2, 3, 3]
     assert moved.colors.tolist() == [3, 1, 3, 2, 3, 3] and moved.sizes == [1, 1, 4]
