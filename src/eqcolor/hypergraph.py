@@ -362,8 +362,10 @@ def class_targets(m: int, r: int) -> list[int]:
 
     When r does not divide m the lower color indices take the larger part,
     so targets are ceil(m/r) for the first m mod r colors and floor(m/r)
-    for the rest.
+    for the rest.  ValueError when r < 1.
     """
+    if r < 1:
+        raise ValueError(f"need at least one color, got r={r}")
     base, extra = divmod(m, r)
     return [base + 1 if i < extra else base for i in range(r)]
 

@@ -37,10 +37,6 @@ __all__ = [
     "sample_weights",
 ]
 
-# cap on the cells one kernel call gathers: trials x n x |E| for a Monte
-# Carlo sub-batch, attempts x max(m, n x |E|) for a batch of solver attempts;
-# splitting a batch changes no draw
-_SUB_BATCH_CELLS = 1 << 16
 # rounds of the stage-2 fixed point; a trial still changing after them is
 # walked in weight order instead, so long deflection chains cost no more
 # than the walk

@@ -10,16 +10,22 @@ Trials run in chunks.  Chunk j is seeded from (seed, j) and holds
 ``_chunk_rows`` trials, a number set by CHUNK_ROWS and the vertex count.
 So a longer run extends a shorter one, but changing the chunk size changes
 every estimate (ROADMAP.md, item 3).  A chunk is split into sub-batches of
-at most ``_SUB_BATCH_CELLS`` gathered edge cells, which bounds memory and
-changes no draw.  Each sub-batch is colored at once, by one call of the
-production kernel ``intervals._stage_colors`` or, for ``balanced-mono``,
-by a balanced draw: each row of weights sorted into a permutation, which
-``intervals._colors_at_sizes`` cuts into r equal classes, the same helper
-that colors the solver's balanced attempts.  Every statistic acts on the
-whole sub-batch: the production predicates ``hypergraph._mono_edges``,
-``rebalance._candidates`` and ``_dangerous_edges``, and
-``chains._chain_event_holds`` for their quantities, array expressions for
-the other counts.
+at most ``_SUB_BATCH_CELLS`` = 2^18 gathered edge cells (trials x n x
+|E|), which changes no draw: the chunk's draws are made before it is
+split.  The cap trades the kernel's fixed cost per call (about 60 us)
+against the memory of its per-(trial, edge) arrays, which grows with the
+cap when almost every pair is live (p near 1).  At m = 1000, n = 8,
+|E| = 400 a sub-batch holds 81 trials, and at p = 0.99 the kernel's
+arrays for one sub-batch peak at about 14 MB, below the 32 MB of a full
+chunk's draws.  Each sub-batch is colored at once, by
+one call of the production kernel ``intervals._stage_colors`` or, for
+``balanced-mono``, by a balanced draw: each row of weights sorted into a
+permutation, which ``intervals._colors_at_sizes`` cuts into r equal
+classes, the same helper that colors the solver's balanced attempts.
+Every statistic acts on the whole sub-batch: the production predicates
+``hypergraph._mono_edges``, ``rebalance._candidates`` and
+``_dangerous_edges``, and ``chains._chain_event_holds`` for their
+quantities, array expressions for the other counts.
 
 The oracle exploits a discreteness property of the process: the outcome
 depends only on which of the 2r-1 subintervals each vertex falls in (the
@@ -56,7 +62,6 @@ from .chains import (
 )
 from .hypergraph import BudgetExceeded, Hypergraph, _mono_edges, class_targets
 from .intervals import (
-    _SUB_BATCH_CELLS,
     IntervalPartition,
     _colors_at_sizes,
     _row_counts,
@@ -80,6 +85,11 @@ __all__ = [
 
 CHUNK_ROWS = 16384
 _CHUNK_CELLS = 1 << 22
+# cap on the cells one kernel call of ``_sample`` gathers, trials x n x |E|:
+# large enough to share the kernel's fixed cost per call among many trials,
+# small enough to bound its per-(trial, edge) arrays when p is near 1; the
+# sub-batch sizes change no estimate
+_SUB_BATCH_CELLS = 1 << 18
 # the exact oracle's largest m per r, and its most configurations per block
 _ORACLE_MAX_M = {2: 10, 3: 8}
 _ORACLE_ROWS = 1024
@@ -140,11 +150,15 @@ def _sample(
     with_keep: bool,
 ) -> tuple[float, float]:
     """Chunked sampling loop.  Each chunk is split into sub-batches of at
-    most ``_SUB_BATCH_CELLS`` gathered edge cells (at least one trial), and
-    every sub-batch is colored at once: by the two-stage kernel with
-    subinterval parameter ``p``, or, when ``p`` is None, by a uniform
-    balanced draw (each row of weights sorted into a permutation, cut into
-    r equal classes by ``_colors_at_sizes``).
+    most ``_SUB_BATCH_CELLS`` = 2^18 gathered edge cells (at least one
+    trial).  The chunk's uniforms are drawn before it is split, so the
+    split changes no draw and no estimate; the cap only sets how many
+    trials share one kernel call's fixed cost and how large its
+    per-(trial, edge) arrays can grow.  Every sub-batch is colored at
+    once: by the two-stage kernel with subinterval parameter ``p``, or,
+    when ``p`` is None, by a uniform balanced draw (each row of weights
+    sorted into a permutation, cut into r equal classes by
+    ``_colors_at_sizes``).
     ``stat(colors, deflections, slots, u, keep)`` gets the sub-batch's
     (T, m) arrays (``deflections`` and ``slots`` are None for balanced
     draws, ``keep`` is None unless ``with_keep``) and returns one integer
@@ -488,9 +502,12 @@ def exact_c0_event_prob(
     # within a group each small block has the same size in every row
     slot_rows = np.indices((2 * r - 1,) * m, dtype=np.int8).reshape(m, -1).T
     counts = np.stack([(slot_rows == 2 * i - 1).sum(axis=1) for i in range(1, r)], axis=1)
-    groups, group_of = np.unique(counts, axis=0, return_inverse=True)
-    for g, ks in enumerate(groups.tolist()):
-        vectors = slot_rows[group_of.ravel() == g]
+    # one integer key per row, its counts as base-(m + 1) digits: key order
+    # is the rows' lexicographic order, so the groups come in that order
+    key = counts @ (m + 1) ** np.arange(r - 2, -1, -1)
+    _, first, group_of = np.unique(key, return_index=True, return_inverse=True)
+    for g, ks in enumerate(counts[first].tolist()):
+        vectors = slot_rows[group_of == g]
         # the measure of one configuration: the slot lengths times one over
         # the number of orders of each small block
         weight = math.prod(lengths[s] for s in vectors[0].tolist())

@@ -46,7 +46,6 @@ from .hypergraph import (
     is_proper,
 )
 from .intervals import (
-    _SUB_BATCH_CELLS,
     InitialColoringBatch,
     IntervalPartition,
     WeightAssignment,
@@ -90,6 +89,11 @@ PATH_TWO_STAGE = "two-stage"
 
 # attempts that share one derived generator (see ``_attempt_streams``)
 _BLOCK = 64
+# cap on the cells one batch of attempts gathers, attempts x max(m, n x |E|):
+# a solve that stops inside a batch has colored the rest of it for nothing,
+# and at m = 100 000 this cap keeps every batch at one attempt; the batch
+# sizes change no draw
+_SUB_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)

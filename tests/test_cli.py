@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from eqcolor import Coloring, FormatError, Hypergraph, is_equitable, mc_estimate, parse_hypergraph
 from eqcolor import cli
 from eqcolor.cli import run_cli
-from eqcolor.montecarlo import QUANTITIES
+from eqcolor.montecarlo import _SPECS, QUANTITIES
 
 K4_TEXT = "4 2 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 PATH_TEXT = "4 2 3\n0 1\n1 2\n2 3\n"
@@ -543,3 +543,98 @@ def test_solve_and_mc_refuse_instances_above_the_vertex_limit(capsys, monkeypatc
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{m} 2 1\n0 1\n"))
         assert run_cli(command) == code
     assert "5 vertices exceed the 4" in capsys.readouterr().err
+
+
+# small instances, as text or JSON.  One in four is malformed: a wrong size,
+# vertex id, edge count or token, or a JSON value of the wrong type, so that
+# fuzzing reaches the readers' errors as well as the commands behind them
+_TOKENS = st.integers(-2, 13).map(str) | st.sampled_from(["", "x", "1.5", "-0", "1e1", "{"])
+
+
+@st.composite
+def _small_instance_text(draw):
+    faulty = draw(st.integers(0, 3)) == 0
+    n = draw(st.integers(0, 4) if faulty else st.integers(2, 4))
+    m = draw(st.integers(0, 12) if faulty else st.integers(n, 12))
+    if faulty:
+        ids = st.integers(-1, m)
+        row = st.lists(ids, min_size=n, max_size=n) | st.lists(ids, max_size=5)
+    else:
+        row = st.lists(st.integers(0, m - 1), min_size=n, max_size=n, unique=True)
+    edges = draw(st.lists(row, max_size=10))
+    if draw(st.booleans()):
+        obj = {"m": m, "n": n, "edges": edges}
+        if faulty and draw(st.booleans()):
+            key = draw(st.sampled_from(["m", "n", "edges"]))
+            obj[key] = draw(st.none() | st.booleans() | st.floats(-1, 13) | st.text(max_size=3))
+        return json.dumps(obj)
+    count = draw(st.integers(0, 10)) if faulty else len(edges)
+    lines = [f"{m} {n} {count}"] + [" ".join(map(str, e)) for e in edges]
+    if faulty and draw(st.booleans()):
+        junk = " ".join(draw(st.lists(_TOKENS, max_size=5)))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+_MC_VALUES = {
+    "p": st.floats(0.0, 1.0) | st.floats(-0.5, 1.5),
+    "i": st.integers(-1, 4),
+    "p_tilde": st.floats(0.0, 1.0) | st.floats(-0.5, 1.5),
+    "edge": st.integers(-1, 10),
+    "edges": st.lists(st.integers(-1, 10), max_size=3).map(lambda e: ",".join(map(str, e))),
+    "color": st.integers(-1, 5),
+    "v": st.integers(-1, 13),
+}
+
+
+@st.composite
+def _cli_command(draw):
+    """argv after the instance path for solve, oracle or mc: mostly values
+    the command accepts, sometimes one it refuses."""
+    command = draw(st.sampled_from(["solve", "oracle", "mc"]))
+    argv = [command, "-r", str(draw(st.integers(2, 4) | st.integers(-1, 5)))]
+    if command == "solve":
+        restarts = draw(st.integers(1, 30) | st.integers(-1, 0))
+        argv += ["--seed", str(draw(st.integers(0, 3))), "--restarts", str(restarts)]
+        argv += ["--force-path", draw(st.sampled_from(["auto", "balanced-only", "two-stage-only"]))]
+        flags = st.sampled_from(["--strict-divisibility", "--no-repair", "--explain"])
+        argv += draw(st.lists(flags, unique=True)) + ["--format", "json"]
+    elif command == "oracle":
+        argv += ["--budget", str(draw(st.integers(10, 10**5) | st.integers(-1, 10)))]
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    else:
+        quantity = draw(st.sampled_from(QUANTITIES))
+        trials = draw(st.integers(1, 200) | st.integers(-1, 0))
+        argv += ["--quantity", quantity, "--trials", str(trials)]
+        argv += ["--seed", str(draw(st.integers(0, 3)))]
+        # the quantity's own params, each left out one time in four, and
+        # now and then one it does not take
+        names = [prm.name for prm in _SPECS[quantity].params if draw(st.integers(0, 3))]
+        if not draw(st.integers(0, 3)):
+            names.append(draw(st.sampled_from(sorted(_MC_VALUES))))
+        for name in dict.fromkeys(names):
+            argv.append(f"--{name.replace('_', '-')}={draw(_MC_VALUES[name])}")
+        argv += draw(st.sampled_from([[], ["--no-compare"]]))
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_small_instance_text(), argv=_cli_command())
+# excess-pattern at r = 0 with p given divided by r before any check
+@example(text="2 2 0\n", argv=["mc", "-r", "0", "--quantity", "excess-pattern", "--p=0.0"])
+def test_solve_oracle_and_mc_exit_0_1_or_2_on_small_instances(tmp_path_factory, text, argv):
+    base = tmp_path_factory.getbasetemp()
+    inst, cfile = base / "fuzz_instance.txt", base / "fuzz_solved.json"
+    inst.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = run_cli(argv[:1] + [str(inst)] + argv[1:])
+    assert code in (0, 1, 2)
+    assert code != 1 or "error:" in err.getvalue()
+    # a solve that succeeds writes a coloring that verify accepts
+    if argv[0] == "solve" and code == 0:
+        written = json.loads(out.getvalue())
+        cfile.write_text(json.dumps(written["coloring"] if "--explain" in argv else written))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["verify", str(inst), str(cfile)]) == 0

@@ -579,10 +579,10 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
 
 @pytest.mark.parametrize("cells", [1, 1 << 20])
 def test_mc_sub_batch_size_changes_no_estimate(monkeypatch, cells):
-    # on a 79-edge path the default cap splits 1500 trials into four
+    # on a 79-edge path the default cap splits 4000 trials into three
     # sub-batches; a cap of 1 makes one per trial and 2^20 one per chunk
     path = Hypergraph(80, 2, [(k, k + 1) for k in range(79)])
-    trials = 1500
+    trials = 4000
     assert 1 < trials * path.edge_array.size // montecarlo._SUB_BATCH_CELLS < 4
     cases = [
         ("mono-edge", 4, {"p": 0.9}),
@@ -605,3 +605,34 @@ def test_mc_sub_batch_size_changes_no_estimate(monkeypatch, cells):
     ]
     assert after == before
     assert all(0 < rep.estimate for rep in before)
+
+
+def test_mc_sub_batches_respect_the_cell_cap(monkeypatch):
+    from eqcolor import generate_random
+
+    sizes = []
+    kernel = montecarlo._stage_colors
+
+    def recording(h, r, slots, weights):
+        sizes.append(len(slots))
+        return kernel(h, r, slots, weights)
+
+    monkeypatch.setattr(montecarlo, "_stage_colors", recording)
+
+    def calls(h, trials):
+        sizes.clear()
+        mc_estimate("mono-edge", h, 3, trials=trials, seed=4, compare=False)
+        cells = h.edge_array.size
+        sub = max(1, montecarlo._SUB_BATCH_CELLS // cells)
+        assert all(t == 1 or t * cells <= montecarlo._SUB_BATCH_CELLS for t in sizes), sizes
+        # one chunk at these sizes, cut into sub-batches of ``sub`` trials
+        assert trials <= montecarlo._chunk_rows(h.m)
+        assert len(sizes) == math.ceil(trials / sub) and sum(sizes) == trials
+        return len(sizes)
+
+    small, large = generate_random(200, 5, 60, 1), generate_random(1000, 8, 400, 3)
+    assert calls(small, 1000) == 2
+    assert calls(large, 300) == 4
+    # the cap is the module's own name, read on every call
+    monkeypatch.setattr(montecarlo, "_SUB_BATCH_CELLS", 1 << 16)
+    assert calls(large, 300) == 15

@@ -523,9 +523,9 @@ def _assert_matches_per_attempt(h, r, cfg):
 def _batch_starts(limit, h):
     """First attempt index of every batch up to ``limit``: batches hold 1,
     2, 4, ... attempts, up to the cell cap."""
-    from eqcolor.intervals import _SUB_BATCH_CELLS
+    from eqcolor import solver
 
-    cap = max(1, _SUB_BATCH_CELLS // max(h.m, h.n * len(h.edges)))
+    cap = max(1, solver._SUB_BATCH_CELLS // max(h.m, h.n * len(h.edges)))
     starts, size = [0], 1
     while starts[-1] + size <= limit:
         starts.append(starts[-1] + size)
@@ -812,8 +812,7 @@ def _record_batch_sizes(monkeypatch):
 
 
 def test_attempt_batches_start_at_one_and_respect_the_cell_cap(monkeypatch):
-    from eqcolor import generate_random
-    from eqcolor.intervals import _SUB_BATCH_CELLS
+    from eqcolor import generate_random, solver
 
     sizes = _record_batch_sizes(monkeypatch)
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
@@ -828,12 +827,12 @@ def test_attempt_batches_start_at_one_and_respect_the_cell_cap(monkeypatch):
         report = solve_equitable(h, r, cfg)
         width = max(h.m, h.n * len(h.edges))
         assert sizes[0] == 1
-        assert all(t == 1 or t * width <= _SUB_BATCH_CELLS for t in sizes), sizes
+        assert all(t == 1 or t * width <= solver._SUB_BATCH_CELLS for t in sizes), sizes
         assert report.attempts <= sum(sizes) < 2 * report.attempts
     # K6 (n |E| = 60 cells per attempt) doubles up to 1024, then is capped
     sizes.clear()
     solve_equitable(k6, 2, SolveConfig(seed=1, max_restarts=4000))
-    assert sizes == [2**k for k in range(11)] + [_SUB_BATCH_CELLS // 60, 4000 - 2047 - 1092]
+    assert sizes == [2**k for k in range(11)] + [solver._SUB_BATCH_CELLS // 60, 4000 - 2047 - 1092]
 
 
 def test_first_attempt_success_makes_one_kernel_call(monkeypatch):
