@@ -1,12 +1,12 @@
 """Monte Carlo estimators and the exact event oracle.
 
-mc_estimate simulates the two-stage coloring in vectorized chunks and
-reports an estimate with a 3-sigma half-width.  For instances small enough
-to enumerate (for mc_estimate, m <= 8 and r <= 3; the oracle itself goes to
-m = 10 at r = 2) an independent exact oracle integrates over
-every subinterval assignment and within-block order, giving ground truth
-the estimates are checked against; beyond that the report falls back to the
-closed-form bound.
+mc_estimate simulates the two-stage coloring in vectorized sub-batches,
+seeded per block of trials (see eqcolor.seeding), and reports an estimate
+with a 3-sigma half-width.  For instances small enough to enumerate (for
+mc_estimate, m <= 8 and r <= 3; the oracle itself goes to m = 10 at r = 2)
+an independent exact oracle integrates over every subinterval assignment
+and within-block order, giving ground truth the estimates are checked
+against; beyond that the report falls back to the closed-form bound.
 """
 
 from eqcolor import (

@@ -6,26 +6,23 @@ Each quantity ``mc_estimate`` knows is one entry of the private table
 builder that validates them and gives the per-trial statistic, the report
 label and the comparison.  One generic path samples, compares and reports.
 
-Trials run in chunks.  Chunk j is seeded from (seed, j) and holds
-``_chunk_rows`` trials, a number set by CHUNK_ROWS and the vertex count.
-So a longer run extends a shorter one, but changing the chunk size changes
-every estimate (ROADMAP.md, item 3).  A chunk is split into sub-batches of
-at most ``_SUB_BATCH_CELLS`` = 2^18 gathered edge cells (trials x n x
-|E|), which changes no draw: the chunk's draws are made before it is
-split.  The cap trades the kernel's fixed cost per call (about 60 us)
-against the memory of its per-(trial, edge) arrays, which grows with the
-cap when almost every pair is live (p near 1).  At m = 1000, n = 8,
-|E| = 400 a sub-batch holds 81 trials, and at p = 0.99 the kernel's
-arrays for one sub-batch peak at about 14 MB, below the 32 MB of a full
-chunk's draws.  Each sub-batch is colored at once, by
-one call of the production kernel ``intervals._stage_colors`` or, for
-``balanced-mono``, by a balanced draw: each row of weights sorted into a
-permutation, which ``intervals._colors_at_sizes`` cuts into r equal
-classes, the same helper that colors the solver's balanced attempts.
-Every statistic acts on the whole sub-batch: the production predicates
-``hypergraph._mono_edges``, ``rebalance._candidates`` and
-``_dangerous_edges``, and ``chains._chain_event_holds`` for their
-quantities, array expressions for the other counts.
+Trials are seeded in blocks of ``_BLOCK`` trials, by the rule stated in
+``seeding``.  They run in sub-batches of at most ``_SUB_BATCH_CELLS`` =
+2^18 cells, trials x max(draws per trial, n x |E|), and each sub-batch
+draws only its own rows.  The cap trades the kernel's fixed cost per call
+(about 60 us) against the memory of the draws and of the kernel's
+per-(trial, edge) arrays, which grows with the cap when almost every pair
+is live (p near 1).  At m = 1000, n = 8, |E| = 400 a sub-batch holds 81
+trials, and at p = 0.99 the kernel's arrays for one sub-batch peak at
+about 14 MB.  Each sub-batch is colored at once, by one call of the
+production kernel ``intervals._stage_colors`` or, for ``balanced-mono``,
+by a balanced draw: each row of weights sorted into a permutation, which
+``intervals._colors_at_sizes`` cuts into r equal classes, the same helper
+that colors the solver's balanced attempts.  Every statistic acts on the
+whole sub-batch: the production predicates ``hypergraph._mono_edges``,
+``rebalance._candidates`` and ``_dangerous_edges``, and
+``chains._chain_event_holds`` for their quantities, array expressions for
+the other counts.
 
 The oracle exploits a discreteness property of the process: the outcome
 depends only on which of the 2r-1 subintervals each vertex falls in (the
@@ -83,12 +80,13 @@ __all__ = [
     "mc_estimate",
 ]
 
-CHUNK_ROWS = 16384
-_CHUNK_CELLS = 1 << 22
-# cap on the cells one kernel call of ``_sample`` gathers, trials x n x |E|:
-# large enough to share the kernel's fixed cost per call among many trials,
-# small enough to bound its per-(trial, edge) arrays when p is near 1; the
-# sub-batch sizes change no estimate
+# trials that share one derived generator (see ``seeding``)
+_BLOCK = 16384
+# cap on the cells one sub-batch of ``_sample`` draws or gathers, trials x
+# max(width, n x |E|): large enough to share the kernel's fixed cost per
+# call among many trials, small enough to bound the draws and the kernel's
+# per-(trial, edge) arrays when p is near 1; the sub-batch sizes change no
+# estimate
 _SUB_BATCH_CELLS = 1 << 18
 # the exact oracle's largest m per r, and its most configurations per block
 _ORACLE_MAX_M = {2: 10, 3: 8}
@@ -136,10 +134,6 @@ class EstimateReport:
         }
 
 
-def _chunk_rows(width: int) -> int:
-    return max(1, min(CHUNK_ROWS, _CHUNK_CELLS // max(1, width)))
-
-
 def _sample(
     h: Hypergraph,
     r: int,
@@ -149,16 +143,14 @@ def _sample(
     stat,
     with_keep: bool,
 ) -> tuple[float, float]:
-    """Chunked sampling loop.  Each chunk is split into sub-batches of at
-    most ``_SUB_BATCH_CELLS`` = 2^18 gathered edge cells (at least one
-    trial).  The chunk's uniforms are drawn before it is split, so the
-    split changes no draw and no estimate; the cap only sets how many
-    trials share one kernel call's fixed cost and how large its
-    per-(trial, edge) arrays can grow.  Every sub-batch is colored at
-    once: by the two-stage kernel with subinterval parameter ``p``, or,
-    when ``p`` is None, by a uniform balanced draw (each row of weights
-    sorted into a permutation, cut into r equal classes by
-    ``_colors_at_sizes``).
+    """Sampling loop over sub-batches.  Trial t draws ``width`` uniforms,
+    m weights and then, when ``with_keep``, m keep draws, by the block rule
+    of ``seeding``.  A sub-batch holds at most ``_SUB_BATCH_CELLS`` //
+    max(width, n |E|) trials (at least one) and never crosses a block, so
+    it draws its rows in one call.  Every sub-batch is colored at once: by
+    the two-stage kernel with subinterval parameter ``p``, or, when ``p``
+    is None, by a uniform balanced draw (each row of weights sorted into a
+    permutation, cut into r equal classes by ``_colors_at_sizes``).
     ``stat(colors, deflections, slots, u, keep)`` gets the sub-batch's
     (T, m) arrays (``deflections`` and ``slots`` are None for balanced
     draws, ``keep`` is None unless ``with_keep``) and returns one integer
@@ -172,27 +164,24 @@ def _sample(
     m = h.m
     sizes = class_targets(m, r)
     width = 2 * m if with_keep else m
-    rows = _chunk_rows(width)
-    sub = max(1, _SUB_BATCH_CELLS // max(1, h.edge_array.size))
-    total = total_sq = done = chunk = 0
-    while done < trials:
-        take = min(rows, trials - done)
-        rng = derive(seed, chunk, ROLE_TRIALS)
+    sub = max(1, _SUB_BATCH_CELLS // max(1, width, h.edge_array.size))
+    total = total_sq = lo = 0
+    while lo < trials:
+        if lo % _BLOCK == 0:
+            rng = derive(seed, lo // _BLOCK, ROLE_TRIALS)
+        take = min(sub, trials - lo, _BLOCK - lo % _BLOCK)
         mat = rng.random((take, width))
-        for lo in range(0, take, sub):
-            u = mat[lo : lo + sub, :m]
-            keep = mat[lo : lo + sub, m:] if with_keep else None
-            if partition is None:
-                perms = np.argsort(u, axis=1, kind="stable")
-                colors, deflections, slots = _colors_at_sizes(perms, sizes), None, None
-            else:
-                slots = _weight_slots(partition, u)
-                colors, deflections, _ = _stage_colors(h, r, slots, u)
-            vals = np.asarray(stat(colors, deflections, slots, u, keep), dtype=np.int64)
-            total += int(vals.sum())
-            total_sq += int((vals * vals).sum())
-        done += take
-        chunk += 1
+        u, keep = mat[:, :m], mat[:, m:] if with_keep else None
+        if partition is None:
+            perms = np.argsort(u, axis=1, kind="stable")
+            colors, deflections, slots = _colors_at_sizes(perms, sizes), None, None
+        else:
+            slots = _weight_slots(partition, u)
+            colors, deflections, _ = _stage_colors(h, r, slots, u)
+        vals = np.asarray(stat(colors, deflections, slots, u, keep), dtype=np.int64)
+        total += int(vals.sum())
+        total_sq += int((vals * vals).sum())
+        lo += take
     return float(total), float(total_sq)
 
 

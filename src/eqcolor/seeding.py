@@ -8,11 +8,15 @@ mixing function is documented and stable across numpy releases:
     derive(seed, a, b, ...) -> Generator seeded from SeedSequence((seed, a, b, ...))
 
 Call sites tag each purpose with a distinct path so no two draws share a
-stream.  The solver draws weights and balanced colorings from
-(seed, block, role), one stream per block of 64 attempts that the block's
-attempts draw from in turn, and rebalancing sets from
-(seed, attempt, ROLE_VSETS); the Monte Carlo driver uses
-(seed, chunk, ROLE_TRIALS).
+stream.  Repeated draws are seeded per fixed-size block (block seeding as
+in Salmon et al., SC'11): the solver's attempts in blocks of 64 and the
+Monte Carlo trials in blocks of 16384.  Item t of a run draws from
+(seed, t // block, role), right after the earlier items of its block;
+consecutive draws from one generator do not depend on how they are split,
+so the batch and sub-batch sizes change no draw, and a longer run extends
+a shorter one.  The solver's roles are ROLE_WEIGHTS and ROLE_BALANCED,
+the Monte Carlo trials' ROLE_TRIALS.  Only rebalancing sets are drawn per
+attempt, from (seed, attempt, ROLE_VSETS).
 """
 
 from __future__ import annotations

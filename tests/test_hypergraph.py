@@ -230,8 +230,8 @@ def test_edge_values_matches_fancy_indexing(trials, dtype):
     rng = np.random.default_rng(trials)
     h = generate_random(40, 4, 70, seed=trials)
     values = rng.integers(0, 3, size=(trials, h.m)).astype(dtype)
-    # a (T, m) slice of a wider array, as a Monte Carlo sub-batch is cut
-    # from its chunk of weights and keep draws
+    # a (T, m) slice of a wider array, as a Monte Carlo sub-batch's weights
+    # are cut from its rows of weights and keep draws
     wide = np.concatenate([values, values[:, ::-1]], axis=1)
     frozen = values.copy()
     frozen.flags.writeable = False

@@ -30,6 +30,7 @@ from eqcolor.montecarlo import (
     _permutation_rows,
     _simulate_configs,
 )
+from eqcolor.seeding import ROLE_TRIALS, derive
 
 SINGLE = Hypergraph(2, 2, [(0, 1)])
 # two triangles sharing vertices with a third, forcing interactions between
@@ -291,8 +292,8 @@ def test_mc_deterministic_across_calls():
     assert c.estimate != a.estimate
 
 
-def test_mc_chunk_boundaries_do_not_bias():
-    # trials straddling the chunk size agree with the oracle band
+def test_mc_block_boundaries_do_not_bias():
+    # trials straddling the block of 16384 agree with the oracle band
     h = SINGLE
     exact = 0.32
     rep = mc_estimate(
@@ -359,7 +360,7 @@ def test_mc_balanced_mono_matches_formula():
 def test_mc_balanced_mono_frozen_values(seed, path_hits, tri_hits):
     # counts frozen from the balanced draw that ranked each row of weights
     # with a double argsort; 1500 trials on the path span four sub-batches,
-    # 20000 on TRI_PAIR two chunks
+    # 20000 on TRI_PAIR two blocks
     path = Hypergraph(80, 2, [(k, k + 1) for k in range(79)])
     cases = ((path, 4, 5, 1500, path_hits), (TRI_PAIR, 2, 1, 20000, tri_hits))
     for h, r, edge, trials, hits in cases:
@@ -580,7 +581,7 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
 @pytest.mark.parametrize("cells", [1, 1 << 20])
 def test_mc_sub_batch_size_changes_no_estimate(monkeypatch, cells):
     # on a 79-edge path the default cap splits 4000 trials into three
-    # sub-batches; a cap of 1 makes one per trial and 2^20 one per chunk
+    # sub-batches; a cap of 1 makes one per trial and 2^20 one per block
     path = Hypergraph(80, 2, [(k, k + 1) for k in range(79)])
     trials = 4000
     assert 1 < trials * path.edge_array.size // montecarlo._SUB_BATCH_CELLS < 4
@@ -622,17 +623,95 @@ def test_mc_sub_batches_respect_the_cell_cap(monkeypatch):
     def calls(h, trials):
         sizes.clear()
         mc_estimate("mono-edge", h, 3, trials=trials, seed=4, compare=False)
-        cells = h.edge_array.size
+        # a mono-edge trial draws m uniforms and gathers n |E| edge cells
+        cells = max(h.m, h.edge_array.size)
         sub = max(1, montecarlo._SUB_BATCH_CELLS // cells)
         assert all(t == 1 or t * cells <= montecarlo._SUB_BATCH_CELLS for t in sizes), sizes
-        # one chunk at these sizes, cut into sub-batches of ``sub`` trials
-        assert trials <= montecarlo._chunk_rows(h.m)
+        # one block at these sizes, cut into sub-batches of ``sub`` trials
+        assert trials <= montecarlo._BLOCK
         assert len(sizes) == math.ceil(trials / sub) and sum(sizes) == trials
         return len(sizes)
 
     small, large = generate_random(200, 5, 60, 1), generate_random(1000, 8, 400, 3)
     assert calls(small, 1000) == 2
     assert calls(large, 300) == 4
+    # the draws dominate: 2^18 // 20000 = 13 trials per sub-batch
+    assert calls(generate_random(20000, 2, 10, 2), 100) == 8
     # the cap is the module's own name, read on every call
     monkeypatch.setattr(montecarlo, "_SUB_BATCH_CELLS", 1 << 16)
     assert calls(large, 300) == 15
+
+
+def _reference_report(quantity, h, r, params, trials, seed):
+    """A copy of ``_sample`` that draws each block of ``_BLOCK`` trials
+    whole, derive(seed, b, ROLE_TRIALS).random((_BLOCK, width)), and runs
+    trial t alone on row t % ``_BLOCK``."""
+    spec = montecarlo._SPECS[quantity]
+    values = dict(params)
+    p = values.pop("p", choose_p(h.n, r)) if montecarlo._P in spec.params else None
+    label, stat, _ = spec.build(h, r, p, values)
+    width = 2 * h.m if spec.with_keep else h.m
+    block = montecarlo._BLOCK
+    total = total_sq = 0
+    for t in range(trials):
+        if t % block == 0:
+            rows = derive(seed, t // block, ROLE_TRIALS).random((block, width))
+        row = rows[t % block][None, :]
+        u, keep = row[:, : h.m], row[:, h.m :] if spec.with_keep else None
+        if p is None:
+            perms = np.argsort(u, axis=1, kind="stable")
+            colors = intervals._colors_at_sizes(perms, hypergraph.class_targets(h.m, r))
+            deflections = slots = None
+        else:
+            slots = _weight_slots(IntervalPartition(p, r), u)
+            colors, deflections, _ = _stage_colors(h, r, slots, u)
+        value = int(np.asarray(stat(colors, deflections, slots, u, keep))[0])
+        total += value
+        total_sq += value * value
+    return montecarlo._report(label, trials, float(total), float(total_sq), spec.mean, None)
+
+
+def test_mc_trials_are_seeded_per_block(monkeypatch):
+    # blocks of 37 trials: 120 trials span four blocks, at m = 300 (a
+    # trial draws 300 uniforms, or 600 with keep draws, more than the path's
+    # 20 edge cells); a cap of 6000 cells cuts sub-batches of 20 trials (10
+    # with keep draws) that do not line up with the blocks
+    monkeypatch.setattr(montecarlo, "_BLOCK", 37)
+    path = Hypergraph(300, 2, [(k, k + 1) for k in range(10)])
+    trials = 120
+    cases = [
+        ("mono-edge", 4, {"p": 0.9}),
+        ("expected-deflections", 2, {"i": 1}),
+        ("excess-pattern", 2, {"p": 0.1}),
+        ("dangerous-count", 2, {"p_tilde": 0.5}),
+        ("balanced-mono", 2, {}),
+        ("chain-event", 2, {"edges": (0, 1), "color": 2}),
+        ("deflected", 2, {"v": 2}),
+    ]
+    assert {c[0] for c in cases} == set(QUANTITIES)
+    reference = [_reference_report(q, path, r, params, trials, 13) for q, r, params in cases]
+    for cells in (1, 6000, montecarlo._SUB_BATCH_CELLS, 2**24):
+        monkeypatch.setattr(montecarlo, "_SUB_BATCH_CELLS", cells)
+        reports = [
+            mc_estimate(q, path, r, dict(params), trials=trials, seed=13, compare=False)
+            for q, r, params in cases
+        ]
+        assert reports == reference, cells
+    assert all(0 < rep.estimate != 1 for rep in reference)
+
+
+def test_mc_memory_is_bounded_by_the_sub_batch():
+    from eqcolor import generate_random
+
+    # 3000 dangerous-count trials at m = 1000 draw 2000 uniforms each;
+    # sub-batches of 81 trials peaked at 2.6 MiB, where drawing chunks of
+    # 2097 trials whole peaked at 45.9 MiB (mono-edge at p = 0.99: 14.0
+    # MiB, against 36.3 MiB, the kernel's arrays at the cap)
+    h = generate_random(1000, 8, 400, 3)
+    tracemalloc.start()
+    try:
+        mc_estimate("dangerous-count", h, 3, trials=3000, compare=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
