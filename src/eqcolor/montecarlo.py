@@ -27,24 +27,25 @@ the other counts.
 The oracle exploits a discreteness property of the process: the outcome
 depends only on which of the 2r-1 subintervals each vertex falls in (the
 probability is a product of subinterval lengths) and on the relative order
-of vertices inside each small block (uniform over permutations).  Summing
-the exact measure over all such configurations gives the event probability
-with no sampling error.  The configurations are counted before any is
-enumerated, so an over-budget request fails at once.  They are then
-enumerated as arrays: slot vectors grouped by their small-block sizes,
-crossed with every order of each small block, in blocks of at most
-``_ORACLE_ROWS`` rows.  The oracle's simulator holds each color class as a
-bitmask of its vertices (so m <= ``_MASK_MAX_M``) and colors a whole
-block at once, stepping over small-block positions: each step is one
-lookup, in a table built once per call from the edge masks, of whether
-an edge at the vertex has its other vertices in the class.  It calls no
-production kernel or predicate, so the two routes can check each other.
+of vertices inside each small block (uniform over orders).  Summing the
+exact measure over all such configurations gives the event probability
+with no sampling error.  The configurations are counted before any work,
+so an over-budget request fails at once.  Slot vectors are grouped by
+their small-block sizes, and a dynamic program sums each group's orders:
+as the order is uniform, a state needs only where the vertices placed so
+far went, not the order they came in, and it counts the orders that reach
+it.  Each color class is a bitmask of its vertices (so m <=
+``_MASK_MAX_M``), and placing a vertex is one lookup, in a table built
+once per call from the edge masks, of whether an edge at it has its other
+vertices in the class.  The oracle calls no production kernel or
+predicate, so the two routes can check each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -88,10 +89,9 @@ _BLOCK = 16384
 # per-(trial, edge) arrays when p is near 1; the sub-batch sizes change no
 # estimate
 _SUB_BATCH_CELLS = 1 << 18
-# the exact oracle's largest m per r, and its most configurations per block
+# the exact oracle's largest m per r
 _ORACLE_MAX_M = {2: 10, 3: 8}
-_ORACLE_ROWS = 1024
-# the largest m whose class tables (m * 2^m entries) the simulator builds
+# the largest m whose class tables (m * 2^m entries) the oracle builds
 _MASK_MAX_M = 12
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def _sample(
 
 
 def _oracle_or_bound(h, r, p, event, bound_value: Optional[float]) -> Optional[Comparison]:
-    if h.m <= 8 and r <= 3:
+    if h.m <= _ORACLE_MAX_M.get(r, -1):
         try:
             return Comparison("exact", exact_c0_event_prob(h, r, event, p=p, budget=10**6))
         except BudgetExceeded:
@@ -398,9 +398,9 @@ def mc_estimate(
 
     Every quantity but ``balanced-mono`` also takes ``p``, which overrides
     the derived subinterval parameter.  With ``compare`` the report
-    carries the comparison value; "enumerable" means m <= 8, r <= 3 and at
-    most 10^6 configurations, within the oracle's own limits of m <= 10 at
-    r = 2 and m <= 8 at r = 3.
+    carries the comparison value; "enumerable" means within the oracle's
+    limits (m <= 10 at r = 2, m <= 8 at r = 3) and at most 10^6
+    configurations (m <= 8 at r = 2, m <= 7 at r = 3).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -446,22 +446,21 @@ def exact_c0_event_prob(
     p: Optional[float] = None,
     budget: int = 10**7,
 ) -> float:
-    """Exact probability of an event of the two-stage coloring, by
-    enumerating every (subinterval assignment, within-small-block order)
-    configuration with its exact measure.
+    """Exact probability of an event of the two-stage coloring: the exact
+    measure of the (subinterval assignment, within-small-block order)
+    configurations where it holds.
 
     Supports MonoEdgeExists, Deflected (interval None means any small
     block), and ChainEventSpec.  Given a list (or other iterable) of
-    events, returns the sum of their probabilities from one enumeration:
-    each event has its own accumulator, capped at 1 against rounding, and
-    the accumulators are summed in order, so the sum equals that of one
-    call per event.  Requires m <= 10 at r = 2 and m <= 8 at r = 3;
-    raises BudgetExceeded, before enumerating anything, when the
-    configuration count passes ``budget``.
-
-    Configurations are simulated on class bitmasks by
-    ``_simulate_configs`` in blocks of at most ``_ORACLE_ROWS`` rows, so
-    memory stays bounded at every size; its tables are built once per call.
+    events, returns the sum of their probabilities: each event has its own
+    accumulator, capped at 1 against rounding, and the accumulators are
+    summed in order, so the sum equals that of one call per event.
+    Requires m <= 10 at r = 2 and m <= 8 at r = 3; raises BudgetExceeded,
+    before any work, when the configuration count passes ``budget``.
+    Each group of slot vectors with the same small-block sizes adds its
+    weight times the exact count of its orders where the event holds,
+    from ``_visit_states``: one pass for all MonoEdgeExists and Deflected
+    events, one per ChainEventSpec.
     """
     if r < 2:
         raise ValueError("need at least 2 colors")
@@ -486,44 +485,26 @@ def exact_c0_event_prob(
     single = isinstance(event, (MonoEdgeExists, Deflected, ChainEventSpec))
     events = [event] if single else list(event)
     totals = [0.0] * len(events)
-    tables = _class_tables(h)
-    # every slot vector, grouped by its per-small-block counts k_1..k_{r-1}:
-    # within a group each small block has the same size in every row
+    blocked, mono = _class_tables(h)
+    passes = _passes(h, r, events, mono)
+    # every slot vector, grouped by its per-small-block counts k_1..k_{r-1}
+    # as the base-(m + 1) digits of one integer key: key order is the rows'
+    # lexicographic order, so the groups come in that order
     slot_rows = np.indices((2 * r - 1,) * m, dtype=np.int8).reshape(m, -1).T
-    counts = np.stack([(slot_rows == 2 * i - 1).sum(axis=1) for i in range(1, r)], axis=1)
-    # one integer key per row, its counts as base-(m + 1) digits: key order
-    # is the rows' lexicographic order, so the groups come in that order
-    key = counts @ (m + 1) ** np.arange(r - 2, -1, -1)
-    _, first, group_of = np.unique(key, return_index=True, return_inverse=True)
-    for g, ks in enumerate(counts[first].tolist()):
-        vectors = slot_rows[group_of == g]
+    key = sum((slot_rows == 2 * i - 1).sum(axis=1) * (m + 1) ** (r - 1 - i) for i in range(1, r))
+    order = np.argsort(key, kind="stable")
+    for vectors in np.split(slot_rows[order], np.flatnonzero(np.diff(key[order])) + 1):
+        ks = [int(np.count_nonzero(vectors[0] == 2 * i - 1)) for i in range(1, r)]
         # the measure of one configuration: the slot lengths times one over
         # the number of orders of each small block
         weight = math.prod(lengths[s] for s in vectors[0].tolist())
         weight /= math.prod(math.factorial(k) for k in ks)
-        # each vector's vertices in slot s as one mask, set once per group
-        at_slot = vectors[:, None] == np.arange(2 * r - 1)[:, None]
-        by_slot = at_slot @ np.left_shift(1, np.arange(m, dtype=np.int64))
-        # members of each small block in id order, one row per slot vector
-        members = [
-            np.nonzero(vectors == 2 * i - 1)[1].reshape(len(vectors), k)
-            for i, k in enumerate(ks, 1)
-        ]
-        shape = (len(vectors),) + tuple(math.factorial(k) for k in ks)
-        size = math.prod(shape)
-        for lo in range(0, size, _ORACLE_ROWS):
-            vector, *order_index = np.unravel_index(
-                np.arange(lo, min(size, lo + _ORACLE_ROWS)), shape
-            )
-            config = by_slot[vector]
-            # small block i's vertices by rank; member j has rank perm[:, j]
-            steps = [np.empty((len(vector), k), dtype=np.int64) for k in ks]
-            for order, mem, k, index in zip(steps, members, ks, order_index):
-                order[np.arange(len(vector))[:, None], _permutation_rows(k, index)] = mem[vector]
-            masks = _simulate_configs(h, config[:, ::2], steps, tables)
-            for j, ev in enumerate(events):
-                hits = np.count_nonzero(_event_mask(h, ev, tables[1], config, masks, steps))
-                totals[j] += weight * int(hits)
+        for select, links, tests in passes:
+            rows = vectors if select is None else vectors[select(vectors)]
+            if len(rows):
+                config, masks, count = _visit_states(blocked, r, rows, ks, links)
+                for j, holds in tests:
+                    totals[j] += weight * int(count[holds(config, masks)].sum())
     # a sure event's group weights can sum to a rounding error above 1
     return sum(min(total, 1.0) for total in totals)
 
@@ -547,90 +528,108 @@ def _class_tables(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return table[:m].ravel(), table[m]
 
 
-def _simulate_configs(h: Hypergraph, large, steps, tables=None) -> np.ndarray:
-    """The oracle's own simulator, over B configurations held as (B, r)
-    int64 class masks, bit v for vertex v.  ``large`` holds the classes
-    after stage 1; ``steps[i - 1]`` is (B, k_i), small block i's vertices
-    in processing order.  Rank by rank, a vertex of small_i
-    is deflected to i + 1 iff an edge at it has its n - 1 other vertices
-    at color i, one lookup of ``blocked`` at (v, class i); else it joins
-    class i.  ``tables`` is ``_class_tables(h)``, built here when not
-    given, so ValueError above m = ``_MASK_MAX_M``.  Returns the final
-    class masks."""
-    blocked, _ = _class_tables(h) if tables is None else tables
-    masks = large.T.copy()
-    for i, order in enumerate(steps):
-        kept, moved_to = masks[i], masks[i + 1]
-        for v in np.ascontiguousarray(order.T):
-            bit = np.left_shift(1, v)
-            moved = bit * blocked.take((v << h.m) | kept)
-            kept |= bit ^ moved
-            moved_to |= moved
-    return masks.T
+def _visit_states(blocked, r: int, vectors, ks, links=()):
+    """The two stages over one group's (S, m) slot vectors, with small-block
+    sizes ``ks``, as a dynamic program over visit states.  A small block's
+    visit order is uniform, so a state is the r class masks of the placed
+    vertices, packed with its vector's index into one int64 key, and it
+    counts the orders that reach it.  A step of small_i branches a state on
+    each unvisited member v, which joins class i, or class i + 1 when
+    ``blocked`` (see ``_class_tables``) says so; equal keys merge.  A link
+    (v, before, after) of vertex masks drops the orders that visit v before
+    a member of ``before`` in v's block or after one of ``after``.  Returns
+    the final slot masks (S', 2r - 1), class masks (S', r) and counts."""
+    m = vectors.shape[1]
+    full = (1 << m) - 1
+    bits = np.left_shift(1, np.arange(m, dtype=np.int64))
+    by_slot = (vectors[:, None] == np.arange(2 * r - 1)[:, None]) @ bits
+    key = (by_slot[:, ::2] << m * np.arange(r)).sum(axis=1) | np.arange(len(vectors)) << r * m
+    count = np.ones(len(vectors), dtype=np.int64)
+    for i, k in enumerate(ks, 1):
+        small = by_slot[:, 2 * i - 1]
+        members = np.nonzero(vectors == 2 * i - 1)[1].reshape(len(vectors), k)
+        for _ in range(k):
+            vec = key >> r * m
+            kept = key >> (i - 1) * m & full
+            seen = (kept | key >> i * m) & small[vec]
+            row, j = np.nonzero((seen[:, None] >> members[vec] & 1) == 0)
+            vec, seen, v = vec[row], seen[row], members[vec[row], j]
+            moved = blocked.take((v << m) | kept[row])
+            state = key[row] | np.left_shift(1, v + (i - 1 + moved) * m)
+            live = np.ones(len(state), dtype=bool)
+            for u, before, after in links:
+                live &= (v != u) | (((before & small[vec] & ~seen) | (after & seen)) == 0)
+            key, inverse = np.unique(state[live], return_inverse=True)
+            count = np.bincount(inverse, weights=count[row[live]]).astype(np.int64)
+    masks = key[:, None] >> m * np.arange(r) & full
+    return by_slot[key >> r * m], masks, count
 
 
-def _mask_colors(masks: np.ndarray, m: int) -> np.ndarray:
-    """(B, m): the 1-based column of the (B, k) masks holding each vertex,
-    so class masks give colors."""
-    return ((masks[:, :, None] >> np.arange(m)) & 1).argmax(axis=1) + 1
+def _passes(h: Hypergraph, r: int, events, mono) -> list:
+    """The ``_visit_states`` passes that decide ``events``, as (select,
+    links, tests): ``select`` picks a group's slot vectors (None: all),
+    ``links`` go to ``_visit_states``, and a test (j, holds) gives event
+    j's verdict, holds(slot masks, class masks) on the final states.  All
+    MonoEdgeExists and Deflected events share one pass, as they read only
+    the final states; a chain event's links drop orders, so it has its own."""
+    shared, passes = [], []
+    for j, event in enumerate(events):
+        if isinstance(event, MonoEdgeExists):
+            shared.append((j, lambda config, masks: mono.take(masks).any(axis=1)))
+        elif isinstance(event, Deflected):
+            shared.append((j, partial(_deflected_holds, event)))
+        elif isinstance(event, ChainEventSpec):
+            passes += _chain_pass(h, r, event, j)
+        else:
+            raise TypeError(f"unknown event type {type(event).__name__}")
+    return ([(None, (), shared)] if shared else []) + passes
 
 
-def _permutation_rows(k: int, index: np.ndarray) -> np.ndarray:
-    """Rows ``index`` of ``permutations(range(k))``, whose order is
-    lexicographic, unranked from their factorial-base digits, so no table
-    of all k! rows is ever built.  Digit j picks the digit-th smallest
-    value left; right to left, each later entry steps over the earlier
-    pick at or below it."""
-    left = np.arange(k, 0, -1)[:, None]  # values left at digit j: k - j
-    place = np.array([math.factorial(j - 1) for j in range(k, 0, -1)], dtype=np.int64)
-    out = index // place[:, None] % left
-    for j in range(k - 2, -1, -1):
-        out[j + 1 :] += out[j + 1 :] >= out[j]
-    return out.T
+def _deflected_holds(event: Deflected, config, masks) -> np.ndarray:
+    """Deflected out of small_i: in class i + 1 and in slot 2i - 1."""
+    deflected = masks[:, 1:] & config[:, 1::2]
+    if event.interval is not None:
+        deflected = deflected[:, event.interval - 1 : event.interval]
+    return (deflected & (1 << event.vertex)).any(axis=1)
 
 
-def _event_mask(h: Hypergraph, event, mono, config, masks, steps) -> np.ndarray:
-    """The oracle's predicate for one event over a block of configurations,
-    one boolean each: ``config`` holds the (B, 2r - 1) masks of each slot's
-    vertices, ``masks`` and ``steps`` are those of ``_simulate_configs``,
-    and ``mono`` is from ``_class_tables``."""
-    if isinstance(event, MonoEdgeExists):
-        return mono.take(masks).any(axis=1)
-
-    if isinstance(event, Deflected):
-        # deflected out of small_i: in class i + 1 and in slot 2i - 1
-        deflected = masks[:, 1:] & config[:, 1::2]
-        if event.interval is not None:
-            deflected = deflected[:, event.interval - 1 : event.interval]
-        return (deflected & (1 << event.vertex)).any(axis=1)
-
-    if not isinstance(event, ChainEventSpec):
-        raise TypeError(f"unknown event type {type(event).__name__}")
+def _chain_pass(h: Hypergraph, r: int, event: ChainEventSpec, j: int) -> list:
+    """The pass of chain event j for ``_passes``, or none if it cannot
+    hold.  The link v of the t-th edge pair (B, A) is in small block c1 + t
+    and comes last of B and first of A: across slots by slot order, which
+    ``select`` tests with the first edge's first slot; inside v's block by
+    visit order, which the link (v, B's others, A's others) tests.
+    ``holds`` reads the final colors: B's others at c1 + t, the last edge
+    at ``color``."""
     seq, color = event.edges, event.color
-    k = len(seq)
-    c1 = color - k + 1
+    c1 = color - len(seq) + 1
     members = [h.edge_array[e].tolist() for e in seq]
-    m = h.m
-    slots, colors = _mask_colors(config, m) - 1, _mask_colors(masks, m)
-    ok = (colors[:, members[-1]] == color).all(axis=1) & (c1 >= 1)
-    if k == 1:
-        return ok & (slots[:, members[0]] == 2 * color - 2).all(axis=1)
-    # rank key (slot, position in the small block, id): vertex id breaks
-    # ties inside large blocks, where order is immaterial to every
-    # comparison below; the slot is key // m^2
-    ranks = np.zeros_like(slots)
-    for order in steps:
-        ranks[np.arange(len(order))[:, None], order] = np.arange(order.shape[1])
-    key = (slots * m + ranks) * m + np.arange(m)
-    for j in range(k - 1):
-        common = set(members[j]) & set(members[j + 1])
-        if len(common) != 1:
-            return np.zeros(len(slots), dtype=bool)
-        v = common.pop()
-        c = color - k + j + 2
-        ok &= slots[:, v] == 2 * c - 3
-        ok &= key[:, v] == key[:, members[j]].max(axis=1)
-        ok &= key[:, v] == key[:, members[j + 1]].min(axis=1)
-        ok &= (colors[:, [w for w in members[j] if w != v]] == c - 1).all(axis=1)
-    first_slot = key[:, members[0]].min(axis=1) // (m * m)
-    return ok & ((first_slot == 2 * c1 - 2) | (first_slot == 2 * c1 - 1))
+    shared = [set(b) & set(a) for b, a in zip(members, members[1:])]
+    if c1 < 1 or color > r or any(len(common) != 1 for common in shared):
+        return []
+
+    def bits(vertices):
+        return sum(1 << w for w in vertices)
+
+    links, sides, need = [], [], [(color - 1, bits(members[-1]))]
+    for t, ((v,), b, a) in enumerate(zip(shared, members, members[1:])):
+        before, after = [w for w in b if w != v], [w for w in a if w != v]
+        links.append((v, bits(before), bits(after)))
+        sides.append((v, 2 * (c1 + t) - 1, before, after))
+        need.append((c1 + t - 1, bits(before)))
+
+    def select(vectors):
+        first = vectors[:, members[0]]
+        if not sides:
+            return (first == 2 * color - 2).all(axis=1)
+        ok = first.min(axis=1) // 2 == c1 - 1
+        for v, slot, before, after in sides:
+            at = vectors[:, v : v + 1]
+            ok &= (at[:, 0] == slot) & (vectors[:, before] <= at).all(axis=1)
+            ok &= (vectors[:, after] >= at).all(axis=1)
+        return ok
+
+    def holds(config, masks):
+        return np.logical_and.reduce([(masks[:, c] & b) == b for c, b in need])
+
+    return [(select, links, [(j, holds)])]

@@ -23,28 +23,13 @@ from eqcolor import (
 )
 from eqcolor import chains, hypergraph, intervals, montecarlo
 from eqcolor.intervals import _stage_colors, _weight_slots
-from eqcolor.montecarlo import (
-    QUANTITIES,
-    Deflected,
-    _mask_colors,
-    _permutation_rows,
-    _simulate_configs,
-)
+from eqcolor.montecarlo import QUANTITIES, Deflected
 from eqcolor.seeding import ROLE_TRIALS, derive
 
 SINGLE = Hypergraph(2, 2, [(0, 1)])
 # two triangles sharing vertices with a third, forcing interactions between
 # deflections: the workhorse calibration instance
 TRI_PAIR = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
-
-
-def _oracle_colors(h, r, slots, orders):
-    """The oracle simulator's colors for one configuration, given as the
-    slot of each vertex and each small block's vertices in processing order."""
-    large = [sum(1 << v for v, s in enumerate(slots) if s == 2 * c) for c in range(r)]
-    steps = [np.array(block, dtype=np.int64).reshape(1, -1) for block in orders]
-    masks = _simulate_configs(h, np.array([large], dtype=np.int64), steps)
-    return _mask_colors(masks, h.m)[0].tolist()
 
 
 def _sequential_colors(h, slots, orders):
@@ -110,8 +95,8 @@ def test_oracle_frozen_values_on_calibration_instance():
     )
     # the same values to the last bit, as the oracle sums them today
     assert exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists()) == 0.416341849750086
-    assert exact_c0_event_prob(TRI_PAIR, 2, Deflected(2, 1)) == 0.07188601748440729
-    assert exact_c0_event_prob(TRI_PAIR, 2, Deflected(2, None)) == 0.07188601748440729
+    assert exact_c0_event_prob(TRI_PAIR, 2, Deflected(2, 1)) == 0.07188601748440727
+    assert exact_c0_event_prob(TRI_PAIR, 2, Deflected(2, None)) == 0.07188601748440727
     assert exact_c0_event_prob(TRI_PAIR, 2, ChainEventSpec((0, 1), 2)) == 0.008017001787568272
     path4 = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
     assert exact_c0_event_prob(path4, 3, Deflected(1, 2)) == 0.09433144949768552
@@ -132,10 +117,10 @@ def test_oracle_respects_budget():
 def test_oracle_counts_configurations_before_enumerating(monkeypatch):
     # the tri-pair at r = 2 has sum_K m!/(m-K)! 2^(m-K) = 5296 configurations
     def never(*args):
-        raise AssertionError("the simulator ran on an over-budget instance")
+        raise AssertionError("the dynamic program ran on an over-budget instance")
 
     assert exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=5296) > 0.0
-    monkeypatch.setattr(montecarlo, "_simulate_configs", never)
+    monkeypatch.setattr(montecarlo, "_visit_states", never)
     with pytest.raises(BudgetExceeded):
         exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=5295)
     # m = 8, r = 3 has 4 860 297 configurations, over the default MC budget
@@ -154,20 +139,23 @@ def test_oracle_sums_a_list_of_events_in_one_enumeration():
 
 
 def test_expected_deflections_comparison_is_one_enumeration(monkeypatch):
-    # the simulator sees each of the 5296 configurations once per enumeration
+    # one pass over the 3^6 slot vectors, one dynamic-program call per group
+    # of equal small-block size (7 at m = 6), decides all six deflection
+    # events, as it decides the one mono-edge event
     calls = []
-    simulate = montecarlo._simulate_configs
+    visit = montecarlo._visit_states
 
-    def counted(h, large, steps, tables):
-        calls.append(len(large))
-        return simulate(h, large, steps, tables)
+    def counted(blocked, r, vectors, ks, links=()):
+        calls.append(len(vectors))
+        return visit(blocked, r, vectors, ks, links)
 
-    monkeypatch.setattr(montecarlo, "_simulate_configs", counted)
+    monkeypatch.setattr(montecarlo, "_visit_states", counted)
     mono = mc_estimate("mono-edge", TRI_PAIR, 2, trials=10, seed=0)
-    one_enumeration = sum(calls)
+    one_pass = len(calls)
     defl = mc_estimate("expected-deflections", TRI_PAIR, 2, {"i": 1}, trials=10, seed=0)
     assert mono.comparison.kind == defl.comparison.kind == "exact"
-    assert sum(calls) == 2 * one_enumeration == 2 * 5296
+    assert len(calls) == 2 * one_pass == 2 * 7
+    assert sum(calls) == 2 * 3**6
 
 
 def test_oracle_rejects_oversized_instances():
@@ -208,36 +196,44 @@ def test_oracle_deflection_splits_by_small_block():
         assert one + two == pytest.approx(either, rel=1e-12)
 
 
-def test_oracle_simulates_in_bounded_blocks(monkeypatch):
-    calls = []
-    simulate = montecarlo._simulate_configs
-
-    def counted(h, large, steps, tables):
-        calls.append(len(large))
-        return simulate(h, large, steps, tables)
-
-    monkeypatch.setattr(montecarlo, "_simulate_configs", counted)
-    monkeypatch.setattr(montecarlo, "_ORACLE_ROWS", 100)
-    value = exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists())
-    assert max(calls) <= 100 and sum(calls) == 5296
-    assert value == pytest.approx(0.41634184975008515, rel=1e-12)
+def test_oracle_memory_is_bounded_at_its_largest_shape():
+    # m = 8 at r = 3 is the largest shape the oracle takes: 4 860 297
+    # configurations in 390 625 slot vectors.  Its groups run one at a
+    # time; the peak measured 32.5 MiB (the enumeration it replaced, in
+    # blocks of 1024 configurations, peaked at 33.7 MiB)
+    cycle = Hypergraph(8, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)])
+    tracemalloc.start()
+    try:
+        value = exact_c0_event_prob(cycle, 3, MonoEdgeExists())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(0.20046058457020863, rel=1e-12)
+    assert peak < 48 << 20
 
 
 def test_oracle_simulator_refuses_m_above_its_table_limit():
     # the tables hold m * 2^m entries, 21 MB at m = 20: above the limit the
-    # simulator fails before it allocates one
+    # oracle fails before it allocates one.  At the limit, a path's even
+    # vertices in the first large block and its odd ones in small_1: each
+    # odd vertex is deflected whatever the order, so all (m / 2)! orders
+    # end in one state
     limit = montecarlo._MASK_MAX_M
     assert limit >= 12
     path = Hypergraph(limit, 2, [(k, k + 1) for k in range(limit - 1)])
-    large = np.zeros((1, 2), dtype=np.int64)
-    steps = [np.arange(limit)[None, :]]
-    colors = _mask_colors(_simulate_configs(path, large, steps), limit)
-    assert colors[0].tolist() == [1 + v % 2 for v in range(limit)]
+    blocked, _ = montecarlo._class_tables(path)
+    slots = np.array([[v % 2 for v in range(limit)]], dtype=np.int8)
+    config, masks, count = montecarlo._visit_states(blocked, 2, slots, [limit // 2])
+    colors = [1 + int(masks[0, 1] >> v & 1) for v in range(limit)]
+    assert colors == [1 + v % 2 for v in range(limit)] == _sequential_colors(
+        path, slots[0].tolist(), [list(range(1, limit, 2))]
+    )
+    assert count.tolist() == [math.factorial(limit // 2)]
     big = Hypergraph(20, 2, [(k, k + 1) for k in range(19)])
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
-            _simulate_configs(big, large, [np.arange(20)[None, :]])
+            montecarlo._class_tables(big)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,14 +251,6 @@ def test_oracle_calls_no_production_kernel_or_predicate(monkeypatch):
     monkeypatch.setattr(chains, "_chain_event_holds", banned)
     monkeypatch.setattr(hypergraph, "_mono_edges", banned)
     test_oracle_frozen_values_on_calibration_instance()
-
-
-def test_permutation_rows_follow_itertools_order():
-    for k in range(7):
-        expected = list(itertools.permutations(range(k)))
-        got = _permutation_rows(k, np.arange(len(expected)))
-        assert got.shape == (len(expected), k)
-        assert list(map(tuple, got.tolist())) == expected
 
 
 def test_mc_quantities_registry():
@@ -407,8 +395,8 @@ def test_mc_report_json_shape():
 
 def test_vectorized_kernel_matches_reference_coloring():
     # the production kernel (vectorized slot lookup, shared by the solver
-    # and the estimator) must color exactly like the oracle's independent
-    # simulator given the same slots and per-small-block orders, draw for draw
+    # and the estimator) must color exactly like the sequential replay
+    # given the same slots and per-small-block orders, draw for draw
     rng = np.random.default_rng(23)
     for _ in range(300):
         m = int(rng.integers(2, 12))
@@ -428,8 +416,104 @@ def test_vectorized_kernel_matches_reference_coloring():
             [v for v in np.lexsort((np.arange(m), u)).tolist() if slots[v] == 2 * i - 1]
             for i in range(1, r)
         ]
-        reference = _oracle_colors(h, r, slots, orders)
+        reference = _sequential_colors(h, slots, orders)
         assert run_interval_coloring(h, r, part, wa).coloring.colors.tolist() == reference
+
+
+def _reference_holds(h, event, slots, colors, position):
+    """One event on one configuration, read off its slots, its final colors
+    and each vertex's processing position (slot, then visit order)."""
+    if isinstance(event, MonoEdgeExists):
+        return any(len({colors[u] for u in e}) == 1 for e in h.edges)
+    if isinstance(event, Deflected):
+        s = slots[event.vertex]
+        i = (s + 1) // 2
+        return s % 2 == 1 and colors[event.vertex] == i + 1 and event.interval in (None, i)
+    # a chain: each pair of consecutive edges shares one vertex v, in the
+    # small block below the pair's color c, last of the earlier edge and
+    # first of the later one; the earlier edge's other vertices end at
+    # c - 1, the last edge at the chain's color, and the first edge starts
+    # in the large or small block of its color
+    edges = [h.edges[e] for e in event.edges]
+    c1 = event.color - len(edges) + 1
+    if c1 < 1 or any(colors[u] != event.color for u in edges[-1]):
+        return False
+    if len(edges) == 1:
+        return all(slots[u] == 2 * event.color - 2 for u in edges[0])
+    for t, (before, after) in enumerate(zip(edges, edges[1:])):
+        common = set(before) & set(after)
+        c = c1 + t + 1
+        if len(common) != 1 or slots[min(common)] != 2 * c - 3:
+            return False
+        v = min(common)
+        if max(before, key=position.get) != v or min(after, key=position.get) != v:
+            return False
+        if any(colors[u] != c - 1 for u in before if u != v):
+            return False
+    return slots[min(edges[0], key=position.get)] // 2 == c1 - 1
+
+
+def _reference_event_probs(h, r, p, events):
+    """Every configuration in plain Python: each slot vector, crossed with
+    each ``itertools.permutations`` order of each small block, replayed by
+    ``_sequential_colors``, adds its measure to every event that holds."""
+    lengths = [(1 - p) / r if s % 2 == 0 else p / (r - 1) for s in range(2 * r - 1)]
+    totals = [0.0] * len(events)
+    for slots in itertools.product(range(2 * r - 1), repeat=h.m):
+        blocks = [[v for v in range(h.m) if slots[v] == 2 * i - 1] for i in range(1, r)]
+        weight = math.prod(lengths[s] for s in slots)
+        weight /= math.prod(math.factorial(len(block)) for block in blocks)
+        for orders in itertools.product(*map(itertools.permutations, blocks)):
+            colors = _sequential_colors(h, slots, orders)
+            rank = {v: k for block in orders for k, v in enumerate(block)}
+            position = {v: (slots[v], rank.get(v, 0), v) for v in range(h.m)}
+            for j, event in enumerate(events):
+                if _reference_holds(h, event, slots, colors, position):
+                    totals[j] += weight
+    return totals
+
+
+@pytest.mark.parametrize(
+    "h, r",
+    [
+        (Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)]), 2),
+        (Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3),
+        (Hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)]), 2),
+        (Hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)]), 3),
+        (Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)]), 3),
+    ],
+)
+def test_oracle_matches_a_plain_enumeration_of_every_order(h, r):
+    # the oracle counts orders by a dynamic program; this reference lists
+    # each of them.  p = 0.45 puts much mass in the small blocks, where the
+    # order decides deflections and chains
+    p = 0.45
+    events = [MonoEdgeExists()]
+    events += [Deflected(v, i) for v in range(h.m) for i in (*range(1, r), None)]
+    events += [
+        ChainEventSpec(tuple(seq), color)
+        for k in range(1, r + 1)
+        for seq in chains.enumerate_chain_candidates(h, k)[1]
+        for color in range(k, r + 1)
+    ]
+    expected = _reference_event_probs(h, r, p, events)
+    for event, value in zip(events, expected):
+        assert exact_c0_event_prob(h, r, event, p=p) == pytest.approx(
+            value, rel=1e-12, abs=1e-15
+        ), event
+    linked = [
+        v for ev, v in zip(events, expected) if isinstance(ev, ChainEventSpec) and len(ev.edges) > 1
+    ]
+    assert len(linked) >= 2 and all(v > 0.0 for v in linked)
+
+
+def test_mc_compares_with_the_bound_past_the_oracle_budget():
+    # m = 9 is within the oracle's limit at r = 2, but its 2 681 216
+    # configurations pass the budget of 10^6
+    h = Hypergraph(9, 2, [(0, 1), (1, 2), (5, 8)])
+    assert h.m <= montecarlo._ORACLE_MAX_M[2]
+    rep = mc_estimate("mono-edge", h, 2, trials=10, seed=0)
+    assert rep.comparison == Comparison("bound", pytest.approx(0.04 * math.e, abs=1e-12))
 
 
 def test_oracle_orders_small_blocks_by_weight_not_id():
@@ -448,7 +532,7 @@ def test_oracle_orders_small_blocks_by_weight_not_id():
 def _reference_blocking(h, slots, orders, colors):
     """Lowest-index incident edge whose other vertices all carried the
     deflected vertex's block color when it was visited, replayed from the
-    oracle simulator's final colors; -1 for a vertex not deflected."""
+    sequential replay's final colors; -1 for a vertex not deflected."""
     colored = [s % 2 == 0 for s in slots]
     indptr, indices = h.incidence
     out = [-1] * h.m
@@ -467,7 +551,7 @@ def _reference_blocking(h, slots, orders, colors):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
     # many trials per kernel call, checked trial by trial against the
-    # oracle's independent simulator: colors, deflection counts, blocking
+    # sequential replay: colors, deflection counts, blocking
     rng = np.random.default_rng(31 + r)
     instances = [TRI_PAIR, Hypergraph(8, 2, [(i, (i + 1) % 8) for i in range(8)])]
     for _ in range(4):
@@ -491,7 +575,7 @@ def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
                 order = np.lexsort((np.arange(h.m), u[t])).tolist()
                 row = slots[t].tolist()
                 orders = [[v for v in order if row[v] == 2 * i - 1] for i in range(1, r)]
-                reference = _oracle_colors(h, r, row, orders)
+                reference = _sequential_colors(h, row, orders)
                 assert colors[t].tolist() == reference
                 counts = [
                     sum(1 for v in orders[i - 1] if reference[v] == i + 1) for i in range(1, r)
@@ -548,7 +632,7 @@ def test_batched_kernel_breaks_weight_ties_by_id(monkeypatch, rounds):
                 order = np.lexsort((np.arange(h.m), u[t])).tolist()
                 row = slots[t].tolist()
                 orders = [[v for v in order if row[v] == 2 * i - 1] for i in range(1, r)]
-                reference = _oracle_colors(h, r, row, orders)
+                reference = _sequential_colors(h, row, orders)
                 assert colors[t].tolist() == reference
                 assert blocking[t].tolist() == _reference_blocking(h, row, orders, reference)
                 assert ((blocking[t] >= 0) == (colors[t] != slots[t] // 2 + 1)).all()
@@ -561,8 +645,7 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
     # a path inside small_1 with increasing weights: each vertex is
     # deflected iff its predecessor is not, one chain of m - 1 edges.  The
     # round cap hands it to the walk; without a cap the fixed point needs
-    # about m rounds.  m is past the oracle simulator's table limit, so the
-    # reference is the sequential replay
+    # about m rounds.  The reference is the sequential replay
     if rounds is not None:
         monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
     h = Hypergraph(m, 2, [(k, k + 1) for k in range(m - 1)])
