@@ -420,6 +420,8 @@ class InitialColoringBatch:
     assignment is a view of the batch's weights and keeps its row of the
     batch's slots; only the row's int64 colors and blocking record are
     built for it, from the kernel's colors and deflected (key, edge) pairs.
+    ``_assignment(t)`` and ``_coloring(t)`` build the pair's assignment and
+    coloring alone, for callers that need no blocking record.
     """
 
     __slots__ = ("_weights", "_partition", "_slots", "_narrow", "_deflections", "_deflected")
@@ -428,8 +430,8 @@ class InitialColoringBatch:
         self._weights = weights
         self._partition = partition
         self._slots = slots
-        # the kernel's colors in the slots' dtype; class sizes are counted
-        # from them, and the solver's screen scans them
+        # the kernel's colors in the slots' dtype: rows widen theirs, and the
+        # solver's screen scans them
         self._narrow = narrow
         self._deflections = deflections
         self._deflected = deflected
@@ -438,17 +440,23 @@ class InitialColoringBatch:
         return len(self._narrow)
 
     def row(self, t: int) -> tuple[WeightAssignment, InitialColoring]:
+        return self._assignment(t), self._initial(t)
+
+    def _assignment(self, t: int) -> WeightAssignment:
         wa = WeightAssignment(self._weights[t])
         wa._slots = (self._partition, self._slots[t])
-        return wa, self._initial(t)
+        return wa
+
+    def _coloring(self, t: int) -> Coloring:
+        r = self._partition.r
+        colors = self._narrow[t].astype(np.int64)
+        sizes = np.bincount(colors, minlength=r + 1)[1:].tolist()
+        colors.flags.writeable = False
+        return Coloring._trusted(r, colors, sizes)
 
     def _initial(self, t: int) -> InitialColoring:
-        r = self._partition.r
         m = self._narrow.shape[1]
-        sizes = np.bincount(self._narrow[t], minlength=r + 1)[1:].tolist()
-        colors = self._narrow[t].astype(np.int64)
-        colors.flags.writeable = False
-        occupancy = np.bincount(self._slots[t] // 2, minlength=r)
+        occupancy = np.bincount(self._slots[t] // 2, minlength=self._partition.r)
         # row t's deflected vertices are the keys in [t * m, (t + 1) * m)
         keys, edges = self._deflected
         lo, hi = np.searchsorted(keys, (t * m, (t + 1) * m))
@@ -456,7 +464,7 @@ class InitialColoringBatch:
         blocking[keys[lo:hi] - t * m] = edges[lo:hi]
         blocking.flags.writeable = False
         return InitialColoring(
-            Coloring._trusted(r, colors, sizes),
+            self._coloring(t),
             tuple(self._deflections[t].tolist()),
             tuple(occupancy.tolist()),
             blocking,

@@ -31,10 +31,12 @@ of vertices inside each small block (uniform over orders).  Summing the
 exact measure over all such configurations gives the event probability
 with no sampling error.  The configurations are counted before any work,
 so an over-budget request fails at once.  Slot vectors are grouped by
-their small-block sizes, and a dynamic program sums each group's orders:
-as the order is uniform, a state needs only where the vertices placed so
-far went, not the order they came in, and it counts the orders that reach
-it.  Each color class is a bitmask of its vertices (so m <=
+their small-block sizes, and a dynamic program sums the orders of runs of
+consecutive groups: as the order is uniform, a state needs only the status
+of every vertex (its class, or the small block it waits in) and its group,
+not its slot vector or the order the vertices came in, and it counts the
+(vector, order) pairs that reach it.  Vectors whose vertices end in the
+same places merge.  Each color class is a bitmask of its vertices (so m <=
 ``_MASK_MAX_M``), and placing a vertex is one lookup, in a table built
 once per call from the edge masks, of whether an edge at it has its other
 vertices in the class.  The oracle calls no production kernel or
@@ -457,10 +459,12 @@ def exact_c0_event_prob(
     summed in order, so the sum equals that of one call per event.
     Requires m <= 10 at r = 2 and m <= 8 at r = 3; raises BudgetExceeded,
     before any work, when the configuration count passes ``budget``.
-    Each group of slot vectors with the same small-block sizes adds its
-    weight times the exact count of its orders where the event holds,
-    from ``_visit_states``: one pass for all MonoEdgeExists and Deflected
-    events, one per ChainEventSpec.
+    Each group of slot vectors with the same small-block sizes adds, in
+    group order, its weight times the exact count of its configurations
+    where the event holds.  The counts come from ``_visit_states``, over
+    runs of consecutive groups of at most ``_SUB_BATCH_CELLS``
+    configurations in all (a larger group runs alone): one pass for all
+    MonoEdgeExists and Deflected events, one per ChainEventSpec.
     """
     if r < 2:
         raise ValueError("need at least 2 colors")
@@ -493,18 +497,39 @@ def exact_c0_event_prob(
     slot_rows = np.indices((2 * r - 1,) * m, dtype=np.int8).reshape(m, -1).T
     key = sum((slot_rows == 2 * i - 1).sum(axis=1) * (m + 1) ** (r - 1 - i) for i in range(1, r))
     order = np.argsort(key, kind="stable")
-    for vectors in np.split(slot_rows[order], np.flatnonzero(np.diff(key[order])) + 1):
-        ks = [int(np.count_nonzero(vectors[0] == 2 * i - 1)) for i in range(1, r)]
-        # the measure of one configuration: the slot lengths times one over
-        # the number of orders of each small block
-        weight = math.prod(lengths[s] for s in vectors[0].tolist())
-        weight /= math.prod(math.factorial(k) for k in ks)
-        for select, links, tests in passes:
-            rows = vectors if select is None else vectors[select(vectors)]
-            if len(rows):
-                config, masks, count = _visit_states(blocked, r, rows, ks, links)
-                for j, holds in tests:
-                    totals[j] += weight * int(count[holds(config, masks)].sum())
+    slot_rows = slot_rows[order]
+    bounds = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1)).tolist()
+    # the measure of one configuration: the slot lengths times one over the
+    # number of orders of each small block; a group's configurations bound
+    # the rows of every step of its dynamic program
+    weights, sizes = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        first = slot_rows[lo].tolist()
+        orders = math.prod(math.factorial(first.count(2 * i - 1)) for i in range(1, r))
+        weights.append(math.prod(lengths[s] for s in first) / orders)
+        sizes.append((hi - lo) * orders)
+    # consecutive groups share each pass while their configurations stay
+    # within _SUB_BATCH_CELLS; a larger group runs alone
+    g = 0
+    while g < len(weights):
+        end, cells = g + 1, sizes[g]
+        while end < len(weights) and cells + sizes[end] <= _SUB_BATCH_CELLS:
+            cells += sizes[end]
+            end += 1
+        vectors = slot_rows[bounds[g] : bounds[end]]
+        group = np.repeat(np.arange(end - g), np.diff(bounds[g : end + 1]))
+        for select, links, watch, tests in passes:
+            pick = slice(None) if select is None else select(vectors)
+            masks, deflected, groups, count = _visit_states(
+                blocked, r, vectors[pick], group[pick], watch, links
+            )
+            for j, holds in tests:
+                # float sums of integer counts below 2^53: exact
+                held = count * holds(masks, deflected)
+                sums = np.bincount(groups, weights=held, minlength=end - g)
+                for weight, hits in zip(weights[g:end], sums.tolist()):
+                    totals[j] += weight * int(hits)
+        g = end
     # a sure event's group weights can sum to a rounding error above 1
     return sum(min(total, 1.0) for total in totals)
 
@@ -528,69 +553,101 @@ def _class_tables(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return table[:m].ravel(), table[m]
 
 
-def _visit_states(blocked, r: int, vectors, ks, links=()):
-    """The two stages over one group's (S, m) slot vectors, with small-block
-    sizes ``ks``, as a dynamic program over visit states.  A small block's
-    visit order is uniform, so a state is the r class masks of the placed
-    vertices, packed with its vector's index into one int64 key, and it
-    counts the orders that reach it.  A step of small_i branches a state on
-    each unvisited member v, which joins class i, or class i + 1 when
-    ``blocked`` (see ``_class_tables``) says so; equal keys merge.  A link
-    (v, before, after) of vertex masks drops the orders that visit v before
-    a member of ``before`` in v's block or after one of ``after``.  Returns
-    the final slot masks (S', 2r - 1), class masks (S', r) and counts."""
+def _visit_states(blocked, r: int, vectors, group, watch: int = 0, links=()):
+    """The two stages over (S, m) slot vectors, whose group indices
+    ``group`` decide nothing but keep their states apart, as a dynamic
+    program over visit states.  A small block's visit order is uniform, so
+    a state is the status of every vertex, packed into one int64 key: the r
+    class masks of the placed vertices, then the r - 1 small blocks'
+    unvisited members, then the deflected vertices of the mask ``watch``,
+    then the group; it counts the (vector, order) pairs that reach it, and
+    vectors whose vertices end in the same places merge.  A step of small_i
+    branches each state on each unvisited member v, which joins class i, or
+    class i + 1 when ``blocked`` (see ``_class_tables``) says so; a state
+    with none left waits for the next block.  A link (u, before, after) of
+    vertex masks drops the orders that visit u while a member of ``before``
+    in its block is unvisited, or a member of ``after`` while u is.
+    Returns the final class masks (S', r), deflected masks, groups and
+    counts."""
     m = vectors.shape[1]
+    if 2 * r * m + int(group.max(initial=0)).bit_length() > 63:
+        raise ValueError("a state key of this shape needs more than 63 bits")
     full = (1 << m) - 1
     bits = np.left_shift(1, np.arange(m, dtype=np.int64))
-    by_slot = (vectors[:, None] == np.arange(2 * r - 1)[:, None]) @ bits
-    key = (by_slot[:, ::2] << m * np.arange(r)).sum(axis=1) | np.arange(len(vectors)) << r * m
-    count = np.ones(len(vectors), dtype=np.int64)
-    for i, k in enumerate(ks, 1):
-        small = by_slot[:, 2 * i - 1]
-        members = np.nonzero(vectors == 2 * i - 1)[1].reshape(len(vectors), k)
-        for _ in range(k):
-            vec = key >> r * m
-            kept = key >> (i - 1) * m & full
-            seen = (kept | key >> i * m) & small[vec]
-            row, j = np.nonzero((seen[:, None] >> members[vec] & 1) == 0)
-            vec, seen, v = vec[row], seen[row], members[vec[row], j]
-            moved = blocked.take((v << m) | kept[row])
-            state = key[row] | np.left_shift(1, v + (i - 1 + moved) * m)
-            live = np.ones(len(state), dtype=bool)
-            for u, before, after in links:
-                live &= (v != u) | (((before & small[vec] & ~seen) | (after & seen)) == 0)
-            key, inverse = np.unique(state[live], return_inverse=True)
-            count = np.bincount(inverse, weights=count[row[live]]).astype(np.int64)
+    # the members of every vertex mask, as bool rows (one numpy call finds
+    # all members of a batch of masks, far faster than a 2-d nonzero)
+    members = np.arange(1 << m)[:, None] & bits != 0
+    # the field of slot s: class s / 2 + 1 if s is even, else small_(s+1)/2
+    field = (vectors // 2 + r * (vectors & 1)) * m
+    key = np.left_shift(group, 2 * r * m, dtype=np.int64)
+    for v in range(m):
+        key |= bits[v] << field[:, v]
+    count = np.ones(len(key), dtype=np.int64)
+    for i in range(1, r):
+        at, low, keys, counts = (r + i - 1) * m, (i - 1) * m, [], []
+        # the key change of visiting v, at 2v + moved: v leaves the
+        # unvisited members and joins class i, or class i + 1 and, if
+        # watched, the deflected vertices
+        flips = (bits << at)[:, None] | np.stack([bits << low, bits << low + m], axis=1)
+        flips[:, 1] |= (bits & watch) << (2 * r - 1) * m
+        flips = flips.ravel()
+        while True:
+            unvisited = key >> at & full
+            busy = unvisited != 0
+            keys.append(key[~busy])
+            counts.append(count[~busy])
+            if not busy.any():
+                break
+            key, count, unvisited = key[busy], count[busy], unvisited[busy]
+            row, v = np.divmod(np.flatnonzero(members.take(unvisited, axis=0)), m)
+            state = key[row]
+            moved = blocked.take(v << m | state >> low & full)
+            state ^= flips.take(2 * v + moved)
+            if links:
+                waiting, live = unvisited[row], np.ones(len(state), dtype=bool)
+                for u, before, after in links:
+                    live &= (v != u) | (before & waiting == 0)
+                    live &= (after >> v & 1 == 0) | (waiting >> u & 1 == 0)
+                state, row = state[live], row[live]
+            # equal states merge: sort, keep the first of each run, add counts
+            order = np.argsort(state)
+            state = state[order]
+            first = np.flatnonzero(state[1:] != state[:-1]) + 1
+            first = np.concatenate(([0], first)) if len(state) else first
+            key, count = state[first], np.add.reduceat(count[row[order]], first)
+        key, count = np.concatenate(keys), np.concatenate(counts)
     masks = key[:, None] >> m * np.arange(r) & full
-    return by_slot[key >> r * m], masks, count
+    return masks, key >> (2 * r - 1) * m & full, key >> 2 * r * m, count
 
 
 def _passes(h: Hypergraph, r: int, events, mono) -> list:
     """The ``_visit_states`` passes that decide ``events``, as (select,
-    links, tests): ``select`` picks a group's slot vectors (None: all),
-    ``links`` go to ``_visit_states``, and a test (j, holds) gives event
-    j's verdict, holds(slot masks, class masks) on the final states.  All
-    MonoEdgeExists and Deflected events share one pass, as they read only
-    the final states; a chain event's links drop orders, so it has its own."""
-    shared, passes = [], []
+    links, watch, tests): ``select`` picks a run's slot vectors (None:
+    all), ``links`` and ``watch`` go to ``_visit_states``, and a test (j,
+    holds) gives event j's verdict, holds(class masks, deflected masks) on
+    the final states.  All MonoEdgeExists and Deflected events share one
+    pass, which watches the deflections of the Deflected vertices only; a
+    chain event's links drop orders, so it has its own."""
+    shared, watch, passes = [], 0, []
     for j, event in enumerate(events):
         if isinstance(event, MonoEdgeExists):
-            shared.append((j, lambda config, masks: mono.take(masks).any(axis=1)))
+            shared.append((j, lambda masks, deflected: mono.take(masks).any(axis=1)))
         elif isinstance(event, Deflected):
             shared.append((j, partial(_deflected_holds, event)))
+            watch |= 1 << event.vertex
         elif isinstance(event, ChainEventSpec):
             passes += _chain_pass(h, r, event, j)
         else:
             raise TypeError(f"unknown event type {type(event).__name__}")
-    return ([(None, (), shared)] if shared else []) + passes
+    return ([(None, (), watch, shared)] if shared else []) + passes
 
 
-def _deflected_holds(event: Deflected, config, masks) -> np.ndarray:
-    """Deflected out of small_i: in class i + 1 and in slot 2i - 1."""
-    deflected = masks[:, 1:] & config[:, 1::2]
-    if event.interval is not None:
-        deflected = deflected[:, event.interval - 1 : event.interval]
-    return (deflected & (1 << event.vertex)).any(axis=1)
+def _deflected_holds(event: Deflected, masks, deflected) -> np.ndarray:
+    """Deflected out of small_i: deflected, and so in class i + 1."""
+    hit = deflected >> event.vertex & 1 == 1
+    if event.interval is None:
+        return hit
+    return hit & (masks[:, event.interval] >> event.vertex & 1 == 1)
 
 
 def _chain_pass(h: Hypergraph, r: int, event: ChainEventSpec, j: int) -> list:
@@ -629,7 +686,7 @@ def _chain_pass(h: Hypergraph, r: int, event: ChainEventSpec, j: int) -> list:
             ok &= (vectors[:, after] >= at).all(axis=1)
         return ok
 
-    def holds(config, masks):
+    def holds(masks, deflected):
         return np.logical_and.reduce([(masks[:, c] & b) == b for c, b in need])
 
-    return [(select, links, [(j, holds)])]
+    return [(select, links, 0, [(j, holds)])]

@@ -400,8 +400,7 @@ def _screen_batch(
         colors = batch._narrow
 
         def row(t: int) -> _Row:
-            wa, init = batch.row(t)
-            return wa, init.coloring
+            return batch._assignment(t), batch._coloring(t)
 
     return batch, _mono_edges(h, colors), row
 

@@ -139,23 +139,24 @@ def test_oracle_sums_a_list_of_events_in_one_enumeration():
 
 
 def test_expected_deflections_comparison_is_one_enumeration(monkeypatch):
-    # one pass over the 3^6 slot vectors, one dynamic-program call per group
-    # of equal small-block size (7 at m = 6), decides all six deflection
-    # events, as it decides the one mono-edge event
+    # the 3^6 slot vectors of all 7 groups of equal small-block size fit in
+    # one run, so one dynamic-program call decides all six deflection
+    # events, as one decides the mono-edge event; the deflection pass
+    # watches every vertex, the mono-edge pass none
     calls = []
     visit = montecarlo._visit_states
 
-    def counted(blocked, r, vectors, ks, links=()):
-        calls.append(len(vectors))
-        return visit(blocked, r, vectors, ks, links)
+    def counted(blocked, r, vectors, group, watch=0, links=()):
+        calls.append((len(vectors), len(set(group.tolist())), watch))
+        return visit(blocked, r, vectors, group, watch, links)
 
     monkeypatch.setattr(montecarlo, "_visit_states", counted)
     mono = mc_estimate("mono-edge", TRI_PAIR, 2, trials=10, seed=0)
     one_pass = len(calls)
     defl = mc_estimate("expected-deflections", TRI_PAIR, 2, {"i": 1}, trials=10, seed=0)
     assert mono.comparison.kind == defl.comparison.kind == "exact"
-    assert len(calls) == 2 * one_pass == 2 * 7
-    assert sum(calls) == 2 * 3**6
+    assert len(calls) == 2 * one_pass == 2
+    assert calls == [(3**6, 7, 0), (3**6, 7, (1 << 6) - 1)]
 
 
 def test_oracle_rejects_oversized_instances():
@@ -198,9 +199,10 @@ def test_oracle_deflection_splits_by_small_block():
 
 def test_oracle_memory_is_bounded_at_its_largest_shape():
     # m = 8 at r = 3 is the largest shape the oracle takes: 4 860 297
-    # configurations in 390 625 slot vectors.  Its groups run one at a
-    # time; the peak measured 32.5 MiB (the enumeration it replaced, in
-    # blocks of 1024 configurations, peaked at 33.7 MiB)
+    # configurations in 390 625 slot vectors.  Groups of up to 2^18
+    # configurations share a run, and larger ones run alone; the peak
+    # measured 20.3 MiB (32.5 MiB when each vector kept its own states, and
+    # 33.7 MiB for the enumeration of blocks of 1024 configurations)
     cycle = Hypergraph(8, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)])
     tracemalloc.start()
     try:
@@ -210,6 +212,28 @@ def test_oracle_memory_is_bounded_at_its_largest_shape():
         tracemalloc.stop()
     assert value == pytest.approx(0.20046058457020863, rel=1e-12)
     assert peak < 48 << 20
+
+
+def test_oracle_memory_is_bounded_at_its_largest_two_color_shape():
+    # m = 10 at r = 2: 26 813 184 configurations in 59 049 slot vectors.
+    # Groups of up to 2^18 configurations share a run, whose configurations
+    # bound every step's rows.  The peaks measured 6.6 MiB for mono-edge and
+    # 11.2 MiB for the deflections of all ten vertices, whose states merge
+    # least (the dynamic program that kept each vector's states apart
+    # peaked at 33 MiB on both)
+    path = Hypergraph(10, 2, [(k, k + 1) for k in range(9)])
+    for events, frozen in (
+        (MonoEdgeExists(), 0.9829452693054591),
+        ([Deflected(v, 1) for v in range(10)], 1.711071142634226),
+    ):
+        tracemalloc.start()
+        try:
+            value = exact_c0_event_prob(path, 2, events, budget=27 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(frozen, rel=1e-12)
+        assert peak < 16 << 20
 
 
 def test_oracle_simulator_refuses_m_above_its_table_limit():
@@ -223,12 +247,20 @@ def test_oracle_simulator_refuses_m_above_its_table_limit():
     path = Hypergraph(limit, 2, [(k, k + 1) for k in range(limit - 1)])
     blocked, _ = montecarlo._class_tables(path)
     slots = np.array([[v % 2 for v in range(limit)]], dtype=np.int8)
-    config, masks, count = montecarlo._visit_states(blocked, 2, slots, [limit // 2])
+    odd = sum(1 << v for v in range(1, limit, 2))
+    masks, deflected, group, count = montecarlo._visit_states(
+        blocked, 2, slots, np.zeros(1, dtype=np.int64), watch=(1 << limit) - 1
+    )
     colors = [1 + int(masks[0, 1] >> v & 1) for v in range(limit)]
     assert colors == [1 + v % 2 for v in range(limit)] == _sequential_colors(
         path, slots[0].tolist(), [list(range(1, limit, 2))]
     )
+    assert deflected.tolist() == [odd] and group.tolist() == [0]
     assert count.tolist() == [math.factorial(limit // 2)]
+    # a state key holds 2r bits per vertex and the group: m = 11 at r = 3
+    # would need 66 bits, so the dynamic program refuses it
+    with pytest.raises(ValueError):
+        montecarlo._visit_states(blocked, 3, slots[:, :11], np.zeros(1, dtype=np.int64))
     big = Hypergraph(20, 2, [(k, k + 1) for k in range(19)])
     tracemalloc.start()
     try:
@@ -481,6 +513,9 @@ def _reference_event_probs(h, r, p, events):
         (Hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)]), 2),
         (Hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)]), 3),
         (Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)]), 3),
+        # vertex 1 links (0, 1) to (1, 2) and (1, 3): a third edge can
+        # deflect it before vertex 0 is visited
+        (Hypergraph(5, 2, [(0, 1), (1, 2), (1, 3), (3, 4)]), 3),
     ],
 )
 def test_oracle_matches_a_plain_enumeration_of_every_order(h, r):
@@ -497,10 +532,22 @@ def test_oracle_matches_a_plain_enumeration_of_every_order(h, r):
         for color in range(k, r + 1)
     ]
     expected = _reference_event_probs(h, r, p, events)
+    single = {}
     for event, value in zip(events, expected):
-        assert exact_c0_event_prob(h, r, event, p=p) == pytest.approx(
-            value, rel=1e-12, abs=1e-15
-        ), event
+        single[event] = exact_c0_event_prob(h, r, event, p=p)
+        assert single[event] == pytest.approx(value, rel=1e-12, abs=1e-15), event
+    # lists that watch the deflections of only some vertices share one pass,
+    # in which states differing only at the other vertices merge
+    reference = dict(zip(events, expected))
+    mixed = [
+        [Deflected(0, 1), MonoEdgeExists(), Deflected(h.m - 1, None)],
+        [Deflected(v, r - 1) for v in range(1, h.m, 2)],
+        [MonoEdgeExists(), Deflected(2, None), events[-1], Deflected(2, 1)],
+    ]
+    for chosen in mixed:
+        value = exact_c0_event_prob(h, r, chosen, p=p)
+        assert value == sum(single[event] for event in chosen)
+        assert value == pytest.approx(sum(reference[event] for event in chosen), rel=1e-12)
     linked = [
         v for ev, v in zip(events, expected) if isinstance(ev, ChainEventSpec) and len(ev.edges) > 1
     ]
