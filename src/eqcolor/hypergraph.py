@@ -229,13 +229,23 @@ def _edge_line(ln: str) -> list[int]:
         raise FormatError(f"malformed edge line {ln!r}: {exc}") from exc
 
 
+def _color_dtype(r: int) -> np.dtype:
+    """The one integer dtype of colors 1..r, and of the kernel's slots and
+    stage-1 colors: the smallest signed dtype that holds -2r (int8 for
+    r <= 64, int16 up to 16384), capped at int64, where numpy's rule would
+    give ``object``."""
+    dtype = np.min_scalar_type(-2 * r)
+    return dtype if dtype.kind == "i" else np.dtype(np.int64)
+
+
 class Coloring:
     """Total assignment of colors 1..r to vertices, never changed once made.
 
-    ``colors`` is a read-only int64 numpy array of length m
-    (``colors.tolist()`` gives a plain list) and ``sizes`` a list of the r
-    class sizes.  The public constructor and ``from_json_dict`` validate
-    their input; the JSON shapes are plain lists.
+    ``colors`` is a read-only numpy array of length m in ``_color_dtype(r)``
+    (int8 for r <= 64; ``colors.tolist()`` gives a plain list) and ``sizes``
+    a list of the r class sizes.  The public constructor and
+    ``from_json_dict`` validate their input; the JSON shapes are plain
+    lists.
     """
 
     __slots__ = ("r", "colors", "sizes")
@@ -254,16 +264,18 @@ class Coloring:
             raise ValueError("color out of range 1..r")
         self.r = r
         self.sizes = np.bincount(array, minlength=r + 1)[1:].tolist()
-        array.flags.writeable = False
-        self.colors = array
+        self.colors = array.astype(_color_dtype(r))
+        self.colors.flags.writeable = False
 
     @classmethod
     def _trusted(cls, r: int, colors: np.ndarray, sizes: list[int]) -> "Coloring":
-        """Wrap a read-only int64 array of colors in 1..r and its class sizes
-        unchecked, for colorings the package computed itself.  ``np.bincount``
-        copies a read-only array, so callers count before they set the flag, or
-        keep the sizes up as they build, and flag once per batch where they can
-        (about 0.5 us per array)."""
+        """Wrap a read-only array of colors in 1..r, narrow in
+        ``_color_dtype(r)`` and owning its m entries (so it keeps no larger
+        array alive), and its class sizes unchecked, for colorings the
+        package computed itself.  ``np.bincount`` copies a read-only array,
+        so callers count before they set the flag, or keep the sizes up as
+        they build, and flag once per batch where they can (about 0.5 us per
+        array)."""
         out = cls.__new__(cls)
         out.r = r
         out.colors = colors
@@ -351,10 +363,11 @@ def is_proper(h: Hypergraph, coloring: Coloring) -> bool:
 
 
 def is_equitable(h: Hypergraph, coloring: Coloring) -> bool:
-    """True iff the coloring is proper and class sizes differ by at most 1."""
-    if not is_proper(h, coloring):
+    """True iff the coloring is proper and class sizes differ by at most 1.
+    The sizes are read first: they cost O(r), the edge scan O(n |E|)."""
+    if max(coloring.sizes) - min(coloring.sizes) > 1:
         return False
-    return max(coloring.sizes) - min(coloring.sizes) <= 1
+    return is_proper(h, coloring)
 
 
 def class_targets(m: int, r: int) -> list[int]:

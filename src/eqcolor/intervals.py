@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .hypergraph import Coloring, Hypergraph, _edge_values
+from .hypergraph import Coloring, Hypergraph, _color_dtype, _edge_values
 
 __all__ = [
     "InitialColoring",
@@ -184,14 +184,15 @@ def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
 
     lefts[0] = 0 <= w, so the slot of w is the number of the 2r - 2 later
     left ends ``partition.lefts[1:]`` that are at most w: a sum of 2r - 2
-    comparisons, accumulated in the smallest signed integer dtype that
-    holds -2r (int8 for r <= 64).  Slots, stage-1 colors and colors stay in
-    that dtype through the kernel and the Monte Carlo statistics; every
-    value they derive from a slot lies within +-(2r - 1)."""
+    comparisons, accumulated in ``hypergraph._color_dtype(r)``, the
+    smallest signed integer dtype that holds -2r (int8 for r <= 64).
+    Slots, stage-1 colors and colors stay in that dtype through the kernel,
+    the Monte Carlo statistics and the returned colorings; every value they
+    derive from a slot lies within +-(2r - 1)."""
     w = np.asarray(weights, dtype=float)
     if w.size and not (w.min() >= 0.0 and w.max() < 1.0):
         raise ValueError(f"weight {w[~((w >= 0.0) & (w < 1.0))][0]} outside [0, 1)")
-    slots = np.zeros(w.shape, dtype=np.min_scalar_type(-2 * partition.r))
+    slots = np.zeros(w.shape, dtype=_color_dtype(partition.r))
     for left in partition.lefts[1:]:
         slots += w >= left
     return slots
@@ -418,8 +419,9 @@ class InitialColoringBatch:
     ``row(t)`` builds row t's (WeightAssignment, InitialColoring) pair, the
     same as ``run_interval_coloring`` gives for that row alone.  The
     assignment is a view of the batch's weights and keeps its row of the
-    batch's slots; only the row's int64 colors and blocking record are
-    built for it, from the kernel's colors and deflected (key, edge) pairs.
+    batch's slots; only the row's colors, a copy in the kernel's narrow
+    dtype, and its blocking record are built for it, from the kernel's
+    colors and deflected (key, edge) pairs.
     ``_assignment(t)`` and ``_coloring(t)`` build the pair's assignment and
     coloring alone, for callers that need no blocking record.
     """
@@ -430,8 +432,8 @@ class InitialColoringBatch:
         self._weights = weights
         self._partition = partition
         self._slots = slots
-        # the kernel's colors in the slots' dtype: rows widen theirs, and the
-        # solver's screen scans them
+        # the kernel's colors in the slots' dtype, which rows copy and the
+        # solver's screen scans
         self._narrow = narrow
         self._deflections = deflections
         self._deflected = deflected
@@ -449,7 +451,8 @@ class InitialColoringBatch:
 
     def _coloring(self, t: int) -> Coloring:
         r = self._partition.r
-        colors = self._narrow[t].astype(np.int64)
+        # a copy, so the coloring does not keep the whole batch alive
+        colors = self._narrow[t].copy()
         sizes = np.bincount(colors, minlength=r + 1)[1:].tolist()
         colors.flags.writeable = False
         return Coloring._trusted(r, colors, sizes)
@@ -502,14 +505,14 @@ def balanced_mono_prob(m: int, n: int, r: int) -> MonoProbability:
 
 
 def _colors_at_sizes(perms: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Read-only int64 colors, one row per row of the (T, m) permutations
-    ``perms``: vertex perms[t, j] takes the j-th entry of 1, ..., 1, 2, ...,
-    r, which holds sizes[i-1] copies of color i.  A uniform permutation
+    """Read-only colors in ``_color_dtype(r)``, one row per row of the
+    (T, m) permutations ``perms``: vertex perms[t, j] takes the j-th entry
+    of 1, ..., 1, 2, ..., r, which holds sizes[i-1] copies of color i.  A uniform permutation
     cut into consecutive blocks gives each coloring with those class sizes
     from the same number of permutations, so a uniform row gives a uniform
     coloring.  The solver's balanced route and the Monte Carlo
     ``balanced-mono`` draw both color through it."""
-    colors = np.empty(perms.shape, dtype=np.int64)
+    colors = np.empty(perms.shape, dtype=_color_dtype(len(sizes)))
     labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     colors[np.arange(len(perms))[:, None], perms] = labels
     colors.flags.writeable = False

@@ -156,12 +156,12 @@ def _sample(
     ``stat(colors, deflections, slots, u, keep)`` gets the sub-batch's
     (T, m) arrays (``deflections`` and ``slots`` are None for balanced
     draws, ``keep`` is None unless ``with_keep``) and returns one integer
-    or boolean value per trial.  From the kernel, ``slots`` and
-    ``colors`` come in the narrow signed dtype of ``_weight_slots`` (int8
-    for r <= 64; balanced colors are int64), so a statistic computes in
-    that dtype only what stays within +-2r and widens the rest.  The sums
-    of values and squared values come back for the caller to turn into
-    estimate and half-width."""
+    or boolean value per trial.  ``slots`` and ``colors``, from the kernel
+    or a balanced draw, come in the narrow signed dtype
+    ``hypergraph._color_dtype(r)`` (int8 for r <= 64), so a statistic
+    computes in that dtype only what stays within +-2r and widens the rest.
+    The sums of values and squared values come back for the caller to turn
+    into estimate and half-width."""
     partition = None if p is None else IntervalPartition(p, r)
     m = h.m
     sizes = class_targets(m, r)

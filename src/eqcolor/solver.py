@@ -38,6 +38,7 @@ from .chains import ChainRecord, MonoEdge, extract_chain
 from .hypergraph import (
     Coloring,
     Hypergraph,
+    _color_dtype,
     _mono_edges,
     _power_exceeds,
     brute_force_equitable,
@@ -211,7 +212,7 @@ def greedy_repair(
                 break
     if over:
         return None
-    out = np.array(colors, dtype=np.int64)
+    out = np.array(colors, dtype=_color_dtype(r))
     out.flags.writeable = False
     return Coloring._trusted(r, out, sizes)
 
@@ -380,17 +381,21 @@ def _screen_batch(
 
     A two-stage batch draws one ``sample_weights`` array per block
     segment (its attempts that share one generator) and is colored by one
-    kernel call, and the screen reads the kernel's colors in the slots'
-    narrow dtype.  A balanced batch draws one ``permutation(m)`` per
+    kernel call.  A balanced batch draws one ``permutation(m)`` per
     attempt and is colored at the class targets by one ``_colors_at_sizes``
-    call; its colors array is the batch, and its rows have no weights."""
+    call; its colors array is the batch, and its rows have no weights.
+    Both color in ``_color_dtype(r)``, which the screen reads as it is, and
+    a row's coloring holds a copy of its row, so a returned coloring keeps
+    no batch alive."""
     rngs = list(itertools.islice(streams, size))
     if partition is None:
         targets = class_targets(h.m, r)
         batch = colors = _colors_at_sizes(np.stack([rng.permutation(h.m) for rng in rngs]), targets)
 
         def row(t: int) -> _Row:
-            return None, Coloring._trusted(r, colors[t], list(targets))
+            own = colors[t].copy()
+            own.flags.writeable = False
+            return None, Coloring._trusted(r, own, list(targets))
 
     else:
         draws = [sample_weights(h.m, rng, len(list(seg))) for rng, seg in itertools.groupby(rngs)]

@@ -24,7 +24,7 @@ from eqcolor import (
     is_proper,
     parse_hypergraph,
 )
-from eqcolor.hypergraph import _edge_values, _mono_edges
+from eqcolor.hypergraph import _color_dtype, _edge_values, _mono_edges
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (1, 2), (0, 2)])
 K4 = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -108,9 +108,18 @@ def test_coloring_constructor_validates_and_stores_an_array():
         Coloring(4, 3, [0, 3, 0, 3])  # a 0, once "unassigned", is refused
     c = Coloring(4, 3, [1, 3, 1, 3])
     assert c.sizes == [2, 0, 2]
-    assert isinstance(c.colors, np.ndarray) and c.colors.dtype == np.int64
+    assert isinstance(c.colors, np.ndarray) and c.colors.dtype == _color_dtype(3)
     assert c.colors.tolist() == [1, 3, 1, 3]
     assert all(type(s) is int for s in c.sizes)
+
+
+def test_color_dtype_widens_with_r_and_stops_at_int64():
+    assert [_color_dtype(r) for r in (1, 64, 65, 16384, 16385)] == [
+        np.int8, np.int8, np.int16, np.int16, np.int32,
+    ]
+    # numpy's own rule gives object past int64
+    assert np.min_scalar_type(-2 * 2**70) == object
+    assert _color_dtype(2**62) == _color_dtype(2**70) == np.int64
 
 
 def test_coloring_refuses_non_integer_colors():
@@ -196,6 +205,33 @@ def test_is_proper_and_equitable():
     assert is_equitable(PATH4, skew)
     lopsided = Coloring(4, 4, [1, 2, 1, 2])  # proper, but sizes (2,2,0,0)
     assert is_proper(PATH4, lopsided) and not is_equitable(PATH4, lopsided)
+
+
+def test_is_equitable_reads_the_sizes_before_the_edges(monkeypatch):
+    from eqcolor import hypergraph
+
+    scans = []
+    mono_edges = hypergraph._mono_edges
+
+    def counting(h, colors):
+        scans.append(len(colors))
+        return mono_edges(h, colors)
+
+    monkeypatch.setattr(hypergraph, "_mono_edges", counting)
+    # an unbalanced coloring is refused without an edge scan
+    assert not is_equitable(PATH4, Coloring(4, 2, [1, 1, 1, 2]))
+    assert scans == []
+    # and every answer is the one of the scan-first order
+    rng = np.random.default_rng(29)
+    answers = []
+    for _ in range(500):
+        m, r = int(rng.integers(4, 10)), int(rng.integers(2, 4))
+        h = generate_random(m, 2, int(rng.integers(0, m)), int(rng.integers(2**32)))
+        c = Coloring(m, r, rng.integers(1, r + 1, m).tolist())
+        expected = is_proper(h, c) and max(c.sizes) - min(c.sizes) <= 1
+        assert is_equitable(h, c) == expected
+        answers.append(expected)
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_mono_edges_is_one_scan_for_single_and_batched_colorings():

@@ -24,6 +24,7 @@ from eqcolor import (
     sample_weights,
 )
 from eqcolor.chains import _chain_event_holds, _conflicting
+from eqcolor.hypergraph import _color_dtype
 from eqcolor.intervals import _assignment_slots, _colors_at_sizes, _weight_slots
 from eqcolor.rebalance import build_rebalance_plan
 
@@ -289,7 +290,7 @@ def test_weight_array_colors_each_row_as_alone():
             alone = run_interval_coloring(h, r, part, WeightAssignment(row))
             assert isinstance(alone, InitialColoring)
             assert got.coloring == alone.coloring and got.coloring.sizes == alone.coloring.sizes
-            assert got.coloring.colors.dtype == np.int64 and not got.coloring.colors.flags.writeable
+            assert got.coloring.colors.dtype == _color_dtype(r) and not got.coloring.colors.flags.writeable
             assert np.array_equal(batch._narrow[t], alone.coloring.colors)
             assert (got.deflections, got.occupancy) == (alone.deflections, alone.occupancy)
             assert np.array_equal(got.blocking, alone.blocking)
@@ -322,7 +323,7 @@ def test_long_weight_arrays_keep_occupancy_wide():
             blocks = [part.slot_of(x) // 2 for x in row.tolist()]
             assert got.occupancy == alone.occupancy == tuple(blocks.count(i) for i in range(r))
             assert got.coloring == alone.coloring
-            assert got.coloring.colors.dtype == np.int64
+            assert got.coloring.colors.dtype == _color_dtype(r)
 
 
 def test_slots_are_computed_once_per_weight_assignment(monkeypatch):
@@ -427,7 +428,7 @@ def test_sample_balanced_sizes_and_determinism():
     perms = np.array([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]])
     colors = _colors_at_sizes(perms, [3, 2])
     assert colors.tolist() == [[1, 1, 1, 2, 2], [2, 2, 1, 1, 1], [1, 2, 1, 2, 1]]
-    assert colors.dtype == np.int64 and not colors.flags.writeable
+    assert colors.dtype == _color_dtype(2) and not colors.flags.writeable
 
 
 def test_trusted_colorings_equal_validated_ones():
@@ -448,7 +449,7 @@ def test_trusted_colorings_equal_validated_ones():
         for c in drawn:
             again = Coloring(c.m, c.r, c.colors.tolist())
             assert c == again and c.sizes == again.sizes
-            assert c.colors.dtype == np.int64 and all(type(s) is int for s in c.sizes)
+            assert c.colors.dtype == _color_dtype(r) and all(type(s) is int for s in c.sizes)
 
 
 def test_initial_coloring_json_is_plain():

@@ -878,3 +878,63 @@ def test_slots_are_computed_once_per_kernel_batch(monkeypatch):
     assert attempts == [1, 2] and len(plans) == 2
     assert sizes == [1, 1, 1]
     assert slot_calls == [(1, 100_000)] * 3
+
+
+def test_returned_colorings_hold_only_their_own_m_entries():
+    # a balanced row was once a view of its whole (T, m) batch, which the
+    # returned coloring then kept alive
+    from eqcolor import generate_random
+
+    cases = [
+        # the balanced route, accepted on the second row of a two-row batch
+        (generate_random(12, 3, 6, 2), SolveConfig(seed=2, force_path=BALANCED_ONLY), 2),
+        # two-stage, closed by rebalancing on attempt 3
+        (generate_random(1000, 6, 1200, 1), SolveConfig(seed=0), 3),
+        # two-stage, closed by greedy repair on attempt 2
+        (generate_random(250, 6, 125, 3), SolveConfig(seed=0), 2),
+    ]
+    for h, cfg, attempts in cases:
+        report = solve_equitable(h, 3, cfg)
+        assert report.outcome == SUCCESS and report.attempts == attempts
+        colors = report.coloring.colors
+        assert colors.base is None or colors.base.size == h.m
+        assert colors.nbytes == h.m and not colors.flags.writeable
+
+
+@pytest.mark.parametrize("r, dtype", [(64, np.int8), (65, np.int16)])
+def test_every_producer_stores_colors_in_the_color_dtype(r, dtype):
+    from eqcolor.hypergraph import _color_dtype
+    from eqcolor.intervals import IntervalPartition, run_interval_coloring, sample_weights
+    from eqcolor.rebalance import apply_recolor
+
+    assert _color_dtype(r) == dtype
+    m = 2 * r
+    h = Hypergraph(m, 2, [])
+    balanced = list(range(1, r + 1)) * 2
+    # color 1 twice over target, colors r - 1 and r once under it
+    skew = [1, 1] + list(range(1, r + 1)) + list(range(1, r - 1))
+    one = np.array([0])
+    produced = {
+        "constructor": Coloring(m, r, balanced),
+        "json": Coloring.from_json_dict({"r": r, "colors": balanced}),
+        "kernel row": run_interval_coloring(
+            h, r, IntervalPartition(0.5, r), sample_weights(m, 0, rows=2)
+        ).row(1)[1].coloring,
+        "balanced draw": solve_equitable(h, r, SolveConfig(force_path=BALANCED_ONLY)).coloring,
+        "greedy repair": greedy_repair(h, Coloring(m, r, skew), class_targets(m, r)),
+        "recolor": apply_recolor(Coloring(m, r, balanced), (one,) + (one[:0],) * (r - 2)),
+    }
+    for name, c in produced.items():
+        assert c.colors.dtype == dtype, name
+        assert not c.colors.flags.writeable and c.colors.base is None, name
+        assert c == Coloring(m, r, c.colors.tolist()), name
+    assert produced["recolor"].sizes == [1] + [2] * (r - 2) + [3]
+
+
+def test_a_solve_sparse_coloring_holds_one_byte_per_vertex():
+    from eqcolor import generate_random
+
+    h = generate_random(100_000, 8, 10_000, 1)
+    report = solve_equitable(h, 4, SolveConfig(seed=0))
+    assert report.outcome == SUCCESS and report.plan is not None and report.plan.feasible
+    assert report.coloring.colors.nbytes == h.m
