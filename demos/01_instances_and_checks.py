@@ -17,10 +17,11 @@ from eqcolor import (
     parse_hypergraph,
 )
 
-# A 4-cycle as a 2-uniform hypergraph.  Edges are plain vertex tuples;
+# A 4-cycle as a 2-uniform hypergraph.  Edges go in as vertex tuples and
+# are stored as the sorted rows of one read-only array, edge_array;
 # vertices are 0..m-1.
 cycle = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3), (3, 0)])
-print("cycle:", cycle.m, "vertices,", len(cycle.edges), "edges")
+print("cycle:", cycle.m, "vertices,", len(cycle.edge_array), "edges")
 
 # The text format: header line "m n E", one edge per line, # comments allowed.
 text = """\
@@ -31,7 +32,7 @@ text = """\
 2 3
 3 0
 """
-assert parse_hypergraph(text).edges == cycle.edges
+assert parse_hypergraph(text) == cycle
 
 # Colorings give every vertex one of the colors 1..r, and never change.
 alternating = Coloring(4, 2, [1, 2, 1, 2])
@@ -55,8 +56,8 @@ assert witness.colors.tolist() == [1, 2, 1, 2, 1]
 
 # Random instances are seeded and reproducible.
 h = generate_random(m=12, n=3, num_edges=8, seed=42)
-assert generate_random(m=12, n=3, num_edges=8, seed=42).edges == h.edges
-print("random instance edges:", h.edges[:4], "...")
+assert generate_random(m=12, n=3, num_edges=8, seed=42) == h
+print("random instance edges:", h.edge_array[:4].tolist(), "...")
 
 # The guarantee threshold: instances with fewer edges than this are always
 # equitably r-colorable for large n.  At desk scale the flag warns that the

@@ -26,7 +26,7 @@ for n, r in ((100, 2), (1000, 3)):
 # large_2 = [0.6, 1.0).  Blocks are numbered by slot: large_i is slot 2i-2
 # and small_i slot 2i-1.
 part = IntervalPartition(0.2, 2)
-print("slot lengths:", [round(w, 3) for w in part.slot_lengths()])
+print("left ends:", [round(x, 3) for x in part.lefts])
 for x in (0.1, 0.45, 0.95):
     print(f"  slot_of({x}) ->", part.slot_of(x))
 
@@ -43,7 +43,7 @@ print("occupancy Z:", init.occupancy)
 # blocking holds, per vertex, the edge that deflected it, -1 for none.
 deflected = np.flatnonzero(init.blocking >= 0)
 for v, e in zip(deflected.tolist(), init.blocking[deflected].tolist()):
-    print(f"vertex {v} deflected by edge {e} {h.edges[e]}")
+    print(f"vertex {v} deflected by edge {e} {h.edge_array[e].tolist()}")
 
 # The bookkeeping identity: each class collects its block occupants, minus
 # the vertices deflected out, plus the ones deflected in.

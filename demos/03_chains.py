@@ -57,7 +57,7 @@ print(f"P((0,1)->(1,2) chained for color 2) ~ {rep.estimate:.4f} +- {rep.half_wi
 # Candidate counting drives the union bound: the number of edge sequences
 # that could possibly chain is at most 2 * C(|E|, k).
 h3 = Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
-ne = len(h3.edges)
+ne = len(h3.edge_array)
 for k in (1, 2, 3):
     count, seqs = enumerate_chain_candidates(h3, k)
     print(f"k={k}: {count} candidates (bound {2 * math.comb(ne, k)})",

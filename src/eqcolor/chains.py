@@ -144,6 +144,13 @@ def _conflicting(h, slots, key, colors, b_edge, a_edge, color) -> np.ndarray:
     return ok & (colors[:, b[b != v]] == color - 1).all(axis=1)
 
 
+def _first_last(wa: WeightAssignment, vertices: Collection[int]) -> tuple[int, int]:
+    """The first and the last of ``vertices`` in the order of the key
+    (weights[v], v): by weight, exact ties by vertex id."""
+    ordered = sorted(vertices, key=lambda v: (wa.weights[v], v))
+    return ordered[0], ordered[-1]
+
+
 def _block(slot: int) -> str:
     """Name of a slot: large_c for slot 2c-2, small_c for slot 2c-1."""
     return f"{'small' if slot % 2 else 'large'}_{slot // 2 + 1}"
@@ -165,7 +172,7 @@ def _walk_back(
     links: list[ChainLink] = []
     c = color
     while True:
-        u = wa.first_vertex(members)
+        u = _first_last(wa, members)[0]
         if cols[u] != c:
             raise RuntimeError(
                 f"chain walk inconsistency: vertex {u} should carry color {c}, found {cols[u]}"
@@ -368,11 +375,11 @@ def validate_chain(
             f"link {j} must have been deflected by edge {j} of the chain",
         )
         _check(
-            wa.last_vertex(list(member_sets[j])) == v,
+            _first_last(wa, member_sets[j])[1] == v,
             f"link {j} must be the last vertex of edge {j}",
         )
         _check(
-            wa.first_vertex(list(member_sets[j + 1])) == v,
+            _first_last(wa, member_sets[j + 1])[0] == v,
             f"link {j} must be the first vertex of edge {j + 1}",
         )
         _check(
@@ -390,7 +397,7 @@ def validate_chain(
             "terminal must have been deflected by the last edge",
         )
         _check(
-            wa.last_vertex(list(member_sets[-1])) == terminal,
+            _first_last(wa, member_sets[-1])[1] == terminal,
             "terminal must be the last vertex of the last edge",
         )
 

@@ -7,7 +7,6 @@ Instances round-trip through a plain text format and through JSON.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import chain, combinations, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -50,11 +49,9 @@ class Hypergraph:
     CSR pair ``incidence`` = (indptr, indices) of read-only int64 arrays
     lists vertex v's edges in increasing order as
     indices[indptr[v]:indptr[v + 1]]; it is built on first read and cached.
-    ``edges``, the rows as sorted tuples, is a lazy view for users that no
-    package code reads.
     """
 
-    __slots__ = ("m", "n", "edge_array", "_incidence", "_edges")
+    __slots__ = ("m", "n", "edge_array", "_incidence")
 
     def __init__(self, m: int, n: int, edges: Iterable[Sequence[int]]):
         if m <= 0:
@@ -80,7 +77,6 @@ class Hypergraph:
         self.edge_array = rows.astype(np.int32)
         self.edge_array.flags.writeable = False
         self._incidence: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._edges: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
@@ -98,13 +94,6 @@ class Hypergraph:
             self._incidence = (indptr, indices)
         return self._incidence
 
-    @property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of ``edge_array`` as sorted tuples, built on first read."""
-        if self._edges is None:
-            self._edges = tuple(map(tuple, self.edge_array.tolist()))
-        return self._edges
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
@@ -121,9 +110,6 @@ class Hypergraph:
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "edges": self.edge_array.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Hypergraph":
@@ -296,9 +282,6 @@ class Coloring:
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "colors": self.colors.tolist(), "sizes": list(self.sizes)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Coloring":

@@ -94,23 +94,13 @@ class IntervalPartition:
             raise ValueError(f"weight {x} outside [0, 1)")
         return sum(1 for left in self.lefts[1:] if left <= x)
 
-    def slot_lengths(self) -> list[float]:
-        big = (1.0 - self.p) / self.r
-        small = self.p / (self.r - 1)
-        out = []
-        for _ in range(self.r - 1):
-            out.append(big)
-            out.append(small)
-        out.append(big)
-        return out
-
 
 class WeightAssignment:
     """Vertex weights, which order the vertices.
 
     Ties (which have probability zero under continuous draws but can be
-    constructed) break by vertex id: every first/last comparison in the
-    package orders vertices by the key (weights[v], v).  The weights must
+    constructed) break by vertex id: the kernel and the chain layer
+    (``chains._first_last``) order vertices by the key (weights[v], v).  The weights must
     not change after construction: the slots computed from them are kept
     (see ``_assignment_slots``).
     """
@@ -124,16 +114,6 @@ class WeightAssignment:
         self.weights = w
         # (partition, slots) once computed for some partition
         self._slots = None
-
-    @property
-    def m(self) -> int:
-        return len(self.weights)
-
-    def first_vertex(self, vertices: Sequence[int]) -> int:
-        return min(vertices, key=lambda v: (self.weights[v], v))
-
-    def last_vertex(self, vertices: Sequence[int]) -> int:
-        return max(vertices, key=lambda v: (self.weights[v], v))
 
 
 def sample_weights(

@@ -173,7 +173,7 @@ def test_failure_events_yield_valid_chains(coloring_runs):
     with gate("all mono edges / deflections certify as valid chains (10000 runs)"):
         for h, r, part, wa, init in coloring_runs:
             cols = init.coloring.colors
-            for ei, edge in enumerate(h.edges):
+            for ei, edge in enumerate(h.edge_array.tolist()):
                 c = cols[edge[0]]
                 if c and all(cols[v] == c for v in edge):
                     rec = extract_chain(h, part, wa, init, MonoEdge(ei, c))
@@ -196,15 +196,15 @@ def test_failure_events_yield_valid_chains(coloring_runs):
 
 
 def _counts_within_bounds(h):
-    ne = len(h.edges)
+    ne = len(h.edge_array)
     for k in range(1, ne + 1):
         count, seqs = enumerate_chain_candidates(h, k)
         assert count == len(seqs)
-        assert count <= 2 * math.comb(ne, k), (h.edges, k)
+        assert count <= 2 * math.comb(ne, k), (h.edge_array.tolist(), k)
     for last in range(ne):
         for k in range(2, ne + 1):
             count, _ = enumerate_chain_candidates(h, k, kind=COMPLEX, last_edge=last)
-            assert count <= 2 * math.comb(ne, k - 1), (h.edges, k, last)
+            assert count <= 2 * math.comb(ne, k - 1), (h.edge_array.tolist(), k, last)
 
 
 def test_candidate_enumeration_bounds():
@@ -260,7 +260,7 @@ def test_chain_lemma_exact():
                 for color in range(k, r + 1)
             ]
             mono = exact_c0_event_prob(h, r, MonoEdgeExists())
-            assert mono <= exact_c0_event_prob(h, r, events), (h.edges, r)
+            assert mono <= exact_c0_event_prob(h, r, events), (h.edge_array.tolist(), r)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,8 @@ def test_partition_soundness():
             r = int(rng.integers(2, 8))
             p = float(rng.uniform(0.01, 0.9))
             part = IntervalPartition(p, r)
-            lengths = part.slot_lengths()
+            # the closed forms: large blocks (1 - p)/r, small ones p/(r - 1)
+            lengths = [(1.0 - p) / r, p / (r - 1)] * (r - 1) + [(1.0 - p) / r]
             assert len(lengths) == 2 * r - 1
             assert abs(sum(lengths) - 1.0) <= 1e-12
             left = 0.0

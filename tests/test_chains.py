@@ -20,6 +20,7 @@ from eqcolor import (
     MonoEdge,
     ORDERED,
     WeightAssignment,
+    brute_force_equitable,
     build_rebalance_plan,
     chain_probability_bound,
     choose_p,
@@ -248,7 +249,7 @@ def test_extraction_agrees_with_event_predicate():
         wa = sample_weights(m, int(rng.integers(0, 2**32)))
         init = run_interval_coloring(h, r, part, wa)
         cols = init.coloring.colors
-        for idx, e in enumerate(h.edges):
+        for idx, e in enumerate(h.edge_array.tolist()):
             c = cols[e[0]]
             if all(cols[v] == c for v in e[1:]):
                 rec = extract_chain(h, part, wa, init, MonoEdge(idx, c))
@@ -292,9 +293,9 @@ def test_enumerate_reversal_symmetry_random():
         m = int(rng.integers(4, 9))
         ne = int(rng.integers(1, min(math.comb(m, 3), 5) + 1))
         h = _random_instance(m, 3, ne, rng)
-        for k in range(1, len(h.edges) + 1):
+        for k in range(1, len(h.edge_array) + 1):
             count, seqs = enumerate_chain_candidates(h, k)
-            assert count <= 2 * math.comb(len(h.edges), k)
+            assert count <= 2 * math.comb(len(h.edge_array), k)
             seen = set(seqs)
             for s in seqs:
                 assert tuple(reversed(s)) in seen
@@ -336,7 +337,7 @@ def test_enumerate_rejects_last_edge_out_of_range():
 def _enumerate_two_walks(h, k, kind=ORDERED, last_edge=None, budget=10**7):
     """enumerate_chain_candidates as it was with one walk per pattern, kept
     as the reference for the single grower."""
-    edges = [set(e) for e in h.edges]
+    edges = [set(e) for e in h.edge_array.tolist()]
     num = len(edges)
     visits = 0
     results = []
@@ -457,9 +458,10 @@ def test_bound_chain_decays_in_k():
 def _chain_event_per_trial(h, slots, key, colors, seq, color):
     """The chain predicate as it was before it took (T, m) arrays, on one
     trial's plain lists, kept as the reference for the array version."""
+    edges = h.edge_array.tolist()
 
     def conflicting(b_edge, a_edge, c):
-        b, a = h.edges[b_edge], h.edges[a_edge]
+        b, a = edges[b_edge], edges[a_edge]
         shared = set(b) & set(a)
         if len(shared) != 1:
             return False
@@ -477,13 +479,13 @@ def _chain_event_per_trial(h, slots, key, colors, seq, color):
     k = len(seq)
     if color - k + 1 < 1:
         return False
-    if any(colors[v] != color for v in h.edges[seq[-1]]):
+    if any(colors[v] != color for v in edges[seq[-1]]):
         return False
     if k == 1:
-        return all(slots[v] == 2 * color - 2 for v in h.edges[seq[0]])
+        return all(slots[v] == 2 * color - 2 for v in edges[seq[0]])
     if not all(conflicting(seq[j - 1], seq[j], color - k + j + 1) for j in range(1, k)):
         return False
-    u = min(h.edges[seq[0]], key=lambda w: (key[w], w))
+    u = min(edges[seq[0]], key=lambda w: (key[w], w))
     c_1 = color - k + 1
     return slots[u] in (2 * c_1 - 2, 2 * c_1 - 1)
 
@@ -505,7 +507,7 @@ def test_chain_predicates_over_a_batch_match_each_trial():
         key = np.stack([wa.weights for wa in was])
         colors = np.stack([init.coloring.colors for init in inits])
         lists = list(zip(slots.tolist(), key.tolist(), colors.tolist()))
-        num = len(h.edges)
+        num = len(h.edge_array)
         for b in range(num):
             for a in range(num):
                 for c in range(2, r + 1):
@@ -525,7 +527,7 @@ def test_chain_predicates_over_a_batch_match_each_trial():
                 for s in seqs
                 if len(s) == k - 1
                 for e in range(num)
-                if e not in s and len(set(h.edges[s[-1]]) & set(h.edges[e])) == 1
+                if e not in s and len(set(h.edge_array[s[-1]]) & set(h.edge_array[e])) == 1
             ]
         for seq in seqs:
             for color in range(1, r + 1):
@@ -539,3 +541,26 @@ def test_chain_predicates_over_a_batch_match_each_trial():
                 events += sum(rows) if len(seq) > 1 else 0
     # conflicting pairs and chains of two or more edges both occur
     assert pairs > 50 and events > 20
+
+
+def test_chain_extraction_and_validation_on_each_failure_kind():
+    h = Hypergraph(3, 2, [(0, 1), (1, 2)])
+    wa = WeightAssignment((0.1, 0.45, 0.7))
+    init = run_interval_coloring(h, 2, P2, wa)
+    for failure in (MonoEdge(1, 2), Deflected(1, 1), DangerousEdge(0, (0,))):
+        rec = extract_chain(h, P2, wa, init, failure)
+        validate_chain(h, P2, wa, init, rec, vsets=({0},) if rec.kind == COMPLEX else None)
+        with pytest.raises(ChainInvalid):
+            validate_chain(h, P2, wa, init, dataclasses.replace(rec, color=rec.color + 1))
+    with pytest.raises(ValueError):
+        extract_chain(h, P2, wa, init, MonoEdge(0, 1))
+
+
+def test_candidate_enumeration_and_brute_force():
+    k4 = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    # two triangles sharing vertex 2, plus an edge across
+    tris = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
+    assert enumerate_chain_candidates(tris, 2)[0] == 6
+    assert enumerate_chain_candidates(tris, 2, kind=COMPLEX, last_edge=3)[0] == 3
+    assert brute_force_equitable(tris, 2) is not None
+    assert brute_force_equitable(k4, 2) is None and brute_force_equitable(k4, 1) is None

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqcolor import Coloring, FormatError, Hypergraph, is_equitable, mc_estimate, parse_hypergraph
-from eqcolor import cli
+from eqcolor import cli, hypergraph
 from eqcolor.cli import run_cli
 from eqcolor.montecarlo import _SPECS, QUANTITIES
 
@@ -38,7 +38,7 @@ def k4_file(tmp_path):
 def test_gen_text_roundtrips(capsys):
     assert run_cli(["gen", "-m", "6", "-n", "2", "--edges", "4", "--seed", "1"]) == 0
     h = parse_hypergraph(capsys.readouterr().out)
-    assert h.m == 6 and h.n == 2 and len(h.edges) == 4
+    assert h.m == 6 and h.n == 2 and len(h.edge_array) == 4
 
 
 def test_gen_json(capsys):
@@ -62,7 +62,7 @@ def test_solve_success_emits_coloring(capsys, path_file):
     assert obj["r"] == 2 and sorted(obj["sizes"]) == [2, 2]
     h = parse_hypergraph(PATH_TEXT)
     colors = obj["colors"]
-    for e in h.edges:
+    for e in h.edge_array.tolist():
         assert len({colors[v] for v in e}) > 1
 
 
@@ -98,16 +98,36 @@ def test_solve_reads_stdin(capsys, monkeypatch):
 
 def test_verify_accepts_equitable(capsys, tmp_path, path_file):
     cfile = tmp_path / "coloring.json"
-    cfile.write_text(Coloring(4, 2, [1, 2, 1, 2]).to_json())
+    cfile.write_text(json.dumps(Coloring(4, 2, [1, 2, 1, 2]).to_json_dict()))
     assert run_cli(["verify", path_file, str(cfile), "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["proper"] and obj["equitable"]
     assert obj["targets"] == [2, 2]
 
 
+def test_verify_scans_the_edges_once_for_an_equitable_coloring(
+    capsys, monkeypatch, tmp_path, path_file
+):
+    calls = []
+    mono_edges = hypergraph._mono_edges
+
+    def counting(h, colors):
+        calls.append(h)
+        return mono_edges(h, colors)
+
+    monkeypatch.setattr(hypergraph, "_mono_edges", counting)
+    cfile = tmp_path / "coloring.json"
+    cfile.write_text(json.dumps(Coloring(4, 2, [1, 2, 1, 2]).to_json_dict()))
+    assert run_cli(["verify", path_file, str(cfile), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "proper": True, "equitable": True, "sizes": [2, 2], "targets": [2, 2],
+    }
+    assert len(calls) == 1
+
+
 def test_verify_rejects_improper(capsys, tmp_path, path_file):
     cfile = tmp_path / "bad.json"
-    cfile.write_text(Coloring(4, 2, [1, 1, 2, 2]).to_json())
+    cfile.write_text(json.dumps(Coloring(4, 2, [1, 1, 2, 2]).to_json_dict()))
     assert run_cli(["verify", path_file, str(cfile)]) == 2
     assert "proper: False" in capsys.readouterr().out
 
@@ -116,13 +136,13 @@ def test_verify_rejects_uneven_sizes(capsys, tmp_path):
     inst = tmp_path / "free.txt"
     inst.write_text("4 2 0\n")
     cfile = tmp_path / "skew.json"
-    cfile.write_text(Coloring(4, 2, [1, 1, 1, 2]).to_json())
+    cfile.write_text(json.dumps(Coloring(4, 2, [1, 1, 1, 2]).to_json_dict()))
     assert run_cli(["verify", str(inst), str(cfile)]) == 2
 
 
 def test_verify_checks_vertex_count(capsys, tmp_path, path_file):
     cfile = tmp_path / "short.json"
-    cfile.write_text(Coloring(3, 2, [1, 2, 1]).to_json())
+    cfile.write_text(json.dumps(Coloring(3, 2, [1, 2, 1]).to_json_dict()))
     assert run_cli(["verify", path_file, str(cfile)]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -179,11 +199,11 @@ def test_verify_rejects_a_non_integer_r(capsys, tmp_path, path_file, r):
 
 @pytest.mark.parametrize("key, value", [("m", 4.5), ("m", "4"), ("n", 2.0), ("n", True)])
 def test_solve_and_verify_reject_a_non_integer_instance_size(capsys, tmp_path, key, value):
-    obj = dict(json.loads(Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)]).to_json()), **{key: value})
+    obj = dict(Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)]).to_json_dict(), **{key: value})
     inst = tmp_path / "bad.json"
     inst.write_text(json.dumps(obj))
     cfile = tmp_path / "c.json"
-    cfile.write_text(Coloring(4, 2, [1, 2, 1, 2]).to_json())
+    cfile.write_text(json.dumps(Coloring(4, 2, [1, 2, 1, 2]).to_json_dict()))
     assert run_cli(["solve", str(inst), "-r", "2"]) == 1
     assert "not an integer" in capsys.readouterr().err
     assert run_cli(["verify", str(inst), str(cfile)]) == 1
@@ -196,7 +216,7 @@ def test_solve_and_verify_reject_a_non_integer_vertex_id(capsys, tmp_path, edges
     inst = tmp_path / "bad.json"
     inst.write_text(json.dumps({"m": 3, "n": 2, "edges": edges}))
     cfile = tmp_path / "c.json"
-    cfile.write_text(Coloring(3, 2, [1, 2, 1]).to_json())
+    cfile.write_text(json.dumps(Coloring(3, 2, [1, 2, 1]).to_json_dict()))
     assert run_cli(["solve", str(inst), "-r", "2"]) == 1
     assert "not an integer" in capsys.readouterr().err
     assert run_cli(["verify", str(inst), str(cfile)]) == 1
@@ -213,6 +233,18 @@ def test_solve_rejects_more_colors_than_vertices(capsys, tmp_path):
     cfile = tmp_path / "c.json"
     cfile.write_text(capsys.readouterr().out)
     assert run_cli(["verify", str(inst), str(cfile)]) == 0
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["mc", "--quantity", "mono-edge", "--trials", "200"]])
+def test_oracle_and_mc_reject_more_colors_than_vertices(capsys, tmp_path, command):
+    # solve's check: oracle once wrote a coloring with two empty classes,
+    # which verify refused, and mc's memory grew with r through its
+    # deflection counts
+    inst = tmp_path / "pair.txt"
+    inst.write_text("3 2 1\n0 1\n")
+    assert run_cli([command[0], str(inst), "-r", "5", *command[1:]]) == 1
+    assert "exceeds the 3 vertices" in capsys.readouterr().err
+    assert run_cli([command[0], str(inst), "-r", "3", *command[1:]]) == 0
 
 
 def test_oracle_budget_error(capsys, k4_file):
@@ -638,3 +670,17 @@ def test_solve_oracle_and_mc_exit_0_1_or_2_on_small_instances(tmp_path_factory, 
         cfile.write_text(json.dumps(written["coloring"] if "--explain" in argv else written))
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_cli(["verify", str(inst), str(cfile)]) == 0
+
+
+def test_cli_subcommands(capsys, tmp_path):
+    # two triangles sharing vertex 2, plus an edge across
+    inst = tmp_path / "tris.txt"
+    inst.write_text("6 3 4\n0 1 2\n2 3 4\n3 4 5\n0 4 5\n")
+    assert run_cli(["solve", str(inst), "-r", "2", "--explain"]) in (0, 2)
+    capsys.readouterr()
+    assert run_cli(["solve", str(inst), "-r", "2"]) == 0
+    cfile = tmp_path / "coloring.json"
+    cfile.write_text(capsys.readouterr().out)
+    assert run_cli(["verify", str(inst), str(cfile)]) == 0
+    assert run_cli(["oracle", str(inst), "-r", "2"]) == 0
+    assert run_cli(["mc", str(inst), "-r", "2", "--quantity", "mono-edge", "--trials", "200"]) == 0

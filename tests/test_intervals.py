@@ -23,7 +23,7 @@ from eqcolor import (
     run_interval_coloring,
     sample_weights,
 )
-from eqcolor.chains import _chain_event_holds, _conflicting
+from eqcolor.chains import _chain_event_holds, _conflicting, _first_last
 from eqcolor.hypergraph import _color_dtype
 from eqcolor.intervals import _assignment_slots, _colors_at_sizes, _weight_slots
 from eqcolor.rebalance import build_rebalance_plan
@@ -126,13 +126,19 @@ def test_comparison_slots_equal_searchsorted_and_slot_of(r):
         assert grid.dtype == slots.dtype and grid.ravel().tolist() == slots[:3000].tolist()
 
 
-def test_slot_lengths_sum_to_one_random():
+def _block_lengths(p, r):
+    """The 2r - 1 block lengths in slot order, from the closed forms
+    (1 - p)/r for a large block and p/(r - 1) for a small one."""
+    return [(1.0 - p) / r, p / (r - 1)] * (r - 1) + [(1.0 - p) / r]
+
+
+def test_block_lengths_sum_to_one_random():
     rng = np.random.default_rng(11)
     for _ in range(200):
         r = int(rng.integers(2, 9))
         p = float(rng.uniform(0.0, 0.999))
         part = IntervalPartition(p, r)
-        assert abs(sum(part.slot_lengths()) - 1.0) < 1e-12
+        assert abs(sum(_block_lengths(p, r)) - 1.0) < 1e-12
         for slot, lo, hi in _iter_bounds(part):
             if hi > lo:
                 mid = (lo + hi) / 2
@@ -150,19 +156,21 @@ def _iter_bounds(part):
 @given(st.floats(0.0, 0.99), st.integers(2, 10))
 def test_partition_lengths_property(p, r):
     part = IntervalPartition(p, r)
-    assert abs(sum(part.slot_lengths()) - 1.0) < 1e-12
+    lengths = _block_lengths(p, r)
+    assert abs(sum(lengths) - 1.0) < 1e-12
+    # each block ends where the next one starts
+    assert np.allclose(np.diff([*part.lefts, 1.0]), lengths, rtol=0.0, atol=1e-12)
 
 
 def test_weight_assignment_order_and_ties():
     wa = WeightAssignment((0.5, 0.1, 0.5, 0.3))
     order = np.lexsort((np.arange(4), wa.weights)).tolist()
     assert order == [1, 3, 0, 2]  # id breaks the 0.5 tie
-    assert wa.first_vertex((0, 2, 3)) == 3
-    assert wa.last_vertex((0, 2, 3)) == 2
-    assert wa.first_vertex((2, 0)) == 0 and wa.last_vertex((2, 0)) == 2
+    assert _first_last(wa, (0, 2, 3)) == (3, 2)
+    assert _first_last(wa, (2, 0)) == (0, 2)
     for k in range(1, 5):
-        assert wa.first_vertex(order[k - 1 :]) == order[k - 1]
-        assert wa.last_vertex(order[:k]) == order[k - 1]
+        assert _first_last(wa, order[k - 1 :])[0] == order[k - 1]
+        assert _first_last(wa, order[:k])[1] == order[k - 1]
 
 
 def test_sample_weights_deterministic_and_in_range():

@@ -30,6 +30,9 @@ SINGLE = Hypergraph(2, 2, [(0, 1)])
 # two triangles sharing vertices with a third, forcing interactions between
 # deflections: the workhorse calibration instance
 TRI_PAIR = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
+# two triangles sharing vertex 2, plus an edge across: m = 6 keeps every
+# exact comparison within the oracle's reach
+TRIS = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
 
 
 def _sequential_colors(h, slots, orders):
@@ -39,10 +42,11 @@ def _sequential_colors(h, slots, orders):
     vertices at color i."""
     colors = [s // 2 + 1 if s % 2 == 0 else 0 for s in slots]
     indptr, indices = h.incidence
+    edges = h.edge_array.tolist()
     for i, block in enumerate(orders, start=1):
         for v in block:
             around = indices[indptr[v] : indptr[v + 1]].tolist()
-            blocked = any(all(colors[u] == i for u in h.edges[e] if u != v) for e in around)
+            blocked = any(all(colors[u] == i for u in edges[e] if u != v) for e in around)
             colors[v] = i + 1 if blocked else i
     return colors
 
@@ -285,6 +289,26 @@ def test_oracle_calls_no_production_kernel_or_predicate(monkeypatch):
     test_oracle_frozen_values_on_calibration_instance()
 
 
+def test_exact_oracle():
+    for r in (2, 3):
+        assert 0.0 < exact_c0_event_prob(TRIS, r, MonoEdgeExists()) < 1.0
+        events = [ChainEventSpec((0, 1), 2), Deflected(2, None)] + [Deflected(v, 1) for v in range(6)]
+        assert 0.0 < exact_c0_event_prob(TRIS, r, events)
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_every_mc_quantity_with_its_comparison(quantity):
+    params = {
+        "expected-deflections": {"i": 1},
+        "chain-event": {"edges": [0, 1], "color": 2},
+        "deflected": {"v": 2},
+        # m = 6 puts the derived keep probability above 1
+        "dangerous-count": {"p_tilde": 0.5},
+    }.get(quantity, {})
+    report = mc_estimate(quantity, TRIS, 2, params=params, trials=300, seed=4)
+    assert report.comparison is not None and 0.0 <= report.estimate
+
+
 def test_mc_quantities_registry():
     assert set(QUANTITIES) == {
         "mono-edge",
@@ -456,7 +480,7 @@ def _reference_holds(h, event, slots, colors, position):
     """One event on one configuration, read off its slots, its final colors
     and each vertex's processing position (slot, then visit order)."""
     if isinstance(event, MonoEdgeExists):
-        return any(len({colors[u] for u in e}) == 1 for e in h.edges)
+        return any(len({colors[u] for u in e}) == 1 for e in h.edge_array.tolist())
     if isinstance(event, Deflected):
         s = slots[event.vertex]
         i = (s + 1) // 2
@@ -466,7 +490,7 @@ def _reference_holds(h, event, slots, colors, position):
     # first of the later one; the earlier edge's other vertices end at
     # c - 1, the last edge at the chain's color, and the first edge starts
     # in the large or small block of its color
-    edges = [h.edges[e] for e in event.edges]
+    edges = [h.edge_array[e].tolist() for e in event.edges]
     c1 = event.color - len(edges) + 1
     if c1 < 1 or any(colors[u] != event.color for u in edges[-1]):
         return False
@@ -582,6 +606,7 @@ def _reference_blocking(h, slots, orders, colors):
     sequential replay's final colors; -1 for a vertex not deflected."""
     colored = [s % 2 == 0 for s in slots]
     indptr, indices = h.incidence
+    edges = h.edge_array.tolist()
     out = [-1] * h.m
     for i, block in enumerate(orders, start=1):
         for v in block:
@@ -589,7 +614,7 @@ def _reference_blocking(h, slots, orders, colors):
                 out[v] = min(
                     e
                     for e in indices[indptr[v] : indptr[v + 1]].tolist()
-                    if all(colored[u] and colors[u] == i for u in h.edges[e] if u != v)
+                    if all(colored[u] and colors[u] == i for u in edges[e] if u != v)
                 )
             colored[v] = True
     return out

@@ -114,7 +114,7 @@ def _fixture_run(m=14, seed=5, r=3):
 def _occupants(part, wa):
     """The occupants of large_1 .. large_{r-1}, by the scalar slot rule."""
     occupants = [set() for _ in range(part.r - 1)]
-    for v in range(wa.m):
+    for v in range(len(wa.weights)):
         s = part.slot_of(wa.weights[v])
         # large_i, i < r, is slot 2i-2
         if s % 2 == 0 and s // 2 + 1 < part.r:
@@ -210,7 +210,7 @@ def _dangerous_reference(h, coloring, vsets):
     union = set().union(*vsets) if vsets else set()
     r = coloring.r
     out = []
-    for e, edge in enumerate(h.edges):
+    for e, edge in enumerate(h.edge_array.tolist()):
         u = tuple(v for v in edge if v in union)
         if not u:
             continue

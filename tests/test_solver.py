@@ -20,6 +20,7 @@ from eqcolor import (
     solve_equitable,
 )
 from eqcolor.solver import (
+    AUTO,
     BALANCED_ONLY,
     EXHAUSTED,
     INFEASIBLE,
@@ -56,11 +57,13 @@ def test_edgeless_instance_splits_evenly():
 
 
 def test_k4_is_reported_infeasible_by_enumeration():
-    report = solve_equitable(K4, 2, SolveConfig(max_restarts=30))
-    assert report.outcome == INFEASIBLE
-    assert report.oracle_feasible is False
-    assert report.coloring is None
-    assert report.attempts == 30
+    # on both routes: the oracle gives the verdict after the last restart
+    for path in (AUTO, BALANCED_ONLY):
+        report = solve_equitable(K4, 2, SolveConfig(max_restarts=30, force_path=path))
+        assert report.outcome == INFEASIBLE
+        assert report.oracle_feasible is False
+        assert report.coloring is None
+        assert report.attempts == 30
 
 
 def test_k4_without_enumeration_budget_just_exhausts():
@@ -182,10 +185,11 @@ def _repair_restart_scan(h, coloring, targets, weights=None):
         order = sorted(range(h.m), key=lambda v: (weights[v], v))
 
     indptr, indices = h.incidence
+    edges = h.edge_array.tolist()
 
     def keeps_proper(v, c_to):
         return not any(
-            all(colors[u] == c_to for u in h.edges[e] if u != v)
+            all(colors[u] == c_to for u in edges[e] if u != v)
             for e in indices[indptr[v] : indptr[v + 1]].tolist()
         )
 
@@ -419,7 +423,7 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
         wa, init, mono = rejected
         cols = init.coloring.colors
         return tuple(
-            extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edges[e][0]]))) for e in mono
+            extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edge_array[e, 0]]))) for e in mono
         )
 
     if r < 2:
@@ -525,7 +529,7 @@ def _batch_starts(limit, h):
     2, 4, ... attempts, up to the cell cap."""
     from eqcolor import solver
 
-    cap = max(1, solver._SUB_BATCH_CELLS // max(h.m, h.n * len(h.edges)))
+    cap = max(1, solver._SUB_BATCH_CELLS // max(h.m, h.n * len(h.edge_array)))
     starts, size = [0], 1
     while starts[-1] + size <= limit:
         starts.append(starts[-1] + size)
@@ -825,7 +829,7 @@ def test_attempt_batches_start_at_one_and_respect_the_cell_cap(monkeypatch):
     for h, r, cfg in cases:
         sizes.clear()
         report = solve_equitable(h, r, cfg)
-        width = max(h.m, h.n * len(h.edges))
+        width = max(h.m, h.n * len(h.edge_array))
         assert sizes[0] == 1
         assert all(t == 1 or t * width <= solver._SUB_BATCH_CELLS for t in sizes), sizes
         assert report.attempts <= sum(sizes) < 2 * report.attempts
