@@ -10,8 +10,8 @@ verdict is negative (solver exhausted or infeasible, verification failed,
 oracle found no coloring); 1 on usage or input errors.  Instances are read
 from a file or stdin, as JSON when the first character is '{' and as the
 plain text format otherwise.  solve and mc refuse an instance with more
-than MAX_VERTICES vertices, and solve, oracle and mc refuse -r above the
-vertex count.
+than MAX_VERTICES vertices, and the library refuses -r above the vertex
+count for solve, oracle and mc.
 """
 
 from __future__ import annotations
@@ -84,14 +84,6 @@ def _read_bounded_instance(path: str) -> Hypergraph:
     if h.m > MAX_VERTICES:
         raise ValueError(f"{h.m} vertices exceed the {MAX_VERTICES} that solve and mc take")
     return h
-
-
-def _check_colors(h: Hypergraph, r: int) -> None:
-    """Refuse more colors than vertices: a class would stay empty, the
-    coloring reader refuses r > m, and mc's (trials, r - 1) deflection
-    counts stay within its sub-batch cap only while r <= m."""
-    if r > h.m:
-        raise ValueError(f"-r {r} exceeds the {h.m} vertices of the instance")
 
 
 def _read_coloring(path: str) -> Coloring:
@@ -185,7 +177,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     h = _read_bounded_instance(args.instance)
-    _check_colors(h, args.r)
     cfg = SolveConfig(
         seed=args.seed,
         max_restarts=args.restarts,
@@ -241,7 +232,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     h = _read_instance(args.instance)
-    _check_colors(h, args.r)
     found = brute_force_equitable(h, args.r, budget=args.budget)
     payload = {
         "feasible": found is not None,
@@ -256,7 +246,6 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_mc(args) -> int:
     h = _read_bounded_instance(args.instance)
-    _check_colors(h, args.r)
     names = {prm.name for spec in _SPECS.values() for prm in spec.params}
     params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     report = mc_estimate(

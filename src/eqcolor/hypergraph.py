@@ -215,6 +215,17 @@ def _edge_line(ln: str) -> list[int]:
         raise FormatError(f"malformed edge line {ln!r}: {exc}") from exc
 
 
+def _check_colors(r: int, m: Optional[int] = None, least: int = 1) -> None:
+    """The one rule on the number of colors: ValueError unless least <= r
+    <= max(m, 1), since past m a class of an equitable coloring stays
+    empty.  Every entry point that takes r calls it before any O(r) work.
+    Without m only the lower bound is checked; the caller bounds r first."""
+    if r < least:
+        raise ValueError(f"r = {r} must be at least {least}")
+    if m is not None and r > max(m, 1):
+        raise ValueError(f"r = {r} exceeds the {m} vertices, so a class would stay empty")
+
+
 def _color_dtype(r: int) -> np.dtype:
     """The one integer dtype of colors 1..r, and of the kernel's slots and
     stage-1 colors: the smallest signed dtype that holds -2r (int8 for
@@ -230,15 +241,14 @@ class Coloring:
     ``colors`` is a read-only numpy array of length m in ``_color_dtype(r)``
     (int8 for r <= 64; ``colors.tolist()`` gives a plain list) and ``sizes``
     a list of the r class sizes.  The public constructor and
-    ``from_json_dict`` validate their input; the JSON shapes are plain
-    lists.
+    ``from_json_dict`` validate their input, r within 1..max(m, 1) by
+    ``_check_colors``; the JSON shapes are plain lists.
     """
 
     __slots__ = ("r", "colors", "sizes")
 
     def __init__(self, m: int, r: int, colors: Sequence[int]):
-        if r < 1:
-            raise ValueError(f"color count must be positive, got {r}")
+        _check_colors(r, m)
         values = [_integer(c, "color") for c in colors]
         if len(values) != m:
             raise ValueError("color vector length does not match vertex count")
@@ -286,13 +296,11 @@ class Coloring:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Coloring":
         """Parse and validate untrusted JSON: r and every color are
-        integers, every color lies in 1..r, and r is bounded by max(m, 1)
-        for m colored vertices, since the class sizes take O(r) memory.
-        Raises FormatError otherwise."""
+        integers, every color lies in 1..r, and r passes the constructor's
+        bound max(m, 1) for m colored vertices.  Raises FormatError
+        otherwise."""
         try:
             m, r = len(obj["colors"]), _integer(obj["r"], "r")
-            if r > max(m, 1):
-                raise ValueError(f"r={r} colors for {m} vertices")
             col = cls(m, r, obj["colors"])
             agree = "sizes" not in obj or list(obj["sizes"]) == col.sizes
         except (KeyError, TypeError, ValueError) as exc:
@@ -358,10 +366,9 @@ def class_targets(m: int, r: int) -> list[int]:
 
     When r does not divide m the lower color indices take the larger part,
     so targets are ceil(m/r) for the first m mod r colors and floor(m/r)
-    for the rest.  ValueError when r < 1.
+    for the rest.  ValueError unless 1 <= r <= max(m, 1).
     """
-    if r < 1:
-        raise ValueError(f"need at least one color, got r={r}")
+    _check_colors(r, m)
     base, extra = divmod(m, r)
     return [base + 1 if i < extra else base for i in range(r)]
 
@@ -452,12 +459,11 @@ def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optiona
     The witness returned may therefore differ from that of an id-order
     search.  At r = 1 the answer is direct: the one-class coloring when
     there are no edges, None otherwise.  Returns None when no equitable
-    proper coloring exists.  Raises ValueError when r < 1 and
+    proper coloring exists.  Raises ValueError unless 1 <= r <= m and
     BudgetExceeded when r^m is beyond ``budget``.
     """
-    if r < 1:
-        raise ValueError(f"need at least one color, got r={r}")
     m = h.m
+    _check_colors(r, m)
     if _power_exceeds(r, m, budget):
         raise BudgetExceeded(f"{r}^{m} assignments exceed the budget of {budget}")
     if r == 1:

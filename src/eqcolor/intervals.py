@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .hypergraph import Coloring, Hypergraph, _color_dtype, _edge_values
+from .hypergraph import Coloring, Hypergraph, _check_colors, _color_dtype, _edge_values
 
 __all__ = [
     "InitialColoring",
@@ -66,7 +66,9 @@ class IntervalPartition:
     small_i = [iL + (i-1)s, i(L+s)) with L = (1-p)/r and s = p/(r-1), never
     by accumulating sums.  Each block ends where the next one starts, so
     large_i = [lefts[2i-2], lefts[2i-1]), small_i = [lefts[2i-1], lefts[2i])
-    and large_r = [lefts[2r-2], 1).
+    and large_r = [lefts[2r-2], 1).  The partition has no vertex count, so
+    it checks only r >= 2 and p in [0, 1), the one rule on p; callers bound
+    r by m first (``hypergraph._check_colors``), as ``lefts`` takes O(r).
     """
 
     p: float
@@ -74,8 +76,7 @@ class IntervalPartition:
     lefts: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("partition requires r >= 2")
+        _check_colors(self.r, least=2)
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {self.p}")
         big = (1.0 - self.p) / self.r
@@ -366,8 +367,8 @@ def run_interval_coloring(
     Stage 2 processes small-block vertices in increasing weight (ties by
     vertex id).  A vertex of small_i only ever receives color i or i+1;
     deflection to i+1 is unconditional even if it completes a
-    monochromatic edge of color i+1.  Raises ValueError on a weight
-    outside [0, 1).
+    monochromatic edge of color i+1.  Raises ValueError unless
+    2 <= r <= m, and on a weight outside [0, 1).
 
     Given one WeightAssignment, returns one InitialColoring, and the
     assignment keeps its slots for rebalancing and the chain predicates
@@ -377,6 +378,7 @@ def run_interval_coloring(
     rows asked for.  A single assignment is the T = 1 case of the same
     call.
     """
+    _check_colors(r, h.m, least=2)
     if isinstance(wa, WeightAssignment):
         batch = run_interval_coloring(h, r, partition, wa.weights[None, :])
         wa._slots = (partition, batch._slots[0])
@@ -470,8 +472,10 @@ def balanced_mono_prob(m: int, n: int, r: int) -> MonoProbability:
     """P(a fixed n-edge is monochromatic) under a uniform balanced coloring.
 
     Exactly r * C(m-n, m/r-n) / C(m, m/r), computed in integer arithmetic.
-    Zero when a class cannot hold a whole edge (n > m/r).
+    Zero when a class cannot hold a whole edge (n > m/r).  ValueError
+    unless 1 <= r <= m and r | m.
     """
+    _check_colors(r, m)
     if m % r != 0:
         raise ValueError(f"balanced colorings need r | m, got m={m}, r={r}")
     if not 0 < n <= m:

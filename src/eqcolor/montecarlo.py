@@ -60,7 +60,7 @@ from .chains import (
     expected_deflections_bound,
     mono_edge_probability_bound,
 )
-from .hypergraph import BudgetExceeded, Hypergraph, _mono_edges, class_targets
+from .hypergraph import BudgetExceeded, Hypergraph, _check_colors, _mono_edges, class_targets
 from .intervals import (
     IntervalPartition,
     _colors_at_sizes,
@@ -139,7 +139,7 @@ class EstimateReport:
 def _sample(
     h: Hypergraph,
     r: int,
-    p: Optional[float],
+    partition: Optional[IntervalPartition],
     trials: int,
     seed: int,
     stat,
@@ -150,8 +150,8 @@ def _sample(
     of ``seeding``.  A sub-batch holds at most ``_SUB_BATCH_CELLS`` //
     max(width, n |E|) trials (at least one) and never crosses a block, so
     it draws its rows in one call.  Every sub-batch is colored at once: by
-    the two-stage kernel with subinterval parameter ``p``, or, when ``p``
-    is None, by a uniform balanced draw (each row of weights sorted into a
+    the two-stage kernel on ``partition``, or, when ``partition`` is None,
+    by a uniform balanced draw (each row of weights sorted into a
     permutation, cut into r equal classes by ``_colors_at_sizes``).
     ``stat(colors, deflections, slots, u, keep)`` gets the sub-batch's
     (T, m) arrays (``deflections`` and ``slots`` are None for balanced
@@ -162,7 +162,6 @@ def _sample(
     computes in that dtype only what stays within +-2r and widens the rest.
     The sums of values and squared values come back for the caller to turn
     into estimate and half-width."""
-    partition = None if p is None else IntervalPartition(p, r)
     m = h.m
     sizes = class_targets(m, r)
     width = 2 * m if with_keep else m
@@ -279,8 +278,6 @@ def _dangerous_count(h, r, p, values):
 
 
 def _balanced_mono(h, r, p, values):
-    if r < 1:
-        raise ValueError("balanced draws need at least one color")
     if h.m % r != 0:
         raise ValueError("balanced draws require r | m")
     if not len(h.edge_array):
@@ -398,12 +395,15 @@ def mc_estimate(
       deflected, out of small_i or out of any small block.  Exact when
       enumerable, else none.
 
-    Every quantity but ``balanced-mono`` also takes ``p``, which overrides
-    the derived subinterval parameter.  With ``compare`` the report
-    carries the comparison value; "enumerable" means within the oracle's
-    limits (m <= 10 at r = 2, m <= 8 at r = 3) and at most 10^6
-    configurations (m <= 8 at r = 2, m <= 7 at r = 3).
+    Every quantity but ``balanced-mono`` also takes ``p``, in [0, 1), which
+    overrides the derived subinterval parameter; r lies in 1..m, and in
+    2..m for the quantities that take ``p``, both checked before any
+    sampling.  With ``compare`` the report carries the comparison value;
+    "enumerable" means within the oracle's limits (m <= 10 at r = 2, m <= 8
+    at r = 3) and at most 10^6 configurations (m <= 8 at r = 2, m <= 7 at
+    r = 3).
     """
+    _check_colors(r, h.m)
     if trials < 1:
         raise ValueError("need at least one trial")
     if quantity not in _SPECS:
@@ -418,12 +418,12 @@ def mc_estimate(
             raise ValueError(f"{quantity} needs params[{prm.name!r}]")
     if params:
         raise ValueError(f"unexpected params: {sorted(params)}")
-    p = None
+    partition = None
     if _P in spec.params:
         p = values.pop("p", None)
-        p = float(p) if p is not None else choose_p(h.n, r)
-    label, stat, comparison = spec.build(h, r, p, values)
-    total, total_sq = _sample(h, r, p, trials, seed, stat, spec.with_keep)
+        partition = IntervalPartition(choose_p(h.n, r) if p is None else float(p), r)
+    label, stat, comparison = spec.build(h, r, None if partition is None else partition.p, values)
+    total, total_sq = _sample(h, r, partition, trials, seed, stat, spec.with_keep)
     return _report(label, trials, total, total_sq, spec.mean, comparison() if compare else None)
 
 
@@ -457,8 +457,9 @@ def exact_c0_event_prob(
     events, returns the sum of their probabilities: each event has its own
     accumulator, capped at 1 against rounding, and the accumulators are
     summed in order, so the sum equals that of one call per event.
-    Requires m <= 10 at r = 2 and m <= 8 at r = 3; raises BudgetExceeded,
-    before any work, when the configuration count passes ``budget``.
+    Requires 2 <= r <= m, m <= 10 at r = 2 and m <= 8 at r = 3, and p in
+    [0, 1), the partition's rule; raises BudgetExceeded, before any work,
+    when the configuration count passes ``budget``.
     Each group of slot vectors with the same small-block sizes adds, in
     group order, its weight times the exact count of its configurations
     where the event holds.  The counts come from ``_visit_states``, over
@@ -466,14 +467,10 @@ def exact_c0_event_prob(
     configurations in all (a larger group runs alone): one pass for all
     MonoEdgeExists and Deflected events, one per ChainEventSpec.
     """
-    if r < 2:
-        raise ValueError("need at least 2 colors")
+    _check_colors(r, h.m, least=2)
     if r > 3 or h.m > _ORACLE_MAX_M[r]:
         raise ValueError("exact enumeration supports m <= 10 at r = 2 and m <= 8 at r = 3")
-    if p is None:
-        p = choose_p(h.n, r)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    p = IntervalPartition(choose_p(h.n, r) if p is None else p, r).p
     m = h.m
     lengths = [(1.0 - p) / r if s % 2 == 0 else p / (r - 1) for s in range(2 * r - 1)]
     # K vertices in small blocks: m!/(m-K)! ordered picks, C(K+r-2, r-2)

@@ -38,6 +38,7 @@ from .chains import ChainRecord, MonoEdge, extract_chain
 from .hypergraph import (
     Coloring,
     Hypergraph,
+    _check_colors,
     _color_dtype,
     _mono_edges,
     _power_exceeds,
@@ -240,10 +241,9 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     front; otherwise targets differ by at most one.  After exhaustion,
     instances with r**m within the enumeration budget get a brute-force
     verdict, upgrading Exhausted to Infeasible-by-oracle when no equitable
-    coloring exists at all.
+    coloring exists at all.  Raises ValueError unless 2 <= r <= m.
     """
-    if r < 2:
-        raise ValueError("need at least 2 colors")
+    _check_colors(r, h.m, least=2)
     if cfg.strict_divisibility and h.m % r != 0:
         raise ValueError(f"strict divisibility requires r | m, got m={h.m}, r={r}")
 

@@ -293,6 +293,11 @@ def test_solver_sound_and_complete_at_small_scale():
         for h in instances():
             for r in (2, 3):
                 total += 1
+                if r > h.m:
+                    # a class would stay empty: the rule on r refuses it
+                    with pytest.raises(ValueError, match="exceeds"):
+                        solve_equitable(h, r)
+                    continue
                 oracle = brute_force_equitable(h, r)
                 restarts = 10_000 if oracle is not None else 40
                 rep = solve_equitable(

@@ -241,7 +241,7 @@ def test_extraction_agrees_with_event_predicate():
     hits = 0
     for _ in range(400):
         m = int(rng.integers(2, 14))
-        r = int(rng.integers(2, 4))
+        r = min(int(rng.integers(2, 4)), m)  # no more colors than vertices
         n = int(rng.integers(2, min(m, 4) + 1))
         ne = int(rng.integers(1, min(math.comb(m, n), 7) + 1))
         h = _random_instance(m, n, ne, rng)

@@ -237,14 +237,36 @@ def test_solve_rejects_more_colors_than_vertices(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", [["oracle"], ["mc", "--quantity", "mono-edge", "--trials", "200"]])
 def test_oracle_and_mc_reject_more_colors_than_vertices(capsys, tmp_path, command):
-    # solve's check: oracle once wrote a coloring with two empty classes,
-    # which verify refused, and mc's memory grew with r through its
-    # deflection counts
+    # the library's rule on r, as for solve: oracle once wrote a coloring
+    # with two empty classes, which verify refused, and mc's memory grew
+    # with r through its deflection counts
     inst = tmp_path / "pair.txt"
     inst.write_text("3 2 1\n0 1\n")
     assert run_cli([command[0], str(inst), "-r", "5", *command[1:]]) == 1
     assert "exceeds the 3 vertices" in capsys.readouterr().err
     assert run_cli([command[0], str(inst), "-r", "3", *command[1:]]) == 0
+
+
+@pytest.mark.parametrize("p", ["1", "1.5", "-0.5"])
+def test_mc_refuses_p_outside_the_unit_interval_before_sampling(capsys, tmp_path, p):
+    # p = 1 once divided by zero in the keep probability, a traceback past
+    # run_cli; 1.5 and -0.5 were reported as faults of the keep probability
+    inst = tmp_path / "two_triangles.txt"
+    inst.write_text("6 3 2\n0 1 2\n3 4 5\n")
+    assert run_cli(["mc", str(inst), "--quantity", "dangerous-count", f"--p={p}"]) == 1
+    assert capsys.readouterr().err == f"error: p must lie in [0, 1), got {float(p)}\n"
+
+
+def test_mc_compares_with_the_exact_oracle_at_p0(capsys, tmp_path):
+    # p = 0 is a partition with empty small blocks; the oracle once refused
+    # it after every trial had been sampled
+    inst = tmp_path / "two_triangles.txt"
+    inst.write_text("6 3 2\n0 1 2\n3 4 5\n")
+    argv = ["mc", str(inst), "--quantity", "mono-edge", "--p", "0", "--trials", "1000"]
+    assert run_cli(argv + ["--format", "json"]) == 0
+    comparison = json.loads(capsys.readouterr().out)["comparison"]
+    # each triangle is monochromatic with probability 1/4
+    assert comparison == {"kind": "exact", "value": 1 - (3 / 4) ** 2}
 
 
 def test_oracle_budget_error(capsys, k4_file):
@@ -655,6 +677,10 @@ def _cli_command(draw):
 @given(text=_small_instance_text(), argv=_cli_command())
 # excess-pattern at r = 0 with p given divided by r before any check
 @example(text="2 2 0\n", argv=["mc", "-r", "0", "--quantity", "excess-pattern", "--p=0.0"])
+# p = 1 divided by zero in the keep probability, a traceback past run_cli
+@example(
+    text="6 3 2\n0 1 2\n3 4 5\n", argv=["mc", "-r", "2", "--quantity", "dangerous-count", "--p=1.0"]
+)
 def test_solve_oracle_and_mc_exit_0_1_or_2_on_small_instances(tmp_path_factory, text, argv):
     base = tmp_path_factory.getbasetemp()
     inst, cfile = base / "fuzz_instance.txt", base / "fuzz_solved.json"

@@ -9,20 +9,29 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eqcolor import (
     BudgetExceeded,
     Coloring,
     FormatError,
     Hypergraph,
+    IntervalPartition,
+    MonoEdgeExists,
+    SolveConfig,
+    balanced_mono_prob,
     brute_force_equitable,
     class_targets,
     edge_threshold,
+    exact_c0_event_prob,
     generate_random,
     is_equitable,
     is_proper,
+    mc_estimate,
     parse_hypergraph,
+    run_interval_coloring,
+    sample_weights,
+    solve_equitable,
 )
 from eqcolor.hypergraph import _color_dtype, _edge_values, _mono_edges
 
@@ -352,7 +361,67 @@ def test_class_targets_split():
     assert class_targets(6, 3) == [2, 2, 2]
     assert class_targets(7, 3) == [3, 2, 2]
     assert class_targets(5, 2) == [3, 2]
-    assert class_targets(3, 5) == [1, 1, 1, 0, 0]
+    assert class_targets(3, 3) == [1, 1, 1]
+    # more colors than vertices would leave a class empty
+    with pytest.raises(ValueError, match="exceeds the 3 vertices"):
+        class_targets(3, 5)
+
+
+def _partition_for(r, m):
+    # a partition for r when r is allowed, else one for 2 colors: the r
+    # check comes first, so the call never reads it
+    return IntervalPartition(0.3, r if 2 <= r <= m else 2)
+
+
+# every library entry point that takes r, called on an instance h with r
+# colors; one rule bounds r for all of them
+_R_ENTRY_POINTS = {
+    "solve_equitable": lambda h, r: solve_equitable(h, r, SolveConfig(max_restarts=5)),
+    "mc_estimate": lambda h, r: mc_estimate("mono-edge", h, r, trials=20),
+    "mc_estimate-balanced": lambda h, r: mc_estimate("balanced-mono", h, r, trials=20),
+    "exact_c0_event_prob": lambda h, r: exact_c0_event_prob(h, r, MonoEdgeExists()),
+    "brute_force_equitable": brute_force_equitable,
+    "balanced_mono_prob": lambda h, r: balanced_mono_prob(h.m, h.n, r),
+    "run_interval_coloring": lambda h, r: run_interval_coloring(
+        h, r, _partition_for(r, h.m), sample_weights(h.m, 0)
+    ),
+    "class_targets": lambda h, r: class_targets(h.m, r),
+    "Coloring": lambda h, r: Coloring(h.m, r, [1] * h.m),
+    "Coloring.from_json_dict": lambda h, r: Coloring.from_json_dict({"r": r, "colors": [1] * h.m}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_R_ENTRY_POINTS))
+def test_more_colors_than_vertices_are_refused_everywhere(name):
+    # r = m + 1 leaves a class empty; the coloring reader and the two r | m
+    # checks refused it before, and every other call returned
+    h = Hypergraph(2, 2, [(0, 1)])
+    with pytest.raises(ValueError, match="r = 3 exceeds the 2 vertices"):
+        _R_ENTRY_POINTS[name](h, 3)
+    _R_ENTRY_POINTS[name](h, 2)
+
+
+@pytest.mark.parametrize("name", sorted(_R_ENTRY_POINTS))
+@settings(max_examples=40, deadline=None)
+@given(r=st.integers(-(2**70), 2**70))
+@example(r=3)
+@example(r=4)
+@example(r=2**70)
+def test_any_integer_r_gives_a_documented_error_in_bounded_memory(name, r):
+    # r is checked before anything is sized by it: a huge r once built
+    # O(r) lists or overflowed int64
+    h = Hypergraph(3, 2, [(0, 1)])
+    # numpy imports its random module (about 1 MB) on first use: not the call's
+    np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        _R_ENTRY_POINTS[name](h, r)
+    except (ValueError, BudgetExceeded):  # FormatError is a ValueError
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_generate_random_is_deterministic_and_valid():
@@ -495,6 +564,11 @@ def _equitable_exists(h, r):
 
 
 def _check_brute_force(h, r, exists):
+    if r > h.m:
+        # a class would stay empty: the rule on r refuses it
+        with pytest.raises(ValueError, match="exceeds"):
+            brute_force_equitable(h, r)
+        return
     found = brute_force_equitable(h, r)
     assert (found is not None) == exists, (_rows(h), r)
     assert found is None or is_equitable(h, found), (_rows(h), r)

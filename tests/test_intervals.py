@@ -235,7 +235,7 @@ def test_class_size_identity_random_runs():
     for _ in range(300):
         m = int(rng.integers(2, 25))
         n = int(rng.integers(2, min(m, 5) + 1))
-        r = int(rng.integers(2, 4))
+        r = min(int(rng.integers(2, 4)), m)  # no more colors than vertices
         ne = int(rng.integers(0, min(math.comb(m, n), 8) + 1))
         h = _random_instance(m, n, ne, rng)
         part = IntervalPartition(choose_p(max(n, 3), r), r)
@@ -252,7 +252,7 @@ def test_stage_two_colors_stay_local():
     rng = np.random.default_rng(13)
     for _ in range(200):
         m = int(rng.integers(2, 20))
-        r = int(rng.integers(2, 5))
+        r = min(int(rng.integers(2, 5)), m)  # no more colors than vertices
         h = _random_instance(m, 2, int(rng.integers(0, min(math.comb(m, 2), 10) + 1)), rng)
         part = IntervalPartition(0.3, r)
         wa = sample_weights(m, int(rng.integers(0, 2**32)))
@@ -321,9 +321,10 @@ def test_long_weight_arrays_keep_occupancy_wide():
     rng = np.random.default_rng(4)
     for r, count, p in ((4, 40, choose_p(3, 4)), (64, 3, 0.5)):
         assert count * r > 127
-        h = _random_instance(50, 3, 40, rng)
+        m = max(50, r)  # no more colors than vertices
+        h = _random_instance(m, 3, 40, rng)
         part = IntervalPartition(p, r)
-        weights = np.stack([sample_weights(50, seed).weights for seed in range(count)])
+        weights = np.stack([sample_weights(m, seed).weights for seed in range(count)])
         batch = run_interval_coloring(h, r, part, weights)
         for t, row in enumerate(weights):
             _, got = batch.row(t)

@@ -18,6 +18,7 @@ from eqcolor import (
     balanced_mono_prob,
     choose_p,
     exact_c0_event_prob,
+    generate_random,
     mc_estimate,
     run_interval_coloring,
 )
@@ -181,14 +182,29 @@ def test_oracle_limits_are_m10_at_two_colors_and_m8_at_three():
         exact_c0_event_prob(Hypergraph(8, 2, [(0, 1)]), 3, MonoEdgeExists(), budget=4_860_296)
 
 
+def test_oracle_at_p0_counts_the_uniform_colorings():
+    # with no small blocks every vertex takes the color of its large block,
+    # uniform and independent, so P(mono edge) is the share of the r^m
+    # colorings with a monochromatic edge
+    h = generate_random(6, 3, 4, 1)
+    for r, value in ((2, 0.5625), (3, 0.3086419753086419)):
+        grid = np.array(list(itertools.product(range(r), repeat=h.m)))
+        edge_colors = grid[:, h.edge_array]
+        share = (edge_colors == edge_colors[:, :, :1]).all(axis=2).any(axis=1).mean()
+        assert exact_c0_event_prob(h, r, MonoEdgeExists(), p=0.0) == pytest.approx(share, rel=1e-12)
+        assert share == pytest.approx(value, rel=1e-12)
+
+
 def test_oracle_ignores_isolated_vertices():
     # vertices on no edge are never deflected and block nothing, so adding
     # them changes no probability
     p = 0.3
     for r, m in ((2, 7), (3, 6)):
         padded = Hypergraph(m, 2, [(0, 1)])
+        # r vertices, the fewest that r colors allow
+        least = Hypergraph(r, 2, [(0, 1)])
         assert exact_c0_event_prob(padded, r, MonoEdgeExists(), p=p) == pytest.approx(
-            exact_c0_event_prob(SINGLE, r, MonoEdgeExists(), p=p), rel=1e-12
+            exact_c0_event_prob(least, r, MonoEdgeExists(), p=p), rel=1e-12
         )
 
 
@@ -462,7 +478,7 @@ def test_vectorized_kernel_matches_reference_coloring():
         while len(edges) < ne:
             edges.add(tuple(sorted(rng.choice(m, n, replace=False).tolist())))
         h = Hypergraph(m, n, sorted(edges))
-        r = int(rng.integers(2, 4))
+        r = min(int(rng.integers(2, 4)), m)  # no more colors than vertices
         p = float(rng.uniform(0.05, 0.6))
         part = IntervalPartition(p, r)
         u = rng.random(m)
@@ -764,8 +780,6 @@ def test_mc_sub_batch_size_changes_no_estimate(monkeypatch, cells):
 
 
 def test_mc_sub_batches_respect_the_cell_cap(monkeypatch):
-    from eqcolor import generate_random
-
     sizes = []
     kernel = montecarlo._stage_colors
 

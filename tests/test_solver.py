@@ -221,7 +221,7 @@ def test_greedy_repair_matches_restart_scan_reference():
     checked = repaired = 0
     while checked < 400:
         m = int(rng.integers(2, 31))
-        r = int(rng.integers(2, 5))
+        r = min(int(rng.integers(2, 5)), m)  # no more colors than vertices
         n = int(rng.integers(2, min(m, 4) + 1))
         edges = {
             tuple(sorted(rng.choice(m, n, replace=False).tolist()))
@@ -354,7 +354,7 @@ def test_solved_instances_are_never_invalid():
         while len(edges) < ne:
             edges.add(tuple(sorted(rng.choice(m, n, replace=False).tolist())))
         h = Hypergraph(m, n, sorted(edges))
-        r = int(rng.integers(2, 4))
+        r = min(int(rng.integers(2, 4)), m)  # no more colors than vertices
         report = solve_equitable(h, r, SolveConfig(seed=int(rng.integers(0, 2**31))))
         if report.outcome == SUCCESS:
             assert is_equitable(h, report.coloring)
