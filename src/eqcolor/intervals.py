@@ -57,6 +57,13 @@ def choose_p(n: int, r: int) -> float:
     return p
 
 
+def _check_p(p: float) -> None:
+    """The one rule on the small-block mass: ValueError unless p lies in
+    [0, 1).  The partition and the rebalance calculators call it."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"p must lie in [0, 1), got {p}")
+
+
 @dataclass(frozen=True)
 class IntervalPartition:
     """The 2r-1 alternating subintervals of [0,1) for a given p and r.
@@ -67,8 +74,8 @@ class IntervalPartition:
     by accumulating sums.  Each block ends where the next one starts, so
     large_i = [lefts[2i-2], lefts[2i-1]), small_i = [lefts[2i-1], lefts[2i])
     and large_r = [lefts[2r-2], 1).  The partition has no vertex count, so
-    it checks only r >= 2 and p in [0, 1), the one rule on p; callers bound
-    r by m first (``hypergraph._check_colors``), as ``lefts`` takes O(r).
+    it checks only r >= 2 and p in [0, 1) (``_check_p``); callers bound r
+    by m first (``hypergraph._check_colors``), as ``lefts`` takes O(r).
     """
 
     p: float
@@ -77,8 +84,7 @@ class IntervalPartition:
 
     def __post_init__(self):
         _check_colors(self.r, least=2)
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"p must lie in [0, 1), got {self.p}")
+        _check_p(self.p)
         big = (1.0 - self.p) / self.r
         small = self.p / (self.r - 1)
         lefts = []

@@ -354,7 +354,8 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
     calls.clear()
     wa, coloring = row(0)
     rebalance.build_rebalance_plan(h, partition, wa, coloring, class_targets(h.m, 3), seed=0)
-    assert [name for name, _ in calls] == ["eqcolor.rebalance"] * 2
+    # one gather of the per-vertex state, in int8
+    assert calls == [("eqcolor.rebalance", np.int8)]
 
 
 def test_class_targets_split():
@@ -1027,6 +1028,27 @@ def test_edges_must_be_sequences():
     # the per-edge reference also took one-shot iterators as edges
     with pytest.raises(TypeError, match="every edge must be a sequence of vertex ids"):
         Hypergraph(3, 2, [iter((0, 1))])
+
+
+def test_edge_array_is_read_only_int32_stored_column_major():
+    # every gather indexes by edge_array.T, which must be C-contiguous
+    built = [
+        parse_hypergraph("5 3 3\n0 1 2\n4 2 3\n1 3 4\n"),
+        # a tab sends the body down the line-by-line path
+        parse_hypergraph("5 3 2\n0\t1 2\n2 3 4\n"),
+        Hypergraph.from_json_dict(json.loads(json.dumps(TRIS.to_json_dict()))),
+        generate_random(12, 3, 20, seed=5),
+        # above the pool limit, edges are drawn one by one
+        generate_random(1000, 4, 50, seed=5),
+        Hypergraph(6, 2, np.array([[1, 0], [2, 3], [5, 4]], dtype=np.int64)),
+        Hypergraph(4, 3, []),
+    ]
+    for h in built:
+        a = h.edge_array
+        assert a.dtype == np.int32 and a.shape == (len(_rows(h)), h.n)
+        assert a.T.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            a[..., 0] = 0
 
 
 def test_incidence_is_read_only():

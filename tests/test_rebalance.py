@@ -103,6 +103,21 @@ def test_compute_p_tilde_rejects_small_instances():
         compute_p_tilde(20, 100, 2, choose_p(100, 2))
 
 
+@pytest.mark.parametrize("p", [1.0, 5.0, -1.0])
+def test_compute_q_and_p_tilde_check_p(p):
+    # the partition's rule: without it p = 1 divided by zero, and p = 5 and
+    # p = -1 gave a q of 296.5 and -3.45
+    calls = (
+        lambda: compute_q(100, 3, 2, p),
+        lambda: compute_p_tilde(100, 3, 2, p),
+        lambda: compute_p_tilde(100, 3, 2, p, q=1.0),
+        lambda: IntervalPartition(p, 2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\)"):
+            call()
+
+
 def _fixture_run(m=14, seed=5, r=3):
     h = Hypergraph(m, 2, [(0, 1), (2, 3), (4, 5)])
     part = IntervalPartition(0.3, r)
@@ -167,6 +182,22 @@ def test_sample_candidate_sets_rejects_bad_probability():
     for p_tilde in (1.5, -0.1):
         with pytest.raises(ValueError, match=r"keep probability must lie in \[0, 1\]"):
             build_rebalance_plan(h, part, wa, init.coloring, targets, 0, p_tilde)
+
+
+def test_build_rebalance_plan_checks_the_partition_r():
+    # a 3-color partition gave a 4-color coloring a plan marked feasible,
+    # with 2 candidate sets, that apply_recolor refused
+    h = generate_random(400, 4, 100, 1)
+    coloring = Coloring(400, 4, [v % 4 + 1 for v in range(400)])
+    wa = sample_weights(400, 0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="partition was built for a different number of colors"):
+        build_rebalance_plan(
+            h, IntervalPartition(0.3, 3), wa, coloring, class_targets(400, 4), rng, p_tilde=0.5
+        )
+    # raised before the keep draw
+    assert rng.bit_generator.state == state
 
 
 # r = 2 at p = 0.2: large_1 = [0, 0.4), small_1 = [0.4, 0.6), large_2 = [0.6, 1)
@@ -335,6 +366,63 @@ def test_select_recolor_sets_breaks_weight_ties_by_id():
         assert _sets(plan.vsets) == [set(vs)]
         assert _sets(plan.wsets) == [expected]
         assert plan.wsets[0].tolist() == sorted(expected)
+
+
+def _recolor_reference(plan, weights):
+    """W_i by the plain rule: the members of V_i that no dangerous edge pins
+    (each pins its lowest candidate), sorted by (weight, id), the first
+    excess_i of them, sorted by id; None when some V_i falls short."""
+    pinned = {min(d.u_vertices) for d in plan.dangerous}
+    wsets = []
+    for vs, need in zip(plan.vsets, plan.excess):
+        pool = [v for v in vs.tolist() if v not in pinned]
+        if len(pool) < need:
+            return None
+        wsets.append(sorted(sorted(pool, key=lambda v: (weights[v], v))[:need]))
+    return wsets
+
+
+def test_recolor_sets_match_a_sorted_reference():
+    rng = np.random.default_rng(31)
+    seen = dict.fromkeys(("tie", "pinned", "zero", "whole pool", "infeasible"), 0)
+    for it in range(300):
+        m = int(rng.integers(4, 40))
+        n = int(rng.integers(2, 4))
+        r = int(rng.integers(2, 5))
+        edges = {tuple(sorted(rng.choice(m, n, replace=False).tolist())) for _ in range(2 * m)}
+        h = Hypergraph(m, n, sorted(edges))
+        weights = rng.random(m)
+        if it % 3:
+            # heavy ties
+            weights = np.floor(weights * 6) / 6
+        part = IntervalPartition(float(rng.uniform(0.1, 0.5)), r)
+        wa = WeightAssignment(weights)
+        # stage 1 puts large_i in class i, so V_i fits in class i's size
+        coloring = run_interval_coloring(h, r, part, wa).coloring
+        seed, p_tilde = int(rng.integers(2**32)), float(rng.uniform(0.5, 1.0))
+        # the keep draw and the pins do not depend on the targets: a probe
+        # plan sizes each pool, and the targets then set each excess to 0,
+        # the whole pool, one more than the pool, or a value in between
+        # (twice as often, for ties at the cut)
+        probe = build_rebalance_plan(h, part, wa, coloring, coloring.sizes, seed, p_tilde)
+        pinned = {min(d.u_vertices) for d in probe.dangerous}
+        targets = list(coloring.sizes)
+        for i, vs in enumerate(probe.vsets):
+            pool = len(set(vs.tolist()) - pinned)
+            need = (0, pool, pool + 1, *rng.integers(0, pool + 1, 2).tolist())[it % 5]
+            targets[i] -= min(need, coloring.sizes[i])
+        plan = build_rebalance_plan(h, part, wa, coloring, targets, seed, p_tilde)
+        assert [v.tolist() for v in plan.vsets] == [v.tolist() for v in probe.vsets]
+        expected = _recolor_reference(plan, weights)
+        assert (None if plan.wsets is None else [w.tolist() for w in plan.wsets]) == expected
+        seen["infeasible"] += expected is None
+        for vs, need in zip(plan.vsets, plan.excess):
+            pool = sorted(weights[v] for v in vs.tolist() if v not in pinned)
+            seen["pinned"] += len(pool) < len(vs)
+            seen["zero"] += need == 0 < len(pool)
+            seen["whole pool"] += need == len(pool) > 0
+            seen["tie"] += bool(0 < need < len(pool) and pool[need - 1] == pool[need])
+    assert min(seen.values()) > 20, seen
 
 
 def test_apply_recolor_names_first_offending_vertex():
