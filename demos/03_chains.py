@@ -22,7 +22,6 @@ from eqcolor import (
     mc_estimate,
     mono_edge_probability_bound,
     run_interval_coloring,
-    validate_chain,
 )
 
 # Two edges sharing vertex 1.  Weights put vertex 0 in large_1, vertex 1 in
@@ -35,15 +34,14 @@ init = run_interval_coloring(h, 2, part, wa)
 print("colors:", init.coloring.colors.tolist())
 
 # The mono edge extracts to an ordered 2-chain: edge (0,1) explains why
-# vertex 1 carries color 2 inside edge (1,2).
+# vertex 1 carries color 2 inside edge (1,2).  extract_chain checks every
+# record it builds with validate_chain before returning it.
 rec = extract_chain(h, part, wa, init, MonoEdge(1, 2))
 print("ordered chain:", rec.to_json_dict())
-validate_chain(h, part, wa, init, rec)
 
 # The deflection itself extracts to an improper chain ending at vertex 1.
 rec2 = extract_chain(h, part, wa, init, Deflected(1, 1))
 print("improper chain:", rec2.to_json_dict())
-validate_chain(h, part, wa, init, rec2)
 
 # The converse question fixes an edge sequence and asks how often random
 # weights make it an ordered chain for a color.  mc_estimate answers it

@@ -12,13 +12,16 @@ edges linked through deflected vertices:
   starts from the reduced edge (the part of the dangerous edge weighted in
   small_{r-1} or large_r) treated as a pseudo-edge of color r.
 
-The walk terminates when the first vertex of the current edge sits in the
-large block of the current color, or, in a boundary case, when the current
-edge lies wholly inside the small block of its color (its first vertex was
-then colored there without deflection, so no earlier edge exists).  The
-leading edge of a chain may therefore start inside a small block; validation
-accepts both terminal shapes and otherwise checks the full membership,
-ordering, coloring, and intersection pattern edge by edge.
+``extract_chain`` only walks: it follows the blocking records back while
+the first vertex of the current edge was deflected out of the small block
+below the current color, and stops at the first vertex that was not (one in
+the large block of the current color or, in a boundary case, one colored in
+its own small block without deflection, the edge then lying wholly inside
+that block).  It then checks the record it built with ``validate_chain``,
+which reads a chain as a list of parts (a complex chain ends in its reduced
+edge, an improper one in the pseudo-part {terminal} one color up) and joins
+consecutive parts by ``_conflicting``, the one link rule, which the Monte
+Carlo ``chain-event`` statistic also applies through ``_chain_event_holds``.
 
 Places are integer slots, read from ``intervals._assignment_slots``:
 large_c is slot 2c-2 and small_c is slot 2c-1.
@@ -125,76 +128,56 @@ class ChainRecord:
         }
 
 
-def _conflicting(h, slots, key, colors, b_edge, a_edge, color) -> np.ndarray:
-    """Whether (A, B) conflict for ``color`` in each of T trials: they share
-    exactly one vertex v, v is the last vertex of B and the first of A, v
-    lies in small_{color-1}, and all of B minus v carries color-1.
-    ``slots``, ``key`` and ``colors`` are (T, m) arrays, and trial t orders
-    vertices by (key[t, v], v).  Returns one boolean per trial."""
-    b, a = h.edge_array[[b_edge, a_edge]]
-    shared = np.intersect1d(b, a)
+def _first(key: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The first of ``vertices``, listed in id order, in each of T trials
+    that order vertices by the key (key[t, v], v): the first minimal key."""
+    return vertices[np.argmin(key[:, vertices], axis=1)]
+
+
+def _last(key: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The last of ``vertices``, listed in id order, in each of T trials: a
+    reversed argmax, so exact ties go to the highest id."""
+    return vertices[len(vertices) - 1 - np.argmax(key[:, vertices[::-1]], axis=1)]
+
+
+def _conflicting(slots, key, colors, b, a, color) -> np.ndarray:
+    """The link rule: whether part A follows part B in a chain for
+    ``color``, in each of T trials.  B and A are vertex arrays in id order,
+    edges or the pseudo-parts of ``validate_chain``.  They share exactly one
+    vertex v, v is the last vertex of B and the first of A, v lies in
+    small_{color-1}, and all of B minus v carries color-1.  ``slots``,
+    ``key`` and ``colors`` are (T, m) arrays, and trial t orders vertices
+    by (key[t, v], v).  Returns one boolean per trial."""
+    # np.isin, not np.intersect1d, which imports numpy.ma (about 0.5 MB)
+    shared = b[np.isin(b, a)]
     if len(shared) != 1:
         return np.zeros(len(slots), dtype=bool)
     v = shared[0]
-    # edges list their vertices in id order, so ties by (key, id) go to the
-    # last maximal key of B (a reversed argmax) and the first minimal of A
-    last = b[len(b) - 1 - np.argmax(key[:, b[::-1]], axis=1)]
-    first = a[np.argmin(key[:, a], axis=1)]
-    ok = (last == v) & (first == v) & (slots[:, v] == 2 * color - 3)
+    ok = (_last(key, b) == v) & (_first(key, a) == v) & (slots[:, v] == 2 * color - 3)
     return ok & (colors[:, b[b != v]] == color - 1).all(axis=1)
-
-
-def _first_last(wa: WeightAssignment, vertices: Collection[int]) -> tuple[int, int]:
-    """The first and the last of ``vertices`` in the order of the key
-    (weights[v], v): by weight, exact ties by vertex id."""
-    ordered = sorted(vertices, key=lambda v: (wa.weights[v], v))
-    return ordered[0], ordered[-1]
-
-
-def _block(slot: int) -> str:
-    """Name of a slot: large_c for slot 2c-2, small_c for slot 2c-1."""
-    return f"{'small' if slot % 2 else 'large'}_{slot // 2 + 1}"
 
 
 def _walk_back(
     h: Hypergraph,
     slots: np.ndarray,
-    wa: WeightAssignment,
-    init: InitialColoring,
-    members: Sequence[int],
-    start_edge: int,
+    key: np.ndarray,
+    blocking: np.ndarray,
+    part: np.ndarray,
+    edge: int,
     color: int,
 ) -> tuple[list[int], list[ChainLink]]:
-    """Follow blocking records from the first vertex of ``members`` down to a
-    terminal edge, returning the chain's edge indices and links."""
-    cols = init.coloring.colors
-    edges: list[int] = [start_edge]
-    links: list[ChainLink] = []
-    c = color
-    while True:
-        u = _first_last(wa, members)[0]
-        if cols[u] != c:
-            raise RuntimeError(
-                f"chain walk inconsistency: vertex {u} should carry color {c}, found {cols[u]}"
-            )
-        s = slots[u]
-        # large_c, or the whole edge sits inside small_c: either way u was
-        # colored c without deflection, so the chain starts here
-        if s == 2 * c - 2 or s == 2 * c - 1:
-            break
-        if s != 2 * c - 3:
-            raise RuntimeError(
-                f"chain walk inconsistency: vertex {u} colored {c} from {_block(s)}"
-            )
-        b = int(init.blocking[u])
-        if b < 0:
-            raise RuntimeError(
-                f"chain walk inconsistency: no blocking edge recorded for deflected vertex {u}"
-            )
-        links.insert(0, ChainLink(u, float(wa.weights[u])))
-        edges.insert(0, b)
-        members = h.edge_array[b].tolist()
-        c -= 1
+    """Follow blocking records back from ``part``, the part of ``edge`` that
+    carries ``color``: while the first vertex u of the current part was
+    deflected out of small_{c-1} (slot 2c-3, a blocking edge recorded), u
+    links in the edge that blocked it, one color lower.  Returns the chain's
+    edge indices and links."""
+    edges, links = [edge], []
+    u = int(_first(key[None], part)[0])
+    while slots[u] == 2 * color - 3 and blocking[u] >= 0:
+        links.insert(0, ChainLink(u, float(key[u])))
+        edges.insert(0, int(blocking[u]))
+        color -= 1
+        u = int(_first(key[None], h.edge_array[edges[0]])[0])
     return edges, links
 
 
@@ -205,79 +188,52 @@ def extract_chain(
     init: InitialColoring,
     failure: MonoEdge | Deflected | DangerousEdge,
 ) -> ChainRecord:
-    """Build the certificate chain for an observed failure event.
+    """Build the certificate chain for an observed failure event, and check
+    it with ``validate_chain`` before returning it.
 
-    Raises ValueError when the event names an edge or vertex that does not
-    exist or did not actually occur, or a dangerous edge that lies wholly
-    in the candidate sets (no vertex to walk back from), and RuntimeError on walk
-    inconsistencies that would indicate a bug in the coloring stages
-    themselves.
+    ``Deflected(v, None)`` reads v's small block from v's slot.  Raises
+    ValueError when the event names an edge or vertex that does not exist,
+    a vertex with no blocking edge, or a dangerous edge that lies wholly in
+    the candidate sets (no vertex to walk back from), and ChainInvalid, a
+    ValueError, when the walked record fails validation, as it does for an
+    event that did not occur.
     """
-    cols = init.coloring.colors
     slots = _assignment_slots(partition, wa)
-    if isinstance(failure, (MonoEdge, DangerousEdge)):
-        if not 0 <= failure.edge < len(h.edge_array):
-            raise ValueError(f"edge {failure.edge} outside 0..{len(h.edge_array) - 1}")
-
-    if isinstance(failure, MonoEdge):
-        edge = h.edge_array[failure.edge].tolist()
-        if any(cols[v] != failure.color for v in edge):
-            raise ValueError(
-                f"edge {failure.edge} is not monochromatic in color {failure.color}"
-            )
-        edges, links = _walk_back(h, slots, wa, init, edge, failure.edge, failure.color)
-        return ChainRecord(ORDERED, failure.color, tuple(edges), tuple(links))
-
+    terminal = reduced = candidates = None
     if isinstance(failure, Deflected):
-        v, i = failure.vertex, failure.interval
-        if not 0 <= v < h.m:
-            raise ValueError(f"vertex {v} outside 0..{h.m - 1}")
-        if slots[v] != 2 * i - 1:
-            raise ValueError(f"vertex {v} does not lie in small_{i}")
-        start = int(init.blocking[v])
-        if cols[v] != i + 1 or start < 0:
-            raise ValueError(f"vertex {v} was not deflected out of small_{i}")
-        edges, links = _walk_back(h, slots, wa, init, h.edge_array[start].tolist(), start, i)
-        return ChainRecord(IMPROPER, i, tuple(edges), tuple(links), terminal_vertex=v)
-
-    if isinstance(failure, DangerousEdge):
-        r = init.coloring.r
-        edge = h.edge_array[failure.edge].tolist()
-        u_set = tuple(v for v in edge if v in failure.u_vertices)
-        reduced = tuple(v for v in edge if v not in failure.u_vertices)
-        if not u_set:
-            raise ValueError(f"edge {failure.edge} has no candidate-set vertices")
-        if set(u_set) != set(failure.u_vertices):
-            raise ValueError(
-                f"candidate vertices of edge {failure.edge} must be members of it"
-            )
-        if not reduced:
-            raise ValueError(
-                f"edge {failure.edge} lies wholly in the candidate sets: "
-                "no reduced edge to walk back from"
-            )
-        if any(cols[v] != r for v in reduced):
-            raise ValueError(
-                f"edge {failure.edge} is not dangerous: not all non-candidate vertices carry color {r}"
-            )
-        for v in reduced:
-            s = slots[v]
-            # small_{r-1} or large_r
-            if s != 2 * r - 3 and s != 2 * r - 2:
-                raise RuntimeError(
-                    f"chain walk inconsistency: vertex {v} carries color {r} from {_block(s)}"
+        terminal = failure.vertex
+        if not 0 <= terminal < h.m:
+            raise ValueError(f"vertex {terminal} outside 0..{h.m - 1}")
+        edge = int(init.blocking[terminal])
+        if edge < 0:
+            raise ValueError(f"vertex {terminal} was not deflected")
+        kind, part = IMPROPER, h.edge_array[edge]
+        color = failure.interval
+        if color is None:
+            color = (int(slots[terminal]) + 1) // 2
+    elif isinstance(failure, (MonoEdge, DangerousEdge)):
+        edge = failure.edge
+        if not 0 <= edge < len(h.edge_array):
+            raise ValueError(f"edge {edge} outside 0..{len(h.edge_array) - 1}")
+        part = h.edge_array[edge]
+        if isinstance(failure, MonoEdge):
+            kind, color = ORDERED, failure.color
+        else:
+            kind, color = COMPLEX, init.coloring.r
+            candidates = tuple(sorted({int(v) for v in failure.u_vertices}))
+            reduced = tuple(v for v in part.tolist() if v not in candidates)
+            if not reduced:
+                raise ValueError(
+                    f"edge {edge} lies wholly in the candidate sets: "
+                    "no reduced edge to walk back from"
                 )
-        edges, links = _walk_back(h, slots, wa, init, reduced, failure.edge, r)
-        return ChainRecord(
-            COMPLEX,
-            r,
-            tuple(edges),
-            tuple(links),
-            reduced_edge=reduced,
-            candidate_vertices=u_set,
-        )
-
-    raise TypeError(f"unknown failure type {type(failure).__name__}")
+            part = np.array(reduced)
+    else:
+        raise TypeError(f"unknown failure type {type(failure).__name__}")
+    edges, links = _walk_back(h, slots, wa.weights, init.blocking, part, edge, color)
+    record = ChainRecord(kind, color, tuple(edges), tuple(links), terminal, reduced, candidates)
+    validate_chain(h, partition, wa, init, record)
+    return record
 
 
 def _check(cond: bool, message: str) -> None:
@@ -297,15 +253,24 @@ def validate_chain(
     ChainInvalid on the first violation.
 
     Edge j of a k-chain for color i belongs to color c_j = i - k + j.  The
-    checks cover the range of every edge index and vertex named, the
-    intersection pattern (consecutive edges share exactly the link vertex,
-    non-consecutive edges are disjoint), link placement (link j sits in
-    small_{c_j}, was deflected by edge j, and is the last vertex of edge j
-    and the first of edge j+1), and per-vertex membership: interior
-    vertices of edge j carry color c_j from small_{c_j-1}, large_{c_j}, or
-    small_{c_j}, except that the leading edge admits no small_{c_1 - 1}
-    vertices and the last edge of an ordered or complex chain admits no
-    small_{c_k} ones.
+    record names edges and vertices in range and carries its kind's fields;
+    a complex chain's reduced edge and nonempty U partition its last edge.
+    The chain is read as a list of parts: its edges, the last one of a
+    complex chain replaced by the reduced edge, and for an improper chain
+    the pseudo-part {terminal} at color i + 1.  Consecutive parts obey the
+    link rule of ``_conflicting``, the predicate of the Monte Carlo chain
+    event: they share exactly the link (or the terminal), which is the last
+    vertex of the earlier part and the first of the later one and lies in
+    small_{c_j}, and every other vertex of the earlier part carries c_j.
+    Each link was deflected by the edge before it and records its weight,
+    the last part carries its color, the leading edge's first vertex lies
+    in large_{c_1} or small_{c_1}, and no vertex of the last part of an
+    ordered or complex chain lies in small_{c_k} or above.  Slots never
+    decrease as weight grows, so the rest follows: every vertex of edge j
+    lies in small_{c_j-1}, large_{c_j} or small_{c_j}, none of the leading
+    edge in small_{c_1-1}, and non-consecutive edges, whose slot ranges are
+    disjoint, share no vertex.  With ``vsets``, every vertex of U lies in
+    the candidate set of its large block below color r.
     """
     k = record.k
     i = record.color
@@ -331,92 +296,47 @@ def validate_chain(
     for v in [ln.vertex for ln in record.links] + [record.terminal_vertex]:
         _check(v is None or 0 <= v < h.m, f"vertex {v} outside 0..{h.m - 1}")
 
-    # vertex sets; for complex chains the last edge participates through
-    # its reduced pseudo-edge
-    member_sets = [set(h.edge_array[e].tolist()) for e in record.edges]
+    parts = [h.edge_array[e] for e in record.edges]
+    joins = [ln.vertex for ln in record.links]
     if record.kind == COMPLEX:
-        full_last = member_sets[-1]
-        member_sets[-1] = set(record.reduced_edge)
+        reduced, u_set = set(record.reduced_edge), set(record.candidate_vertices)
+        _check(len(u_set) > 0, "complex chains need a nonempty U")
         _check(
-            member_sets[-1] <= full_last and set(record.candidate_vertices) <= full_last,
-            "reduced edge and candidate vertices must come from the last edge",
-        )
-        _check(
-            member_sets[-1] | set(record.candidate_vertices) == full_last
-            and not member_sets[-1] & set(record.candidate_vertices),
+            reduced | u_set == set(parts[-1].tolist()) and not reduced & u_set,
             "reduced edge and candidate vertices must partition the last edge",
         )
-        _check(len(record.candidate_vertices) > 0, "complex chains need a nonempty U")
+        parts[-1] = np.array(sorted(reduced))
+    elif record.kind == IMPROPER:
+        parts.append(np.array([record.terminal_vertex]))
+        joins.append(record.terminal_vertex)
 
-    # intersection pattern
-    for j in range(k - 1):
-        link = record.links[j]
-        shared = member_sets[j] & member_sets[j + 1]
+    # the link rule at T = 1
+    key = wa.weights[None]
+    c_1 = i - k + 1
+    for j, v in enumerate(joins):
+        c = c_1 + j + 1
         _check(
-            shared == {link.vertex},
-            f"edges {j} and {j + 1} must share exactly the link vertex",
+            _conflicting(slots[None], key, cols[None], parts[j], parts[j + 1], c)[0],
+            f"edge {j} and part {j + 1} must link at color {c}",
         )
-    for a in range(k):
-        for b in range(a + 2, k):
-            _check(
-                not member_sets[a] & member_sets[b],
-                f"non-consecutive edges {a} and {b} must be disjoint",
-            )
-
-    # links: placement, deflection record, ordering
-    for j in range(k - 1):
-        link = record.links[j]
-        v = link.vertex
-        c_j = i - k + j + 1
-        _check(slots[v] == 2 * c_j - 1, f"link {j} must lie in small_{c_j}")
-        _check(cols[v] == c_j + 1, f"link {j} must carry color {c_j + 1}")
+        _check(
+            v in parts[j] and v in parts[j + 1],
+            f"vertex {v} must be the one edge {j} and part {j + 1} share",
+        )
         _check(
             init.blocking[v] == record.edges[j],
-            f"link {j} must have been deflected by edge {j} of the chain",
+            f"vertex {v} must have been deflected by edge {j} of the chain",
         )
-        _check(
-            _first_last(wa, member_sets[j])[1] == v,
-            f"link {j} must be the last vertex of edge {j}",
-        )
-        _check(
-            _first_last(wa, member_sets[j + 1])[0] == v,
-            f"link {j} must be the first vertex of edge {j + 1}",
-        )
-        _check(
-            link.weight == float(wa.weights[v]),
-            f"link {j} records the wrong weight",
-        )
-
-    # terminal vertex of an improper chain
-    terminal = record.terminal_vertex
-    if record.kind == IMPROPER:
-        _check(slots[terminal] == 2 * i - 1, "terminal must lie in small_i")
-        _check(cols[terminal] == i + 1, "terminal must carry color i + 1")
-        _check(
-            init.blocking[terminal] == record.edges[-1],
-            "terminal must have been deflected by the last edge",
-        )
-        _check(
-            _first_last(wa, member_sets[-1])[1] == terminal,
-            "terminal must be the last vertex of the last edge",
-        )
-
-    # per-vertex membership and coloring: slots small_{c_j-1}, large_{c_j}
-    # and small_{c_j}, trimmed at the chain's ends
-    link_vertices = {ln.vertex for ln in record.links}
-    for j in range(k):
-        c_j = i - k + j + 1
-        lo = 2 * c_j - 2 if j == 0 else 2 * c_j - 3
-        hi = 2 * c_j - 2 if j == k - 1 and record.kind in (ORDERED, COMPLEX) else 2 * c_j - 1
-        for v in member_sets[j]:
-            if v in link_vertices or v == terminal:
-                continue
-            _check(cols[v] == c_j, f"vertex {v} of edge {j} must carry color {c_j}")
-            s = slots[v]
-            _check(
-                lo <= s <= hi,
-                f"vertex {v} of edge {j} lies in {_block(s)}, outside its allowed subintervals",
-            )
+    for j, link in enumerate(record.links):
+        _check(link.weight == float(wa.weights[link.vertex]), f"link {j} records the wrong weight")
+    s = slots[_first(key, parts[0])[0]]
+    _check(s == 2 * c_1 - 2 or s == 2 * c_1 - 1, f"edge 0 must start in large_{c_1} or small_{c_1}")
+    c_last = c_1 + len(joins)
+    _check((cols[parts[-1]] == c_last).all(), f"the last part must carry color {c_last}")
+    _check(
+        record.kind == IMPROPER or slots[parts[-1]].max() <= 2 * i - 2,
+        f"the last edge must not reach small_{i}",
+    )
 
     # candidate vertices of a complex chain live in the matching candidate
     # set: large_c below color r is slot 2c-2 <= 2r-4
@@ -447,16 +367,13 @@ def _chain_event_holds(h, slots, key, colors, edge_seq, color) -> np.ndarray:
     trials = len(slots)
     if color - k + 1 < 1:
         return np.zeros(trials, dtype=bool)
-    lead = h.edge_array[edge_seq[0]]
-    holds = (colors[:, h.edge_array[edge_seq[-1]]] == color).all(axis=1)
+    parts = [h.edge_array[e] for e in edge_seq]
+    holds = (colors[:, parts[-1]] == color).all(axis=1)
     if k == 1:
-        return holds & (slots[:, lead] == 2 * color - 2).all(axis=1)
+        return holds & (slots[:, parts[0]] == 2 * color - 2).all(axis=1)
     for j in range(1, k):
-        c_j = color - k + j + 1
-        holds &= _conflicting(h, slots, key, colors, edge_seq[j - 1], edge_seq[j], c_j)
-    # the first vertex of the leading edge by (key, id)
-    first = lead[np.argmin(key[:, lead], axis=1)]
-    s = slots[np.arange(trials), first]
+        holds &= _conflicting(slots, key, colors, parts[j - 1], parts[j], color - k + j + 1)
+    s = slots[np.arange(trials), _first(key, parts[0])]
     c_1 = color - k + 1
     return holds & ((s == 2 * c_1 - 2) | (s == 2 * c_1 - 1))
 

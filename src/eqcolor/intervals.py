@@ -107,9 +107,9 @@ class WeightAssignment:
 
     Ties (which have probability zero under continuous draws but can be
     constructed) break by vertex id: the kernel and the chain layer
-    (``chains._first_last``) order vertices by the key (weights[v], v).  The weights must
-    not change after construction: the slots computed from them are kept
-    (see ``_assignment_slots``).
+    (``chains._first`` and ``chains._last``) order vertices by the key
+    (weights[v], v).  The weights must not change after construction: the
+    slots computed from them are kept (see ``_assignment_slots``).
     """
 
     __slots__ = ("weights", "_slots")

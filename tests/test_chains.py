@@ -11,6 +11,7 @@ from eqcolor import (
     ChainInvalid,
     ChainLink,
     ChainRecord,
+    Coloring,
     COMPLEX,
     DangerousEdge,
     Deflected,
@@ -58,23 +59,23 @@ def test_conflicting_pair_hand_trace():
     # and v0 carries color 1, so (A, B) conflict for color 2
     h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
     assert init.coloring.colors.tolist() == [1, 2, 2]
-    assert _conflicting(h, *_trial(P2, wa, init), 0, 1, 2)[0]
+    assert _conflicting(*_trial(P2, wa, init), *h.edge_array[[0, 1]], 2)[0]
 
 
 def test_conflicting_pair_rejects_disjoint_edges():
     h, wa, init = _setup(4, [(0, 1), (2, 3)], (0.1, 0.45, 0.7, 0.9))
-    assert not _conflicting(h, *_trial(P2, wa, init), 0, 1, 2)[0]
+    assert not _conflicting(*_trial(P2, wa, init), *h.edge_array[[0, 1]], 2)[0]
 
 
 def test_conflicting_pair_rejects_two_shared_vertices():
     h, wa, init = _setup(4, [(0, 1, 2), (1, 2, 3)], (0.1, 0.2, 0.45, 0.7))
-    assert not _conflicting(h, *_trial(P2, wa, init), 0, 1, 2)[0]
+    assert not _conflicting(*_trial(P2, wa, init), *h.edge_array[[0, 1]], 2)[0]
 
 
 def test_conflicting_pair_needs_small_block_link():
     # shared vertex in a large block never links a pair
     h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.2, 0.7))
-    assert not _conflicting(h, *_trial(P2, wa, init), 0, 1, 2)[0]
+    assert not _conflicting(*_trial(P2, wa, init), *h.edge_array[[0, 1]], 2)[0]
 
 
 def test_extract_one_chain_from_mono_edge():
@@ -206,6 +207,82 @@ def test_validate_rejects_tampered_records():
     ):
         with pytest.raises(ChainInvalid):
             validate_chain(h, P2, wa, init, bad)
+
+
+def _three_chain():
+    """A 3-chain at r = 3: edge 2, (2, 3), comes out monochromatic in color
+    3, and the walk crosses the deflected vertices 1 and 2 back to edge 0;
+    edge 3, (0, 2), meets edge 0 in vertex 0 and edge 1 in vertex 2."""
+    part = IntervalPartition(0.3, 3)
+    h, wa, init = _setup(
+        4, [(0, 1), (1, 2), (2, 3), (0, 2)], (0.1, 0.3, 0.7, 0.9), r=3, part=part
+    )
+    rec = extract_chain(h, part, wa, init, MonoEdge(2, 3))
+    assert rec.edges == (0, 1, 2) and [ln.vertex for ln in rec.links] == [1, 2]
+    validate_chain(h, part, wa, init, rec)
+    return h, part, wa, init, rec
+
+
+def test_validate_rejects_one_tampered_record_per_condition():
+    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    ordered = extract_chain(h, P2, wa, init, MonoEdge(1, 2))
+    improper = extract_chain(h, P2, wa, init, Deflected(1, 1))
+    # vertex 1 is deflected by edge 0, never by edge 1
+    reblocked = dataclasses.replace(init, blocking=np.array([-1, 1, -1]))
+    reweighed = dataclasses.replace(ordered, links=(ChainLink(1, 0.5),))
+    # the last edge alone: its first vertex 1 lies in small_1
+    truncated = dataclasses.replace(ordered, edges=(1,), links=())
+    cases = {
+        "wrong link weight": (h, P2, wa, init, reweighed),
+        "link blocked by another edge": (h, P2, wa, reblocked, ordered),
+        "terminal blocked by another edge": (h, P2, wa, reblocked, improper),
+        "lead edge reaches into small_{c_1 - 1}": (h, P2, wa, init, truncated),
+    }
+    h3, part3, wa3, init3, rec3 = _three_chain()
+    cases["non-consecutive edges share a vertex"] = (
+        h3, part3, wa3, init3, dataclasses.replace(rec3, edges=(0, 1, 3))
+    )
+    # vertex 2 was deflected as the last of edge (0, 1, 2); the same run
+    # read with the weights of vertices 1 and 2 swapped puts vertex 1 last
+    # (both stay in small_1)
+    h1, wa1, init1 = _setup(3, [(0, 1, 2)], (0.1, 0.45, 0.5))
+    terminal = extract_chain(h1, P2, wa1, init1, Deflected(2, 1))
+    swapped = WeightAssignment((0.1, 0.5, 0.45))
+    cases["terminal not the last vertex of its edge"] = (h1, P2, swapped, init1, terminal)
+    hc, wac, initc = _setup(2, [(0, 1)], (0.1, 0.7))
+    dangerous = extract_chain(hc, P2, wac, initc, DangerousEdge(0, (0,)))
+    for label, field in (
+        ("U overlaps the reduced edge", {"candidate_vertices": (0, 1)}),
+        ("reduced edge overlaps U", {"reduced_edge": (0, 1)}),
+        ("reduced edge and U miss a vertex", {"reduced_edge": ()}),
+    ):
+        cases[label] = (hc, P2, wac, initc, dataclasses.replace(dangerous, **field))
+    # a correct run deflects vertex 1, the last of edge 0, out of small_1;
+    # a forged coloring keeps it in color 1, so edge 0 is monochromatic in
+    # color 1 with a vertex in small_1
+    hf, waf, initf = _setup(2, [(0, 1)], (0.1, 0.45))
+    forged = dataclasses.replace(initf, coloring=Coloring(2, 2, [1, 1]))
+    cases["ordered last edge reaches into small_{c_k}"] = (
+        hf, P2, waf, forged, ChainRecord(ORDERED, 1, (0,), ())
+    )
+    for label, (hh, part, ww, ii, record) in cases.items():
+        with pytest.raises(ChainInvalid):
+            validate_chain(hh, part, ww, ii, record)
+            pytest.fail(f"validate_chain accepted a record with {label}")
+
+
+def test_extract_reads_the_small_block_of_a_deflection_from_its_slot():
+    # Deflected(v, None) names a deflection out of any small block, the form
+    # the oracle and ``mc --quantity deflected`` take
+    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    rec = extract_chain(h, P2, wa, init, Deflected(1, None))
+    assert rec == extract_chain(h, P2, wa, init, Deflected(1, 1))
+    h3, part3, wa3, init3, _ = _three_chain()
+    rec = extract_chain(h3, part3, wa3, init3, Deflected(2, None))
+    assert rec.kind == IMPROPER and rec.color == 2 and rec.edges == (0, 1)
+    assert rec.terminal_vertex == 2 and rec.links == (ChainLink(1, 0.3),)
+    with pytest.raises(ValueError):
+        extract_chain(h3, part3, wa3, init3, Deflected(0, None))  # vertex 0 kept color 1
 
 
 def test_validate_checks_candidate_vertices_against_vsets():
@@ -511,9 +588,9 @@ def test_chain_predicates_over_a_batch_match_each_trial():
         for b in range(num):
             for a in range(num):
                 for c in range(2, r + 1):
-                    batch = _conflicting(h, slots, key, colors, b, a, c).tolist()
+                    batch = _conflicting(slots, key, colors, *h.edge_array[[b, a]], c).tolist()
                     rows = [
-                        _conflicting(h, *_trial(part, wa, init), b, a, c)[0]
+                        _conflicting(*_trial(part, wa, init), *h.edge_array[[b, a]], c)[0]
                         for wa, init in zip(was, inits)
                     ]
                     assert batch == rows

@@ -23,7 +23,7 @@ from eqcolor import (
     run_interval_coloring,
     sample_weights,
 )
-from eqcolor.chains import _chain_event_holds, _conflicting, _first_last
+from eqcolor.chains import _chain_event_holds, _conflicting, _first, _last
 from eqcolor.hypergraph import _color_dtype
 from eqcolor.intervals import _assignment_slots, _colors_at_sizes, _weight_slots
 from eqcolor.rebalance import build_rebalance_plan
@@ -166,11 +166,17 @@ def test_weight_assignment_order_and_ties():
     wa = WeightAssignment((0.5, 0.1, 0.5, 0.3))
     order = np.lexsort((np.arange(4), wa.weights)).tolist()
     assert order == [1, 3, 0, 2]  # id breaks the 0.5 tie
-    assert _first_last(wa, (0, 2, 3)) == (3, 2)
-    assert _first_last(wa, (2, 0)) == (0, 2)
+
+    def first_last(vertices):
+        # the chain layer's helpers take a vertex set listed in id order
+        ids = np.sort(vertices)
+        return _first(wa.weights[None], ids)[0], _last(wa.weights[None], ids)[0]
+
+    assert first_last((0, 2, 3)) == (3, 2)
+    assert first_last((2, 0)) == (0, 2)
     for k in range(1, 5):
-        assert _first_last(wa, order[k - 1 :])[0] == order[k - 1]
-        assert _first_last(wa, order[:k])[1] == order[k - 1]
+        assert first_last(order[k - 1 :])[0] == order[k - 1]
+        assert first_last(order[:k])[1] == order[k - 1]
 
 
 def test_sample_weights_deterministic_and_in_range():
@@ -357,7 +363,7 @@ def test_slots_are_computed_once_per_weight_assignment(monkeypatch):
         assert kept.tolist() == [part.slot_of(x) for x in wa.weights.tolist()]
         build_rebalance_plan(h, part, wa, init.coloring, class_targets(6, 2), 3, p_tilde=0.5)
         trial = kept[None], wa.weights[None], init.coloring.colors[None]
-        _conflicting(h, *trial, 0, 1, 2)
+        _conflicting(*trial, *h.edge_array[[0, 1]], 2)
         _chain_event_holds(h, *trial, (0, 1), 2)
     assert calls == [(5, 6)]
     # an equal partition reads the kept slots, another one recomputes them

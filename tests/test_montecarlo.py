@@ -300,7 +300,8 @@ def test_oracle_calls_no_production_kernel_or_predicate(monkeypatch):
         monkeypatch.setattr(montecarlo, name, banned)
     monkeypatch.setattr(intervals, "_stage_colors", banned)
     monkeypatch.setattr(intervals, "_weight_slots", banned)
-    monkeypatch.setattr(chains, "_chain_event_holds", banned)
+    for name in ("_chain_event_holds", "_conflicting", "_first", "_last"):
+        monkeypatch.setattr(chains, name, banned)
     monkeypatch.setattr(hypergraph, "_mono_edges", banned)
     test_oracle_frozen_values_on_calibration_instance()
 

@@ -390,6 +390,25 @@ def test_chains_are_extracted_only_for_the_reported_attempt(monkeypatch):
     assert [c.edges[-1] for c in report.chains] == [f.edge for f in calls]
 
 
+def test_solver_reports_only_checked_chains(monkeypatch):
+    # at seed 15 the last rejected attempt ends on a two-edge chain; a walk
+    # that drops its link yields a record the solver must not report
+    from eqcolor import ChainInvalid, chains, generate_random
+
+    h = generate_random(1000, 6, 1200, 1)
+    report = solve_equitable(h, 3, SolveConfig(seed=15))
+    assert any(c.k == 2 for c in report.chains)
+    walk = chains._walk_back
+
+    def dropping(*args):
+        edges, links = walk(*args)
+        return (edges[1:], links[1:]) if links else (edges, links)
+
+    monkeypatch.setattr(chains, "_walk_back", dropping)
+    with pytest.raises(ChainInvalid):
+        solve_equitable(h, 3, SolveConfig(seed=15))
+
+
 # Attempts that share one seeding block, written here independently of the
 # solver's constant.
 BLOCK = 64
