@@ -51,14 +51,8 @@ from .intervals import (
     run_interval_coloring,
     sample_weights,
 )
-from .montecarlo import (
-    ChainEventSpec,
-    Comparison,
-    EstimateReport,
-    MonoEdgeExists,
-    exact_c0_event_prob,
-    mc_estimate,
-)
+from .montecarlo import Comparison, EstimateReport, mc_estimate
+from .oracle import ChainEventSpec, MonoEdgeExists, exact_c0_event_prob
 from .rebalance import (
     RebalancePlan,
     RegimeViolation,

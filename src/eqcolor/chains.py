@@ -140,21 +140,33 @@ def _last(key: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return vertices[len(vertices) - 1 - np.argmax(key[:, vertices[::-1]], axis=1)]
 
 
+def _link_vertex(b: np.ndarray, a: np.ndarray) -> Optional[int]:
+    """The one vertex parts B and A share, or None: the link rule's first test."""
+    shared = b[np.isin(b, a)]  # not np.intersect1d, which imports numpy.ma
+    return int(shared[0]) if len(shared) == 1 else None
+
+
 def _conflicting(slots, key, colors, b, a, color) -> np.ndarray:
     """The link rule: whether part A follows part B in a chain for
     ``color``, in each of T trials.  B and A are vertex arrays in id order,
     edges or the pseudo-parts of ``validate_chain``.  They share exactly one
-    vertex v, v is the last vertex of B and the first of A, v lies in
-    small_{color-1}, and all of B minus v carries color-1.  ``slots``,
-    ``key`` and ``colors`` are (T, m) arrays, and trial t orders vertices
-    by (key[t, v], v).  Returns one boolean per trial."""
-    # np.isin, not np.intersect1d, which imports numpy.ma (about 0.5 MB)
-    shared = b[np.isin(b, a)]
-    if len(shared) != 1:
+    vertex v (``_link_vertex``), v is the last vertex of B and the first of
+    A, v lies in small_{color-1}, and all of B minus v carries color-1.
+    ``slots``, ``key`` and ``colors`` are (T, m) arrays, and trial t orders
+    vertices by (key[t, v], v).  Returns one boolean per trial."""
+    v = _link_vertex(b, a)
+    if v is None:
         return np.zeros(len(slots), dtype=bool)
-    v = shared[0]
     ok = (_last(key, b) == v) & (_first(key, a) == v) & (slots[:, v] == 2 * color - 3)
     return ok & (colors[:, b[b != v]] == color - 1).all(axis=1)
+
+
+def _blocking_edge(h: Hypergraph, blocking: np.ndarray, v: int) -> int:
+    """The edge that deflected v, or -1; ChainInvalid if it names no edge."""
+    edge = int(blocking[v])
+    if not -1 <= edge < len(h.edge_array):
+        raise ChainInvalid(f"vertex {v} was deflected by edge {edge}, outside the hypergraph")
+    return edge
 
 
 def _walk_back(
@@ -173,9 +185,9 @@ def _walk_back(
     edge indices and links."""
     edges, links = [edge], []
     u = int(_first(key[None], part)[0])
-    while slots[u] == 2 * color - 3 and blocking[u] >= 0:
+    while slots[u] == 2 * color - 3 and (blocker := _blocking_edge(h, blocking, u)) >= 0:
         links.insert(0, ChainLink(u, float(key[u])))
-        edges.insert(0, int(blocking[u]))
+        edges.insert(0, blocker)
         color -= 1
         u = int(_first(key[None], h.edge_array[edges[0]])[0])
     return edges, links
@@ -195,8 +207,9 @@ def extract_chain(
     ValueError when the event names an edge or vertex that does not exist,
     a vertex with no blocking edge, or a dangerous edge that lies wholly in
     the candidate sets (no vertex to walk back from), and ChainInvalid, a
-    ValueError, when the walked record fails validation, as it does for an
-    event that did not occur.
+    ValueError, when a blocking record it reads names no edge or the
+    walked record fails validation, as it does for an event that did not
+    occur.
     """
     slots = _assignment_slots(partition, wa)
     terminal = reduced = candidates = None
@@ -204,7 +217,7 @@ def extract_chain(
         terminal = failure.vertex
         if not 0 <= terminal < h.m:
             raise ValueError(f"vertex {terminal} outside 0..{h.m - 1}")
-        edge = int(init.blocking[terminal])
+        edge = _blocking_edge(h, init.blocking, terminal)
         if edge < 0:
             raise ValueError(f"vertex {terminal} was not deflected")
         kind, part = IMPROPER, h.edge_array[edge]
@@ -445,8 +458,9 @@ def enumerate_chain_candidates(
 
 
 def chain_probability_bound(n: int, r: int, k: int) -> float:
-    """Upper bound 2 (ln n / n)^(k (r-1)/r) r^(-(n-1)k - 1) on the probability
-    that a fixed structurally valid k-tuple forms an ordered chain."""
+    """Bound 2 (ln n / n)^(k (r-1)/r) r^(-(n-1)k - 1) on the probability
+    that a fixed structurally valid k-tuple forms an ordered chain: an upper
+    bound at the derived p for r < (ln n)^(1/5) and n large, not below."""
     if n < 2 or r < 2 or k < 1:
         raise ValueError("bound requires n >= 2, r >= 2, k >= 1")
     ln_n = math.log(n)

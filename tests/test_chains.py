@@ -193,6 +193,18 @@ def test_extract_and_validate_reject_indices_out_of_range():
             validate_chain(h, P2, wa, init, dataclasses.replace(rec, links=(ChainLink(v, 0.45),)))
 
 
+def test_extract_rejects_a_blocking_record_that_names_no_edge():
+    # vertex 1 was deflected by edge 0; a forged record naming edge 7 or -2
+    # is refused where it is read, by the walk for the mono edge and by the
+    # lookup for the deflection, not used as an index
+    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    for bad in (7, -2):
+        forged = dataclasses.replace(init, blocking=np.array([-1, bad, -1]))
+        for event in (MonoEdge(1, 2), Deflected(1, 1)):
+            with pytest.raises(ChainInvalid, match=f"edge {bad}"):
+                extract_chain(h, P2, wa, forged, event)
+
+
 def test_validate_rejects_tampered_records():
     h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
     rec = extract_chain(h, P2, wa, init, MonoEdge(1, 2))

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from eqcolor import (
     mc_estimate,
     run_interval_coloring,
 )
-from eqcolor import chains, hypergraph, intervals, montecarlo
+from eqcolor import chains, hypergraph, intervals, montecarlo, oracle
 from eqcolor.intervals import _stage_colors, _weight_slots
 from eqcolor.montecarlo import QUANTITIES, Deflected
 from eqcolor.seeding import ROLE_TRIALS, derive
@@ -125,7 +129,7 @@ def test_oracle_counts_configurations_before_enumerating(monkeypatch):
         raise AssertionError("the dynamic program ran on an over-budget instance")
 
     assert exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=5296) > 0.0
-    monkeypatch.setattr(montecarlo, "_visit_states", never)
+    monkeypatch.setattr(oracle, "_visit_states", never)
     with pytest.raises(BudgetExceeded):
         exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists(), budget=5295)
     # m = 8, r = 3 has 4 860 297 configurations, over the default MC budget
@@ -149,13 +153,13 @@ def test_expected_deflections_comparison_is_one_enumeration(monkeypatch):
     # events, as one decides the mono-edge event; the deflection pass
     # watches every vertex, the mono-edge pass none
     calls = []
-    visit = montecarlo._visit_states
+    visit = oracle._visit_states
 
     def counted(blocked, r, vectors, group, watch=0, links=()):
         calls.append((len(vectors), len(set(group.tolist())), watch))
         return visit(blocked, r, vectors, group, watch, links)
 
-    monkeypatch.setattr(montecarlo, "_visit_states", counted)
+    monkeypatch.setattr(oracle, "_visit_states", counted)
     mono = mc_estimate("mono-edge", TRI_PAIR, 2, trials=10, seed=0)
     one_pass = len(calls)
     defl = mc_estimate("expected-deflections", TRI_PAIR, 2, {"i": 1}, trials=10, seed=0)
@@ -262,13 +266,13 @@ def test_oracle_simulator_refuses_m_above_its_table_limit():
     # vertices in the first large block and its odd ones in small_1: each
     # odd vertex is deflected whatever the order, so all (m / 2)! orders
     # end in one state
-    limit = montecarlo._MASK_MAX_M
+    limit = oracle._MASK_MAX_M
     assert limit >= 12
     path = Hypergraph(limit, 2, [(k, k + 1) for k in range(limit - 1)])
-    blocked, _ = montecarlo._class_tables(path)
+    blocked, _ = oracle._class_tables(path)
     slots = np.array([[v % 2 for v in range(limit)]], dtype=np.int8)
     odd = sum(1 << v for v in range(1, limit, 2))
-    masks, deflected, group, count = montecarlo._visit_states(
+    masks, deflected, group, count = oracle._visit_states(
         blocked, 2, slots, np.zeros(1, dtype=np.int64), watch=(1 << limit) - 1
     )
     colors = [1 + int(masks[0, 1] >> v & 1) for v in range(limit)]
@@ -280,12 +284,12 @@ def test_oracle_simulator_refuses_m_above_its_table_limit():
     # a state key holds 2r bits per vertex and the group: m = 11 at r = 3
     # would need 66 bits, so the dynamic program refuses it
     with pytest.raises(ValueError):
-        montecarlo._visit_states(blocked, 3, slots[:, :11], np.zeros(1, dtype=np.int64))
+        oracle._visit_states(blocked, 3, slots[:, :11], np.zeros(1, dtype=np.int64))
     big = Hypergraph(20, 2, [(k, k + 1) for k in range(19)])
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
-            montecarlo._class_tables(big)
+            oracle._class_tables(big)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -396,6 +400,24 @@ def test_mc_deflected_in_band():
     assert abs(rep.estimate - 0.07188601748440646) <= rep.half_width
 
 
+def test_mc_deflected_splits_by_small_block():
+    # the estimates for i = 1 and i = 2 share their draws with the i-less
+    # one, so their hits add up to its hits; each compares with its exact
+    # value
+    path4 = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+    trials = 20000
+    either = mc_estimate("deflected", path4, 3, {"v": 1}, trials=trials, seed=3)
+    by_block = [
+        mc_estimate("deflected", path4, 3, {"v": 1, "i": i}, trials=trials, seed=3) for i in (1, 2)
+    ]
+    hits = [round(rep.estimate * trials) for rep in by_block]
+    assert sum(hits) == round(either.estimate * trials) and min(hits) > 0
+    for i, rep in enumerate(by_block, start=1):
+        assert rep.quantity == f"deflected(v=1,i={i})"
+        assert rep.comparison == Comparison("exact", exact_c0_event_prob(path4, 3, Deflected(1, i)))
+    assert by_block[1].comparison.value == 0.09433144949768552
+
+
 def test_mc_chain_event_in_band():
     rep = mc_estimate(
         "chain-event",
@@ -406,6 +428,32 @@ def test_mc_chain_event_in_band():
         seed=8,
     )
     assert abs(rep.estimate - 0.008017001787568267) <= rep.half_width
+
+
+def test_chain_event_estimate_leaves_numpy_ma_unloaded():
+    # np.intersect1d imports numpy.ma (about 0.5 MB); the builder's check
+    # that consecutive edges share one vertex is the link rule's np.isin
+    # test.  A child process starts without the estimate's imports (numpy
+    # before 2.0 loads numpy.ma itself)
+    code = (
+        "import sys; from eqcolor import Hypergraph, mc_estimate\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "h = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])\n"
+        "rep = mc_estimate('chain-event', h, 2, {'edges': [0, 1], 'color': 2}, trials=100)\n"
+        "assert rep.comparison.kind == 'exact'\n"
+        "print(before, 'numpy.ma' in sys.modules)"
+    )
+    src = Path(montecarlo.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before, proc.stdout
 
 
 def test_mc_balanced_mono_matches_formula():
@@ -599,7 +647,7 @@ def test_mc_compares_with_the_bound_past_the_oracle_budget():
     # m = 9 is within the oracle's limit at r = 2, but its 2 681 216
     # configurations pass the budget of 10^6
     h = Hypergraph(9, 2, [(0, 1), (1, 2), (5, 8)])
-    assert h.m <= montecarlo._ORACLE_MAX_M[2]
+    assert h.m <= oracle._ORACLE_MAX_M[2]
     rep = mc_estimate("mono-edge", h, 2, trials=10, seed=0)
     assert rep.comparison == Comparison("bound", pytest.approx(0.04 * math.e, abs=1e-12))
 

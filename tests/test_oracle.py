@@ -1,0 +1,92 @@
+"""The exact oracle's independence from the production code, and its run cap."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from eqcolor import ChainEventSpec, Deflected, Hypergraph, MonoEdgeExists, exact_c0_event_prob
+from eqcolor import oracle
+
+# the workhorse calibration instance of the Monte Carlo tests
+TRI_PAIR = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
+
+# what the oracle may import from the package: the instance type and its
+# budget error, the rules for r and p, the derived p and the event type it
+# shares with the chain layer; no kernel, predicate or shared helper
+ALLOWED = {
+    ("hypergraph", "BudgetExceeded"),
+    ("hypergraph", "Hypergraph"),
+    ("hypergraph", "_check_colors"),
+    ("intervals", "_check_p"),
+    ("intervals", "choose_p"),
+    ("chains", "Deflected"),
+}
+
+
+def _package_imports(source: str) -> list[tuple[str, str]]:
+    """Every (module, name) that ``source`` imports from the eqcolor
+    package, by a relative or an absolute import; a whole module imported
+    by name counts as (module, "*")."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "eqcolor":
+                    continue
+                module = module.removeprefix("eqcolor").lstrip(".")
+            if module:
+                found += [(module, alias.name) for alias in node.names]
+            else:
+                found += [(alias.name, "*") for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "eqcolor":
+                    found.append((alias.name.removeprefix("eqcolor").lstrip("."), "*"))
+    return found
+
+
+def test_oracle_imports_only_data_types_and_argument_rules():
+    # the oracle checks the Monte Carlo route only while it shares no code
+    # with it: a kernel, a predicate or a helper imported here would let one
+    # fault pass both
+    found = _package_imports(Path(oracle.__file__).read_text())
+    assert found and set(found) <= ALLOWED, sorted(set(found) - ALLOWED)
+
+
+@pytest.mark.parametrize(
+    "line, name",
+    [
+        ("from .intervals import _stage_colors", ("intervals", "_stage_colors")),
+        ("from eqcolor.chains import _conflicting", ("chains", "_conflicting")),
+        ("from . import montecarlo", ("montecarlo", "*")),
+        ("import eqcolor.rebalance", ("rebalance", "*")),
+        ("from .hypergraph import Hypergraph as H, _mono_edges", ("hypergraph", "_mono_edges")),
+    ],
+)
+def test_import_reader_sees_every_form_of_package_import(line, name):
+    assert name in _package_imports(f"import math\nimport numpy as np\n{line}\n")
+    assert name not in ALLOWED
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_oracle_run_cap_changes_no_value(monkeypatch, r):
+    # a cap of 1 runs every group of slot vectors alone, 2^24 puts them all
+    # in one run; the group sums add in group order either way
+    events = [MonoEdgeExists(), ChainEventSpec((0, 1), 2)] + [Deflected(v, 1) for v in range(6)]
+    runs, values = [], []
+    visit = oracle._visit_states
+
+    def counted(*args, **kwargs):
+        runs[-1] += 1
+        return visit(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_visit_states", counted)
+    for cells in (1, 1 << 18, 1 << 24):
+        monkeypatch.setattr(oracle, "_RUN_CELLS", cells)
+        runs.append(0)
+        values.append([exact_c0_event_prob(TRI_PAIR, r, ev) for ev in (*events, events)])
+    assert values[0] == values[1] == values[2]
+    assert all(0.0 < value < 1.0 for value in values[0][:-1])
+    assert runs[0] > runs[1] == runs[2]
