@@ -51,7 +51,7 @@ from .intervals import (
     run_interval_coloring,
     sample_weights,
 )
-from .montecarlo import Comparison, EstimateReport, mc_estimate
+from .montecarlo import QUANTITIES, Comparison, EstimateReport, mc_estimate
 from .oracle import ChainEventSpec, MonoEdgeExists, exact_c0_event_prob
 from .rebalance import (
     RebalancePlan,
@@ -63,6 +63,12 @@ from .rebalance import (
     excess_shortage,
 )
 from .solver import (
+    AUTO,
+    BALANCED_ONLY,
+    EXHAUSTED,
+    INFEASIBLE,
+    SUCCESS,
+    TWO_STAGE_ONLY,
     SolveConfig,
     SolveReport,
     greedy_repair,

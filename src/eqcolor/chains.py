@@ -39,6 +39,9 @@ from .hypergraph import BudgetExceeded, Hypergraph
 from .intervals import InitialColoring, IntervalPartition, WeightAssignment, _assignment_slots
 
 __all__ = [
+    "COMPLEX",
+    "IMPROPER",
+    "ORDERED",
     "ChainInvalid",
     "ChainLink",
     "ChainRecord",

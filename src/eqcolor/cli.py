@@ -55,7 +55,7 @@ __all__ = ["main", "run_cli"]
 
 # solve and mc hold O(m) values per batch row however few edges the instance
 # has, so a header alone can ask for any amount of memory.  Peak RSS grew by
-# about 88 bytes per vertex between m = 10^5 and 4 * 10^5 (header-only solve
+# about 90 bytes per vertex between m = 10^5 and 4 * 10^5 (header-only solve
 # at r = 4; mc at 20 trials: 13 for mono-edge, 38 for dangerous-count), so
 # this cap keeps them near 1 GB.  The library takes m up to 2^31.
 MAX_VERTICES = 10**7

@@ -20,6 +20,7 @@ __all__ = [
     "Hypergraph",
     "ThresholdBound",
     "brute_force_equitable",
+    "class_targets",
     "edge_threshold",
     "generate_random",
     "is_equitable",

@@ -53,8 +53,14 @@ from .intervals import (
     choose_p,
 )
 from .oracle import _ORACLE_MAX_M, ChainEventSpec, MonoEdgeExists, exact_c0_event_prob
-from .rebalance import _candidates, _dangerous_edges, compute_p_tilde
-from .seeding import ROLE_TRIALS, derive
+from .rebalance import (
+    _candidates,
+    _check_keep,
+    _dangerous_edges,
+    _excess_pattern_holds,
+    compute_p_tilde,
+)
+from .seeding import ROLE_TRIALS, _draw_rows, _streams, derive
 
 __all__ = ["Comparison", "EstimateReport", "QUANTITIES", "mc_estimate"]
 
@@ -106,11 +112,9 @@ def _sample(
     """Sampling loop over sub-batches.  Trial t draws ``width`` uniforms,
     m weights and then, when ``with_keep``, m keep draws, by the block rule
     of ``seeding``.  A sub-batch holds at most ``_SUB_BATCH_CELLS`` //
-    max(width, n |E|) trials (at least one) and never crosses a block, so
-    it draws its rows in one call.  Every sub-batch is colored at once: by
-    the two-stage kernel on ``partition``, or, when ``partition`` is None,
-    by a uniform balanced draw (each row of weights sorted into a
-    permutation, cut into r equal classes by ``_colors_at_sizes``).
+    max(width, n |E|) trials (at least one), colored at once by the
+    two-stage kernel on ``partition`` or, when it is None, by a balanced
+    draw.
     ``stat(colors, deflections, slots, u, keep)`` gets the sub-batch's
     (T, m) arrays (``deflections`` and ``slots`` are None for balanced
     draws, ``keep`` is None unless ``with_keep``) and returns one integer
@@ -124,12 +128,10 @@ def _sample(
     sizes = class_targets(m, r)
     width = 2 * m if with_keep else m
     sub = max(1, _SUB_BATCH_CELLS // max(1, width, h.edge_array.size))
-    total = total_sq = lo = 0
-    while lo < trials:
-        if lo % _BLOCK == 0:
-            rng = derive(seed, lo // _BLOCK, ROLE_TRIALS)
-        take = min(sub, trials - lo, _BLOCK - lo % _BLOCK)
-        mat = rng.random((take, width))
+    streams = _streams(lambda b: derive(seed, b, ROLE_TRIALS), _BLOCK)
+    total = total_sq = 0
+    for lo in range(0, trials, sub):
+        mat = _draw_rows(streams, min(sub, trials - lo), lambda rng, k: rng.random((k, width)))
         u, keep = mat[:, :m], mat[:, m:] if with_keep else None
         if partition is None:
             perms = np.argsort(u, axis=1, kind="stable")
@@ -140,7 +142,6 @@ def _sample(
         vals = np.asarray(stat(colors, deflections, slots, u, keep), dtype=np.int64)
         total += int(vals.sum())
         total_sq += int((vals * vals).sum())
-        lo += take
     return float(total), float(total_sq)
 
 
@@ -215,8 +216,7 @@ def _excess_pattern(h, r, p, values):
     targets = class_targets(h.m, r)
 
     def stat(colors, deflections, slots, u, keep):
-        sizes = _row_counts(colors, r + 1)[:, 1:]
-        return (sizes[:, : r - 1] >= targets[: r - 1]).all(axis=1)
+        return _excess_pattern_holds(_row_counts(colors, r + 1)[:, 1:], targets)
 
     return "excess-pattern", stat, lambda: Comparison("bound", 0.5 - 0.04 * math.e)
 
@@ -224,8 +224,7 @@ def _excess_pattern(h, r, p, values):
 def _dangerous_count(h, r, p, values):
     p_tilde = values.get("p_tilde")
     p_tilde = float(p_tilde) if p_tilde is not None else compute_p_tilde(h.m, h.n, r, p)
-    if not 0.0 <= p_tilde <= 1.0:
-        raise ValueError("keep probability must lie in [0, 1]")
+    _check_keep(p_tilde)
 
     def stat(colors, deflections, slots, u, keep):
         candidate = _candidates(slots, keep, p_tilde, r)

@@ -93,6 +93,21 @@ def excess_shortage(
     return ex, sh
 
 
+def _excess_pattern_holds(sizes, targets) -> np.ndarray:
+    """The shape rebalancing repairs: every class below r at or above its
+    target, so that only class r can run short.  (r,) class sizes give one
+    bool, (T, r) sizes one per row."""
+    return (np.asarray(sizes)[..., :-1] >= np.asarray(targets)[:-1]).all(axis=-1)
+
+
+def _check_keep(p_tilde: float) -> None:
+    """The one rule on a keep probability: ValueError unless it lies in
+    [0, 1].  The rebalance plan and the Monte Carlo ``dangerous-count``
+    statistic call it."""
+    if not 0.0 <= p_tilde <= 1.0:
+        raise ValueError(f"keep probability must lie in [0, 1], got {p_tilde}")
+
+
 def compute_q(m: int, n: int, r: int, p: float) -> float:
     """Candidate-set size scale: m p / (r (r-1)) + 2 sqrt(13 m ln r / r)
     + ((r+1)/r) n / ln n."""
@@ -205,8 +220,7 @@ def build_rebalance_plan(
     q = compute_q(h.m, h.n, r, partition.p)
     if p_tilde is None:
         p_tilde = compute_p_tilde(h.m, h.n, r, partition.p, q=q)
-    if not 0.0 <= p_tilde <= 1.0:
-        raise ValueError("keep probability must lie in [0, 1]")
+    _check_keep(p_tilde)
     rng = seed if isinstance(seed, np.random.Generator) else derive(seed, ROLE_VSETS)
     slots = _assignment_slots(partition, wa)
     candidate = _candidates(slots, rng.random(h.m), p_tilde, r)

@@ -14,12 +14,16 @@ Monte Carlo trials in blocks of 16384.  Item t of a run draws from
 (seed, t // block, role), right after the earlier items of its block;
 consecutive draws from one generator do not depend on how they are split,
 so the batch and sub-batch sizes change no draw, and a longer run extends
-a shorter one.  The solver's roles are ROLE_WEIGHTS and ROLE_BALANCED,
-the Monte Carlo trials' ROLE_TRIALS.  Only rebalancing sets are drawn per
+a shorter one.  ``_streams`` and ``_draw_rows`` are the one implementation
+of the rule.  The solver's roles are ROLE_WEIGHTS and ROLE_BALANCED, the
+Monte Carlo trials' ROLE_TRIALS.  Only rebalancing sets are drawn per
 attempt, from (seed, attempt, ROLE_VSETS).
 """
 
 from __future__ import annotations
+
+from itertools import chain, count, groupby, islice, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,3 +38,17 @@ ROLE_TRIALS = 3
 def derive(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream identified by (seed, *path)."""
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(x) for x in path)))
+
+
+def _streams(make: Callable, block: int) -> Iterator[np.random.Generator]:
+    """Generators for items 0, 1, 2, ... in turn: the ``block`` items of
+    block b share make(b), which is called when the block's first item is
+    taken, never a block ahead."""
+    return chain.from_iterable(repeat(make(b), block) for b in count())
+
+
+def _draw_rows(streams: Iterator[np.random.Generator], size: int, draw: Callable) -> np.ndarray:
+    """The rows of the next ``size`` items of ``streams``: draw(rng, k) once
+    per run of k consecutive items that share a generator, concatenated."""
+    parts = [draw(rng, len(list(run))) for rng, run in groupby(islice(streams, size))]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

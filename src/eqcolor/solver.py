@@ -10,14 +10,13 @@ whenever there is one; only the number of restarts is random.
 
 Attempts of both routes run through one loop, screened as arrays in
 batches of 1, 2, 4, ... attempts.  A route picks only how a batch is drawn
-and colored: one ``sample_weights`` draw per block segment and one kernel
-call, or one permutation per attempt cut at the class targets.  One edge
-scan per batch finds the rows with no monochromatic edge, taken in attempt
-order; per-attempt objects are built only for them and for the last
-rejected two-stage row, whose chains the report carries.  Seeding is per
-block of ``_BLOCK`` attempts, a constant apart from the batch sizes:
-attempt t draws from derive(seed, t // _BLOCK, role), after the earlier
-attempts of its block, so batching changes no report.
+and colored: ``sample_weights`` rows and one kernel call, or one
+permutation per attempt cut at the class targets.  One edge scan per batch
+finds the rows with no monochromatic edge, taken in attempt order;
+per-attempt objects are built only for them and for the last rejected
+two-stage row, whose chains the report carries.  Attempts are seeded in
+blocks of ``_BLOCK`` by the rule of ``seeding``, so batching changes no
+report.
 
 At desk scale the per-attempt success probability carries no guarantee, so
 after exhausting its restarts the solver consults the brute-force oracle
@@ -27,7 +26,6 @@ equitable coloring" from "gave up".
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Union
@@ -59,11 +57,11 @@ from .intervals import (
 from .rebalance import (
     RegimeViolation,
     RebalancePlan,
+    _excess_pattern_holds,
     apply_recolor,
     build_rebalance_plan,
-    excess_shortage,
 )
-from .seeding import ROLE_BALANCED, ROLE_VSETS, ROLE_WEIGHTS, derive
+from .seeding import ROLE_BALANCED, ROLE_VSETS, ROLE_WEIGHTS, _draw_rows, _streams, derive
 
 __all__ = [
     "AUTO",
@@ -89,7 +87,7 @@ INFEASIBLE = "infeasible-by-oracle"
 PATH_BALANCED = "balanced"
 PATH_TWO_STAGE = "two-stage"
 
-# attempts that share one derived generator (see ``_attempt_streams``)
+# attempts that share one derived generator (see ``seeding``)
 _BLOCK = 64
 # cap on the cells one batch of attempts gathers, attempts x max(m, n x |E|):
 # a solve that stops inside a batch has colored the rest of it for nothing,
@@ -228,20 +226,18 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     """Attempt up to cfg.max_restarts independently seeded constructions and
     return the first verified equitable coloring.
 
-    Attempt t draws its weights or its balanced coloring from the
-    generator of its block, derive(cfg.seed, t // _BLOCK, role), right
-    after the earlier attempts of that block (see ``_attempt_streams``),
-    and its rebalancing sets from derive(cfg.seed, t, ROLE_VSETS); so
-    identical inputs give an identical report.  Both routes screen their
-    attempts in batches (see ``_screened_attempts``), which changes no
-    attempt's draws and no report: only the attempts up to the returned
-    one are counted.  Every returned coloring has passed ``is_equitable``;
-    chains come only from two-stage attempts.  With strict_divisibility
-    only perfectly balanced targets are accepted and r | m is enforced up
-    front; otherwise targets differ by at most one.  After exhaustion,
-    instances with r**m within the enumeration budget get a brute-force
-    verdict, upgrading Exhausted to Infeasible-by-oracle when no equitable
-    coloring exists at all.  Raises ValueError unless 2 <= r <= m.
+    Attempt t draws its weights or its balanced coloring by the block rule
+    of ``seeding``, and its rebalancing sets from derive(cfg.seed, t,
+    ROLE_VSETS); so identical inputs give an identical report.  Both routes
+    screen their attempts in batches (see ``_screened_attempts``), which
+    changes no attempt's draws and no report: only the attempts up to the
+    returned one are counted.  Every returned coloring has passed
+    ``is_equitable``; chains come only from two-stage attempts.  With
+    strict_divisibility only perfectly balanced targets are accepted and
+    r | m is enforced up front; otherwise targets differ by at most one.  After
+    exhaustion, instances with r**m within the enumeration budget get a
+    brute-force verdict, upgrading Exhausted to Infeasible-by-oracle when no
+    equitable coloring exists at all.  Raises ValueError unless 2 <= r <= m.
     """
     _check_colors(r, h.m, least=2)
     if cfg.strict_divisibility and h.m % r != 0:
@@ -274,8 +270,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
         if is_equitable(h, coloring):
             return success(coloring, attempt)
 
-        ex, sh = excess_shortage(coloring, targets)
-        if all(s == 0 for s in sh[:-1]) and any(sh):
+        if _excess_pattern_holds(coloring.sizes, targets):
             try:
                 plan = build_rebalance_plan(
                     h, partition, wa, coloring, targets, derive(cfg.seed, attempt, ROLE_VSETS)
@@ -305,17 +300,6 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     )
 
 
-def _attempt_streams(seed: int, role: int) -> Iterator[np.random.Generator]:
-    """Generators for attempts 0, 1, 2, ... in turn.  The ``_BLOCK``
-    attempts of block b share derive(seed, b, role) and draw from it in
-    attempt order.  Consecutive draws do not depend on how they are split,
-    so attempt t's draws do not depend on the batch sizes; rows are drawn
-    as attempts run, never a block ahead (block seeding as in Salmon et
-    al., SC'11)."""
-    for block in itertools.count():
-        yield from itertools.repeat(derive(seed, block, role), _BLOCK)
-
-
 class _Rejected(NamedTuple):
     """A run of ``count`` consecutive attempts rejected on a monochromatic
     edge, ending at row ``t`` of ``batch`` (as ``_screen_batch`` gives it)."""
@@ -343,15 +327,14 @@ def _screened_attempts(
     ``_SUB_BATCH_CELLS`` // max(m, n |E|) of them (at least one), screened
     as arrays by ``_screen_batch``.  Per-attempt objects are built only
     for the rows yielded, when they are yielded, and for the last rejected
-    two-stage row when the report asks for its chains.  Attempt t draws
-    from ``_attempt_streams``(cfg.seed, ROLE_WEIGHTS or ROLE_BALANCED),
-    whose rows do not depend on the batch sizes, so a batch yields what one
-    draw per attempt would.  A solve that succeeds on attempt 1 draws one
-    attempt; one that stops inside a batch has drawn and colored the rest
-    of that batch for nothing.
+    two-stage row when the report asks for its chains.  The batch sizes
+    change no draw (see ``seeding``).  A solve that succeeds on attempt 1
+    draws one attempt; one that stops inside a batch has drawn and colored
+    the rest of that batch for nothing.
     """
     cap = max(1, _SUB_BATCH_CELLS // max(1, h.m, h.edge_array.size))
-    streams = _attempt_streams(cfg.seed, ROLE_BALANCED if partition is None else ROLE_WEIGHTS)
+    role = ROLE_BALANCED if partition is None else ROLE_WEIGHTS
+    streams = _streams(lambda b: derive(cfg.seed, b, role), _BLOCK)
     start, size = 0, 1
     while start < cfg.max_restarts:
         stop = min(start + size, cfg.max_restarts)
@@ -379,18 +362,19 @@ def _screen_batch(
     monochromatic edges, and the function building row t's (weights,
     coloring).  ``streams`` gives each attempt's generator, in order.
 
-    A two-stage batch draws one ``sample_weights`` array per block
-    segment (its attempts that share one generator) and is colored by one
-    kernel call.  A balanced batch draws one ``permutation(m)`` per
+    A two-stage batch draws its ``sample_weights`` rows and is colored by
+    one kernel call.  A balanced batch draws one ``permutation(m)`` per
     attempt and is colored at the class targets by one ``_colors_at_sizes``
     call; its colors array is the batch, and its rows have no weights.
     Both color in ``_color_dtype(r)``, which the screen reads as it is, and
     a row's coloring holds a copy of its row, so a returned coloring keeps
     no batch alive."""
-    rngs = list(itertools.islice(streams, size))
     if partition is None:
         targets = class_targets(h.m, r)
-        batch = colors = _colors_at_sizes(np.stack([rng.permutation(h.m) for rng in rngs]), targets)
+        perms = _draw_rows(
+            streams, size, lambda rng, k: np.stack([rng.permutation(h.m) for _ in range(k)])
+        )
+        batch = colors = _colors_at_sizes(perms, targets)
 
         def row(t: int) -> _Row:
             own = colors[t].copy()
@@ -398,10 +382,8 @@ def _screen_batch(
             return None, Coloring._trusted(r, own, list(targets))
 
     else:
-        draws = [sample_weights(h.m, rng, len(list(seg))) for rng, seg in itertools.groupby(rngs)]
-        batch = run_interval_coloring(
-            h, r, partition, draws[0] if len(draws) == 1 else np.concatenate(draws)
-        )
+        weights = _draw_rows(streams, size, lambda rng, k: sample_weights(h.m, rng, k))
+        batch = run_interval_coloring(h, r, partition, weights)
         colors = batch._narrow
 
         def row(t: int) -> _Row:

@@ -331,7 +331,7 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
     # each module that gathers edge values is counted apart: the kernel in
     # intervals, the mono-edge screen in hypergraph, the rebalance scan
     from eqcolor import hypergraph, intervals, rebalance, solver
-    from eqcolor.seeding import ROLE_WEIGHTS
+    from eqcolor.seeding import ROLE_WEIGHTS, _streams, derive
 
     calls = []
     for module in (hypergraph, intervals, rebalance):
@@ -343,9 +343,8 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
         monkeypatch.setattr(module, "_edge_values", counted)
     h = generate_random(1000, 6, 1200, seed=1)
     partition = intervals.IntervalPartition(intervals.choose_p(h.n, 3), 3)
-    batch, mono, row = solver._screen_batch(
-        h, 3, partition, solver._attempt_streams(0, ROLE_WEIGHTS), 9
-    )
+    streams = _streams(lambda b: derive(0, b, ROLE_WEIGHTS), solver._BLOCK)
+    batch, mono, row = solver._screen_batch(h, 3, partition, streams, 9)
     assert len(batch) == 9 and mono.shape == (9, len(h.edge_array))
     # one gather in the kernel, one in the screen, both on the narrow colors
     assert calls == [("eqcolor.intervals", np.int8), ("eqcolor.hypergraph", np.int8)]

@@ -24,12 +24,13 @@ from eqcolor import (
     generate_random,
     greedy_repair,
     is_proper,
+    mc_estimate,
     run_interval_coloring,
     sample_weights,
     solve_equitable,
 )
 from eqcolor.chains import DangerousEdge
-from eqcolor.rebalance import _candidates, _dangerous_edges
+from eqcolor.rebalance import _candidates, _dangerous_edges, _excess_pattern_holds
 
 
 def _coloring_with_sizes(sizes):
@@ -68,6 +69,32 @@ def test_excess_shortage_balances_when_targets_do():
         ex, sh = excess_shortage(Coloring(m, r, colors), class_targets(m, r))
         assert sum(ex) == sum(sh)
         assert all(e == 0 or s == 0 for e, s in zip(ex, sh))
+
+
+def test_excess_pattern_is_the_solvers_old_tuple_rule():
+    # the solver tested the shape as all(s == 0 for s in sh[:-1]) and
+    # any(sh); any(sh) fails only at sizes equal to the targets, where the
+    # predicate holds, and which is_equitable accepts before the test
+    rng = np.random.default_rng(4)
+    seen = set()
+    for _ in range(200):
+        r = int(rng.integers(2, 6))
+        m = int(rng.integers(r, 30))
+        targets = class_targets(m, r)
+        colorings = [Coloring(m, r, rng.integers(1, r + 1, m).tolist()) for _ in range(5)]
+        colorings.append(_coloring_with_sizes(targets))
+        rows = []
+        for coloring in colorings:
+            sh = excess_shortage(coloring, targets)[1]
+            old = all(s == 0 for s in sh[:-1]) and any(sh)
+            holds = _excess_pattern_holds(coloring.sizes, targets)
+            assert holds == (old or list(coloring.sizes) == targets)
+            rows.append(coloring.sizes)
+            seen.add(bool(holds))
+        # (T, r) sizes give one value per row, as the Monte Carlo statistic reads it
+        batch = _excess_pattern_holds(np.array(rows), targets)
+        assert batch.tolist() == [_excess_pattern_holds(s, targets) for s in rows]
+    assert seen == {False, True}
 
 
 def test_compute_q_spot_value_and_decomposition():
@@ -176,12 +203,23 @@ def test_sample_candidate_sets_keep_rate():
     assert abs(mean - total_occ * p_tilde) < 4 * sigma
 
 
-def test_sample_candidate_sets_rejects_bad_probability():
+def _plan_with_keep(p_tilde):
     h, part, wa, init = _fixture_run()
-    targets = class_targets(h.m, part.r)
-    for p_tilde in (1.5, -0.1):
-        with pytest.raises(ValueError, match=r"keep probability must lie in \[0, 1\]"):
-            build_rebalance_plan(h, part, wa, init.coloring, targets, 0, p_tilde)
+    build_rebalance_plan(h, part, wa, init.coloring, class_targets(h.m, part.r), 0, p_tilde)
+
+
+def _mc_with_keep(p_tilde):
+    h = _fixture_run()[0]
+    mc_estimate("dangerous-count", h, 3, {"p_tilde": p_tilde}, trials=1, compare=False)
+
+
+@pytest.mark.parametrize("entry", [_plan_with_keep, _mc_with_keep], ids=["plan", "mc"])
+@pytest.mark.parametrize("p_tilde", [-0.1, 1.5, math.nan])
+def test_keep_probability_rule_is_shared(entry, p_tilde):
+    # the rebalance plan and the dangerous-count statistic take an explicit
+    # keep probability through one rule, nan included
+    with pytest.raises(ValueError, match=r"keep probability must lie in \[0, 1\]"):
+        entry(p_tilde)
 
 
 def test_build_rebalance_plan_checks_the_partition_r():

@@ -652,6 +652,29 @@ def test_accept_after_several_failed_rows_in_same_batch_matches_reference():
     assert report.chains
 
 
+def test_recolor_that_misses_the_targets_counts_and_goes_on_to_repair(monkeypatch):
+    # a plan that was built but whose recolor is not equitable: on the
+    # rebalanced instance of the CI smoke test, a recolor that moves nothing
+    # leaves attempt 2's coloring as it was; the attempt counts under
+    # rebalance-infeasible and greedy repair closes the gap.  This pins what
+    # the solver does today, not what it should do.
+    from eqcolor import generate_random, solver
+
+    h = generate_random(1000, 6, 1200, seed=1)
+    applied = []
+
+    def unchanged(coloring, wsets):
+        applied.append(len(wsets))
+        return coloring
+
+    monkeypatch.setattr(solver, "apply_recolor", unchanged)
+    report = solve_equitable(h, 3)
+    assert applied == [2] and report.plan.feasible
+    assert report.outcome == SUCCESS and report.attempts == 3
+    assert report.diagnostics == {"mono-edge": 2, "rebalance-infeasible": 1, "repair-failed": 0}
+    assert is_equitable(h, report.coloring)
+
+
 def test_exhausted_path_matches_reference_with_chains_and_verdict():
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
     for seed, max_restarts in ((0, 100), (3, 7)):
