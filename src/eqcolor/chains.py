@@ -19,9 +19,10 @@ the large block of the current color or, in a boundary case, one colored in
 its own small block without deflection, the edge then lying wholly inside
 that block).  It then checks the record it built with ``validate_chain``,
 which reads a chain as a list of parts (a complex chain ends in its reduced
-edge, an improper one in the pseudo-part {terminal} one color up) and joins
-consecutive parts by ``_conflicting``, the one link rule, which the Monte
-Carlo ``chain-event`` statistic also applies through ``_chain_event_holds``.
+edge, an improper one in the pseudo-part {terminal} one color up) and tests
+them with ``_chain_event_holds``, the one predicate of the chain event, as
+the Monte Carlo ``chain-event`` statistic does.  That predicate joins
+consecutive parts by ``_conflicting``, the one link rule.
 
 Places are integer slots, read from ``intervals._assignment_slots``:
 large_c is slot 2c-2 and small_c is slot 2c-1.
@@ -150,13 +151,14 @@ def _link_vertex(b: np.ndarray, a: np.ndarray) -> Optional[int]:
 
 
 def _conflicting(slots, key, colors, b, a, color) -> np.ndarray:
-    """The link rule: whether part A follows part B in a chain for
-    ``color``, in each of T trials.  B and A are vertex arrays in id order,
-    edges or the pseudo-parts of ``validate_chain``.  They share exactly one
-    vertex v (``_link_vertex``), v is the last vertex of B and the first of
-    A, v lies in small_{color-1}, and all of B minus v carries color-1.
-    ``slots``, ``key`` and ``colors`` are (T, m) arrays, and trial t orders
-    vertices by (key[t, v], v).  Returns one boolean per trial."""
+    """The link rule of ``_chain_event_holds``: whether part A follows part
+    B in a chain for ``color``, in each of T trials.  B and A are vertex
+    arrays in id order, edges or the pseudo-parts of ``validate_chain``.
+    They share exactly one vertex v (``_link_vertex``), v is the last
+    vertex of B and the first of A, v lies in small_{color-1}, and all of B
+    minus v carries color-1.  ``slots``, ``key`` and ``colors`` are (T, m)
+    arrays, and trial t orders vertices by (key[t, v], v).  Returns one
+    boolean per trial."""
     v = _link_vertex(b, a)
     if v is None:
         return np.zeros(len(slots), dtype=bool)
@@ -270,23 +272,24 @@ def validate_chain(
 
     Edge j of a k-chain for color i belongs to color c_j = i - k + j.  The
     record names edges and vertices in range and carries its kind's fields;
-    a complex chain's reduced edge and nonempty U partition its last edge.
-    The chain is read as a list of parts: its edges, the last one of a
-    complex chain replaced by the reduced edge, and for an improper chain
-    the pseudo-part {terminal} at color i + 1.  Consecutive parts obey the
-    link rule of ``_conflicting``, the predicate of the Monte Carlo chain
-    event: they share exactly the link (or the terminal), which is the last
-    vertex of the earlier part and the first of the later one and lies in
-    small_{c_j}, and every other vertex of the earlier part carries c_j.
-    Each link was deflected by the edge before it and records its weight,
-    the last part carries its color, the leading edge's first vertex lies
-    in large_{c_1} or small_{c_1}, and no vertex of the last part of an
-    ordered or complex chain lies in small_{c_k} or above.  Slots never
-    decrease as weight grows, so the rest follows: every vertex of edge j
-    lies in small_{c_j-1}, large_{c_j} or small_{c_j}, none of the leading
-    edge in small_{c_1-1}, and non-consecutive edges, whose slot ranges are
-    disjoint, share no vertex.  With ``vsets``, every vertex of U lies in
-    the candidate set of its large block below color r.
+    a complex chain's nonempty reduced edge and nonempty U partition its
+    last edge.  The chain is read as a list of parts: its edges, the last
+    one of a complex chain replaced by the reduced edge, and for an
+    improper chain the pseudo-part {terminal} at color i + 1.  The parts
+    form the event of ``_chain_event_holds``: the last part carries its
+    color, consecutive parts obey the link rule of ``_conflicting`` (they
+    share exactly one vertex, the last of the earlier part and the first of
+    the later one, in small_{c_j}, and every other vertex of the earlier
+    part carries c_j), and the leading edge's first vertex lies in
+    large_{c_1} or small_{c_1}.  The record adds that each link (or the
+    terminal) is the vertex its parts share, was deflected by the edge
+    before it and records its weight, and that no vertex of the last part
+    of an ordered or complex chain lies in small_{c_k} or above.  Slots
+    never decrease as weight grows, so the rest follows: every vertex of
+    edge j lies in small_{c_j-1}, large_{c_j} or small_{c_j}, none of the
+    leading edge in small_{c_1-1}, and non-consecutive edges, whose slot
+    ranges are disjoint, share no vertex.  With ``vsets``, every vertex of
+    U lies in the candidate set of its large block below color r.
     """
     k = record.k
     i = record.color
@@ -316,7 +319,7 @@ def validate_chain(
     joins = [ln.vertex for ln in record.links]
     if record.kind == COMPLEX:
         reduced, u_set = set(record.reduced_edge), set(record.candidate_vertices)
-        _check(len(u_set) > 0, "complex chains need a nonempty U")
+        _check(bool(reduced and u_set), "complex chains need a nonempty reduced edge and U")
         _check(
             reduced | u_set == set(parts[-1].tolist()) and not reduced & u_set,
             "reduced edge and candidate vertices must partition the last edge",
@@ -326,15 +329,7 @@ def validate_chain(
         parts.append(np.array([record.terminal_vertex]))
         joins.append(record.terminal_vertex)
 
-    # the link rule at T = 1
-    key = wa.weights[None]
-    c_1 = i - k + 1
     for j, v in enumerate(joins):
-        c = c_1 + j + 1
-        _check(
-            _conflicting(slots[None], key, cols[None], parts[j], parts[j + 1], c)[0],
-            f"edge {j} and part {j + 1} must link at color {c}",
-        )
         _check(
             v in parts[j] and v in parts[j + 1],
             f"vertex {v} must be the one edge {j} and part {j + 1} share",
@@ -345,10 +340,11 @@ def validate_chain(
         )
     for j, link in enumerate(record.links):
         _check(link.weight == float(wa.weights[link.vertex]), f"link {j} records the wrong weight")
-    s = slots[_first(key, parts[0])[0]]
-    _check(s == 2 * c_1 - 2 or s == 2 * c_1 - 1, f"edge 0 must start in large_{c_1} or small_{c_1}")
-    c_last = c_1 + len(joins)
-    _check((cols[parts[-1]] == c_last).all(), f"the last part must carry color {c_last}")
+    c_last = i - k + len(parts)
+    _check(
+        _chain_event_holds(slots[None], wa.weights[None], cols[None], parts, c_last)[0],
+        f"the parts must form a chain ending in color {c_last}",
+    )
     _check(
         record.kind == IMPROPER or slots[parts[-1]].max() <= 2 * i - 2,
         f"the last edge must not reach small_{i}",
@@ -369,28 +365,22 @@ def validate_chain(
             )
 
 
-def _chain_event_holds(h, slots, key, colors, edge_seq, color) -> np.ndarray:
-    """Whether ``edge_seq`` came out as an ordered chain certifying a
-    monochromatic last edge of ``color``, in each of T trials given as
-    (T, m) arrays as ``_conflicting`` takes them.
-
-    For k = 1 this asks for the whole edge to sit in large_color.  For
-    longer chains: the last edge is monochromatic, every consecutive pair
-    conflicts at its color, and the leading edge starts in its large block
-    or lies wholly inside its small block.  The Monte Carlo ``chain-event``
-    statistic calls it once per sub-batch."""
-    k = len(edge_seq)
-    trials = len(slots)
-    if color - k + 1 < 1:
-        return np.zeros(trials, dtype=bool)
-    parts = [h.edge_array[e] for e in edge_seq]
+def _chain_event_holds(slots, key, colors, parts, color) -> np.ndarray:
+    """The chain event: whether ``parts``, vertex arrays in id order, form
+    a chain for ``color`` in each of T trials, given as (T, m) arrays as
+    ``_conflicting`` takes them.  Part j (from 1) belongs to color c_j =
+    color - len(parts) + j: the last part carries ``color``, consecutive
+    parts pass ``_conflicting`` at the later one's color, and the first
+    part's first vertex lies in large_{c_1} or small_{c_1}, which no slot
+    is for c_1 < 1.  A monochromatic single edge passing this lies in
+    large_color: its last vertex, were it in small_color, would have been
+    deflected.  ``validate_chain`` and the Monte Carlo ``chain-event``
+    call it."""
+    c_1 = color - len(parts) + 1
     holds = (colors[:, parts[-1]] == color).all(axis=1)
-    if k == 1:
-        return holds & (slots[:, parts[0]] == 2 * color - 2).all(axis=1)
-    for j in range(1, k):
-        holds &= _conflicting(slots, key, colors, parts[j - 1], parts[j], color - k + j + 1)
-    s = slots[np.arange(trials), _first(key, parts[0])]
-    c_1 = color - k + 1
+    for j in range(1, len(parts)):
+        holds &= _conflicting(slots, key, colors, parts[j - 1], parts[j], c_1 + j)
+    s = slots[np.arange(len(slots)), _first(key, parts[0])]
     return holds & ((s == 2 * c_1 - 2) | (s == 2 * c_1 - 1))
 
 

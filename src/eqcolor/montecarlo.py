@@ -18,11 +18,12 @@ production kernel ``intervals._stage_colors`` or, for ``balanced-mono``,
 by a balanced draw: each row of weights sorted into a permutation, which
 ``intervals._colors_at_sizes`` cuts into r equal classes, the same helper
 that colors the solver's balanced attempts.  Every statistic acts on the
-whole sub-batch: the production predicates ``hypergraph._mono_edges``,
-``rebalance._candidates`` and ``_dangerous_edges``, and
-``chains._chain_event_holds`` for their quantities, array expressions for
-the other counts.  Within its limits, the exact oracle of ``oracle``
-gives the comparison value.
+whole sub-batch: the production predicates ``hypergraph._mono_edges``
+(for ``balanced-mono`` on the watched edge alone), ``rebalance._candidates``
+and ``_dangerous_edges``, and ``chains._chain_event_holds`` for their
+quantities, array expressions for the other counts.  Within its limits,
+the exact oracle of ``oracle`` gives the comparison value.  Integer params
+are read by ``hypergraph._integer``, which refuses what it would truncate.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from .chains import (
     expected_deflections_bound,
     mono_edge_probability_bound,
 )
-from .hypergraph import BudgetExceeded, Hypergraph, _check_colors, _mono_edges, class_targets
+from .hypergraph import (
+    BudgetExceeded,
+    Hypergraph,
+    _check_colors,
+    _integer,
+    _mono_edges,
+    class_targets,
+)
 from .intervals import (
     IntervalPartition,
     _colors_at_sizes,
@@ -184,7 +192,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _small_block(i, r: int) -> int:
-    i = int(i)
+    i = _integer(i, "params['i']")
     if not 1 <= i <= r - 1:
         raise ValueError(f"small-block index must lie in 1..{r - 1}")
     return i
@@ -239,32 +247,32 @@ def _balanced_mono(h, r, p, values):
         raise ValueError("balanced draws require r | m")
     if not len(h.edge_array):
         raise ValueError("balanced-mono needs an edge to watch")
-    edge_idx = int(values.get("edge", 0))
+    edge_idx = _integer(values.get("edge", 0), "params['edge']")
     if not 0 <= edge_idx < len(h.edge_array):
         raise ValueError("edge must index into the hypergraph")
-    edge = h.edge_array[edge_idx]
+    watched = Hypergraph(h.m, h.n, h.edge_array[[edge_idx]])
 
     def stat(colors, deflections, slots, u, keep):
-        sub = colors[:, edge]
-        return np.all(sub == sub[:, :1], axis=1)
+        return _mono_edges(watched, colors)[:, 0]
 
     label = f"balanced-mono(edge={edge_idx})"
     return label, stat, lambda: Comparison("exact", balanced_mono_prob(h.m, h.n, r).value)
 
 
 def _chain_event(h, r, p, values):
-    seq = tuple(int(e) for e in values["edges"])
-    color = int(values["color"])
+    seq = tuple(_integer(e, "params['edges']") for e in values["edges"])
+    color = _integer(values["color"], "params['color']")
     k = len(seq)
     if k < 1 or not all(0 <= e < len(h.edge_array) for e in seq):
         raise ValueError("edges must index into the hypergraph")
     if color - k + 1 < 1 or color > r:
         raise ValueError("chain length does not fit the color")
-    if any(_link_vertex(h.edge_array[b], h.edge_array[a]) is None for b, a in zip(seq, seq[1:])):
+    parts = h.edge_array[list(seq)]
+    if any(_link_vertex(b, a) is None for b, a in zip(parts, parts[1:])):
         raise ValueError("consecutive edges must share exactly one vertex")
 
     def stat(colors, deflections, slots, u, keep):
-        return _chain_event_holds(h, slots, u, colors, seq, color)
+        return _chain_event_holds(slots, u, colors, parts, color)
 
     label = f"chain-event(edges={','.join(map(str, seq))};color={color})"
     return label, stat, lambda: _oracle_or_bound(
@@ -273,7 +281,7 @@ def _chain_event(h, r, p, values):
 
 
 def _deflected(h, r, p, values):
-    v0 = int(values["v"])
+    v0 = _integer(values["v"], "params['v']")
     i = values.get("i")
     if not 0 <= v0 < h.m:
         raise ValueError("vertex out of range")

@@ -94,7 +94,7 @@ def test_extract_two_chain_from_mono_edge():
     assert rec.edges == (0, 1)
     assert rec.links == (ChainLink(1, 0.45),)
     validate_chain(h, P2, wa, init, rec)
-    assert _chain_event_holds(h, *_trial(P2, wa, init), rec.edges, rec.color)[0]
+    assert _chain_event_holds(*_trial(P2, wa, init), h.edge_array[list(rec.edges)], rec.color)[0]
 
 
 def test_extract_improper_chain_from_deflection():
@@ -297,6 +297,16 @@ def test_extract_reads_the_small_block_of_a_deflection_from_its_slot():
         extract_chain(h3, part3, wa3, init3, Deflected(0, None))  # vertex 0 kept color 1
 
 
+def test_validate_refuses_a_complex_record_with_an_empty_reduced_edge():
+    # U the whole edge leaves no part to end the chain in: refused as a
+    # record, not met by an IndexError on an empty float array
+    h, wa, init = _setup(2, [(0, 1)], (0.1, 0.7))
+    rec = extract_chain(h, P2, wa, init, DangerousEdge(0, (0,)))
+    whole = dataclasses.replace(rec, reduced_edge=(), candidate_vertices=(0, 1))
+    with pytest.raises(ChainInvalid, match="nonempty reduced edge"):
+        validate_chain(h, P2, wa, init, whole)
+
+
 def test_validate_checks_candidate_vertices_against_vsets():
     h, wa, init = _setup(2, [(0, 1)], (0.1, 0.7))
     rec = extract_chain(h, P2, wa, init, DangerousEdge(0, (0,)))
@@ -318,10 +328,11 @@ def test_chain_record_json_shape():
 
 def test_chain_event_requires_mono_last_edge():
     h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    assert _chain_event_holds(h, *_trial(P2, wa, init), (0, 1), 2)[0]
-    assert not _chain_event_holds(h, *_trial(P2, wa, init), (0,), 1)[0]  # edge 0 not mono
-    assert not _chain_event_holds(h, *_trial(P2, wa, init), (1,), 2)[0]  # v1 outside large 2
-    assert not _chain_event_holds(h, *_trial(P2, wa, init), (1, 0), 2)[0]  # wrong direction
+    trial, edges = _trial(P2, wa, init), h.edge_array
+    assert _chain_event_holds(*trial, edges[[0, 1]], 2)[0]
+    assert not _chain_event_holds(*trial, edges[[0]], 1)[0]  # edge 0 not mono
+    assert not _chain_event_holds(*trial, edges[[1]], 2)[0]  # v1 outside large 2
+    assert not _chain_event_holds(*trial, edges[[1, 0]], 2)[0]  # wrong direction
 
 
 def test_extraction_agrees_with_event_predicate():
@@ -343,7 +354,8 @@ def test_extraction_agrees_with_event_predicate():
             if all(cols[v] == c for v in e[1:]):
                 rec = extract_chain(h, part, wa, init, MonoEdge(idx, c))
                 validate_chain(h, part, wa, init, rec)
-                assert _chain_event_holds(h, *_trial(part, wa, init), rec.edges, rec.color)[0]
+                parts = h.edge_array[list(rec.edges)]
+                assert _chain_event_holds(*_trial(part, wa, init), parts, rec.color)[0]
                 hits += 1
     assert hits > 20  # the sweep actually exercised the extraction
 
@@ -619,10 +631,11 @@ def test_chain_predicates_over_a_batch_match_each_trial():
                 if e not in s and len(set(h.edge_array[s[-1]]) & set(h.edge_array[e])) == 1
             ]
         for seq in seqs:
+            parts = h.edge_array[list(seq)]
             for color in range(1, r + 1):
-                batch = _chain_event_holds(h, slots, key, colors, seq, color).tolist()
+                batch = _chain_event_holds(slots, key, colors, parts, color).tolist()
                 rows = [
-                    _chain_event_holds(h, *_trial(part, wa, init), seq, color)[0]
+                    _chain_event_holds(*_trial(part, wa, init), parts, color)[0]
                     for wa, init in zip(was, inits)
                 ]
                 reference = [_chain_event_per_trial(h, s, w, c, seq, color) for s, w, c in lists]

@@ -193,6 +193,41 @@ def test_sample_weights_mean_band():
     assert 0.49 < mean < 0.51
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(2, 4),
+    p=st.floats(0.0, 0.99),
+    tied=st.booleans(),
+    trials=st.integers(1, 5),
+    data=st.data(),
+)
+def test_a_mono_edge_starting_in_its_color_lies_in_its_large_block(r, p, tied, trials, data):
+    # a monochromatic edge of color c whose first vertex lies in large_c or
+    # small_c has no vertex in small_c: its last vertex, there, would have
+    # been deflected.  So the chain event needs no case of its own at k = 1
+    m = data.draw(st.integers(r, 12))
+    n = data.draw(st.integers(2, min(m, 4)))
+    vertex_sets = st.lists(st.integers(0, m - 1), min_size=n, max_size=n, unique=True)
+    h = Hypergraph(m, n, data.draw(st.lists(vertex_sets, min_size=1, max_size=8)))
+    part = IntervalPartition(p, r)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # weights on a grid of 8 values, so ties broken by id are common
+    weights = rng.integers(0, 8, (trials, m)) / 8 if tied else rng.random((trials, m))
+    if trials == 1:
+        wa = WeightAssignment(weights[0])
+        runs = [(wa, run_interval_coloring(h, r, part, wa))]
+    else:
+        batch = run_interval_coloring(h, r, part, weights)
+        runs = [batch.row(t) for t in range(trials)]
+    for wa, init in runs:
+        slots, colors = _assignment_slots(part, wa), init.coloring.colors
+        for e in h.edge_array:
+            c = int(colors[e[0]])
+            start = slots[_first(wa.weights[None], e)[0]]
+            if (colors[e] == c).all() and start in (2 * c - 2, 2 * c - 1):
+                assert (slots[e] == 2 * c - 2).all(), (e.tolist(), slots.tolist())
+
+
 def test_two_stage_hand_trace():
     # weights: v0=0.1 (large 1), v1=0.5 (small 1), v2=0.7 (large 2),
     # v3=0.45 (small 1).  Stage 2 colors v3 first (weight order), then v1:
@@ -364,7 +399,7 @@ def test_slots_are_computed_once_per_weight_assignment(monkeypatch):
         build_rebalance_plan(h, part, wa, init.coloring, class_targets(6, 2), 3, p_tilde=0.5)
         trial = kept[None], wa.weights[None], init.coloring.colors[None]
         _conflicting(*trial, *h.edge_array[[0, 1]], 2)
-        _chain_event_holds(h, *trial, (0, 1), 2)
+        _chain_event_holds(*trial, h.edge_array[[0, 1]], 2)
     assert calls == [(5, 6)]
     # an equal partition reads the kept slots, another one recomputes them
     assert _assignment_slots(IntervalPartition(0.5, 2), was[0]) is _assignment_slots(part, was[0])

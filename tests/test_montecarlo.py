@@ -505,6 +505,40 @@ def test_mc_rejects_bad_requests():
         mc_estimate("expected-deflections", SINGLE, 2, params={"i": 7}, trials=10)
 
 
+@pytest.mark.parametrize(
+    "quantity, params, name",
+    [
+        ("chain-event", {"edges": [0.9, 1.2], "color": 2}, "edges"),
+        ("chain-event", {"edges": [0, 1], "color": 2.7}, "color"),
+        ("deflected", {"v": 1.5, "i": 1}, "v"),
+        ("deflected", {"v": 1, "i": 1.9}, "i"),
+        ("deflected", {"v": 1, "i": "1"}, "i"),
+        ("expected-deflections", {"i": 1.0}, "i"),
+        ("balanced-mono", {"edge": True}, "edge"),
+    ],
+)
+def test_mc_refuses_integer_params_it_would_truncate(quantity, params, name):
+    # read as int(), each of these ran a different estimate: chain (0, 1)
+    # at color 2, deflected(v=1,i=1), or edge 1 watched
+    with pytest.raises(ValueError, match=f"params\\['{name}'\\]"):
+        mc_estimate(quantity, TRI_PAIR, 2, params, trials=10, compare=False)
+
+
+def test_mc_takes_python_and_numpy_integer_params():
+    for quantity, params in (
+        ("chain-event", {"edges": [0, 1], "color": 2}),
+        ("deflected", {"v": 1, "i": 1}),
+        ("balanced-mono", {"edge": 1}),
+    ):
+        numpy_params = {
+            key: [np.int64(x) for x in value] if isinstance(value, list) else np.int32(value)
+            for key, value in params.items()
+        }
+        plain = mc_estimate(quantity, TRI_PAIR, 2, params, trials=200, seed=3, compare=False)
+        other = mc_estimate(quantity, TRI_PAIR, 2, numpy_params, 200, seed=3, compare=False)
+        assert other == plain
+
+
 def test_mc_report_json_shape():
     rep = mc_estimate("mono-edge", SINGLE, 2, params={"p": 0.2}, trials=100, seed=0)
     obj = rep.to_json_dict()
