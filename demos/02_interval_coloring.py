@@ -12,7 +12,6 @@ import numpy as np
 from eqcolor import (
     Hypergraph,
     IntervalPartition,
-    WeightAssignment,
     choose_p,
     run_interval_coloring,
     sample_weights,
@@ -32,14 +31,16 @@ for x in (0.1, 0.45, 0.95):
 
 # Hand-picked weights.  Vertex 1 lands in small_1; when its turn comes,
 # vertex 0 already wears color 1 and edge (0,1) would go monochromatic, so
-# vertex 1 is deflected to color 2.
+# vertex 1 is deflected to color 2.  The result is the run's record: its
+# coloring, counts and blocking edges, with the partition, weights and slots
+# it was computed from.
 h = Hypergraph(4, 2, [(0, 1)])
-wa = WeightAssignment([0.1, 0.5, 0.7, 0.45])
-init = run_interval_coloring(h, 2, part, wa)
+init = run_interval_coloring(h, 2, part, [0.1, 0.5, 0.7, 0.45])
 print("colors:", init.coloring.colors.tolist())
 assert init.coloring.colors.tolist() == [1, 2, 2, 1]
 print("deflections X:", init.deflections)
 print("occupancy Z:", init.occupancy)
+print("slots:", init.slots.tolist())
 # blocking holds, per vertex, the edge that deflected it, -1 for none.
 deflected = np.flatnonzero(init.blocking >= 0)
 for v, e in zip(deflected.tolist(), init.blocking[deflected].tolist()):
@@ -56,9 +57,9 @@ print("class-size identity: ok")
 # Random weights are seeded; the whole pipeline is deterministic from
 # (instance, r, partition, seed).
 h2 = Hypergraph(30, 3, [(i, i + 1, i + 2) for i in range(28)])
-wa2 = sample_weights(30, seed=7)
-a = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), wa2)
-b = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), wa2)
+w2 = sample_weights(30, seed=7)
+a = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), w2)
+b = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), w2)
 assert a.coloring.colors.tolist() == b.coloring.colors.tolist()
 print("30-vertex run: sizes", list(a.coloring.sizes),
       "deflections", a.deflections)

@@ -15,7 +15,6 @@ from eqcolor import (
     Hypergraph,
     IntervalPartition,
     MonoEdge,
-    WeightAssignment,
     chain_probability_bound,
     enumerate_chain_candidates,
     extract_chain,
@@ -29,18 +28,18 @@ from eqcolor import (
 # go mono in color 1), which hands edge (1,2) to color 2 monochromatically.
 h = Hypergraph(3, 2, [(0, 1), (1, 2)])
 part = IntervalPartition(0.2, 2)
-wa = WeightAssignment([0.1, 0.45, 0.7])
-init = run_interval_coloring(h, 2, part, wa)
+init = run_interval_coloring(h, 2, part, [0.1, 0.45, 0.7])
 print("colors:", init.coloring.colors.tolist())
 
 # The mono edge extracts to an ordered 2-chain: edge (0,1) explains why
-# vertex 1 carries color 2 inside edge (1,2).  extract_chain checks every
-# record it builds with validate_chain before returning it.
-rec = extract_chain(h, part, wa, init, MonoEdge(1, 2))
+# vertex 1 carries color 2 inside edge (1,2).  The walk reads the run's
+# record alone (its slots, weights and blocking edges), and extract_chain
+# checks every chain it builds with validate_chain before returning it.
+rec = extract_chain(h, init, MonoEdge(1, 2))
 print("ordered chain:", rec.to_json_dict())
 
 # The deflection itself extracts to an improper chain ending at vertex 1.
-rec2 = extract_chain(h, part, wa, init, Deflected(1, 1))
+rec2 = extract_chain(h, init, Deflected(1, 1))
 print("improper chain:", rec2.to_json_dict())
 
 # The converse question fixes an edge sequence and asks how often random

@@ -49,14 +49,12 @@ rng = np.random.default_rng(0)
 attempts = 0
 while True:
     attempts += 1
-    wa = sample_weights(12, int(rng.integers(0, 2**32)))
-    coloring = run_interval_coloring(h, 2, part, wa).coloring
+    init = run_interval_coloring(h, 2, part, sample_weights(12, int(rng.integers(0, 2**32))))
+    coloring = init.coloring
     ex, sh = excess_shortage(coloring, targets)
     if not is_proper(h, coloring) or any(sh[:-1]) or sum(ex) == 0:
         continue
-    plan = build_rebalance_plan(
-        h, part, wa, coloring, targets, seed=int(rng.integers(0, 2**32)), p_tilde=0.9
-    )
+    plan = build_rebalance_plan(h, init, targets, seed=int(rng.integers(0, 2**32)), p_tilde=0.9)
     if plan.feasible:
         break
 print(f"usable scenario after {attempts} runs")

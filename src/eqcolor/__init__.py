@@ -45,7 +45,6 @@ from .intervals import (
     InitialColoringBatch,
     IntervalPartition,
     MonoProbability,
-    WeightAssignment,
     balanced_mono_prob,
     choose_p,
     run_interval_coloring,

@@ -24,8 +24,8 @@ them with ``_chain_event_holds``, the one predicate of the chain event, as
 the Monte Carlo ``chain-event`` statistic does.  That predicate joins
 consecutive parts by ``_conflicting``, the one link rule.
 
-Places are integer slots, read from ``intervals._assignment_slots``:
-large_c is slot 2c-2 and small_c is slot 2c-1.
+Places are integer slots, read from the run's record
+(``InitialColoring.slots``): large_c is slot 2c-2 and small_c is slot 2c-1.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Collection, Optional, Sequence
 import numpy as np
 
 from .hypergraph import BudgetExceeded, Hypergraph
-from .intervals import InitialColoring, IntervalPartition, WeightAssignment, _assignment_slots
+from .intervals import InitialColoring
 
 __all__ = [
     "COMPLEX",
@@ -199,11 +199,7 @@ def _walk_back(
 
 
 def extract_chain(
-    h: Hypergraph,
-    partition: IntervalPartition,
-    wa: WeightAssignment,
-    init: InitialColoring,
-    failure: MonoEdge | Deflected | DangerousEdge,
+    h: Hypergraph, init: InitialColoring, failure: MonoEdge | Deflected | DangerousEdge
 ) -> ChainRecord:
     """Build the certificate chain for an observed failure event, and check
     it with ``validate_chain`` before returning it.
@@ -216,7 +212,6 @@ def extract_chain(
     walked record fails validation, as it does for an event that did not
     occur.
     """
-    slots = _assignment_slots(partition, wa)
     terminal = reduced = candidates = None
     if isinstance(failure, Deflected):
         terminal = failure.vertex
@@ -228,7 +223,7 @@ def extract_chain(
         kind, part = IMPROPER, h.edge_array[edge]
         color = failure.interval
         if color is None:
-            color = (int(slots[terminal]) + 1) // 2
+            color = (int(init.slots[terminal]) + 1) // 2
     elif isinstance(failure, (MonoEdge, DangerousEdge)):
         edge = failure.edge
         if not 0 <= edge < len(h.edge_array):
@@ -248,9 +243,9 @@ def extract_chain(
             part = np.array(reduced)
     else:
         raise TypeError(f"unknown failure type {type(failure).__name__}")
-    edges, links = _walk_back(h, slots, wa.weights, init.blocking, part, edge, color)
+    edges, links = _walk_back(h, init.slots, init.weights, init.blocking, part, edge, color)
     record = ChainRecord(kind, color, tuple(edges), tuple(links), terminal, reduced, candidates)
-    validate_chain(h, partition, wa, init, record)
+    validate_chain(h, init, record)
     return record
 
 
@@ -261,8 +256,6 @@ def _check(cond: bool, message: str) -> None:
 
 def validate_chain(
     h: Hypergraph,
-    partition: IntervalPartition,
-    wa: WeightAssignment,
     init: InitialColoring,
     record: ChainRecord,
     vsets: Optional[Sequence[Collection[int]]] = None,
@@ -293,8 +286,7 @@ def validate_chain(
     """
     k = record.k
     i = record.color
-    cols = init.coloring.colors
-    slots = _assignment_slots(partition, wa)
+    cols, slots, weights = init.coloring.colors, init.slots, init.weights
 
     _check(k >= 1, "chain has no edges")
     _check(len(record.links) == k - 1, "link count must be k - 1")
@@ -339,10 +331,10 @@ def validate_chain(
             f"vertex {v} must have been deflected by edge {j} of the chain",
         )
     for j, link in enumerate(record.links):
-        _check(link.weight == float(wa.weights[link.vertex]), f"link {j} records the wrong weight")
+        _check(link.weight == float(weights[link.vertex]), f"link {j} records the wrong weight")
     c_last = i - k + len(parts)
     _check(
-        _chain_event_holds(slots[None], wa.weights[None], cols[None], parts, c_last)[0],
+        _chain_event_holds(slots[None], weights[None], cols[None], parts, c_last)[0],
         f"the parts must form a chain ending in color {c_last}",
     )
     _check(

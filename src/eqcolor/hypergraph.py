@@ -44,6 +44,8 @@ _MAX_VERTICES = 2**31
 class Hypergraph:
     """Vertex set 0..m-1 with edges of exactly n distinct vertices each.
 
+    m, n and every vertex id are integers by ``_integer``'s rule: a bool, a
+    float or a string is refused with a FormatError, never truncated.
     ``edge_array``, the one stored copy of the edges, is a read-only int32
     (|E| x n) array of sorted rows, deduplicated in first-seen order so
     serialization round-trips are stable; int32 ids bound m by 2^31.  It is
@@ -57,6 +59,10 @@ class Hypergraph:
     __slots__ = ("m", "n", "edge_array", "_incidence")
 
     def __init__(self, m: int, n: int, edges: Iterable[Sequence[int]]):
+        try:
+            m, n = _integer(m, "vertex count"), _integer(n, "edge size")
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
         if m <= 0:
             raise FormatError(f"vertex count must be positive, got {m}")
         if n < 2:
@@ -118,41 +124,47 @@ class Hypergraph:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Hypergraph":
-        """Parse and validate untrusted JSON: m, n and every vertex id are
-        integers, where the constructor would truncate a vertex id with
-        ``int()``, and the edges pass the constructor's checks.  Raises
-        FormatError otherwise."""
+        """Parse and validate untrusted JSON by the constructor's checks.
+        Raises FormatError otherwise."""
         try:
-            m, n = _integer(obj["m"], "m"), _integer(obj["n"], "n")
-            edges = [[_integer(v, "vertex id") for v in e] for e in obj["edges"]]
-            return cls(m, n, edges)
+            return cls(obj["m"], obj["n"], obj["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed hypergraph JSON: {exc}") from exc
 
 
 def _int_rows(raw, n: int) -> Optional[np.ndarray]:
     """The edges as a fresh (|E| x n) int64 array, or None when some edge
-    does not have n entries or some entry fails ``int()`` or int64."""
-    if isinstance(raw, np.ndarray) and raw.ndim == 2 and np.can_cast(raw.dtype, np.int64):
+    does not have n entries or some entry is not an integer (``_integer``)
+    within int64."""
+    matrix = isinstance(raw, np.ndarray) and raw.ndim == 2
+    # a bool array casts to int64, but its entries are not integers
+    if matrix and raw.dtype != bool and np.can_cast(raw.dtype, np.int64):
         if raw.shape[1] != n and len(raw):
             return None
         return raw.astype(np.int64).reshape(len(raw), n)
     try:
         if not set(map(len, raw)) <= {n}:
             return None
-        flat = np.fromiter(map(int, chain.from_iterable(raw)), np.int64, len(raw) * n)
-    except (TypeError, ValueError, OverflowError):
+        ids = list(chain.from_iterable(raw))
+        types = set(map(type, ids))
+        if bool in types or not all(issubclass(t, (int, np.integer)) for t in types):
+            return None
+        flat = np.fromiter(map(int, ids), np.int64, len(ids))
+    except (TypeError, OverflowError):
         return None
     return flat.reshape(len(raw), n)
 
 
 def _first_bad_edge(raw, n: int, m: int) -> Exception:
     """The error for the first malformed edge of ``raw``, each edge checked
-    in turn for its size, a repeated vertex and the vertex range; an entry
-    that ``int()`` rejects raises its own error when its edge is reached.
-    Runs only once the array checks have found a fault."""
+    in turn for an entry that is not an integer, its size, a repeated vertex
+    and the vertex range.  Runs only once the array checks have found a
+    fault."""
     for e in raw:
-        t = tuple(sorted(int(v) for v in e))
+        try:
+            t = tuple(sorted(_integer(v, "vertex id") for v in e))
+        except ValueError as exc:
+            return FormatError(str(exc))
         if len(t) != n:
             return FormatError(f"edge {t} has {len(t)} vertices, expected {n}")
         if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
@@ -322,6 +334,15 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float if it is a Python or numpy integer or float; a
+    bool, a string or anything else is refused by a ValueError naming
+    ``what``, as ``_integer`` refuses it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} {value!r} is not a real number")
+    return float(value)
 
 
 def _edge_values(h: Hypergraph, values) -> np.ndarray:

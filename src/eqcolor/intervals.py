@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
 from typing import NamedTuple, Optional, Sequence, Union
@@ -30,7 +31,6 @@ __all__ = [
     "InitialColoringBatch",
     "IntervalPartition",
     "MonoProbability",
-    "WeightAssignment",
     "balanced_mono_prob",
     "choose_p",
     "run_interval_coloring",
@@ -102,61 +102,57 @@ class IntervalPartition:
         return sum(1 for left in self.lefts[1:] if left <= x)
 
 
-class WeightAssignment:
-    """Vertex weights, which order the vertices.
-
-    Ties (which have probability zero under continuous draws but can be
-    constructed) break by vertex id: the kernel and the chain layer
-    (``chains._first`` and ``chains._last``) order vertices by the key
-    (weights[v], v).  The weights must not change after construction: the
-    slots computed from them are kept (see ``_assignment_slots``).
-    """
-
-    __slots__ = ("weights", "_slots")
-
-    def __init__(self, weights: Sequence[float]):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("weights must be one-dimensional")
-        self.weights = w
-        # (partition, slots) once computed for some partition
-        self._slots = None
-
-
-def sample_weights(
-    m: int, seed, rows: Optional[int] = None
-) -> Union[WeightAssignment, np.ndarray]:
+def sample_weights(m: int, seed, rows: Optional[int] = None) -> np.ndarray:
     """Independent uniform [0,1) weights for m vertices (PCG64, fixed seed).
 
     ``seed`` may be an integer or a numpy Generator to draw from directly.
-    Without ``rows``, returns one WeightAssignment.  With it, makes one
-    (rows, m) draw and returns the array, one row per attempt, as
-    ``run_interval_coloring`` takes it; a generator yields the same rows
-    however its draws are split.
+    Without ``rows``, returns one (m,) draw; with it, one (rows, m) draw,
+    one row per attempt.  Either is what ``run_interval_coloring`` takes,
+    and a generator yields the same rows however its draws are split.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if rows is None:
-        return WeightAssignment(rng.random(m))
-    return rng.random((rows, m))
+    return rng.random(m if rows is None else (rows, m))
 
 
 @dataclass(eq=False)
 class InitialColoring:
-    """Output of the two-stage coloring.
+    """The record of one run of the two stages.
 
-    deflections[i-1] counts the small_i vertices pushed to color i+1, and
-    occupancy[i-1] counts the vertices whose weight landed in
-    large_i union small_i (just large_r for the last color).  blocking is a
-    read-only (m,) int64 array: -1 for a vertex that was not deflected, and
-    for a deflected one the edge index that forced the deflection, the
-    lowest-index incident edge that would have gone monochromatic.
-    ``eq=False``, since arrays have no truth value.
+    ``partition`` is the partition the run used.  ``weights`` and ``slots``
+    are read-only (m,) views of the run's weights and of their flat
+    subinterval indices (``_weight_slots``).  The weights order the
+    vertices, ties by id, in the kernel and in the chain layer
+    (``chains._first`` and ``chains._last``).  deflections[i-1] counts the
+    small_i vertices pushed to color i+1.  ``deflected`` is the pair
+    (vertices, edges) of int64 arrays: the deflected vertices in increasing
+    order, and for each the lowest-index incident edge that would have gone
+    monochromatic, the one that forced the deflection.
+
+    Two views of them are built on first read: occupancy[i-1] counts the
+    vertices whose weight landed in large_i union small_i (just large_r
+    for the last color), and ``blocking`` is a read-only (m,) int64 array
+    holding -1 for a vertex that was not deflected and its edge for a
+    deflected one.  ``eq=False``, since arrays have no truth value.
     """
 
     coloring: Coloring
     deflections: tuple[int, ...]
-    occupancy: tuple[int, ...]
-    blocking: np.ndarray
+    partition: IntervalPartition
+    weights: np.ndarray
+    slots: np.ndarray
+    deflected: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def occupancy(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.slots // 2, minlength=self.partition.r).tolist())
+
+    @cached_property
+    def blocking(self) -> np.ndarray:
+        vertices, edges = self.deflected
+        blocking = np.full(len(self.slots), -1, dtype=np.int64)
+        blocking[vertices] = edges
+        blocking.flags.writeable = False
+        return blocking
 
     def to_json_dict(self) -> dict:
         out = self.coloring.to_json_dict()
@@ -185,16 +181,6 @@ def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
     return slots
 
 
-def _assignment_slots(partition: IntervalPartition, wa: WeightAssignment) -> np.ndarray:
-    """Slots of ``wa``'s weights under ``partition``, computed once per
-    assignment: ``run_interval_coloring`` stores the rows of its batch's
-    slot array, and rebalancing and the chain predicates read them here."""
-    kept = wa._slots
-    if kept is None or not (kept[0] is partition or kept[0] == partition):
-        kept = wa._slots = (partition, _weight_slots(partition, wa.weights))
-    return kept[1]
-
-
 def _stage_colors(
     h: Hypergraph, r: int, slots: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,7 +192,7 @@ def _stage_colors(
 
     The one production kernel: ``run_interval_coloring`` calls it once per
     (T, m) weight array (the solver's batches of attempts; T = 1 for a
-    single assignment) and the Monte Carlo driver once per sub-batch of
+    single run) and the Monte Carlo driver once per sub-batch of
     trials.  Stage 1 is ``slots // 2 + 1`` for every vertex, which is
     also the color of every small-block vertex that is not deflected.  A
     vertex of small_i can only be deflected by an edge whose other vertices
@@ -239,8 +225,8 @@ def _stage_colors(
     the deflected vertices as a pair of int64 arrays (keys, edges): the
     increasing keys t * m + v of the deflected vertices v of trial t, and
     for each the lowest-index edge that blocked it, as described on
-    InitialColoring.  ``InitialColoringBatch`` spreads a row of them into
-    a dense (m,) record only when that row is read.
+    InitialColoring, whose dense ``blocking`` array is spread from a row
+    of them only when it is read.
     """
     colors = slots // 2 + 1
     trials, m = slots.shape
@@ -366,7 +352,7 @@ def run_interval_coloring(
     h: Hypergraph,
     r: int,
     partition: IntervalPartition,
-    wa: Union[WeightAssignment, np.ndarray],
+    weights,
 ) -> Union[InitialColoring, "InitialColoringBatch"]:
     """Run both stages deterministically for the given weights.
 
@@ -376,42 +362,35 @@ def run_interval_coloring(
     monochromatic edge of color i+1.  Raises ValueError unless
     2 <= r <= m, and on a weight outside [0, 1).
 
-    Given one WeightAssignment, returns one InitialColoring, and the
-    assignment keeps its slots for rebalancing and the chain predicates
-    (``_assignment_slots``).  Given a (T, m) array of weights, one row per
-    attempt, colors all T rows in one kernel call and returns an
-    ``InitialColoringBatch``, which builds per-row objects only for the
-    rows asked for.  A single assignment is the T = 1 case of the same
-    call.
+    Given (m,) weights, returns one InitialColoring.  Given a (T, m) array
+    of weights, one row per attempt, colors all T rows in one kernel call
+    and returns an ``InitialColoringBatch``, which builds a row's record
+    only when it is asked for.  A single run is the T = 1 case of the same
+    call.  No argument is changed.
     """
     _check_colors(r, h.m, least=2)
-    if isinstance(wa, WeightAssignment):
-        batch = run_interval_coloring(h, r, partition, wa.weights[None, :])
-        wa._slots = (partition, batch._slots[0])
-        return batch._initial(0)
     if partition.r != r:
         raise ValueError("partition was built for a different number of colors")
-    weights = np.asarray(wa, dtype=float)
-    if weights.ndim != 2:
-        raise ValueError("weights must be a WeightAssignment or a (T, m) array")
-    if weights.shape[1] != h.m:
+    w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2):
+        raise ValueError("weights must be an (m,) or a (T, m) array")
+    if w.shape[-1] != h.m:
         raise ValueError("weight vector length does not match vertex count")
-    slots = _weight_slots(partition, weights)
-    colors, deflections, deflected = _stage_colors(h, r, slots, weights)
-    return InitialColoringBatch(partition, weights, slots, colors, deflections, deflected)
+    rows = w.reshape(-1, h.m)
+    slots = _weight_slots(partition, rows)
+    colors, deflections, deflected = _stage_colors(h, r, slots, rows)
+    batch = InitialColoringBatch(partition, rows, slots, colors, deflections, deflected)
+    return batch if w.ndim == 2 else batch.row(0)
 
 
 class InitialColoringBatch:
     """The two stages run on a (T, m) array of weights, one row per attempt.
 
-    ``row(t)`` builds row t's (WeightAssignment, InitialColoring) pair, the
-    same as ``run_interval_coloring`` gives for that row alone.  The
-    assignment is a view of the batch's weights and keeps its row of the
-    batch's slots; only the row's colors, a copy in the kernel's narrow
-    dtype, and its blocking record are built for it, from the kernel's
-    colors and deflected (key, edge) pairs.
-    ``_assignment(t)`` and ``_coloring(t)`` build the pair's assignment and
-    coloring alone, for callers that need no blocking record.
+    ``row(t)`` builds row t's InitialColoring, the same as
+    ``run_interval_coloring`` gives for that row alone.  Its weights and
+    slots are read-only views of the batch's arrays; only its colors, a
+    copy in the kernel's narrow dtype, and its slice of the kernel's
+    deflected (key, edge) pairs are built for it.
     """
 
     __slots__ = ("_weights", "_partition", "_slots", "_narrow", "_deflections", "_deflected")
@@ -429,36 +408,25 @@ class InitialColoringBatch:
     def __len__(self) -> int:
         return len(self._narrow)
 
-    def row(self, t: int) -> tuple[WeightAssignment, InitialColoring]:
-        return self._assignment(t), self._initial(t)
-
-    def _assignment(self, t: int) -> WeightAssignment:
-        wa = WeightAssignment(self._weights[t])
-        wa._slots = (self._partition, self._slots[t])
-        return wa
-
-    def _coloring(self, t: int) -> Coloring:
+    def row(self, t: int) -> InitialColoring:
         r = self._partition.r
+        m = self._narrow.shape[1]
         # a copy, so the coloring does not keep the whole batch alive
         colors = self._narrow[t].copy()
         sizes = np.bincount(colors, minlength=r + 1)[1:].tolist()
         colors.flags.writeable = False
-        return Coloring._trusted(r, colors, sizes)
-
-    def _initial(self, t: int) -> InitialColoring:
-        m = self._narrow.shape[1]
-        occupancy = np.bincount(self._slots[t] // 2, minlength=self._partition.r)
+        weights, slots = self._weights[t], self._slots[t]
+        weights.flags.writeable = slots.flags.writeable = False
         # row t's deflected vertices are the keys in [t * m, (t + 1) * m)
         keys, edges = self._deflected
         lo, hi = np.searchsorted(keys, (t * m, (t + 1) * m))
-        blocking = np.full(m, -1, dtype=np.int64)
-        blocking[keys[lo:hi] - t * m] = edges[lo:hi]
-        blocking.flags.writeable = False
         return InitialColoring(
-            self._coloring(t),
+            Coloring._trusted(r, colors, sizes),
             tuple(self._deflections[t].tolist()),
-            tuple(occupancy.tolist()),
-            blocking,
+            self._partition,
+            weights,
+            slots,
+            (keys[lo:hi] - t * m, edges[lo:hi]),
         )
 
 

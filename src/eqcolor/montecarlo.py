@@ -23,7 +23,9 @@ whole sub-batch: the production predicates ``hypergraph._mono_edges``
 and ``_dangerous_edges``, and ``chains._chain_event_holds`` for their
 quantities, array expressions for the other counts.  Within its limits,
 the exact oracle of ``oracle`` gives the comparison value.  Integer params
-are read by ``hypergraph._integer``, which refuses what it would truncate.
+are read by ``hypergraph._integer`` and the real ones, ``p`` and
+``p_tilde``, by ``hypergraph._real``; both refuse a bool or a string
+rather than read it as a number.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .hypergraph import (
     _check_colors,
     _integer,
     _mono_edges,
+    _real,
     class_targets,
 )
 from .intervals import (
@@ -231,7 +234,10 @@ def _excess_pattern(h, r, p, values):
 
 def _dangerous_count(h, r, p, values):
     p_tilde = values.get("p_tilde")
-    p_tilde = float(p_tilde) if p_tilde is not None else compute_p_tilde(h.m, h.n, r, p)
+    if p_tilde is None:
+        p_tilde = compute_p_tilde(h.m, h.n, r, p)
+    else:
+        p_tilde = _real(p_tilde, "params['p_tilde']")
     _check_keep(p_tilde)
 
     def stat(colors, deflections, slots, u, keep):
@@ -260,7 +266,11 @@ def _balanced_mono(h, r, p, values):
 
 
 def _chain_event(h, r, p, values):
-    seq = tuple(_integer(e, "params['edges']") for e in values["edges"])
+    try:
+        seq = list(values["edges"])
+    except TypeError:
+        raise ValueError(f"params['edges'] {values['edges']!r} is not a sequence") from None
+    seq = tuple(_integer(e, "params['edges']") for e in seq)
     color = _integer(values["color"], "params['color']")
     k = len(seq)
     if k < 1 or not all(0 <= e < len(h.edge_array) for e in seq):
@@ -389,7 +399,8 @@ def mc_estimate(
     partition = None
     if _P in spec.params:
         p = values.pop("p", None)
-        partition = IntervalPartition(choose_p(h.n, r) if p is None else float(p), r)
+        p = choose_p(h.n, r) if p is None else _real(p, "params['p']")
+        partition = IntervalPartition(p, r)
     label, stat, comparison = spec.build(h, r, None if partition is None else partition.p, values)
     total, total_sq = _sample(h, r, partition, trials, seed, stat, spec.with_keep)
     return _report(label, trials, total, total_sq, spec.mean, comparison() if compare else None)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .chains import DangerousEdge
 from .hypergraph import Coloring, Hypergraph, _edge_values
-from .intervals import IntervalPartition, WeightAssignment, _assignment_slots, _check_p
+from .intervals import InitialColoring, _check_p
 from .seeding import ROLE_VSETS, derive
 
 __all__ = [
@@ -185,14 +185,13 @@ def apply_recolor(coloring: Coloring, wsets: Sequence[np.ndarray]) -> Coloring:
 
 def build_rebalance_plan(
     h: Hypergraph,
-    partition: IntervalPartition,
-    wa: WeightAssignment,
-    coloring: Coloring,
+    init: InitialColoring,
     targets: Sequence[int],
     seed: Union[int, np.random.Generator],
     p_tilde: Optional[float] = None,
 ) -> RebalancePlan:
-    """Run one full rebalancing pass and record every intermediate artifact.
+    """Run one full rebalancing pass over the run ``init`` and record every
+    intermediate artifact.
 
     V_i keeps each occupant of large_i independently with probability
     ``p_tilde`` (one ``rng.random(m)`` draw from derive(seed, ROLE_VSETS),
@@ -210,22 +209,19 @@ def build_rebalance_plan(
 
     ``p_tilde`` overrides the derived keep probability, which must lie in
     [0, 1]; without it, small instances raise RegimeViolation before any
-    sampling happens.  A partition built for another number of colors than
-    the coloring's raises ValueError, also before any sampling.
+    sampling happens.
     """
-    if partition.r != coloring.r:
-        raise ValueError("partition was built for a different number of colors")
-    ex, sh = excess_shortage(coloring, targets)
-    r = partition.r
-    q = compute_q(h.m, h.n, r, partition.p)
+    ex, sh = excess_shortage(init.coloring, targets)
+    p, r = init.partition.p, init.partition.r
+    q = compute_q(h.m, h.n, r, p)
     if p_tilde is None:
-        p_tilde = compute_p_tilde(h.m, h.n, r, partition.p, q=q)
+        p_tilde = compute_p_tilde(h.m, h.n, r, p, q=q)
     _check_keep(p_tilde)
     rng = seed if isinstance(seed, np.random.Generator) else derive(seed, ROLE_VSETS)
-    slots = _assignment_slots(partition, wa)
+    slots = init.slots
     candidate = _candidates(slots, rng.random(h.m), p_tilde, r)
 
-    hit = np.flatnonzero(_dangerous_edges(h, candidate, coloring.colors, r))
+    hit = np.flatnonzero(_dangerous_edges(h, candidate, init.coloring.colors, r))
     rows = h.edge_array[hit]
     in_sets = candidate[rows]
     dangerous = tuple(
@@ -248,7 +244,7 @@ def build_rebalance_plan(
         vs = cand[bounds[i] : bounds[i + 1]].copy()
         pool = vs[free[vs]]
         if len(pool) >= ex[i]:
-            wsets.append(_read_only(_lowest(pool, wa.weights[pool], ex[i])))
+            wsets.append(_read_only(_lowest(pool, init.weights[pool], ex[i])))
         vsets.append(_read_only(vs))
     feasible = len(wsets) == r - 1
     return RebalancePlan(

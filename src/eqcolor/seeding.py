@@ -27,6 +27,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .hypergraph import _integer
+
 __all__ = ["ROLE_WEIGHTS", "ROLE_VSETS", "ROLE_BALANCED", "ROLE_TRIALS", "derive"]
 
 ROLE_WEIGHTS = 0
@@ -36,8 +38,12 @@ ROLE_TRIALS = 3
 
 
 def derive(seed: int, *path: int) -> np.random.Generator:
-    """Generator for the stream identified by (seed, *path)."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(x) for x in path)))
+    """Generator for the stream identified by (seed, *path).  Every entry
+    is an integer by ``hypergraph._integer``'s rule: a bool, a float or a
+    string raises ValueError instead of being truncated."""
+    return np.random.default_rng(
+        np.random.SeedSequence(tuple(_integer(x, "seed") for x in (seed, *path)))
+    )
 
 
 def _streams(make: Callable, block: int) -> Iterator[np.random.Generator]:

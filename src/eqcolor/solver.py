@@ -46,9 +46,9 @@ from .hypergraph import (
     is_proper,
 )
 from .intervals import (
+    InitialColoring,
     InitialColoringBatch,
     IntervalPartition,
-    WeightAssignment,
     _colors_at_sizes,
     choose_p,
     run_interval_coloring,
@@ -265,16 +265,14 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
             rejected = run
         if row is None:
             continue
-        wa, coloring = row
+        init, coloring = row
 
         if is_equitable(h, coloring):
             return success(coloring, attempt)
 
         if _excess_pattern_holds(coloring.sizes, targets):
             try:
-                plan = build_rebalance_plan(
-                    h, partition, wa, coloring, targets, derive(cfg.seed, attempt, ROLE_VSETS)
-                )
+                plan = build_rebalance_plan(h, init, targets, derive(cfg.seed, attempt, ROLE_VSETS))
             except RegimeViolation:
                 diagnostics["rebalance-infeasible"] += 1
             else:
@@ -285,7 +283,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
                 diagnostics["rebalance-infeasible"] += 1
 
         if cfg.allow_fallback_repair:
-            repaired = greedy_repair(h, coloring, targets, weights=wa.weights)
+            repaired = greedy_repair(h, coloring, targets, weights=init.weights)
             if repaired is not None and is_equitable(h, repaired):
                 return success(repaired, attempt)
             diagnostics["repair-failed"] += 1
@@ -309,15 +307,15 @@ class _Rejected(NamedTuple):
     t: int
 
 
-# a screened attempt's weights (None on the balanced route) and coloring
-_Row = tuple[Optional[WeightAssignment], Coloring]
+# a screened attempt's record (None on the balanced route) and coloring
+_Row = tuple[Optional[InitialColoring], Coloring]
 
 
 def _screened_attempts(
     h: Hypergraph, r: int, partition: Optional[IntervalPartition], cfg: SolveConfig
 ) -> Iterator[tuple[int, Optional[_Rejected], Optional[_Row]]]:
     """Attempts in order, as (attempt, rejected, row): one item per attempt
-    with no monochromatic edge, with ``row`` its (weights, coloring) and
+    with no monochromatic edge, with ``row`` its (record, coloring) and
     ``rejected`` the run of rejected attempts just before it (None if there
     is none), and one item with ``row`` None for a run of rejected attempts
     that ends a batch.  Two-stage attempts run when ``partition`` is given,
@@ -359,13 +357,13 @@ def _screen_batch(
 ) -> tuple[Union[InitialColoringBatch, np.ndarray], np.ndarray, Callable[[int], _Row]]:
     """The next ``size`` attempts, drawn and colored as arrays and scanned
     by one ``_mono_edges`` call: the batch, its (size, |E|) mask of
-    monochromatic edges, and the function building row t's (weights,
+    monochromatic edges, and the function building row t's (record,
     coloring).  ``streams`` gives each attempt's generator, in order.
 
     A two-stage batch draws its ``sample_weights`` rows and is colored by
     one kernel call.  A balanced batch draws one ``permutation(m)`` per
     attempt and is colored at the class targets by one ``_colors_at_sizes``
-    call; its colors array is the batch, and its rows have no weights.
+    call; its colors array is the batch, and its rows have no record.
     Both color in ``_color_dtype(r)``, which the screen reads as it is, and
     a row's coloring holds a copy of its row, so a returned coloring keeps
     no batch alive."""
@@ -387,7 +385,8 @@ def _screen_batch(
         colors = batch._narrow
 
         def row(t: int) -> _Row:
-            return batch._assignment(t), batch._coloring(t)
+            init = batch.row(t)
+            return init, init.coloring
 
     return batch, _mono_edges(h, colors), row
 
@@ -396,13 +395,13 @@ def _chains(
     h: Hypergraph, partition: Optional[IntervalPartition], rejected
 ) -> tuple[ChainRecord, ...]:
     """Ordered chains of every monochromatic edge of the last attempt of a
-    rejected two-stage run, whose weights and initial coloring are built
-    here.  Balanced attempts (``partition`` None) have no chains."""
+    rejected two-stage run, whose record is built here.  Balanced attempts
+    (``partition`` None) have no chains."""
     if rejected is None or partition is None:
         return ()
-    wa, init = rejected.batch.row(rejected.t)
+    init = rejected.batch.row(rejected.t)
     cols = init.coloring.colors
     return tuple(
-        extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edge_array[e, 0]])))
+        extract_chain(h, init, MonoEdge(e, int(cols[h.edge_array[e, 0]])))
         for e in np.flatnonzero(_mono_edges(h, cols)).tolist()
     )

@@ -145,15 +145,15 @@ def coloring_runs():
         ne = int(rng.integers(0, min(math.comb(m, n), 3 * m) + 1))
         h = Hypergraph(m, n, _random_edges(rng, m, n, ne))
         part = IntervalPartition(float(rng.uniform(0.05, 0.45)), r)
-        wa = sample_weights(m, int(rng.integers(0, 2**32)))
-        runs.append((h, r, part, wa, run_interval_coloring(h, r, part, wa)))
+        weights = sample_weights(m, int(rng.integers(0, 2**32)))
+        runs.append((h, r, run_interval_coloring(h, r, part, weights)))
     return runs
 
 
 def test_class_size_identity(coloring_runs):
     """size(K_i) = Z(i) - X(i) + X(i-1) on every run, with X(0) = X(r) = 0."""
     with gate("class-size identity holds on all 10000 randomized runs"):
-        for h, r, part, wa, init in coloring_runs:
+        for h, r, init in coloring_runs:
             for i in range(1, r + 1):
                 x_i = init.deflections[i - 1] if i < r else 0
                 x_prev = init.deflections[i - 2] if i >= 2 else 0
@@ -171,21 +171,21 @@ def test_failure_events_yield_valid_chains(coloring_runs):
     structural validator."""
     mono_hits = improper_hits = 0
     with gate("all mono edges / deflections certify as valid chains (10000 runs)"):
-        for h, r, part, wa, init in coloring_runs:
+        for h, r, init in coloring_runs:
             cols = init.coloring.colors
             for ei, edge in enumerate(h.edge_array.tolist()):
                 c = cols[edge[0]]
                 if c and all(cols[v] == c for v in edge):
-                    rec = extract_chain(h, part, wa, init, MonoEdge(ei, c))
+                    rec = extract_chain(h, init, MonoEdge(ei, c))
                     assert rec.kind == ORDERED
-                    validate_chain(h, part, wa, init, rec)
+                    validate_chain(h, init, rec)
                     mono_hits += 1
             for v in np.flatnonzero(init.blocking >= 0).tolist():
-                s = part.slot_of(wa.weights[v])
+                s = init.partition.slot_of(init.weights[v])
                 assert s % 2 == 1  # small_i is slot 2i-1
-                rec = extract_chain(h, part, wa, init, Deflected(v, s // 2 + 1))
+                rec = extract_chain(h, init, Deflected(v, s // 2 + 1))
                 assert rec.kind == IMPROPER
-                validate_chain(h, part, wa, init, rec)
+                validate_chain(h, init, rec)
                 improper_hits += 1
         assert mono_hits > 1000
         assert improper_hits > 1000
@@ -366,8 +366,8 @@ def test_rebalance_safety():
             ne = int(rng.integers(1, min(math.comb(m, 2), 8) + 1))
             h = Hypergraph(m, 2, _random_edges(rng, m, 2, ne))
             part = IntervalPartition(float(rng.uniform(0.1, 0.5)), r)
-            wa = sample_weights(m, int(rng.integers(0, 2**32)))
-            coloring = run_interval_coloring(h, r, part, wa).coloring
+            init = run_interval_coloring(h, r, part, sample_weights(m, int(rng.integers(0, 2**32))))
+            coloring = init.coloring
             if not is_proper(h, coloring):
                 continue
             targets = class_targets(m, r)
@@ -376,9 +376,7 @@ def test_rebalance_safety():
                 continue
             plan = build_rebalance_plan(
                 h,
-                part,
-                wa,
-                coloring,
+                init,
                 targets,
                 seed=int(rng.integers(0, 2**32)),
                 p_tilde=float(rng.uniform(0.3, 1.0)),

@@ -20,7 +20,6 @@ from eqcolor import (
     IntervalPartition,
     MonoEdge,
     ORDERED,
-    WeightAssignment,
     brute_force_equitable,
     build_rebalance_plan,
     chain_probability_bound,
@@ -36,104 +35,101 @@ from eqcolor import (
     validate_chain,
 )
 from eqcolor.chains import _chain_event_holds, _conflicting
-from eqcolor.intervals import _assignment_slots
 
 P2 = IntervalPartition(0.2, 2)
 
 
 def _setup(m, edges, weights, r=2, part=P2):
     h = Hypergraph(m, len(edges[0]), edges)
-    wa = WeightAssignment(weights)
-    init = run_interval_coloring(h, r, part, wa)
-    return h, wa, init
+    return h, run_interval_coloring(h, r, part, weights)
 
 
-def _trial(part, wa, init):
+def _trial(init):
     """One trial's (slots, key, colors) as the (1, m) arrays that the chain
     predicates ``_conflicting`` and ``_chain_event_holds`` take."""
-    return _assignment_slots(part, wa)[None], wa.weights[None], init.coloring.colors[None]
+    return init.slots[None], init.weights[None], init.coloring.colors[None]
 
 
 def test_conflicting_pair_hand_trace():
     # v1 sits in the small block, is last of B={0,1} and first of A={1,2},
     # and v0 carries color 1, so (A, B) conflict for color 2
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
     assert init.coloring.colors.tolist() == [1, 2, 2]
-    assert _conflicting(*_trial(P2, wa, init), *h.edge_array[[0, 1]], 2)[0]
+    assert _conflicting(*_trial(init), *h.edge_array[[0, 1]], 2)[0]
 
 
 def test_conflicting_pair_rejects_disjoint_edges():
-    h, wa, init = _setup(4, [(0, 1), (2, 3)], (0.1, 0.45, 0.7, 0.9))
-    assert not _conflicting(*_trial(P2, wa, init), *h.edge_array[[0, 1]], 2)[0]
+    h, init = _setup(4, [(0, 1), (2, 3)], (0.1, 0.45, 0.7, 0.9))
+    assert not _conflicting(*_trial(init), *h.edge_array[[0, 1]], 2)[0]
 
 
 def test_conflicting_pair_rejects_two_shared_vertices():
-    h, wa, init = _setup(4, [(0, 1, 2), (1, 2, 3)], (0.1, 0.2, 0.45, 0.7))
-    assert not _conflicting(*_trial(P2, wa, init), *h.edge_array[[0, 1]], 2)[0]
+    h, init = _setup(4, [(0, 1, 2), (1, 2, 3)], (0.1, 0.2, 0.45, 0.7))
+    assert not _conflicting(*_trial(init), *h.edge_array[[0, 1]], 2)[0]
 
 
 def test_conflicting_pair_needs_small_block_link():
     # shared vertex in a large block never links a pair
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.2, 0.7))
-    assert not _conflicting(*_trial(P2, wa, init), *h.edge_array[[0, 1]], 2)[0]
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.2, 0.7))
+    assert not _conflicting(*_trial(init), *h.edge_array[[0, 1]], 2)[0]
 
 
 def test_extract_one_chain_from_mono_edge():
-    h, wa, init = _setup(2, [(0, 1)], (0.1, 0.2))
+    h, init = _setup(2, [(0, 1)], (0.1, 0.2))
     assert init.coloring.colors.tolist() == [1, 1]
-    rec = extract_chain(h, P2, wa, init, MonoEdge(0, 1))
+    rec = extract_chain(h, init, MonoEdge(0, 1))
     assert rec.kind == ORDERED and rec.k == 1
     assert rec.edges == (0,) and rec.links == () and rec.color == 1
-    validate_chain(h, P2, wa, init, rec)
+    validate_chain(h, init, rec)
 
 
 def test_extract_two_chain_from_mono_edge():
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    rec = extract_chain(h, P2, wa, init, MonoEdge(1, 2))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    rec = extract_chain(h, init, MonoEdge(1, 2))
     assert rec.kind == ORDERED and rec.k == 2
     assert rec.edges == (0, 1)
     assert rec.links == (ChainLink(1, 0.45),)
-    validate_chain(h, P2, wa, init, rec)
-    assert _chain_event_holds(*_trial(P2, wa, init), h.edge_array[list(rec.edges)], rec.color)[0]
+    validate_chain(h, init, rec)
+    assert _chain_event_holds(*_trial(init), h.edge_array[list(rec.edges)], rec.color)[0]
 
 
 def test_extract_improper_chain_from_deflection():
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    rec = extract_chain(h, P2, wa, init, Deflected(1, 1))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    rec = extract_chain(h, init, Deflected(1, 1))
     assert rec.kind == IMPROPER and rec.k == 1
     assert rec.edges == (0,) and rec.terminal_vertex == 1 and rec.color == 1
-    validate_chain(h, P2, wa, init, rec)
+    validate_chain(h, init, rec)
 
 
 def test_extract_improper_chain_degenerate_start():
     # the blocking edge lies wholly inside the small block: the walk stops
     # at a small-block vertex that kept its own color
-    h, wa, init = _setup(2, [(0, 1)], (0.45, 0.5))
+    h, init = _setup(2, [(0, 1)], (0.45, 0.5))
     assert init.coloring.colors.tolist() == [1, 2]
-    rec = extract_chain(h, P2, wa, init, Deflected(1, 1))
+    rec = extract_chain(h, init, Deflected(1, 1))
     assert rec.kind == IMPROPER and rec.edges == (0,)
-    validate_chain(h, P2, wa, init, rec)
+    validate_chain(h, init, rec)
 
 
 def test_extract_complex_chain_reduced_in_large_block():
-    h, wa, init = _setup(2, [(0, 1)], (0.1, 0.7))
-    rec = extract_chain(h, P2, wa, init, DangerousEdge(0, (0,)))
+    h, init = _setup(2, [(0, 1)], (0.1, 0.7))
+    rec = extract_chain(h, init, DangerousEdge(0, (0,)))
     assert rec.kind == COMPLEX and rec.color == 2
     assert rec.reduced_edge == (1,) and rec.candidate_vertices == (0,)
-    validate_chain(h, P2, wa, init, rec)
-    validate_chain(h, P2, wa, init, rec, vsets=({0},))
+    validate_chain(h, init, rec)
+    validate_chain(h, init, rec, vsets=({0},))
     # a rebalance plan holds its candidate sets as vertex-id arrays
-    validate_chain(h, P2, wa, init, rec, vsets=(np.array([0]),))
+    validate_chain(h, init, rec, vsets=(np.array([0]),))
 
 
 def test_extract_complex_chain_with_deflected_reduced_vertex():
     # the reduced vertex was itself deflected, so the walk recovers its
     # blocking edge; here that blocking edge is the dangerous edge itself
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    rec = extract_chain(h, P2, wa, init, DangerousEdge(0, (0,)))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    rec = extract_chain(h, init, DangerousEdge(0, (0,)))
     assert rec.kind == COMPLEX and rec.k == 2
     assert rec.links == (ChainLink(1, 0.45),)
-    validate_chain(h, P2, wa, init, rec)
+    validate_chain(h, init, rec)
 
 
 def test_extract_names_a_dangerous_edge_wholly_in_the_candidate_sets():
@@ -144,11 +140,8 @@ def test_extract_names_a_dangerous_edge_wholly_in_the_candidate_sets():
         edges = {tuple(sorted(rng.choice(12, 3, replace=False).tolist())) for _ in range(10)}
         h = Hypergraph(12, 3, sorted(edges))
         part = IntervalPartition(0.3, 2)
-        wa = sample_weights(12, seed)
-        init = run_interval_coloring(h, 2, part, wa)
-        plan = build_rebalance_plan(
-            h, part, wa, init.coloring, class_targets(12, 2), seed=seed, p_tilde=0.7
-        )
+        init = run_interval_coloring(h, 2, part, sample_weights(12, seed))
+        plan = build_rebalance_plan(h, init, class_targets(12, 2), seed=seed, p_tilde=0.7)
         whole = [d for d in plan.dangerous if len(d.u_vertices) == h.n]
         if whole:
             break
@@ -156,59 +149,59 @@ def test_extract_names_a_dangerous_edge_wholly_in_the_candidate_sets():
         pytest.fail("no plan with a dangerous edge wholly in the candidate sets")
     for d in whole:
         with pytest.raises(ValueError, match=f"edge {d.edge} lies wholly in the candidate sets"):
-            extract_chain(h, part, wa, init, d)
+            extract_chain(h, init, d)
 
 
 def test_extract_rejects_events_that_did_not_happen():
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
     with pytest.raises(ValueError):
-        extract_chain(h, P2, wa, init, MonoEdge(0, 1))  # edge 0 is not mono
+        extract_chain(h, init, MonoEdge(0, 1))  # edge 0 is not mono
     with pytest.raises(ValueError):
-        extract_chain(h, P2, wa, init, Deflected(0, 1))  # vertex 0 kept color 1
+        extract_chain(h, init, Deflected(0, 1))  # vertex 0 kept color 1
     with pytest.raises(ValueError):
-        extract_chain(h, P2, wa, init, DangerousEdge(1, (0,)))  # v0 not in edge 1
+        extract_chain(h, init, DangerousEdge(1, (0,)))  # v0 not in edge 1
     with pytest.raises(ValueError):
-        extract_chain(h, P2, wa, init, DangerousEdge(0, (1,)))  # reduced {0} wears color 1, not r
+        extract_chain(h, init, DangerousEdge(0, (1,)))  # reduced {0} wears color 1, not r
 
 
 def test_extract_and_validate_reject_indices_out_of_range():
     # edge -1 used to alias the only edge and pass validation
-    h, wa, init = _setup(2, [(0, 1)], (0.1, 0.2))
+    h, init = _setup(2, [(0, 1)], (0.1, 0.2))
     for e in (-1, 1):
         with pytest.raises(ValueError):
-            extract_chain(h, P2, wa, init, MonoEdge(e, 1))
+            extract_chain(h, init, MonoEdge(e, 1))
         with pytest.raises(ValueError):
-            extract_chain(h, P2, wa, init, DangerousEdge(e, (0,)))
+            extract_chain(h, init, DangerousEdge(e, (0,)))
     for v in (-1, 2):
         with pytest.raises(ValueError):
-            extract_chain(h, P2, wa, init, Deflected(v, 1))
-    rec = extract_chain(h, P2, wa, init, MonoEdge(0, 1))
+            extract_chain(h, init, Deflected(v, 1))
+    rec = extract_chain(h, init, MonoEdge(0, 1))
     for e in (-1, 1):
         with pytest.raises(ChainInvalid):
-            validate_chain(h, P2, wa, init, dataclasses.replace(rec, edges=(e,)))
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    rec = extract_chain(h, P2, wa, init, MonoEdge(1, 2))
+            validate_chain(h, init, dataclasses.replace(rec, edges=(e,)))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    rec = extract_chain(h, init, MonoEdge(1, 2))
     for v in (-2, 3):
         with pytest.raises(ChainInvalid):
-            validate_chain(h, P2, wa, init, dataclasses.replace(rec, links=(ChainLink(v, 0.45),)))
+            validate_chain(h, init, dataclasses.replace(rec, links=(ChainLink(v, 0.45),)))
 
 
 def test_extract_rejects_a_blocking_record_that_names_no_edge():
     # vertex 1 was deflected by edge 0; a forged record naming edge 7 or -2
     # is refused where it is read, by the walk for the mono edge and by the
     # lookup for the deflection, not used as an index
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
     for bad in (7, -2):
-        forged = dataclasses.replace(init, blocking=np.array([-1, bad, -1]))
+        forged = dataclasses.replace(init, deflected=(np.array([1]), np.array([bad])))
         for event in (MonoEdge(1, 2), Deflected(1, 1)):
             with pytest.raises(ChainInvalid, match=f"edge {bad}"):
-                extract_chain(h, P2, wa, forged, event)
+                extract_chain(h, forged, event)
 
 
 def test_validate_rejects_tampered_records():
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    rec = extract_chain(h, P2, wa, init, MonoEdge(1, 2))
-    validate_chain(h, P2, wa, init, rec)
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    rec = extract_chain(h, init, MonoEdge(1, 2))
+    validate_chain(h, init, rec)
     for bad in (
         dataclasses.replace(rec, color=1),
         dataclasses.replace(rec, edges=(1, 0)),
@@ -218,7 +211,7 @@ def test_validate_rejects_tampered_records():
         dataclasses.replace(rec, edges=(0,), links=()),
     ):
         with pytest.raises(ChainInvalid):
-            validate_chain(h, P2, wa, init, bad)
+            validate_chain(h, init, bad)
 
 
 def _three_chain():
@@ -226,99 +219,99 @@ def _three_chain():
     3, and the walk crosses the deflected vertices 1 and 2 back to edge 0;
     edge 3, (0, 2), meets edge 0 in vertex 0 and edge 1 in vertex 2."""
     part = IntervalPartition(0.3, 3)
-    h, wa, init = _setup(
+    h, init = _setup(
         4, [(0, 1), (1, 2), (2, 3), (0, 2)], (0.1, 0.3, 0.7, 0.9), r=3, part=part
     )
-    rec = extract_chain(h, part, wa, init, MonoEdge(2, 3))
+    rec = extract_chain(h, init, MonoEdge(2, 3))
     assert rec.edges == (0, 1, 2) and [ln.vertex for ln in rec.links] == [1, 2]
-    validate_chain(h, part, wa, init, rec)
-    return h, part, wa, init, rec
+    validate_chain(h, init, rec)
+    return h, init, rec
 
 
 def test_validate_rejects_one_tampered_record_per_condition():
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    ordered = extract_chain(h, P2, wa, init, MonoEdge(1, 2))
-    improper = extract_chain(h, P2, wa, init, Deflected(1, 1))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    ordered = extract_chain(h, init, MonoEdge(1, 2))
+    improper = extract_chain(h, init, Deflected(1, 1))
     # vertex 1 is deflected by edge 0, never by edge 1
-    reblocked = dataclasses.replace(init, blocking=np.array([-1, 1, -1]))
+    reblocked = dataclasses.replace(init, deflected=(np.array([1]), np.array([1])))
     reweighed = dataclasses.replace(ordered, links=(ChainLink(1, 0.5),))
     # the last edge alone: its first vertex 1 lies in small_1
     truncated = dataclasses.replace(ordered, edges=(1,), links=())
     cases = {
-        "wrong link weight": (h, P2, wa, init, reweighed),
-        "link blocked by another edge": (h, P2, wa, reblocked, ordered),
-        "terminal blocked by another edge": (h, P2, wa, reblocked, improper),
-        "lead edge reaches into small_{c_1 - 1}": (h, P2, wa, init, truncated),
+        "wrong link weight": (h, init, reweighed),
+        "link blocked by another edge": (h, reblocked, ordered),
+        "terminal blocked by another edge": (h, reblocked, improper),
+        "lead edge reaches into small_{c_1 - 1}": (h, init, truncated),
     }
-    h3, part3, wa3, init3, rec3 = _three_chain()
+    h3, init3, rec3 = _three_chain()
     cases["non-consecutive edges share a vertex"] = (
-        h3, part3, wa3, init3, dataclasses.replace(rec3, edges=(0, 1, 3))
+        h3, init3, dataclasses.replace(rec3, edges=(0, 1, 3))
     )
     # vertex 2 was deflected as the last of edge (0, 1, 2); the same run
     # read with the weights of vertices 1 and 2 swapped puts vertex 1 last
     # (both stay in small_1)
-    h1, wa1, init1 = _setup(3, [(0, 1, 2)], (0.1, 0.45, 0.5))
-    terminal = extract_chain(h1, P2, wa1, init1, Deflected(2, 1))
-    swapped = WeightAssignment((0.1, 0.5, 0.45))
-    cases["terminal not the last vertex of its edge"] = (h1, P2, swapped, init1, terminal)
-    hc, wac, initc = _setup(2, [(0, 1)], (0.1, 0.7))
-    dangerous = extract_chain(hc, P2, wac, initc, DangerousEdge(0, (0,)))
+    h1, init1 = _setup(3, [(0, 1, 2)], (0.1, 0.45, 0.5))
+    terminal = extract_chain(h1, init1, Deflected(2, 1))
+    swapped = dataclasses.replace(init1, weights=np.array((0.1, 0.5, 0.45)))
+    cases["terminal not the last vertex of its edge"] = (h1, swapped, terminal)
+    hc, initc = _setup(2, [(0, 1)], (0.1, 0.7))
+    dangerous = extract_chain(hc, initc, DangerousEdge(0, (0,)))
     for label, field in (
         ("U overlaps the reduced edge", {"candidate_vertices": (0, 1)}),
         ("reduced edge overlaps U", {"reduced_edge": (0, 1)}),
         ("reduced edge and U miss a vertex", {"reduced_edge": ()}),
     ):
-        cases[label] = (hc, P2, wac, initc, dataclasses.replace(dangerous, **field))
+        cases[label] = (hc, initc, dataclasses.replace(dangerous, **field))
     # a correct run deflects vertex 1, the last of edge 0, out of small_1;
     # a forged coloring keeps it in color 1, so edge 0 is monochromatic in
     # color 1 with a vertex in small_1
-    hf, waf, initf = _setup(2, [(0, 1)], (0.1, 0.45))
+    hf, initf = _setup(2, [(0, 1)], (0.1, 0.45))
     forged = dataclasses.replace(initf, coloring=Coloring(2, 2, [1, 1]))
     cases["ordered last edge reaches into small_{c_k}"] = (
-        hf, P2, waf, forged, ChainRecord(ORDERED, 1, (0,), ())
+        hf, forged, ChainRecord(ORDERED, 1, (0,), ())
     )
-    for label, (hh, part, ww, ii, record) in cases.items():
+    for label, (hh, ii, record) in cases.items():
         with pytest.raises(ChainInvalid):
-            validate_chain(hh, part, ww, ii, record)
+            validate_chain(hh, ii, record)
             pytest.fail(f"validate_chain accepted a record with {label}")
 
 
 def test_extract_reads_the_small_block_of_a_deflection_from_its_slot():
     # Deflected(v, None) names a deflection out of any small block, the form
     # the oracle and ``mc --quantity deflected`` take
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    rec = extract_chain(h, P2, wa, init, Deflected(1, None))
-    assert rec == extract_chain(h, P2, wa, init, Deflected(1, 1))
-    h3, part3, wa3, init3, _ = _three_chain()
-    rec = extract_chain(h3, part3, wa3, init3, Deflected(2, None))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    rec = extract_chain(h, init, Deflected(1, None))
+    assert rec == extract_chain(h, init, Deflected(1, 1))
+    h3, init3, _ = _three_chain()
+    rec = extract_chain(h3, init3, Deflected(2, None))
     assert rec.kind == IMPROPER and rec.color == 2 and rec.edges == (0, 1)
     assert rec.terminal_vertex == 2 and rec.links == (ChainLink(1, 0.3),)
     with pytest.raises(ValueError):
-        extract_chain(h3, part3, wa3, init3, Deflected(0, None))  # vertex 0 kept color 1
+        extract_chain(h3, init3, Deflected(0, None))  # vertex 0 kept color 1
 
 
 def test_validate_refuses_a_complex_record_with_an_empty_reduced_edge():
     # U the whole edge leaves no part to end the chain in: refused as a
     # record, not met by an IndexError on an empty float array
-    h, wa, init = _setup(2, [(0, 1)], (0.1, 0.7))
-    rec = extract_chain(h, P2, wa, init, DangerousEdge(0, (0,)))
+    h, init = _setup(2, [(0, 1)], (0.1, 0.7))
+    rec = extract_chain(h, init, DangerousEdge(0, (0,)))
     whole = dataclasses.replace(rec, reduced_edge=(), candidate_vertices=(0, 1))
     with pytest.raises(ChainInvalid, match="nonempty reduced edge"):
-        validate_chain(h, P2, wa, init, whole)
+        validate_chain(h, init, whole)
 
 
 def test_validate_checks_candidate_vertices_against_vsets():
-    h, wa, init = _setup(2, [(0, 1)], (0.1, 0.7))
-    rec = extract_chain(h, P2, wa, init, DangerousEdge(0, (0,)))
+    h, init = _setup(2, [(0, 1)], (0.1, 0.7))
+    rec = extract_chain(h, init, DangerousEdge(0, (0,)))
     with pytest.raises(ChainInvalid):
-        validate_chain(h, P2, wa, init, rec, vsets=(set(),))
+        validate_chain(h, init, rec, vsets=(set(),))
     with pytest.raises(ChainInvalid):
-        validate_chain(h, P2, wa, init, rec, vsets=(np.array([1]),))
+        validate_chain(h, init, rec, vsets=(np.array([1]),))
 
 
 def test_chain_record_json_shape():
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    rec = extract_chain(h, P2, wa, init, MonoEdge(1, 2))
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    rec = extract_chain(h, init, MonoEdge(1, 2))
     obj = rec.to_json_dict()
     assert obj["kind"] == "ordered" and obj["color"] == 2
     assert obj["edges"] == [0, 1]
@@ -327,8 +320,8 @@ def test_chain_record_json_shape():
 
 
 def test_chain_event_requires_mono_last_edge():
-    h, wa, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
-    trial, edges = _trial(P2, wa, init), h.edge_array
+    h, init = _setup(3, [(0, 1), (1, 2)], (0.1, 0.45, 0.7))
+    trial, edges = _trial(init), h.edge_array
     assert _chain_event_holds(*trial, edges[[0, 1]], 2)[0]
     assert not _chain_event_holds(*trial, edges[[0]], 1)[0]  # edge 0 not mono
     assert not _chain_event_holds(*trial, edges[[1]], 2)[0]  # v1 outside large 2
@@ -346,16 +339,15 @@ def test_extraction_agrees_with_event_predicate():
         ne = int(rng.integers(1, min(math.comb(m, n), 7) + 1))
         h = _random_instance(m, n, ne, rng)
         part = IntervalPartition(choose_p(max(n, 3), r), r)
-        wa = sample_weights(m, int(rng.integers(0, 2**32)))
-        init = run_interval_coloring(h, r, part, wa)
+        init = run_interval_coloring(h, r, part, sample_weights(m, int(rng.integers(0, 2**32))))
         cols = init.coloring.colors
         for idx, e in enumerate(h.edge_array.tolist()):
             c = cols[e[0]]
             if all(cols[v] == c for v in e[1:]):
-                rec = extract_chain(h, part, wa, init, MonoEdge(idx, c))
-                validate_chain(h, part, wa, init, rec)
+                rec = extract_chain(h, init, MonoEdge(idx, c))
+                validate_chain(h, init, rec)
                 parts = h.edge_array[list(rec.edges)]
-                assert _chain_event_holds(*_trial(part, wa, init), parts, rec.color)[0]
+                assert _chain_event_holds(*_trial(init), parts, rec.color)[0]
                 hits += 1
     assert hits > 20  # the sweep actually exercised the extraction
 
@@ -603,9 +595,9 @@ def test_chain_predicates_over_a_batch_match_each_trial():
         part = IntervalPartition(0.5, r)
         # weights on a grid of 16 values, so ties broken by id are common
         batch = run_interval_coloring(h, r, part, rng.integers(0, 16, (60, h.m)) / 16)
-        was, inits = zip(*(batch.row(t) for t in range(len(batch))))
-        slots = np.stack([_assignment_slots(part, wa) for wa in was])
-        key = np.stack([wa.weights for wa in was])
+        inits = [batch.row(t) for t in range(len(batch))]
+        slots = np.stack([init.slots for init in inits])
+        key = np.stack([init.weights for init in inits])
         colors = np.stack([init.coloring.colors for init in inits])
         lists = list(zip(slots.tolist(), key.tolist(), colors.tolist()))
         num = len(h.edge_array)
@@ -614,8 +606,7 @@ def test_chain_predicates_over_a_batch_match_each_trial():
                 for c in range(2, r + 1):
                     batch = _conflicting(slots, key, colors, *h.edge_array[[b, a]], c).tolist()
                     rows = [
-                        _conflicting(*_trial(part, wa, init), *h.edge_array[[b, a]], c)[0]
-                        for wa, init in zip(was, inits)
+                        _conflicting(*_trial(init), *h.edge_array[[b, a]], c)[0] for init in inits
                     ]
                     assert batch == rows
                     pairs += sum(rows)
@@ -634,10 +625,7 @@ def test_chain_predicates_over_a_batch_match_each_trial():
             parts = h.edge_array[list(seq)]
             for color in range(1, r + 1):
                 batch = _chain_event_holds(slots, key, colors, parts, color).tolist()
-                rows = [
-                    _chain_event_holds(*_trial(part, wa, init), parts, color)[0]
-                    for wa, init in zip(was, inits)
-                ]
+                rows = [_chain_event_holds(*_trial(init), parts, color)[0] for init in inits]
                 reference = [_chain_event_per_trial(h, s, w, c, seq, color) for s, w, c in lists]
                 assert batch == rows == reference, (seq, color)
                 events += sum(rows) if len(seq) > 1 else 0
@@ -647,15 +635,14 @@ def test_chain_predicates_over_a_batch_match_each_trial():
 
 def test_chain_extraction_and_validation_on_each_failure_kind():
     h = Hypergraph(3, 2, [(0, 1), (1, 2)])
-    wa = WeightAssignment((0.1, 0.45, 0.7))
-    init = run_interval_coloring(h, 2, P2, wa)
+    init = run_interval_coloring(h, 2, P2, (0.1, 0.45, 0.7))
     for failure in (MonoEdge(1, 2), Deflected(1, 1), DangerousEdge(0, (0,))):
-        rec = extract_chain(h, P2, wa, init, failure)
-        validate_chain(h, P2, wa, init, rec, vsets=({0},) if rec.kind == COMPLEX else None)
+        rec = extract_chain(h, init, failure)
+        validate_chain(h, init, rec, vsets=({0},) if rec.kind == COMPLEX else None)
         with pytest.raises(ChainInvalid):
-            validate_chain(h, P2, wa, init, dataclasses.replace(rec, color=rec.color + 1))
+            validate_chain(h, init, dataclasses.replace(rec, color=rec.color + 1))
     with pytest.raises(ValueError):
-        extract_chain(h, P2, wa, init, MonoEdge(0, 1))
+        extract_chain(h, init, MonoEdge(0, 1))
 
 
 def test_candidate_enumeration_and_brute_force():

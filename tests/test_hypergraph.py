@@ -351,8 +351,8 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
     # the screen's mask is the one the int64 colors give
     assert np.array_equal(mono, _mono_edges(h, batch._narrow.astype(np.int64)))
     calls.clear()
-    wa, coloring = row(0)
-    rebalance.build_rebalance_plan(h, partition, wa, coloring, class_targets(h.m, 3), seed=0)
+    init, coloring = row(0)
+    rebalance.build_rebalance_plan(h, init, class_targets(h.m, 3), seed=0)
     # one gather of the per-vertex state, in int8
     assert calls == [("eqcolor.rebalance", np.int8)]
 
@@ -642,13 +642,23 @@ def test_text_and_json_roundtrips_agree(m, data):
 # array-built constructor against the per-edge constructor it replaced
 
 
+def _reference_integer(value, what):
+    """The integer rule, one value at a time: a Python or numpy integer, and
+    not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise FormatError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 class _ReferenceHypergraph:
     """The per-edge ``Hypergraph.__init__`` that preceded the array build,
-    copied (annotations aside) as the reference for the differential tests;
-    its incidence index is built when first read, so m may be 2^31, as the
-    CSR pair (indptr, indices) of plain lists."""
+    copied (annotations aside) as the reference for the differential tests,
+    with ``_reference_integer`` in place of ``int()`` for m, n and every
+    vertex id; its incidence index is built when first read, so m may be
+    2^31, as the CSR pair (indptr, indices) of plain lists."""
 
     def __init__(self, m, n, edges):
+        m, n = _reference_integer(m, "vertex count"), _reference_integer(n, "edge size")
         if m <= 0:
             raise FormatError(f"vertex count must be positive, got {m}")
         if n < 2:
@@ -658,7 +668,7 @@ class _ReferenceHypergraph:
         seen = set()
         stored = []
         for e in edges:
-            t = tuple(sorted(int(v) for v in e))
+            t = tuple(sorted(_reference_integer(v, "vertex id") for v in e))
             if len(t) != n:
                 raise FormatError(f"edge {t} has {len(t)} vertices, expected {n}")
             if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
@@ -930,7 +940,7 @@ def test_constructor_matches_the_reference_on_lists(m, n, edges):
 @pytest.mark.parametrize(
     "edges",
     [
-        [[0, "1"], (2.7, 1)],  # int() truncates floats and parses strings
+        [[0, "1"], (2.7, 1)],  # a string and a float are not integers
         ["01", {2: "x", 3: "y"}],  # any sized iterable is an edge
         [[0, None]],
         [[0, 0], [None, 1]],  # the earlier edge's fault wins
@@ -944,6 +954,14 @@ def test_constructor_matches_the_reference_on_lists(m, n, edges):
         np.array([[0, 1, 2]]),
         np.empty((0, 5), dtype=np.int64),
         np.array([[0, 1], [2, 3]], dtype=object),
+        # the integer rule: floats and bools are refused, numpy integers and
+        # a uint64 array taken
+        [[0, 1], (2.7, 1)],
+        [[0, 1], [True, 2]],
+        [[0, np.int64(1)], (np.uint8(2), 3)],
+        np.array([[1.0, 0.0], [2, 3]]),
+        np.array([[True, False]]),
+        np.array([[1, 0], [2, 3]], dtype=np.uint64),
     ],
 )
 def test_constructor_matches_the_reference_on_odd_inputs(edges):
@@ -952,7 +970,7 @@ def test_constructor_matches_the_reference_on_odd_inputs(edges):
 
 def test_json_faults_match_the_reference():
     # edges that are not sequences fail as in the reference; a vertex id
-    # that is not an integer is refused by name before int() sees it
+    # that is not an integer is refused by name, as the reference does
     for edges in ([5], None):
         with pytest.raises(FormatError) as new:
             Hypergraph.from_json_dict({"m": 4, "n": 2, "edges": edges})
@@ -960,23 +978,54 @@ def test_json_faults_match_the_reference():
             _ReferenceHypergraph(4, 2, edges)
         assert str(new.value) == f"malformed hypergraph JSON: {ref.value}"
     for edges in ([[0, None]], [[0, 1], [1, None]]):
-        with pytest.raises(TypeError):
+        with pytest.raises(FormatError) as ref:
             _ReferenceHypergraph(4, 2, edges)
         with pytest.raises(FormatError) as new:
             Hypergraph.from_json_dict({"m": 4, "n": 2, "edges": edges})
-        assert str(new.value) == "malformed hypergraph JSON: vertex id None is not an integer"
+        assert str(new.value) == f"malformed hypergraph JSON: {ref.value}"
+        assert str(ref.value) == "vertex id None is not an integer"
 
 
 def test_json_reader_refuses_non_integer_vertex_ids():
-    # the constructor reads each id with int(), which would take 1.9 and
-    # true as 1 and "1" as 1; the JSON reader refuses them
+    # int() would take 1.9 and true as 1 and "1" as 1; the constructor and
+    # the JSON reader refuse them
     for edges, bad in (([[0, 1.9]], "1.9"), ([[0, True]], "True"), ([["0", "1"]], "'0'")):
-        assert _rows(Hypergraph(3, 2, edges)) == ((0, 1),)
+        with pytest.raises(FormatError, match=f"vertex id {bad} is not an integer"):
+            Hypergraph(3, 2, edges)
         with pytest.raises(FormatError, match=f"vertex id {bad} is not an integer"):
             Hypergraph.from_json_dict({"m": 3, "n": 2, "edges": edges})
     # numpy integers are integers
     h = Hypergraph.from_json_dict({"m": 3, "n": 2, "edges": [[np.int64(0), np.uint8(2)]]})
     assert _rows(h) == ((0, 2),)
+
+
+def test_constructor_refuses_non_integer_sizes_and_ids():
+    # each of these was once stored truncated (m = 3.5, the edge (0, 1)) or
+    # refused with a message about sequences
+    cases = [
+        ((3.5, 2, [(0, 1)]), "vertex count 3.5"),
+        ((True, 2, [(0, 1)]), "vertex count True"),
+        ((3, 2.0, [(0, 1)]), "edge size 2.0"),
+        ((3, "2", [(0, 1)]), "edge size '2'"),
+        ((3, 2, [(0, 1.9)]), "vertex id 1.9"),
+        # numpy's repr of an element differs across versions
+        ((3, 2, np.array([[0, 1.9]])), "vertex id .*0.0.*"),
+        ((3, 2, [("0", "1")]), "vertex id '0'"),
+        ((3, 2, [(0, True)]), "vertex id True"),
+        ((3, 2, np.array([[False, True]])), "vertex id .*False.*"),
+    ]
+    for args, message in cases:
+        with pytest.raises(FormatError, match=f"^{message} is not an integer$"):
+            Hypergraph(*args)
+    # integers of every kind, on the array path and the list path
+    for edges in (
+        np.array([[1, 0]], dtype=np.int32),
+        np.array([[1, 0]], dtype=np.uint8),
+        [(np.int64(1), 0)],
+        np.array([[1, 0]], dtype=object),
+    ):
+        h = Hypergraph(np.int64(3), np.uint8(2), edges)
+        assert _rows(h) == ((0, 1),) and (type(h.m), type(h.n)) == (int, int)
 
 
 def test_generated_instances_match_the_reference():

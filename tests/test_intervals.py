@@ -16,7 +16,6 @@ from eqcolor import (
     InitialColoring,
     InitialColoringBatch,
     IntervalPartition,
-    WeightAssignment,
     balanced_mono_prob,
     choose_p,
     class_targets,
@@ -25,7 +24,7 @@ from eqcolor import (
 )
 from eqcolor.chains import _chain_event_holds, _conflicting, _first, _last
 from eqcolor.hypergraph import _color_dtype
-from eqcolor.intervals import _assignment_slots, _colors_at_sizes, _weight_slots
+from eqcolor.intervals import _colors_at_sizes, _weight_slots
 from eqcolor.rebalance import build_rebalance_plan
 
 
@@ -163,14 +162,14 @@ def test_partition_lengths_property(p, r):
 
 
 def test_weight_assignment_order_and_ties():
-    wa = WeightAssignment((0.5, 0.1, 0.5, 0.3))
-    order = np.lexsort((np.arange(4), wa.weights)).tolist()
+    weights = np.array((0.5, 0.1, 0.5, 0.3))
+    order = np.lexsort((np.arange(4), weights)).tolist()
     assert order == [1, 3, 0, 2]  # id breaks the 0.5 tie
 
     def first_last(vertices):
         # the chain layer's helpers take a vertex set listed in id order
         ids = np.sort(vertices)
-        return _first(wa.weights[None], ids)[0], _last(wa.weights[None], ids)[0]
+        return _first(weights[None], ids)[0], _last(weights[None], ids)[0]
 
     assert first_last((0, 2, 3)) == (3, 2)
     assert first_last((2, 0)) == (0, 2)
@@ -182,14 +181,15 @@ def test_weight_assignment_order_and_ties():
 def test_sample_weights_deterministic_and_in_range():
     a = sample_weights(50, seed=9)
     b = sample_weights(50, seed=9)
-    assert np.array_equal(a.weights, b.weights)
-    assert all(0.0 <= w < 1.0 for w in a.weights)
-    assert not np.array_equal(sample_weights(50, seed=10).weights, a.weights)
+    assert a.shape == (50,) and np.array_equal(a, b)
+    assert all(0.0 <= w < 1.0 for w in a)
+    assert not np.array_equal(sample_weights(50, seed=10), a)
+    assert sample_weights(50, seed=9, rows=3).shape == (3, 50)
 
 
 def test_sample_weights_mean_band():
-    wa = sample_weights(10**5, seed=3)
-    mean = sum(wa.weights) / len(wa.weights)
+    weights = sample_weights(10**5, seed=3)
+    mean = sum(weights) / len(weights)
     assert 0.49 < mean < 0.51
 
 
@@ -214,16 +214,15 @@ def test_a_mono_edge_starting_in_its_color_lies_in_its_large_block(r, p, tied, t
     # weights on a grid of 8 values, so ties broken by id are common
     weights = rng.integers(0, 8, (trials, m)) / 8 if tied else rng.random((trials, m))
     if trials == 1:
-        wa = WeightAssignment(weights[0])
-        runs = [(wa, run_interval_coloring(h, r, part, wa))]
+        runs = [run_interval_coloring(h, r, part, weights[0])]
     else:
         batch = run_interval_coloring(h, r, part, weights)
         runs = [batch.row(t) for t in range(trials)]
-    for wa, init in runs:
-        slots, colors = _assignment_slots(part, wa), init.coloring.colors
+    for init in runs:
+        slots, colors = init.slots, init.coloring.colors
         for e in h.edge_array:
             c = int(colors[e[0]])
-            start = slots[_first(wa.weights[None], e)[0]]
+            start = slots[_first(init.weights[None], e)[0]]
             if (colors[e] == c).all() and start in (2 * c - 2, 2 * c - 1):
                 assert (slots[e] == 2 * c - 2).all(), (e.tolist(), slots.tolist())
 
@@ -234,8 +233,7 @@ def test_two_stage_hand_trace():
     # coloring v1 with 1 would finish edge {0,1}, so it deflects to 2.
     h = Hypergraph(4, 2, [(0, 1)])
     part = IntervalPartition(0.2, 2)
-    wa = WeightAssignment((0.1, 0.5, 0.7, 0.45))
-    init = run_interval_coloring(h, 2, part, wa)
+    init = run_interval_coloring(h, 2, part, (0.1, 0.5, 0.7, 0.45))
     assert init.coloring.colors.tolist() == [1, 2, 2, 1]
     assert init.deflections == (1,)
     assert init.occupancy == (3, 1)
@@ -247,8 +245,7 @@ def test_two_stage_hand_trace():
 def test_two_stage_all_large_is_pure_stage_one():
     h = Hypergraph(4, 2, [(0, 1), (2, 3)])
     part = IntervalPartition(0.2, 2)
-    wa = WeightAssignment((0.1, 0.2, 0.7, 0.8))
-    init = run_interval_coloring(h, 2, part, wa)
+    init = run_interval_coloring(h, 2, part, (0.1, 0.2, 0.7, 0.8))
     assert init.coloring.colors.tolist() == [1, 1, 2, 2]
     assert init.deflections == (0,)
 
@@ -257,7 +254,7 @@ def test_two_stage_mono_edge_survives():
     # both endpoints land in the first large block, nothing can deflect them
     h = Hypergraph(2, 2, [(0, 1)])
     part = IntervalPartition(0.2, 2)
-    init = run_interval_coloring(h, 2, part, WeightAssignment((0.1, 0.2)))
+    init = run_interval_coloring(h, 2, part, (0.1, 0.2))
     assert init.coloring.colors.tolist() == [1, 1]
 
 
@@ -265,8 +262,7 @@ def test_two_stage_deflection_is_unconditional():
     # v2 deflects to color 2 even though that completes {1,2} in color 2
     h = Hypergraph(3, 2, [(0, 2), (1, 2)])
     part = IntervalPartition(0.2, 2)
-    wa = WeightAssignment((0.1, 0.7, 0.5))
-    init = run_interval_coloring(h, 2, part, wa)
+    init = run_interval_coloring(h, 2, part, (0.1, 0.7, 0.5))
     assert init.coloring.colors.tolist() == [1, 2, 2]
     assert init.coloring.colors[2] == 2 and init.blocking[2] == 0
 
@@ -280,8 +276,7 @@ def test_class_size_identity_random_runs():
         ne = int(rng.integers(0, min(math.comb(m, n), 8) + 1))
         h = _random_instance(m, n, ne, rng)
         part = IntervalPartition(choose_p(max(n, 3), r), r)
-        wa = sample_weights(m, int(rng.integers(0, 2**32)))
-        init = run_interval_coloring(h, r, part, wa)
+        init = run_interval_coloring(h, r, part, sample_weights(m, int(rng.integers(0, 2**32))))
         x = (0,) + init.deflections
         for i in range(1, r):
             assert init.coloring.sizes[i - 1] == init.occupancy[i - 1] - x[i] + x[i - 1]
@@ -296,10 +291,9 @@ def test_stage_two_colors_stay_local():
         r = min(int(rng.integers(2, 5)), m)  # no more colors than vertices
         h = _random_instance(m, 2, int(rng.integers(0, min(math.comb(m, 2), 10) + 1)), rng)
         part = IntervalPartition(0.3, r)
-        wa = sample_weights(m, int(rng.integers(0, 2**32)))
-        init = run_interval_coloring(h, r, part, wa)
+        init = run_interval_coloring(h, r, part, sample_weights(m, int(rng.integers(0, 2**32))))
         for v in range(m):
-            s = part.slot_of(wa.weights[v])
+            s = part.slot_of(init.weights[v])
             i = s // 2 + 1
             if s % 2:  # small_i
                 assert init.coloring.colors[v] in (i, i + 1)
@@ -317,9 +311,9 @@ def _random_instance(m, n, ne, rng):
 def test_two_stage_determinism():
     h = _random_instance(12, 3, 6, np.random.default_rng(0))
     part = IntervalPartition(choose_p(3, 2), 2)
-    wa = sample_weights(12, seed=5)
-    a = run_interval_coloring(h, 2, part, wa)
-    b = run_interval_coloring(h, 2, part, wa)
+    weights = sample_weights(12, seed=5)
+    a = run_interval_coloring(h, 2, part, weights)
+    b = run_interval_coloring(h, 2, part, weights)
     assert a.coloring == b.coloring
     assert a.deflections == b.deflections and a.occupancy == b.occupancy
 
@@ -330,13 +324,18 @@ def test_weight_array_colors_each_row_as_alone():
     for m, n, ne, r in ((12, 3, 6, 2), (30, 3, 40, 3), (25, 4, 30, 4), (9, 2, 0, 2)):
         h = _random_instance(m, n, ne, rng)
         part = IntervalPartition(choose_p(n, r), r)
-        weights = np.stack([sample_weights(m, seed).weights for seed in range(7)])
+        weights = np.stack([sample_weights(m, seed) for seed in range(7)])
         batch = run_interval_coloring(h, r, part, weights)
         assert isinstance(batch, InitialColoringBatch) and len(batch) == len(weights)
         for t, row in enumerate(weights):
-            wa, got = batch.row(t)
-            assert np.array_equal(wa.weights, row)
-            alone = run_interval_coloring(h, r, part, WeightAssignment(row))
+            got = batch.row(t)
+            # the record holds read-only views of the batch's arrays
+            assert got.partition is part and np.array_equal(got.weights, row)
+            assert np.shares_memory(got.weights, weights)
+            assert np.shares_memory(got.slots, batch._slots)
+            assert not (got.weights.flags.writeable or got.slots.flags.writeable)
+            assert got.slots.tolist() == [part.slot_of(x) for x in row.tolist()]
+            alone = run_interval_coloring(h, r, part, row)
             assert isinstance(alone, InitialColoring)
             assert got.coloring == alone.coloring and got.coloring.sizes == alone.coloring.sizes
             assert got.coloring.colors.dtype == _color_dtype(r) and not got.coloring.colors.flags.writeable
@@ -347,14 +346,18 @@ def test_weight_array_colors_each_row_as_alone():
             assert got.to_json_dict() == alone.to_json_dict()
             deflected += sum(got.deflections)
         one = run_interval_coloring(h, r, part, weights[:1])
-        assert len(one) == 1 and one.row(0)[1].coloring == batch.row(0)[1].coloring
+        assert len(one) == 1 and one.row(0).coloring == batch.row(0).coloring
         empty = run_interval_coloring(h, r, part, np.empty((0, m)))
         assert len(empty) == 0 and empty._narrow.shape == (0, m)
     assert deflected > 0
+    # no argument is changed: the caller's array stays writable
+    assert weights.flags.writeable and weights[0].flags.writeable
     with pytest.raises(ValueError, match="vertex count"):
         run_interval_coloring(h, r, part, np.zeros((2, m + 1)))
+    with pytest.raises(ValueError, match="vertex count"):
+        run_interval_coloring(h, r, part, np.zeros(m + 1))
     with pytest.raises(ValueError, match="array"):
-        run_interval_coloring(h, r, part, weights[0])
+        run_interval_coloring(h, r, part, weights[None])
 
 
 def test_long_weight_arrays_keep_occupancy_wide():
@@ -365,20 +368,20 @@ def test_long_weight_arrays_keep_occupancy_wide():
         m = max(50, r)  # no more colors than vertices
         h = _random_instance(m, 3, 40, rng)
         part = IntervalPartition(p, r)
-        weights = np.stack([sample_weights(m, seed).weights for seed in range(count)])
+        weights = np.stack([sample_weights(m, seed) for seed in range(count)])
         batch = run_interval_coloring(h, r, part, weights)
         for t, row in enumerate(weights):
-            _, got = batch.row(t)
-            alone = run_interval_coloring(h, r, part, WeightAssignment(row))
+            got = batch.row(t)
+            alone = run_interval_coloring(h, r, part, row)
             blocks = [part.slot_of(x) // 2 for x in row.tolist()]
             assert got.occupancy == alone.occupancy == tuple(blocks.count(i) for i in range(r))
             assert got.coloring == alone.coloring
             assert got.coloring.colors.dtype == _color_dtype(r)
 
 
-def test_slots_are_computed_once_per_weight_assignment(monkeypatch):
-    # the kernel keeps each assignment's row of its slots; rebalancing and
-    # the chain predicates read it instead of recomputing over all m
+def test_slots_are_computed_once_per_batch(monkeypatch):
+    # each row's record holds its row of the kernel's slots; rebalancing
+    # and the chain predicates read it instead of recomputing over all m
     calls = []
 
     def counted(partition, weights):
@@ -390,35 +393,19 @@ def test_slots_are_computed_once_per_weight_assignment(monkeypatch):
     part = IntervalPartition(0.5, 2)
     batch = run_interval_coloring(h, 2, part, np.random.default_rng(0).random((5, 6)))
     assert calls == [(5, 6)]
-    was = []
     for t in range(len(batch)):
-        wa, init = batch.row(t)
-        was.append(wa)
-        kept = _assignment_slots(part, wa)
-        assert kept.tolist() == [part.slot_of(x) for x in wa.weights.tolist()]
-        build_rebalance_plan(h, part, wa, init.coloring, class_targets(6, 2), 3, p_tilde=0.5)
-        trial = kept[None], wa.weights[None], init.coloring.colors[None]
+        init = batch.row(t)
+        assert init.slots.tolist() == [part.slot_of(x) for x in init.weights.tolist()]
+        build_rebalance_plan(h, init, class_targets(6, 2), 3, p_tilde=0.5)
+        trial = init.slots[None], init.weights[None], init.coloring.colors[None]
         _conflicting(*trial, *h.edge_array[[0, 1]], 2)
         _chain_event_holds(*trial, h.edge_array[[0, 1]], 2)
     assert calls == [(5, 6)]
-    # an equal partition reads the kept slots, another one recomputes them
-    assert _assignment_slots(IntervalPartition(0.5, 2), was[0]) is _assignment_slots(part, was[0])
-    other = IntervalPartition(0.2, 3)
-    assert _assignment_slots(other, was[0]).tolist() == [
-        other.slot_of(x) for x in was[0].weights.tolist()
-    ]
-    assert calls == [(5, 6), (6,)]
-    # a fresh assignment computes its slots on first use
-    fresh = WeightAssignment(was[1].weights)
-    assert _assignment_slots(part, fresh).tolist() == _assignment_slots(part, was[1]).tolist()
-    assert calls == [(5, 6), (6,), (6,)]
 
 
 def test_initial_coloring_json_shape():
     h = Hypergraph(4, 2, [(0, 1)])
-    init = run_interval_coloring(
-        h, 2, IntervalPartition(0.2, 2), WeightAssignment((0.1, 0.5, 0.7, 0.45))
-    )
+    init = run_interval_coloring(h, 2, IntervalPartition(0.2, 2), (0.1, 0.5, 0.7, 0.45))
     obj = init.to_json_dict()
     assert obj["colors"] == [1, 2, 2, 1]
     assert obj["X"] == [1] and obj["Z"] == [3, 1]
@@ -429,7 +416,7 @@ def test_interval_coloring_rejects_weights_outside_unit_interval():
     part = IntervalPartition(0.2, 2)
     for bad in (1.0, -0.1):
         with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
-            run_interval_coloring(h, 2, part, WeightAssignment((0.1, bad, 0.7)))
+            run_interval_coloring(h, 2, part, (0.1, bad, 0.7))
 
 
 def test_balanced_mono_prob_exact_values():
@@ -504,8 +491,7 @@ def test_trusted_colorings_equal_validated_ones():
 
 def test_initial_coloring_json_is_plain():
     h = Hypergraph(4, 2, [(0, 1)])
-    wa = WeightAssignment([0.1, 0.5, 0.7, 0.45])
-    init = run_interval_coloring(h, 2, IntervalPartition(0.2, 2), wa)
+    init = run_interval_coloring(h, 2, IntervalPartition(0.2, 2), [0.1, 0.5, 0.7, 0.45])
     obj = init.to_json_dict()
     assert json.loads(json.dumps(obj)) == obj
     for key in ("colors", "sizes", "X", "Z"):

@@ -18,7 +18,6 @@ from eqcolor import (
     Hypergraph,
     IntervalPartition,
     MonoEdgeExists,
-    WeightAssignment,
     balanced_mono_prob,
     choose_p,
     exact_c0_event_prob,
@@ -524,6 +523,38 @@ def test_mc_refuses_integer_params_it_would_truncate(quantity, params, name):
         mc_estimate(quantity, TRI_PAIR, 2, params, trials=10, compare=False)
 
 
+@pytest.mark.parametrize(
+    "quantity, params, name",
+    [
+        ("mono-edge", {"p": "0.3"}, "p"),
+        ("mono-edge", {"p": True}, "p"),
+        ("dangerous-count", {"p_tilde": True}, "p_tilde"),
+        ("dangerous-count", {"p_tilde": "0.5"}, "p_tilde"),
+        ("chain-event", {"edges": 5, "color": 1}, "edges"),
+        ("chain-event", {"edges": None, "color": 1}, "edges"),
+    ],
+)
+def test_mc_refuses_real_params_and_edges_it_would_misread(quantity, params, name):
+    # read with float(), "0.3" ran at p = 0.3 and true at p_tilde = 1.0; an
+    # int for edges raised a bare TypeError
+    with pytest.raises(ValueError, match=f"params\\['{name}'\\]"):
+        mc_estimate(quantity, TRI_PAIR, 2, params, trials=10, compare=False)
+
+
+def test_mc_takes_python_and_numpy_real_params():
+    for quantity, name, value in (("mono-edge", "p", 0.25), ("dangerous-count", "p_tilde", 0.5)):
+        plain = mc_estimate(quantity, TRI_PAIR, 2, {name: value}, 200, seed=3, compare=False)
+        for other in (np.float64(value), np.float32(value)):
+            got = mc_estimate(quantity, TRI_PAIR, 2, {name: other}, 200, seed=3, compare=False)
+            assert got == plain
+    # an integer is a real number: p = 0 and p_tilde = 1
+    for quantity, name, value in (("mono-edge", "p", 0), ("dangerous-count", "p_tilde", 1)):
+        plain = mc_estimate(quantity, TRI_PAIR, 2, {name: float(value)}, 200, seed=3, compare=False)
+        for other in (value, np.int64(value)):
+            got = mc_estimate(quantity, TRI_PAIR, 2, {name: other}, 200, seed=3, compare=False)
+            assert got == plain
+
+
 def test_mc_takes_python_and_numpy_integer_params():
     for quantity, params in (
         ("chain-event", {"edges": [0, 1], "color": 2}),
@@ -565,14 +596,13 @@ def test_vectorized_kernel_matches_reference_coloring():
         p = float(rng.uniform(0.05, 0.6))
         part = IntervalPartition(p, r)
         u = rng.random(m)
-        wa = WeightAssignment(u)
         slots = [part.slot_of(x) for x in u]
         orders = [
             [v for v in np.lexsort((np.arange(m), u)).tolist() if slots[v] == 2 * i - 1]
             for i in range(1, r)
         ]
         reference = _sequential_colors(h, slots, orders)
-        assert run_interval_coloring(h, r, part, wa).coloring.colors.tolist() == reference
+        assert run_interval_coloring(h, r, part, u).coloring.colors.tolist() == reference
 
 
 def _reference_holds(h, event, slots, colors, position):

@@ -1,5 +1,6 @@
 """Excess accounting, candidate sampling, dangerous edges, and the recoloring pass."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,6 @@ from eqcolor import (
     IntervalPartition,
     RegimeViolation,
     SolveConfig,
-    WeightAssignment,
     apply_recolor,
     build_rebalance_plan,
     choose_p,
@@ -148,16 +148,15 @@ def test_compute_q_and_p_tilde_check_p(p):
 def _fixture_run(m=14, seed=5, r=3):
     h = Hypergraph(m, 2, [(0, 1), (2, 3), (4, 5)])
     part = IntervalPartition(0.3, r)
-    wa = sample_weights(m, seed)
-    init = run_interval_coloring(h, r, part, wa)
-    return h, part, wa, init
+    return h, part, run_interval_coloring(h, r, part, sample_weights(m, seed))
 
 
-def _occupants(part, wa):
+def _occupants(init):
     """The occupants of large_1 .. large_{r-1}, by the scalar slot rule."""
+    part = init.partition
     occupants = [set() for _ in range(part.r - 1)]
-    for v in range(len(wa.weights)):
-        s = part.slot_of(wa.weights[v])
+    for v in range(len(init.weights)):
+        s = part.slot_of(init.weights[v])
         # large_i, i < r, is slot 2i-2
         if s % 2 == 0 and s // 2 + 1 < part.r:
             occupants[s // 2].add(v)
@@ -169,15 +168,14 @@ def _sets(arrays):
 
 
 def test_sample_candidate_sets_extremes_and_determinism():
-    h, part, wa, init = _fixture_run()
+    h, part, init = _fixture_run()
     targets = class_targets(h.m, part.r)
 
     def vsets(p_tilde, seed):
-        plan = build_rebalance_plan(h, part, wa, init.coloring, targets, seed, p_tilde)
-        return plan.vsets
+        return build_rebalance_plan(h, init, targets, seed, p_tilde).vsets
 
     assert all(len(s) == 0 for s in vsets(0.0, 1))
-    occupants = _occupants(part, wa)
+    occupants = _occupants(init)
     assert _sets(vsets(1.0, 1)) == occupants
     again = vsets(0.5, 7)
     assert [s.tolist() for s in vsets(0.5, 7)] == [s.tolist() for s in again]
@@ -189,14 +187,14 @@ def test_sample_candidate_sets_extremes_and_determinism():
 
 
 def test_sample_candidate_sets_keep_rate():
-    h, part, wa, init = _fixture_run(m=40, seed=2)
+    h, part, init = _fixture_run(m=40, seed=2)
     targets = class_targets(h.m, part.r)
-    total_occ = sum(map(len, _occupants(part, wa)))
+    total_occ = sum(map(len, _occupants(init)))
     p_tilde = 0.35
     kept = 0
     trials = 3000
     for t in range(trials):
-        plan = build_rebalance_plan(h, part, wa, init.coloring, targets, t, p_tilde)
+        plan = build_rebalance_plan(h, init, targets, t, p_tilde)
         kept += sum(len(s) for s in plan.vsets)
     mean = kept / trials
     sigma = math.sqrt(total_occ * p_tilde * (1 - p_tilde) / trials)
@@ -204,8 +202,8 @@ def test_sample_candidate_sets_keep_rate():
 
 
 def _plan_with_keep(p_tilde):
-    h, part, wa, init = _fixture_run()
-    build_rebalance_plan(h, part, wa, init.coloring, class_targets(h.m, part.r), 0, p_tilde)
+    h, part, init = _fixture_run()
+    build_rebalance_plan(h, init, class_targets(h.m, part.r), 0, p_tilde)
 
 
 def _mc_with_keep(p_tilde):
@@ -222,22 +220,6 @@ def test_keep_probability_rule_is_shared(entry, p_tilde):
         entry(p_tilde)
 
 
-def test_build_rebalance_plan_checks_the_partition_r():
-    # a 3-color partition gave a 4-color coloring a plan marked feasible,
-    # with 2 candidate sets, that apply_recolor refused
-    h = generate_random(400, 4, 100, 1)
-    coloring = Coloring(400, 4, [v % 4 + 1 for v in range(400)])
-    wa = sample_weights(400, 0)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="partition was built for a different number of colors"):
-        build_rebalance_plan(
-            h, IntervalPartition(0.3, 3), wa, coloring, class_targets(400, 4), rng, p_tilde=0.5
-        )
-    # raised before the keep draw
-    assert rng.bit_generator.state == state
-
-
 # r = 2 at p = 0.2: large_1 = [0, 0.4), small_1 = [0.4, 0.6), large_2 = [0.6, 1)
 P2 = 0.2
 
@@ -248,11 +230,14 @@ def _hand_plan(edges, colors, weights, targets, r=2, p=P2, p_tilde=1.0, n=None):
     targets choose the excess."""
     m = len(colors)
     h = Hypergraph(m, n or len(edges[0]), edges)
-    coloring = Coloring(m, r, colors)
-    part = IntervalPartition(p, r)
-    return build_rebalance_plan(
-        h, part, WeightAssignment(weights), coloring, targets, seed=0, p_tilde=p_tilde
-    )
+    init = _with_coloring(h, IntervalPartition(p, r), weights, Coloring(m, r, colors))
+    return build_rebalance_plan(h, init, targets, seed=0, p_tilde=p_tilde)
+
+
+def _with_coloring(h, part, weights, coloring):
+    """The record of a run on ``weights`` with its coloring replaced."""
+    run = run_interval_coloring(h, part.r, part, weights)
+    return dataclasses.replace(run, coloring=coloring)
 
 
 def test_find_dangerous_edges_hand_case():
@@ -301,10 +286,9 @@ def test_find_dangerous_edges_matches_per_edge_reference():
         colors = np.where(rng.random(m) < 0.5, r, rng.integers(1, r + 1, m))
         coloring = Coloring(m, r, colors.tolist())
         part = IntervalPartition(float(rng.uniform(0.1, 0.5)), r)
-        wa = WeightAssignment(rng.random(m))
+        init = _with_coloring(h, part, rng.random(m), coloring)
         plan = build_rebalance_plan(
-            h, part, wa, coloring, class_targets(m, r), seed=int(rng.integers(2**32)),
-            p_tilde=0.4,
+            h, init, class_targets(m, r), seed=int(rng.integers(2**32)), p_tilde=0.4
         )
         got = plan.dangerous
         assert list(got) == _dangerous_reference(h, coloring, _sets(plan.vsets))
@@ -358,9 +342,11 @@ def test_select_recolor_sets_never_swallows_a_candidate_set():
         coloring = Coloring(m, r, colors.tolist())
         # targets below the class sizes give every class below r an excess
         targets = [max(0, s - int(rng.integers(0, 4))) for s in coloring.sizes]
+        init = _with_coloring(
+            h, IntervalPartition(float(rng.uniform(0.1, 0.5)), r), rng.random(m), coloring
+        )
         plan = build_rebalance_plan(
-            h, IntervalPartition(float(rng.uniform(0.1, 0.5)), r), WeightAssignment(rng.random(m)),
-            coloring, targets, seed=int(rng.integers(2**32)), p_tilde=float(rng.uniform(0.5, 1.0)),
+            h, init, targets, seed=int(rng.integers(2**32)), p_tilde=float(rng.uniform(0.5, 1.0))
         )
         if not plan.feasible:
             continue
@@ -434,22 +420,22 @@ def test_recolor_sets_match_a_sorted_reference():
             # heavy ties
             weights = np.floor(weights * 6) / 6
         part = IntervalPartition(float(rng.uniform(0.1, 0.5)), r)
-        wa = WeightAssignment(weights)
+        init = run_interval_coloring(h, r, part, weights)
         # stage 1 puts large_i in class i, so V_i fits in class i's size
-        coloring = run_interval_coloring(h, r, part, wa).coloring
+        coloring = init.coloring
         seed, p_tilde = int(rng.integers(2**32)), float(rng.uniform(0.5, 1.0))
         # the keep draw and the pins do not depend on the targets: a probe
         # plan sizes each pool, and the targets then set each excess to 0,
         # the whole pool, one more than the pool, or a value in between
         # (twice as often, for ties at the cut)
-        probe = build_rebalance_plan(h, part, wa, coloring, coloring.sizes, seed, p_tilde)
+        probe = build_rebalance_plan(h, init, coloring.sizes, seed, p_tilde)
         pinned = {min(d.u_vertices) for d in probe.dangerous}
         targets = list(coloring.sizes)
         for i, vs in enumerate(probe.vsets):
             pool = len(set(vs.tolist()) - pinned)
             need = (0, pool, pool + 1, *rng.integers(0, pool + 1, 2).tolist())[it % 5]
             targets[i] -= min(need, coloring.sizes[i])
-        plan = build_rebalance_plan(h, part, wa, coloring, targets, seed, p_tilde)
+        plan = build_rebalance_plan(h, init, targets, seed, p_tilde)
         assert [v.tolist() for v in plan.vsets] == [v.tolist() for v in probe.vsets]
         expected = _recolor_reference(plan, weights)
         assert (None if plan.wsets is None else [w.tolist() for w in plan.wsets]) == expected
@@ -492,11 +478,9 @@ def test_apply_recolor_examples():
 
 
 def test_build_rebalance_plan_records_everything():
-    h, part, wa, init = _fixture_run(m=14, seed=11)
+    h, part, init = _fixture_run(m=14, seed=11)
     targets = class_targets(h.m, part.r)
-    plan = build_rebalance_plan(
-        h, part, wa, init.coloring, targets, seed=3, p_tilde=0.6
-    )
+    plan = build_rebalance_plan(h, init, targets, seed=3, p_tilde=0.6)
     assert plan.excess == tuple(
         max(0, s - t) for s, t in zip(init.coloring.sizes, targets)
     )
@@ -507,11 +491,9 @@ def test_build_rebalance_plan_records_everything():
 
 
 def test_build_rebalance_plan_regime_violation_without_override():
-    h, part, wa, init = _fixture_run(m=14, seed=11)
+    h, part, init = _fixture_run(m=14, seed=11)
     with pytest.raises(RegimeViolation):
-        build_rebalance_plan(
-            h, part, wa, init.coloring, class_targets(h.m, part.r), seed=3
-        )
+        build_rebalance_plan(h, init, class_targets(h.m, part.r), seed=3)
 
 
 # Plans and a report frozen from the frozenset implementation that the
@@ -549,11 +531,8 @@ def test_plan_json_is_frozen(weight_seed, vseed, edges, frozen):
     # pins all of V_2 = {0, 7, 11} and cannot move its one excess vertex
     h = Hypergraph(12, 3, edges)
     part = IntervalPartition(0.3, 3)
-    wa = sample_weights(12, weight_seed)
-    init = run_interval_coloring(h, 3, part, wa)
-    plan = build_rebalance_plan(
-        h, part, wa, init.coloring, class_targets(12, 3), seed=vseed, p_tilde=0.7
-    )
+    init = run_interval_coloring(h, 3, part, sample_weights(12, weight_seed))
+    plan = build_rebalance_plan(h, init, class_targets(12, 3), seed=vseed, p_tilde=0.7)
     assert json.dumps(plan.to_json_dict()) == json.dumps(frozen)
 
 
@@ -589,8 +568,7 @@ def test_rebalance_safety_property():
             edges.add(tuple(sorted(rng.choice(m, 2, replace=False).tolist())))
         h = Hypergraph(m, 2, sorted(edges))
         part = IntervalPartition(float(rng.uniform(0.1, 0.5)), r)
-        wa = sample_weights(m, int(rng.integers(0, 2**32)))
-        init = run_interval_coloring(h, r, part, wa)
+        init = run_interval_coloring(h, r, part, sample_weights(m, int(rng.integers(0, 2**32))))
         coloring = init.coloring
         if not is_proper(h, coloring):
             continue
@@ -599,8 +577,7 @@ def test_rebalance_safety_property():
         if any(sh[:-1]) or sum(ex) == 0:
             continue
         plan = build_rebalance_plan(
-            h, part, wa, coloring, targets, seed=int(rng.integers(0, 2**32)),
-            p_tilde=float(rng.uniform(0.3, 1.0)),
+            h, init, targets, seed=int(rng.integers(0, 2**32)), p_tilde=float(rng.uniform(0.3, 1.0))
         )
         if not plan.feasible:
             continue
@@ -647,12 +624,12 @@ def test_colorings_are_read_only():
     report = solve_equitable(h, 3, SolveConfig(seed=5, force_path="balanced-only"))
     assert report.path == "balanced"
     balanced = report.coloring
-    rows = [batch.row(t)[1].coloring for t in range(len(batch))]
+    rows = [batch.row(t).coloring for t in range(len(batch))]
     for c in [made, single, *rows, moved, repaired, balanced]:
         assert not c.colors.flags.writeable
         with pytest.raises(ValueError):
             c.colors[0] = 2
     # each call of row(t) builds its own read-only colors
-    assert not batch.row(0)[1].coloring.colors.flags.writeable
+    assert not batch.row(0).coloring.colors.flags.writeable
     assert made.colors.tolist() == [1, 1, 2, 2, 3, 3]
     assert moved.colors.tolist() == [3, 1, 3, 2, 3, 3] and moved.sizes == [1, 1, 4]

@@ -3,8 +3,10 @@
 earlier items of its block, however the items are split into takes."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqcolor import SolveConfig, generate_random, mc_estimate, solve_equitable
 from eqcolor.seeding import _draw_rows, _streams, derive
 
 WIDTH = 3
@@ -59,3 +61,26 @@ def test_each_block_is_made_once_when_its_first_item_is_taken(block, takes):
         taken += k
         # items 0..taken-1 lie in blocks 0..(taken-1) // block, each made once
         assert made == list(range((taken - 1) // block + 1))
+
+
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, "1", None])
+def test_derive_refuses_seeds_it_would_truncate(seed):
+    # int() read 1.7 and true as 1 and parsed "1"
+    with pytest.raises(ValueError, match="seed .* is not an integer"):
+        derive(seed, 0)
+    with pytest.raises(ValueError, match="seed .* is not an integer"):
+        derive(0, seed)
+
+
+def test_every_seed_passes_through_derive():
+    # SolveConfig(seed=1.7) solved as seed 1, and mc_estimate(seed=1.5)
+    # estimated as seed 1
+    h = generate_random(200, 4, 20, 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        solve_equitable(h, 2, SolveConfig(seed=1.7))
+    with pytest.raises(ValueError, match="not an integer"):
+        mc_estimate("mono-edge", h, 2, trials=10, seed=1.5, compare=False)
+    # numpy integers are integers, and give the Python integer's stream
+    assert derive(np.int64(7), np.uint8(2)).random() == derive(7, 2).random()
+    same = solve_equitable(h, 2, SolveConfig(seed=np.int32(3)))
+    assert same.coloring == solve_equitable(h, 2, SolveConfig(seed=3)).coloring

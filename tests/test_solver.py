@@ -256,11 +256,11 @@ def test_greedy_repair_of_a_large_two_stage_coloring_is_frozen():
     )
 
     h = generate_random(1000, 10, 2200, 3)
-    wa = sample_weights(h.m, 5)
-    init = run_interval_coloring(h, 2, IntervalPartition(choose_p(h.n, 2), 2), wa)
+    part = IntervalPartition(choose_p(h.n, 2), 2)
+    init = run_interval_coloring(h, 2, part, sample_weights(h.m, 5))
     assert is_proper(h, init.coloring) and init.coloring.sizes == [549, 451]
     targets = class_targets(h.m, 2)
-    fixed = greedy_repair(h, init.coloring, targets, weights=wa.weights)
+    fixed = greedy_repair(h, init.coloring, targets, weights=init.weights)
     moved = np.flatnonzero(fixed.colors != init.coloring.colors).tolist()
     assert moved == [
         29, 31, 48, 88, 112, 129, 130, 160, 180, 204, 238, 247, 295, 303, 310, 315, 388,
@@ -269,7 +269,7 @@ def test_greedy_repair_of_a_large_two_stage_coloring_is_frozen():
     ]
     assert fixed.colors[moved].tolist() == [2] * len(moved)
     assert fixed.sizes == [500, 500] and is_proper(h, fixed)
-    assert fixed == _repair_restart_scan(h, init.coloring, targets, weights=wa.weights)
+    assert fixed == _repair_restart_scan(h, init.coloring, targets, weights=init.weights)
 
 
 def test_greedy_repair_is_one_pass(monkeypatch):
@@ -423,7 +423,6 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
     from eqcolor.hypergraph import _mono_edges
     from eqcolor.intervals import (
         IntervalPartition,
-        WeightAssignment,
         choose_p,
         run_interval_coloring,
     )
@@ -439,10 +438,10 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
     def _chains(h, partition, rejected):
         if rejected is None:
             return ()
-        wa, init, mono = rejected
+        init, mono = rejected
         cols = init.coloring.colors
         return tuple(
-            extract_chain(h, partition, wa, init, MonoEdge(e, int(cols[h.edge_array[e, 0]]))) for e in mono
+            extract_chain(h, init, MonoEdge(e, int(cols[h.edge_array[e, 0]]))) for e in mono
         )
 
     if r < 2:
@@ -475,12 +474,11 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
             continue
 
         block = derive(cfg.seed, attempt // BLOCK, ROLE_WEIGHTS).random((BLOCK, h.m))
-        wa = WeightAssignment(block[attempt % BLOCK])
-        init = run_interval_coloring(h, r, partition, wa)
+        init = run_interval_coloring(h, r, partition, block[attempt % BLOCK])
         mono = np.flatnonzero(_mono_edges(h, init.coloring.colors)).tolist()
         if mono:
             diagnostics["mono-edge"] += 1
-            rejected = (wa, init, mono)
+            rejected = (init, mono)
             continue
 
         if is_equitable(h, init.coloring):
@@ -494,9 +492,7 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
             try:
                 plan = build_rebalance_plan(
                     h,
-                    partition,
-                    wa,
-                    init.coloring,
+                    init,
                     targets,
                     derive(cfg.seed, attempt, ROLE_VSETS),
                 )
@@ -513,7 +509,7 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
                 diagnostics["rebalance-infeasible"] += 1
 
         if cfg.allow_fallback_repair:
-            repaired = greedy_repair(h, init.coloring, targets, weights=wa.weights)
+            repaired = greedy_repair(h, init.coloring, targets, weights=init.weights)
             if repaired is not None and is_equitable(h, repaired):
                 return SolveReport(
                     SUCCESS, repaired, attempt + 1, path, r, diagnostics,
@@ -965,7 +961,7 @@ def test_every_producer_stores_colors_in_the_color_dtype(r, dtype):
         "json": Coloring.from_json_dict({"r": r, "colors": balanced}),
         "kernel row": run_interval_coloring(
             h, r, IntervalPartition(0.5, r), sample_weights(m, 0, rows=2)
-        ).row(1)[1].coloring,
+        ).row(1).coloring,
         "balanced draw": solve_equitable(h, r, SolveConfig(force_path=BALANCED_ONLY)).coloring,
         "greedy repair": greedy_repair(h, Coloring(m, r, skew), class_targets(m, r)),
         "recolor": apply_recolor(Coloring(m, r, balanced), (one,) + (one[:0],) * (r - 2)),
