@@ -36,7 +36,7 @@ from typing import Collection, Optional, Sequence
 
 import numpy as np
 
-from .hypergraph import BudgetExceeded, Hypergraph
+from .hypergraph import BudgetExceeded, Hypergraph, _check_colors, _integer
 from .intervals import InitialColoring
 
 __all__ = [
@@ -392,11 +392,10 @@ def enumerate_chain_candidates(
     edges are unconstrained with respect to it.  The count never exceeds
     2 * C(|E|, k) (ordered) or 2 * C(|E|, k-1) (complex).
     """
-    if k < 1:
-        raise ValueError("chain length must be positive")
+    k, budget = _integer(k, "chain length", 1), _integer(budget, "budget")
     edges = [set(e) for e in h.edge_array.tolist()]
     num = len(edges)
-    if last_edge is not None and not 0 <= last_edge < num:
+    if last_edge is not None and _integer(last_edge, "last edge", 0) >= num:
         raise ValueError(f"last edge {last_edge} outside 0..{num - 1}")
     if kind == ORDERED:
         starts = range(num) if last_edge is None else [last_edge]
@@ -446,8 +445,7 @@ def chain_probability_bound(n: int, r: int, k: int) -> float:
     """Bound 2 (ln n / n)^(k (r-1)/r) r^(-(n-1)k - 1) on the probability
     that a fixed structurally valid k-tuple forms an ordered chain: an upper
     bound at the derived p for r < (ln n)^(1/5) and n large, not below."""
-    if n < 2 or r < 2 or k < 1:
-        raise ValueError("bound requires n >= 2, r >= 2, k >= 1")
+    n, r, k = _integer(n, "n", 2), _check_colors(r, least=2), _integer(k, "k", 1)
     ln_n = math.log(n)
     log_val = (
         math.log(2.0)
@@ -465,14 +463,12 @@ def mono_edge_probability_bound() -> float:
 
 def expected_deflections_bound(n: int, r: int) -> float:
     """Bound 0.04 e n / (r ln n) on the expected deflections per small block."""
-    if n < 2 or r < 2:
-        raise ValueError("bound requires n >= 2 and r >= 2")
+    n, r = _integer(n, "n", 2), _check_colors(r, least=2)
     return 0.04 * math.e * n / (r * math.log(n))
 
 
 def dangerous_count_bound(n: int, r: int) -> float:
     """Tail threshold n / (r ln n) for the number of dangerous edges,
     exceeded with probability at most 0.02 below the edge-count threshold."""
-    if n < 2 or r < 2:
-        raise ValueError("bound requires n >= 2 and r >= 2")
+    n, r = _integer(n, "n", 2), _check_colors(r, least=2)
     return n / (r * math.log(n))

@@ -9,9 +9,9 @@ Exit codes: 0 on success; 2 when the requested object exists but the
 verdict is negative (solver exhausted or infeasible, verification failed,
 oracle found no coloring); 1 on usage or input errors.  Instances are read
 from a file or stdin, as JSON when the first character is '{' and as the
-plain text format otherwise.  solve and mc refuse an instance with more
-than MAX_VERTICES vertices, and the library refuses -r above the vertex
-count for solve, oracle and mc.
+plain text format otherwise.  solve, oracle and mc refuse an instance with
+more than MAX_VERTICES vertices, and the library refuses -r above the
+vertex count for all three.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ from .solver import (
 
 __all__ = ["main", "run_cli"]
 
-# solve and mc hold O(m) values per batch row however few edges the instance
-# has, so a header alone can ask for any amount of memory.  Peak RSS grew by
-# about 90 bytes per vertex between m = 10^5 and 4 * 10^5 (header-only solve
-# at r = 4; mc at 20 trials: 13 for mono-edge, 38 for dangerous-count), so
-# this cap keeps them near 1 GB.  The library takes m up to 2^31.
+# solve and mc hold O(m) values per batch row however few edges there are,
+# and oracle -r 1 an O(m) coloring, so a header can ask for any memory.  Peak
+# RSS grew by about 90 bytes per vertex from m = 10^5 to 4 * 10^5 (header-only
+# solve at r = 4; mc at 20 trials: 13 for mono-edge, 38 for dangerous-count),
+# so this cap keeps them near 1 GB.  The library takes m up to 2^31.
 MAX_VERTICES = 10**7
 
 
@@ -82,7 +82,7 @@ def _read_instance(path: str) -> Hypergraph:
 def _read_bounded_instance(path: str) -> Hypergraph:
     h = _read_instance(path)
     if h.m > MAX_VERTICES:
-        raise ValueError(f"{h.m} vertices exceed the {MAX_VERTICES} that solve and mc take")
+        raise ValueError(f"{h.m} vertices exceed the {MAX_VERTICES} that solve, oracle and mc take")
     return h
 
 
@@ -231,7 +231,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    h = _read_instance(args.instance)
+    h = _read_bounded_instance(args.instance)
     found = brute_force_equitable(h, args.r, budget=args.budget)
     payload = {
         "feasible": found is not None,

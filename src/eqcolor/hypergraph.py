@@ -44,8 +44,8 @@ _MAX_VERTICES = 2**31
 class Hypergraph:
     """Vertex set 0..m-1 with edges of exactly n distinct vertices each.
 
-    m, n and every vertex id are integers by ``_integer``'s rule: a bool, a
-    float or a string is refused with a FormatError, never truncated.
+    m >= 1, n >= 2 and the vertex ids are integers by ``_integer``'s rule: a
+    bool, a float or a string is refused with a FormatError, not truncated.
     ``edge_array``, the one stored copy of the edges, is a read-only int32
     (|E| x n) array of sorted rows, deduplicated in first-seen order so
     serialization round-trips are stable; int32 ids bound m by 2^31.  It is
@@ -60,13 +60,9 @@ class Hypergraph:
 
     def __init__(self, m: int, n: int, edges: Iterable[Sequence[int]]):
         try:
-            m, n = _integer(m, "vertex count"), _integer(n, "edge size")
+            m, n = _integer(m, "vertex count", 1), _integer(n, "edge size", 2)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
-        if m <= 0:
-            raise FormatError(f"vertex count must be positive, got {m}")
-        if n < 2:
-            raise FormatError(f"edge size must be at least 2, got {n}")
         if m > _MAX_VERTICES:
             raise FormatError(f"vertex count {m} exceeds 2^31: vertex ids are stored as int32")
         self.m = m
@@ -232,15 +228,16 @@ def _edge_line(ln: str) -> list[int]:
         raise FormatError(f"malformed edge line {ln!r}: {exc}") from exc
 
 
-def _check_colors(r: int, m: Optional[int] = None, least: int = 1) -> None:
-    """The one rule on the number of colors: ValueError unless least <= r
-    <= max(m, 1), since past m a class of an equitable coloring stays
-    empty.  Every entry point that takes r calls it before any O(r) work.
-    Without m only the lower bound is checked; the caller bounds r first."""
-    if r < least:
-        raise ValueError(f"r = {r} must be at least {least}")
+def _check_colors(r: int, m: Optional[int] = None, least: int = 1) -> int:
+    """The one rule on the number of colors: r as an int, ValueError unless
+    it is an integer (``_integer``) with least <= r <= max(m, 1), since past
+    m a class of an equitable coloring stays empty.  Every entry point that
+    takes r calls it before any O(r) work.  Without m only the lower bound
+    is checked; the caller bounds r first."""
+    r = _integer(r, "r", least)
     if m is not None and r > max(m, 1):
         raise ValueError(f"r = {r} exceeds the {m} vertices, so a class would stay empty")
+    return r
 
 
 def _color_dtype(r: int) -> np.dtype:
@@ -265,7 +262,7 @@ class Coloring:
     __slots__ = ("r", "colors", "sizes")
 
     def __init__(self, m: int, r: int, colors: Sequence[int]):
-        _check_colors(r, m)
+        m, r = _integer(m, "vertex count", 0), _check_colors(r, m)
         values = [_integer(c, "color") for c in colors]
         if len(values) != m:
             raise ValueError("color vector length does not match vertex count")
@@ -317,8 +314,7 @@ class Coloring:
         bound max(m, 1) for m colored vertices.  Raises FormatError
         otherwise."""
         try:
-            m, r = len(obj["colors"]), _integer(obj["r"], "r")
-            col = cls(m, r, obj["colors"])
+            col = cls(len(obj["colors"]), obj["r"], obj["colors"])
             agree = "sizes" not in obj or list(obj["sizes"]) == col.sizes
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed coloring JSON: {exc}") from exc
@@ -327,12 +323,15 @@ class Coloring:
         return col
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int if it is a Python or numpy integer; a bool, a
+def _integer(value, what: str, least: Optional[int] = None) -> int:
+    """The one rule on integer arguments: ``value`` as an int if it is a
+    Python or numpy integer of at least ``least`` (when given); a bool, a
     float, a string or anything else is refused rather than truncated, by
-    a ValueError naming ``what``."""
+    a ValueError naming ``what``, and so is a smaller value."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {value!r} is not an integer")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
     return int(value)
 
 
@@ -397,9 +396,9 @@ def class_targets(m: int, r: int) -> list[int]:
 
     When r does not divide m the lower color indices take the larger part,
     so targets are ceil(m/r) for the first m mod r colors and floor(m/r)
-    for the rest.  ValueError unless 1 <= r <= max(m, 1).
+    for the rest.  ValueError unless integers m >= 0 and 1 <= r <= max(m, 1).
     """
-    _check_colors(r, m)
+    m, r = _integer(m, "m", 0), _check_colors(r, m)
     base, extra = divmod(m, r)
     return [base + 1 if i < extra else base for i in range(r)]
 
@@ -417,8 +416,8 @@ def generate_random(m: int, n: int, num_edges: int, seed: int) -> Hypergraph:
     ones are found; that is allowed for at most C(m, n) // 2 edges, so each
     draw is new with probability at least 1/2.
     """
-    if num_edges < 0:
-        raise ValueError(f"num_edges must be non-negative, got {num_edges}")
+    m, n = _integer(m, "vertex count", 1), _integer(n, "edge size", 2)
+    num_edges, seed = _integer(num_edges, "num_edges", 0), _integer(seed, "seed")
     if n > m:
         raise ValueError(f"cannot place edges of size {n} on {m} vertices")
     universe = math.comb(m, n)
@@ -455,10 +454,9 @@ def edge_threshold(n: int, r: int) -> ThresholdBound:
     Evaluated in log space so huge n does not overflow intermediates; the
     returned value may still be inf when the result exceeds float range.
     The flag reports whether r < (ln n)^(1/5), the regime the guarantee
-    is stated for.
+    is stated for.  n and r are integers of at least 2 (``_integer``).
     """
-    if n < 2 or r < 2:
-        raise ValueError("edge_threshold requires n >= 2 and r >= 2")
+    n, r = _integer(n, "n", 2), _check_colors(r, least=2)
     ln_n = math.log(n)
     log_value = math.log(0.01) + (r - 1) / r * (ln_n - math.log(ln_n)) + (n - 1) * math.log(r)
     try:
@@ -490,11 +488,11 @@ def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optiona
     The witness returned may therefore differ from that of an id-order
     search.  At r = 1 the answer is direct: the one-class coloring when
     there are no edges, None otherwise.  Returns None when no equitable
-    proper coloring exists.  Raises ValueError unless 1 <= r <= m and
-    BudgetExceeded when r^m is beyond ``budget``.
+    proper coloring exists.  Raises ValueError unless 1 <= r <= m and the
+    budget is an integer, and BudgetExceeded when r^m is beyond ``budget``.
     """
     m = h.m
-    _check_colors(r, m)
+    r, budget = _check_colors(r, m), _integer(budget, "budget")
     if _power_exceeds(r, m, budget):
         raise BudgetExceeded(f"{r}^{m} assignments exceed the budget of {budget}")
     if r == 1:

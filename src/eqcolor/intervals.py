@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .hypergraph import Coloring, Hypergraph, _check_colors, _color_dtype, _edge_values
+from .hypergraph import (
+    Coloring, Hypergraph, _check_colors, _color_dtype, _edge_values, _integer, _real
+)
 
 __all__ = [
     "InitialColoring",
@@ -47,21 +49,20 @@ def choose_p(n: int, r: int) -> float:
     """Total small-block mass p = ((r-1)/r) * ln(n / ln n) / n.
 
     Tuned so stage 2 has just enough slack to absorb deflections when the
-    edge count is below the colorability threshold.
+    edge count is below the colorability threshold.  For integers n, r >= 2
+    p lies in (0, 1), as ln(n / ln n) lies in [1, n).
     """
-    if n < 2 or r < 2:
-        raise ValueError("choose_p requires n >= 2 and r >= 2")
-    p = (r - 1) / r * math.log(n / math.log(n)) / n
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"degenerate parameters: p = {p} outside (0, 1)")
-    return p
+    n, r = _integer(n, "n", 2), _check_colors(r, least=2)
+    return (r - 1) / r * math.log(n / math.log(n)) / n
 
 
-def _check_p(p: float) -> None:
-    """The one rule on the small-block mass: ValueError unless p lies in
-    [0, 1).  The partition and the rebalance calculators call it."""
-    if not 0.0 <= p < 1.0:
+def _check_p(p: float) -> float:
+    """The one rule on the small-block mass: p as a float, a real number by
+    ``hypergraph._real``'s rule in [0, 1); ValueError otherwise.  The
+    partition, the rebalance calculators and the exact oracle call it."""
+    if not 0.0 <= (p := _real(p, "p")) < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class IntervalPartition:
         return sum(1 for left in self.lefts[1:] if left <= x)
 
 
-def sample_weights(m: int, seed, rows: Optional[int] = None) -> np.ndarray:
+def sample_weights(m: int, seed: int | np.random.Generator, rows: int | None = None) -> np.ndarray:
     """Independent uniform [0,1) weights for m vertices (PCG64, fixed seed).
 
     ``seed`` may be an integer or a numpy Generator to draw from directly.
@@ -110,8 +111,9 @@ def sample_weights(m: int, seed, rows: Optional[int] = None) -> np.ndarray:
     one row per attempt.  Either is what ``run_interval_coloring`` takes,
     and a generator yields the same rows however its draws are split.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.random(m if rows is None else (rows, m))
+    m, is_rng = _integer(m, "m", 0), isinstance(seed, np.random.Generator)
+    rng = seed if is_rng else np.random.default_rng(_integer(seed, "seed"))
+    return rng.random(m if rows is None else (_integer(rows, "rows", 0), m))
 
 
 @dataclass(eq=False)
@@ -447,12 +449,12 @@ def balanced_mono_prob(m: int, n: int, r: int) -> MonoProbability:
 
     Exactly r * C(m-n, m/r-n) / C(m, m/r), computed in integer arithmetic.
     Zero when a class cannot hold a whole edge (n > m/r).  ValueError
-    unless 1 <= r <= m and r | m.
+    unless the integers m, n, r have 1 <= r <= m, r | m and 1 <= n <= m.
     """
-    _check_colors(r, m)
+    m, n, r = _integer(m, "m", 1), _integer(n, "edge size", 1), _check_colors(r, m)
     if m % r != 0:
         raise ValueError(f"balanced colorings need r | m, got m={m}, r={r}")
-    if not 0 < n <= m:
+    if n > m:
         raise ValueError(f"edge size {n} outside 1..{m}")
     size = m // r
     if n > size:

@@ -195,8 +195,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _small_block(i, r: int) -> int:
-    i = _integer(i, "params['i']")
-    if not 1 <= i <= r - 1:
+    i = _integer(i, "params['i']", 1)
+    if i > r - 1:
         raise ValueError(f"small-block index must lie in 1..{r - 1}")
     return i
 
@@ -374,16 +374,14 @@ def mc_estimate(
     n)^(1/5), n large and the derived p; elsewhere they are references.
 
     Every quantity but ``balanced-mono`` also takes ``p``, in [0, 1), which
-    overrides the derived subinterval parameter; r lies in 1..m, and in
-    2..m for the quantities that take ``p``, both checked before any
-    sampling.  With ``compare`` the report carries the comparison value;
-    "enumerable" means within the oracle's limits (m <= 10 at r = 2, m <= 8
-    at r = 3) and at most 10^6 configurations (m <= 8 at r = 2, m <= 7 at
-    r = 3).
+    overrides the derived subinterval parameter; r lies in 1..m, and in 2..m
+    for the quantities that take ``p``, and ``trials`` is at least 1, all
+    checked before any sampling.  With ``compare`` the report carries the
+    comparison value; "enumerable" means within the oracle's limits (m <= 10
+    at r = 2, m <= 8 at r = 3) and at most 10^6 configurations (m <= 8 at
+    r = 2, m <= 7 at r = 3).
     """
-    _check_colors(r, h.m)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    r, trials, seed = _check_colors(r, h.m), _integer(trials, "trials", 1), _integer(seed, "seed")
     if quantity not in _SPECS:
         raise ValueError(f"unknown quantity {quantity!r}")
     spec = _SPECS[quantity]

@@ -17,8 +17,8 @@ same places merge.  Each color class is a bitmask of its vertices (so m <=
 once per call from the edge masks, of whether an edge at it has its other
 vertices in the class.  The oracle calls no production kernel or
 predicate, so the two routes can check each other: from the package it
-imports only data types, the rules for r and p and the derived p, as a
-test of its imports checks.
+imports only data types, the argument rules for integers, r and p, and
+the derived p, as a test of its imports checks.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .chains import Deflected
-from .hypergraph import BudgetExceeded, Hypergraph, _check_colors
+from .hypergraph import BudgetExceeded, Hypergraph, _check_colors, _integer
 from .intervals import _check_p, choose_p
 
 __all__ = ["ChainEventSpec", "MonoEdgeExists", "exact_c0_event_prob"]
@@ -76,21 +76,20 @@ def exact_c0_event_prob(
     accumulator, capped at 1 against rounding, and the accumulators are
     summed in order, so the sum equals that of one call per event.
     Requires 2 <= r <= m, m <= 10 at r = 2 and m <= 8 at r = 3, and p in
-    [0, 1) (``intervals._check_p``), by default ``choose_p(n, r)``; raises
-    BudgetExceeded, before any work, when the configuration count passes
-    ``budget``.  Each group of slot vectors with the same small-block sizes
-    adds, in group order, its weight times the exact count of its
-    configurations where the event holds.  The counts come from
-    ``_visit_states``, over runs of consecutive groups of at most
-    ``_RUN_CELLS`` = 2^18 configurations in all (a larger group runs
-    alone), which change no value: one pass for all MonoEdgeExists and
-    Deflected events, one per ChainEventSpec.
+    [0, 1) (``intervals._check_p``), by default ``choose_p(n, r)``, and an
+    integer ``budget`` (``hypergraph._integer``); raises BudgetExceeded,
+    before any work, when the configuration count passes it.  Each group
+    of slot vectors with the same small-block sizes adds, in group order,
+    its weight times the exact count of its configurations where the event
+    holds.  The counts come from ``_visit_states``, over runs of
+    consecutive groups of at most ``_RUN_CELLS`` = 2^18 configurations in
+    all (a larger group runs alone), which change no value: one pass for
+    all MonoEdgeExists and Deflected events, one per ChainEventSpec.
     """
     _check_colors(r, h.m, least=2)
     if r > 3 or h.m > _ORACLE_MAX_M[r]:
         raise ValueError("exact enumeration supports m <= 10 at r = 2 and m <= 8 at r = 3")
-    p = choose_p(h.n, r) if p is None else p
-    _check_p(p)
+    p, budget = _check_p(choose_p(h.n, r) if p is None else p), _integer(budget, "budget")
     m = h.m
     lengths = [(1.0 - p) / r if s % 2 == 0 else p / (r - 1) for s in range(2 * r - 1)]
     # K vertices in small blocks: m!/(m-K)! ordered picks, C(K+r-2, r-2)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .chains import DangerousEdge
-from .hypergraph import Coloring, Hypergraph, _edge_values
+from .hypergraph import Coloring, Hypergraph, _check_colors, _edge_values, _integer, _real
 from .intervals import InitialColoring, _check_p
 from .seeding import ROLE_VSETS, derive
 
@@ -100,20 +100,19 @@ def _excess_pattern_holds(sizes, targets) -> np.ndarray:
     return (np.asarray(sizes)[..., :-1] >= np.asarray(targets)[:-1]).all(axis=-1)
 
 
-def _check_keep(p_tilde: float) -> None:
-    """The one rule on a keep probability: ValueError unless it lies in
-    [0, 1].  The rebalance plan and the Monte Carlo ``dangerous-count``
-    statistic call it."""
-    if not 0.0 <= p_tilde <= 1.0:
+def _check_keep(p_tilde: float) -> float:
+    """The one rule on a keep probability: p_tilde as a float, ValueError
+    unless it is real (``_real``) in [0, 1].  The rebalance plan and the
+    Monte Carlo ``dangerous-count`` statistic call it."""
+    if not 0.0 <= (p_tilde := _real(p_tilde, "keep probability")) <= 1.0:
         raise ValueError(f"keep probability must lie in [0, 1], got {p_tilde}")
+    return p_tilde
 
 
 def compute_q(m: int, n: int, r: int, p: float) -> float:
     """Candidate-set size scale: m p / (r (r-1)) + 2 sqrt(13 m ln r / r)
     + ((r+1)/r) n / ln n."""
-    if n < 2 or r < 2 or m < 1:
-        raise ValueError("q requires m >= 1, n >= 2, r >= 2")
-    _check_p(p)
+    m, n, r, p = _integer(m, "m", 1), _integer(n, "n", 2), _check_colors(r, least=2), _check_p(p)
     return (
         m * p / (r * (r - 1))
         + 2.0 * math.sqrt(13.0 * m * math.log(r) / r)
@@ -124,13 +123,14 @@ def compute_q(m: int, n: int, r: int, p: float) -> float:
 def compute_p_tilde(m: int, n: int, r: int, p: float, q: Optional[float] = None) -> float:
     """Per-vertex keep probability q r / ((1-p) m) for candidate sampling.
 
-    Raises ValueError unless p lies in [0, 1), and RegimeViolation when the
-    value exceeds 1, which happens whenever m is small relative to the q
-    scale; callers may then pass an explicit probability instead.
+    Raises ValueError unless m, n, r, p pass ``compute_q``'s rules and q
+    is real, and RegimeViolation when the value exceeds 1, which happens
+    whenever m is small relative to the q scale; callers may then pass an
+    explicit probability instead.
     """
-    _check_p(p)
-    if q is None:
-        q = compute_q(m, n, r, p)
+    # compute_q reads m, n, r and p, also when q is given
+    derived = compute_q(m, n, r, p)
+    q = derived if q is None else _real(q, "q")
     p_tilde = q * r / ((1.0 - p) * m)
     if p_tilde > 1.0:
         raise RegimeViolation(
@@ -163,15 +163,22 @@ def _dangerous_edges(h: Hypergraph, candidate, colors, r: int) -> np.ndarray:
 
 def apply_recolor(coloring: Coloring, wsets: Sequence[np.ndarray]) -> Coloring:
     """Move every vertex of W_i out of class i into class r, in a new
-    coloring.  Each W_i is an array (or sequence) of vertex ids."""
-    r = coloring.r
+    coloring.  Each W_i is an array (or sequence) of distinct vertex ids in
+    0..m-1, each colored i; a ValueError names an id that is not."""
+    r, m = coloring.r, coloring.m
     if len(wsets) != r - 1:
         raise ValueError("need one recolor set per color below r")
     colors = coloring.colors.copy()
-    # the sizes follow the moves: a recount would be a pass over all m
+    # the sizes follow the moves: a recount would be a pass over all m, so
+    # each W_i is checked on its own sorted copy, in O(|W_i| log |W_i|)
     sizes = list(coloring.sizes)
     for i, ws in enumerate(wsets, start=1):
         ids = np.asarray(ws, np.int64)
+        order = np.sort(ids)
+        outside, repeated = ids[(ids < 0) | (ids >= m)], order[1:][order[1:] == order[:-1]]
+        for bad, why in ((outside, f"outside 0..{m - 1}"), (repeated, "twice")):
+            if len(bad):
+                raise ValueError(f"recolor set {i} contains vertex {int(bad[0])} {why}")
         wrong = np.flatnonzero(colors[ids] != i)
         if len(wrong):
             v = int(ids[wrong[0]])
@@ -214,9 +221,7 @@ def build_rebalance_plan(
     ex, sh = excess_shortage(init.coloring, targets)
     p, r = init.partition.p, init.partition.r
     q = compute_q(h.m, h.n, r, p)
-    if p_tilde is None:
-        p_tilde = compute_p_tilde(h.m, h.n, r, p, q=q)
-    _check_keep(p_tilde)
+    p_tilde = _check_keep(compute_p_tilde(h.m, h.n, r, p, q=q) if p_tilde is None else p_tilde)
     rng = seed if isinstance(seed, np.random.Generator) else derive(seed, ROLE_VSETS)
     slots = init.slots
     candidate = _candidates(slots, rng.random(h.m), p_tilde, r)

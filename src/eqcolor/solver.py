@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .hypergraph import (
     Hypergraph,
     _check_colors,
     _color_dtype,
+    _integer,
     _mono_edges,
     _power_exceeds,
     brute_force_equitable,
@@ -106,8 +107,8 @@ class SolveConfig:
     strict_divisibility: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_restarts < 1:
-            raise ValueError("max_restarts must be at least 1")
+        for name, least in (("seed", None), ("max_restarts", 1), ("enumeration_budget", None)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         if self.force_path not in (AUTO, BALANCED_ONLY, TWO_STAGE_ONLY):
             raise ValueError(f"unknown path choice {self.force_path!r}")
 
@@ -157,13 +158,14 @@ def _route(h: Hypergraph, r: int, cfg: SolveConfig) -> str:
 def greedy_repair(
     h: Hypergraph,
     coloring: Coloring,
-    targets,
-    weights=None,
+    targets: Sequence[int],
+    weights: Optional[Sequence[float]] = None,
 ) -> Optional[Coloring]:
     """Move vertices from over-target classes to under-target ones whenever
     the move keeps the coloring proper, scanning vertices in increasing
     weight (vertex order when no weights are given).  Returns a proper
-    coloring meeting the targets, or None when no move applies.
+    coloring meeting the targets, or None when no move applies.  The
+    targets are r integers >= 0 (``_integer``) that sum to m.
 
     Each move takes the first vertex in scan order that has an over-target
     color and a proper move, to the lowest under-target color that allows
@@ -174,10 +176,10 @@ def greedy_repair(
     """
     if not is_proper(h, coloring):
         raise ValueError("repair requires a proper coloring")
-    targets = tuple(targets)
+    targets = tuple(_integer(t, "target", 0) for t in targets)
     r = coloring.r
-    if len(targets) != r:
-        raise ValueError("need one target per color")
+    if len(targets) != r or sum(targets) != h.m:
+        raise ValueError(f"need {r} targets summing to {h.m}, got {targets}")
     if weights is None:
         order = range(h.m)
     elif len(weights) != h.m:
@@ -239,7 +241,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     brute-force verdict, upgrading Exhausted to Infeasible-by-oracle when no
     equitable coloring exists at all.  Raises ValueError unless 2 <= r <= m.
     """
-    _check_colors(r, h.m, least=2)
+    r = _check_colors(r, h.m, least=2)
     if cfg.strict_divisibility and h.m % r != 0:
         raise ValueError(f"strict divisibility requires r | m, got m={h.m}, r={r}")
 

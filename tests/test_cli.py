@@ -162,6 +162,18 @@ def test_oracle_with_one_color(capsys, tmp_path, k4_file):
     assert run_cli(["oracle", k4_file, "-r", "1"]) == 2
 
 
+def test_oracle_refuses_instances_above_the_vertex_limit(capsys, monkeypatch):
+    # -r 1 on a header-only instance passes the budget check (1^m), and
+    # the one-class coloring it then built grew with m
+    def refuse(*args, **kwargs):
+        raise AssertionError("no search may run above the limit")
+
+    monkeypatch.setattr(cli, "brute_force_equitable", refuse)
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{cli.MAX_VERTICES + 1} 2 0\n"))
+    assert run_cli(["oracle", "-", "-r", "1"]) == 1
+    assert f"vertices exceed the {cli.MAX_VERTICES}" in capsys.readouterr().err
+
+
 def test_verify_rejects_more_colors_than_vertices(capsys, tmp_path, path_file):
     cfile = tmp_path / "wide.json"
     cfile.write_text(json.dumps({"r": 5, "colors": [1, 2, 1, 2]}))
@@ -277,7 +289,8 @@ def test_oracle_budget_error(capsys, k4_file):
 @pytest.mark.parametrize(
     "code, expected",
     [
-        ("from eqcolor.cli import main; main()", "error: 3^2147483648 assignments exceed"),
+        # the CLI stops at its vertex cap, before the budget check
+        ("from eqcolor.cli import main; main()", "error: 2147483648 vertices exceed the"),
         (
             "import sys; from eqcolor import *\n"
             "try: brute_force_equitable(parse_hypergraph(sys.stdin.read()), 3)\n"

@@ -440,7 +440,7 @@ def test_generate_random_rejects_impossible_count():
 
 
 def test_generate_random_rejects_negative_count():
-    with pytest.raises(ValueError, match="num_edges must be non-negative, got -1"):
+    with pytest.raises(ValueError, match="num_edges must be at least 0, got -1"):
         generate_random(5, 2, -1, seed=0)
 
 
@@ -654,13 +654,14 @@ class _ReferenceHypergraph:
     """The per-edge ``Hypergraph.__init__`` that preceded the array build,
     copied (annotations aside) as the reference for the differential tests,
     with ``_reference_integer`` in place of ``int()`` for m, n and every
-    vertex id; its incidence index is built when first read, so m may be
-    2^31, as the CSR pair (indptr, indices) of plain lists."""
+    vertex id and m's lower bound worded as ``_integer`` words it; its
+    incidence index is built when first read, so m may be 2^31, as the CSR
+    pair (indptr, indices) of plain lists."""
 
     def __init__(self, m, n, edges):
         m, n = _reference_integer(m, "vertex count"), _reference_integer(n, "edge size")
         if m <= 0:
-            raise FormatError(f"vertex count must be positive, got {m}")
+            raise FormatError(f"vertex count must be at least 1, got {m}")
         if n < 2:
             raise FormatError(f"edge size must be at least 2, got {n}")
         self.m = m

@@ -12,12 +12,14 @@ from eqcolor import oracle
 TRI_PAIR = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
 
 # what the oracle may import from the package: the instance type and its
-# budget error, the rules for r and p, the derived p and the event type it
-# shares with the chain layer; no kernel, predicate or shared helper
+# budget error, the argument rules for integers, r and p, the derived p
+# and the event type it shares with the chain layer; no kernel, predicate
+# or shared helper
 ALLOWED = {
     ("hypergraph", "BudgetExceeded"),
     ("hypergraph", "Hypergraph"),
     ("hypergraph", "_check_colors"),
+    ("hypergraph", "_integer"),
     ("intervals", "_check_p"),
     ("intervals", "choose_p"),
     ("chains", "Deflected"),

@@ -1,10 +1,14 @@
 """The package's exports agree with the ``__all__`` of the modules it
-imports them from."""
+imports them from, and their numeric parameters follow one rule per kind."""
 
 import ast
 import importlib
 import inspect
+import types
+import typing
 from pathlib import Path
+
+import pytest
 
 import eqcolor
 
@@ -23,3 +27,100 @@ def test_package_exports_are_the_union_of_module_all_lists():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == declared, (sorted(exported - declared), sorted(declared - exported))
+
+
+# ---------------------------------------------------------------------------
+# one argument rule per numeric kind, walked over every public signature
+
+TRI_PAIR = eqcolor.Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
+PART = eqcolor.IntervalPartition(0.3, 2)
+# vertices 0, 1 and 2 in large_1, the rest in large_2: edge 0 is
+# monochromatic in color 1, a chain of one edge
+INIT = eqcolor.run_interval_coloring(TRI_PAIR, 2, PART, [0.1, 0.2, 0.3, 0.9, 0.8, 0.7])
+MONO = eqcolor.MonoEdge(0, 1)
+PROPER = eqcolor.Coloring(6, 2, [1, 1, 2, 2, 1, 2])
+
+# one valid call per public callable or input class, as keyword arguments
+VALID_CALLS = {
+    "Coloring": dict(m=6, r=2, colors=[1, 1, 1, 2, 2, 2]),
+    "Hypergraph": dict(m=6, n=3, edges=[(0, 1, 2)]),
+    "IntervalPartition": dict(p=0.3, r=2),
+    "MonoEdgeExists": dict(),
+    "SolveConfig": dict(),
+    "apply_recolor": dict(coloring=PROPER, wsets=[[0]]),
+    "balanced_mono_prob": dict(m=6, n=3, r=2),
+    "brute_force_equitable": dict(h=TRI_PAIR, r=2),
+    "build_rebalance_plan": dict(h=TRI_PAIR, init=INIT, targets=[3, 3], seed=0, p_tilde=0.5),
+    "chain_probability_bound": dict(n=8, r=3, k=2),
+    "choose_p": dict(n=8, r=3),
+    "class_targets": dict(m=10, r=3),
+    "compute_p_tilde": dict(m=10**6, n=8, r=3, p=0.1),
+    "compute_q": dict(m=1000, n=8, r=3, p=0.1),
+    "dangerous_count_bound": dict(n=8, r=3),
+    "edge_threshold": dict(n=8, r=3),
+    "enumerate_chain_candidates": dict(h=TRI_PAIR, k=2),
+    "exact_c0_event_prob": dict(h=TRI_PAIR, r=2, event=eqcolor.MonoEdgeExists()),
+    "excess_shortage": dict(coloring=PROPER, targets=[3, 3]),
+    "expected_deflections_bound": dict(n=8, r=3),
+    "extract_chain": dict(h=TRI_PAIR, init=INIT, failure=MONO),
+    "generate_random": dict(m=8, n=3, num_edges=4, seed=7),
+    "greedy_repair": dict(h=TRI_PAIR, coloring=PROPER, targets=[3, 3]),
+    "is_equitable": dict(h=TRI_PAIR, coloring=PROPER),
+    "is_proper": dict(h=TRI_PAIR, coloring=PROPER),
+    "mc_estimate": dict(quantity="mono-edge", h=TRI_PAIR, r=2, trials=10, compare=False),
+    "mono_edge_probability_bound": dict(),
+    "parse_hypergraph": dict(text="6 3 1\n0 1 2\n"),
+    "run_interval_coloring": dict(h=TRI_PAIR, r=2, partition=PART, weights=INIT.weights),
+    "sample_weights": dict(m=6, seed=0, rows=2),
+    "solve_equitable": dict(h=TRI_PAIR, r=2),
+    "validate_chain": dict(
+        h=TRI_PAIR, init=INIT, record=eqcolor.extract_chain(TRI_PAIR, INIT, MONO)
+    ),
+}
+# not walked: exceptions, which take a message; parameters annotated bool;
+# and these
+NOT_WALKED = {
+    # records the package builds and returns
+    "ChainLink", "ChainRecord", "Comparison", "EstimateReport", "InitialColoring",
+    "InitialColoringBatch", "MonoProbability", "RebalancePlan", "SolveReport",
+    "ThresholdBound",
+    # the event specs, which their readers range-check
+    "ChainEventSpec", "DangerousEdge", "Deflected", "MonoEdge",
+}
+# what a parameter of each numeric kind must refuse
+REFUSED = {int: (2.5, True, "2"), float: ("0.1", True)}
+
+
+def _numeric_kind(annotation):
+    """int or float when the annotation is that type, or a union holding it
+    (Optional included); None otherwise."""
+    union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
+    options = typing.get_args(annotation) if union else (annotation,)
+    return next((kind for kind in REFUSED if kind in options), None)
+
+
+def test_every_public_callable_has_a_valid_call_or_a_reason():
+    public = {
+        name
+        for name, value in vars(eqcolor).items()
+        if not name.startswith("_")
+        and callable(value)
+        and not (inspect.isclass(value) and issubclass(value, BaseException))
+    }
+    assert public == set(VALID_CALLS) | NOT_WALKED, (
+        sorted(public - set(VALID_CALLS) - NOT_WALKED),
+        sorted(set(VALID_CALLS) - public),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CALLS))
+def test_numeric_parameters_refuse_what_they_would_misread(name):
+    # a float where an integer belongs was truncated or compared as a
+    # number, True read as 1 and a string failed deep inside with a
+    # TypeError; each is now a ValueError from its kind's rule
+    call, valid = getattr(eqcolor, name), VALID_CALLS[name]
+    call(**valid)
+    for param in inspect.signature(call, eval_str=True).parameters.values():
+        for bad in REFUSED.get(_numeric_kind(param.annotation), ()):
+            with pytest.raises(ValueError):
+                call(**{**valid, param.name: bad})

@@ -464,6 +464,24 @@ def test_apply_recolor_names_first_offending_vertex():
     assert moved == Coloring(6, 3, moved.colors.tolist())
 
 
+@pytest.mark.parametrize(
+    "wsets, message",
+    [
+        ([np.array([0, 0]), np.array([], np.int64)], "recolor set 1 contains vertex 0 twice"),
+        ([[2, 0, 3, 0], []], "recolor set 1 contains vertex 0 twice"),
+        ([[-5], []], "recolor set 1 contains vertex -5 outside 0..5"),
+        ([[0, 6], []], "recolor set 1 contains vertex 6 outside 0..5"),
+        ([[0], [4, 2**40]], "recolor set 2 contains vertex 1099511627776 outside 0..5"),
+    ],
+)
+def test_apply_recolor_refuses_ids_it_would_misapply(wsets, message):
+    # a repeated id was moved once but counted twice (sizes [2, 2, 2]
+    # against the true [3, 2, 1], which is_equitable then accepted), -5
+    # wrapped round to vertex 1, and an id past m raised a bare IndexError
+    with pytest.raises(ValueError, match=message):
+        apply_recolor(Coloring(6, 3, [1, 1, 1, 1, 2, 2]), wsets)
+
+
 def test_apply_recolor_examples():
     c = _coloring_with_sizes((3, 1))
     unchanged = apply_recolor(c, (np.array([], np.int64),))

@@ -155,6 +155,25 @@ def test_greedy_repair_rejects_improper_input():
         greedy_repair(h, Coloring(2, 2, [1, 1]), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        ((10, 10), r"need 2 targets summing to 6, got \(10, 10\)"),
+        ((2, 2), r"need 2 targets summing to 6, got \(2, 2\)"),
+        ((2, 2, 2), r"need 2 targets summing to 6, got \(2, 2, 2\)"),
+        ((7, -1), "target must be at least 0, got -1"),
+        ((3.0, 3), "target 3.0 is not an integer"),
+        ((True, 5), "target True is not an integer"),
+    ],
+)
+def test_greedy_repair_refuses_targets_that_are_not_a_split_of_m(targets, message):
+    # (10, 10) once came back as sizes (4, 2), "a proper coloring meeting
+    # the targets", since only the over-target classes were tested
+    h = Hypergraph(6, 2, [(0, 1)])
+    with pytest.raises(ValueError, match=message):
+        greedy_repair(h, Coloring(6, 2, [1, 2, 1, 1, 1, 2]), targets)
+
+
 def test_greedy_repair_reports_stuck():
     # the star's only proper 2-colorings isolate the center, so no move
     # toward (2,2) keeps properness
