@@ -69,18 +69,27 @@ class ChainInvalid(ValueError):
 
 @dataclass(frozen=True)
 class MonoEdge:
-    """Failure event: edge ``edge`` came out monochromatic in color ``color``."""
+    """Failure event: edge ``edge`` >= 0 came out monochromatic in color ``color`` >= 1."""
 
     edge: int
     color: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "edge", _integer(self.edge, "edge", 0))
+        object.__setattr__(self, "color", _integer(self.color, "color", 1))
+
 
 @dataclass(frozen=True)
 class Deflected:
-    """Failure event: ``vertex`` in small_``interval`` was deflected."""
+    """Failure event: ``vertex`` in small_``interval`` (any if None) was deflected."""
 
     vertex: int
-    interval: int
+    interval: Optional[int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertex", _integer(self.vertex, "vertex", 0))
+        if self.interval is not None:
+            object.__setattr__(self, "interval", _integer(self.interval, "interval", 1))
 
 
 @dataclass(frozen=True)
@@ -215,7 +224,7 @@ def extract_chain(
     terminal = reduced = candidates = None
     if isinstance(failure, Deflected):
         terminal = failure.vertex
-        if not 0 <= terminal < h.m:
+        if terminal >= h.m:
             raise ValueError(f"vertex {terminal} outside 0..{h.m - 1}")
         edge = _blocking_edge(h, init.blocking, terminal)
         if edge < 0:

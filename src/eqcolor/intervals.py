@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import groupby
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -39,9 +38,9 @@ __all__ = [
     "sample_weights",
 ]
 
-# rounds of the stage-2 fixed point; a trial still changing after them is
-# walked in weight order instead, so long deflection chains cost no more
-# than the walk
+# rounds of the stage-2 fixed point; the trials still changing after them
+# get the same blocking rule in one pass in weight order (``_walk``), so a
+# long deflection chain costs no more than that pass
 _FIXPOINT_ROUNDS = 8
 
 
@@ -211,17 +210,19 @@ def _stage_colors(
     ends at color i, i.e. each of small_i stays at i and each of small_{i-1}
     is deflected to i (large_i ones always are at i).  L is deflected iff
     some pair blocks it, and its ``blocking`` edge is the lowest-index one.
-    These conditions are solved as a fixed point: start with nothing
-    deflected and recompute every pair each round until no deflection that
-    some pair depends on changes.  A deflection depends only on earlier
-    vertices, so the fixed point is the walk's outcome, and it is reached
-    in about as many rounds as the longest chain of edges linked through
-    such dependencies.  After ``_FIXPOINT_ROUNDS`` rounds, the trials that
-    still change (every trial with a live pair, at 0 rounds) are colored by
-    the sequential walk ``_walk`` instead, which is linear in the chain
-    length.  Both paths only mark the first blocking pair of each deflected
-    vertex, and share one tail: it writes the vertex's color, one above its
-    stage-1 color, and counts the deflections in one bincount.
+    The rule is stated once, as arrays: each pair's L ``lkey``, and for its
+    other small-block vertices, its dependencies, their keys ``dep_key``
+    and whether each must be deflected, ``dep_need``.  Two schedules apply it.
+    Rounds of a fixed point start with nothing deflected and recompute every
+    pair until no deflection that some pair depends on changes; they take
+    about as many rounds as the longest chain of edges linked through such
+    dependencies.  After ``_FIXPOINT_ROUNDS`` rounds, the trials that still
+    change (every trial with a live pair, at 0 rounds) are walked instead:
+    ``_walk`` visits their pairs once each in visit order, linear in the
+    chain length.  A deflection depends only on earlier vertices, so both
+    give the same outcome.  Both mark the first blocking pair of each
+    deflected vertex and share one tail: it writes the vertex's color, one
+    above its stage-1 color, and counts the deflections in one bincount.
 
     Returns colors (T, m) in the slots' dtype, deflections (T, r-1) and
     the deflected vertices as a pair of int64 arrays (keys, edges): the
@@ -277,12 +278,12 @@ def _stage_colors(
         if not spread.any():
             break
     else:
-        # the pairs of every trial that still changes
-        walked = np.zeros(trials, dtype=bool)
-        walked[rows[spread]] = True
-        walk = np.flatnonzero(walked[rows])
+        # the pairs of the trials still changing, stably sorted by L's (weight, id)
+        walk = np.flatnonzero(np.isin(rows, rows[spread]))
+        walk = walk[np.lexsort((lkey[walk], pair_weights[walk, last[walk]]))]
+        deps = np.searchsorted(dep_pair, np.arange(len(rows) + 1))
         blocks[walk] = False
-        blocks[walk[_walk(rows[walk], verts[walk], pair_slots[walk], pair_weights[walk])]] = True
+        blocks[_walk(rows[walk], walk, lkey, deps, dep_key, dep_need)] = True
     # first blocking pair of each deflected vertex: pairs come sorted by
     # (trial, edge), and a stable sort by vertex keeps that order
     hit = np.flatnonzero(blocks)
@@ -302,51 +303,24 @@ def _stage_colors(
     return colors, deflections, (hit_keys, eids[hit])
 
 
-def _walk(rows, verts, pair_slots, pair_weights) -> np.ndarray:
-    """Stage 2 walked per trial over the given live (trial, edge) pairs,
-    sorted by (trial, edge), with their (n,) rows of vertices, slots and
-    weights: the small-block vertices of the pairs in weight order, each
-    reading as uncolored until visited and checked against its pairs in
-    increasing edge index.  Returns the index of the first blocking pair of
-    every deflected vertex."""
-    n = verts.shape[1]
-    # flat lists, n entries per pair: nested ones would put two container
-    # objects per pair in front of the cyclic garbage collector
-    live_verts = verts.ravel().tolist()
-    live_slots = pair_slots.ravel().tolist()
-    live_weights = pair_weights.ravel().tolist()
-    hits: list[int] = []
-    # one run of pairs per trial
-    for _, run in groupby(range(len(rows)), rows.tolist().__getitem__):
-        # current color of every vertex of a live edge, 0 until visited for
-        # small-block ones; live pairs at each small-block vertex, by edge
-        current: dict[int, int] = {}
-        incident: dict[int, list[int]] = {}
-        visit = []
-        for j in run:
-            cells = slice(j * n, j * n + n)
-            for v, s, w in zip(live_verts[cells], live_slots[cells], live_weights[cells]):
-                if s & 1:
-                    current[v] = 0
-                    if v in incident:
-                        incident[v].append(j)
-                    else:
-                        incident[v] = [j]
-                        visit.append((w, v, s))
-                else:
-                    current[v] = (s >> 1) + 1
-        visit.sort()
-        for _, v, s in visit:
-            i = (s >> 1) + 1
-            current[v] = i
-            for j in incident[v]:
-                for u in live_verts[j * n : j * n + n]:
-                    if u != v and current[u] != i:
-                        break
-                else:
-                    current[v] = i + 1
-                    hits.append(j)
-                    break
+def _walk(rows, pairs, lkey, deps, dep_key, dep_need) -> np.ndarray:
+    """The blocking rule of ``_stage_colors`` applied once to each live pair
+    in ``pairs`` (of trials ``rows``) in visit order: by L's (weight, id),
+    and in edge order for one L.  Pair j deflects L ``lkey[j]``, if no pair
+    before it did, when each dependency ``dep_key[deps[j]:deps[j + 1]]``
+    reads as its ``dep_need`` against the deflections walked so far; those
+    are final, as every dependency comes before L.  The keys carry their
+    trial, so trials are walked together.  Returns the first blocking pair
+    of every deflected vertex."""
+    lkey, deps, dep_key, dep_need = (a.tolist() for a in (lkey, deps, dep_key, dep_need))
+    deflected: set[int] = set()
+    hits = []
+    for j in pairs.tolist():
+        if lkey[j] not in deflected and all(
+            (dep_key[k] in deflected) == dep_need[k] for k in range(deps[j], deps[j + 1])
+        ):
+            deflected.add(lkey[j])
+            hits.append(j)
     return np.array(hits, dtype=np.int64)
 
 
@@ -389,9 +363,10 @@ class InitialColoringBatch:
     """The two stages run on a (T, m) array of weights, one row per attempt.
 
     ``row(t)`` builds row t's InitialColoring, the same as
-    ``run_interval_coloring`` gives for that row alone.  Its weights and
-    slots are read-only views of the batch's arrays; only its colors, a
-    copy in the kernel's narrow dtype, and its slice of the kernel's
+    ``run_interval_coloring`` gives for that row alone, for an integer t in
+    0..T-1 (``hypergraph._integer``); any other t is a ValueError.  Its
+    weights and slots are read-only views of the batch's arrays; only its
+    colors, a copy in the kernel's narrow dtype, and its slice of the kernel's
     deflected (key, edge) pairs are built for it.
     """
 
@@ -411,6 +386,8 @@ class InitialColoringBatch:
         return len(self._narrow)
 
     def row(self, t: int) -> InitialColoring:
+        if (t := _integer(t, "row", 0)) >= len(self):
+            raise ValueError(f"row {t} outside 0..{len(self) - 1}")
         r = self._partition.r
         m = self._narrow.shape[1]
         # a copy, so the coloring does not keep the whole batch alive

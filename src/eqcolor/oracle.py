@@ -53,10 +53,17 @@ class MonoEdgeExists:
 @dataclass(frozen=True)
 class ChainEventSpec:
     """Oracle event: the fixed edge tuple forms an ordered chain certifying
-    a monochromatic last edge of the given color."""
+    a monochromatic last edge of the given color: a nonempty tuple of
+    integers >= 0 (``hypergraph._integer``), and an integer color >= 1."""
 
     edges: tuple[int, ...]
     color: int
+
+    def __post_init__(self):
+        if not isinstance(self.edges, tuple) or not self.edges:
+            raise ValueError(f"chain edges {self.edges!r} are not a nonempty tuple")
+        object.__setattr__(self, "edges", tuple(_integer(e, "chain edge", 0) for e in self.edges))
+        object.__setattr__(self, "color", _integer(self.color, "color", 1))
 
 
 def exact_c0_event_prob(
@@ -71,10 +78,12 @@ def exact_c0_event_prob(
     configurations where it holds.
 
     Supports MonoEdgeExists, Deflected (interval None means any small
-    block), and ChainEventSpec.  Given a list (or other iterable) of
-    events, returns the sum of their probabilities: each event has its own
-    accumulator, capped at 1 against rounding, and the accumulators are
-    summed in order, so the sum equals that of one call per event.
+    block), and ChainEventSpec, and raises ValueError for an event naming a
+    vertex, small block or edge that ``h`` and r lack.  Given a list (or
+    other iterable) of events, returns the sum of their probabilities: each
+    event has its own accumulator, capped at 1 against rounding, and the
+    accumulators are summed in order, so the sum equals that of one call
+    per event.
     Requires 2 <= r <= m, m <= 10 at r = 2 and m <= 8 at r = 3, and p in
     [0, 1) (``intervals._check_p``), by default ``choose_p(n, r)``, and an
     integer ``budget`` (``hypergraph._integer``); raises BudgetExceeded,
@@ -249,9 +258,13 @@ def _passes(h: Hypergraph, r: int, events, mono) -> list:
         if isinstance(event, MonoEdgeExists):
             shared.append((j, lambda masks, deflected: mono.take(masks).any(axis=1)))
         elif isinstance(event, Deflected):
+            if event.vertex >= h.m or (event.interval or 1) > r - 1:
+                raise ValueError(f"{event}: vertex outside 0..{h.m - 1} or block past {r - 1}")
             shared.append((j, partial(_deflected_holds, event)))
             watch |= 1 << event.vertex
         elif isinstance(event, ChainEventSpec):
+            if max(event.edges) >= len(h.edge_array):
+                raise ValueError(f"{event}: edge outside 0..{len(h.edge_array) - 1}")
             passes += _chain_pass(h, r, event, j)
         else:
             raise TypeError(f"unknown event type {type(event).__name__}")

@@ -19,6 +19,7 @@ from eqcolor import (
     balanced_mono_prob,
     choose_p,
     class_targets,
+    generate_random,
     run_interval_coloring,
     sample_weights,
 )
@@ -358,6 +359,20 @@ def test_weight_array_colors_each_row_as_alone():
         run_interval_coloring(h, r, part, np.zeros(m + 1))
     with pytest.raises(ValueError, match="array"):
         run_interval_coloring(h, r, part, weights[None])
+
+
+def test_batch_row_refuses_what_it_would_misread():
+    # row(-1) gave row 2's coloring and deflection counts with an empty
+    # deflected pair, so its blocking said no vertex was deflected; True
+    # and 1.0 died inside numpy
+    h = generate_random(1000, 6, 1200, 1)
+    batch = run_interval_coloring(h, 3, IntervalPartition(0.5, 3), sample_weights(1000, 2, 3))
+    last = batch.row(2)
+    assert len(last.deflected[0]) == sum(last.deflections) > 0
+    for t in (-1, 3, True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            batch.row(t)
+    assert batch.row(np.int64(2)).coloring == last.coloring
 
 
 def test_long_weight_arrays_keep_occupancy_wide():

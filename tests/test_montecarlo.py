@@ -862,6 +862,80 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
     assert blocking.tolist() == [[v - 1 if v % 2 else -1 for v in range(m)]]
 
 
+# random instances at scale: at (5000, 3, 20000), r = 2, p = 0.99 the
+# deflection chains outlast the fixed point's rounds, so the walk colors
+# every trial; at (20000, 6, 20000), r = 3, p = 0.9 the rounds alone do
+SCALE = [((5000, 3, 20000), 2, 0.99, True), ((20000, 6, 20000), 3, 0.9, False)]
+
+
+def _walked_trials(monkeypatch):
+    """Wrap ``intervals._walk``; the returned list gathers the set of trials
+    handed to it by each call."""
+    walked = []
+    walk = intervals._walk
+
+    def counted(rows, *rest):
+        walked.append(set(rows.tolist()))
+        return walk(rows, *rest)
+
+    monkeypatch.setattr(intervals, "_walk", counted)
+    return walked
+
+
+@pytest.mark.parametrize("shape, r, p, walks", SCALE)
+def test_kernel_matches_the_replay_at_scale(monkeypatch, shape, r, p, walks):
+    walked = _walked_trials(monkeypatch)
+    h = generate_random(*shape, seed=2)
+    u = np.random.default_rng(3).random((2, h.m))
+    slots = _weight_slots(IntervalPartition(p, r), u)
+    colors, deflections, pairs = _stage_colors(h, r, slots, u)
+    assert walked == ([{0, 1}] if walks else [])
+    blocking = _dense_blocking(pairs, 2, h.m)
+    for t in range(2):
+        order = np.lexsort((np.arange(h.m), u[t])).tolist()
+        row = slots[t].tolist()
+        orders = [[v for v in order if row[v] == 2 * i - 1] for i in range(1, r)]
+        reference = _sequential_colors(h, row, orders)
+        assert colors[t].tolist() == reference
+        assert deflections[t].tolist() == [
+            sum(1 for v in orders[i - 1] if reference[v] == i + 1) for i in range(1, r)
+        ]
+        assert blocking[t].tolist() == _reference_blocking(h, row, orders, reference)
+    assert deflections.sum() > 500
+
+
+@pytest.mark.parametrize(
+    "shape, r, p, walks", SCALE + [((100000, 8, 10000), 4, choose_p(8, 4), False)]
+)
+def test_kernel_is_invariant_under_relabeling(monkeypatch, shape, r, p, walks):
+    # the process reads ids only through ties of weight: moving the weights
+    # along a vertex permutation pi moves the colors along it, whatever the
+    # edge order.  The recorded blocking edge is the lowest-index one, so
+    # it is compared only when the edge order is kept
+    walked = _walked_trials(monkeypatch)
+    rng = np.random.default_rng(4)
+    h = generate_random(*shape, seed=5)
+    part = IntervalPartition(p, r)
+    u = rng.random((4, h.m))
+    colors, deflections, pairs = _stage_colors(h, r, _weight_slots(part, u), u)
+    blocking = _dense_blocking(pairs, 4, h.m)
+    pi = rng.permutation(h.m)
+    moved = np.empty_like(u)
+    moved[:, pi] = u
+    edge_count = len(h.edge_array)
+    for kept, edges in ((True, np.arange(edge_count)), (False, rng.permutation(edge_count))):
+        relabeled = Hypergraph(h.m, h.n, pi[h.edge_array[edges]])
+        got, got_deflections, got_pairs = _stage_colors(
+            relabeled, r, _weight_slots(part, moved), moved
+        )
+        assert np.array_equal(got[:, pi], colors)
+        assert np.array_equal(got_deflections, deflections)
+        if kept:
+            assert np.array_equal(_dense_blocking(got_pairs, 4, h.m)[:, pi], blocking)
+    assert deflections.sum() > 0
+    assert len(walked) == (3 if walks else 0) and all(len(w) == 4 for w in walked)
+
+
 @pytest.mark.parametrize("cells", [1, 1 << 20])
 def test_mc_sub_batch_size_changes_no_estimate(monkeypatch, cells):
     # on a 79-edge path the default cap splits 4000 trials into three

@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eqcolor import ChainEventSpec, Deflected, Hypergraph, MonoEdgeExists, exact_c0_event_prob
@@ -92,3 +93,37 @@ def test_oracle_run_cap_changes_no_value(monkeypatch, r):
     assert values[0] == values[1] == values[2]
     assert all(0.0 < value < 1.0 for value in values[0][:-1])
     assert runs[0] > runs[1] == runs[2]
+
+
+def test_event_records_and_the_oracle_refuse_what_they_would_misread():
+    # on two disjoint triangles, Deflected(0, -1) read class r,
+    # ChainEventSpec((0, -1), 2) read edge -1 as edge 1, Deflected(7, 1)
+    # gave 0.0 on m = 6 and Deflected(True, 1) read vertex 1; the others
+    # died with an IndexError from inside the oracle
+    h = Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)])
+    built = [
+        lambda: Deflected(0, -1),
+        lambda: Deflected(-1, 1),
+        lambda: Deflected(True, 1),
+        lambda: Deflected(1.5, 1),
+        lambda: Deflected(0, 1.0),
+        lambda: ChainEventSpec((0, -1), 2),
+        lambda: ChainEventSpec((), 2),
+        lambda: ChainEventSpec([0, 1], 2),
+        lambda: ChainEventSpec((0.0, 1), 2),
+        lambda: ChainEventSpec((True, 1), 2),
+        lambda: ChainEventSpec((0, 1), 0),
+        lambda: ChainEventSpec((0, 1), 2.0),
+    ]
+    for build in built:
+        with pytest.raises(ValueError):
+            build()
+    for event in (Deflected(7, 1), Deflected(6, None), Deflected(0, 2), ChainEventSpec((0, 9), 2)):
+        with pytest.raises(ValueError, match="outside"):
+            exact_c0_event_prob(h, 2, event)
+        with pytest.raises(ValueError, match="outside"):
+            exact_c0_event_prob(h, 2, [Deflected(0, 1), event])
+    # the fields read as plain ints, so equal events stay equal
+    assert Deflected(np.int64(5), np.int8(1)) == Deflected(5, 1)
+    assert ChainEventSpec((np.int32(0),), 1) == ChainEventSpec((0,), 1)
+    assert exact_c0_event_prob(h, 2, Deflected(5, 1)) == exact_c0_event_prob(h, 2, Deflected(5, None))

@@ -42,9 +42,12 @@ PROPER = eqcolor.Coloring(6, 2, [1, 1, 2, 2, 1, 2])
 
 # one valid call per public callable or input class, as keyword arguments
 VALID_CALLS = {
+    "ChainEventSpec": dict(edges=(0, 1), color=2),
     "Coloring": dict(m=6, r=2, colors=[1, 1, 1, 2, 2, 2]),
+    "Deflected": dict(vertex=2, interval=1),
     "Hypergraph": dict(m=6, n=3, edges=[(0, 1, 2)]),
     "IntervalPartition": dict(p=0.3, r=2),
+    "MonoEdge": dict(edge=0, color=1),
     "MonoEdgeExists": dict(),
     "SolveConfig": dict(),
     "apply_recolor": dict(coloring=PROPER, wsets=[[0]]),
@@ -84,8 +87,9 @@ NOT_WALKED = {
     "ChainLink", "ChainRecord", "Comparison", "EstimateReport", "InitialColoring",
     "InitialColoringBatch", "MonoProbability", "RebalancePlan", "SolveReport",
     "ThresholdBound",
-    # the event specs, which their readers range-check
-    "ChainEventSpec", "DangerousEdge", "Deflected", "MonoEdge",
+    # built once per dangerous edge on the solver's hot path, so left
+    # unread; extract_chain range-checks it
+    "DangerousEdge",
 }
 # what a parameter of each numeric kind must refuse
 REFUSED = {int: (2.5, True, "2"), float: ("0.1", True)}
