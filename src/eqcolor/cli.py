@@ -296,7 +296,7 @@ def _cmd_bounds(args) -> int:
         p = obj["p"]
         obj["q"] = compute_q(args.m, n, r, p)
         try:
-            obj["p-tilde"] = compute_p_tilde(args.m, n, r, p, q=obj["q"])
+            obj["p-tilde"] = compute_p_tilde(args.m, n, r, p)
         except ValueError as exc:
             obj["p-tilde"] = None
             obj["p-tilde-error"] = str(exc)

@@ -403,6 +403,15 @@ def class_targets(m: int, r: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(r)]
 
 
+def _check_targets(targets: Sequence[int], r: int, m: int) -> tuple[int, ...]:
+    """The one rule on class targets: r integers >= 0 (``_integer``) that
+    sum to m, returned as a tuple of ints; ValueError otherwise."""
+    targets = tuple(_integer(t, "target", 0) for t in targets)
+    if len(targets) != r or sum(targets) != m:
+        raise ValueError(f"need {r} targets summing to {m}, got {targets}")
+    return targets
+
+
 # largest C(m, n) for which generate_random lists every possible edge
 _POOL_LIMIT = 200_000
 

@@ -229,7 +229,7 @@ def _excess_pattern(h, r, p, values):
     def stat(colors, deflections, slots, u, keep):
         return _excess_pattern_holds(_row_counts(colors, r + 1)[:, 1:], targets)
 
-    return "excess-pattern", stat, lambda: Comparison("bound", 0.5 - 0.04 * math.e)
+    return "excess-pattern", stat, lambda: Comparison("bound", 0.5 - mono_edge_probability_bound())
 
 
 def _dangerous_count(h, r, p, values):

@@ -31,7 +31,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .chains import DangerousEdge
-from .hypergraph import Coloring, Hypergraph, _check_colors, _edge_values, _integer, _real
+from .hypergraph import (
+    Coloring,
+    Hypergraph,
+    _check_colors,
+    _check_targets,
+    _edge_values,
+    _integer,
+    _real,
+)
 from .intervals import InitialColoring, _check_p
 from .seeding import ROLE_VSETS, derive
 
@@ -85,9 +93,9 @@ class RebalancePlan:
 def excess_shortage(
     coloring: Coloring, targets: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-color (max(0, size - target), max(0, target - size))."""
-    if len(targets) != coloring.r:
-        raise ValueError("need one target per color")
+    """Per-color (max(0, size - target), max(0, target - size)).  The
+    targets must pass ``_check_targets``: r integers >= 0 that sum to m."""
+    targets = _check_targets(targets, coloring.r, coloring.m)
     ex = tuple(max(0, s - t) for s, t in zip(coloring.sizes, targets))
     sh = tuple(max(0, t - s) for s, t in zip(coloring.sizes, targets))
     return ex, sh
@@ -120,18 +128,16 @@ def compute_q(m: int, n: int, r: int, p: float) -> float:
     )
 
 
-def compute_p_tilde(m: int, n: int, r: int, p: float, q: Optional[float] = None) -> float:
-    """Per-vertex keep probability q r / ((1-p) m) for candidate sampling.
+def compute_p_tilde(m: int, n: int, r: int, p: float) -> float:
+    """Per-vertex keep probability q r / ((1-p) m) for candidate sampling,
+    with q from ``compute_q``.
 
-    Raises ValueError unless m, n, r, p pass ``compute_q``'s rules and q
-    is real, and RegimeViolation when the value exceeds 1, which happens
-    whenever m is small relative to the q scale; callers may then pass an
-    explicit probability instead.
+    Raises ValueError unless m, n, r, p pass ``compute_q``'s rules, and
+    RegimeViolation when the value exceeds 1, which happens whenever m is
+    small relative to the q scale; callers may then pass an explicit
+    probability instead.
     """
-    # compute_q reads m, n, r and p, also when q is given
-    derived = compute_q(m, n, r, p)
-    q = derived if q is None else _real(q, "q")
-    p_tilde = q * r / ((1.0 - p) * m)
+    p_tilde = compute_q(m, n, r, p) * r / ((1.0 - p) * m)
     if p_tilde > 1.0:
         raise RegimeViolation(
             f"candidate keep probability {p_tilde:.6g} exceeds 1; "
@@ -214,6 +220,7 @@ def build_rebalance_plan(
     from ``np.partition`` on its pool's weights (``_lowest``), in id order
     without a sort.
 
+    The targets must pass ``_check_targets``, read by ``excess_shortage``.
     ``p_tilde`` overrides the derived keep probability, which must lie in
     [0, 1]; without it, small instances raise RegimeViolation before any
     sampling happens.
@@ -221,7 +228,7 @@ def build_rebalance_plan(
     ex, sh = excess_shortage(init.coloring, targets)
     p, r = init.partition.p, init.partition.r
     q = compute_q(h.m, h.n, r, p)
-    p_tilde = _check_keep(compute_p_tilde(h.m, h.n, r, p, q=q) if p_tilde is None else p_tilde)
+    p_tilde = _check_keep(compute_p_tilde(h.m, h.n, r, p) if p_tilde is None else p_tilde)
     rng = seed if isinstance(seed, np.random.Generator) else derive(seed, ROLE_VSETS)
     slots = init.slots
     candidate = _candidates(slots, rng.random(h.m), p_tilde, r)

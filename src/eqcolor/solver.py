@@ -12,9 +12,11 @@ Attempts of both routes run through one loop, screened as arrays in
 batches of 1, 2, 4, ... attempts.  A route picks only how a batch is drawn
 and colored: ``sample_weights`` rows and one kernel call, or one
 permutation per attempt cut at the class targets.  One edge scan per batch
-finds the rows with no monochromatic edge, taken in attempt order;
-per-attempt objects are built only for them and for the last rejected
-two-stage row, whose chains the report carries.  Attempts are seeded in
+gives a mask of monochromatic edges per row; the loop takes the rows with
+none in attempt order and keeps the mask row of the last rejected one, so
+the report's chains read their edges off it without a second scan.
+Per-attempt objects are built only for the clean rows and for that last
+rejected two-stage row.  Attempts are seeded in
 blocks of ``_BLOCK`` by the rule of ``seeding``, so batching changes no
 report.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .hypergraph import (
     Coloring,
     Hypergraph,
     _check_colors,
+    _check_targets,
     _color_dtype,
     _integer,
     _mono_edges,
@@ -47,8 +50,6 @@ from .hypergraph import (
     is_proper,
 )
 from .intervals import (
-    InitialColoring,
-    InitialColoringBatch,
     IntervalPartition,
     _colors_at_sizes,
     choose_p,
@@ -165,7 +166,7 @@ def greedy_repair(
     the move keeps the coloring proper, scanning vertices in increasing
     weight (vertex order when no weights are given).  Returns a proper
     coloring meeting the targets, or None when no move applies.  The
-    targets are r integers >= 0 (``_integer``) that sum to m.
+    targets must pass ``_check_targets``: r integers >= 0 that sum to m.
 
     Each move takes the first vertex in scan order that has an over-target
     color and a proper move, to the lowest under-target color that allows
@@ -176,10 +177,8 @@ def greedy_repair(
     """
     if not is_proper(h, coloring):
         raise ValueError("repair requires a proper coloring")
-    targets = tuple(_integer(t, "target", 0) for t in targets)
     r = coloring.r
-    if len(targets) != r or sum(targets) != h.m:
-        raise ValueError(f"need {r} targets summing to {h.m}, got {targets}")
+    targets = _check_targets(targets, r, h.m)
     if weights is None:
         order = range(h.m)
     elif len(weights) != h.m:
@@ -231,15 +230,17 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     Attempt t draws its weights or its balanced coloring by the block rule
     of ``seeding``, and its rebalancing sets from derive(cfg.seed, t,
     ROLE_VSETS); so identical inputs give an identical report.  Both routes
-    screen their attempts in batches (see ``_screened_attempts``), which
-    changes no attempt's draws and no report: only the attempts up to the
-    returned one are counted.  Every returned coloring has passed
-    ``is_equitable``; chains come only from two-stage attempts.  With
-    strict_divisibility only perfectly balanced targets are accepted and
-    r | m is enforced up front; otherwise targets differ by at most one.  After
-    exhaustion, instances with r**m within the enumeration budget get a
-    brute-force verdict, upgrading Exhausted to Infeasible-by-oracle when no
-    equitable coloring exists at all.  Raises ValueError unless 2 <= r <= m.
+    screen their attempts in batches (see ``_batches``), which changes no
+    attempt's draws and no report: one loop walks each batch's rows with no
+    monochromatic edge in attempt order and counts the rejected rows before
+    each, so only the attempts up to the returned one are counted.  Every
+    returned coloring has passed ``is_equitable``; chains come only from
+    two-stage attempts.  With strict_divisibility only perfectly balanced
+    targets are accepted and r | m is enforced up front; otherwise targets
+    differ by at most one.  After exhaustion, instances with r**m within the
+    enumeration budget get a brute-force verdict, upgrading Exhausted to
+    Infeasible-by-oracle when no equitable coloring exists at all.  Raises
+    ValueError unless 2 <= r <= m.
     """
     r = _check_colors(r, h.m, least=2)
     if cfg.strict_divisibility and h.m % r != 0:
@@ -248,8 +249,8 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     path = _route(h, r, cfg)
     targets = class_targets(h.m, r)
     diagnostics = {"mono-edge": 0, "rebalance-infeasible": 0, "repair-failed": 0}
-    # the last run of attempts rejected on a monochromatic edge; the chains
-    # of its last attempt are extracted only for the report
+    # the last attempt rejected on a monochromatic edge, as (row builder, t,
+    # mask row); the chains of its edges are extracted only for the report
     rejected = None
     plan: Optional[RebalancePlan] = None
 
@@ -257,80 +258,66 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     if path == PATH_TWO_STAGE:
         partition = IntervalPartition(choose_p(h.n, r), r)
 
-    def success(coloring: Coloring, attempt: int) -> SolveReport:
+    def report(outcome: str, coloring: Optional[Coloring], attempts: int, **kw) -> SolveReport:
         chains = _chains(h, partition, rejected)
-        return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics, chains, plan)
+        return SolveReport(outcome, coloring, attempts, path, r, diagnostics, chains, plan, **kw)
 
-    for attempt, run, row in _screened_attempts(h, r, partition, cfg):
-        if run is not None:
-            diagnostics["mono-edge"] += run.count
-            rejected = run
-        if row is None:
-            continue
-        init, coloring = row
+    for start, mono, row in _batches(h, r, partition, cfg):
+        prev = 0
+        # the rows with no monochromatic edge, in attempt order, then the
+        # end of the batch
+        for t in np.flatnonzero(~mono.any(axis=1)).tolist() + [len(mono)]:
+            if t > prev:
+                diagnostics["mono-edge"] += t - prev
+                rejected = row, t - 1, mono[t - 1]
+            if t == len(mono):
+                break
+            prev = t + 1
+            attempt = start + t
+            init, coloring = row(t)
 
-        if is_equitable(h, coloring):
-            return success(coloring, attempt)
+            if is_equitable(h, coloring):
+                return report(SUCCESS, coloring, attempt + 1)
 
-        if _excess_pattern_holds(coloring.sizes, targets):
-            try:
-                plan = build_rebalance_plan(h, init, targets, derive(cfg.seed, attempt, ROLE_VSETS))
-            except RegimeViolation:
-                diagnostics["rebalance-infeasible"] += 1
-            else:
-                if plan.feasible:
-                    candidate = apply_recolor(coloring, plan.wsets)
-                    if is_equitable(h, candidate):
-                        return success(candidate, attempt)
-                diagnostics["rebalance-infeasible"] += 1
+            if _excess_pattern_holds(coloring.sizes, targets):
+                try:
+                    plan = build_rebalance_plan(
+                        h, init, targets, derive(cfg.seed, attempt, ROLE_VSETS)
+                    )
+                except RegimeViolation:
+                    diagnostics["rebalance-infeasible"] += 1
+                else:
+                    if plan.feasible:
+                        candidate = apply_recolor(coloring, plan.wsets)
+                        if is_equitable(h, candidate):
+                            return report(SUCCESS, candidate, attempt + 1)
+                    diagnostics["rebalance-infeasible"] += 1
 
-        if cfg.allow_fallback_repair:
-            repaired = greedy_repair(h, coloring, targets, weights=init.weights)
-            if repaired is not None and is_equitable(h, repaired):
-                return success(repaired, attempt)
-            diagnostics["repair-failed"] += 1
+            if cfg.allow_fallback_repair:
+                repaired = greedy_repair(h, coloring, targets, weights=init.weights)
+                if repaired is not None and is_equitable(h, repaired):
+                    return report(SUCCESS, repaired, attempt + 1)
+                diagnostics["repair-failed"] += 1
 
     oracle_feasible = None
     if not _power_exceeds(r, h.m, cfg.enumeration_budget):
         oracle_feasible = brute_force_equitable(h, r, budget=cfg.enumeration_budget) is not None
     outcome = INFEASIBLE if oracle_feasible is False else EXHAUSTED
-    return SolveReport(
-        outcome, None, cfg.max_restarts, path, r, diagnostics,
-        _chains(h, partition, rejected), plan, oracle_feasible=oracle_feasible,
-    )
+    return report(outcome, None, cfg.max_restarts, oracle_feasible=oracle_feasible)
 
 
-class _Rejected(NamedTuple):
-    """A run of ``count`` consecutive attempts rejected on a monochromatic
-    edge, ending at row ``t`` of ``batch`` (as ``_screen_batch`` gives it)."""
-
-    count: int
-    batch: Union[InitialColoringBatch, np.ndarray]
-    t: int
-
-
-# a screened attempt's record (None on the balanced route) and coloring
-_Row = tuple[Optional[InitialColoring], Coloring]
-
-
-def _screened_attempts(
+def _batches(
     h: Hypergraph, r: int, partition: Optional[IntervalPartition], cfg: SolveConfig
-) -> Iterator[tuple[int, Optional[_Rejected], Optional[_Row]]]:
-    """Attempts in order, as (attempt, rejected, row): one item per attempt
-    with no monochromatic edge, with ``row`` its (record, coloring) and
-    ``rejected`` the run of rejected attempts just before it (None if there
-    is none), and one item with ``row`` None for a run of rejected attempts
-    that ends a batch.  Two-stage attempts run when ``partition`` is given,
-    balanced ones when it is None.
+) -> Iterator[tuple[int, np.ndarray, Callable[[int], tuple]]]:
+    """The solve's attempts in batches, as (first attempt, mask, row
+    builder) with the mask and builder of ``_screen_batch``.  Two-stage
+    attempts run when ``partition`` is given, balanced ones when it is None.
 
-    Attempts run in batches of 1, 2, 4, ... attempts, at most
-    ``_SUB_BATCH_CELLS`` // max(m, n |E|) of them (at least one), screened
-    as arrays by ``_screen_batch``.  Per-attempt objects are built only
-    for the rows yielded, when they are yielded, and for the last rejected
-    two-stage row when the report asks for its chains.  The batch sizes
-    change no draw (see ``seeding``).  A solve that succeeds on attempt 1
-    draws one attempt; one that stops inside a batch has drawn and colored
-    the rest of that batch for nothing.
+    Batches hold 1, 2, 4, ... attempts, at most ``_SUB_BATCH_CELLS`` //
+    max(m, n |E|) of them (at least one), and stop at cfg.max_restarts.
+    The batch sizes change no draw (see ``seeding``).  A solve that
+    succeeds on attempt 1 draws one attempt; one that stops inside a batch
+    has drawn and colored the rest of that batch for nothing.
     """
     cap = max(1, _SUB_BATCH_CELLS // max(1, h.m, h.edge_array.size))
     role = ROLE_BALANCED if partition is None else ROLE_WEIGHTS
@@ -338,15 +325,7 @@ def _screened_attempts(
     start, size = 0, 1
     while start < cfg.max_restarts:
         stop = min(start + size, cfg.max_restarts)
-        batch, mono, row = _screen_batch(h, r, partition, streams, stop - start)
-        prev = 0
-        for t in np.flatnonzero(~mono.any(axis=1)).tolist() + [len(batch)]:
-            run = _Rejected(t - prev, batch, t - 1) if t > prev else None
-            if t < len(batch):
-                yield start + t, run, row(t)
-            elif run is not None:
-                yield stop, run, None
-            prev = t + 1
+        yield (start, *_screen_batch(h, r, partition, streams, stop - start))
         start, size = stop, min(2 * size, cap)
 
 
@@ -356,27 +335,27 @@ def _screen_batch(
     partition: Optional[IntervalPartition],
     streams: Iterator[np.random.Generator],
     size: int,
-) -> tuple[Union[InitialColoringBatch, np.ndarray], np.ndarray, Callable[[int], _Row]]:
+) -> tuple[np.ndarray, Callable[[int], tuple]]:
     """The next ``size`` attempts, drawn and colored as arrays and scanned
-    by one ``_mono_edges`` call: the batch, its (size, |E|) mask of
-    monochromatic edges, and the function building row t's (record,
-    coloring).  ``streams`` gives each attempt's generator, in order.
+    by one ``_mono_edges`` call: their (size, |E|) mask of monochromatic
+    edges, and the function building row t's (record, coloring).
+    ``streams`` gives each attempt's generator, in order.
 
     A two-stage batch draws its ``sample_weights`` rows and is colored by
     one kernel call.  A balanced batch draws one ``permutation(m)`` per
     attempt and is colored at the class targets by one ``_colors_at_sizes``
-    call; its colors array is the batch, and its rows have no record.
-    Both color in ``_color_dtype(r)``, which the screen reads as it is, and
-    a row's coloring holds a copy of its row, so a returned coloring keeps
-    no batch alive."""
+    call; its rows have no record (None).  Both color in
+    ``_color_dtype(r)``, which the screen reads as it is, and a row's
+    coloring holds a copy of its row, so a returned coloring keeps no batch
+    alive."""
     if partition is None:
         targets = class_targets(h.m, r)
         perms = _draw_rows(
             streams, size, lambda rng, k: np.stack([rng.permutation(h.m) for _ in range(k)])
         )
-        batch = colors = _colors_at_sizes(perms, targets)
+        colors = _colors_at_sizes(perms, targets)
 
-        def row(t: int) -> _Row:
+        def row(t: int) -> tuple:
             own = colors[t].copy()
             own.flags.writeable = False
             return None, Coloring._trusted(r, own, list(targets))
@@ -386,24 +365,25 @@ def _screen_batch(
         batch = run_interval_coloring(h, r, partition, weights)
         colors = batch._narrow
 
-        def row(t: int) -> _Row:
+        def row(t: int) -> tuple:
             init = batch.row(t)
             return init, init.coloring
 
-    return batch, _mono_edges(h, colors), row
+    return _mono_edges(h, colors), row
 
 
 def _chains(
     h: Hypergraph, partition: Optional[IntervalPartition], rejected
 ) -> tuple[ChainRecord, ...]:
-    """Ordered chains of every monochromatic edge of the last attempt of a
-    rejected two-stage run, whose record is built here.  Balanced attempts
+    """Ordered chains of every monochromatic edge of the last rejected
+    two-stage attempt, kept as (row builder, t, mask row): the edges are
+    the mask row's, and the record is built here.  Balanced attempts
     (``partition`` None) have no chains."""
     if rejected is None or partition is None:
         return ()
-    init = rejected.batch.row(rejected.t)
-    cols = init.coloring.colors
+    row, t, mono = rejected
+    init, coloring = row(t)
     return tuple(
-        extract_chain(h, init, MonoEdge(e, int(cols[h.edge_array[e, 0]])))
-        for e in np.flatnonzero(_mono_edges(h, cols)).tolist()
+        extract_chain(h, init, MonoEdge(e, int(coloring.colors[h.edge_array[e, 0]])))
+        for e in np.flatnonzero(mono).tolist()
     )

@@ -344,12 +344,13 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
     h = generate_random(1000, 6, 1200, seed=1)
     partition = intervals.IntervalPartition(intervals.choose_p(h.n, 3), 3)
     streams = _streams(lambda b: derive(0, b, ROLE_WEIGHTS), solver._BLOCK)
-    batch, mono, row = solver._screen_batch(h, 3, partition, streams, 9)
-    assert len(batch) == 9 and mono.shape == (9, len(h.edge_array))
+    mono, row = solver._screen_batch(h, 3, partition, streams, 9)
+    assert mono.shape == (9, len(h.edge_array))
     # one gather in the kernel, one in the screen, both on the narrow colors
     assert calls == [("eqcolor.intervals", np.int8), ("eqcolor.hypergraph", np.int8)]
-    # the screen's mask is the one the int64 colors give
-    assert np.array_equal(mono, _mono_edges(h, batch._narrow.astype(np.int64)))
+    # the screen's mask is the one the int64 colors of the rows give
+    colors = np.stack([row(t)[1].colors for t in range(9)])
+    assert np.array_equal(mono, _mono_edges(h, colors.astype(np.int64)))
     calls.clear()
     init, coloring = row(0)
     rebalance.build_rebalance_plan(h, init, class_targets(h.m, 3), seed=0)

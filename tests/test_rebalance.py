@@ -60,6 +60,33 @@ def test_excess_shortage_checks_target_length():
         excess_shortage(_coloring_with_sizes((2, 2)), (2, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        ((99.5, 100.5), "target 99.5 is not an integer"),
+        ((True, 199), "target True is not an integer"),
+        ((-5, 205), "target must be at least 0, got -5"),
+        ((150, 150), r"need 2 targets summing to 200, got \(150, 150\)"),
+        ((100, 50, 50), r"need 2 targets summing to 200, got \(100, 50, 50\)"),
+    ],
+)
+def test_every_reader_of_class_targets_refuses_what_it_would_misread(targets, message):
+    # excess_shortage once returned fractional or negative excesses for
+    # such targets, and build_rebalance_plan built a feasible plan for
+    # (150, 150) and (-5, 205) or died in np.partition on (99.5, 100.5);
+    # all three readers now share greedy_repair's rule
+    h = Hypergraph(200, 2, [])
+    init = run_interval_coloring(h, 2, IntervalPartition(0.3, 2), sample_weights(200, 0))
+    calls = (
+        lambda: excess_shortage(init.coloring, targets),
+        lambda: build_rebalance_plan(h, init, targets, seed=0, p_tilde=0.5),
+        lambda: greedy_repair(h, init.coloring, targets),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_excess_shortage_balances_when_targets_do():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -122,7 +149,6 @@ def test_compute_p_tilde_spot_value():
     assert compute_p_tilde(10**4, 100, 2, p) == pytest.approx(
         0.10847808683425605, rel=1e-12
     )
-    assert compute_p_tilde(10**4, 100, 2, p, q=0.0) == 0.0
 
 
 def test_compute_p_tilde_rejects_small_instances():
@@ -137,7 +163,6 @@ def test_compute_q_and_p_tilde_check_p(p):
     calls = (
         lambda: compute_q(100, 3, 2, p),
         lambda: compute_p_tilde(100, 3, 2, p),
-        lambda: compute_p_tilde(100, 3, 2, p, q=1.0),
         lambda: IntervalPartition(p, 2),
     )
     for call in calls:
@@ -340,8 +365,10 @@ def test_select_recolor_sets_never_swallows_a_candidate_set():
         h = Hypergraph(m, n, sorted(edges))
         colors = np.where(rng.random(m) < 0.4, r, rng.integers(1, r + 1, m))
         coloring = Coloring(m, r, colors.tolist())
-        # targets below the class sizes give every class below r an excess
-        targets = [max(0, s - int(rng.integers(0, 4))) for s in coloring.sizes]
+        # targets below the class sizes give every class below r an excess;
+        # class r takes the rest of m
+        targets = [max(0, s - int(rng.integers(0, 4))) for s in coloring.sizes[:-1]]
+        targets.append(m - sum(targets))
         init = _with_coloring(
             h, IntervalPartition(float(rng.uniform(0.1, 0.5)), r), rng.random(m), coloring
         )
@@ -386,7 +413,7 @@ def test_select_recolor_sets_breaks_weight_ties_by_id():
         vs = np.flatnonzero(weights < 0.4).tolist()
         need = int(rng.integers(0, len(vs) + 1))
         expected = set(sorted(vs, key=lambda v: (weights[v], v))[:need])
-        plan = _hand_plan([], [1] * m, weights, (m - need, 0), n=2)
+        plan = _hand_plan([], [1] * m, weights, (m - need, need), n=2)
         assert _sets(plan.vsets) == [set(vs)]
         assert _sets(plan.wsets) == [expected]
         assert plan.wsets[0].tolist() == sorted(expected)
@@ -435,6 +462,7 @@ def test_recolor_sets_match_a_sorted_reference():
             pool = len(set(vs.tolist()) - pinned)
             need = (0, pool, pool + 1, *rng.integers(0, pool + 1, 2).tolist())[it % 5]
             targets[i] -= min(need, coloring.sizes[i])
+        targets[-1] = m - sum(targets[:-1])
         plan = build_rebalance_plan(h, init, targets, seed, p_tilde)
         assert [v.tolist() for v in plan.vsets] == [v.tolist() for v in probe.vsets]
         expected = _recolor_reference(plan, weights)

@@ -798,6 +798,26 @@ def _recording(monkeypatch, name):
     return calls
 
 
+def test_each_batch_scans_its_edges_once(monkeypatch):
+    # the report's chains read the monochromatic edges off the screen's
+    # mask row instead of scanning the last rejected attempt again
+    from eqcolor import generate_random
+
+    scans = _recording(monkeypatch, "_mono_edges")
+    k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    cases = [
+        (generate_random(1000, 6, 1200, 5), 3, SolveConfig(seed=0), SUCCESS),
+        (k6, 2, SolveConfig(seed=0, max_restarts=100), INFEASIBLE),
+    ]
+    for h, r, cfg, outcome in cases:
+        scans.clear()
+        report = solve_equitable(h, r, cfg)
+        assert report.outcome == outcome and report.chains
+        assert report.diagnostics["mono-edge"] >= 2
+        # the batches whose first attempt is at most the last one run
+        assert len(scans) == len(_batch_starts(report.attempts - 1, h))
+
+
 def test_attempt_64_takes_row_0_of_block_1(monkeypatch):
     from eqcolor.seeding import ROLE_WEIGHTS, derive
 
