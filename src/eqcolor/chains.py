@@ -213,13 +213,13 @@ def extract_chain(
     """Build the certificate chain for an observed failure event, and check
     it with ``validate_chain`` before returning it.
 
-    ``Deflected(v, None)`` reads v's small block from v's slot.  Raises
-    ValueError when the event names an edge or vertex that does not exist,
-    a vertex with no blocking edge, or a dangerous edge that lies wholly in
+    ``Deflected(v, None)`` reads v's small block from v's slot; a
+    ``DangerousEdge``, built unchecked, is read by the integer rule.  Raises
+    ValueError when the event names an edge or vertex that does not exist, a
+    vertex with no blocking edge, or a dangerous edge that lies wholly in
     the candidate sets (no vertex to walk back from), and ChainInvalid, a
-    ValueError, when a blocking record it reads names no edge or the
-    walked record fails validation, as it does for an event that did not
-    occur.
+    ValueError, when a blocking record it reads names no edge or the walked
+    record fails validation, as it does for an event that did not occur.
     """
     terminal = reduced = candidates = None
     if isinstance(failure, Deflected):
@@ -234,15 +234,18 @@ def extract_chain(
         if color is None:
             color = (int(init.slots[terminal]) + 1) // 2
     elif isinstance(failure, (MonoEdge, DangerousEdge)):
-        edge = failure.edge
-        if not 0 <= edge < len(h.edge_array):
+        if (edge := _integer(failure.edge, "edge", 0)) >= len(h.edge_array):
             raise ValueError(f"edge {edge} outside 0..{len(h.edge_array) - 1}")
         part = h.edge_array[edge]
         if isinstance(failure, MonoEdge):
             kind, color = ORDERED, failure.color
         else:
             kind, color = COMPLEX, init.coloring.r
-            candidates = tuple(sorted({int(v) for v in failure.u_vertices}))
+            try:
+                u_vertices = iter(failure.u_vertices)
+            except TypeError:
+                raise ValueError(f"U {failure.u_vertices!r} is not iterable") from None
+            candidates = tuple(sorted({_integer(v, "vertex", 0) for v in u_vertices}))
             reduced = tuple(v for v in part.tolist() if v not in candidates)
             if not reduced:
                 raise ValueError(

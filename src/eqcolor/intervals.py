@@ -123,13 +123,13 @@ class InitialColoring:
     are read-only (m,) views of the run's weights and of their flat
     subinterval indices (``_weight_slots``).  The weights order the
     vertices, ties by id, in the kernel and in the chain layer
-    (``chains._first`` and ``chains._last``).  deflections[i-1] counts the
-    small_i vertices pushed to color i+1.  ``deflected`` is the pair
+    (``chains._first`` and ``chains._last``).  ``deflected`` is the pair
     (vertices, edges) of int64 arrays: the deflected vertices in increasing
     order, and for each the lowest-index incident edge that would have gone
     monochromatic, the one that forced the deflection.
 
-    Two views of them are built on first read: occupancy[i-1] counts the
+    Three views of them are built on first read: deflections[i-1] counts
+    the small_i vertices pushed to color i+1, occupancy[i-1] counts the
     vertices whose weight landed in large_i union small_i (just large_r
     for the last color), and ``blocking`` is a read-only (m,) int64 array
     holding -1 for a vertex that was not deflected and its edge for a
@@ -137,11 +137,15 @@ class InitialColoring:
     """
 
     coloring: Coloring
-    deflections: tuple[int, ...]
     partition: IntervalPartition
     weights: np.ndarray
     slots: np.ndarray
     deflected: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def deflections(self) -> tuple[int, ...]:
+        slots = self.slots[self.deflected[0]]
+        return tuple(np.bincount(slots // 2, minlength=self.partition.r - 1).tolist())
 
     @cached_property
     def occupancy(self) -> tuple[int, ...]:
@@ -183,8 +187,8 @@ def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
 
 
 def _stage_colors(
-    h: Hypergraph, r: int, slots: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    h: Hypergraph, slots: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Both stages on T trials at once: ``slots`` and ``weights`` are
     (T, m) arrays, ``slots[t, v]`` the flat subinterval index of vertex v in
     trial t (even slots are large blocks, odd ones small) and
@@ -220,16 +224,15 @@ def _stage_colors(
     change (every trial with a live pair, at 0 rounds) are walked instead:
     ``_walk`` visits their pairs once each in visit order, linear in the
     chain length.  A deflection depends only on earlier vertices, so both
-    give the same outcome.  Both mark the first blocking pair of each
-    deflected vertex and share one tail: it writes the vertex's color, one
-    above its stage-1 color, and counts the deflections in one bincount.
+    give the same outcome.  Both mark the blocking pairs; one tail keeps
+    the first of each deflected vertex and writes its color, one above its
+    stage-1 color.
 
-    Returns colors (T, m) in the slots' dtype, deflections (T, r-1) and
-    the deflected vertices as a pair of int64 arrays (keys, edges): the
-    increasing keys t * m + v of the deflected vertices v of trial t, and
-    for each the lowest-index edge that blocked it, as described on
-    InitialColoring, whose dense ``blocking`` array is spread from a row
-    of them only when it is read.
+    Returns colors (T, m) in the slots' dtype and stage 2's one record,
+    the deflected vertices as int64 arrays (keys, edges): the increasing
+    keys t * m + v of the deflected vertices v of trial t, and for each
+    the lowest-index edge that blocked it.  Deflection counts and the
+    Monte Carlo statistics are read off them and the slots.
     """
     colors = slots // 2 + 1
     trials, m = slots.shape
@@ -242,7 +245,7 @@ def _stage_colors(
     rows, eids = np.divmod(np.flatnonzero(live.T), len(h.edge_array))
     if not len(rows):
         none = np.zeros(0, dtype=np.int64)
-        return colors, np.zeros((trials, r - 1), dtype=np.int64), (none, none)
+        return colors, (none, none)
     pairs = np.arange(len(rows))
     verts = h.edge_array[eids]
     pair_slots = edge_slots[:, eids, rows].T
@@ -283,35 +286,27 @@ def _stage_colors(
         walk = walk[np.lexsort((lkey[walk], pair_weights[walk, last[walk]]))]
         deps = np.searchsorted(dep_pair, np.arange(len(rows) + 1))
         blocks[walk] = False
-        blocks[_walk(rows[walk], walk, lkey, deps, dep_key, dep_need)] = True
-    # first blocking pair of each deflected vertex: pairs come sorted by
-    # (trial, edge), and a stable sort by vertex keeps that order
+        blocks[_walk(walk, lkey, deps, dep_key, dep_need)] = True
+    # first blocking pair of each deflected vertex: pairs come in (trial,
+    # edge) order, and np.unique returns the first occurrence of each key
     hit = np.flatnonzero(blocks)
-    hit = hit[np.argsort(lkey[hit], kind="stable")]
-    hit_keys = lkey[hit]
-    first = np.ones(len(hit), dtype=bool)
-    first[1:] = hit_keys[1:] != hit_keys[:-1]
+    hit_keys, first = np.unique(lkey[hit], return_index=True)
     hit = hit[first]
-    hit_keys = hit_keys[first]
     # a vertex deflected out of small_i takes color i + 1, one above its
-    # stage-1 color, and is counted in column i - 1
-    column = ltop[hit] // 2
-    colors.put(hit_keys, column + 2)
-    deflections = np.bincount(
-        rows[hit] * (r - 1) + column, minlength=trials * (r - 1)
-    ).reshape(trials, r - 1)
-    return colors, deflections, (hit_keys, eids[hit])
+    # stage-1 color
+    colors.put(hit_keys, ltop[hit] // 2 + 2)
+    return colors, (hit_keys, eids[hit])
 
 
-def _walk(rows, pairs, lkey, deps, dep_key, dep_need) -> np.ndarray:
+def _walk(pairs, lkey, deps, dep_key, dep_need) -> np.ndarray:
     """The blocking rule of ``_stage_colors`` applied once to each live pair
-    in ``pairs`` (of trials ``rows``) in visit order: by L's (weight, id),
-    and in edge order for one L.  Pair j deflects L ``lkey[j]``, if no pair
-    before it did, when each dependency ``dep_key[deps[j]:deps[j + 1]]``
-    reads as its ``dep_need`` against the deflections walked so far; those
-    are final, as every dependency comes before L.  The keys carry their
-    trial, so trials are walked together.  Returns the first blocking pair
-    of every deflected vertex."""
+    in ``pairs`` in visit order: by L's (weight, id), and in edge order for
+    one L.  Pair j deflects L ``lkey[j]``, if no pair before it did, when
+    each dependency ``dep_key[deps[j]:deps[j + 1]]`` reads as its
+    ``dep_need`` against the deflections walked so far; those are final, as
+    every dependency comes before L.  The keys carry their trial, so trials
+    are walked together.  Returns the first blocking pair of every
+    deflected vertex."""
     lkey, deps, dep_key, dep_need = (a.tolist() for a in (lkey, deps, dep_key, dep_need))
     deflected: set[int] = set()
     hits = []
@@ -354,8 +349,8 @@ def run_interval_coloring(
         raise ValueError("weight vector length does not match vertex count")
     rows = w.reshape(-1, h.m)
     slots = _weight_slots(partition, rows)
-    colors, deflections, deflected = _stage_colors(h, r, slots, rows)
-    batch = InitialColoringBatch(partition, rows, slots, colors, deflections, deflected)
+    colors, deflected = _stage_colors(h, slots, rows)
+    batch = InitialColoringBatch(partition, rows, slots, colors, deflected)
     return batch if w.ndim == 2 else batch.row(0)
 
 
@@ -367,19 +362,19 @@ class InitialColoringBatch:
     0..T-1 (``hypergraph._integer``); any other t is a ValueError.  Its
     weights and slots are read-only views of the batch's arrays; only its
     colors, a copy in the kernel's narrow dtype, and its slice of the kernel's
-    deflected (key, edge) pairs are built for it.
+    deflected (key, edge) pairs are built for it, and its three views from
+    them on first read.
     """
 
-    __slots__ = ("_weights", "_partition", "_slots", "_narrow", "_deflections", "_deflected")
+    __slots__ = ("_weights", "_partition", "_slots", "_narrow", "_deflected")
 
-    def __init__(self, partition, weights, slots, narrow, deflections, deflected):
+    def __init__(self, partition, weights, slots, narrow, deflected):
         self._weights = weights
         self._partition = partition
         self._slots = slots
         # the kernel's colors in the slots' dtype, which rows copy and the
         # solver's screen scans
         self._narrow = narrow
-        self._deflections = deflections
         self._deflected = deflected
 
     def __len__(self) -> int:
@@ -401,7 +396,6 @@ class InitialColoringBatch:
         lo, hi = np.searchsorted(keys, (t * m, (t + 1) * m))
         return InitialColoring(
             Coloring._trusted(r, colors, sizes),
-            tuple(self._deflections[t].tolist()),
             self._partition,
             weights,
             slots,

@@ -21,8 +21,9 @@ that colors the solver's balanced attempts.  Every statistic acts on the
 whole sub-batch: the production predicates ``hypergraph._mono_edges``
 (for ``balanced-mono`` on the watched edge alone), ``rebalance._candidates``
 and ``_dangerous_edges``, and ``chains._chain_event_holds`` for their
-quantities, array expressions for the other counts.  Within its limits,
-the exact oracle of ``oracle`` gives the comparison value.  Integer params
+quantities, the kernel's deflected pairs for the deflection quantities
+and class counts for ``excess-pattern``.  Within its limits, the exact
+oracle of ``oracle`` gives the comparison value.  Integer params
 are read by ``hypergraph._integer`` and the real ones, ``p`` and
 ``p_tilde``, by ``hypergraph._real``; both refuse a bool or a string
 rather than read it as a number.
@@ -125,14 +126,14 @@ def _sample(
     of ``seeding``.  A sub-batch holds at most ``_SUB_BATCH_CELLS`` //
     max(width, n |E|) trials (at least one), colored at once by the
     two-stage kernel on ``partition`` or, when it is None, by a balanced
-    draw.
-    ``stat(colors, deflections, slots, u, keep)`` gets the sub-batch's
-    (T, m) arrays (``deflections`` and ``slots`` are None for balanced
-    draws, ``keep`` is None unless ``with_keep``) and returns one integer
-    or boolean value per trial.  ``slots`` and ``colors``, from the kernel
-    or a balanced draw, come in the narrow signed dtype
-    ``hypergraph._color_dtype(r)`` (int8 for r <= 64), so a statistic
-    computes in that dtype only what stays within +-2r and widens the rest.
+    draw.  ``stat(colors, deflected, slots, u, keep)`` gets the
+    sub-batch's (T, m) arrays and the kernel's deflected (key, edge) pairs
+    (``deflected`` and ``slots`` are None for balanced draws, ``keep`` is
+    None unless ``with_keep``) and returns one integer or boolean value
+    per trial.  ``slots`` and ``colors``, from the kernel or a balanced
+    draw, come in the narrow signed dtype ``hypergraph._color_dtype(r)``
+    (int8 for r <= 64), so a statistic computes in that dtype only what
+    stays within +-2r and widens the rest.
     The sums of values and squared values come back for the caller to turn
     into estimate and half-width."""
     m = h.m
@@ -146,11 +147,11 @@ def _sample(
         u, keep = mat[:, :m], mat[:, m:] if with_keep else None
         if partition is None:
             perms = np.argsort(u, axis=1, kind="stable")
-            colors, deflections, slots = _colors_at_sizes(perms, sizes), None, None
+            colors, deflected, slots = _colors_at_sizes(perms, sizes), None, None
         else:
             slots = _weight_slots(partition, u)
-            colors, deflections, _ = _stage_colors(h, r, slots, u)
-        vals = np.asarray(stat(colors, deflections, slots, u, keep), dtype=np.int64)
+            colors, deflected = _stage_colors(h, slots, u)
+        vals = np.asarray(stat(colors, deflected, slots, u, keep), dtype=np.int64)
         total += int(vals.sum())
         total_sq += int((vals * vals).sum())
     return float(total), float(total_sq)
@@ -202,7 +203,7 @@ def _small_block(i, r: int) -> int:
 
 
 def _mono_edge(h, r, p, values):
-    def stat(colors, deflections, slots, u, keep):
+    def stat(colors, deflected, slots, u, keep):
         return _mono_edges(h, colors).any(axis=1)
 
     return "mono-edge", stat, lambda: _oracle_or_bound(
@@ -213,8 +214,10 @@ def _mono_edge(h, r, p, values):
 def _expected_deflections(h, r, p, values):
     i = _small_block(values["i"], r)
 
-    def stat(colors, deflections, slots, u, keep):
-        return deflections[:, i - 1]
+    def stat(colors, deflected, slots, u, keep):
+        # the deflected vertices in small_i, slot 2i - 1, counted per trial
+        keys = deflected[0][slots.take(deflected[0]) == 2 * i - 1]
+        return np.bincount(keys // h.m, minlength=len(slots))
 
     # one enumeration sums the deflection probabilities of all m vertices;
     # the generator builds the m events only if the oracle runs
@@ -226,7 +229,7 @@ def _expected_deflections(h, r, p, values):
 def _excess_pattern(h, r, p, values):
     targets = class_targets(h.m, r)
 
-    def stat(colors, deflections, slots, u, keep):
+    def stat(colors, deflected, slots, u, keep):
         return _excess_pattern_holds(_row_counts(colors, r + 1)[:, 1:], targets)
 
     return "excess-pattern", stat, lambda: Comparison("bound", 0.5 - mono_edge_probability_bound())
@@ -240,7 +243,7 @@ def _dangerous_count(h, r, p, values):
         p_tilde = _real(p_tilde, "params['p_tilde']")
     _check_keep(p_tilde)
 
-    def stat(colors, deflections, slots, u, keep):
+    def stat(colors, deflected, slots, u, keep):
         candidate = _candidates(slots, keep, p_tilde, r)
         return _dangerous_edges(h, candidate, colors, r).sum(axis=1)
 
@@ -258,7 +261,7 @@ def _balanced_mono(h, r, p, values):
         raise ValueError("edge must index into the hypergraph")
     watched = Hypergraph(h.m, h.n, h.edge_array[[edge_idx]])
 
-    def stat(colors, deflections, slots, u, keep):
+    def stat(colors, deflected, slots, u, keep):
         return _mono_edges(watched, colors)[:, 0]
 
     label = f"balanced-mono(edge={edge_idx})"
@@ -281,7 +284,7 @@ def _chain_event(h, r, p, values):
     if any(_link_vertex(b, a) is None for b, a in zip(parts, parts[1:])):
         raise ValueError("consecutive edges must share exactly one vertex")
 
-    def stat(colors, deflections, slots, u, keep):
+    def stat(colors, deflected, slots, u, keep):
         return _chain_event_holds(slots, u, colors, parts, color)
 
     label = f"chain-event(edges={','.join(map(str, seq))};color={color})"
@@ -298,11 +301,10 @@ def _deflected(h, r, p, values):
     if i is not None:
         i = _small_block(i, r)
 
-    def stat(colors, deflections, slots, u, keep):
-        s = slots[:, v0]
-        block = (s + 1) // 2
-        hit = (s & 1 == 1) & (colors[:, v0] == block + 1)
-        return hit if i is None else hit & (block == i)
+    def stat(colors, deflected, slots, u, keep):
+        # v0 of trial t is key t * m + v0
+        hit = np.isin(np.arange(len(slots)) * h.m + v0, deflected[0])
+        return hit if i is None else hit & (slots[:, v0] == 2 * i - 1)
 
     label = f"deflected(v={v0})" if i is None else f"deflected(v={v0},i={i})"
     return label, stat, lambda: _oracle_or_bound(h, r, p, Deflected(v0, i), None)

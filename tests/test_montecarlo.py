@@ -26,7 +26,7 @@ from eqcolor import (
     run_interval_coloring,
 )
 from eqcolor import chains, hypergraph, intervals, montecarlo, oracle
-from eqcolor.intervals import _stage_colors, _weight_slots
+from eqcolor.intervals import _FIXPOINT_ROUNDS, _weight_slots
 from eqcolor.montecarlo import QUANTITIES, Deflected
 from eqcolor.seeding import ROLE_TRIALS, derive
 
@@ -64,6 +64,16 @@ def _dense_blocking(deflected, trials, m):
     blocking = np.full(trials * m, -1, dtype=np.int64)
     blocking[keys] = edges
     return blocking.reshape(trials, m)
+
+
+def _deflection_counts(deflected, slots, r):
+    """(T, r - 1) deflections out of each small block, read off the
+    kernel's deflected pairs: key t * m + v counts for trial t in column
+    i - 1 when v's slot is small_i, 2i - 1."""
+    keys = deflected[0]
+    counts = np.zeros((len(slots), r - 1), dtype=np.int64)
+    np.add.at(counts, (keys // slots.shape[1], slots.take(keys) // 2), 1)
+    return counts
 
 
 def test_oracle_single_edge_hand_value():
@@ -768,7 +778,8 @@ def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
             part = IntervalPartition(p, r)
             u = rng.random((60, h.m))
             slots = _weight_slots(part, u)
-            colors, deflections, pairs = _stage_colors(h, r, slots, u)
+            colors, pairs = intervals._stage_colors(h, slots, u)
+            deflections = _deflection_counts(pairs, slots, r)
             blocking = _dense_blocking(pairs, 60, h.m)
             assert colors.shape == (60, h.m) and deflections.shape == (60, r - 1)
             assert blocking.shape == (60, h.m) and blocking.dtype == np.int64
@@ -796,21 +807,13 @@ def test_batched_kernel_matches_oracle_simulator_under_round_cap(monkeypatch, r,
     # no round hands every trial with a live edge to the sequential walk,
     # one round most trials with a deflection; 10^6 rounds leave none, so
     # the fixed point alone colors them
-    walked = []
-    walk = intervals._walk
-
-    def counted(rows, *rest):
-        # the walked trials of this kernel call
-        walked.append(len(set(rows.tolist())))
-        return walk(rows, *rest)
-
-    monkeypatch.setattr(intervals, "_walk", counted)
+    walked = _walked_trials(monkeypatch)
     monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
     test_batched_kernel_matches_oracle_simulator_row_by_row(r)
     if rounds == 10**6:
         assert walked == []
     else:
-        assert sum(walked) > 100
+        assert sum(map(len, walked)) > 100
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 10**6])
@@ -827,7 +830,8 @@ def test_batched_kernel_breaks_weight_ties_by_id(monkeypatch, rounds):
             part = IntervalPartition(p, r)
             u = rng.integers(0, 10, size=(80, h.m)) / 10.0
             slots = _weight_slots(part, u)
-            colors, deflections, pairs = _stage_colors(h, r, slots, u)
+            colors, pairs = intervals._stage_colors(h, slots, u)
+            deflections = _deflection_counts(pairs, slots, r)
             blocking = _dense_blocking(pairs, 80, h.m)
             for t in range(80):
                 order = np.lexsort((np.arange(h.m), u[t])).tolist()
@@ -855,10 +859,10 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
     u = np.linspace(lo, hi, m, endpoint=False)[None, :]
     slots = _weight_slots(part, u)
     assert (slots == 1).all()
-    colors, deflections, pairs = _stage_colors(h, 2, slots, u)
+    colors, pairs = intervals._stage_colors(h, slots, u)
     blocking = _dense_blocking(pairs, 1, m)
     assert colors[0].tolist() == _sequential_colors(h, slots[0].tolist(), [list(range(m))])
-    assert deflections.tolist() == [[m // 2]]
+    assert _deflection_counts(pairs, slots, 2).tolist() == [[m // 2]]
     assert blocking.tolist() == [[v - 1 if v % 2 else -1 for v in range(m)]]
 
 
@@ -869,15 +873,22 @@ SCALE = [((5000, 3, 20000), 2, 0.99, True), ((20000, 6, 20000), 3, 0.9, False)]
 
 
 def _walked_trials(monkeypatch):
-    """Wrap ``intervals._walk``; the returned list gathers the set of trials
-    handed to it by each call."""
-    walked = []
-    walk = intervals._walk
+    """Wrap ``intervals._stage_colors`` and ``intervals._walk``; the
+    returned list gathers the set of trials handed to the walk by each
+    call, read off the keys t * m + v of the walked pairs' last vertices,
+    with m from the kernel call the walk runs in."""
+    walked, width = [], []
+    kernel, walk = intervals._stage_colors, intervals._walk
 
-    def counted(rows, *rest):
-        walked.append(set(rows.tolist()))
-        return walk(rows, *rest)
+    def recording(h, slots, weights):
+        width.append(slots.shape[1])
+        return kernel(h, slots, weights)
 
+    def counted(pairs, lkey, *rest):
+        walked.append(set((lkey[pairs] // width[-1]).tolist()))
+        return walk(pairs, lkey, *rest)
+
+    monkeypatch.setattr(intervals, "_stage_colors", recording)
     monkeypatch.setattr(intervals, "_walk", counted)
     return walked
 
@@ -888,7 +899,8 @@ def test_kernel_matches_the_replay_at_scale(monkeypatch, shape, r, p, walks):
     h = generate_random(*shape, seed=2)
     u = np.random.default_rng(3).random((2, h.m))
     slots = _weight_slots(IntervalPartition(p, r), u)
-    colors, deflections, pairs = _stage_colors(h, r, slots, u)
+    colors, pairs = intervals._stage_colors(h, slots, u)
+    deflections = _deflection_counts(pairs, slots, r)
     assert walked == ([{0, 1}] if walks else [])
     blocking = _dense_blocking(pairs, 2, h.m)
     for t in range(2):
@@ -904,6 +916,45 @@ def test_kernel_matches_the_replay_at_scale(monkeypatch, shape, r, p, walks):
     assert deflections.sum() > 500
 
 
+@pytest.mark.parametrize("rounds", [_FIXPOINT_ROUNDS, 0])
+@pytest.mark.parametrize("shape, r, p", [SCALE[0][:3], ((2000, 3, 6000), 3, 0.9)])
+def test_mc_deflection_statistics_match_the_run_records(monkeypatch, shape, r, p, rounds):
+    # the statistics read the kernel's deflected pairs; each trial's value
+    # is what its InitialColoring says: deflections[i - 1], and for a
+    # vertex v, blocking[v] >= 0 (and v's slot small_i when i is given)
+    monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
+    walked = _walked_trials(monkeypatch)
+    h = generate_random(*shape, seed=6)
+    part = IntervalPartition(p, r)
+    u = np.random.default_rng(7).random((3, h.m))
+    slots = _weight_slots(part, u)
+    colors, deflected = intervals._stage_colors(h, slots, u)
+    assert walked
+    batch = run_interval_coloring(h, r, part, u)
+    rows = [batch.row(t) for t in range(3)]
+
+    def values(q, params):
+        _, stat, _ = montecarlo._SPECS[q].build(h, r, p, params)
+        return np.asarray(stat(colors, deflected, slots, u, None)).tolist()
+
+    for i in range(1, r):
+        expected = [row.deflections[i - 1] for row in rows]
+        assert values("expected-deflections", {"i": i}) == expected
+        assert min(expected) > 0
+    # every vertex deflected in trial 0, and every 50th vertex
+    vertices = sorted(set(rows[0].deflected[0].tolist()) | set(range(0, h.m, 50)))
+    hits = 0
+    for v in vertices:
+        hit = [bool(row.blocking[v] >= 0) for row in rows]
+        assert values("deflected", {"v": v}) == hit
+        for i in range(1, r):
+            assert values("deflected", {"v": v, "i": i}) == [
+                hit[t] and int(rows[t].slots[v]) == 2 * i - 1 for t in range(3)
+            ]
+        hits += sum(hit)
+    assert 0 < hits < 3 * len(vertices)
+
+
 @pytest.mark.parametrize(
     "shape, r, p, walks", SCALE + [((100000, 8, 10000), 4, choose_p(8, 4), False)]
 )
@@ -917,7 +968,9 @@ def test_kernel_is_invariant_under_relabeling(monkeypatch, shape, r, p, walks):
     h = generate_random(*shape, seed=5)
     part = IntervalPartition(p, r)
     u = rng.random((4, h.m))
-    colors, deflections, pairs = _stage_colors(h, r, _weight_slots(part, u), u)
+    slots = _weight_slots(part, u)
+    colors, pairs = intervals._stage_colors(h, slots, u)
+    deflections = _deflection_counts(pairs, slots, r)
     blocking = _dense_blocking(pairs, 4, h.m)
     pi = rng.permutation(h.m)
     moved = np.empty_like(u)
@@ -925,11 +978,10 @@ def test_kernel_is_invariant_under_relabeling(monkeypatch, shape, r, p, walks):
     edge_count = len(h.edge_array)
     for kept, edges in ((True, np.arange(edge_count)), (False, rng.permutation(edge_count))):
         relabeled = Hypergraph(h.m, h.n, pi[h.edge_array[edges]])
-        got, got_deflections, got_pairs = _stage_colors(
-            relabeled, r, _weight_slots(part, moved), moved
-        )
+        moved_slots = _weight_slots(part, moved)
+        got, got_pairs = intervals._stage_colors(relabeled, moved_slots, moved)
         assert np.array_equal(got[:, pi], colors)
-        assert np.array_equal(got_deflections, deflections)
+        assert np.array_equal(_deflection_counts(got_pairs, moved_slots, r), deflections)
         if kept:
             assert np.array_equal(_dense_blocking(got_pairs, 4, h.m)[:, pi], blocking)
     assert deflections.sum() > 0
@@ -970,9 +1022,9 @@ def test_mc_sub_batches_respect_the_cell_cap(monkeypatch):
     sizes = []
     kernel = montecarlo._stage_colors
 
-    def recording(h, r, slots, weights):
+    def recording(h, slots, weights):
         sizes.append(len(slots))
-        return kernel(h, r, slots, weights)
+        return kernel(h, slots, weights)
 
     monkeypatch.setattr(montecarlo, "_stage_colors", recording)
 
@@ -1017,11 +1069,11 @@ def _reference_report(quantity, h, r, params, trials, seed):
         if p is None:
             perms = np.argsort(u, axis=1, kind="stable")
             colors = intervals._colors_at_sizes(perms, hypergraph.class_targets(h.m, r))
-            deflections = slots = None
+            deflected = slots = None
         else:
             slots = _weight_slots(IntervalPartition(p, r), u)
-            colors, deflections, _ = _stage_colors(h, r, slots, u)
-        value = int(np.asarray(stat(colors, deflections, slots, u, keep))[0])
+            colors, deflected = intervals._stage_colors(h, slots, u)
+        value = int(np.asarray(stat(colors, deflected, slots, u, keep))[0])
         total += value
         total_sq += value * value
     return montecarlo._report(label, trials, float(total), float(total_sq), spec.mean, None)

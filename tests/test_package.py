@@ -87,8 +87,8 @@ NOT_WALKED = {
     "ChainLink", "ChainRecord", "Comparison", "EstimateReport", "InitialColoring",
     "InitialColoringBatch", "MonoProbability", "RebalancePlan", "SolveReport",
     "ThresholdBound",
-    # built once per dangerous edge on the solver's hot path, so left
-    # unread; extract_chain range-checks it
+    # built once per dangerous edge on the solver's hot path, so not read
+    # at construction; extract_chain reads it by the integer rule
     "DangerousEdge",
 }
 # what a parameter of each numeric kind must refuse

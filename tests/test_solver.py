@@ -884,9 +884,9 @@ def _record_batch_sizes(monkeypatch):
     sizes = []
     kernel = intervals._stage_colors
 
-    def recording(h, r, slots, weights):
+    def recording(h, slots, weights):
         sizes.append(len(slots))
-        return kernel(h, r, slots, weights)
+        return kernel(h, slots, weights)
 
     monkeypatch.setattr(intervals, "_stage_colors", recording)
     return sizes
