@@ -32,15 +32,19 @@ for x in (0.1, 0.45, 0.95):
 # Hand-picked weights.  Vertex 1 lands in small_1; when its turn comes,
 # vertex 0 already wears color 1 and edge (0,1) would go monochromatic, so
 # vertex 1 is deflected to color 2.  The result is the run's record: its
-# coloring, counts and blocking edges, with the partition, weights and slots
-# it was computed from.
+# coloring, deflected vertices and blocking edges, with the partition,
+# weights and slots it was computed from.
 h = Hypergraph(4, 2, [(0, 1)])
 init = run_interval_coloring(h, 2, part, [0.1, 0.5, 0.7, 0.45])
 print("colors:", init.coloring.colors.tolist())
 assert init.coloring.colors.tolist() == [1, 2, 2, 1]
-print("deflections X:", init.deflections)
-print("occupancy Z:", init.occupancy)
 print("slots:", init.slots.tolist())
+# The counts the analysis tracks are read off the slots: X[i-1] counts the
+# vertices deflected out of small_i, Z[i-1] the weights in large_i or small_i.
+x = np.bincount(init.slots[init.deflected[0]] // 2, minlength=1)
+z = np.bincount(init.slots // 2, minlength=2)
+print("deflections X:", x.tolist())
+print("occupancy Z:", z.tolist())
 # blocking holds, per vertex, the edge that deflected it, -1 for none.
 deflected = np.flatnonzero(init.blocking >= 0)
 for v, e in zip(deflected.tolist(), init.blocking[deflected].tolist()):
@@ -49,9 +53,9 @@ for v, e in zip(deflected.tolist(), init.blocking[deflected].tolist()):
 # The bookkeeping identity: each class collects its block occupants, minus
 # the vertices deflected out, plus the ones deflected in.
 for i in range(1, 3):
-    x_i = init.deflections[i - 1] if i < 2 else 0
-    x_prev = init.deflections[i - 2] if i >= 2 else 0
-    assert init.coloring.sizes[i - 1] == init.occupancy[i - 1] - x_i + x_prev
+    x_i = x[i - 1] if i < 2 else 0
+    x_prev = x[i - 2] if i >= 2 else 0
+    assert init.coloring.sizes[i - 1] == z[i - 1] - x_i + x_prev
 print("class-size identity: ok")
 
 # Random weights are seeded; the whole pipeline is deterministic from
@@ -62,4 +66,4 @@ a = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), w2)
 b = run_interval_coloring(h2, 3, IntervalPartition(choose_p(3, 3), 3), w2)
 assert a.coloring.colors.tolist() == b.coloring.colors.tolist()
 print("30-vertex run: sizes", list(a.coloring.sizes),
-      "deflections", a.deflections)
+      "deflected vertices", a.deflected[0].tolist())

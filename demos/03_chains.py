@@ -7,16 +7,12 @@ exactly how the failure happened.  Chains are the unit the failure
 probability analysis counts.
 """
 
-import math
-
 from eqcolor import (
-    COMPLEX,
     Deflected,
     Hypergraph,
     IntervalPartition,
     MonoEdge,
     chain_probability_bound,
-    enumerate_chain_candidates,
     extract_chain,
     mc_estimate,
     mono_edge_probability_bound,
@@ -51,24 +47,11 @@ rep = mc_estimate("chain-event", h, 2, {"edges": (0, 1), "color": 2, "p": part.p
 print(f"P((0,1)->(1,2) chained for color 2) ~ {rep.estimate:.4f} +- {rep.half_width:.4f},",
       f"exact {rep.comparison.value:.4f}")
 
-# Candidate counting drives the union bound: the number of edge sequences
-# that could possibly chain is at most 2 * C(|E|, k).
-h3 = Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
-ne = len(h3.edge_array)
-for k in (1, 2, 3):
-    count, seqs = enumerate_chain_candidates(h3, k)
-    print(f"k={k}: {count} candidates (bound {2 * math.comb(ne, k)})",
-          seqs if k == 3 else "")
-
-# With a fixed dangerous last edge the pattern loosens and the bound drops
-# to 2 * C(|E|, k-1).
-count, _ = enumerate_chain_candidates(h3, 2, kind=COMPLEX, last_edge=3)
-print("complex k=2 ending at edge 3:", count,
-      "(bound", 2 * math.comb(ne, 1), ")")
-
 # Closed-form bounds on chain probabilities, valid below the edge-count
-# threshold.  They are asymptotic statements; at desk scale they can exceed
-# observed frequencies by orders of magnitude without contradiction.
+# threshold.  The union bound sums the bound for a fixed k-chain over the
+# edge sequences that could chain, at most 2 * C(|E|, k) of them.  They are
+# asymptotic statements; at desk scale they can exceed observed frequencies
+# by orders of magnitude without contradiction.
 print("P(fixed 1-chain) at n=100, r=2:",
       chain_probability_bound(100, 2, 1))
 print("P(any mono edge) bound:",

@@ -20,7 +20,6 @@ from .chains import (
     MonoEdge,
     chain_probability_bound,
     dangerous_count_bound,
-    enumerate_chain_candidates,
     expected_deflections_bound,
     extract_chain,
     mono_edge_probability_bound,

@@ -36,7 +36,7 @@ from typing import Collection, Optional, Sequence
 
 import numpy as np
 
-from .hypergraph import BudgetExceeded, Hypergraph, _check_colors, _integer
+from .hypergraph import Hypergraph, _check_colors, _integer
 from .intervals import InitialColoring
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "MonoEdge",
     "chain_probability_bound",
     "dangerous_count_bound",
-    "enumerate_chain_candidates",
     "expected_deflections_bound",
     "extract_chain",
     "mono_edge_probability_bound",
@@ -386,71 +385,6 @@ def _chain_event_holds(slots, key, colors, parts, color) -> np.ndarray:
         holds &= _conflicting(slots, key, colors, parts[j - 1], parts[j], c_1 + j)
     s = slots[np.arange(len(slots)), _first(key, parts[0])]
     return holds & ((s == 2 * c_1 - 2) | (s == 2 * c_1 - 1))
-
-
-def enumerate_chain_candidates(
-    h: Hypergraph,
-    k: int,
-    kind: str = ORDERED,
-    last_edge: Optional[int] = None,
-    budget: int = 10**7,
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Exhaustively list edge sequences matching the structural chain pattern.
-
-    Ordered pattern: k distinct edges, consecutive pairs share exactly one
-    vertex, non-consecutive pairs are disjoint.  Complex pattern (k >= 2,
-    ``last_edge`` required): the first k-1 edges follow the ordered pattern
-    among themselves, the (k-1)-th meets the fixed last edge, and earlier
-    edges are unconstrained with respect to it.  The count never exceeds
-    2 * C(|E|, k) (ordered) or 2 * C(|E|, k-1) (complex).
-    """
-    k, budget = _integer(k, "chain length", 1), _integer(budget, "budget")
-    edges = [set(e) for e in h.edge_array.tolist()]
-    num = len(edges)
-    if last_edge is not None and _integer(last_edge, "last edge", 0) >= num:
-        raise ValueError(f"last edge {last_edge} outside 0..{num - 1}")
-    if kind == ORDERED:
-        starts = range(num) if last_edge is None else [last_edge]
-        # the complex pattern differs in two ways: the edge before the last
-        # need only meet it, and no earlier edge has to avoid it
-        meet_last, avoid_from = False, 0
-    elif kind == COMPLEX:
-        if last_edge is None or k < 2:
-            raise ValueError("complex enumeration needs last_edge and k >= 2")
-        starts = [last_edge]
-        meet_last, avoid_from = True, 1
-    else:
-        raise ValueError(f"unknown candidate kind {kind!r}")
-    visits = 0
-    results: list[tuple[int, ...]] = []
-
-    # build backward from the last edge, so a fixed last edge prunes at once
-    def grow(seq: list[int]) -> None:
-        nonlocal visits
-        visits += 1
-        if visits > budget:
-            raise BudgetExceeded(f"candidate enumeration exceeded budget {budget}")
-        if len(seq) == k:
-            results.append(tuple(reversed(seq)))
-            return
-        head = edges[seq[-1]]
-        loose = meet_last and len(seq) == 1
-        avoid = seq[avoid_from:-1]
-        for cand in range(num):
-            if cand in seq:
-                continue
-            shared = len(edges[cand] & head)
-            if shared != 1 and not (loose and shared):
-                continue
-            if any(edges[cand] & edges[e] for e in avoid):
-                continue
-            seq.append(cand)
-            grow(seq)
-            seq.pop()
-
-    for s in starts:
-        grow([s])
-    return len(results), results
 
 
 def chain_probability_bound(n: int, r: int, k: int) -> float:

@@ -128,12 +128,10 @@ class InitialColoring:
     order, and for each the lowest-index incident edge that would have gone
     monochromatic, the one that forced the deflection.
 
-    Three views of them are built on first read: deflections[i-1] counts
-    the small_i vertices pushed to color i+1, occupancy[i-1] counts the
-    vertices whose weight landed in large_i union small_i (just large_r
-    for the last color), and ``blocking`` is a read-only (m,) int64 array
-    holding -1 for a vertex that was not deflected and its edge for a
-    deflected one.  ``eq=False``, since arrays have no truth value.
+    One view of them is built on first read: ``blocking``, a read-only
+    (m,) int64 array holding -1 for a vertex that was not deflected and its
+    edge for a deflected one.  ``eq=False``, since arrays have no truth
+    value.
     """
 
     coloring: Coloring
@@ -143,27 +141,12 @@ class InitialColoring:
     deflected: tuple[np.ndarray, np.ndarray]
 
     @cached_property
-    def deflections(self) -> tuple[int, ...]:
-        slots = self.slots[self.deflected[0]]
-        return tuple(np.bincount(slots // 2, minlength=self.partition.r - 1).tolist())
-
-    @cached_property
-    def occupancy(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.slots // 2, minlength=self.partition.r).tolist())
-
-    @cached_property
     def blocking(self) -> np.ndarray:
         vertices, edges = self.deflected
         blocking = np.full(len(self.slots), -1, dtype=np.int64)
         blocking[vertices] = edges
         blocking.flags.writeable = False
         return blocking
-
-    def to_json_dict(self) -> dict:
-        out = self.coloring.to_json_dict()
-        out["X"] = list(self.deflections)
-        out["Z"] = list(self.occupancy)
-        return out
 
 
 def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
@@ -362,8 +345,8 @@ class InitialColoringBatch:
     0..T-1 (``hypergraph._integer``); any other t is a ValueError.  Its
     weights and slots are read-only views of the batch's arrays; only its
     colors, a copy in the kernel's narrow dtype, and its slice of the kernel's
-    deflected (key, edge) pairs are built for it, and its three views from
-    them on first read.
+    deflected (key, edge) pairs are built for it, and its ``blocking`` view
+    from them on first read.
     """
 
     __slots__ = ("_weights", "_partition", "_slots", "_narrow", "_deflected")

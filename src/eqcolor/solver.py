@@ -189,12 +189,10 @@ def greedy_repair(
     sizes = list(coloring.sizes)
     indptr, indices = h.incidence
 
-    def classes():
-        over = [c for c in range(1, r + 1) if sizes[c - 1] > targets[c - 1]]
-        under = [c for c in range(1, r + 1) if sizes[c - 1] < targets[c - 1]]
-        return over, under
-
-    over, under = classes()
+    # built once; a class leaves when it reaches its target, and under
+    # keeps increasing color order
+    over = {c for c in range(1, r + 1) if sizes[c - 1] > targets[c - 1]}
+    under = dict.fromkeys(c for c in range(1, r + 1) if sizes[c - 1] < targets[c - 1])
     for v in order:
         if not over:
             break
@@ -208,7 +206,10 @@ def greedy_repair(
                 colors[v] = c_to
                 sizes[c_from - 1] -= 1
                 sizes[c_to - 1] += 1
-                over, under = classes()
+                if sizes[c_from - 1] == targets[c_from - 1]:
+                    over.remove(c_from)
+                if sizes[c_to - 1] == targets[c_to - 1]:
+                    del under[c_to]  # safe: the loop over under breaks here
                 break
     if over:
         return None

@@ -36,7 +36,6 @@ from eqcolor import (
     compute_q,
     dangerous_count_bound,
     edge_threshold,
-    enumerate_chain_candidates,
     exact_c0_event_prob,
     excess_shortage,
     expected_deflections_bound,
@@ -51,6 +50,8 @@ from eqcolor import (
     validate_chain,
 )
 from eqcolor.chains import COMPLEX
+
+from _reference import counts, enumerate_chains
 
 
 @contextlib.contextmanager
@@ -124,10 +125,9 @@ def test_interval_coloring_deterministic():
                 Hypergraph(m, n, edges), r, IntervalPartition(p, r), sample_weights(m, wseed)
             )
             assert a.coloring == b.coloring
-            assert a.deflections == b.deflections
-            assert a.occupancy == b.occupancy
+            assert counts(a) == counts(b)
             assert np.array_equal(a.blocking, b.blocking)
-            assert a.to_json_dict() == b.to_json_dict()
+            assert a.coloring.to_json_dict() == b.coloring.to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +154,11 @@ def test_class_size_identity(coloring_runs):
     """size(K_i) = Z(i) - X(i) + X(i-1) on every run, with X(0) = X(r) = 0."""
     with gate("class-size identity holds on all 10000 randomized runs"):
         for h, r, init in coloring_runs:
+            deflections, occupancy = counts(init)
             for i in range(1, r + 1):
-                x_i = init.deflections[i - 1] if i < r else 0
-                x_prev = init.deflections[i - 2] if i >= 2 else 0
-                assert init.coloring.sizes[i - 1] == init.occupancy[i - 1] - x_i + x_prev, (
+                x_i = deflections[i - 1] if i < r else 0
+                x_prev = deflections[i - 2] if i >= 2 else 0
+                assert init.coloring.sizes[i - 1] == occupancy[i - 1] - x_i + x_prev, (
                     h.m,
                     h.n,
                     r,
@@ -198,12 +199,12 @@ def test_failure_events_yield_valid_chains(coloring_runs):
 def _counts_within_bounds(h):
     ne = len(h.edge_array)
     for k in range(1, ne + 1):
-        count, seqs = enumerate_chain_candidates(h, k)
+        count, seqs = enumerate_chains(h, k)
         assert count == len(seqs)
         assert count <= 2 * math.comb(ne, k), (h.edge_array.tolist(), k)
     for last in range(ne):
         for k in range(2, ne + 1):
-            count, _ = enumerate_chain_candidates(h, k, kind=COMPLEX, last_edge=last)
+            count, _ = enumerate_chains(h, k, kind=COMPLEX, last_edge=last)
             assert count <= 2 * math.comb(ne, k - 1), (h.edge_array.tolist(), k, last)
 
 
@@ -256,7 +257,7 @@ def test_chain_lemma_exact():
             events = [
                 ChainEventSpec(seq, color)
                 for k in range(1, r + 1)
-                for seq in enumerate_chain_candidates(h, k)[1]
+                for seq in enumerate_chains(h, k)[1]
                 for color in range(k, r + 1)
             ]
             mono = exact_c0_event_prob(h, r, MonoEdgeExists())

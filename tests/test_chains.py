@@ -26,15 +26,17 @@ from eqcolor import (
     choose_p,
     class_targets,
     dangerous_count_bound,
-    enumerate_chain_candidates,
     expected_deflections_bound,
     extract_chain,
+    generate_random,
     mono_edge_probability_bound,
     run_interval_coloring,
     sample_weights,
     validate_chain,
 )
 from eqcolor.chains import _chain_event_holds, _conflicting
+
+from _reference import enumerate_chains
 
 P2 = IntervalPartition(0.2, 2)
 
@@ -376,6 +378,57 @@ def test_extraction_agrees_with_event_predicate():
     assert hits > 20  # the sweep actually exercised the extraction
 
 
+@pytest.mark.parametrize(
+    "m, n, ne, r, p", [(600, 3, 900, 2, 0.7), (1000, 4, 2000, 3, 0.5), (1000, 3, 1500, 4, 0.6)]
+)
+def test_chains_are_invariant_under_relabeling(m, n, ne, r, p):
+    # the process reads ids only through ties of weight, and these weights
+    # have none: moving them along a vertex permutation pi, with the edge
+    # order kept (so the lowest-index blocking edge is kept too), maps every
+    # failure's chain to the relabeled run's chain for the mapped event
+    rng = np.random.default_rng(m)
+    h = generate_random(m, n, ne, seed=r)
+    part = IntervalPartition(p, r)
+    weights = rng.random(m)
+    pi = rng.permutation(m)
+    moved = np.empty_like(weights)
+    moved[pi] = weights
+    relabeled = Hypergraph(m, n, pi[h.edge_array])
+    init = run_interval_coloring(h, r, part, weights)
+    again = run_interval_coloring(relabeled, r, part, moved)
+
+    def mapped(vertices):
+        return None if vertices is None else tuple(sorted(pi[list(vertices)].tolist()))
+
+    colors = init.coloring.colors[h.edge_array]
+    events = [
+        (MonoEdge(e, int(colors[e, 0])),) * 2
+        for e in np.flatnonzero((colors == colors[:, :1]).all(axis=1)).tolist()
+    ]
+    events += [
+        (Deflected(v, None), Deflected(int(pi[v]), None)) for v in init.deflected[0].tolist()
+    ]
+    plan = build_rebalance_plan(h, init, class_targets(m, r), seed=0, p_tilde=1.0)
+    events += [
+        (d, DangerousEdge(d.edge, mapped(d.u_vertices)))
+        for d in plan.dangerous
+        if len(d.u_vertices) < n  # a reduced edge to walk back from
+    ]
+    kinds = {}
+    for event, moved_event in events:
+        rec = extract_chain(h, init, event)
+        got = extract_chain(relabeled, again, moved_event)
+        assert got.edges == rec.edges and got.kind == rec.kind and got.color == rec.color
+        assert got.links == tuple(ChainLink(int(pi[ln.vertex]), ln.weight) for ln in rec.links)
+        terminal = rec.terminal_vertex
+        assert got.terminal_vertex == (None if terminal is None else int(pi[terminal]))
+        assert got.reduced_edge == mapped(rec.reduced_edge)
+        assert got.candidate_vertices == mapped(rec.candidate_vertices)
+        kinds[rec.kind] = max(kinds.get(rec.kind, 0), rec.k)
+    # every kind occurs, and some chain crosses a link
+    assert set(kinds) == {ORDERED, IMPROPER, COMPLEX} and max(kinds.values()) >= 2, kinds
+
+
 def _random_instance(m, n, ne, rng):
     edges = set()
     while len(edges) < ne:
@@ -385,7 +438,7 @@ def _random_instance(m, n, ne, rng):
 
 def test_enumerate_two_chains_on_three_edges():
     h = Hypergraph(5, 2, [(0, 1), (1, 2), (3, 4)])
-    count, seqs = enumerate_chain_candidates(h, 2)
+    count, seqs = enumerate_chains(h, 2)
     assert count == 2
     assert sorted(seqs) == [(0, 1), (1, 0)]
     assert count <= 2 * math.comb(3, 2)
@@ -393,13 +446,13 @@ def test_enumerate_two_chains_on_three_edges():
 
 def test_enumerate_one_chains_lists_every_edge():
     h = Hypergraph(5, 2, [(0, 1), (1, 2), (3, 4)])
-    count, seqs = enumerate_chain_candidates(h, 1)
+    count, seqs = enumerate_chains(h, 1)
     assert count == 3 and sorted(seqs) == [(0,), (1,), (2,)]
 
 
 def test_enumerate_path_has_exactly_two_orientations():
     h = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
-    count, seqs = enumerate_chain_candidates(h, 3)
+    count, seqs = enumerate_chains(h, 3)
     assert count == 2
     assert sorted(seqs) == [(0, 1, 2), (2, 1, 0)]
 
@@ -411,7 +464,7 @@ def test_enumerate_reversal_symmetry_random():
         ne = int(rng.integers(1, min(math.comb(m, 3), 5) + 1))
         h = _random_instance(m, 3, ne, rng)
         for k in range(1, len(h.edge_array) + 1):
-            count, seqs = enumerate_chain_candidates(h, k)
+            count, seqs = enumerate_chains(h, k)
             assert count <= 2 * math.comb(len(h.edge_array), k)
             seen = set(seqs)
             for s in seqs:
@@ -420,143 +473,17 @@ def test_enumerate_reversal_symmetry_random():
 
 def test_enumerate_complex_fixed_last_edge():
     h = Hypergraph(5, 2, [(0, 1), (1, 2), (3, 4)])
-    count, seqs = enumerate_chain_candidates(h, 2, kind=COMPLEX, last_edge=1)
+    count, seqs = enumerate_chains(h, 2, kind=COMPLEX, last_edge=1)
     assert count == 1 and seqs == [(0, 1)]
     assert count <= 2 * math.comb(3, 1)
-    count2, seqs2 = enumerate_chain_candidates(h, 2, kind=COMPLEX, last_edge=2)
+    count2, seqs2 = enumerate_chains(h, 2, kind=COMPLEX, last_edge=2)
     assert count2 == 0 and seqs2 == []
-
-
-def test_enumerate_complex_requires_last_edge_and_k2():
-    h = Hypergraph(5, 2, [(0, 1), (1, 2), (3, 4)])
-    with pytest.raises(ValueError):
-        enumerate_chain_candidates(h, 2, kind=COMPLEX)
-    with pytest.raises(ValueError):
-        enumerate_chain_candidates(h, 1, kind=COMPLEX, last_edge=0)
 
 
 def test_enumerate_budget():
     h = Hypergraph(8, 2, [(i, j) for i in range(8) for j in range(i + 1, 8)])
     with pytest.raises(BudgetExceeded):
-        enumerate_chain_candidates(h, 3, budget=10)
-
-
-def test_enumerate_rejects_last_edge_out_of_range():
-    # -1 used to alias the final edge and name it twice in a complex chain
-    h = Hypergraph(5, 2, [(0, 1), (1, 2), (3, 4)])
-    for last in (-1, 3):
-        with pytest.raises(ValueError):
-            enumerate_chain_candidates(h, 2, kind=COMPLEX, last_edge=last)
-        with pytest.raises(ValueError):
-            enumerate_chain_candidates(h, 2, last_edge=last)
-
-
-def _enumerate_two_walks(h, k, kind=ORDERED, last_edge=None, budget=10**7):
-    """enumerate_chain_candidates as it was with one walk per pattern, kept
-    as the reference for the single grower."""
-    edges = [set(e) for e in h.edge_array.tolist()]
-    num = len(edges)
-    visits = 0
-    results = []
-
-    def bump():
-        nonlocal visits
-        visits += 1
-        if visits > budget:
-            raise BudgetExceeded(f"candidate enumeration exceeded budget {budget}")
-
-    if kind == ORDERED:
-
-        def grow(seq):
-            bump()
-            if len(seq) == k:
-                results.append(tuple(reversed(seq)))
-                return
-            head = edges[seq[-1]]
-            earlier = seq[:-1]
-            for cand in range(num):
-                if cand in seq:
-                    continue
-                if len(edges[cand] & head) != 1:
-                    continue
-                if any(edges[cand] & edges[e] for e in earlier):
-                    continue
-                seq.append(cand)
-                grow(seq)
-                seq.pop()
-
-        for s in range(num) if last_edge is None else [last_edge]:
-            grow([s])
-        return len(results), results
-
-    target = edges[last_edge]
-
-    def grow_c(seq):
-        bump()
-        if len(seq) == k - 1:
-            results.append(tuple(reversed(seq)) + (last_edge,))
-            return
-        head = edges[seq[-1]] if seq else None
-        for cand in range(num):
-            if cand == last_edge or cand in seq:
-                continue
-            if head is None:
-                if not edges[cand] & target:
-                    continue
-            else:
-                if len(edges[cand] & head) != 1:
-                    continue
-                if any(edges[cand] & edges[e] for e in seq[:-1]):
-                    continue
-            seq.append(cand)
-            grow_c(seq)
-            seq.pop()
-
-    grow_c([])
-    return len(results), results
-
-
-def test_one_grower_matches_two_walk_reference():
-    rng = np.random.default_rng(47)
-    complex_hits = 0
-    for _ in range(300):
-        m = int(rng.integers(4, 10))
-        ne = int(rng.integers(1, min(math.comb(m, 3), 6) + 1))
-        h = _random_instance(m, 3, ne, rng)
-        for k in range(1, ne + 1):
-            assert enumerate_chain_candidates(h, k) == _enumerate_two_walks(h, k)
-            for last in range(ne):
-                got = enumerate_chain_candidates(h, k, last_edge=last)
-                assert got == _enumerate_two_walks(h, k, last_edge=last)
-                if k >= 2:
-                    got = enumerate_chain_candidates(h, k, kind=COMPLEX, last_edge=last)
-                    assert got == _enumerate_two_walks(h, k, kind=COMPLEX, last_edge=last)
-                    complex_hits += got[0]
-    assert complex_hits > 100  # the sweep found complex chains to compare
-
-
-def test_one_grower_exceeds_budget_where_the_reference_does():
-    # a run fits a budget iff it makes at most that many visits, so the
-    # smallest budget that fits is found by bisection and pins the count
-    k8 = Hypergraph(8, 2, [(i, j) for i in range(8) for j in range(i + 1, 8)])
-
-    def fits(enumerate_, kind, last, k, budget):
-        try:
-            enumerate_(k8, k, kind=kind, last_edge=last, budget=budget)
-            return True
-        except BudgetExceeded:
-            return False
-
-    for kind, last, k in ((ORDERED, None, 3), (ORDERED, 0, 4), (COMPLEX, 5, 4), (COMPLEX, 0, 3)):
-        caps = []
-        for enumerate_ in (enumerate_chain_candidates, _enumerate_two_walks):
-            lo, hi = 0, 10**6  # lo never fits, hi always does
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if fits(enumerate_, kind, last, k, mid) else (mid, hi)
-            assert not fits(enumerate_, kind, last, k, hi - 1)
-            caps.append(hi)
-        assert caps[0] == caps[1] > 1, (kind, last, k, caps)
+        enumerate_chains(h, 3, budget=10)
 
 
 def test_bound_spot_values():
@@ -673,7 +600,7 @@ def test_candidate_enumeration_and_brute_force():
     k4 = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     # two triangles sharing vertex 2, plus an edge across
     tris = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (3, 4, 5), (0, 4, 5)])
-    assert enumerate_chain_candidates(tris, 2)[0] == 6
-    assert enumerate_chain_candidates(tris, 2, kind=COMPLEX, last_edge=3)[0] == 3
+    assert enumerate_chains(tris, 2)[0] == 6
+    assert enumerate_chains(tris, 2, kind=COMPLEX, last_edge=3)[0] == 3
     assert brute_force_equitable(tris, 2) is not None
     assert brute_force_equitable(k4, 2) is None and brute_force_equitable(k4, 1) is None

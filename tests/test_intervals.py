@@ -28,6 +28,8 @@ from eqcolor.hypergraph import _color_dtype
 from eqcolor.intervals import _colors_at_sizes, _weight_slots
 from eqcolor.rebalance import build_rebalance_plan
 
+from _reference import counts
+
 
 def test_choose_p_spot_values():
     assert choose_p(100, 2) == pytest.approx(0.01538995280090095, rel=1e-12)
@@ -236,8 +238,7 @@ def test_two_stage_hand_trace():
     part = IntervalPartition(0.2, 2)
     init = run_interval_coloring(h, 2, part, (0.1, 0.5, 0.7, 0.45))
     assert init.coloring.colors.tolist() == [1, 2, 2, 1]
-    assert init.deflections == (1,)
-    assert init.occupancy == (3, 1)
+    assert counts(init) == ((1,), (3, 1))
     # -1 for every vertex that was not deflected
     assert init.blocking.tolist() == [-1, 0, -1, -1]
     assert init.blocking.dtype == np.int64 and not init.blocking.flags.writeable
@@ -248,7 +249,7 @@ def test_two_stage_all_large_is_pure_stage_one():
     part = IntervalPartition(0.2, 2)
     init = run_interval_coloring(h, 2, part, (0.1, 0.2, 0.7, 0.8))
     assert init.coloring.colors.tolist() == [1, 1, 2, 2]
-    assert init.deflections == (0,)
+    assert counts(init)[0] == (0,)
 
 
 def test_two_stage_mono_edge_survives():
@@ -278,10 +279,11 @@ def test_class_size_identity_random_runs():
         h = _random_instance(m, n, ne, rng)
         part = IntervalPartition(choose_p(max(n, 3), r), r)
         init = run_interval_coloring(h, r, part, sample_weights(m, int(rng.integers(0, 2**32))))
-        x = (0,) + init.deflections
+        deflections, occupancy = counts(init)
+        x = (0,) + deflections
         for i in range(1, r):
-            assert init.coloring.sizes[i - 1] == init.occupancy[i - 1] - x[i] + x[i - 1]
-        assert init.coloring.sizes[r - 1] == init.occupancy[r - 1] + x[r - 1]
+            assert init.coloring.sizes[i - 1] == occupancy[i - 1] - x[i] + x[i - 1]
+        assert init.coloring.sizes[r - 1] == occupancy[r - 1] + x[r - 1]
 
 
 def test_stage_two_colors_stay_local():
@@ -316,7 +318,7 @@ def test_two_stage_determinism():
     a = run_interval_coloring(h, 2, part, weights)
     b = run_interval_coloring(h, 2, part, weights)
     assert a.coloring == b.coloring
-    assert a.deflections == b.deflections and a.occupancy == b.occupancy
+    assert counts(a) == counts(b)
 
 
 def test_weight_array_colors_each_row_as_alone():
@@ -341,11 +343,11 @@ def test_weight_array_colors_each_row_as_alone():
             assert got.coloring == alone.coloring and got.coloring.sizes == alone.coloring.sizes
             assert got.coloring.colors.dtype == _color_dtype(r) and not got.coloring.colors.flags.writeable
             assert np.array_equal(batch._narrow[t], alone.coloring.colors)
-            assert (got.deflections, got.occupancy) == (alone.deflections, alone.occupancy)
+            assert counts(got) == counts(alone)
             assert np.array_equal(got.blocking, alone.blocking)
             assert got.blocking.shape == (m,) and not got.blocking.flags.writeable
-            assert got.to_json_dict() == alone.to_json_dict()
-            deflected += sum(got.deflections)
+            assert got.coloring.to_json_dict() == alone.coloring.to_json_dict()
+            deflected += sum(counts(got)[0])
         one = run_interval_coloring(h, r, part, weights[:1])
         assert len(one) == 1 and one.row(0).coloring == batch.row(0).coloring
         empty = run_interval_coloring(h, r, part, np.empty((0, m)))
@@ -368,7 +370,7 @@ def test_batch_row_refuses_what_it_would_misread():
     h = generate_random(1000, 6, 1200, 1)
     batch = run_interval_coloring(h, 3, IntervalPartition(0.5, 3), sample_weights(1000, 2, 3))
     last = batch.row(2)
-    assert len(last.deflected[0]) == sum(last.deflections) > 0
+    assert len(last.deflected[0]) == sum(counts(last)[0]) > 0
     for t in (-1, 3, True, 1.0, "1"):
         with pytest.raises(ValueError):
             batch.row(t)
@@ -389,7 +391,8 @@ def test_long_weight_arrays_keep_occupancy_wide():
             got = batch.row(t)
             alone = run_interval_coloring(h, r, part, row)
             blocks = [part.slot_of(x) // 2 for x in row.tolist()]
-            assert got.occupancy == alone.occupancy == tuple(blocks.count(i) for i in range(r))
+            occupancy = tuple(blocks.count(i) for i in range(r))
+            assert counts(got)[1] == counts(alone)[1] == occupancy
             assert got.coloring == alone.coloring
             assert got.coloring.colors.dtype == _color_dtype(r)
 
@@ -416,14 +419,6 @@ def test_slots_are_computed_once_per_batch(monkeypatch):
         _conflicting(*trial, *h.edge_array[[0, 1]], 2)
         _chain_event_holds(*trial, h.edge_array[[0, 1]], 2)
     assert calls == [(5, 6)]
-
-
-def test_initial_coloring_json_shape():
-    h = Hypergraph(4, 2, [(0, 1)])
-    init = run_interval_coloring(h, 2, IntervalPartition(0.2, 2), (0.1, 0.5, 0.7, 0.45))
-    obj = init.to_json_dict()
-    assert obj["colors"] == [1, 2, 2, 1]
-    assert obj["X"] == [1] and obj["Z"] == [3, 1]
 
 
 def test_interval_coloring_rejects_weights_outside_unit_interval():
@@ -507,9 +502,9 @@ def test_trusted_colorings_equal_validated_ones():
 def test_initial_coloring_json_is_plain():
     h = Hypergraph(4, 2, [(0, 1)])
     init = run_interval_coloring(h, 2, IntervalPartition(0.2, 2), [0.1, 0.5, 0.7, 0.45])
-    obj = init.to_json_dict()
+    obj = init.coloring.to_json_dict()
     assert json.loads(json.dumps(obj)) == obj
-    for key in ("colors", "sizes", "X", "Z"):
+    for key in ("colors", "sizes"):
         assert type(obj[key]) is list and all(type(x) is int for x in obj[key])
 
 

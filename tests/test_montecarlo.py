@@ -30,6 +30,8 @@ from eqcolor.intervals import _FIXPOINT_ROUNDS, _weight_slots
 from eqcolor.montecarlo import QUANTITIES, Deflected
 from eqcolor.seeding import ROLE_TRIALS, derive
 
+from _reference import counts, deflection_counts, enumerate_chains
+
 SINGLE = Hypergraph(2, 2, [(0, 1)])
 # two triangles sharing vertices with a third, forcing interactions between
 # deflections: the workhorse calibration instance
@@ -64,16 +66,6 @@ def _dense_blocking(deflected, trials, m):
     blocking = np.full(trials * m, -1, dtype=np.int64)
     blocking[keys] = edges
     return blocking.reshape(trials, m)
-
-
-def _deflection_counts(deflected, slots, r):
-    """(T, r - 1) deflections out of each small block, read off the
-    kernel's deflected pairs: key t * m + v counts for trial t in column
-    i - 1 when v's slot is small_i, 2i - 1."""
-    keys = deflected[0]
-    counts = np.zeros((len(slots), r - 1), dtype=np.int64)
-    np.add.at(counts, (keys // slots.shape[1], slots.take(keys) // 2), 1)
-    return counts
 
 
 def test_oracle_single_edge_hand_value():
@@ -691,7 +683,7 @@ def test_oracle_matches_a_plain_enumeration_of_every_order(h, r):
     events += [
         ChainEventSpec(tuple(seq), color)
         for k in range(1, r + 1)
-        for seq in chains.enumerate_chain_candidates(h, k)[1]
+        for seq in enumerate_chains(h, k)[1]
         for color in range(k, r + 1)
     ]
     expected = _reference_event_probs(h, r, p, events)
@@ -779,7 +771,7 @@ def test_batched_kernel_matches_oracle_simulator_row_by_row(r):
             u = rng.random((60, h.m))
             slots = _weight_slots(part, u)
             colors, pairs = intervals._stage_colors(h, slots, u)
-            deflections = _deflection_counts(pairs, slots, r)
+            deflections = deflection_counts(pairs, slots, r)
             blocking = _dense_blocking(pairs, 60, h.m)
             assert colors.shape == (60, h.m) and deflections.shape == (60, r - 1)
             assert blocking.shape == (60, h.m) and blocking.dtype == np.int64
@@ -831,7 +823,7 @@ def test_batched_kernel_breaks_weight_ties_by_id(monkeypatch, rounds):
             u = rng.integers(0, 10, size=(80, h.m)) / 10.0
             slots = _weight_slots(part, u)
             colors, pairs = intervals._stage_colors(h, slots, u)
-            deflections = _deflection_counts(pairs, slots, r)
+            deflections = deflection_counts(pairs, slots, r)
             blocking = _dense_blocking(pairs, 80, h.m)
             for t in range(80):
                 order = np.lexsort((np.arange(h.m), u[t])).tolist()
@@ -862,7 +854,7 @@ def test_deep_deflection_chain_matches_oracle_simulator(monkeypatch, m, rounds):
     colors, pairs = intervals._stage_colors(h, slots, u)
     blocking = _dense_blocking(pairs, 1, m)
     assert colors[0].tolist() == _sequential_colors(h, slots[0].tolist(), [list(range(m))])
-    assert _deflection_counts(pairs, slots, 2).tolist() == [[m // 2]]
+    assert deflection_counts(pairs, slots, 2).tolist() == [[m // 2]]
     assert blocking.tolist() == [[v - 1 if v % 2 else -1 for v in range(m)]]
 
 
@@ -900,7 +892,7 @@ def test_kernel_matches_the_replay_at_scale(monkeypatch, shape, r, p, walks):
     u = np.random.default_rng(3).random((2, h.m))
     slots = _weight_slots(IntervalPartition(p, r), u)
     colors, pairs = intervals._stage_colors(h, slots, u)
-    deflections = _deflection_counts(pairs, slots, r)
+    deflections = deflection_counts(pairs, slots, r)
     assert walked == ([{0, 1}] if walks else [])
     blocking = _dense_blocking(pairs, 2, h.m)
     for t in range(2):
@@ -920,7 +912,7 @@ def test_kernel_matches_the_replay_at_scale(monkeypatch, shape, r, p, walks):
 @pytest.mark.parametrize("shape, r, p", [SCALE[0][:3], ((2000, 3, 6000), 3, 0.9)])
 def test_mc_deflection_statistics_match_the_run_records(monkeypatch, shape, r, p, rounds):
     # the statistics read the kernel's deflected pairs; each trial's value
-    # is what its InitialColoring says: deflections[i - 1], and for a
+    # is what its InitialColoring says: X[i - 1] (``counts``), and for a
     # vertex v, blocking[v] >= 0 (and v's slot small_i when i is given)
     monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
     walked = _walked_trials(monkeypatch)
@@ -938,7 +930,7 @@ def test_mc_deflection_statistics_match_the_run_records(monkeypatch, shape, r, p
         return np.asarray(stat(colors, deflected, slots, u, None)).tolist()
 
     for i in range(1, r):
-        expected = [row.deflections[i - 1] for row in rows]
+        expected = [counts(row)[0][i - 1] for row in rows]
         assert values("expected-deflections", {"i": i}) == expected
         assert min(expected) > 0
     # every vertex deflected in trial 0, and every 50th vertex
@@ -970,7 +962,7 @@ def test_kernel_is_invariant_under_relabeling(monkeypatch, shape, r, p, walks):
     u = rng.random((4, h.m))
     slots = _weight_slots(part, u)
     colors, pairs = intervals._stage_colors(h, slots, u)
-    deflections = _deflection_counts(pairs, slots, r)
+    deflections = deflection_counts(pairs, slots, r)
     blocking = _dense_blocking(pairs, 4, h.m)
     pi = rng.permutation(h.m)
     moved = np.empty_like(u)
@@ -981,7 +973,7 @@ def test_kernel_is_invariant_under_relabeling(monkeypatch, shape, r, p, walks):
         moved_slots = _weight_slots(part, moved)
         got, got_pairs = intervals._stage_colors(relabeled, moved_slots, moved)
         assert np.array_equal(got[:, pi], colors)
-        assert np.array_equal(_deflection_counts(got_pairs, moved_slots, r), deflections)
+        assert np.array_equal(deflection_counts(got_pairs, moved_slots, r), deflections)
         if kept:
             assert np.array_equal(_dense_blocking(got_pairs, 4, h.m)[:, pi], blocking)
     assert deflections.sum() > 0

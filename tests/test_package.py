@@ -61,7 +61,6 @@ VALID_CALLS = {
     "compute_q": dict(m=1000, n=8, r=3, p=0.1),
     "dangerous_count_bound": dict(n=8, r=3),
     "edge_threshold": dict(n=8, r=3),
-    "enumerate_chain_candidates": dict(h=TRI_PAIR, k=2),
     "exact_c0_event_prob": dict(h=TRI_PAIR, r=2, event=eqcolor.MonoEdgeExists()),
     "excess_shortage": dict(coloring=PROPER, targets=[3, 3]),
     "expected_deflections_bound": dict(n=8, r=3),

@@ -240,7 +240,8 @@ def test_greedy_repair_matches_restart_scan_reference():
     checked = repaired = 0
     while checked < 400:
         m = int(rng.integers(2, 31))
-        r = min(int(rng.integers(2, 5)), m)  # no more colors than vertices
+        # up to 12 colors, so classes reach their targets out of color order
+        r = min(int(rng.integers(2, 13)), m)  # no more colors than vertices
         n = int(rng.integers(2, min(m, 4) + 1))
         edges = {
             tuple(sorted(rng.choice(m, n, replace=False).tolist()))
@@ -314,6 +315,31 @@ def test_greedy_repair_is_one_pass(monkeypatch):
         fixed = greedy_repair(h, Coloring(m, r, colors), class_targets(m, r))
         assert fixed.sizes == class_targets(m, r) and is_proper(h, fixed)
         assert 0 < calls <= m * r
+
+
+def test_greedy_repair_reads_each_target_o_r_plus_moves_times(monkeypatch):
+    from eqcolor import solver
+
+    reads = 0
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, i)
+
+    check = solver._check_targets
+    monkeypatch.setattr(solver, "_check_targets", lambda *args: Counted(check(*args)))
+    # colors 1..200 hold 20 vertices each and 201..400 none: 2000 moves.
+    # Recounting the classes after every move read the targets 2r times
+    # per move, 1 600 800 times here
+    m, r = 4000, 400
+    colors = [1 + v % 200 for v in range(m)]
+    fixed = greedy_repair(Hypergraph(m, 2, []), Coloring(m, r, colors), class_targets(m, r))
+    assert fixed.sizes == class_targets(m, r)
+    moves = int((fixed.colors != np.array(colors)).sum())
+    assert moves == 2000
+    assert 0 < reads <= 2 * (r + moves)
 
 
 def test_greedy_repair_checks_weight_length():
