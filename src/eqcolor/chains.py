@@ -93,11 +93,22 @@ class Deflected:
 
 @dataclass(frozen=True)
 class DangerousEdge:
-    """Failure event: ``edge`` could go monochromatic in color r if all of
-    ``u_vertices``, its members inside the candidate sets, were recolored."""
+    """Failure event: ``edge`` >= 0 could go monochromatic in color r if all
+    of ``u_vertices``, its members inside the candidate sets, were
+    recolored.  U is read as a tuple of vertices >= 0, in the order given;
+    ValueError when it is not iterable."""
 
     edge: int
     u_vertices: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "edge", _integer(self.edge, "edge", 0))
+        try:
+            vertices = iter(self.u_vertices)
+        except TypeError:
+            raise ValueError(f"U {self.u_vertices!r} is not iterable") from None
+        u_vertices = tuple(_integer(v, "vertex", 0) for v in vertices)
+        object.__setattr__(self, "u_vertices", u_vertices)
 
 
 @dataclass(frozen=True)
@@ -212,8 +223,7 @@ def extract_chain(
     """Build the certificate chain for an observed failure event, and check
     it with ``validate_chain`` before returning it.
 
-    ``Deflected(v, None)`` reads v's small block from v's slot; a
-    ``DangerousEdge``, built unchecked, is read by the integer rule.  Raises
+    ``Deflected(v, None)`` reads v's small block from v's slot.  Raises
     ValueError when the event names an edge or vertex that does not exist, a
     vertex with no blocking edge, or a dangerous edge that lies wholly in
     the candidate sets (no vertex to walk back from), and ChainInvalid, a
@@ -233,18 +243,14 @@ def extract_chain(
         if color is None:
             color = (int(init.slots[terminal]) + 1) // 2
     elif isinstance(failure, (MonoEdge, DangerousEdge)):
-        if (edge := _integer(failure.edge, "edge", 0)) >= len(h.edge_array):
+        if (edge := failure.edge) >= len(h.edge_array):
             raise ValueError(f"edge {edge} outside 0..{len(h.edge_array) - 1}")
         part = h.edge_array[edge]
         if isinstance(failure, MonoEdge):
             kind, color = ORDERED, failure.color
         else:
             kind, color = COMPLEX, init.coloring.r
-            try:
-                u_vertices = iter(failure.u_vertices)
-            except TypeError:
-                raise ValueError(f"U {failure.u_vertices!r} is not iterable") from None
-            candidates = tuple(sorted({_integer(v, "vertex", 0) for v in u_vertices}))
+            candidates = tuple(sorted(set(failure.u_vertices)))
             reduced = tuple(v for v in part.tolist() if v not in candidates)
             if not reduced:
                 raise ValueError(

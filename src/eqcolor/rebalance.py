@@ -14,7 +14,8 @@ the candidates alone: the candidate mask comes from ``_candidates``, the
 dangerous edges from ``_dangerous_edges`` (both shared with the Monte Carlo
 ``dangerous-count`` statistic), and the candidates, grouped by block, give
 each V_i and, less the pinned ones, each W_i.  The plan holds V_i and W_i
-as sorted vertex-id arrays.
+as sorted vertex-id arrays, and its dangerous edges as arrays too: their
+``DangerousEdge`` records are built only when they are read.
 
 The recolor sets bring every class exactly to target when the shortage is
 confined to color r; the solver falls back to restarts or greedy repair
@@ -24,7 +25,8 @@ when selection is infeasible or the shape does not match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Optional, Sequence, Union
 
@@ -62,19 +64,32 @@ class RegimeViolation(ValueError):
 class RebalancePlan:
     """Everything one rebalancing pass decided, in evaluation order.  Each
     V_i and W_i is a read-only sorted int64 array of vertex ids; ``wsets``
-    is None when some V_i cannot supply its excess."""
+    is None when some V_i cannot supply its excess.
+
+    The plan keeps its dangerous edges as arrays: their edge ids in
+    increasing order, their vertex rows, and one mask row per edge marking
+    its candidate vertices.  ``dangerous``, one ``DangerousEdge`` per edge
+    with U its candidate vertices in id order, is built from them on first
+    read and kept."""
 
     excess: tuple[int, ...]
     shortage: tuple[int, ...]
     q: float
     p_tilde: float
     vsets: tuple[np.ndarray, ...]
-    dangerous: tuple[DangerousEdge, ...]
+    _dangerous: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     wsets: Optional[tuple[np.ndarray, ...]]
 
     @property
     def feasible(self) -> bool:
         return self.wsets is not None
+
+    @cached_property
+    def dangerous(self) -> tuple[DangerousEdge, ...]:
+        hit, rows, in_sets = (a.tolist() for a in self._dangerous)
+        return tuple(
+            DangerousEdge(e, tuple(compress(row, mask))) for e, row, mask in zip(hit, rows, in_sets)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,10 +251,6 @@ def build_rebalance_plan(
     hit = np.flatnonzero(_dangerous_edges(h, candidate, init.coloring.colors, r))
     rows = h.edge_array[hit]
     in_sets = candidate[rows]
-    dangerous = tuple(
-        DangerousEdge(e, tuple(compress(row, mask)))
-        for e, row, mask in zip(hit.tolist(), rows.tolist(), in_sets.tolist())
-    )
     # edge rows are sorted, so the first candidate of a row is its lowest id
     pins = rows[np.arange(len(hit)), in_sets.argmax(axis=1)]
 
@@ -260,7 +271,7 @@ def build_rebalance_plan(
         vsets.append(_read_only(vs))
     feasible = len(wsets) == r - 1
     return RebalancePlan(
-        ex, sh, q, p_tilde, tuple(vsets), dangerous, tuple(wsets) if feasible else None
+        ex, sh, q, p_tilde, tuple(vsets), (hit, rows, in_sets), tuple(wsets) if feasible else None
     )
 
 

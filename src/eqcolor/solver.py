@@ -9,16 +9,16 @@ candidate is verified before it is returned, so the output is correct
 whenever there is one; only the number of restarts is random.
 
 Attempts of both routes run through one loop, screened as arrays in
-batches of 1, 2, 4, ... attempts.  A route picks only how a batch is drawn
+batches of 1, 4, 16, ... attempts.  A route picks only how a batch is drawn
 and colored: ``sample_weights`` rows and one kernel call, or one
 permutation per attempt cut at the class targets.  One edge scan per batch
 gives a mask of monochromatic edges per row; the loop takes the rows with
-none in attempt order and keeps the mask row of the last rejected one, so
-the report's chains read their edges off it without a second scan.
-Per-attempt objects are built only for the clean rows and for that last
-rejected two-stage row.  Attempts are seeded in
-blocks of ``_BLOCK`` by the rule of ``seeding``, so batching changes no
-report.
+none in attempt order and keeps the index of the last rejected one and the
+edges of its mask row.  Per-attempt objects are built only for the clean
+rows: the report replays that last rejected two-stage attempt, and builds
+its chains, only when they are read.  Attempts are seeded in blocks of
+``_BLOCK`` by the rule of ``seeding``, so batching changes no report, and
+any attempt can be drawn again on its own.
 
 At desk scale the per-attempt success probability carries no guarantee, so
 after exhausting its restarts the solver consults the brute-force oracle
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -93,9 +94,10 @@ PATH_TWO_STAGE = "two-stage"
 _BLOCK = 64
 # cap on the cells one batch of attempts gathers, attempts x max(m, n x |E|):
 # a solve that stops inside a batch has colored the rest of it for nothing,
-# and at m = 100 000 this cap keeps every batch at one attempt; the batch
-# sizes change no draw
-_SUB_BATCH_CELLS = 1 << 16
+# but each kernel call has a fixed cost several rows long, so batches grow
+# fourfold up to it; at m = 100 000 this cap keeps every batch at one
+# attempt; the batch sizes change no draw
+_SUB_BATCH_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,17 @@ class SolveConfig:
 @dataclass
 class SolveReport:
     """Outcome of a solve: the coloring on success, plus per-attempt failure
-    counters, the chains extracted from the last rejected run, and the last
-    rebalance plan, for diagnostics."""
+    counters, the chains of the last rejected run, and the last rebalance
+    plan, for diagnostics.
+
+    ``chains`` is built on first read and kept.  The report holds only the
+    last two-stage attempt rejected on a monochromatic edge, as
+    (hypergraph, partition, seed, attempt, edge ids), and no array of its
+    batch.  The read draws that attempt's weights again by the block rule
+    of ``seeding``, one row at a time, so in O(m) memory, runs the two
+    stages on them, and extracts and validates one chain per edge through
+    ``extract_chain``.  A ``ChainInvalid``, which means a bug, surfaces on
+    that read, not inside ``solve_equitable``."""
 
     outcome: str
     coloring: Optional[Coloring]
@@ -126,9 +137,23 @@ class SolveReport:
     path: str
     r: int
     diagnostics: dict = field(default_factory=dict)
-    chains: tuple[ChainRecord, ...] = ()
     plan: Optional[RebalancePlan] = None
     oracle_feasible: Optional[bool] = None
+    _rejected: Optional[tuple] = field(default=None, repr=False)
+
+    @cached_property
+    def chains(self) -> tuple[ChainRecord, ...]:
+        if self._rejected is None:
+            return ()
+        h, partition, seed, attempt, edges = self._rejected
+        rng = derive(seed, attempt // _BLOCK, ROLE_WEIGHTS)
+        for _ in range(attempt % _BLOCK + 1):
+            weights = sample_weights(h.m, rng)
+        init = run_interval_coloring(h, partition.r, partition, weights)
+        colors = init.coloring.colors
+        return tuple(
+            extract_chain(h, init, MonoEdge(e, int(colors[h.edge_array[e, 0]]))) for e in edges
+        )
 
     def to_json_dict(self, explain: bool = False) -> dict:
         out = {
@@ -250,8 +275,8 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     path = _route(h, r, cfg)
     targets = class_targets(h.m, r)
     diagnostics = {"mono-edge": 0, "rebalance-infeasible": 0, "repair-failed": 0}
-    # the last attempt rejected on a monochromatic edge, as (row builder, t,
-    # mask row); the chains of its edges are extracted only for the report
+    # the last attempt rejected on a monochromatic edge, as (attempt, mask
+    # row); the report keeps the row's edge ids, not the row
     rejected = None
     plan: Optional[RebalancePlan] = None
 
@@ -260,8 +285,14 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
         partition = IntervalPartition(choose_p(h.n, r), r)
 
     def report(outcome: str, coloring: Optional[Coloring], attempts: int, **kw) -> SolveReport:
-        chains = _chains(h, partition, rejected)
-        return SolveReport(outcome, coloring, attempts, path, r, diagnostics, chains, plan, **kw)
+        replay = None
+        # balanced attempts have no chains
+        if rejected is not None and partition is not None:
+            attempt, mono = rejected
+            replay = h, partition, cfg.seed, attempt, tuple(np.flatnonzero(mono).tolist())
+        return SolveReport(
+            outcome, coloring, attempts, path, r, diagnostics, plan, _rejected=replay, **kw
+        )
 
     for start, mono, row in _batches(h, r, partition, cfg):
         prev = 0
@@ -270,7 +301,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
         for t in np.flatnonzero(~mono.any(axis=1)).tolist() + [len(mono)]:
             if t > prev:
                 diagnostics["mono-edge"] += t - prev
-                rejected = row, t - 1, mono[t - 1]
+                rejected = start + t - 1, mono[t - 1]
             if t == len(mono):
                 break
             prev = t + 1
@@ -314,11 +345,13 @@ def _batches(
     builder) with the mask and builder of ``_screen_batch``.  Two-stage
     attempts run when ``partition`` is given, balanced ones when it is None.
 
-    Batches hold 1, 2, 4, ... attempts, at most ``_SUB_BATCH_CELLS`` //
+    Batches hold 1, 4, 16, ... attempts, at most ``_SUB_BATCH_CELLS`` //
     max(m, n |E|) of them (at least one), and stop at cfg.max_restarts.
     The batch sizes change no draw (see ``seeding``).  A solve that
     succeeds on attempt 1 draws one attempt; one that stops inside a batch
-    has drawn and colored the rest of that batch for nothing.
+    has drawn and colored the rest of that batch for nothing.  Growing
+    fourfold rather than twofold draws more such rows but makes fewer
+    kernel calls, each of which costs as much as several rows.
     """
     cap = max(1, _SUB_BATCH_CELLS // max(1, h.m, h.edge_array.size))
     role = ROLE_BALANCED if partition is None else ROLE_WEIGHTS
@@ -327,7 +360,7 @@ def _batches(
     while start < cfg.max_restarts:
         stop = min(start + size, cfg.max_restarts)
         yield (start, *_screen_batch(h, r, partition, streams, stop - start))
-        start, size = stop, min(2 * size, cap)
+        start, size = stop, min(4 * size, cap)
 
 
 def _screen_batch(
@@ -372,19 +405,3 @@ def _screen_batch(
 
     return _mono_edges(h, colors), row
 
-
-def _chains(
-    h: Hypergraph, partition: Optional[IntervalPartition], rejected
-) -> tuple[ChainRecord, ...]:
-    """Ordered chains of every monochromatic edge of the last rejected
-    two-stage attempt, kept as (row builder, t, mask row): the edges are
-    the mask row's, and the record is built here.  Balanced attempts
-    (``partition`` None) have no chains."""
-    if rejected is None or partition is None:
-        return ()
-    row, t, mono = rejected
-    init, coloring = row(t)
-    return tuple(
-        extract_chain(h, init, MonoEdge(e, int(coloring.colors[h.edge_array[e, 0]])))
-        for e in np.flatnonzero(mono).tolist()
-    )

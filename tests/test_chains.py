@@ -189,27 +189,30 @@ def test_extract_and_validate_reject_indices_out_of_range():
 
 
 def test_extract_reads_a_dangerous_edge_by_the_integer_rule():
-    # the plan builds DangerousEdge unchecked, so extract_chain reads it:
-    # a float vertex was truncated (2.7 and 2.0 both named vertex 2), True
-    # read as edge 1, a bare U and a float edge failed with a TypeError
-    # or an IndexError
+    # a DangerousEdge reads its fields by the integer rule when it is built,
+    # so extract_chain gets only checked events: a float vertex was
+    # truncated (2.7 and 2.0 both named vertex 2), True read as edge 1, a
+    # bare U and a float edge failed with a TypeError or an IndexError
     h, init = _setup(
         6, [(0, 1, 2), (2, 3, 4), (1, 4, 5)], (0.1, 0.2, 0.3, 0.9, 0.8, 0.7),
         part=IntervalPartition(0.3, 2),
     )
     rec = extract_chain(h, init, DangerousEdge(1, (2,)))
     assert rec.kind == COMPLEX and rec.candidate_vertices == (2,)
+    read = DangerousEdge(np.int64(1), [np.int64(3), np.int64(2)])
+    assert read == DangerousEdge(1, (3, 2)) and type(read.u_vertices[0]) is int
     assert extract_chain(h, init, DangerousEdge(np.int64(1), (np.int64(2),))) == rec
-    for bad, what in (
-        (DangerousEdge(1, (2.7,)), "vertex 2.7"),
-        (DangerousEdge(1, (2, 2.0)), "vertex 2.0"),
-        (DangerousEdge(1, (-1,)), "vertex must be at least 0"),
-        (DangerousEdge(True, (2,)), "edge True"),
-        (DangerousEdge(1.0, (2,)), "edge 1.0"),
-        (DangerousEdge(1, 2), "U 2 is not iterable"),
+    for (edge, u), what in (
+        ((1, (2.7,)), "vertex 2.7"),
+        ((1, (2, 2.0)), "vertex 2.0"),
+        ((1, (-1,)), "vertex must be at least 0"),
+        ((True, (2,)), "edge True"),
+        ((1.0, (2,)), "edge 1.0"),
+        ((-1, (2,)), "edge must be at least 0"),
+        ((1, 2), "U 2 is not iterable"),
     ):
         with pytest.raises(ValueError, match=what):
-            extract_chain(h, init, bad)
+            extract_chain(h, init, DangerousEdge(edge, u))
 
 
 def test_extract_rejects_a_blocking_record_that_names_no_edge():

@@ -18,7 +18,6 @@ from eqcolor import (
     Hypergraph,
     IntervalPartition,
     MonoEdgeExists,
-    balanced_mono_prob,
     choose_p,
     exact_c0_event_prob,
     generate_random,

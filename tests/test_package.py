@@ -44,6 +44,7 @@ PROPER = eqcolor.Coloring(6, 2, [1, 1, 2, 2, 1, 2])
 VALID_CALLS = {
     "ChainEventSpec": dict(edges=(0, 1), color=2),
     "Coloring": dict(m=6, r=2, colors=[1, 1, 1, 2, 2, 2]),
+    "DangerousEdge": dict(edge=0, u_vertices=(0,)),
     "Deflected": dict(vertex=2, interval=1),
     "Hypergraph": dict(m=6, n=3, edges=[(0, 1, 2)]),
     "IntervalPartition": dict(p=0.3, r=2),
@@ -86,9 +87,6 @@ NOT_WALKED = {
     "ChainLink", "ChainRecord", "Comparison", "EstimateReport", "InitialColoring",
     "InitialColoringBatch", "MonoProbability", "RebalancePlan", "SolveReport",
     "ThresholdBound",
-    # built once per dangerous edge on the solver's hot path, so not read
-    # at construction; extract_chain reads it by the integer rule
-    "DangerousEdge",
 }
 # what a parameter of each numeric kind must refuse
 REFUSED = {int: (2.5, True, "2"), float: ("0.1", True)}

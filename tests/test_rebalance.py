@@ -594,6 +594,27 @@ def test_explain_report_of_a_rebalanced_solve_is_frozen():
     assert digest == "f5f46bf3266b52bc285dc456d3aba2a5a032469891ef45130ec83e1854f2bfd5"
 
 
+def test_plan_builds_its_dangerous_records_only_when_read(monkeypatch):
+    # the plan keeps its dangerous edges as arrays: a solve builds no
+    # DangerousEdge, and the first read of ``dangerous`` builds one per edge
+    from eqcolor import rebalance
+
+    built = []
+    record = rebalance.DangerousEdge
+
+    def counting(*args):
+        built.append(args[0])
+        return record(*args)
+
+    monkeypatch.setattr(rebalance, "DangerousEdge", counting)
+    h = generate_random(1000, 6, 1200, 1)
+    plan = solve_equitable(h, 3, SolveConfig(seed=0)).plan
+    assert plan.feasible and built == []
+    dangerous = plan.dangerous
+    assert built == [d.edge for d in dangerous] == sorted(built) and len(built) == 64
+    assert plan.dangerous is dangerous and len(built) == 64
+
+
 def test_rebalance_safety_property():
     # whenever the pass succeeds on a proper coloring whose only shortage is
     # the top color, the result is proper and exactly at the targets

@@ -1,5 +1,6 @@
 """End-to-end solving: routing, restarts, repair, and the exhaustion oracle."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -431,8 +432,65 @@ def test_chains_are_extracted_only_for_the_reported_attempt(monkeypatch):
     h = generate_random(1000, 6, 1200, 5)
     report = solve_equitable(h, 3, SolveConfig(seed=0))
     assert report.outcome == SUCCESS and report.diagnostics["mono-edge"] >= 2
-    assert len(calls) == len(report.chains) > 0
-    assert [c.edges[-1] for c in report.chains] == [f.edge for f in calls]
+    chains = report.chains
+    assert len(calls) == len(chains) > 0
+    assert [c.edges[-1] for c in chains] == [f.edge for f in calls]
+
+
+def test_chains_are_extracted_on_first_read_only(monkeypatch):
+    # a solve extracts no chain; the first read of its report's chains
+    # extracts one per monochromatic edge of the last rejected attempt,
+    # through the solver's global, and a second read extracts none
+    from eqcolor import IntervalPartition, choose_p, generate_random, solver
+    from eqcolor.hypergraph import _mono_edges
+    from eqcolor.seeding import ROLE_WEIGHTS, derive
+
+    calls = []
+    extract = solver.extract_chain
+
+    def counting(*args):
+        calls.append(args[-1])
+        return extract(*args)
+
+    monkeypatch.setattr(solver, "extract_chain", counting)
+    h = generate_random(1000, 6, 1200, 1)
+    report = solve_equitable(h, 3, SolveConfig(seed=3, max_restarts=2))
+    assert report.outcome == EXHAUSTED and report.diagnostics["mono-edge"] == 2
+    assert calls == []
+    chains = report.chains
+    # the last rejected attempt is attempt 1, row 0 of the second batch
+    weights = derive(3, 0, ROLE_WEIGHTS).random((2, h.m))[1]
+    init = solver.run_interval_coloring(h, 3, IntervalPartition(choose_p(6, 3), 3), weights)
+    mono = np.flatnonzero(_mono_edges(h, init.coloring.colors)).tolist()
+    assert [f.edge for f in calls] == [c.edges[-1] for c in chains] == mono
+    assert len(mono) == 3
+    assert report.chains is chains and len(calls) == 3
+
+
+def test_a_rejecting_report_retains_no_batch():
+    # the report of a solve that rejected attempts keeps its coloring, its
+    # plan and the edge ids of the last rejected attempt, and no array of a
+    # batch: at m = 20 000 one batch row of weights alone is 160 kB
+    import gc
+    import tracemalloc
+
+    from eqcolor import generate_random
+
+    h = generate_random(20_000, 6, 24_000, 1)
+    cfg = SolveConfig(seed=0, max_restarts=3, allow_fallback_repair=False)
+    solve_equitable(h, 3, cfg)  # warm caches outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = solve_equitable(h, 3, cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["mono-edge"] >= 1 and report.coloring is None
+    assert report._rejected is not None
+    assert retained < 8 * 1024, retained
 
 
 def test_solver_reports_only_checked_chains(monkeypatch):
@@ -450,8 +508,10 @@ def test_solver_reports_only_checked_chains(monkeypatch):
         return (edges[1:], links[1:]) if links else (edges, links)
 
     monkeypatch.setattr(chains, "_walk_back", dropping)
+    # chains are built, and validated, when they are first read
+    report = solve_equitable(h, 3, SolveConfig(seed=15))
     with pytest.raises(ChainInvalid):
-        solve_equitable(h, 3, SolveConfig(seed=15))
+        report.chains
 
 
 # Attempts that share one seeding block, written here independently of the
@@ -459,10 +519,19 @@ def test_solver_reports_only_checked_chains(monkeypatch):
 BLOCK = 64
 
 
+@dataclasses.dataclass
+class _EagerReport(SolveReport):
+    """A report whose chains were extracted before the solve returned, as
+    the reference extracts them; its ``chains`` is a plain field."""
+
+    chains: tuple = ()
+
+
 # The solver before attempts were screened in batches: one kernel call and
 # one edge scan per attempt.  Kept as the reference the batched loop must
 # reproduce report for report; its only change is the seeding rule, where
-# attempt t takes row t mod BLOCK of block t // BLOCK, drawn whole.
+# attempt t takes row t mod BLOCK of block t // BLOCK, drawn whole.  Its
+# reports carry chains extracted before it returns.
 def _solve_per_attempt(h, r, cfg=SolveConfig()):
     from eqcolor.chains import MonoEdge, extract_chain
     from eqcolor.hypergraph import _mono_edges
@@ -514,7 +583,7 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
             colors[perm] = np.repeat(np.arange(1, r + 1), targets)
             coloring = Coloring(h.m, r, colors.tolist())
             if is_proper(h, coloring):
-                return SolveReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics)
+                return _EagerReport(SUCCESS, coloring, attempt + 1, path, r, diagnostics)
             diagnostics["mono-edge"] += 1
             continue
 
@@ -527,9 +596,9 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
             continue
 
         if is_equitable(h, init.coloring):
-            return SolveReport(
-                SUCCESS, init.coloring, attempt + 1, path, r, diagnostics,
-                _chains(h, partition, rejected), plan,
+            return _EagerReport(
+                SUCCESS, init.coloring, attempt + 1, path, r, diagnostics, plan,
+                chains=_chains(h, partition, rejected),
             )
 
         ex, sh = excess_shortage(init.coloring, targets)
@@ -547,18 +616,18 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
                 if plan.feasible:
                     candidate = apply_recolor(init.coloring, plan.wsets)
                     if is_equitable(h, candidate):
-                        return SolveReport(
-                            SUCCESS, candidate, attempt + 1, path, r,
-                            diagnostics, _chains(h, partition, rejected), plan,
+                        return _EagerReport(
+                            SUCCESS, candidate, attempt + 1, path, r, diagnostics, plan,
+                            chains=_chains(h, partition, rejected),
                         )
                 diagnostics["rebalance-infeasible"] += 1
 
         if cfg.allow_fallback_repair:
             repaired = greedy_repair(h, init.coloring, targets, weights=init.weights)
             if repaired is not None and is_equitable(h, repaired):
-                return SolveReport(
-                    SUCCESS, repaired, attempt + 1, path, r, diagnostics,
-                    _chains(h, partition, rejected), plan,
+                return _EagerReport(
+                    SUCCESS, repaired, attempt + 1, path, r, diagnostics, plan,
+                    chains=_chains(h, partition, rejected),
                 )
             diagnostics["repair-failed"] += 1
 
@@ -568,9 +637,9 @@ def _solve_per_attempt(h, r, cfg=SolveConfig()):
             brute_force_equitable(h, r, budget=cfg.enumeration_budget) is not None
         )
     outcome = INFEASIBLE if oracle_feasible is False else EXHAUSTED
-    return SolveReport(
-        outcome, None, cfg.max_restarts, path, r, diagnostics,
-        _chains(h, partition, rejected), plan, oracle_feasible=oracle_feasible,
+    return _EagerReport(
+        outcome, None, cfg.max_restarts, path, r, diagnostics, plan,
+        oracle_feasible=oracle_feasible, chains=_chains(h, partition, rejected),
     )
 
 
@@ -586,22 +655,28 @@ def _assert_matches_per_attempt(h, r, cfg):
 
 def _batch_starts(limit, h):
     """First attempt index of every batch up to ``limit``: batches hold 1,
-    2, 4, ... attempts, up to the cell cap."""
+    4, 16, ... attempts, each four times the last, up to the cell cap."""
     from eqcolor import solver
 
     cap = max(1, solver._SUB_BATCH_CELLS // max(h.m, h.n * len(h.edge_array)))
     starts, size = [0], 1
     while starts[-1] + size <= limit:
         starts.append(starts[-1] + size)
-        size = min(2 * size, cap)
+        size = min(4 * size, cap)
     return starts
+
+
+def _batch_sizes(attempts, max_restarts, h):
+    """The sizes of the batches a solve that stopped after ``attempts``
+    attempts drew: those starting before it, the last cut at
+    ``max_restarts``."""
+    starts = [s for s in _batch_starts(max_restarts, h) if s < max_restarts] + [max_restarts]
+    return [b - a for a, b in zip(starts, starts[1:]) if a < attempts]
 
 
 def _attempt_outcomes(h, r, cfg, attempts):
     """The diagnostics counters each of the first ``attempts`` attempts
     raised, read off the reference run cut after each attempt."""
-    import dataclasses
-
     out, before = [], dict.fromkeys(("mono-edge", "rebalance-infeasible", "repair-failed"), 0)
     for k in range(1, attempts + 1):
         cut = dataclasses.replace(cfg, max_restarts=k, enumeration_budget=0)
@@ -634,12 +709,14 @@ def _accepted_after_failed_row(failure):
     from eqcolor import generate_random
 
     if failure == "rebalance-infeasible":
-        # attempt 10 is accepted in the batch of attempts 8-15
+        # attempt 9 is accepted in the batch of attempts 5-20, after
+        # attempt 8 failed rebalancing
         cfg = SolveConfig(seed=17, max_restarts=40, allow_fallback_repair=False)
         return generate_random(40, 3, 30, 2), 3, cfg
-    # attempt 6 is accepted in the batch of attempts 4-7
+    # attempt 18 is accepted in the batch of attempts 5-20, after attempt 6
+    # failed repair
     edges = [(0, 2), (0, 8), (1, 9), (2, 7), (3, 4), (4, 5), (4, 6), (4, 7), (5, 8), (5, 9)]
-    return Hypergraph(10, 2, edges), 3, SolveConfig(seed=53, max_restarts=200)
+    return Hypergraph(10, 2, edges), 3, SolveConfig(seed=5, max_restarts=200)
 
 
 @pytest.mark.parametrize("failure", ["rebalance-infeasible", "repair-failed"])
@@ -656,19 +733,19 @@ def test_accept_after_failed_row_in_same_batch_matches_reference(failure):
 
 def _accepted_after_rejection_in_earlier_batch():
     """(instance, r, config) whose accepted attempt 1 opens the batch of
-    attempts 1-2, after attempt 0 was rejected in the batch before."""
+    attempts 1-4, after attempt 0 was rejected in the batch before."""
     from eqcolor import generate_random
 
     return generate_random(250, 6, 125, 0), 3, SolveConfig(seed=0)
 
 
 def _accepted_after_failed_rows():
-    """(instance, r, config) whose accepted attempt 93 follows, in the batch
-    of attempts 63-126, three clean rows that failed rebalancing or repair
-    (attempt 87 both), and the last rejected attempt 92."""
+    """(instance, r, config) whose accepted attempt 58 follows, in the batch
+    of attempts 21-84, three clean rows that failed rebalancing or repair
+    (attempts 21 and 27 both), and the last rejected attempt 57."""
     from eqcolor import generate_random
 
-    return generate_random(9, 2, 12, 312), 3, SolveConfig(seed=312, max_restarts=200)
+    return generate_random(9, 2, 12, 37), 3, SolveConfig(seed=37, max_restarts=200)
 
 
 def test_accept_after_rejection_in_earlier_batch_matches_reference():
@@ -683,13 +760,13 @@ def test_accept_after_rejection_in_earlier_batch_matches_reference():
 def test_accept_after_several_failed_rows_in_same_batch_matches_reference():
     h, r, cfg = _accepted_after_failed_rows()
     report = _assert_matches_per_attempt(h, r, cfg)
-    assert report.outcome == SUCCESS and report.attempts == 94
-    assert max(_batch_starts(94, h)) == 63
-    raised = _attempt_outcomes(h, r, cfg, 93)
-    failed = [t for t in range(63, 93) if "mono-edge" not in raised[t]]
-    assert failed == [65, 77, 87]
-    assert raised[87] == {"rebalance-infeasible", "repair-failed"}
-    assert all(raised[t] == {"repair-failed"} for t in (65, 77))
+    assert report.outcome == SUCCESS and report.attempts == 59
+    assert max(_batch_starts(59, h)) == 21
+    raised = _attempt_outcomes(h, r, cfg, 58)
+    failed = [t for t in range(21, 58) if "mono-edge" not in raised[t]]
+    assert failed == [21, 27, 52]
+    assert all(raised[t] == {"rebalance-infeasible", "repair-failed"} for t in (21, 27))
+    assert raised[52] == {"repair-failed"} and raised[57] == {"mono-edge"}
     assert report.chains
 
 
@@ -741,7 +818,7 @@ def test_forced_two_stage_matches_reference_on_a_balanced_route_instance():
         report = _assert_matches_per_attempt(h, 3, cfg)
         assert report.path == PATH_TWO_STAGE
         outcomes.add((report.outcome, report.attempts))
-    # seed 12 accepts attempt 3, the second row of the batch of attempts 2-3
+    # seed 12 accepts attempt 2, the second row of the batch of attempts 1-4
     assert (SUCCESS, 3) in outcomes
     _assert_matches_per_attempt(h, 3, SolveConfig(seed=0))
 
@@ -764,7 +841,7 @@ def test_balanced_route_matches_reference_past_the_first_block():
         cfg = SolveConfig(seed=seed, force_path=BALANCED_ONLY)
         report = _assert_matches_per_attempt(k55, 2, cfg)
         assert report.path == PATH_BALANCED and report.attempts == attempts
-    # exhausted inside the batch of attempts 63-126; balanced attempts
+    # exhausted inside the batch of attempts 85-340; balanced attempts
     # carry no chains
     cfg = SolveConfig(seed=2, max_restarts=100, force_path=BALANCED_ONLY)
     report = _assert_matches_per_attempt(k55, 2, cfg)
@@ -784,8 +861,8 @@ def test_batch_sizes_change_no_report(monkeypatch):
         _accepted_after_failed_row("repair-failed"),
         _accepted_after_rejection_in_earlier_batch(),
         _accepted_after_failed_rows(),
-        # balanced route: accepted on attempt 188, in the third block and,
-        # by default, in the batch of attempts 127-254
+        # balanced route: accepted on attempt 187, in the third block and,
+        # by default, in the batch of attempts 85-340
         (k55, 2, SolveConfig(seed=2, force_path=BALANCED_ONLY)),
         # balanced route exhausted at 100 attempts, inside a default batch
         (k55, 2, SolveConfig(seed=2, max_restarts=100, force_path=BALANCED_ONLY)),
@@ -850,9 +927,9 @@ def test_attempt_64_takes_row_0_of_block_1(monkeypatch):
     weights = _recording(monkeypatch, "sample_weights")
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
     solve_equitable(k6, 2, SolveConfig(seed=5, max_restarts=65, enumeration_budget=0))
-    # one draw per block segment: the last batch, attempts 63-64, spans
+    # one draw per block segment: the last batch, attempts 21-64, spans
     # the end of block 0 and the start of block 1
-    assert [len(out) for _, out in weights] == [1, 2, 4, 8, 16, 32, 1, 1]
+    assert [len(out) for _, out in weights] == [1, 4, 16, 43, 1]
     drawn = np.concatenate([out for _, out in weights])
     assert drawn.shape == (65, 6)
     assert np.array_equal(drawn[:BLOCK], derive(5, 0, ROLE_WEIGHTS).random((BLOCK, 6)))
@@ -870,8 +947,9 @@ def test_k6_solve_derives_once_per_block(monkeypatch):
 
 
 def test_k6_solve_builds_at_most_one_initial_coloring_per_batch(monkeypatch):
-    # rejected attempts are screened as arrays: only the last one, whose
-    # chains the report carries, becomes an InitialColoring
+    # rejected attempts are screened as arrays and none becomes an
+    # InitialColoring; reading the report's chains replays the last one,
+    # one row in one more kernel call
     from eqcolor.intervals import InitialColoring
 
     sizes = _record_batch_sizes(monkeypatch)
@@ -885,8 +963,11 @@ def test_k6_solve_builds_at_most_one_initial_coloring_per_batch(monkeypatch):
     monkeypatch.setattr(InitialColoring, "__init__", counting)
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
     report = solve_equitable(k6, 2, SolveConfig(seed=11, max_restarts=10_000))
-    assert report.outcome == INFEASIBLE and report.chains
-    assert sum(sizes) == 10_000 and 1 <= len(built) <= len(sizes)
+    assert report.outcome == INFEASIBLE
+    assert sum(sizes) == 10_000 and built == []
+    batches = len(sizes)
+    assert report.chains
+    assert sizes[batches:] == [1] and len(built) == 1
 
 
 def test_first_attempt_success_draws_m_weights(monkeypatch):
@@ -935,11 +1016,14 @@ def test_attempt_batches_start_at_one_and_respect_the_cell_cap(monkeypatch):
         width = max(h.m, h.n * len(h.edge_array))
         assert sizes[0] == 1
         assert all(t == 1 or t * width <= solver._SUB_BATCH_CELLS for t in sizes), sizes
-        assert report.attempts <= sum(sizes) < 2 * report.attempts
-    # K6 (n |E| = 60 cells per attempt) doubles up to 1024, then is capped
+        assert sizes == _batch_sizes(report.attempts, cfg.max_restarts, h)
+        assert report.attempts <= sum(sizes)
+    # K6 (n |E| = 60 cells per attempt) grows fourfold up to 1024, then is
+    # capped at 2184
     sizes.clear()
     solve_equitable(k6, 2, SolveConfig(seed=1, max_restarts=4000))
-    assert sizes == [2**k for k in range(11)] + [solver._SUB_BATCH_CELLS // 60, 4000 - 2047 - 1092]
+    assert sizes == [4**k for k in range(6)] + [solver._SUB_BATCH_CELLS // 60, 4000 - 1365 - 2184]
+    assert sizes == [1, 4, 16, 64, 256, 1024, 2184, 451]
 
 
 def test_first_attempt_success_makes_one_kernel_call(monkeypatch):
