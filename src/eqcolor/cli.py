@@ -30,6 +30,7 @@ from .chains import (
 from .hypergraph import (
     BudgetExceeded,
     Coloring,
+    FormatError,
     Hypergraph,
     brute_force_equitable,
     class_targets,
@@ -68,6 +69,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _load_json(text: str):
+    # json recurses once per nesting level, so a deep file is a RecursionError
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise FormatError("JSON nested too deeply") from None
+
+
 def _read_instance(path: str) -> Hypergraph:
     if path == "-":
         text = sys.stdin.read()
@@ -75,7 +84,7 @@ def _read_instance(path: str) -> Hypergraph:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     if text.lstrip().startswith("{"):
-        return Hypergraph.from_json_dict(json.loads(text))
+        return Hypergraph.from_json_dict(_load_json(text))
     return parse_hypergraph(text)
 
 
@@ -88,7 +97,7 @@ def _read_bounded_instance(path: str) -> Hypergraph:
 
 def _read_coloring(path: str) -> Coloring:
     with open(path, "r", encoding="utf-8") as fh:
-        return Coloring.from_json_dict(json.load(fh))
+        return Coloring.from_json_dict(_load_json(fh.read()))
 
 
 def _emit(obj: dict, fmt: str, text_lines) -> None:

@@ -11,6 +11,9 @@ Stage 2 walks the small-block vertices in increasing weight: a vertex in
 small_i takes color i unless that would complete a monochromatic edge
 among the already colored vertices, in which case it is deflected to
 color i+1 unconditionally.
+
+Only ``run_interval_coloring`` runs the kernel (``_weight_slots``, then
+``_stage_colors``), for the solver's and the Monte Carlo driver's batches.
 """
 
 from __future__ import annotations
@@ -178,15 +181,15 @@ def _stage_colors(
     ``weights[t, v]`` its weight, which orders the trial's vertices (ties
     by id).
 
-    The one production kernel: ``run_interval_coloring`` calls it once per
-    (T, m) weight array (the solver's batches of attempts; T = 1 for a
-    single run) and the Monte Carlo driver once per sub-batch of
-    trials.  Stage 1 is ``slots // 2 + 1`` for every vertex, which is
-    also the color of every small-block vertex that is not deflected.  A
-    vertex of small_i can only be deflected by an edge whose other vertices
-    all carry color i, so all of its vertices lie in small_{i-1}, large_i
-    or small_i: its largest slot is odd and its smallest at least that
-    minus 2.  Only such live edges are found, by one
+    The one production kernel, called by ``run_interval_coloring`` alone,
+    once per (T, m) weight array: a solver batch of attempts, a Monte Carlo
+    sub-batch of trials, or T = 1 for a single run.  Stage 1 is
+    ``slots // 2 + 1`` for every vertex, which is also the color of every
+    small-block vertex that is not deflected.  A vertex of small_i can only
+    be deflected by an edge whose other vertices all carry color i, so all
+    of its vertices lie in small_{i-1}, large_i or small_i: its largest
+    slot is odd and its smallest at least that minus 2.  Only such live
+    edges are found, by one
     ``hypergraph._edge_values`` gather in the slots' dtype, (n, |E|, T),
     reduced over axis 0.
 
@@ -351,64 +354,59 @@ def run_interval_coloring(
     rows = w.reshape(-1, h.m)
     slots = _weight_slots(partition, rows)
     colors, deflected = _stage_colors(h, slots, rows)
+    # rows is a new view, so the caller's array stays writable
+    for a in (rows, slots, colors, *deflected):
+        a.flags.writeable = False
     batch = InitialColoringBatch(partition, rows, slots, colors, deflected)
     return batch if w.ndim == 2 else batch.row(0)
 
 
+@dataclass(frozen=True, eq=False)
 class InitialColoringBatch:
-    """The two stages run on a (T, m) array of weights, one row per attempt.
+    """The two stages run on a (T, m) array of weights, one row per
+    attempt: the record of one kernel call, which names its arrays.
+
+    ``partition`` is the partition used.  ``weights``, ``slots`` and
+    ``colors`` are read-only (T, m) views of the weights, their flat
+    subinterval indices (``_weight_slots``) and the kernel's colors, the
+    last two in ``hypergraph._color_dtype(r)``; ``deflected`` is the
+    kernel's read-only (keys, edges) pair (``_stage_colors``).
 
     ``row(t)`` builds row t's InitialColoring, the same as
     ``run_interval_coloring`` gives for that row alone, for an integer t in
     0..T-1 (``hypergraph._integer``); any other t is a ValueError.  Its
-    weights and slots are read-only views of the batch's arrays; only its
-    colors, a copy in the kernel's narrow dtype, and its slice of the kernel's
-    deflected (key, edge) pairs are built for it, and its ``blocking`` view
-    from them on first read.
+    weights and slots are views of the batch's rows; only its colors, a
+    copy, and its slice of the deflected pairs are built for it.
+    ``eq=False``, since arrays have no truth value.
     """
 
-    __slots__ = ("_weights", "_partition", "_slots", "_narrow", "_deflected")
-
-    def __init__(self, partition, weights, slots, narrow, deflected):
-        self._weights = weights
-        self._partition = partition
-        self._slots = slots
-        # the kernel's colors in the slots' dtype, which rows copy and the
-        # solver's screen scans
-        self._narrow = narrow
-        self._deflected = deflected
+    partition: IntervalPartition
+    weights: np.ndarray
+    slots: np.ndarray
+    colors: np.ndarray
+    deflected: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self._narrow)
+        return len(self.colors)
 
     def row(self, t: int) -> InitialColoring:
         if (t := _integer(t, "row", 0)) >= len(self):
             raise ValueError(f"row {t} outside 0..{len(self) - 1}")
-        r = self._partition.r
-        m = self._narrow.shape[1]
+        r, m = self.partition.r, self.colors.shape[1]
         # a copy, so the coloring does not keep the whole batch alive
-        colors = self._narrow[t].copy()
+        colors = self.colors[t].copy()
         sizes = np.bincount(colors, minlength=r + 1)[1:].tolist()
         colors.flags.writeable = False
-        weights, slots = self._weights[t], self._slots[t]
-        weights.flags.writeable = slots.flags.writeable = False
         # row t's deflected vertices are the keys in [t * m, (t + 1) * m)
-        keys, edges = self._deflected
+        keys, edges = self.deflected
         lo, hi = np.searchsorted(keys, (t * m, (t + 1) * m))
         return InitialColoring(
             Coloring._trusted(r, colors, sizes),
-            self._partition,
-            weights,
-            slots,
+            self.partition,
+            self.weights[t],
+            self.slots[t],
             (keys[lo:hi] - t * m, edges[lo:hi]),
         )
-
-
-def _row_counts(values: np.ndarray, k: int) -> np.ndarray:
-    """(T, k) counts of the values 0..k-1 in each row of a (T, m) integer
-    array: one bincount, row t offset by t * k in int64 (no narrow overflow)."""
-    offsets = np.arange(0, len(values) * k, k, dtype=np.int64)[:, None]
-    return np.bincount((values + offsets).ravel(), minlength=len(values) * k).reshape(-1, k)
 
 
 class MonoProbability(NamedTuple):

@@ -13,26 +13,24 @@ draws only its own rows.  The cap trades the kernel's fixed cost per call
 per-(trial, edge) arrays, which grows with the cap when almost every pair
 is live (p near 1).  At m = 1000, n = 8, |E| = 400 a sub-batch holds 81
 trials, and at p = 0.99 the kernel's arrays for one sub-batch peak at
-about 14 MB.  Each sub-batch is colored at once, by one call of the
-production kernel ``intervals._stage_colors`` or, for ``balanced-mono``,
-by a balanced draw: each row of weights sorted into a permutation, which
-``intervals._colors_at_sizes`` cuts into r equal classes, the same helper
-that colors the solver's balanced attempts.  Every statistic acts on the
-whole sub-batch: the production predicates ``hypergraph._mono_edges``
-(for ``balanced-mono`` on the watched edge alone), ``rebalance._candidates``
-and ``_dangerous_edges``, and ``chains._chain_event_holds`` for their
-quantities, the kernel's deflected pairs for the deflection quantities
-and class counts for ``excess-pattern``.  Within its limits, the exact
-oracle of ``oracle`` gives the comparison value.  Integer params
-are read by ``hypergraph._integer`` and the real ones, ``p`` and
-``p_tilde``, by ``hypergraph._real``; both refuse a bool or a string
-rather than read it as a number.
+about 14 MB.  Each sub-batch is colored at once: by one
+``intervals.run_interval_coloring`` call, the only way into the two
+stages, or for ``balanced-mono`` by sorting each row of weights into a
+permutation that ``intervals._colors_at_sizes`` cuts into r equal
+classes, as the solver colors its balanced attempts.  Every statistic
+reads the whole sub-batch through the production predicates
+(``hypergraph._mono_edges``, ``rebalance._candidates`` and
+``_dangerous_edges``, ``chains._chain_event_holds``) or the batch's
+deflected pairs.  Within its limits, the exact oracle of ``oracle`` gives
+the comparison value.  Integer params are read by ``hypergraph._integer``
+and the real ones, ``p`` and ``p_tilde``, by ``hypergraph._real``; both
+refuse a bool or a string rather than read it as a number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -58,11 +56,9 @@ from .hypergraph import (
 from .intervals import (
     IntervalPartition,
     _colors_at_sizes,
-    _row_counts,
-    _stage_colors,
-    _weight_slots,
     balanced_mono_prob,
     choose_p,
+    run_interval_coloring,
 )
 from .oracle import _ORACLE_MAX_M, ChainEventSpec, MonoEdgeExists, exact_c0_event_prob
 from .rebalance import (
@@ -101,15 +97,8 @@ class EstimateReport:
     comparison: Optional[Comparison]
 
     def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "trials": self.trials,
-            "estimate": self.estimate,
-            "half_width": self.half_width,
-            "comparison": None
-            if self.comparison is None
-            else {"kind": self.comparison.kind, "value": self.comparison.value},
-        }
+        # the fields in order, the comparison as {"kind", "value"} or None
+        return asdict(self)
 
 
 def _sample(
@@ -121,21 +110,16 @@ def _sample(
     stat,
     with_keep: bool,
 ) -> tuple[float, float]:
-    """Sampling loop over sub-batches.  Trial t draws ``width`` uniforms,
-    m weights and then, when ``with_keep``, m keep draws, by the block rule
-    of ``seeding``.  A sub-batch holds at most ``_SUB_BATCH_CELLS`` //
-    max(width, n |E|) trials (at least one), colored at once by the
-    two-stage kernel on ``partition`` or, when it is None, by a balanced
-    draw.  ``stat(colors, deflected, slots, u, keep)`` gets the
-    sub-batch's (T, m) arrays and the kernel's deflected (key, edge) pairs
-    (``deflected`` and ``slots`` are None for balanced draws, ``keep`` is
-    None unless ``with_keep``) and returns one integer or boolean value
-    per trial.  ``slots`` and ``colors``, from the kernel or a balanced
-    draw, come in the narrow signed dtype ``hypergraph._color_dtype(r)``
-    (int8 for r <= 64), so a statistic computes in that dtype only what
-    stays within +-2r and widens the rest.
-    The sums of values and squared values come back for the caller to turn
-    into estimate and half-width."""
+    """Sampling loop over sub-batches.  Trial t draws ``width`` uniforms, m
+    weights and then, when ``with_keep``, m keep draws, by the block rule of
+    ``seeding``.  A sub-batch holds at most ``_SUB_BATCH_CELLS`` //
+    max(width, n |E|) trials (at least one), colored by one
+    ``run_interval_coloring`` call on ``partition`` or, when it is None, by
+    a balanced draw.  ``stat(colors, batch, keep)`` takes its (T, m) colors,
+    its ``InitialColoringBatch`` (None for a balanced draw) and keep draws
+    (None unless ``with_keep``) and returns one integer or boolean per
+    trial; colors and slots are in ``hypergraph._color_dtype(r)``, so it
+    widens what may leave +-2r.  Returns the sums of values and squares."""
     m = h.m
     sizes = class_targets(m, r)
     width = 2 * m if with_keep else m
@@ -146,15 +130,23 @@ def _sample(
         mat = _draw_rows(streams, min(sub, trials - lo), lambda rng, k: rng.random((k, width)))
         u, keep = mat[:, :m], mat[:, m:] if with_keep else None
         if partition is None:
-            perms = np.argsort(u, axis=1, kind="stable")
-            colors, deflected, slots = _colors_at_sizes(perms, sizes), None, None
+            colors, batch = _colors_at_sizes(np.argsort(u, axis=1, kind="stable"), sizes), None
         else:
-            slots = _weight_slots(partition, u)
-            colors, deflected = _stage_colors(h, slots, u)
-        vals = np.asarray(stat(colors, deflected, slots, u, keep), dtype=np.int64)
+            batch = run_interval_coloring(h, r, partition, u)
+            colors = batch.colors
+        vals = np.asarray(stat(colors, batch, keep), dtype=np.int64)
+        # drop this sub-batch's record before the next one is drawn and colored
+        del batch, colors
         total += int(vals.sum())
         total_sq += int((vals * vals).sum())
     return float(total), float(total_sq)
+
+
+def _row_counts(values: np.ndarray, k: int) -> np.ndarray:
+    """(T, k) counts of the values 0..k-1 in each row of a (T, m) integer
+    array: one bincount, row t offset by t * k in int64 (no narrow overflow)."""
+    offsets = np.arange(0, len(values) * k, k, dtype=np.int64)[:, None]
+    return np.bincount((values + offsets).ravel(), minlength=len(values) * k).reshape(-1, k)
 
 
 def _oracle_or_bound(h, r, p, event, bound_value: Optional[float]) -> Optional[Comparison]:
@@ -203,7 +195,7 @@ def _small_block(i, r: int) -> int:
 
 
 def _mono_edge(h, r, p, values):
-    def stat(colors, deflected, slots, u, keep):
+    def stat(colors, batch, keep):
         return _mono_edges(h, colors).any(axis=1)
 
     return "mono-edge", stat, lambda: _oracle_or_bound(
@@ -214,10 +206,10 @@ def _mono_edge(h, r, p, values):
 def _expected_deflections(h, r, p, values):
     i = _small_block(values["i"], r)
 
-    def stat(colors, deflected, slots, u, keep):
+    def stat(colors, batch, keep):
         # the deflected vertices in small_i, slot 2i - 1, counted per trial
-        keys = deflected[0][slots.take(deflected[0]) == 2 * i - 1]
-        return np.bincount(keys // h.m, minlength=len(slots))
+        keys = batch.deflected[0]
+        return np.bincount(keys[batch.slots.take(keys) == 2 * i - 1] // h.m, minlength=len(batch))
 
     # one enumeration sums the deflection probabilities of all m vertices;
     # the generator builds the m events only if the oracle runs
@@ -229,7 +221,7 @@ def _expected_deflections(h, r, p, values):
 def _excess_pattern(h, r, p, values):
     targets = class_targets(h.m, r)
 
-    def stat(colors, deflected, slots, u, keep):
+    def stat(colors, batch, keep):
         return _excess_pattern_holds(_row_counts(colors, r + 1)[:, 1:], targets)
 
     return "excess-pattern", stat, lambda: Comparison("bound", 0.5 - mono_edge_probability_bound())
@@ -243,8 +235,8 @@ def _dangerous_count(h, r, p, values):
         p_tilde = _real(p_tilde, "params['p_tilde']")
     _check_keep(p_tilde)
 
-    def stat(colors, deflected, slots, u, keep):
-        candidate = _candidates(slots, keep, p_tilde, r)
+    def stat(colors, batch, keep):
+        candidate = _candidates(batch.slots, keep, p_tilde, r)
         return _dangerous_edges(h, candidate, colors, r).sum(axis=1)
 
     label = f"dangerous-count(p_tilde={p_tilde:.6g})"
@@ -261,7 +253,7 @@ def _balanced_mono(h, r, p, values):
         raise ValueError("edge must index into the hypergraph")
     watched = Hypergraph(h.m, h.n, h.edge_array[[edge_idx]])
 
-    def stat(colors, deflected, slots, u, keep):
+    def stat(colors, batch, keep):
         return _mono_edges(watched, colors)[:, 0]
 
     label = f"balanced-mono(edge={edge_idx})"
@@ -284,8 +276,8 @@ def _chain_event(h, r, p, values):
     if any(_link_vertex(b, a) is None for b, a in zip(parts, parts[1:])):
         raise ValueError("consecutive edges must share exactly one vertex")
 
-    def stat(colors, deflected, slots, u, keep):
-        return _chain_event_holds(slots, u, colors, parts, color)
+    def stat(colors, batch, keep):
+        return _chain_event_holds(batch.slots, batch.weights, colors, parts, color)
 
     label = f"chain-event(edges={','.join(map(str, seq))};color={color})"
     return label, stat, lambda: _oracle_or_bound(
@@ -301,10 +293,10 @@ def _deflected(h, r, p, values):
     if i is not None:
         i = _small_block(i, r)
 
-    def stat(colors, deflected, slots, u, keep):
+    def stat(colors, batch, keep):
         # v0 of trial t is key t * m + v0
-        hit = np.isin(np.arange(len(slots)) * h.m + v0, deflected[0])
-        return hit if i is None else hit & (slots[:, v0] == 2 * i - 1)
+        hit = np.isin(np.arange(len(batch)) * h.m + v0, batch.deflected[0])
+        return hit if i is None else hit & (batch.slots[:, v0] == 2 * i - 1)
 
     label = f"deflected(v={v0})" if i is None else f"deflected(v={v0},i={i})"
     return label, stat, lambda: _oracle_or_bound(h, r, p, Deflected(v0, i), None)

@@ -397,7 +397,7 @@ def _screen_batch(
     else:
         weights = _draw_rows(streams, size, lambda rng, k: sample_weights(h.m, rng, k))
         batch = run_interval_coloring(h, r, partition, weights)
-        colors = batch._narrow
+        colors = batch.colors
 
         def row(t: int) -> tuple:
             init = batch.row(t)

@@ -1,5 +1,8 @@
-"""Plain references the tests share: the chain-candidate enumerator and the
-deflection and occupancy counts of a two-stage run."""
+"""Plain references the tests share: the chain-candidate enumerator, the
+deflection and occupancy counts of a two-stage run, and the reader of a
+module's imports from the package."""
+
+import ast
 
 import numpy as np
 
@@ -100,3 +103,26 @@ def counts(init):
     x = deflection_counts(init.deflected, init.slots[None], r)[0]
     z = np.bincount(init.slots // 2, minlength=r)
     return tuple(x.tolist()), tuple(z.tolist())
+
+
+def package_imports(source: str) -> list[tuple[str, str]]:
+    """Every (module, name) that ``source`` imports from the eqcolor
+    package, by a relative or an absolute import; a whole module imported
+    by name counts as (module, "*")."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "eqcolor":
+                    continue
+                module = module.removeprefix("eqcolor").lstrip(".")
+            if module:
+                found += [(module, alias.name) for alias in node.names]
+            else:
+                found += [(alias.name, "*") for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "eqcolor":
+                    found.append((alias.name.removeprefix("eqcolor").lstrip("."), "*"))
+    return found

@@ -350,6 +350,16 @@ def test_verify_reports_sizes_that_are_no_list(capsys, tmp_path, path_file, size
     assert capsys.readouterr().err.startswith("error: malformed coloring JSON")
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_deeply_nested_json_exits_1_with_an_error_line(capsys, tmp_path, path_file, command):
+    # json's decoder raised a RecursionError past the readers' error handling
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"m": ' + "[" * 200_000)
+    args = [command, str(deep)] if command == "solve" else [command, path_file, str(deep)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error: JSON nested too deeply")
+
+
 # any JSON value, and objects shaped like a coloring so that fuzzing reaches
 # the checks behind the first key lookups
 _JSON = st.recursive(

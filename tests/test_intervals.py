@@ -1,9 +1,11 @@
 """Interval partition, weight order, the two-stage coloring, and balanced colorings."""
 
+import ast
 import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from eqcolor.hypergraph import _color_dtype
 from eqcolor.intervals import _colors_at_sizes, _weight_slots
 from eqcolor.rebalance import build_rebalance_plan
 
-from _reference import counts
+from _reference import counts, package_imports
 
 
 def test_choose_p_spot_values():
@@ -330,19 +332,23 @@ def test_weight_array_colors_each_row_as_alone():
         weights = np.stack([sample_weights(m, seed) for seed in range(7)])
         batch = run_interval_coloring(h, r, part, weights)
         assert isinstance(batch, InitialColoringBatch) and len(batch) == len(weights)
+        # the batch names the kernel's arrays, as read-only views
+        assert batch.partition is part and np.shares_memory(batch.weights, weights)
+        arrays = (batch.weights, batch.slots, batch.colors, *batch.deflected)
+        assert not any(a.flags.writeable for a in arrays)
         for t, row in enumerate(weights):
             got = batch.row(t)
             # the record holds read-only views of the batch's arrays
             assert got.partition is part and np.array_equal(got.weights, row)
             assert np.shares_memory(got.weights, weights)
-            assert np.shares_memory(got.slots, batch._slots)
+            assert np.shares_memory(got.slots, batch.slots)
             assert not (got.weights.flags.writeable or got.slots.flags.writeable)
             assert got.slots.tolist() == [part.slot_of(x) for x in row.tolist()]
             alone = run_interval_coloring(h, r, part, row)
             assert isinstance(alone, InitialColoring)
             assert got.coloring == alone.coloring and got.coloring.sizes == alone.coloring.sizes
             assert got.coloring.colors.dtype == _color_dtype(r) and not got.coloring.colors.flags.writeable
-            assert np.array_equal(batch._narrow[t], alone.coloring.colors)
+            assert np.array_equal(batch.colors[t], alone.coloring.colors)
             assert counts(got) == counts(alone)
             assert np.array_equal(got.blocking, alone.blocking)
             assert got.blocking.shape == (m,) and not got.blocking.flags.writeable
@@ -351,7 +357,7 @@ def test_weight_array_colors_each_row_as_alone():
         one = run_interval_coloring(h, r, part, weights[:1])
         assert len(one) == 1 and one.row(0).coloring == batch.row(0).coloring
         empty = run_interval_coloring(h, r, part, np.empty((0, m)))
-        assert len(empty) == 0 and empty._narrow.shape == (0, m)
+        assert len(empty) == 0 and empty.colors.shape == (0, m)
     assert deflected > 0
     # no argument is changed: the caller's array stays writable
     assert weights.flags.writeable and weights[0].flags.writeable
@@ -518,3 +524,17 @@ def test_sample_balanced_hits_every_coloring():
     assert len(seen) == 6
     for count in seen.values():
         assert abs(count - trials / 6) < 5 * math.sqrt(trials * (1 / 6) * (5 / 6))
+
+
+def test_only_run_interval_coloring_reaches_the_kernel():
+    # run_interval_coloring is the one way into the two stages: no other
+    # production module imports the kernel or its slot rule, or reads
+    # either off the intervals module
+    kernel = {"_stage_colors", "_weight_slots"}
+    for path in sorted(Path(intervals.__file__).parent.glob("*.py")):
+        if path.stem == "intervals":
+            continue
+        source = path.read_text()
+        imported = {name for module, name in package_imports(source) if module == "intervals"}
+        read = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+        assert not kernel & (imported | read), path.name

@@ -300,7 +300,7 @@ def test_oracle_calls_no_production_kernel_or_predicate(monkeypatch):
     def banned(*args, **kwargs):
         raise AssertionError("the oracle called production code")
 
-    for name in ("_stage_colors", "_weight_slots", "_chain_event_holds", "_mono_edges"):
+    for name in ("run_interval_coloring", "_chain_event_holds", "_mono_edges"):
         monkeypatch.setattr(montecarlo, name, banned)
     monkeypatch.setattr(intervals, "_stage_colors", banned)
     monkeypatch.setattr(intervals, "_weight_slots", banned)
@@ -907,6 +907,27 @@ def test_kernel_matches_the_replay_at_scale(monkeypatch, shape, r, p, walks):
     assert deflections.sum() > 500
 
 
+@pytest.mark.parametrize("shape, r, p, walks", [((200, 5, 60), 2, choose_p(5, 2), False), SCALE[0]])
+def test_kernel_reads_strided_weights_as_their_contiguous_copy(monkeypatch, shape, r, p, walks):
+    # dangerous-count's weights are the left half of each row of 2m draws:
+    # the kernel reads such a view by (row, vertex), a contiguous array by
+    # one take, and both give the same bits
+    walked = _walked_trials(monkeypatch)
+    h = generate_random(*shape, seed=8)
+    wide = np.random.default_rng(9).random((4, 2 * h.m))
+    strided = wide[:, : h.m]
+    packed = np.ascontiguousarray(strided)
+    assert packed.flags.c_contiguous and not strided.flags.c_contiguous
+    slots = _weight_slots(IntervalPartition(p, r), packed)
+    (a, a_pairs), (b, b_pairs) = (intervals._stage_colors(h, slots, w) for w in (strided, packed))
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+    for x, y in zip(a_pairs, b_pairs):
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+    # live pairs read their weights; at the walk's shape every trial is walked
+    assert len(a_pairs[0]) > 0
+    assert walked == ([set(range(4))] * 2 if walks else [])
+
+
 @pytest.mark.parametrize("rounds", [_FIXPOINT_ROUNDS, 0])
 @pytest.mark.parametrize("shape, r, p", [SCALE[0][:3], ((2000, 3, 6000), 3, 0.9)])
 def test_mc_deflection_statistics_match_the_run_records(monkeypatch, shape, r, p, rounds):
@@ -918,15 +939,13 @@ def test_mc_deflection_statistics_match_the_run_records(monkeypatch, shape, r, p
     h = generate_random(*shape, seed=6)
     part = IntervalPartition(p, r)
     u = np.random.default_rng(7).random((3, h.m))
-    slots = _weight_slots(part, u)
-    colors, deflected = intervals._stage_colors(h, slots, u)
-    assert walked
     batch = run_interval_coloring(h, r, part, u)
+    assert walked
     rows = [batch.row(t) for t in range(3)]
 
     def values(q, params):
         _, stat, _ = montecarlo._SPECS[q].build(h, r, p, params)
-        return np.asarray(stat(colors, deflected, slots, u, None)).tolist()
+        return np.asarray(stat(batch.colors, batch, None)).tolist()
 
     for i in range(1, r):
         expected = [counts(row)[0][i - 1] for row in rows]
@@ -1011,13 +1030,13 @@ def test_mc_sub_batch_size_changes_no_estimate(monkeypatch, cells):
 
 def test_mc_sub_batches_respect_the_cell_cap(monkeypatch):
     sizes = []
-    kernel = montecarlo._stage_colors
+    kernel = intervals._stage_colors
 
     def recording(h, slots, weights):
         sizes.append(len(slots))
         return kernel(h, slots, weights)
 
-    monkeypatch.setattr(montecarlo, "_stage_colors", recording)
+    monkeypatch.setattr(intervals, "_stage_colors", recording)
 
     def calls(h, trials):
         sizes.clear()
@@ -1060,11 +1079,11 @@ def _reference_report(quantity, h, r, params, trials, seed):
         if p is None:
             perms = np.argsort(u, axis=1, kind="stable")
             colors = intervals._colors_at_sizes(perms, hypergraph.class_targets(h.m, r))
-            deflected = slots = None
+            batch = None
         else:
-            slots = _weight_slots(IntervalPartition(p, r), u)
-            colors, deflected = intervals._stage_colors(h, slots, u)
-        value = int(np.asarray(stat(colors, deflected, slots, u, keep))[0])
+            batch = run_interval_coloring(h, r, IntervalPartition(p, r), u)
+            colors = batch.colors
+        value = int(np.asarray(stat(colors, batch, keep))[0])
         total += value
         total_sq += value * value
     return montecarlo._report(label, trials, float(total), float(total_sq), spec.mean, None)

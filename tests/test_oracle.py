@@ -1,6 +1,5 @@
 """The exact oracle's independence from the production code, and its run cap."""
 
-import ast
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +7,8 @@ import pytest
 
 from eqcolor import ChainEventSpec, Deflected, Hypergraph, MonoEdgeExists, exact_c0_event_prob
 from eqcolor import oracle
+
+from _reference import package_imports
 
 # the workhorse calibration instance of the Monte Carlo tests
 TRI_PAIR = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])
@@ -27,34 +28,11 @@ ALLOWED = {
 }
 
 
-def _package_imports(source: str) -> list[tuple[str, str]]:
-    """Every (module, name) that ``source`` imports from the eqcolor
-    package, by a relative or an absolute import; a whole module imported
-    by name counts as (module, "*")."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0:
-                if module.split(".")[0] != "eqcolor":
-                    continue
-                module = module.removeprefix("eqcolor").lstrip(".")
-            if module:
-                found += [(module, alias.name) for alias in node.names]
-            else:
-                found += [(alias.name, "*") for alias in node.names]
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "eqcolor":
-                    found.append((alias.name.removeprefix("eqcolor").lstrip("."), "*"))
-    return found
-
-
 def test_oracle_imports_only_data_types_and_argument_rules():
     # the oracle checks the Monte Carlo route only while it shares no code
     # with it: a kernel, a predicate or a helper imported here would let one
     # fault pass both
-    found = _package_imports(Path(oracle.__file__).read_text())
+    found = package_imports(Path(oracle.__file__).read_text())
     assert found and set(found) <= ALLOWED, sorted(set(found) - ALLOWED)
 
 
@@ -69,7 +47,7 @@ def test_oracle_imports_only_data_types_and_argument_rules():
     ],
 )
 def test_import_reader_sees_every_form_of_package_import(line, name):
-    assert name in _package_imports(f"import math\nimport numpy as np\n{line}\n")
+    assert name in package_imports(f"import math\nimport numpy as np\n{line}\n")
     assert name not in ALLOWED
 
 
