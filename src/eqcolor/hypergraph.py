@@ -8,7 +8,7 @@ Instances round-trip through a plain text format and through JSON.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,11 +74,15 @@ class Hypergraph:
             bad = (rows[:, 0] < 0) | (rows[:, -1] >= m) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         if rows is None or bad.any():
             raise _first_bad_edge(raw, n, m)
-        # each row as one n * 8-byte key: a 1-d unique, 3-4x faster than
-        # unique(axis=0); first occurrences keep first-seen order
-        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * n)))
-        _, first = np.unique(keys[:, 0], return_index=True)
-        rows = rows[np.sort(first)]
+        # a uint64 hash per row (wrapping): equal rows hash equal, so when no
+        # two sorted hashes agree the rows are distinct and stay as they are.
+        # Else (a duplicate or a mere collision) each row is one n * 8-byte
+        # key of an exact 1-d unique, first occurrences kept in order
+        hashes = np.sort(rows.astype(np.uint64) @ _row_multipliers(n))
+        if (hashes[1:] == hashes[:-1]).any():
+            keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * n)))
+            _, first = np.unique(keys[:, 0], return_index=True)
+            rows = rows[np.sort(first)]
         # column-major, so that edge_array.T, the index of every gather, is
         # C-contiguous
         self.edge_array = np.asfortranarray(rows, dtype=np.int32)
@@ -151,6 +155,11 @@ def _int_rows(raw, n: int) -> Optional[np.ndarray]:
     return flat.reshape(len(raw), n)
 
 
+def _row_multipliers(n: int) -> np.ndarray:
+    """The n fixed random uint64 multipliers of the constructor's row hash."""
+    return np.random.PCG64(n).random_raw(n)
+
+
 def _first_bad_edge(raw, n: int, m: int) -> Exception:
     """The error for the first malformed edge of ``raw``, each edge checked
     in turn for an entry that is not an integer, its size, a repeated vertex
@@ -162,11 +171,11 @@ def _first_bad_edge(raw, n: int, m: int) -> Exception:
         except ValueError as exc:
             return FormatError(str(exc))
         if len(t) != n:
-            return FormatError(f"edge {t} has {len(t)} vertices, expected {n}")
+            return FormatError(f"edge {_echo(t)} has {len(t)} vertices, expected {n}")
         if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
-            return FormatError(f"edge {t} repeats a vertex")
+            return FormatError(f"edge {_echo(t)} repeats a vertex")
         if t[0] < 0 or t[-1] >= m:
-            return FormatError(f"edge {t} has a vertex outside 0..{m - 1}")
+            return FormatError(f"edge {_echo(t)} has a vertex outside 0..{m - 1}")
     return TypeError("every edge must be a sequence of vertex ids")
 
 
@@ -175,11 +184,24 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
 
     Line 1 holds ``m n E``; each of the following E lines holds n
     whitespace-separated vertex ids.  Blank lines and lines starting with '#'
-    are ignored.  numpy's C reader converts the body into one (E x n) array
-    when it is in the form ``to_text`` writes (see ``_c_read``).  Anything
-    else goes line by line through ``int()``, the one path that produces
+    are ignored.  A text whose first line is ``m n E`` in ASCII digits and
+    single spaces hands the rest, unsplit, to ``_c_read``, which reads a
+    body in the form ``to_text`` writes in one pass.  Any other text, or a
+    body ``_c_read`` refuses, is split into stripped lines without comments
+    or blank lines, and ``_c_read`` gets them joined; when it refuses those
+    too they go line by line through ``int()``, the one path that produces
     every error message, so a bad line is named before any edge is checked.
     """
+    raw = text.encode() if isinstance(text, str) and text.isascii() else text
+    if isinstance(raw, bytes):
+        head, _, body = raw.partition(b"\n")
+        header = head.split(b" ")
+        # the line path reads a longer header, as one past int()'s digit limit
+        if len(head) <= 64 and len(header) == 3 and all(map(bytes.isdigit, header)):
+            m, n, num_edges = map(int, header)
+            rows = _c_read(body, m, n, num_edges)
+            if rows is not None:
+                return Hypergraph(m, n, rows)
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     content = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
@@ -187,45 +209,61 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
         raise FormatError("empty instance: no header line")
     header = content[0].split()
     if len(header) != 3:
-        raise FormatError(f"malformed header {content[0]!r}, expected 'm n E'")
+        raise FormatError(f"malformed header {_echo(content[0])}, expected 'm n E'")
     try:
         m, n, num_edges = (int(x) for x in header)
     except ValueError as exc:
-        raise FormatError(f"malformed header {content[0]!r}: {exc}") from exc
+        raise FormatError(f"malformed header {_echo(content[0])}: {exc}") from exc
     body = content[1:]
     if len(body) != num_edges:
         raise FormatError(f"header promises {num_edges} edges, found {len(body)}")
-    rows = _c_read(body, m, n)
+    joined = "\n".join(body) + "\n"
+    rows = _c_read(joined.encode(), m, n, num_edges) if joined.isascii() else None
     return Hypergraph(m, n, [_edge_line(ln) for ln in body] if rows is None else rows)
 
 
-def _c_read(body: list[str], m: int, n: int) -> Optional[np.ndarray]:
-    """The stripped, non-empty body lines as an (E x n) int64 array read by
-    ``np.fromstring``, or None when the line-by-line path must read them.
+def _c_read(body: bytes, m: int, n: int, num_edges: int) -> Optional[np.ndarray]:
+    """The body as an (E x n) int64 array read by ``np.fromstring``, or None
+    when the line-by-line path must read it.
 
-    The reader takes only a body of ASCII digits, single spaces and line
-    breaks with n - 1 spaces on each line, so every line holds n unsigned
-    decimal tokens: it cannot raise, warn, misread a sign or a tab, or
-    return a short array, and it gives ``int()``'s value for every token
-    within int64.  A token beyond int64 reads as 2^63 - 1, which the range
-    check sends to the line path with every other id outside 0..m-1.
+    The reader takes only the form ``to_text`` writes: E lines of n unsigned
+    decimal ids, single spaces between them, each line ended by a line
+    break.  With its digits deleted the body must be n - 1 spaces and a line
+    break, E times over, so it holds no other byte (it is ASCII: no sign,
+    tab, carriage return or comment) and exactly E lines.  No separator may
+    start the body or follow another, so every token is non-empty and each
+    line holds exactly n of them: the reader cannot raise, warn or return a
+    short array, no id moves across a line break to shift a row, and each
+    token within int64 reads as ``int()`` reads it.  A token beyond int64
+    reads as 2^63 - 1, which the range check sends to the line path with
+    every other id outside 0..m-1.
     """
-    if set(map(str.count, body, repeat(" "))) != {n - 1}:
+    seps = body.translate(None, b"0123456789")
+    # lengths first, so that no header's n or E sizes a pattern; this also
+    # refuses n = 0, whose pattern is E bytes long
+    if not num_edges or len(seps) != n * num_edges or seps != (b" " * (n - 1) + b"\n") * num_edges:
         return None
-    joined = "\n".join(body)
-    if "  " in joined or joined.encode().translate(None, b"0123456789 \n"):
+    is_sep = np.frombuffer(body, np.uint8) < 48
+    if is_sep[0] or (is_sep[1:] & is_sep[:-1]).any():
         return None
-    flat = np.fromstring(joined, dtype=np.int64, sep=" ")
+    flat = np.fromstring(body, dtype=np.int64, sep=" ")
     if int(flat.max()) >= m:
         return None
-    return flat.reshape(len(body), n)
+    return flat.reshape(num_edges, n)
 
 
 def _edge_line(ln: str) -> list[int]:
     try:
         return [int(x) for x in ln.split()]
     except ValueError as exc:
-        raise FormatError(f"malformed edge line {ln!r}: {exc}") from exc
+        raise FormatError(f"malformed edge line {_echo(ln)}: {exc}") from exc
+
+
+def _echo(value) -> str:
+    """``repr(value)`` for an error message, cut to 200 characters and
+    marked when longer, so no input makes a long error line."""
+    text = repr(value)
+    return text if len(text) <= 200 else f"{text[:200]}... ({len(text)} characters)"
 
 
 def _check_colors(r: int, m: Optional[int] = None, least: int = 1) -> int:
@@ -329,7 +367,7 @@ def _integer(value, what: str, least: Optional[int] = None) -> int:
     float, a string or anything else is refused rather than truncated, by
     a ValueError naming ``what``, and so is a smaller value."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} {value!r} is not an integer")
+        raise ValueError(f"{what} {_echo(value)} is not an integer")
     if least is not None and value < least:
         raise ValueError(f"{what} must be at least {least}, got {value}")
     return int(value)
@@ -340,7 +378,7 @@ def _real(value, what: str) -> float:
     bool, a string or anything else is refused by a ValueError naming
     ``what``, as ``_integer`` refuses it."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{what} {value!r} is not a real number")
+        raise ValueError(f"{what} {_echo(value)} is not a real number")
     return float(value)
 
 

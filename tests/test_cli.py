@@ -360,6 +360,29 @@ def test_deeply_nested_json_exits_1_with_an_error_line(capsys, tmp_path, path_fi
     assert capsys.readouterr().err.startswith("error: JSON nested too deeply")
 
 
+@pytest.mark.parametrize("case", ["instance id", "color", "text edge"])
+def test_an_error_line_echoes_a_huge_input_in_under_1_kb(capsys, tmp_path, case):
+    # each once echoed the whole value: a 2.29 MB line for the list, 0.9 MB
+    # for the edge line of 300 001 tokens
+    huge = list(range(300_000))
+    two = tmp_path / "two.txt"
+    two.write_text("2 2 1\n0 1\n")
+    bad = tmp_path / "bad"
+    if case == "instance id":
+        bad.write_text(json.dumps({"m": 3, "n": 2, "edges": [[0, huge]]}))
+        args = ["solve", str(bad), "-r", "2"]
+    elif case == "color":
+        bad.write_text(json.dumps({"r": 2, "colors": [1, huge]}))
+        args = ["verify", str(two), str(bad)]
+    else:
+        bad.write_text("2 2 1\n" + " ".join(["0"] * 300_001) + "\n")
+        args = ["solve", str(bad), "-r", "2"]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err.encode()) < 1024, err[:300]
+    assert "characters)" in err
+
+
 # any JSON value, and objects shaped like a coloring so that fuzzing reaches
 # the checks behind the first key lookups
 _JSON = st.recursive(

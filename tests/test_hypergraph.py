@@ -33,6 +33,7 @@ from eqcolor import (
     sample_weights,
     solve_equitable,
 )
+from eqcolor import hypergraph
 from eqcolor.hypergraph import _color_dtype, _edge_values, _mono_edges
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (1, 2), (0, 2)])
@@ -815,6 +816,24 @@ DIFFERENTIAL_TEXTS = [
     "3 0 0\n",
     "3 -1 0\n",
     "3 -1 1\n0 1\n",
+    # the edges of a body read unsplit: no final line break, one blank line
+    # more at the end, a space at the end of the last line and at the start
+    # of the first body line (where it makes the n - 1 spaces of a short
+    # line), and leading zeros
+    "4 2 2\n0 1\n2 3",
+    "4 2 2\n0 1\n2 3\n\n",
+    "4 2 2\n0 1\n2 3 \n",
+    "4 2 2\n 0 1\n2 3\n",
+    "4 3 1\n 0 1\n",
+    "9 2 2\n007 1\n0 010\n",
+    # and of its header: a doubled space, a sign, a comment before it, no
+    # edges without a final line break ("4 2 0\n" is above), one edge more
+    # promised
+    "4  2 1\n0 1\n",
+    "+4 2 1\n0 1\n",
+    "# header next\n4 2 1\n0 1\n",
+    "4 2 0",
+    "4 2 3\n0 1\n2 3\n",
 ]
 
 
@@ -834,6 +853,26 @@ def test_parse_raises_no_warning(text):
 def test_parse_matches_the_reference_on_bytes():
     _assert_same_as_reference(b"4 2 2\r\n0 1\r\n3 2\r\n")
     _assert_same_as_reference(b"4 2 1\n0 \xff\n")
+
+
+def test_each_text_takes_the_path_its_form_allows(monkeypatch):
+    calls = []
+    c_read, edge_line = hypergraph._c_read, hypergraph._edge_line
+    monkeypatch.setattr(hypergraph, "_c_read", lambda body, *a: calls.append(body) or c_read(body, *a))
+    monkeypatch.setattr(hypergraph, "_edge_line", lambda ln: calls.append(ln) or edge_line(ln))
+    h = generate_random(2000, 6, 1200, seed=1)
+    text = h.to_text()
+    body = text.encode().partition(b"\n")[2]
+    # the form to_text writes: one read of the unsplit body
+    assert parse_hypergraph(text) == h and calls == [body]
+    # a leading comment or CRLF line breaks: one read, of the joined lines
+    for other in ("# an instance\n" + text, text.replace("\n", "\r\n")):
+        calls.clear()
+        assert parse_hypergraph(other) == h and calls == [body]
+    # tabs: the joined lines are refused and each line read on its own
+    calls.clear()
+    assert parse_hypergraph(text.replace(" ", "\t")) == h
+    assert calls[0] == body.replace(b" ", b"\t") and calls[1:] == body.decode().replace(" ", "\t").splitlines()
 
 
 def test_id_beyond_int64_is_out_of_range_not_an_overflow():
@@ -937,6 +976,41 @@ def test_constructor_matches_the_reference_on_lists(m, n, edges):
     assert _outcome(Hypergraph, m, n, edges) == _outcome(_ReferenceHypergraph, m, n, edges)
     as_tuples = [tuple(e) for e in edges]
     assert _outcome(Hypergraph, m, n, as_tuples) == _outcome(_ReferenceHypergraph, m, n, as_tuples)
+
+
+_POOL = [(0, 1, 2), (2, 1, 3), (3, 4, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(picks=st.lists(st.integers(0, 2), max_size=12))
+def test_constructor_matches_the_reference_on_edges_from_a_pool_of_three(picks):
+    # nearly every list holds duplicates, which the row hashes send to the
+    # exact dedup
+    edges = [_POOL[k] for k in picks]
+    assert _outcome(Hypergraph, 5, 3, edges) == _outcome(_ReferenceHypergraph, 5, 3, edges)
+
+
+def _stored(h):
+    a = h.edge_array
+    return a.tobytes(order="A"), a.dtype, a.flags.f_contiguous, a.shape
+
+
+@pytest.mark.parametrize("multipliers", ["zero", "first column"])
+def test_dedup_is_the_same_whether_row_hashes_collide_or_not(monkeypatch, multipliers):
+    # zero multipliers make every row hash collide and first-column ones
+    # some: the exact dedup then runs on distinct rows too, and must store
+    # the array that skipping it stores, and duplicates in first-seen order
+    rng = np.random.default_rng(5)
+    distinct = generate_random(40, 4, 300, seed=3).edge_array
+    duplicated = np.concatenate([distinct, distinct[rng.integers(0, 300, 50), ::-1]])
+    rng.shuffle(duplicated)
+    unpatched = [_stored(Hypergraph(40, 4, rows)) for rows in (distinct, duplicated)]
+    weights = np.array([multipliers == "first column", 0, 0, 0], dtype=np.uint64)
+    monkeypatch.setattr(hypergraph, "_row_multipliers", lambda n: weights)
+    for rows, stored in zip((distinct, duplicated), unpatched):
+        h = Hypergraph(40, 4, rows)
+        assert _stored(h) == stored and stored[1:3] == (np.int32, True)
+        assert h.edge_array.tolist() == _ReferenceHypergraph(40, 4, rows.tolist()).edge_array.tolist()
 
 
 @pytest.mark.parametrize(
@@ -1072,6 +1146,20 @@ def test_parse_allocates_nothing_per_vertex_from_the_header():
     assert read_peak > 8 * m  # one pointer per vertex, at least
     indptr, indices = incidence
     assert len(indptr) == m + 1 and len(indices) == 0 and h.incidence is incidence
+
+
+def test_a_header_sizes_no_allocation_of_the_raw_body_reader():
+    # the separators a body must hold are n E bytes long; a body is measured
+    # against them before they are built
+    tracemalloc.start()
+    try:
+        for text in ("4 2000000000 2000000000\n0 1\n", "4 2000000000 1\n" + "0 " * 1000 + "1\n"):
+            with pytest.raises(FormatError):
+                parse_hypergraph(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_edges_must_be_sequences():
