@@ -32,7 +32,7 @@ for x in (0.1, 0.45, 0.95):
 # Hand-picked weights.  Vertex 1 lands in small_1; when its turn comes,
 # vertex 0 already wears color 1 and edge (0,1) would go monochromatic, so
 # vertex 1 is deflected to color 2.  The result is the run's record: its
-# coloring, deflected vertices and blocking edges, with the partition,
+# coloring, deflected vertices and their blocking edges, with the partition,
 # weights and slots it was computed from.
 h = Hypergraph(4, 2, [(0, 1)])
 init = run_interval_coloring(h, 2, part, [0.1, 0.5, 0.7, 0.45])
@@ -45,9 +45,9 @@ x = np.bincount(init.slots[init.deflected[0]] // 2, minlength=1)
 z = np.bincount(init.slots // 2, minlength=2)
 print("deflections X:", x.tolist())
 print("occupancy Z:", z.tolist())
-# blocking holds, per vertex, the edge that deflected it, -1 for none.
-deflected = np.flatnonzero(init.blocking >= 0)
-for v, e in zip(deflected.tolist(), init.blocking[deflected].tolist()):
+# deflected pairs the deflected vertices, in increasing order, with the
+# edge that deflected each.
+for v, e in zip(*(a.tolist() for a in init.deflected)):
     print(f"vertex {v} deflected by edge {e} {h.edge_array[e].tolist()}")
 
 # The bookkeeping identity: each class collects its block occupants, minus

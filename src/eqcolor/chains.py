@@ -185,9 +185,12 @@ def _conflicting(slots, key, colors, b, a, color) -> np.ndarray:
     return ok & (colors[:, b[b != v]] == color - 1).all(axis=1)
 
 
-def _blocking_edge(h: Hypergraph, blocking: np.ndarray, v: int) -> int:
-    """The edge that deflected v, or -1; ChainInvalid if it names no edge."""
-    edge = int(blocking[v])
+def _blocking_edge(h: Hypergraph, deflected: tuple[np.ndarray, np.ndarray], v: int) -> int:
+    """The edge that deflected v, found by ``np.searchsorted`` in the run's
+    increasing deflected vertices, or -1; ChainInvalid if it names no edge."""
+    vertices, edges = deflected
+    at = int(np.searchsorted(vertices, v))
+    edge = int(edges[at]) if at < len(vertices) and vertices[at] == v else -1
     if not -1 <= edge < len(h.edge_array):
         raise ChainInvalid(f"vertex {v} was deflected by edge {edge}, outside the hypergraph")
     return edge
@@ -197,7 +200,7 @@ def _walk_back(
     h: Hypergraph,
     slots: np.ndarray,
     key: np.ndarray,
-    blocking: np.ndarray,
+    deflected: tuple[np.ndarray, np.ndarray],
     part: np.ndarray,
     edge: int,
     color: int,
@@ -209,7 +212,7 @@ def _walk_back(
     edge indices and links."""
     edges, links = [edge], []
     u = int(_first(key[None], part)[0])
-    while slots[u] == 2 * color - 3 and (blocker := _blocking_edge(h, blocking, u)) >= 0:
+    while slots[u] == 2 * color - 3 and (blocker := _blocking_edge(h, deflected, u)) >= 0:
         links.insert(0, ChainLink(u, float(key[u])))
         edges.insert(0, blocker)
         color -= 1
@@ -235,7 +238,7 @@ def extract_chain(
         terminal = failure.vertex
         if terminal >= h.m:
             raise ValueError(f"vertex {terminal} outside 0..{h.m - 1}")
-        edge = _blocking_edge(h, init.blocking, terminal)
+        edge = _blocking_edge(h, init.deflected, terminal)
         if edge < 0:
             raise ValueError(f"vertex {terminal} was not deflected")
         kind, part = IMPROPER, h.edge_array[edge]
@@ -260,7 +263,7 @@ def extract_chain(
             part = np.array(reduced)
     else:
         raise TypeError(f"unknown failure type {type(failure).__name__}")
-    edges, links = _walk_back(h, init.slots, init.weights, init.blocking, part, edge, color)
+    edges, links = _walk_back(h, init.slots, init.weights, init.deflected, part, edge, color)
     record = ChainRecord(kind, color, tuple(edges), tuple(links), terminal, reduced, candidates)
     validate_chain(h, init, record)
     return record
@@ -344,7 +347,7 @@ def validate_chain(
             f"vertex {v} must be the one edge {j} and part {j + 1} share",
         )
         _check(
-            init.blocking[v] == record.edges[j],
+            _blocking_edge(h, init.deflected, v) == record.edges[j],
             f"vertex {v} must have been deflected by edge {j} of the chain",
         )
     for j, link in enumerate(record.links):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -127,14 +126,11 @@ class InitialColoring:
     subinterval indices (``_weight_slots``).  The weights order the
     vertices, ties by id, in the kernel and in the chain layer
     (``chains._first`` and ``chains._last``).  ``deflected`` is the pair
-    (vertices, edges) of int64 arrays: the deflected vertices in increasing
-    order, and for each the lowest-index incident edge that would have gone
-    monochromatic, the one that forced the deflection.
-
-    One view of them is built on first read: ``blocking``, a read-only
-    (m,) int64 array holding -1 for a vertex that was not deflected and its
-    edge for a deflected one.  ``eq=False``, since arrays have no truth
-    value.
+    (vertices, edges) of read-only int64 arrays: the deflected vertices in
+    increasing order, and for each the lowest-index incident edge that
+    would have gone monochromatic, the one that forced the deflection; the
+    chain layer reads it by ``np.searchsorted`` on the vertices.
+    ``eq=False``, since arrays have no truth value.
     """
 
     coloring: Coloring
@@ -142,14 +138,6 @@ class InitialColoring:
     weights: np.ndarray
     slots: np.ndarray
     deflected: tuple[np.ndarray, np.ndarray]
-
-    @cached_property
-    def blocking(self) -> np.ndarray:
-        vertices, edges = self.deflected
-        blocking = np.full(len(self.slots), -1, dtype=np.int64)
-        blocking[vertices] = edges
-        blocking.flags.writeable = False
-        return blocking
 
 
 def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
@@ -199,7 +187,7 @@ def _stage_colors(
     Every other vertex is final by then: the pair blocks L iff each of them
     ends at color i, i.e. each of small_i stays at i and each of small_{i-1}
     is deflected to i (large_i ones always are at i).  L is deflected iff
-    some pair blocks it, and its ``blocking`` edge is the lowest-index one.
+    some pair blocks it, and its blocking edge is the lowest-index one.
     The rule is stated once, as arrays: each pair's L ``lkey``, and for its
     other small-block vertices, its dependencies, their keys ``dep_key``
     and whether each must be deflected, ``dep_need``.  They are read off
@@ -376,7 +364,7 @@ class InitialColoringBatch:
     ``run_interval_coloring`` gives for that row alone, for an integer t in
     0..T-1 (``hypergraph._integer``); any other t is a ValueError.  Its
     weights and slots are views of the batch's rows; only its colors, a
-    copy, and its slice of the deflected pairs are built for it.
+    copy, and its read-only slice of the deflected pairs are built for it.
     ``eq=False``, since arrays have no truth value.
     """
 
@@ -400,12 +388,14 @@ class InitialColoringBatch:
         # row t's deflected vertices are the keys in [t * m, (t + 1) * m)
         keys, edges = self.deflected
         lo, hi = np.searchsorted(keys, (t * m, (t + 1) * m))
+        vertices = keys[lo:hi] - t * m
+        vertices.flags.writeable = False
         return InitialColoring(
             Coloring._trusted(r, colors, sizes),
             self.partition,
             self.weights[t],
             self.slots[t],
-            (keys[lo:hi] - t * m, edges[lo:hi]),
+            (vertices, edges[lo:hi]),
         )
 
 

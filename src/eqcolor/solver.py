@@ -13,12 +13,12 @@ batches of 1, 4, 16, ... attempts.  A route picks only how a batch is drawn
 and colored: ``sample_weights`` rows and one kernel call, or one
 permutation per attempt cut at the class targets.  One edge scan per batch
 gives a mask of monochromatic edges per row; the loop takes the rows with
-none in attempt order and keeps the index of the last rejected one and the
-edges of its mask row.  Per-attempt objects are built only for the clean
-rows: the report replays that last rejected two-stage attempt, and builds
-its chains, only when they are read.  Attempts are seeded in blocks of
-``_BLOCK`` by the rule of ``seeding``, so batching changes no report, and
-any attempt can be drawn again on its own.
+none in attempt order and keeps the index of the last rejected one.
+Per-attempt objects are built only for the clean rows: the report replays
+that last rejected two-stage attempt, and builds its chains, only when
+they are read.  Attempts are seeded in blocks of ``_BLOCK`` by the rule of
+``seeding``, so batching changes no report, and any attempt can be drawn
+again on its own.
 
 At desk scale the per-attempt success probability carries no guarantee, so
 after exhausting its restarts the solver consults the brute-force oracle
@@ -124,12 +124,12 @@ class SolveReport:
 
     ``chains`` is built on first read and kept.  The report holds only the
     last two-stage attempt rejected on a monochromatic edge, as
-    (hypergraph, partition, seed, attempt, edge ids), and no array of its
-    batch.  The read draws that attempt's weights again by the block rule
-    of ``seeding``, one row at a time, so in O(m) memory, runs the two
-    stages on them, and extracts and validates one chain per edge through
-    ``extract_chain``.  A ``ChainInvalid``, which means a bug, surfaces on
-    that read, not inside ``solve_equitable``."""
+    (hypergraph, seed, attempt), and no array of its batch.  The read
+    replays it in O(m) memory (the solver's partition, the weights drawn
+    again by the block rule of ``seeding``, the two stages) and extracts
+    and validates one chain per edge of one ``_mono_edges`` scan through
+    ``extract_chain``: kernel rows are bit-identical at every batch size.
+    A ``ChainInvalid``, which means a bug, surfaces on that read."""
 
     outcome: str
     coloring: Optional[Coloring]
@@ -145,14 +145,16 @@ class SolveReport:
     def chains(self) -> tuple[ChainRecord, ...]:
         if self._rejected is None:
             return ()
-        h, partition, seed, attempt, edges = self._rejected
+        h, seed, attempt = self._rejected
         rng = derive(seed, attempt // _BLOCK, ROLE_WEIGHTS)
         for _ in range(attempt % _BLOCK + 1):
             weights = sample_weights(h.m, rng)
-        init = run_interval_coloring(h, partition.r, partition, weights)
+        partition = IntervalPartition(choose_p(h.n, self.r), self.r)
+        init = run_interval_coloring(h, self.r, partition, weights)
         colors = init.coloring.colors
         return tuple(
-            extract_chain(h, init, MonoEdge(e, int(colors[h.edge_array[e, 0]]))) for e in edges
+            extract_chain(h, init, MonoEdge(e, int(colors[h.edge_array[e, 0]])))
+            for e in np.flatnonzero(_mono_edges(h, colors)).tolist()
         )
 
     def to_json_dict(self, explain: bool = False) -> dict:
@@ -275,9 +277,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     path = _route(h, r, cfg)
     targets = class_targets(h.m, r)
     diagnostics = {"mono-edge": 0, "rebalance-infeasible": 0, "repair-failed": 0}
-    # the last attempt rejected on a monochromatic edge, as (attempt, mask
-    # row); the report keeps the row's edge ids, not the row
-    rejected = None
+    rejected = None  # the last attempt rejected on a monochromatic edge
     plan: Optional[RebalancePlan] = None
 
     partition = None
@@ -285,11 +285,8 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
         partition = IntervalPartition(choose_p(h.n, r), r)
 
     def report(outcome: str, coloring: Optional[Coloring], attempts: int, **kw) -> SolveReport:
-        replay = None
         # balanced attempts have no chains
-        if rejected is not None and partition is not None:
-            attempt, mono = rejected
-            replay = h, partition, cfg.seed, attempt, tuple(np.flatnonzero(mono).tolist())
+        replay = None if rejected is None or partition is None else (h, cfg.seed, rejected)
         return SolveReport(
             outcome, coloring, attempts, path, r, diagnostics, plan, _rejected=replay, **kw
         )
@@ -301,7 +298,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
         for t in np.flatnonzero(~mono.any(axis=1)).tolist() + [len(mono)]:
             if t > prev:
                 diagnostics["mono-edge"] += t - prev
-                rejected = start + t - 1, mono[t - 1]
+                rejected = start + t - 1
             if t == len(mono):
                 break
             prev = t + 1

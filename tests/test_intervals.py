@@ -241,9 +241,9 @@ def test_two_stage_hand_trace():
     init = run_interval_coloring(h, 2, part, (0.1, 0.5, 0.7, 0.45))
     assert init.coloring.colors.tolist() == [1, 2, 2, 1]
     assert counts(init) == ((1,), (3, 1))
-    # -1 for every vertex that was not deflected
-    assert init.blocking.tolist() == [-1, 0, -1, -1]
-    assert init.blocking.dtype == np.int64 and not init.blocking.flags.writeable
+    # vertex 1 alone was deflected, by edge 0
+    assert [a.tolist() for a in init.deflected] == [[1], [0]]
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in init.deflected)
 
 
 def test_two_stage_all_large_is_pure_stage_one():
@@ -268,7 +268,8 @@ def test_two_stage_deflection_is_unconditional():
     part = IntervalPartition(0.2, 2)
     init = run_interval_coloring(h, 2, part, (0.1, 0.7, 0.5))
     assert init.coloring.colors.tolist() == [1, 2, 2]
-    assert init.coloring.colors[2] == 2 and init.blocking[2] == 0
+    assert init.coloring.colors[2] == 2
+    assert [a.tolist() for a in init.deflected] == [[2], [0]]
 
 
 def test_class_size_identity_random_runs():
@@ -350,8 +351,8 @@ def test_weight_array_colors_each_row_as_alone():
             assert got.coloring.colors.dtype == _color_dtype(r) and not got.coloring.colors.flags.writeable
             assert np.array_equal(batch.colors[t], alone.coloring.colors)
             assert counts(got) == counts(alone)
-            assert np.array_equal(got.blocking, alone.blocking)
-            assert got.blocking.shape == (m,) and not got.blocking.flags.writeable
+            assert all(np.array_equal(a, b) for a, b in zip(got.deflected, alone.deflected))
+            assert not any(a.flags.writeable for a in got.deflected)
             assert got.coloring.to_json_dict() == alone.coloring.to_json_dict()
             deflected += sum(counts(got)[0])
         one = run_interval_coloring(h, r, part, weights[:1])
@@ -371,7 +372,7 @@ def test_weight_array_colors_each_row_as_alone():
 
 def test_batch_row_refuses_what_it_would_misread():
     # row(-1) gave row 2's coloring and deflection counts with an empty
-    # deflected pair, so its blocking said no vertex was deflected; True
+    # deflected pair, so it said no vertex was deflected; True
     # and 1.0 died inside numpy
     h = generate_random(1000, 6, 1200, 1)
     batch = run_interval_coloring(h, 3, IntervalPartition(0.5, 3), sample_weights(1000, 2, 3))

@@ -933,7 +933,7 @@ def test_kernel_reads_strided_weights_as_their_contiguous_copy(monkeypatch, shap
 def test_mc_deflection_statistics_match_the_run_records(monkeypatch, shape, r, p, rounds):
     # the statistics read the kernel's deflected pairs; each trial's value
     # is what its InitialColoring says: X[i - 1] (``counts``), and for a
-    # vertex v, blocking[v] >= 0 (and v's slot small_i when i is given)
+    # vertex v, v in deflected[0] (and v's slot small_i when i is given)
     monkeypatch.setattr(intervals, "_FIXPOINT_ROUNDS", rounds)
     walked = _walked_trials(monkeypatch)
     h = generate_random(*shape, seed=6)
@@ -955,7 +955,7 @@ def test_mc_deflection_statistics_match_the_run_records(monkeypatch, shape, r, p
     vertices = sorted(set(rows[0].deflected[0].tolist()) | set(range(0, h.m, 50)))
     hits = 0
     for v in vertices:
-        hit = [bool(row.blocking[v] >= 0) for row in rows]
+        hit = [v in row.deflected[0] for row in rows]
         assert values("deflected", {"v": v}) == hit
         for i in range(1, r):
             assert values("deflected", {"v": v, "i": i}) == [

@@ -902,8 +902,8 @@ def _recording(monkeypatch, name):
 
 
 def test_each_batch_scans_its_edges_once(monkeypatch):
-    # the report's chains read the monochromatic edges off the screen's
-    # mask row instead of scanning the last rejected attempt again
+    # solving scans each batch's edges once; reading the report's chains
+    # replays the last rejected attempt and scans its row once more
     from eqcolor import generate_random
 
     scans = _recording(monkeypatch, "_mono_edges")
@@ -915,10 +915,17 @@ def test_each_batch_scans_its_edges_once(monkeypatch):
     for h, r, cfg, outcome in cases:
         scans.clear()
         report = solve_equitable(h, r, cfg)
-        assert report.outcome == outcome and report.chains
-        assert report.diagnostics["mono-edge"] >= 2
+        assert report.outcome == outcome and report.diagnostics["mono-edge"] >= 2
         # the batches whose first attempt is at most the last one run
-        assert len(scans) == len(_batch_starts(report.attempts - 1, h))
+        batches = len(_batch_starts(report.attempts - 1, h))
+        assert len(scans) == batches
+        assert report.chains and len(scans) == batches + 1
+        # the one row replayed, with one chain per monochromatic edge; a
+        # second read keeps the chains and scans nothing
+        (_, colors), mask = scans[-1]
+        assert colors.shape == (h.m,)
+        assert [c.edges[-1] for c in report.chains] == np.flatnonzero(mask).tolist()
+        assert report.chains and len(scans) == batches + 1
 
 
 def test_attempt_64_takes_row_0_of_block_1(monkeypatch):
