@@ -197,22 +197,16 @@ def _blocking_edge(h: Hypergraph, deflected: tuple[np.ndarray, np.ndarray], v: i
 
 
 def _walk_back(
-    h: Hypergraph,
-    slots: np.ndarray,
-    key: np.ndarray,
-    deflected: tuple[np.ndarray, np.ndarray],
-    part: np.ndarray,
-    edge: int,
-    color: int,
+    h: Hypergraph, init: InitialColoring, part: np.ndarray, edge: int, color: int
 ) -> tuple[list[int], list[ChainLink]]:
-    """Follow blocking records back from ``part``, the part of ``edge`` that
-    carries ``color``: while the first vertex u of the current part was
-    deflected out of small_{c-1} (slot 2c-3, a blocking edge recorded), u
-    links in the edge that blocked it, one color lower.  Returns the chain's
-    edge indices and links."""
-    edges, links = [edge], []
+    """Follow the run's blocking records back from ``part``, the part of
+    ``edge`` that carries ``color``: while the first vertex u of the current
+    part was deflected out of small_{c-1} (slot 2c-3, a blocking edge
+    recorded), u links in the edge that blocked it, one color lower.
+    Returns the chain's edge indices and links."""
+    slots, key, edges, links = init.slots, init.weights, [edge], []
     u = int(_first(key[None], part)[0])
-    while slots[u] == 2 * color - 3 and (blocker := _blocking_edge(h, deflected, u)) >= 0:
+    while slots[u] == 2 * color - 3 and (blocker := _blocking_edge(h, init.deflected, u)) >= 0:
         links.insert(0, ChainLink(u, float(key[u])))
         edges.insert(0, blocker)
         color -= 1
@@ -263,7 +257,7 @@ def extract_chain(
             part = np.array(reduced)
     else:
         raise TypeError(f"unknown failure type {type(failure).__name__}")
-    edges, links = _walk_back(h, init.slots, init.weights, init.deflected, part, edge, color)
+    edges, links = _walk_back(h, init, part, edge, color)
     record = ChainRecord(kind, color, tuple(edges), tuple(links), terminal, reduced, candidates)
     validate_chain(h, init, record)
     return record

@@ -14,10 +14,11 @@ Monte Carlo trials in blocks of 16384.  Item t of a run draws from
 (seed, t // block, role), right after the earlier items of its block;
 consecutive draws from one generator do not depend on how they are split,
 so the batch and sub-batch sizes change no draw, and a longer run extends
-a shorter one.  ``_streams`` and ``_draw_rows`` are the one implementation
-of the rule.  The solver's roles are ROLE_WEIGHTS and ROLE_BALANCED, the
-Monte Carlo trials' ROLE_TRIALS.  Only rebalancing sets are drawn per
-attempt, from (seed, attempt, ROLE_VSETS).
+a shorter one.  ``_streams`` and ``_draw_rows`` implement the rule for
+batches; a solve report's chains draw one attempt again by it directly.
+The solver's roles are ROLE_WEIGHTS and ROLE_BALANCED, the Monte Carlo
+trials' ROLE_TRIALS.  Only rebalancing sets are drawn per attempt, from
+(seed, attempt, ROLE_VSETS).
 """
 
 from __future__ import annotations

@@ -695,8 +695,16 @@ class _ReferenceHypergraph:
         return indptr, list(itertools.chain.from_iterable(incidence))
 
 
+def _reference_echo(value):
+    """The quoting rule of error messages: repr(value), cut to its first 200
+    characters and marked with its length when longer."""
+    text = repr(value)
+    return text if len(text) <= 200 else f"{text[:200]}... ({len(text)} characters)"
+
+
 def _reference_parse(text):
-    """The per-line ``parse_hypergraph`` that preceded the array parse."""
+    """The per-line ``parse_hypergraph`` that preceded the array parse, with
+    lines quoted by ``_reference_echo``."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     content = [ln.strip() for ln in text.splitlines()]
@@ -705,11 +713,11 @@ def _reference_parse(text):
         raise FormatError("empty instance: no header line")
     header = content[0].split()
     if len(header) != 3:
-        raise FormatError(f"malformed header {content[0]!r}, expected 'm n E'")
+        raise FormatError(f"malformed header {_reference_echo(content[0])}, expected 'm n E'")
     try:
         m, n, num_edges = (int(x) for x in header)
     except ValueError as exc:
-        raise FormatError(f"malformed header {content[0]!r}: {exc}") from exc
+        raise FormatError(f"malformed header {_reference_echo(content[0])}: {exc}") from exc
     body = content[1:]
     if len(body) != num_edges:
         raise FormatError(f"header promises {num_edges} edges, found {len(body)}")
@@ -719,7 +727,7 @@ def _reference_parse(text):
         try:
             edges.append([int(x) for x in parts])
         except ValueError as exc:
-            raise FormatError(f"malformed edge line {ln!r}: {exc}") from exc
+            raise FormatError(f"malformed edge line {_reference_echo(ln)}: {exc}") from exc
     return _ReferenceHypergraph(m, n, edges)
 
 
@@ -834,6 +842,18 @@ DIFFERENTIAL_TEXTS = [
     "# header next\n4 2 1\n0 1\n",
     "4 2 0",
     "4 2 3\n0 1\n2 3\n",
+    # a token with 5000 leading zeros, and a 5000-digit one under a header
+    # m beyond 2^31: int()'s digit limit refuses both, whatever separates
+    # the ids; and a leading zero int() reads
+    *(
+        pytest.param(f"{head}\n{token}{sep}2\n", id=f"{label}, {name}")
+        for head, token, label in (
+            ("4 2 1", "0" * 5000 + "1", "5000 leading zeros"),
+            (f"{10**30} 2 1", "5" * 5000, "5000 digits, m = 10^30"),
+        )
+        for sep, name in ((" ", "space"), ("\t", "tab"))
+    ),
+    "8 2 1\n007 2\n",
 ]
 
 
@@ -873,6 +893,15 @@ def test_each_text_takes_the_path_its_form_allows(monkeypatch):
     calls.clear()
     assert parse_hypergraph(text.replace(" ", "\t")) == h
     assert calls[0] == body.replace(b" ", b"\t") and calls[1:] == body.decode().replace(" ", "\t").splitlines()
+
+
+def test_the_unsplit_reader_refuses_leading_zeros_and_ids_past_int32():
+    # a lone 0 is read; a longer token that starts with 0 goes to the line
+    # path, and so does an id of 2^31 or more at any m
+    assert hypergraph._c_read(b"0 10\n0 1\n", 11, 2, 2).tolist() == [[0, 10], [0, 1]]
+    for body in (b"00 1\n", b"0 01\n", b"1 2\n3 007\n", b"0 2147483648\n"):
+        assert hypergraph._c_read(body, 10**30, 2, body.count(b"\n")) is None
+    assert hypergraph._c_read(b"0 2147483647\n", 10**30, 2, 1).tolist() == [[0, 2**31 - 1]]
 
 
 def test_id_beyond_int64_is_out_of_range_not_an_overflow():

@@ -130,6 +130,31 @@ def test_comparison_slots_equal_searchsorted_and_slot_of(r):
         assert grid.dtype == slots.dtype and grid.ravel().tolist() == slots[:3000].tolist()
 
 
+@pytest.mark.parametrize(
+    "r", [intervals._SEARCH_SLOTS_ABOVE + d for d in (-1, 0, 1)] + [200, 1000, 6400]
+)
+def test_searched_slots_equal_the_sum_and_slot_of(monkeypatch, r):
+    # above _SEARCH_SLOTS_ABOVE colors the slots come from one searchsorted
+    # instead of the comparison sum; both paths give slot_of's slot at every
+    # left end and at the float below it, with p = 0 (every small block
+    # empty, so each inner left end repeats) and with the derived p
+    for p in (0.0, choose_p(8, r)):
+        part = IntervalPartition(p, r)
+        lefts = np.array(part.lefts)
+        w = np.concatenate([lefts, np.nextafter(lefts[1:], 0.0), [np.nextafter(1.0, 0.0)]])
+        paths = []
+        for above in (r - 1, r):  # the searched path, then the sum
+            monkeypatch.setattr(intervals, "_SEARCH_SLOTS_ABOVE", above)
+            paths.append(_weight_slots(part, w))
+            assert paths[-1].dtype == _color_dtype(r)
+        assert paths[0].tolist() == paths[1].tolist()
+        # slot_of reads all 2r - 2 left ends per weight: at r = 6400 every
+        # 32nd weight, and the last left ends, where p = 0 repeats them
+        step = 32 if r > 1000 else 1
+        picked = np.r_[0 : len(w) : step, len(lefts) - 3 : len(lefts), len(w) - 3 : len(w)]
+        assert paths[0][picked].tolist() == [part.slot_of(x) for x in w[picked].tolist()]
+
+
 def _block_lengths(p, r):
     """The 2r - 1 block lengths in slot order, from the closed forms
     (1 - p)/r for a large block and p/(r - 1) for a small one."""

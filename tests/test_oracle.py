@@ -1,11 +1,19 @@
-"""The exact oracle's independence from the production code, and its run cap."""
+"""The exact oracle's independence from the production code, its run cap,
+and its invariance under relabeling."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eqcolor import ChainEventSpec, Deflected, Hypergraph, MonoEdgeExists, exact_c0_event_prob
+from eqcolor import (
+    ChainEventSpec,
+    Deflected,
+    Hypergraph,
+    MonoEdgeExists,
+    exact_c0_event_prob,
+    generate_random,
+)
 from eqcolor import oracle
 
 from _reference import package_imports
@@ -105,3 +113,31 @@ def test_event_records_and_the_oracle_refuse_what_they_would_misread():
     assert Deflected(np.int64(5), np.int8(1)) == Deflected(5, 1)
     assert ChainEventSpec((np.int32(0),), 1) == ChainEventSpec((0,), 1)
     assert exact_c0_event_prob(h, 2, Deflected(5, 1)) == exact_c0_event_prob(h, 2, Deflected(5, None))
+
+
+@pytest.mark.parametrize("shape, r", [((10, 3, 8), 2), ((10, 2, 12), 2), ((8, 3, 6), 3), ((7, 2, 8), 3)])
+def test_oracle_is_invariant_under_relabeling(shape, r):
+    # the process reads ids only through ties of weight, which have measure
+    # zero: moving the instance along a vertex permutation pi, with the edge
+    # order kept, moves every event with it, and the oracle's value must
+    # not change in the last bit; each event is a call of its own, so no
+    # summation order can hide a difference
+    m = shape[0]
+    h = generate_random(*shape, seed=1)
+    pi = np.random.default_rng([*shape, r]).permutation(m)
+    relabeled = Hypergraph(m, h.n, pi[h.edge_array])
+    # edge j of the relabeled instance is edge j moved, so a chain's edge
+    # indices map to themselves
+    assert np.array_equal(relabeled.edge_array, np.sort(pi[h.edge_array], axis=1))
+    rows = [set(e) for e in h.edge_array.tolist()]
+    chain = next(
+        (a, b) for a in range(len(rows)) for b in range(len(rows)) if len(rows[a] & rows[b]) == 1
+    )
+    events = [(MonoEdgeExists(),) * 2, (ChainEventSpec(chain, 2),) * 2]
+    events += [(Deflected(v, None), Deflected(int(pi[v]), None)) for v in range(m)]
+    values = []
+    for event, moved in events:
+        values.append(exact_c0_event_prob(h, r, event, p=0.3, budget=10**8))
+        assert exact_c0_event_prob(relabeled, r, moved, p=0.3, budget=10**8) == values[-1], event
+    # the chain and some deflection occur, so the values are not all zeros
+    assert values[1] > 0 and max(values[2:]) > 0
