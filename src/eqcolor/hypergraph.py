@@ -226,18 +226,18 @@ def _c_read(body: bytes, m: int, n: int, num_edges: int) -> Optional[np.ndarray]
     """The body as an (E x n) int64 array read by ``np.fromstring``, or None
     when the line-by-line path must read it.
 
-    The reader takes only the form ``to_text`` writes, for m <= 2^31: E
-    lines of n unsigned decimal ids with no leading zero, single spaces
-    between them, each line ended by a line break.  With its digits deleted
-    the body must be n - 1 spaces and a line break, E times over, so it
-    holds no other byte (no sign, tab, carriage return or comment) and
-    exactly E lines.  No separator may start the body or follow another, so
-    each line holds exactly n non-empty tokens: the reader cannot raise,
-    warn or return a short array, and no id moves across a line break.  A
-    token beyond int64 reads as 2^63 - 1, which the range check refuses
-    with every other id at least m or 2^31 (int32 ids bound m by 2^31), so
-    an accepted id has at most 10 digits and reads as ``int()`` reads it.
-    Every refused body goes to the line path, which produces the errors.
+    The reader takes only the form ``to_text`` writes: E lines of n
+    unsigned decimal ids with no leading zero, single spaces between them,
+    each line ended by a line break.  With its digits deleted the body must
+    be n - 1 spaces and a line break, E times over, so it holds no other
+    byte (no sign, tab, carriage return or comment) and exactly E lines.
+    No separator may start the body or follow another, so each line holds
+    exactly n non-empty tokens: the reader cannot raise, warn or return a
+    short array, and no id moves across a line break.  A token beyond int64
+    reads as 2^63 - 1, which the range check refuses with every other id at
+    least m or 2^31 (int32 ids bound m by 2^31), so an accepted id has at
+    most 10 digits and reads as ``int()`` reads it.  Every refused body
+    goes to the line path, which produces the errors.
     """
     seps = body.translate(None, b"0123456789")
     # lengths first, so that no header's n or E sizes a pattern; this also
