@@ -152,7 +152,9 @@ def _row_counts(values: np.ndarray, k: int) -> np.ndarray:
 def _oracle_or_bound(h, r, p, event, bound_value: Optional[float]) -> Optional[Comparison]:
     if h.m <= _ORACLE_MAX_M.get(r, -1):
         try:
-            return Comparison("exact", exact_c0_event_prob(h, r, event, p=p, budget=10**6))
+            value = exact_c0_event_prob(h, r, event, p=p, budget=10**6)
+            # a list of events gives one value each, summed in order
+            return Comparison("exact", sum(value) if isinstance(value, tuple) else value)
         except BudgetExceeded:
             pass
     if bound_value is None:
@@ -211,7 +213,7 @@ def _expected_deflections(h, r, p, values):
         keys = batch.deflected[0]
         return np.bincount(keys[batch.slots.take(keys) == 2 * i - 1] // h.m, minlength=len(batch))
 
-    # one enumeration sums the deflection probabilities of all m vertices;
+    # one enumeration gives the deflection probabilities of all m vertices;
     # the generator builds the m events only if the oracle runs
     return f"expected-deflections(i={i})", stat, lambda: _oracle_or_bound(
         h, r, p, (Deflected(v, i) for v in range(h.m)), expected_deflections_bound(h.n, r)

@@ -72,7 +72,7 @@ def exact_c0_event_prob(
     event,
     p: Optional[float] = None,
     budget: int = 10**7,
-) -> float:
+) -> float | tuple[float, ...]:
     """Exact probability of an event of the two-stage coloring: the exact
     measure of the (subinterval assignment, within-small-block order)
     configurations where it holds.
@@ -80,10 +80,10 @@ def exact_c0_event_prob(
     Supports MonoEdgeExists, Deflected (interval None means any small
     block), and ChainEventSpec, and raises ValueError for an event naming a
     vertex, small block or edge that ``h`` and r lack.  Given a list (or
-    other iterable) of events, returns the sum of their probabilities: each
-    event has its own accumulator, capped at 1 against rounding, and the
-    accumulators are summed in order, so the sum equals that of one call
-    per event.
+    other iterable) of events, returns a tuple with one probability per
+    event, in order, from one enumeration: each event has its own
+    accumulator, capped at 1 against rounding, so each entry equals the
+    value of a call with that event alone, to the last bit.
     Requires 2 <= r <= m, m <= 10 at r = 2 and m <= 8 at r = 3, and p in
     [0, 1) (``intervals._check_p``), by default ``choose_p(n, r)``, and an
     integer ``budget`` (``hypergraph._integer``); raises BudgetExceeded,
@@ -156,7 +156,8 @@ def exact_c0_event_prob(
                     totals[j] += weight * int(hits)
         g = end
     # a sure event's group weights can sum to a rounding error above 1
-    return sum(min(total, 1.0) for total in totals)
+    values = tuple(min(total, 1.0) for total in totals)
+    return values[0] if single else values
 
 
 def _class_tables(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:

@@ -260,8 +260,8 @@ def test_chain_lemma_exact():
                 for seq in enumerate_chains(h, k)[1]
                 for color in range(k, r + 1)
             ]
-            mono = exact_c0_event_prob(h, r, MonoEdgeExists())
-            assert mono <= exact_c0_event_prob(h, r, events), (h.edge_array.tolist(), r)
+            mono, *chains = exact_c0_event_prob(h, r, [MonoEdgeExists(), *events])
+            assert mono <= sum(chains), (h.edge_array.tolist(), r)
 
 
 # ---------------------------------------------------------------------------

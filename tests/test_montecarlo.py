@@ -30,6 +30,7 @@ from eqcolor.montecarlo import QUANTITIES, Deflected
 from eqcolor.seeding import ROLE_TRIALS, derive
 
 from _reference import counts, deflection_counts, enumerate_chains
+from test_console_pins import TRI_PAIR_CHAIN_EVENT, TRI_PAIR_MONO_EDGE
 
 SINGLE = Hypergraph(2, 2, [(0, 1)])
 # two triangles sharing vertices with a third, forcing interactions between
@@ -102,11 +103,12 @@ def test_oracle_frozen_values_on_calibration_instance():
     assert exact_c0_event_prob(TRI_PAIR, 2, ChainEventSpec((0, 1), 2)) == pytest.approx(
         0.008017001787568267, rel=1e-12
     )
-    # the same values to the last bit, as the oracle sums them today
-    assert exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists()) == 0.416341849750086
+    # the same values to the last bit, as the oracle sums them today; the
+    # console pins read the mono-edge and chain-event values too
+    assert exact_c0_event_prob(TRI_PAIR, 2, MonoEdgeExists()) == TRI_PAIR_MONO_EDGE
     assert exact_c0_event_prob(TRI_PAIR, 2, Deflected(2, 1)) == 0.07188601748440727
     assert exact_c0_event_prob(TRI_PAIR, 2, Deflected(2, None)) == 0.07188601748440727
-    assert exact_c0_event_prob(TRI_PAIR, 2, ChainEventSpec((0, 1), 2)) == 0.008017001787568272
+    assert exact_c0_event_prob(TRI_PAIR, 2, ChainEventSpec((0, 1), 2)) == TRI_PAIR_CHAIN_EVENT
     path4 = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
     assert exact_c0_event_prob(path4, 3, Deflected(1, 2)) == 0.09433144949768552
 
@@ -140,18 +142,22 @@ def test_oracle_counts_configurations_before_enumerating(monkeypatch):
     assert rep.comparison.kind == "bound"
 
 
-def test_oracle_sums_a_list_of_events_in_one_enumeration():
+def test_oracle_values_a_list_of_events_in_one_enumeration():
     events = [Deflected(v, 1) for v in range(TRI_PAIR.m)]
     events += [MonoEdgeExists(), ChainEventSpec((0, 1), 2), Deflected(2, None)]
-    singles = [exact_c0_event_prob(TRI_PAIR, 2, ev) for ev in events]
-    assert exact_c0_event_prob(TRI_PAIR, 2, events) == sum(singles)
+    singles = tuple(exact_c0_event_prob(TRI_PAIR, 2, ev) for ev in events)
+    assert exact_c0_event_prob(TRI_PAIR, 2, events) == singles
+    # a list of one event is a tuple of one value
+    assert exact_c0_event_prob(TRI_PAIR, 2, events[-1:]) == singles[-1:]
 
 
 def test_expected_deflections_comparison_is_one_enumeration(monkeypatch):
     # the 3^6 slot vectors of all 7 groups of equal small-block size fit in
     # one run, so one dynamic-program call decides all six deflection
     # events, as one decides the mono-edge event; the deflection pass
-    # watches every vertex, the mono-edge pass none
+    # watches every vertex, the mono-edge pass none; its value is the
+    # events' values summed in vertex order, to the last bit
+    singles = [exact_c0_event_prob(TRI_PAIR, 2, Deflected(v, 1)) for v in range(TRI_PAIR.m)]
     calls = []
     visit = oracle._visit_states
 
@@ -166,6 +172,7 @@ def test_expected_deflections_comparison_is_one_enumeration(monkeypatch):
     assert mono.comparison.kind == defl.comparison.kind == "exact"
     assert len(calls) == 2 * one_pass == 2
     assert calls == [(3**6, 7, 0), (3**6, 7, (1 << 6) - 1)]
+    assert defl.comparison.value == sum(singles)
 
 
 def test_oracle_rejects_oversized_instances():
@@ -244,20 +251,19 @@ def test_oracle_memory_is_bounded_at_its_largest_two_color_shape():
     # bound every step's rows.  The peaks measured 6.6 MiB for mono-edge and
     # 11.2 MiB for the deflections of all ten vertices, whose states merge
     # least (the dynamic program that kept each vector's states apart
-    # peaked at 33 MiB on both)
+    # peaked at 33 MiB on both).  One pass decides all eleven events and
+    # peaks at 11.2 MiB
     path = Hypergraph(10, 2, [(k, k + 1) for k in range(9)])
-    for events, frozen in (
-        (MonoEdgeExists(), 0.9829452693054591),
-        ([Deflected(v, 1) for v in range(10)], 1.711071142634226),
-    ):
-        tracemalloc.start()
-        try:
-            value = exact_c0_event_prob(path, 2, events, budget=27 * 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert value == pytest.approx(frozen, rel=1e-12)
-        assert peak < 16 << 20
+    events = [MonoEdgeExists()] + [Deflected(v, 1) for v in range(10)]
+    tracemalloc.start()
+    try:
+        mono, *deflections = exact_c0_event_prob(path, 2, events, budget=27 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mono == pytest.approx(0.9829452693054591, rel=1e-12)
+    assert sum(deflections) == pytest.approx(1.711071142634226, rel=1e-12)
+    assert peak < 16 << 20
 
 
 def test_oracle_simulator_refuses_m_above_its_table_limit():
@@ -312,9 +318,10 @@ def test_oracle_calls_no_production_kernel_or_predicate(monkeypatch):
 
 def test_exact_oracle():
     for r in (2, 3):
-        assert 0.0 < exact_c0_event_prob(TRIS, r, MonoEdgeExists()) < 1.0
-        events = [ChainEventSpec((0, 1), 2), Deflected(2, None)] + [Deflected(v, 1) for v in range(6)]
-        assert 0.0 < exact_c0_event_prob(TRIS, r, events)
+        events = [MonoEdgeExists(), ChainEventSpec((0, 1), 2), Deflected(2, None)]
+        mono, *others = exact_c0_event_prob(TRIS, r, events + [Deflected(v, 1) for v in range(6)])
+        assert 0.0 < mono < 1.0
+        assert all(0.0 <= value <= 1.0 for value in others) and max(others) > 0.0
 
 
 @pytest.mark.parametrize("quantity", QUANTITIES)
@@ -686,22 +693,20 @@ def test_oracle_matches_a_plain_enumeration_of_every_order(h, r):
         for color in range(k, r + 1)
     ]
     expected = _reference_event_probs(h, r, p, events)
-    single = {}
+    found = dict(zip(events, exact_c0_event_prob(h, r, events, p=p)))
     for event, value in zip(events, expected):
-        single[event] = exact_c0_event_prob(h, r, event, p=p)
-        assert single[event] == pytest.approx(value, rel=1e-12, abs=1e-15), event
+        assert found[event] == pytest.approx(value, rel=1e-12, abs=1e-15), event
     # lists that watch the deflections of only some vertices share one pass,
-    # in which states differing only at the other vertices merge
-    reference = dict(zip(events, expected))
+    # in which states differing only at the other vertices merge, and no
+    # value changes in the last bit; an event alone gives its value too
     mixed = [
         [Deflected(0, 1), MonoEdgeExists(), Deflected(h.m - 1, None)],
         [Deflected(v, r - 1) for v in range(1, h.m, 2)],
         [MonoEdgeExists(), Deflected(2, None), events[-1], Deflected(2, 1)],
     ]
     for chosen in mixed:
-        value = exact_c0_event_prob(h, r, chosen, p=p)
-        assert value == sum(single[event] for event in chosen)
-        assert value == pytest.approx(sum(reference[event] for event in chosen), rel=1e-12)
+        assert exact_c0_event_prob(h, r, chosen, p=p) == tuple(found[event] for event in chosen)
+    assert exact_c0_event_prob(h, r, events[-1], p=p) == found[events[-1]]
     linked = [
         v for ev, v in zip(events, expected) if isinstance(ev, ChainEventSpec) and len(ev.edges) > 1
     ]

@@ -62,7 +62,7 @@ def test_import_reader_sees_every_form_of_package_import(line, name):
 @pytest.mark.parametrize("r", [2, 3])
 def test_oracle_run_cap_changes_no_value(monkeypatch, r):
     # a cap of 1 runs every group of slot vectors alone, 2^24 puts them all
-    # in one run; the group sums add in group order either way
+    # in one run; each event's group sums add in group order either way
     events = [MonoEdgeExists(), ChainEventSpec((0, 1), 2)] + [Deflected(v, 1) for v in range(6)]
     runs, values = [], []
     visit = oracle._visit_states
@@ -75,9 +75,9 @@ def test_oracle_run_cap_changes_no_value(monkeypatch, r):
     for cells in (1, 1 << 18, 1 << 24):
         monkeypatch.setattr(oracle, "_RUN_CELLS", cells)
         runs.append(0)
-        values.append([exact_c0_event_prob(TRI_PAIR, r, ev) for ev in (*events, events)])
+        values.append(exact_c0_event_prob(TRI_PAIR, r, events))
     assert values[0] == values[1] == values[2]
-    assert all(0.0 < value < 1.0 for value in values[0][:-1])
+    assert len(values[0]) == len(events) and all(0.0 < value < 1.0 for value in values[0])
     assert runs[0] > runs[1] == runs[2]
 
 
@@ -112,7 +112,8 @@ def test_event_records_and_the_oracle_refuse_what_they_would_misread():
     # the fields read as plain ints, so equal events stay equal
     assert Deflected(np.int64(5), np.int8(1)) == Deflected(5, 1)
     assert ChainEventSpec((np.int32(0),), 1) == ChainEventSpec((0,), 1)
-    assert exact_c0_event_prob(h, 2, Deflected(5, 1)) == exact_c0_event_prob(h, 2, Deflected(5, None))
+    one, either = exact_c0_event_prob(h, 2, [Deflected(5, 1), Deflected(5, None)])
+    assert one == either
 
 
 @pytest.mark.parametrize("shape, r", [((10, 3, 8), 2), ((10, 2, 12), 2), ((8, 3, 6), 3), ((7, 2, 8), 3)])
@@ -120,7 +121,7 @@ def test_oracle_is_invariant_under_relabeling(shape, r):
     # the process reads ids only through ties of weight, which have measure
     # zero: moving the instance along a vertex permutation pi, with the edge
     # order kept, moves every event with it, and the oracle's value must
-    # not change in the last bit; each event is a call of its own, so no
+    # not change in the last bit; each event has its own value, so no
     # summation order can hide a difference
     m = shape[0]
     h = generate_random(*shape, seed=1)
@@ -133,11 +134,10 @@ def test_oracle_is_invariant_under_relabeling(shape, r):
     chain = next(
         (a, b) for a in range(len(rows)) for b in range(len(rows)) if len(rows[a] & rows[b]) == 1
     )
-    events = [(MonoEdgeExists(),) * 2, (ChainEventSpec(chain, 2),) * 2]
-    events += [(Deflected(v, None), Deflected(int(pi[v]), None)) for v in range(m)]
-    values = []
-    for event, moved in events:
-        values.append(exact_c0_event_prob(h, r, event, p=0.3, budget=10**8))
-        assert exact_c0_event_prob(relabeled, r, moved, p=0.3, budget=10**8) == values[-1], event
+    events = [MonoEdgeExists(), ChainEventSpec(chain, 2)]
+    moved = events + [Deflected(int(pi[v]), None) for v in range(m)]
+    events += [Deflected(v, None) for v in range(m)]
+    values = exact_c0_event_prob(h, r, events, p=0.3, budget=10**8)
+    assert exact_c0_event_prob(relabeled, r, moved, p=0.3, budget=10**8) == values
     # the chain and some deflection occur, so the values are not all zeros
     assert values[1] > 0 and max(values[2:]) > 0
