@@ -4,7 +4,7 @@ Small instances (m below n^2 (r-1) / (2 ln n)) draw colorings at the target
 class sizes directly and keep the first proper one.  Larger instances run
 the two-stage interval coloring, reject on any monochromatic edge, then
 close the gap between class sizes and targets: the rebalancing pass when
-the shortage is confined to color r, a greedy repair otherwise.  Every
+the shortage is confined to color r, then a greedy repair.  Every
 candidate is verified before it is returned, so the output is correct
 whenever there is one; only the number of restarts is random.
 
@@ -122,10 +122,18 @@ class SolveReport:
     counters, the chains of the last rejected run, and the last rebalance
     plan, for diagnostics.
 
+    ``diagnostics`` counts each rejected attempt once, under its one
+    reason: ``mono-edge`` (some edge is monochromatic), else
+    ``repair-failed`` when repair is on and ``rebalance-infeasible`` when
+    it is off (no rebalanced or repaired candidate was equitable; with
+    repair off this takes a shortage not confined to color r, which
+    rebalancing does not close).  A successful attempt counts under none,
+    so ``attempts == sum(diagnostics.values()) + (outcome == SUCCESS)``.
+
     ``chains`` is built on first read and kept.  The report holds only the
     last two-stage attempt rejected on a monochromatic edge, as
-    (hypergraph, seed, attempt), and no array of its batch.  The read
-    replays it in O(m) memory (the solver's partition, the weights drawn
+    (hypergraph, partition, seed, attempt), and no array of its batch.  The
+    read replays it in O(m) memory (the solve's partition, the weights drawn
     again by the block rule of ``seeding``, the two stages) and extracts
     and validates one chain per edge of one ``_mono_edges`` scan through
     ``extract_chain``: kernel rows are bit-identical at every batch size.
@@ -145,11 +153,10 @@ class SolveReport:
     def chains(self) -> tuple[ChainRecord, ...]:
         if self._rejected is None:
             return ()
-        h, seed, attempt = self._rejected
+        h, partition, seed, attempt = self._rejected
         rng = derive(seed, attempt // _BLOCK, ROLE_WEIGHTS)
         for _ in range(attempt % _BLOCK + 1):
             weights = sample_weights(h.m, rng)
-        partition = IntervalPartition(choose_p(h.n, self.r), self.r)
         init = run_interval_coloring(h, self.r, partition, weights)
         colors = init.coloring.colors
         return tuple(
@@ -277,6 +284,8 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     path = _route(h, r, cfg)
     targets = class_targets(h.m, r)
     diagnostics = {"mono-edge": 0, "rebalance-infeasible": 0, "repair-failed": 0}
+    # the one counter of a proper attempt with no equitable candidate
+    failure = "repair-failed" if cfg.allow_fallback_repair else "rebalance-infeasible"
     rejected = None  # the last attempt rejected on a monochromatic edge
     plan: Optional[RebalancePlan] = None
 
@@ -286,7 +295,9 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
 
     def report(outcome: str, coloring: Optional[Coloring], attempts: int, **kw) -> SolveReport:
         # balanced attempts have no chains
-        replay = None if rejected is None or partition is None else (h, cfg.seed, rejected)
+        replay = (
+            None if rejected is None or partition is None else (h, partition, cfg.seed, rejected)
+        )
         return SolveReport(
             outcome, coloring, attempts, path, r, diagnostics, plan, _rejected=replay, **kw
         )
@@ -308,25 +319,27 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
             if is_equitable(h, coloring):
                 return report(SUCCESS, coloring, attempt + 1)
 
+            # at most one rebalanced and one repaired candidate, each
+            # verified once; an attempt with no equitable one counts once,
+            # under ``failure``
+            candidate = None
             if _excess_pattern_holds(coloring.sizes, targets):
                 try:
                     plan = build_rebalance_plan(
                         h, init, targets, derive(cfg.seed, attempt, ROLE_VSETS)
                     )
                 except RegimeViolation:
-                    diagnostics["rebalance-infeasible"] += 1
+                    pass
                 else:
                     if plan.feasible:
                         candidate = apply_recolor(coloring, plan.wsets)
-                        if is_equitable(h, candidate):
-                            return report(SUCCESS, candidate, attempt + 1)
-                    diagnostics["rebalance-infeasible"] += 1
-
+            if candidate is not None and is_equitable(h, candidate):
+                return report(SUCCESS, candidate, attempt + 1)
             if cfg.allow_fallback_repair:
-                repaired = greedy_repair(h, coloring, targets, weights=init.weights)
-                if repaired is not None and is_equitable(h, repaired):
-                    return report(SUCCESS, repaired, attempt + 1)
-                diagnostics["repair-failed"] += 1
+                candidate = greedy_repair(h, coloring, targets, weights=init.weights)
+                if candidate is not None and is_equitable(h, candidate):
+                    return report(SUCCESS, candidate, attempt + 1)
+            diagnostics[failure] += 1
 
     oracle_feasible = None
     if not _power_exceeds(r, h.m, cfg.enumeration_budget):

@@ -172,6 +172,21 @@ ROWS = {
         pipe="gen-capped",
         sha256="59d7323e6158513df1b5ba06da0ce47a3cced217095f68298fa81e38b77a5b48",
     ),
+    # with repair off, a proper attempt whose shortage is not confined to
+    # color r counts under rebalance-infeasible: the counters partition
+    # the 5 attempts
+    "gen-500": Row("gen -m 500 -n 8 --edges 400 --seed 1"),
+    "no-repair": Row(
+        "solve - -r 4 --no-repair --restarts 5 --format json",
+        pipe="gen-500",
+        status=2,
+        fields={
+            "attempts": 5,
+            "diagnostics.mono-edge": 0,
+            "diagnostics.rebalance-infeasible": 5,
+            "diagnostics.repair-failed": 0,
+        },
+    ),
     # a balanced-route solve writes a coloring that verify accepts
     "gen-small": Row("gen -m 12 -n 3 --edges 6 --seed 2"),
     "balanced": Row(
