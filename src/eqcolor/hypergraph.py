@@ -320,14 +320,18 @@ class Coloring:
         self.colors.flags.writeable = False
 
     @classmethod
-    def _trusted(cls, r: int, colors: np.ndarray, sizes: list[int]) -> "Coloring":
-        """Wrap a read-only array of colors in 1..r, narrow in
-        ``_color_dtype(r)`` and owning its m entries (so it keeps no larger
-        array alive), and its class sizes unchecked, for colorings the
-        package computed itself.  ``np.bincount`` copies a read-only array,
-        so callers count before they set the flag, or keep the sizes up as
-        they build, and flag once per batch where they can (about 0.5 us per
-        array)."""
+    def _trusted(cls, r: int, colors: np.ndarray | list[int], sizes: list[int]) -> "Coloring":
+        """The one storage rule for a coloring the package computed itself,
+        from colors in 1..r (an array or a list) and its class sizes, both
+        unchecked.  The colors are stored in ``_color_dtype(r)``, in an
+        array that owns its m entries, read-only.  A view, such as a batch
+        row, is copied, so the coloring keeps no larger array alive; an
+        array that owns its entries in that dtype is taken over as it is,
+        so the caller hands over a copy it made and changes it no more."""
+        colors = np.asarray(colors, _color_dtype(r))
+        if colors.base is not None:
+            colors = colors.copy()
+        colors.flags.writeable = False
         out = cls.__new__(cls)
         out.r = r
         out.colors = colors

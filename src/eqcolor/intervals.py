@@ -373,8 +373,9 @@ class InitialColoringBatch:
     ``row(t)`` builds row t's InitialColoring, the same as
     ``run_interval_coloring`` gives for that row alone, for an integer t in
     0..T-1 (``hypergraph._integer``); any other t is a ValueError.  Its
-    weights and slots are views of the batch's rows; only its colors, a
-    copy, and its read-only slice of the deflected pairs are built for it.
+    weights and slots are views of the batch's rows; only its coloring,
+    which ``Coloring._trusted`` stores as a copy of row t, and its read-only
+    slice of the deflected pairs are built for it.
     ``eq=False``, since arrays have no truth value.
     """
 
@@ -391,17 +392,14 @@ class InitialColoringBatch:
         if (t := _integer(t, "row", 0)) >= len(self):
             raise ValueError(f"row {t} outside 0..{len(self) - 1}")
         r, m = self.partition.r, self.colors.shape[1]
-        # a copy, so the coloring does not keep the whole batch alive
-        colors = self.colors[t].copy()
-        sizes = np.bincount(colors, minlength=r + 1)[1:].tolist()
-        colors.flags.writeable = False
+        colors = self.colors[t]
         # row t's deflected vertices are the keys in [t * m, (t + 1) * m)
         keys, edges = self.deflected
         lo, hi = np.searchsorted(keys, (t * m, (t + 1) * m))
         vertices = keys[lo:hi] - t * m
         vertices.flags.writeable = False
         return InitialColoring(
-            Coloring._trusted(r, colors, sizes),
+            Coloring._trusted(r, colors, np.bincount(colors, minlength=r + 1)[1:].tolist()),
             self.partition,
             self.weights[t],
             self.slots[t],

@@ -9,7 +9,8 @@ Trials are seeded in blocks of ``_BLOCK`` trials, by the rule stated in
 ``seeding``.  They run in sub-batches of at most ``_SUB_BATCH_CELLS`` =
 2^18 cells, trials x max(draws per trial, n x |E|), and each sub-batch
 draws only its own rows.  The cap trades the kernel's fixed cost per call
-(about 60 us) against the memory of the draws and of the kernel's
+(37-102 us at T = 1 on five desk-scale instances, measured on a 2-core
+VM) against the memory of the draws and of the kernel's
 per-(trial, edge) arrays, which grows with the cap when almost every pair
 is live (p near 1).  At m = 1000, n = 8, |E| = 400 a sub-batch holds 81
 trials, and at p = 0.99 the kernel's arrays for one sub-batch peak at

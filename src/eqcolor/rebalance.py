@@ -207,7 +207,6 @@ def apply_recolor(coloring: Coloring, wsets: Sequence[np.ndarray]) -> Coloring:
         colors[ids] = r
         sizes[i - 1] -= len(ids)
         sizes[r - 1] += len(ids)
-    colors.flags.writeable = False
     return Coloring._trusted(r, colors, sizes)
 
 

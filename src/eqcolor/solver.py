@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .hypergraph import (
     Hypergraph,
     _check_colors,
     _check_targets,
-    _color_dtype,
     _integer,
     _mono_edges,
     _power_exceeds,
@@ -51,6 +50,7 @@ from .hypergraph import (
     is_proper,
 )
 from .intervals import (
+    InitialColoringBatch,
     IntervalPartition,
     _colors_at_sizes,
     choose_p,
@@ -247,9 +247,7 @@ def greedy_repair(
                 break
     if over:
         return None
-    out = np.array(colors, dtype=_color_dtype(r))
-    out.flags.writeable = False
-    return Coloring._trusted(r, out, sizes)
+    return Coloring._trusted(r, colors, sizes)
 
 
 def _move_keeps_proper(rows, colors, v: int, c_to: int) -> bool:
@@ -302,7 +300,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
             outcome, coloring, attempts, path, r, diagnostics, plan, _rejected=replay, **kw
         )
 
-    for start, mono, row in _batches(h, r, partition, cfg):
+    for start, mono, colors, batch in _batches(h, r, partition, cfg):
         prev = 0
         # the rows with no monochromatic edge, in attempt order, then the
         # end of the batch
@@ -314,7 +312,11 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
                 break
             prev = t + 1
             attempt = start + t
-            init, coloring = row(t)
+            if batch is None:
+                init, coloring = None, Coloring._trusted(r, colors[t], list(targets))
+            else:
+                init = batch.row(t)
+                coloring = init.coloring
 
             if is_equitable(h, coloring):
                 return report(SUCCESS, coloring, attempt + 1)
@@ -350,10 +352,19 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
 
 def _batches(
     h: Hypergraph, r: int, partition: Optional[IntervalPartition], cfg: SolveConfig
-) -> Iterator[tuple[int, np.ndarray, Callable[[int], tuple]]]:
-    """The solve's attempts in batches, as (first attempt, mask, row
-    builder) with the mask and builder of ``_screen_batch``.  Two-stage
-    attempts run when ``partition`` is given, balanced ones when it is None.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, Optional[InitialColoringBatch]]]:
+    """The solve's attempts in batches, each drawn, colored and screened as
+    arrays: (first attempt, mask, colors, record).  Two-stage attempts run
+    when ``partition`` is given, balanced ones when it is None.
+
+    A two-stage batch draws its ``sample_weights`` rows and is colored by
+    one ``run_interval_coloring`` call, whose ``InitialColoringBatch`` is
+    the record.  A balanced batch draws one ``permutation(m)`` per attempt
+    and is colored at the class targets by one ``_colors_at_sizes`` call;
+    its record is None.  Both color in ``_color_dtype(r)``, one row per
+    attempt, and the mask is their (T, |E|) mask of monochromatic edges
+    from one ``_mono_edges`` call.  The caller builds a coloring only for
+    the rows it reads, through ``Coloring._trusted``, which copies the row.
 
     Batches hold 1, 4, 16, ... attempts, at most ``_SUB_BATCH_CELLS`` //
     max(m, n |E|) of them (at least one), and stop at cfg.max_restarts.
@@ -368,50 +379,16 @@ def _batches(
     streams = _streams(lambda b: derive(cfg.seed, b, role), _BLOCK)
     start, size = 0, 1
     while start < cfg.max_restarts:
-        stop = min(start + size, cfg.max_restarts)
-        yield (start, *_screen_batch(h, r, partition, streams, stop - start))
-        start, size = stop, min(4 * size, cap)
-
-
-def _screen_batch(
-    h: Hypergraph,
-    r: int,
-    partition: Optional[IntervalPartition],
-    streams: Iterator[np.random.Generator],
-    size: int,
-) -> tuple[np.ndarray, Callable[[int], tuple]]:
-    """The next ``size`` attempts, drawn and colored as arrays and scanned
-    by one ``_mono_edges`` call: their (size, |E|) mask of monochromatic
-    edges, and the function building row t's (record, coloring).
-    ``streams`` gives each attempt's generator, in order.
-
-    A two-stage batch draws its ``sample_weights`` rows and is colored by
-    one kernel call.  A balanced batch draws one ``permutation(m)`` per
-    attempt and is colored at the class targets by one ``_colors_at_sizes``
-    call; its rows have no record (None).  Both color in
-    ``_color_dtype(r)``, which the screen reads as it is, and a row's
-    coloring holds a copy of its row, so a returned coloring keeps no batch
-    alive."""
-    if partition is None:
-        targets = class_targets(h.m, r)
-        perms = _draw_rows(
-            streams, size, lambda rng, k: np.stack([rng.permutation(h.m) for _ in range(k)])
-        )
-        colors = _colors_at_sizes(perms, targets)
-
-        def row(t: int) -> tuple:
-            own = colors[t].copy()
-            own.flags.writeable = False
-            return None, Coloring._trusted(r, own, list(targets))
-
-    else:
-        weights = _draw_rows(streams, size, lambda rng, k: sample_weights(h.m, rng, k))
-        batch = run_interval_coloring(h, r, partition, weights)
-        colors = batch.colors
-
-        def row(t: int) -> tuple:
-            init = batch.row(t)
-            return init, init.coloring
-
-    return _mono_edges(h, colors), row
-
+        size = min(size, cfg.max_restarts - start)
+        if partition is None:
+            batch = None
+            perms = _draw_rows(
+                streams, size, lambda rng, k: np.stack([rng.permutation(h.m) for _ in range(k)])
+            )
+            colors = _colors_at_sizes(perms, class_targets(h.m, r))
+        else:
+            weights = _draw_rows(streams, size, lambda rng, k: sample_weights(h.m, rng, k))
+            batch = run_interval_coloring(h, r, partition, weights)
+            colors = batch.colors
+        yield start, _mono_edges(h, colors), colors, batch
+        start, size = start + size, min(4 * size, cap)

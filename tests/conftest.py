@@ -2,11 +2,13 @@
 
 When a Hypothesis test fails, Hypothesis imports ``hypothesis.extra._patching``
 to print its explicit-example patch, and that module imports libcst, whose
-import raises mypy_extensions' DeprecationWarning for ``TypedDict``.  Under
-``-W error::DeprecationWarning``, the flag the suite runs with, that warning
-turned the report of the falsifying example into an internal error and
-stopped the run.  The module is imported here once with DeprecationWarning
-ignored for that import alone; the flag stays in force for everything else.
+import raises mypy_extensions' DeprecationWarning for ``TypedDict``.  The
+suite turns DeprecationWarning into an error (``filterwarnings`` in
+``pyproject.toml``, and the ``-W error::DeprecationWarning`` flag of the CI
+run), and that warning then turned the report of the falsifying example
+into an internal error and stopped the run.  The module is imported here
+once with DeprecationWarning ignored for that import alone; the error rule
+stays in force for everything else.
 """
 
 import warnings

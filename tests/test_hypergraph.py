@@ -332,7 +332,6 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
     # each module that gathers edge values is counted apart: the kernel in
     # intervals, the mono-edge screen in hypergraph, the rebalance scan
     from eqcolor import hypergraph, intervals, rebalance, solver
-    from eqcolor.seeding import ROLE_WEIGHTS, _streams, derive
 
     calls = []
     for module in (hypergraph, intervals, rebalance):
@@ -344,17 +343,20 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
         monkeypatch.setattr(module, "_edge_values", counted)
     h = generate_random(1000, 6, 1200, seed=1)
     partition = intervals.IntervalPartition(intervals.choose_p(h.n, 3), 3)
-    streams = _streams(lambda b: derive(0, b, ROLE_WEIGHTS), solver._BLOCK)
-    mono, row = solver._screen_batch(h, 3, partition, streams, 9)
-    assert mono.shape == (9, len(h.edge_array))
-    # one gather in the kernel, one in the screen, both on the narrow colors
-    assert calls == [("eqcolor.intervals", np.int8), ("eqcolor.hypergraph", np.int8)]
-    # the screen's mask is the one the int64 colors of the rows give
-    colors = np.stack([row(t)[1].colors for t in range(9)])
-    assert np.array_equal(mono, _mono_edges(h, colors.astype(np.int64)))
-    calls.clear()
-    init, coloring = row(0)
-    rebalance.build_rebalance_plan(h, init, class_targets(h.m, 3), seed=0)
+    cfg = solver.SolveConfig(seed=0, max_restarts=5)
+    sizes = []
+    for _, mono, colors, batch in solver._batches(h, 3, partition, cfg):
+        sizes.append(len(batch))
+        assert mono.shape == (len(batch), len(h.edge_array))
+        # one gather in the kernel, one in the screen, both on the narrow colors
+        assert calls == [("eqcolor.intervals", np.int8), ("eqcolor.hypergraph", np.int8)]
+        # the screen's mask is the one the int64 colors of the rows give
+        rows = np.stack([batch.row(t).coloring.colors for t in range(len(batch))])
+        assert np.array_equal(rows, colors)
+        assert np.array_equal(mono, _mono_edges(h, rows.astype(np.int64)))
+        calls.clear()
+    assert sizes == [1, 4]
+    rebalance.build_rebalance_plan(h, batch.row(0), class_targets(h.m, 3), seed=0)
     # one gather of the per-vertex state, in int8
     assert calls == [("eqcolor.rebalance", np.int8)]
 

@@ -832,7 +832,7 @@ def test_accept_after_several_failed_rows_in_same_batch_matches_reference():
     assert report.chains
 
 
-def test_recolor_that_misses_the_targets_counts_and_goes_on_to_repair(monkeypatch):
+def test_recolor_that_misses_the_targets_goes_on_to_repair_and_counts_nothing(monkeypatch):
     # a plan that was built but whose recolor is not equitable: on the
     # rebalanced instance of the CI smoke test, a recolor that moves nothing
     # leaves attempt 2's coloring as it was; greedy repair closes the gap,
@@ -1206,3 +1206,26 @@ def test_a_solve_sparse_coloring_holds_one_byte_per_vertex():
     report = solve_equitable(h, 4, SolveConfig(seed=0))
     assert report.outcome == SUCCESS and report.plan is not None and report.plan.feasible
     assert report.coloring.colors.nbytes == h.m
+
+
+def test_an_out_of_regime_solve_at_a_million_vertices_exhausts_in_linear_memory():
+    # the CLI admits m up to 10^7, far above edge_threshold(8, 4) = 450
+    # edges, so such a solve is bounded only by its restarts, each linear
+    # in m: at seed 1 both attempts are rejected on a monochromatic edge,
+    # there is no oracle verdict at this size, and the solve's tracemalloc
+    # peak read 27.3 bytes per vertex
+    import tracemalloc
+
+    from eqcolor import generate_random
+
+    h = generate_random(10**6, 8, 10**5, 3)
+    tracemalloc.start()
+    try:
+        report = solve_equitable(h, 4, SolveConfig(seed=1, max_restarts=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.outcome == EXHAUSTED and report.attempts == 2
+    assert report.diagnostics == {"mono-edge": 2, "rebalance-infeasible": 0, "repair-failed": 0}
+    assert report.oracle_feasible is None
+    assert peak <= 40 * h.m, peak
