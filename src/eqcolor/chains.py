@@ -36,7 +36,7 @@ from typing import Collection, Optional, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _check_colors, _integer
+from .hypergraph import Hypergraph, _check_colors, _integer, _integers
 from .intervals import InitialColoring
 
 __all__ = [
@@ -278,7 +278,9 @@ def validate_chain(
     ChainInvalid on the first violation.
 
     Edge j of a k-chain for color i belongs to color c_j = i - k + j.  The
-    record names edges and vertices in range and carries its kind's fields;
+    record's color, edges and vertices are integers by ``hypergraph``'s
+    rule (``_integer``, ``_integers``), its edges and vertices are in range,
+    and it carries its kind's fields;
     a complex chain's nonempty reduced edge and nonempty U partition its
     last edge.  The chain is read as a list of parts: its edges, the last
     one of a complex chain replaced by the reduced edge, and for an
@@ -298,6 +300,16 @@ def validate_chain(
     ranges are disjoint, share no vertex.  With ``vsets``, every vertex of
     U lies in the candidate set of its large block below color r.
     """
+    joins = [ln.vertex for ln in record.links]
+    try:
+        _integer(record.color, "color")
+        _integers(record.edges, "edge")
+        for ids in (joins, record.reduced_edge, record.candidate_vertices):
+            _integers(() if ids is None else ids, "vertex")
+        if record.terminal_vertex is not None:
+            _integer(record.terminal_vertex, "vertex")
+    except ValueError as exc:
+        raise ChainInvalid(str(exc)) from None
     k = record.k
     i = record.color
     cols, slots, weights = init.coloring.colors, init.slots, init.weights
@@ -318,11 +330,10 @@ def validate_chain(
         raise ChainInvalid(f"unknown chain kind {record.kind!r}")
     for e in record.edges:
         _check(0 <= e < len(h.edge_array), f"edge {e} outside 0..{len(h.edge_array) - 1}")
-    for v in [ln.vertex for ln in record.links] + [record.terminal_vertex]:
+    for v in joins + [record.terminal_vertex]:
         _check(v is None or 0 <= v < h.m, f"vertex {v} outside 0..{h.m - 1}")
 
     parts = [h.edge_array[e] for e in record.edges]
-    joins = [ln.vertex for ln in record.links]
     if record.kind == COMPLEX:
         reduced, u_set = set(record.reduced_edge), set(record.candidate_vertices)
         _check(bool(reduced and u_set), "complex chains need a nonempty reduced edge and U")

@@ -390,6 +390,34 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """A sequence of ids as an int64 array, each by ``_integer``'s rule.  An
+    array is read by its dtype in O(1): an integer dtype, or no entries at
+    all (``np.asarray([])`` is float64); a list or tuple entry by entry,
+    each within int64."""
+    if isinstance(values, np.ndarray):
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"{what}: dtype {values.dtype} is not an integer dtype")
+        return values.astype(np.int64, copy=False)
+    ids = [_integer(v, what) for v in values]
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"a {what} lies outside the int64 range") from None
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """An array of any shape, or nested sequences, as a float array, each
+    entry by ``_real``'s rule.  An array is read by its dtype in O(1), an
+    integer or float one, and anything else entry by entry."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"{what}: dtype {values.dtype} is not a real dtype")
+        return values.astype(float, copy=False)
+    cells = np.array(values, dtype=object)
+    return np.array([_real(x, what) for x in cells.flat], dtype=float).reshape(cells.shape)
+
+
 def _edge_values(h: Hypergraph, values) -> np.ndarray:
     """The values at every vertex of every edge, in their dtype: (m,) input
     gives an (n, |E|) array, (T, m) input an (n, |E|, T) one.  The one edge

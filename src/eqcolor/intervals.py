@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .hypergraph import (
-    Coloring, Hypergraph, _check_colors, _color_dtype, _edge_values, _integer, _real
+    Coloring, Hypergraph, _check_colors, _color_dtype, _edge_values, _integer, _real, _reals
 )
 
 __all__ = [
@@ -103,8 +103,9 @@ class IntervalPartition:
 
     def slot_of(self, x: float) -> int:
         """Flat subinterval index 0..2r-2 (large_i is 2i-2, small_i 2i-1): the
-        rule of ``_weight_slots`` in plain Python, for one weight."""
-        if not 0.0 <= x < 1.0:
+        rule of ``_weight_slots`` in plain Python, for one weight, a real
+        number by ``hypergraph._real``'s rule."""
+        if not 0.0 <= (x := _real(x, "weight")) < 1.0:
             raise ValueError(f"weight {x} outside [0, 1)")
         return sum(1 for left in self.lefts[1:] if left <= x)
 
@@ -333,7 +334,8 @@ def run_interval_coloring(
     vertex id).  A vertex of small_i only ever receives color i or i+1;
     deflection to i+1 is unconditional even if it completes a
     monochromatic edge of color i+1.  Raises ValueError unless
-    2 <= r <= m, and on a weight outside [0, 1).
+    2 <= r <= m, and on a weight outside [0, 1) or not a real number by
+    ``hypergraph._reals``' rule.
 
     Given (m,) weights, returns one InitialColoring.  Given a (T, m) array
     of weights, one row per attempt, colors all T rows in one kernel call
@@ -344,7 +346,7 @@ def run_interval_coloring(
     _check_colors(r, h.m, least=2)
     if partition.r != r:
         raise ValueError("partition was built for a different number of colors")
-    w = np.asarray(weights, dtype=float)
+    w = _reals(weights, "weight")
     if w.ndim not in (1, 2):
         raise ValueError("weights must be an (m,) or a (T, m) array")
     if w.shape[-1] != h.m:
@@ -432,16 +434,15 @@ def balanced_mono_prob(m: int, n: int, r: int) -> MonoProbability:
     return MonoProbability(float(frac), frac)
 
 
-def _colors_at_sizes(perms: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Read-only colors in ``_color_dtype(r)``, one row per row of the
-    (T, m) permutations ``perms``: vertex perms[t, j] takes the j-th entry
-    of 1, ..., 1, 2, ..., r, which holds sizes[i-1] copies of color i.  A uniform permutation
-    cut into consecutive blocks gives each coloring with those class sizes
-    from the same number of permutations, so a uniform row gives a uniform
-    coloring.  The solver's balanced route and the Monte Carlo
-    ``balanced-mono`` draw both color through it."""
+def _balanced_colors(rng: np.random.Generator, rows: int, sizes: Sequence[int]) -> np.ndarray:
+    """``rows`` uniform colorings with class sizes ``sizes``, (rows, m) in
+    ``_color_dtype(r)``.  One in-place ``rng.permuted`` call over tiled
+    aranges draws, and leaves ``rng`` as, ``rows`` ``permutation(m)``
+    calls; vertex perm[t, j] takes the j-th of 1, ..., 1, 2, ..., r
+    (sizes[i-1] copies of i), so each coloring with those sizes comes from
+    equally many permutations.  The solver and ``balanced-mono`` draw it."""
+    perms = np.tile(np.arange(sum(sizes)), (rows, 1))
+    rng.permuted(perms, axis=1, out=perms)
     colors = np.empty(perms.shape, dtype=_color_dtype(len(sizes)))
-    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-    colors[np.arange(len(perms))[:, None], perms] = labels
-    colors.flags.writeable = False
+    colors[np.arange(rows)[:, None], perms] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     return colors

@@ -16,10 +16,9 @@ is live (p near 1).  At m = 1000, n = 8, |E| = 400 a sub-batch holds 81
 trials, and at p = 0.99 the kernel's arrays for one sub-batch peak at
 about 14 MB.  Each sub-batch is colored at once: by one
 ``intervals.run_interval_coloring`` call, the only way into the two
-stages, or for ``balanced-mono`` by sorting each row of weights into a
-permutation that ``intervals._colors_at_sizes`` cuts into r equal
-classes, as the solver colors its balanced attempts.  Every statistic
-reads the whole sub-batch through the production predicates
+stages, or for ``balanced-mono`` by ``intervals._balanced_colors``, the
+solver's balanced draw, which cuts permutations into r equal classes.
+Every statistic reads the whole sub-batch through the production predicates
 (``hypergraph._mono_edges``, ``rebalance._candidates`` and
 ``_dangerous_edges``, ``chains._chain_event_holds``) or the batch's
 deflected pairs.  Within its limits, the exact oracle of ``oracle`` gives
@@ -56,7 +55,7 @@ from .hypergraph import (
 )
 from .intervals import (
     IntervalPartition,
-    _colors_at_sizes,
+    _balanced_colors,
     balanced_mono_prob,
     choose_p,
     run_interval_coloring,
@@ -111,14 +110,14 @@ def _sample(
     stat,
     with_keep: bool,
 ) -> tuple[float, float]:
-    """Sampling loop over sub-batches.  Trial t draws ``width`` uniforms, m
-    weights and then, when ``with_keep``, m keep draws, by the block rule of
-    ``seeding``.  A sub-batch holds at most ``_SUB_BATCH_CELLS`` //
-    max(width, n |E|) trials (at least one), colored by one
-    ``run_interval_coloring`` call on ``partition`` or, when it is None, by
-    a balanced draw.  ``stat(colors, batch, keep)`` takes its (T, m) colors,
-    its ``InitialColoringBatch`` (None for a balanced draw) and keep draws
-    (None unless ``with_keep``) and returns one integer or boolean per
+    """Sampling loop over sub-batches.  By the block rule of ``seeding``,
+    trial t draws a balanced coloring (``_balanced_colors``) when
+    ``partition`` is None, else ``width`` uniforms: m weights, colored by
+    ``run_interval_coloring``, and when ``with_keep`` m keep draws.  A
+    sub-batch holds at most ``_SUB_BATCH_CELLS`` // max(width, n |E|)
+    trials (at least one).  ``stat(colors, batch, keep)`` takes its (T, m)
+    colors, its ``InitialColoringBatch`` (None for a balanced draw) and keep
+    draws (None unless ``with_keep``) and returns one integer or boolean per
     trial; colors and slots are in ``hypergraph._color_dtype(r)``, so it
     widens what may leave +-2r.  Returns the sums of values and squares."""
     m = h.m
@@ -128,12 +127,14 @@ def _sample(
     streams = _streams(lambda b: derive(seed, b, ROLE_TRIALS), _BLOCK)
     total = total_sq = 0
     for lo in range(0, trials, sub):
-        mat = _draw_rows(streams, min(sub, trials - lo), lambda rng, k: rng.random((k, width)))
-        u, keep = mat[:, :m], mat[:, m:] if with_keep else None
+        size = min(sub, trials - lo)
         if partition is None:
-            colors, batch = _colors_at_sizes(np.argsort(u, axis=1, kind="stable"), sizes), None
+            colors = _draw_rows(streams, size, lambda rng, k: _balanced_colors(rng, k, sizes))
+            batch = keep = None
         else:
-            batch = run_interval_coloring(h, r, partition, u)
+            mat = _draw_rows(streams, size, lambda rng, k: rng.random((k, width)))
+            keep = mat[:, m:] if with_keep else None
+            batch = run_interval_coloring(h, r, partition, mat[:, :m])
             colors = batch.colors
         vals = np.asarray(stat(colors, batch, keep), dtype=np.int64)
         # drop this sub-batch's record before the next one is drawn and colored

@@ -40,6 +40,7 @@ from .hypergraph import (
     _check_targets,
     _edge_values,
     _integer,
+    _integers,
     _real,
 )
 from .intervals import InitialColoring, _check_p
@@ -185,7 +186,8 @@ def _dangerous_edges(h: Hypergraph, candidate, colors, r: int) -> np.ndarray:
 def apply_recolor(coloring: Coloring, wsets: Sequence[np.ndarray]) -> Coloring:
     """Move every vertex of W_i out of class i into class r, in a new
     coloring.  Each W_i is an array (or sequence) of distinct vertex ids in
-    0..m-1, each colored i; a ValueError names an id that is not."""
+    0..m-1, each colored i, read by ``hypergraph._integers``; a ValueError
+    names an id that is not."""
     r, m = coloring.r, coloring.m
     if len(wsets) != r - 1:
         raise ValueError("need one recolor set per color below r")
@@ -194,7 +196,7 @@ def apply_recolor(coloring: Coloring, wsets: Sequence[np.ndarray]) -> Coloring:
     # each W_i is checked on its own sorted copy, in O(|W_i| log |W_i|)
     sizes = list(coloring.sizes)
     for i, ws in enumerate(wsets, start=1):
-        ids = np.asarray(ws, np.int64)
+        ids = _integers(ws, f"recolor set {i} vertex")
         order = np.sort(ids)
         outside, repeated = ids[(ids < 0) | (ids >= m)], order[1:][order[1:] == order[:-1]]
         for bad, why in ((outside, f"outside 0..{m - 1}"), (repeated, "twice")):

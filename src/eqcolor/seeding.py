@@ -17,8 +17,13 @@ so the batch and sub-batch sizes change no draw, and a longer run extends
 a shorter one.  ``_streams`` and ``_draw_rows`` implement the rule for
 batches; a solve report's chains draw one attempt again by it directly.
 The solver's roles are ROLE_WEIGHTS and ROLE_BALANCED, the Monte Carlo
-trials' ROLE_TRIALS.  Only rebalancing sets are drawn per attempt, from
-(seed, attempt, ROLE_VSETS).
+trials' ROLE_TRIALS.  A balanced attempt, or a ``balanced-mono`` trial,
+draws a permutation of its m vertices: the items of one generator in a
+batch draw theirs in one ``Generator.permuted`` call over tiled aranges
+(``intervals._balanced_colors``), which gives the rows of, and leaves the
+generator as, successive ``permutation(m)`` calls, so that draw too is
+the same however the items are split.  Only rebalancing sets are drawn
+per attempt, from (seed, attempt, ROLE_VSETS).
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ whenever there is one; only the number of restarts is random.
 
 Attempts of both routes run through one loop, screened as arrays in
 batches of 1, 4, 16, ... attempts.  A route picks only how a batch is drawn
-and colored: ``sample_weights`` rows and one kernel call, or one
-permutation per attempt cut at the class targets.  One edge scan per batch
-gives a mask of monochromatic edges per row; the loop takes the rows with
-none in attempt order and keeps the index of the last rejected one.
+and colored: ``sample_weights`` rows and one kernel call, or permutations
+cut at the class targets (``intervals._balanced_colors``).  One edge scan
+per batch gives a mask of monochromatic edges per row; the loop takes the
+rows with none in attempt order and keeps the last rejected one's index.
 Per-attempt objects are built only for the clean rows: the report replays
 that last rejected two-stage attempt, and builds its chains, only when
 they are read.  Attempts are seeded in blocks of ``_BLOCK`` by the rule of
@@ -44,6 +44,7 @@ from .hypergraph import (
     _integer,
     _mono_edges,
     _power_exceeds,
+    _reals,
     brute_force_equitable,
     class_targets,
     is_equitable,
@@ -52,7 +53,7 @@ from .hypergraph import (
 from .intervals import (
     InitialColoringBatch,
     IntervalPartition,
-    _colors_at_sizes,
+    _balanced_colors,
     choose_p,
     run_interval_coloring,
     sample_weights,
@@ -198,9 +199,10 @@ def greedy_repair(
 ) -> Optional[Coloring]:
     """Move vertices from over-target classes to under-target ones whenever
     the move keeps the coloring proper, scanning vertices in increasing
-    weight (vertex order when no weights are given).  Returns a proper
-    coloring meeting the targets, or None when no move applies.  The
-    targets must pass ``_check_targets``: r integers >= 0 that sum to m.
+    weight (vertex order when no weights are given; real numbers by
+    ``hypergraph._reals``' rule).  Returns a proper coloring meeting the
+    targets, or None when no move applies.  The targets must pass
+    ``_check_targets``: r integers >= 0 that sum to m.
 
     Each move takes the first vertex in scan order that has an over-target
     color and a proper move, to the lowest under-target color that allows
@@ -215,10 +217,10 @@ def greedy_repair(
     targets = _check_targets(targets, r, h.m)
     if weights is None:
         order = range(h.m)
-    elif len(weights) != h.m:
+    elif (weights := _reals(weights, "weight")).shape != (h.m,):
         raise ValueError("need one weight per vertex")
     else:
-        order = np.argsort(np.asarray(weights), kind="stable").tolist()
+        order = np.argsort(weights, kind="stable").tolist()
     colors = coloring.colors.tolist()
     sizes = list(coloring.sizes)
     indptr, indices = h.incidence
@@ -300,7 +302,7 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
             outcome, coloring, attempts, path, r, diagnostics, plan, _rejected=replay, **kw
         )
 
-    for start, mono, colors, batch in _batches(h, r, partition, cfg):
+    for start, mono, colors, batch in _batches(h, targets, partition, cfg):
         prev = 0
         # the rows with no monochromatic edge, in attempt order, then the
         # end of the batch
@@ -351,20 +353,20 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
 
 
 def _batches(
-    h: Hypergraph, r: int, partition: Optional[IntervalPartition], cfg: SolveConfig
+    h: Hypergraph, targets: Sequence[int], partition: Optional[IntervalPartition], cfg: SolveConfig
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, Optional[InitialColoringBatch]]]:
     """The solve's attempts in batches, each drawn, colored and screened as
     arrays: (first attempt, mask, colors, record).  Two-stage attempts run
-    when ``partition`` is given, balanced ones when it is None.
+    when ``partition`` is given, balanced ones at ``targets`` otherwise.
 
     A two-stage batch draws its ``sample_weights`` rows and is colored by
     one ``run_interval_coloring`` call, whose ``InitialColoringBatch`` is
-    the record.  A balanced batch draws one ``permutation(m)`` per attempt
-    and is colored at the class targets by one ``_colors_at_sizes`` call;
-    its record is None.  Both color in ``_color_dtype(r)``, one row per
-    attempt, and the mask is their (T, |E|) mask of monochromatic edges
-    from one ``_mono_edges`` call.  The caller builds a coloring only for
-    the rows it reads, through ``Coloring._trusted``, which copies the row.
+    the record.  A balanced batch is drawn and colored by one
+    ``_balanced_colors`` call per generator it spans; its record is None.
+    Both color in ``_color_dtype(r)``, one row per attempt, and the mask is
+    their (T, |E|) mask of monochromatic edges from one ``_mono_edges``
+    call.  The caller builds a coloring only for the rows it reads, through
+    ``Coloring._trusted``, which copies the row.
 
     Batches hold 1, 4, 16, ... attempts, at most ``_SUB_BATCH_CELLS`` //
     max(m, n |E|) of them (at least one), and stop at cfg.max_restarts.
@@ -382,13 +384,10 @@ def _batches(
         size = min(size, cfg.max_restarts - start)
         if partition is None:
             batch = None
-            perms = _draw_rows(
-                streams, size, lambda rng, k: np.stack([rng.permutation(h.m) for _ in range(k)])
-            )
-            colors = _colors_at_sizes(perms, class_targets(h.m, r))
+            colors = _draw_rows(streams, size, lambda rng, k: _balanced_colors(rng, k, targets))
         else:
             weights = _draw_rows(streams, size, lambda rng, k: sample_weights(h.m, rng, k))
-            batch = run_interval_coloring(h, r, partition, weights)
+            batch = run_interval_coloring(h, partition.r, partition, weights)
             colors = batch.colors
         yield start, _mono_edges(h, colors), colors, batch
         start, size = start + size, min(4 * size, cap)

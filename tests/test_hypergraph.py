@@ -345,7 +345,7 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
     partition = intervals.IntervalPartition(intervals.choose_p(h.n, 3), 3)
     cfg = solver.SolveConfig(seed=0, max_restarts=5)
     sizes = []
-    for _, mono, colors, batch in solver._batches(h, 3, partition, cfg):
+    for _, mono, colors, batch in solver._batches(h, class_targets(h.m, 3), partition, cfg):
         sizes.append(len(batch))
         assert mono.shape == (len(batch), len(h.edge_array))
         # one gather in the kernel, one in the screen, both on the narrow colors

@@ -27,7 +27,7 @@ from eqcolor import (
 )
 from eqcolor.chains import _chain_event_holds, _conflicting, _first, _last
 from eqcolor.hypergraph import _color_dtype
-from eqcolor.intervals import _colors_at_sizes, _weight_slots
+from eqcolor.intervals import _balanced_colors, _weight_slots
 from eqcolor.rebalance import build_rebalance_plan
 
 from _reference import counts, package_imports
@@ -91,6 +91,16 @@ def test_slot_of_rejects_out_of_range():
         part.slot_of(1.0)
     with pytest.raises(ValueError):
         part.slot_of(-0.1)
+
+
+def test_slot_of_reads_its_weight_by_the_real_rule():
+    # without the real rule a text weight fails the comparison with a
+    # TypeError, and False reads as 0.0
+    part = IntervalPartition(0.2, 2)
+    assert part.slot_of(np.float32(0.5)) == part.slot_of(0.5) and part.slot_of(0) == 0
+    for bad in ("0.5", False, None):
+        with pytest.raises(ValueError, match="not a real number"):
+            part.slot_of(bad)
 
 
 def _searchsorted_slots(partition, weights):
@@ -492,22 +502,22 @@ def _balanced(m, r, seed):
     """A balanced draw as the solver makes one: a permutation from the
     generator of ``seed``, colored at the class targets."""
     targets = class_targets(m, r)
-    perm = np.random.default_rng(seed).permutation(m)
-    return Coloring._trusted(r, _colors_at_sizes(perm[None], targets)[0], targets)
+    colors = _balanced_colors(np.random.default_rng(seed), 1, targets)[0]
+    return Coloring._trusted(r, colors, targets)
 
 
 def test_sample_balanced_sizes_and_determinism():
     c = _balanced(6, 3, seed=1)
     assert isinstance(c, Coloring) and c.sizes == [2, 2, 2]
     assert _balanced(6, 3, seed=1) == c
-    # sizes that do not add up to m are refused
-    with pytest.raises(ValueError):
-        _colors_at_sizes(np.arange(5)[None], [2, 2])
-    # vertex perms[t, j] takes the j-th color of 1, 1, 1, 2, 2 in every row
-    perms = np.array([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]])
-    colors = _colors_at_sizes(perms, [3, 2])
-    assert colors.tolist() == [[1, 1, 1, 2, 2], [2, 2, 1, 1, 1], [1, 2, 1, 2, 1]]
-    assert colors.dtype == _color_dtype(2) and not colors.flags.writeable
+    # row t cuts the t-th permutation(m) of the generator: vertex perm[j]
+    # takes the j-th color of 1, 1, 1, 2, 2
+    colors = _balanced_colors(np.random.default_rng(3), 4, [3, 2])
+    rng = np.random.default_rng(3)
+    for row in colors:
+        perm = rng.permutation(5)
+        assert row[perm].tolist() == [1, 1, 1, 2, 2]
+    assert colors.shape == (4, 5) and colors.dtype == _color_dtype(2)
 
 
 def test_trusted_colorings_equal_validated_ones():

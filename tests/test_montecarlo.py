@@ -472,11 +472,11 @@ def test_mc_balanced_mono_matches_formula():
         mc_estimate("balanced-mono", Hypergraph(5, 2, [(0, 1)]), 2, trials=10)
 
 
-@pytest.mark.parametrize("seed, path_hits, tri_hits", [(13, 371, 2014), (14, 370, 1986)])
+@pytest.mark.parametrize("seed, path_hits, tri_hits", [(13, 354, 1998), (14, 358, 1993)])
 def test_mc_balanced_mono_frozen_values(seed, path_hits, tri_hits):
-    # counts frozen from the balanced draw that ranked each row of weights
-    # with a double argsort; 1500 trials on the path span four sub-batches,
-    # 20000 on TRI_PAIR two blocks
+    # counts frozen from the solver's balanced draw, Generator.permuted rows
+    # cut at the class targets; 1500 trials on the path span four
+    # sub-batches, 20000 on TRI_PAIR two blocks
     path = Hypergraph(80, 2, [(k, k + 1) for k in range(79)])
     cases = ((path, 4, 5, 1500, path_hits), (TRI_PAIR, 2, 1, 20000, tri_hits))
     for h, r, edge, trials, hits in cases:
@@ -1068,7 +1068,9 @@ def test_mc_sub_batches_respect_the_cell_cap(monkeypatch):
 def _reference_report(quantity, h, r, params, trials, seed):
     """A copy of ``_sample`` that draws each block of ``_BLOCK`` trials
     whole, derive(seed, b, ROLE_TRIALS).random((_BLOCK, width)), and runs
-    trial t alone on row t % ``_BLOCK``."""
+    trial t alone on row t % ``_BLOCK``; a balanced trial instead draws its
+    own ``permutation(m)`` from the block's generator and cuts it at the
+    class targets."""
     spec = montecarlo._SPECS[quantity]
     values = dict(params)
     p = values.pop("p", choose_p(h.n, r)) if montecarlo._P in spec.params else None
@@ -1076,16 +1078,18 @@ def _reference_report(quantity, h, r, params, trials, seed):
     width = 2 * h.m if spec.with_keep else h.m
     block = montecarlo._BLOCK
     total = total_sq = 0
+    labels = np.repeat(np.arange(1, r + 1), hypergraph.class_targets(h.m, r))
     for t in range(trials):
         if t % block == 0:
-            rows = derive(seed, t // block, ROLE_TRIALS).random((block, width))
-        row = rows[t % block][None, :]
-        u, keep = row[:, : h.m], row[:, h.m :] if spec.with_keep else None
+            rng = derive(seed, t // block, ROLE_TRIALS)
+            rows = None if p is None else rng.random((block, width))
         if p is None:
-            perms = np.argsort(u, axis=1, kind="stable")
-            colors = intervals._colors_at_sizes(perms, hypergraph.class_targets(h.m, r))
-            batch = None
+            colors = np.empty((1, h.m), dtype=np.int64)
+            colors[0, rng.permutation(h.m)] = labels
+            batch = keep = None
         else:
+            row = rows[t % block][None, :]
+            u, keep = row[:, : h.m], row[:, h.m :] if spec.with_keep else None
             batch = run_interval_coloring(h, r, IntervalPartition(p, r), u)
             colors = batch.colors
         value = int(np.asarray(stat(colors, batch, keep))[0])

@@ -1,13 +1,16 @@
 """The package's exports agree with the ``__all__`` of the modules it
-imports them from, and their numeric parameters follow one rule per kind."""
+imports them from, and their numeric parameters follow one rule per kind,
+entry by entry in a sequence."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import types
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eqcolor
@@ -92,6 +95,49 @@ NOT_WALKED = {
 REFUSED = {int: (2.5, True, "2"), float: ("0.1", True)}
 
 
+# a run with a chain of every kind: edge 0 deflects vertex 1 out of
+# small_1, and edge 1 comes out monochromatic in color 2
+PATH = eqcolor.Hypergraph(3, 2, [(0, 1), (1, 2)])
+PATH_RUN = eqcolor.run_interval_coloring(PATH, 2, eqcolor.IntervalPartition(0.2, 2), [0.1, 0.45, 0.7])
+TWO_CHAIN, TERMINAL, COMPLEX = (
+    dict(h=PATH, init=PATH_RUN, record=eqcolor.extract_chain(PATH, PATH_RUN, event))
+    for event in (
+        eqcolor.MonoEdge(1, 2), eqcolor.Deflected(1, 1), eqcolor.DangerousEdge(0, (0,))
+    )
+)
+TEXT_WEIGHTS = ["0.1", "0.2", "0.3", "0.9", "0.8", "0.7"]
+FALSE_WEIGHT = [False, 0.2, 0.3, 0.9, 0.8, 0.7]
+
+
+def _chain(valid, **fields):
+    """validate_chain's call ``valid`` with its record's ``fields`` changed."""
+    return "validate_chain", valid, dict(record=dataclasses.replace(valid["record"], **fields))
+
+
+# (name, a valid call, a change to one sequence parameter in it), which the
+# parameter must refuse entry by entry, or an array by its dtype: without
+# the rule each is read as a number (a float id as an index, True as 1, "0"
+# as 0, a text weight sorted as text) or fails deep inside with an
+# IndexError or an OverflowError
+SEQUENCE_REFUSED = [
+    *(
+        ("apply_recolor", VALID_CALLS["apply_recolor"], dict(wsets=bad))
+        for bad in ([[0.7]], [[True]], [["0"]], [np.zeros(1)], [[2**64]])
+    ),
+    *(
+        (name, VALID_CALLS[name], dict(weights=bad))
+        for name in ("greedy_repair", "run_interval_coloring")
+        for bad in (TEXT_WEIGHTS, FALSE_WEIGHT, np.zeros(6, dtype=bool), np.zeros(6, dtype=object))
+    ),
+    _chain(VALID_CALLS["validate_chain"], color=True),
+    _chain(TWO_CHAIN, edges=(0.0, 1)),
+    _chain(TWO_CHAIN, links=(eqcolor.ChainLink(1.0, 0.45),)),
+    _chain(TERMINAL, terminal_vertex=1.0),
+    _chain(COMPLEX, reduced_edge=(1.0,)),
+    _chain(COMPLEX, candidate_vertices=(0.0,)),
+]
+
+
 def _numeric_kind(annotation):
     """int or float when the annotation is that type, or a union holding it
     (Optional included); None otherwise."""
@@ -125,3 +171,11 @@ def test_numeric_parameters_refuse_what_they_would_misread(name):
         for bad in REFUSED.get(_numeric_kind(param.annotation), ()):
             with pytest.raises(ValueError):
                 call(**{**valid, param.name: bad})
+
+
+@pytest.mark.parametrize("name, valid, change", SEQUENCE_REFUSED)
+def test_sequence_parameters_refuse_what_they_would_misread_entry_by_entry(name, valid, change):
+    call = getattr(eqcolor, name)
+    call(**valid)
+    with pytest.raises(ValueError):
+        call(**{**valid, **change})

@@ -514,6 +514,8 @@ def test_apply_recolor_examples():
     c = _coloring_with_sizes((3, 1))
     unchanged = apply_recolor(c, (np.array([], np.int64),))
     assert unchanged == c and unchanged is not c
+    # an empty W_i of any dtype names no vertex: np.asarray([]) is float64
+    assert apply_recolor(c, (np.asarray([]),)) == c == apply_recolor(c, ([],))
     moved = apply_recolor(c, (np.array([0]),))
     assert moved.sizes == [2, 2] and moved.colors[0] == 2
     assert c.sizes == [3, 1]  # original untouched

@@ -84,3 +84,20 @@ def test_every_seed_passes_through_derive():
     assert derive(np.int64(7), np.uint8(2)).random() == derive(7, 2).random()
     same = solve_equitable(h, 2, SolveConfig(seed=np.int32(3)))
     assert same.coloring == solve_equitable(h, 2, SolveConfig(seed=3)).coloring
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 120, 2000, 20_000])
+def test_permuted_rows_are_successive_permutations(m):
+    # intervals._balanced_colors draws a batch of balanced attempts with one
+    # Generator.permuted call over tiled aranges; the solver's reports stay
+    # those of one permutation(m) call per attempt only while numpy keeps
+    # the two equal, row for row and in the state they leave the generator
+    tiled, single = np.random.default_rng(m), np.random.default_rng(m)
+    rows = tiled.permuted(np.tile(np.arange(m), (5, 1)), axis=1)
+    assumption = "numpy's Generator.permuted over tiled aranges "
+    assert np.array_equal(rows, [single.permutation(m) for _ in range(5)]), (
+        assumption + "no longer gives the rows of successive permutation(m) calls"
+    )
+    assert tiled.bit_generator.state == single.bit_generator.state, (
+        assumption + "leaves the generator in another state than permutation(m) calls"
+    )
