@@ -302,7 +302,7 @@ def validate_chain(
     """
     joins = [ln.vertex for ln in record.links]
     try:
-        _integer(record.color, "color")
+        i = _integer(record.color, "color")
         _integers(record.edges, "edge")
         for ids in (joins, record.reduced_edge, record.candidate_vertices):
             _integers(() if ids is None else ids, "vertex")
@@ -311,7 +311,6 @@ def validate_chain(
     except ValueError as exc:
         raise ChainInvalid(str(exc)) from None
     k = record.k
-    i = record.color
     cols, slots, weights = init.coloring.colors, init.slots, init.weights
 
     _check(k >= 1, "chain has no edges")

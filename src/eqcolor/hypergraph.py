@@ -44,8 +44,10 @@ _MAX_VERTICES = 2**31
 class Hypergraph:
     """Vertex set 0..m-1 with edges of exactly n distinct vertices each.
 
-    m >= 1, n >= 2 and the vertex ids are integers by ``_integer``'s rule: a
-    bool, a float or a string is refused with a FormatError, not truncated.
+    m >= 1, n >= 2 and the vertex ids are read by ``_integers``, the one
+    reader of integer sequences: a bool, a float or a string is refused
+    with a FormatError, not truncated.  The constructor sorts its own copy,
+    so an array given stays as it was.
     ``edge_array``, the one stored copy of the edges, is a read-only int32
     (|E| x n) array of sorted rows, deduplicated in first-seen order so
     serialization round-trips are stable; int32 ids bound m by 2^31.  It is
@@ -70,7 +72,7 @@ class Hypergraph:
         raw = edges if isinstance(edges, np.ndarray) else list(edges)
         rows = _int_rows(raw, n)
         if rows is not None:
-            rows.sort(axis=1)
+            rows = np.sort(rows, axis=1)
             bad = (rows[:, 0] < 0) | (rows[:, -1] >= m) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         if rows is None or bad.any():
             raise _first_bad_edge(raw, n, m)
@@ -133,26 +135,21 @@ class Hypergraph:
 
 
 def _int_rows(raw, n: int) -> Optional[np.ndarray]:
-    """The edges as a fresh (|E| x n) int64 array, or None when some edge
-    does not have n entries or some entry is not an integer (``_integer``)
-    within int64."""
-    matrix = isinstance(raw, np.ndarray) and raw.ndim == 2
-    # a bool array casts to int64, but its entries are not integers
-    if matrix and raw.dtype != bool and np.can_cast(raw.dtype, np.int64):
-        if raw.shape[1] != n and len(raw):
-            return None
-        return raw.astype(np.int64).reshape(len(raw), n)
+    """The edges as an (|E| x n) int64 array read by ``_integers``, a view of
+    ``raw`` when it is one already, or None when some edge does not have n
+    entries or ``_integers`` refuses an id."""
     try:
-        if not set(map(len, raw)) <= {n}:
+        if isinstance(raw, np.ndarray) and raw.ndim == 2:
+            if raw.shape[1] != n and len(raw):
+                return None
+            ids = raw.reshape(-1)
+        elif set(map(len, raw)) <= {n}:
+            ids = list(chain.from_iterable(raw))
+        else:
             return None
-        ids = list(chain.from_iterable(raw))
-        types = set(map(type, ids))
-        if bool in types or not all(issubclass(t, (int, np.integer)) for t in types):
-            return None
-        flat = np.fromiter(map(int, ids), np.int64, len(ids))
-    except (TypeError, OverflowError):
+        return _integers(ids, "vertex id").reshape(len(raw), n)
+    except (TypeError, ValueError):
         return None
-    return flat.reshape(len(raw), n)
 
 
 def _row_multipliers(n: int) -> np.ndarray:
@@ -297,21 +294,19 @@ class Coloring:
     ``colors`` is a read-only numpy array of length m in ``_color_dtype(r)``
     (int8 for r <= 64; ``colors.tolist()`` gives a plain list) and ``sizes``
     a list of the r class sizes.  The public constructor and
-    ``from_json_dict`` validate their input, r within 1..max(m, 1) by
-    ``_check_colors``; the JSON shapes are plain lists.
+    ``from_json_dict`` validate their input: the colors are read by
+    ``_integers`` (an integer array by its dtype, anything else entry by
+    entry), each in 1..r, and r within 1..max(m, 1) by ``_check_colors``;
+    the JSON shapes are plain lists.
     """
 
     __slots__ = ("r", "colors", "sizes")
 
     def __init__(self, m: int, r: int, colors: Sequence[int]):
         m, r = _integer(m, "vertex count", 0), _check_colors(r, m)
-        values = [_integer(c, "color") for c in colors]
-        if len(values) != m:
+        array = _integers(colors, "color")
+        if array.shape != (m,):
             raise ValueError("color vector length does not match vertex count")
-        try:
-            array = np.array(values, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("color out of range 1..r") from None
         if m and (array.min() < 1 or array.max() > r):
             raise ValueError("color out of range 1..r")
         self.r = r
@@ -357,11 +352,12 @@ class Coloring:
     def from_json_dict(cls, obj: dict) -> "Coloring":
         """Parse and validate untrusted JSON: r and every color are
         integers, every color lies in 1..r, and r passes the constructor's
-        bound max(m, 1) for m colored vertices.  Raises FormatError
+        bound max(m, 1) for m colored vertices; the optional ``sizes``, read
+        by ``_integers``, equal the class sizes.  Raises FormatError
         otherwise."""
         try:
             col = cls(len(obj["colors"]), obj["r"], obj["colors"])
-            agree = "sizes" not in obj or list(obj["sizes"]) == col.sizes
+            agree = "sizes" not in obj or _integers(obj["sizes"], "size").tolist() == col.sizes
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed coloring JSON: {exc}") from exc
         if not agree:
@@ -382,39 +378,58 @@ def _integer(value, what: str, least: Optional[int] = None) -> int:
 
 
 def _real(value, what: str) -> float:
-    """``value`` as a float if it is a Python or numpy integer or float; a
-    bool, a string or anything else is refused by a ValueError naming
-    ``what``, as ``_integer`` refuses it."""
+    """``value`` as a float if it is a Python or numpy integer or float that
+    float64 holds exactly; a bool, a string or anything else is refused by
+    a ValueError naming ``what``, as ``_integer`` refuses it, and so is a
+    value the cast would change (a wide float or a large integer), named
+    as given."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what} {_echo(value)} is not a real number")
-    return float(value)
+    # a numpy integer is compared as a Python int, which compares exactly
+    given = int(value) if isinstance(value, np.integer) else value
+    try:
+        x = float(given)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if x != given and x == x:
+        raise ValueError(f"{what} {_echo(value)} has no exact float64 value")
+    return x
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """A sequence of ids as an int64 array, each by ``_integer``'s rule.  An
-    array is read by its dtype in O(1): an integer dtype, or no entries at
-    all (``np.asarray([])`` is float64); a list or tuple entry by entry,
-    each within int64."""
-    if isinstance(values, np.ndarray):
-        if values.size and values.dtype.kind not in "iu":
-            raise ValueError(f"{what}: dtype {values.dtype} is not an integer dtype")
-        return values.astype(np.int64, copy=False)
-    ids = [_integer(v, what) for v in values]
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"a {what} lies outside the int64 range") from None
+    """The one reader of a sequence of integer ids, each by ``_integer``'s
+    rule, as an int64 array.  An integer array (not bool) is read by its
+    dtype in O(1), a uint64 one also by its maximum, in O(n).  Anything
+    else is read entry by entry, as the equal list: one scan of the entry
+    types, then ``np.fromiter``.  A ValueError names the first entry
+    refused as the caller gave it, one beyond int64 included."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if np.can_cast(values.dtype, np.int64) or not values.size or int(values.max()) < 2**63:
+            return values.astype(np.int64, copy=False)
+    ids = values if isinstance(values, (list, tuple, np.ndarray)) else list(values)
+    types = set(map(type, ids))
+    if bool not in types and all(issubclass(t, (int, np.integer)) for t in types):
+        try:
+            return np.fromiter(map(int, ids), np.int64, len(ids))
+        except OverflowError:
+            pass
+    for v in ids:
+        if not -(2**63) <= _integer(v, what) < 2**63:
+            raise ValueError(f"{what} {_echo(v)} lies outside the int64 range")
 
 
 def _reals(values, what: str) -> np.ndarray:
     """An array of any shape, or nested sequences, as a float array, each
-    entry by ``_real``'s rule.  An array is read by its dtype in O(1), an
-    integer or float one, and anything else entry by entry."""
+    entry by ``_real``'s rule.  An integer or float array whose dtype
+    float64 holds exactly (a float of up to 64 bits, an integer of up to
+    32) is read by its dtype in O(1); a wider one, as any other sequence,
+    entry by entry, so a value the cast would change is named as given."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iuf":
             raise ValueError(f"{what}: dtype {values.dtype} is not a real dtype")
-        return values.astype(float, copy=False)
-    cells = np.array(values, dtype=object)
+        if values.dtype.itemsize <= (8 if values.dtype.kind == "f" else 4):
+            return values.astype(float, copy=False)
+    cells = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     return np.array([_real(x, what) for x in cells.flat], dtype=float).reshape(cells.shape)
 
 
@@ -497,13 +512,21 @@ def generate_random(m: int, n: int, num_edges: int, seed: int) -> Hypergraph:
     Up to _POOL_LIMIT possible edges, they are picked from the list of all
     of them.  Above it, random n-subsets are drawn until enough distinct
     ones are found; that is allowed for at most C(m, n) // 2 edges, so each
-    draw is new with probability at least 1/2.
+    draw is new with probability at least 1/2.  C(m, n) is computed only
+    until it passes both bounds, so its cost does not grow with m.
     """
     m, n = _integer(m, "vertex count", 1), _integer(n, "edge size", 2)
     num_edges, seed = _integer(num_edges, "num_edges", 0), _integer(seed, "seed")
     if n > m:
         raise ValueError(f"cannot place edges of size {n} on {m} vertices")
-    universe = math.comb(m, n)
+    # C(m, n) by the multiplicative formula, C(m - k + i, i) after step i of
+    # k = min(n, m - n): each factor is at least 2, so it passes every bound
+    # it is compared with in about 64 steps, and stops there
+    k, universe, cap = min(n, m - n), 1, max(_POOL_LIMIT, 2 * num_edges + 1)
+    for i in range(1, k + 1):
+        if universe > cap:
+            break
+        universe = universe * (m - k + i) // i
     if num_edges > universe:
         raise ValueError(f"requested {num_edges} edges but only {universe} exist")
     if universe > _POOL_LIMIT and num_edges > universe // 2:

@@ -40,10 +40,11 @@ TRI_PAIR_CHAIN_EVENT = 0.008017001787568272
 @dataclass(frozen=True)
 class Row:
     """``argv`` is split on spaces, and a word ``@name`` stands for a file
-    holding row ``name``'s stdout.  stdin is ``stdin``, or row ``pipe``'s
-    stdout.  ``fields`` maps a dotted path into the stdout's JSON to its
-    value; ``check`` takes that JSON.  A row that exits 1 must write an
-    ``error:`` line.  ``timeout`` is in seconds."""
+    holding row ``name``'s stdout, or ``FILES[name]``.  stdin is
+    ``stdin``, or row ``pipe``'s stdout.  ``fields`` maps a dotted path
+    into the stdout's JSON to its value; ``check`` takes that JSON.  A row
+    that exits 1 must write an ``error:`` line.  ``timeout`` is in
+    seconds."""
 
     argv: str
     stdin: str = ""
@@ -82,6 +83,14 @@ def _zeros(sep):
     return "4 2 1\n" + "0" * 5000 + "1" + sep + "2\n"
 
 
+# files that no command writes, named by ``@name`` as a row's stdout is
+FILES = {
+    # an instance of two vertices and a coloring of it whose redundant
+    # sizes are bools
+    "two-vertices": "2 2 1\n0 1\n",
+    "bool-sizes": '{"r": 2, "colors": [1, 2], "sizes": [true, true]}',
+}
+
 ROWS = {
     # a JSON instance from gen, byte for byte
     "gen-json": Row(
@@ -95,6 +104,12 @@ ROWS = {
     # 5000 leading zeros exit 1 whether a space or a tab follows them
     "zeros-space": Row("solve - -r 2", stdin=_zeros(" "), status=1),
     "zeros-tab": Row("solve - -r 2", stdin=_zeros("\t"), status=1),
+    # gen computes C(m, n) only until it passes its bounds, so one edge of
+    # 2 * 10^6 vertices costs no C(4 * 10^6, 2 * 10^6), which ran for minutes
+    "gen-large-n": Row("gen -m 4000000 -n 2000000 --edges 1", timeout=20),
+    # the redundant sizes of a coloring are read by the integer rule: true
+    # is not the size 1
+    "verify-bool-sizes": Row("verify @two-vertices @bool-sizes", status=1),
     # the oracle's budget check never builds 3^(2^31): the CLI stops at its
     # vertex cap at once
     "oracle-huge-header": Row("oracle - -r 3", stdin="2147483648 3 0\n", status=1, timeout=10),
@@ -326,7 +341,7 @@ def run(tmp_path_factory):
             for word in row.argv.split(" "):
                 if word.startswith("@"):
                     path = files / word[1:]
-                    path.write_text(output(word[1:]).out)
+                    path.write_text(FILES.get(word[1:]) or output(word[1:]).out)
                     word = str(path)
                 argv.append(word)
             stdin = output(row.pipe).out if row.pipe else row.stdin

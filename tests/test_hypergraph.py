@@ -193,6 +193,30 @@ def test_json_readers_refuse_non_integer_sizes():
     assert type(h.m) is int and type(h.n) is int
 
 
+def test_coloring_json_sizes_follow_the_integer_rule():
+    # sizes were compared as a list, so true read as 1 and 1.0 as 1
+    for sizes in ([True, True], [1.0, 1.0]):
+        with pytest.raises(FormatError, match="not an integer"):
+            Coloring.from_json_dict({"r": 2, "colors": [1, 2], "sizes": sizes})
+    assert Coloring.from_json_dict({"r": 2, "colors": [1, 2], "sizes": [1, 1]}).sizes == [1, 1]
+
+
+def test_an_integer_array_of_colors_is_read_by_its_dtype(monkeypatch):
+    # each color went through _integer, one Python call per entry even for
+    # an int8 array
+    seen = set()
+    integer = hypergraph._integer
+
+    def counted(value, what, least=None):
+        seen.add(what)
+        return integer(value, what, least)
+
+    monkeypatch.setattr(hypergraph, "_integer", counted)
+    coloring = Coloring(10**6, 2, np.tile(np.array([1, 2], dtype=np.int8), 5 * 10**5))
+    assert coloring.sizes == [5 * 10**5] * 2
+    assert "color" not in seen and seen
+
+
 def test_coloring_equality():
     c = Coloring(4, 2, [1, 2, 1, 2])
     assert c == Coloring(4, 2, np.array([1, 2, 1, 2]))
@@ -464,6 +488,43 @@ def test_generate_random_bounds_the_rejection_draw(monkeypatch):
         generate_random(60, 4, 243818, seed=0)
     with pytest.raises(ValueError, match="exceeds"):
         generate_random(10**6, 3, 10**17, seed=0)
+
+
+def test_generate_random_bounds_agree_with_the_exact_binomial(monkeypatch):
+    # C(m, n) in full took seconds at m = 10^6 and n = m / 2; it is now
+    # computed only until it passes both bounds, and wherever a bound
+    # decides, the outcome is the one the exact C(m, n) gives
+    cases = []
+    for m in range(2, 70):
+        for n in range(2, m + 1):
+            c = math.comb(m, n)
+            for num_edges in {0, 1, 10**5, c // 2, c // 2 + 1, c, c + 1}:
+                if num_edges > c:
+                    expected = f"requested {num_edges} edges but only {c} exist"
+                elif c > 200_000 and num_edges > c // 2:
+                    expected = f"num_edges = {num_edges} exceeds C({m}, {n}) // 2 = {c // 2}, "
+                else:
+                    expected = None
+                cases.append((m, n, num_edges, expected))
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(seed):
+        raise Drawn
+
+    def full_binomial(m, n):
+        raise AssertionError("C(m, n) computed in full")
+
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    monkeypatch.setattr(math, "comb", full_binomial)
+    for m, n, num_edges, expected in cases:
+        try:
+            generate_random(m, n, num_edges, seed=0)
+        except Drawn:
+            assert expected is None, (m, n, num_edges)
+        except ValueError as exc:
+            assert expected is not None and str(exc).startswith(expected), (m, n, num_edges)
 
 
 def test_generate_random_outputs_below_the_bound_are_unchanged():

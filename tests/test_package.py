@@ -1,13 +1,17 @@
 """The package's exports agree with the ``__all__`` of the modules it
 imports them from, and their numeric parameters follow one rule per kind,
-entry by entry in a sequence."""
+entry by entry in a sequence, and give the same verdict at every numpy
+dtype."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import itertools
+import re
 import types
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -173,9 +177,189 @@ def test_numeric_parameters_refuse_what_they_would_misread(name):
                 call(**{**valid, param.name: bad})
 
 
+def test_real_parameters_refuse_an_integer_past_the_float_range():
+    # float() of such an integer raised OverflowError, not the rule's ValueError
+    for name, valid in VALID_CALLS.items():
+        call = getattr(eqcolor, name)
+        for param in inspect.signature(call, eval_str=True).parameters.values():
+            if _numeric_kind(param.annotation) is float:
+                with pytest.raises(ValueError, match="no exact float64 value"):
+                    call(**{**valid, param.name: 10**400})
+
+
 @pytest.mark.parametrize("name, valid, change", SEQUENCE_REFUSED)
 def test_sequence_parameters_refuse_what_they_would_misread_entry_by_entry(name, valid, change):
     call = getattr(eqcolor, name)
     call(**valid)
     with pytest.raises(ValueError):
         call(**{**valid, **change})
+
+
+# ---------------------------------------------------------------------------
+# the same verdict at every numpy dtype: an array reads as its equal list
+
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+FLOAT_DTYPES = (np.float16, np.float32, np.float64, np.longdouble)
+MATRIX_DTYPES = (*INTEGER_DTYPES, *FLOAT_DTYPES, np.bool_, np.complex128, object)
+
+
+def _matrix_values(dtype):
+    """Pairs of values as read-only arrays of ``dtype``, so that a reader
+    that writes into its argument fails: 0 and 1, 1 and 2, the dtype's two
+    ends (past int64 both ways for object), and for a float dtype 0 and
+    the largest value below 1."""
+    pairs = [[0, 1], [1, 2]]
+    if dtype in INTEGER_DTYPES:
+        pairs.append([np.iinfo(dtype).min, np.iinfo(dtype).max])
+    elif dtype in FLOAT_DTYPES:
+        info = np.finfo(dtype)
+        pairs += [[info.min, info.max], [dtype(0), dtype(1) - info.epsneg]]
+    elif dtype is object:
+        pairs.append([-(2**64), 2**64])
+    arrays = [np.array(pair, dtype=dtype) for pair in pairs]
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+SMALL = eqcolor.Hypergraph(2, 2, [(0, 1)])
+
+
+def _record(valid, **fields):
+    return dataclasses.replace(valid["record"], **fields)
+
+
+# argument: (its rule, the shape a pair takes, the call); shape () takes
+# each entry of a pair on its own.  "ids" are integers within int64,
+# "integer" any integer, and "real" an integer or a float
+DTYPE_ARGUMENTS = {
+    "edge rows": ("ids", (1, 2), lambda v: eqcolor.Hypergraph(4, 2, v)),
+    "colors": ("ids", (2,), lambda v: eqcolor.Coloring(2, 2, v)),
+    "W_i": (
+        "ids", (2,), lambda v: eqcolor.apply_recolor(eqcolor.Coloring(4, 2, [1, 1, 2, 2]), [v])
+    ),
+    "ChainRecord.edges": (
+        "ids", (2,), lambda v: eqcolor.validate_chain(PATH, PATH_RUN, _record(TWO_CHAIN, edges=v))
+    ),
+    "ChainRecord.reduced_edge": (
+        "ids",
+        (2,),
+        lambda v: eqcolor.validate_chain(PATH, PATH_RUN, _record(COMPLEX, reduced_edge=v)),
+    ),
+    "ChainRecord.candidate_vertices": (
+        "ids",
+        (2,),
+        lambda v: eqcolor.validate_chain(PATH, PATH_RUN, _record(COMPLEX, candidate_vertices=v)),
+    ),
+    "ChainRecord.color": (
+        "integer", (), lambda x: eqcolor.validate_chain(PATH, PATH_RUN, _record(TWO_CHAIN, color=x))
+    ),
+    "ChainRecord.terminal_vertex": (
+        "integer",
+        (),
+        lambda x: eqcolor.validate_chain(PATH, PATH_RUN, _record(TERMINAL, terminal_vertex=x)),
+    ),
+    "kernel weights": ("real", (2,), lambda v: eqcolor.run_interval_coloring(SMALL, 2, PART, v)),
+    "repair weights": (
+        "real",
+        (2,),
+        lambda v: eqcolor.greedy_repair(SMALL, eqcolor.Coloring(2, 2, [1, 2]), [1, 1], v),
+    ),
+    "slot_of": ("real", (), PART.slot_of),
+}
+
+
+def _outcome(call, value):
+    """What ``call(value)`` gives, in plain values, or the ValueError it
+    raises as (type, message); any other exception fails the test."""
+    try:
+        out = call(value)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, eqcolor.Hypergraph):
+        return "read", out.edge_array.tolist()
+    if isinstance(out, eqcolor.Coloring):
+        return "read", out.colors.tolist(), out.sizes
+    if isinstance(out, eqcolor.InitialColoring):
+        return "read", out.coloring.colors.tolist(), out.slots.tolist()
+    return "read", out
+
+
+def _equal_list(a):
+    """``a`` as nested lists of its own entries, numpy scalars kept."""
+    return [_equal_list(x) for x in a] if a.ndim > 1 else list(a)
+
+
+def _python_equal(x, rule):
+    """The Python number equal to ``x`` that ``rule`` takes: an int, within
+    int64 for ids, or an int or a float that float64 holds exactly for the
+    real rule; None when there is none."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        v = int(x)
+        fits = {"ids": -(2**63) <= v < 2**63, "integer": True, "real": float(v) == v}
+        return v if fits[rule] else None
+    if rule == "real" and isinstance(x, (float, np.floating)) and float(x) == x:
+        return float(x)
+    return None
+
+
+def _exact(x):
+    """The exact value of an integer or a finite float, as a Fraction;
+    None for anything else."""
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
+    if isinstance(x, (float, np.floating)) and np.isfinite(x):
+        return Fraction(*x.as_integer_ratio())
+    return None
+
+
+# the bounds a message states, which are not values it was given
+RULE_TEXT = re.compile(r"\[0, 1\)|\d+\.\.(?:\d+|r)")
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:e[-+]?\d+)?(?![\w.])")
+
+
+def _names_an_entry(outcome, entries):
+    """Whether ``outcome`` is a ValueError quoting one of ``entries`` as
+    given: a number of exactly its value, or the repr of an entry that is
+    not an integer."""
+    if outcome[0] == "read":
+        return False
+    text = RULE_TEXT.sub("", outcome[1])
+    quoted = {Fraction(token) for token in NUMBER.findall(text)}
+    return any(
+        _exact(x) in quoted or not isinstance(x, (int, np.integer)) and repr(x) in text
+        for x in entries
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_integer_and_real_argument_gives_one_verdict_at_every_dtype():
+    # an id array was read by its dtype and a list entry by entry, so a
+    # uint64 id of 2^63 wrapped to a negative one, an object array was
+    # refused although its list was read, and a longdouble weight just
+    # below 1 was refused as 1.0: each reader named a value it computed.
+    # Now an argument reads as the Python numbers equal to it, or, where
+    # its rule takes none, is refused with an entry named as given
+    for argument, (rule, shape, call) in DTYPE_ARGUMENTS.items():
+        for pair in itertools.chain.from_iterable(map(_matrix_values, MATRIX_DTYPES)):
+            case = (argument, pair.dtype.name, pair)
+            if not shape:
+                for x in pair:
+                    got, equal = _outcome(call, x), _python_equal(x, rule)
+                    if equal is None:
+                        assert _names_an_entry(got, [x]), (case, got)
+                    else:
+                        assert got == _outcome(call, equal), (case, got)
+                continue
+            values = pair.reshape(shape)
+            got, listed = _outcome(call, values), _outcome(call, _equal_list(values))
+            # an array reads as its equal list, or a real one is refused by its dtype
+            by_dtype = rule == "real" and got[0] != "read" and f"dtype {values.dtype} " in got[1]
+            assert got == listed or by_dtype, (case, got, listed)
+            equals = [_python_equal(x, rule) for x in pair]
+            if None in equals:
+                refused = [x for x, equal in zip(pair, equals) if equal is None]
+                assert _names_an_entry(listed, refused), (case, listed)
+            else:
+                plain = _equal_list(np.array(equals, dtype=object).reshape(shape))
+                assert listed == _outcome(call, plain), (case, listed)
