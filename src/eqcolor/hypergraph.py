@@ -66,7 +66,9 @@ class Hypergraph:
         except ValueError as exc:
             raise FormatError(str(exc)) from None
         if m > _MAX_VERTICES:
-            raise FormatError(f"vertex count {m} exceeds 2^31: vertex ids are stored as int32")
+            raise FormatError(
+                f"vertex count {_echo(m)} exceeds 2^31: vertex ids are stored as int32"
+            )
         self.m = m
         self.n = n
         raw = edges if isinstance(edges, np.ndarray) else list(edges)
@@ -262,9 +264,26 @@ def _edge_line(ln: str) -> list[int]:
 
 def _echo(value) -> str:
     """``repr(value)`` for an error message, cut to 200 characters and
-    marked when longer, so no input makes a long error line."""
-    text = repr(value)
+    marked when longer, so no input makes a long error line.  An int past
+    Python's int-to-str digit limit, which ``repr`` refuses, is written in
+    hex, also inside a tuple or list, so the message still names it."""
+    try:
+        text = repr(value)
+    except ValueError:
+        text = _wide_repr(value)
     return text if len(text) <= 200 else f"{text[:200]}... ({len(text)} characters)"
+
+
+def _wide_repr(value) -> str:
+    """``repr`` of a value, a tuple or list of values, with every int that
+    ``repr`` refuses in hex."""
+    if isinstance(value, (tuple, list)):
+        inner = ", ".join(map(_wide_repr, value))
+        return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+    try:
+        return repr(value)
+    except ValueError:
+        return hex(value) if isinstance(value, int) else f"<{type(value).__name__}>"
 
 
 def _check_colors(r: int, m: Optional[int] = None, least: int = 1) -> int:
@@ -275,7 +294,7 @@ def _check_colors(r: int, m: Optional[int] = None, least: int = 1) -> int:
     is checked; the caller bounds r first."""
     r = _integer(r, "r", least)
     if m is not None and r > max(m, 1):
-        raise ValueError(f"r = {r} exceeds the {m} vertices, so a class would stay empty")
+        raise ValueError(f"r = {_echo(r)} exceeds the {m} vertices, so a class would stay empty")
     return r
 
 
@@ -310,8 +329,8 @@ class Coloring:
         if m and (array.min() < 1 or array.max() > r):
             raise ValueError("color out of range 1..r")
         self.r = r
-        self.sizes = np.bincount(array, minlength=r + 1)[1:].tolist()
         self.colors = array.astype(_color_dtype(r))
+        self.sizes = _class_sizes(self.colors, r)
         self.colors.flags.writeable = False
 
     @classmethod
@@ -373,7 +392,7 @@ def _integer(value, what: str, least: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {_echo(value)} is not an integer")
     if least is not None and value < least:
-        raise ValueError(f"{what} must be at least {least}, got {value}")
+        raise ValueError(f"{what} must be at least {least}, got {_echo(value)}")
     return int(value)
 
 
@@ -422,15 +441,45 @@ def _reals(values, what: str) -> np.ndarray:
     """An array of any shape, or nested sequences, as a float array, each
     entry by ``_real``'s rule.  An integer or float array whose dtype
     float64 holds exactly (a float of up to 64 bits, an integer of up to
-    32) is read by its dtype in O(1); a wider one, as any other sequence,
-    entry by entry, so a value the cast would change is named as given."""
+    32) is read by its dtype in O(1); a wider integer array whose values
+    all lie within +-2^53, which float64 holds exactly, by one range check
+    of its extremes and one cast.  Any other array, as any other
+    sequence, is read entry by entry, so a value the cast would change is
+    named as given."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iuf":
             raise ValueError(f"{what}: dtype {values.dtype} is not a real dtype")
         if values.dtype.itemsize <= (8 if values.dtype.kind == "f" else 4):
             return values.astype(float, copy=False)
+        # the extremes as Python ints, which compare a uint64 exactly
+        if values.dtype.kind in "iu" and (
+            not values.size or -(2**53) <= int(values.min()) and int(values.max()) <= 2**53
+        ):
+            return values.astype(float)
     cells = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     return np.array([_real(x, what) for x in cells.flat], dtype=float).reshape(cells.shape)
+
+
+# ``_class_sizes`` counts by r passes of ``np.count_nonzero`` up to this many
+# colors, when each color has at least _PASS_VERTICES vertices on average
+_PASS_COLORS = 8
+_PASS_VERTICES = 2048
+
+
+def _class_sizes(colors: np.ndarray, r: int) -> list[int]:
+    """The r class sizes of a coloring given as an (m,) array of colors in
+    1..r, as a list of ints.  r passes of ``np.count_nonzero(colors == i)``
+    when r <= _PASS_COLORS and m >= _PASS_VERTICES r, one ``np.bincount``
+    otherwise, so O(m) at every r.  Best of 30 on int8 colors, 2-core Xeon
+    VM, numpy 2.4: at m = 10^5, 4 passes took 43 us against 179 us for
+    bincount, 8 passes 100 against 162, and 12 passes 152 against 161; at
+    m = 10^6 passes lost from r = 16 on (2.3 ms against 1.9).  Each pass
+    has a fixed cost of about 2.5 us, so at m = 2000 r = 2 passes still
+    won (5.5 us against 7.3) and r = 4 lost (12.2 against 6.3), and at
+    m <= 1000 bincount won from r = 2."""
+    if r <= _PASS_COLORS and len(colors) >= _PASS_VERTICES * r:
+        return [int(np.count_nonzero(colors == i)) for i in range(1, r + 1)]
+    return np.bincount(colors, minlength=r + 1)[1:].tolist()
 
 
 def _edge_values(h: Hypergraph, values) -> np.ndarray:
@@ -497,7 +546,7 @@ def _check_targets(targets: Sequence[int], r: int, m: int) -> tuple[int, ...]:
     sum to m, returned as a tuple of ints; ValueError otherwise."""
     targets = tuple(_integer(t, "target", 0) for t in targets)
     if len(targets) != r or sum(targets) != m:
-        raise ValueError(f"need {r} targets summing to {m}, got {targets}")
+        raise ValueError(f"need {r} targets summing to {m}, got {_echo(targets)}")
     return targets
 
 
@@ -518,7 +567,7 @@ def generate_random(m: int, n: int, num_edges: int, seed: int) -> Hypergraph:
     m, n = _integer(m, "vertex count", 1), _integer(n, "edge size", 2)
     num_edges, seed = _integer(num_edges, "num_edges", 0), _integer(seed, "seed")
     if n > m:
-        raise ValueError(f"cannot place edges of size {n} on {m} vertices")
+        raise ValueError(f"cannot place edges of size {_echo(n)} on {m} vertices")
     # C(m, n) by the multiplicative formula, C(m - k + i, i) after step i of
     # k = min(n, m - n): each factor is at least 2, so it passes every bound
     # it is compared with in about 64 steps, and stops there

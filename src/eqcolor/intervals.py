@@ -14,6 +14,10 @@ color i+1 unconditionally.
 
 Only ``run_interval_coloring`` runs the kernel (``_weight_slots``, then
 ``_stage_colors``), for the solver's and the Monte Carlo driver's batches.
+An edge whose vertices all lie in one large block is monochromatic whatever
+stage 2 does; ``_large_block_rows`` finds the rows of a batch that hold one
+from their slots alone and runs no stage 2, so the solver can reject them
+before the kernel runs.
 """
 
 from __future__ import annotations
@@ -26,7 +30,16 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .hypergraph import (
-    Coloring, Hypergraph, _check_colors, _color_dtype, _edge_values, _integer, _real, _reals
+    Coloring,
+    Hypergraph,
+    _check_colors,
+    _class_sizes,
+    _color_dtype,
+    _echo,
+    _edge_values,
+    _integer,
+    _real,
+    _reals,
 )
 
 __all__ = [
@@ -169,6 +182,24 @@ def _weight_slots(partition: IntervalPartition, weights) -> np.ndarray:
     for left in partition.lefts[1:]:
         slots += w >= left
     return slots
+
+
+def _large_block_rows(
+    h: Hypergraph, partition: IntervalPartition, weights: np.ndarray
+) -> np.ndarray:
+    """Which rows of a (T, m) weight array hold an edge whose vertices all
+    lie in one large block, as a (T,) bool mask.
+
+    Stage 1 gives every vertex of large_i color i for good and stage 2
+    moves only small-block vertices, so such an edge is monochromatic in
+    the row's final coloring, and ``_mono_edges`` rejects every row flagged
+    here.  The test reads the slots alone (``_weight_slots``, one
+    ``hypergraph._edge_values`` gather): an edge whose slots are all one
+    even value.  One odd value does not suffice, as stage 2 may deflect the
+    last vertex of a small block."""
+    edge_slots = _edge_values(h, _weight_slots(partition, weights))
+    top = edge_slots.max(axis=0)
+    return ((top == edge_slots.min(axis=0)) & (top & 1 == 0)).any(axis=0)
 
 
 def _stage_colors(
@@ -392,7 +423,7 @@ class InitialColoringBatch:
 
     def row(self, t: int) -> InitialColoring:
         if (t := _integer(t, "row", 0)) >= len(self):
-            raise ValueError(f"row {t} outside 0..{len(self) - 1}")
+            raise ValueError(f"row {_echo(t)} outside 0..{len(self) - 1}")
         r, m = self.partition.r, self.colors.shape[1]
         colors = self.colors[t]
         # row t's deflected vertices are the keys in [t * m, (t + 1) * m)
@@ -401,7 +432,7 @@ class InitialColoringBatch:
         vertices = keys[lo:hi] - t * m
         vertices.flags.writeable = False
         return InitialColoring(
-            Coloring._trusted(r, colors, np.bincount(colors, minlength=r + 1)[1:].tolist()),
+            Coloring._trusted(r, colors, _class_sizes(colors, r)),
             self.partition,
             self.weights[t],
             self.slots[t],
@@ -423,9 +454,9 @@ def balanced_mono_prob(m: int, n: int, r: int) -> MonoProbability:
     """
     m, n, r = _integer(m, "m", 1), _integer(n, "edge size", 1), _check_colors(r, m)
     if m % r != 0:
-        raise ValueError(f"balanced colorings need r | m, got m={m}, r={r}")
+        raise ValueError(f"balanced colorings need r | m, got m={_echo(m)}, r={r}")
     if n > m:
-        raise ValueError(f"edge size {n} outside 1..{m}")
+        raise ValueError(f"edge size {_echo(n)} outside 1..{_echo(m)}")
     size = m // r
     if n > size:
         frac = Fraction(0)

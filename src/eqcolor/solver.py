@@ -11,13 +11,17 @@ whenever there is one; only the number of restarts is random.
 Attempts of both routes run through one loop, screened as arrays in
 batches of 1, 4, 16, ... attempts.  A route picks only how a batch is drawn
 and colored: ``sample_weights`` rows and one kernel call, or permutations
-cut at the class targets (``intervals._balanced_colors``).  One edge scan
-per batch gives a mask of monochromatic edges per row; the loop takes the
-rows with none in attempt order and keeps the last rejected one's index.
-Per-attempt objects are built only for the clean rows: the report replays
-that last rejected two-stage attempt, and builds its chains, only when
-they are read.  Attempts are seeded in blocks of ``_BLOCK`` by the rule of
-``seeding``, so batching changes no report, and any attempt can be drawn
+cut at the class targets (``intervals._balanced_colors``).  Where an edge
+inside one large block is expected in an attempt (``_screens_large_blocks``),
+the two-stage rows that hold one are rejected from their slots before the
+kernel runs, as stage 2 leaves that edge monochromatic; only the other rows
+are colored.  One edge scan per batch gives a mask of monochromatic edges
+per colored row; the loop takes the rows with none in attempt order and
+keeps the last rejected one's index.  Per-attempt objects are built only
+for the clean rows: the report replays that last rejected two-stage attempt
+through both stages, and builds its chains, only when they are read.
+Attempts are seeded in blocks of ``_BLOCK`` by the rule of ``seeding``, so
+batching and the screen change no report, and any attempt can be drawn
 again on its own.
 
 At desk scale the per-attempt success probability carries no guarantee, so
@@ -54,6 +58,7 @@ from .intervals import (
     InitialColoringBatch,
     IntervalPartition,
     _balanced_colors,
+    _large_block_rows,
     choose_p,
     run_interval_coloring,
     sample_weights,
@@ -302,22 +307,22 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
             outcome, coloring, attempts, path, r, diagnostics, plan, _rejected=replay, **kw
         )
 
-    for start, mono, colors, batch in _batches(h, targets, partition, cfg):
+    for start, size, clean, colors, batch in _batches(h, targets, partition, cfg):
         prev = 0
         # the rows with no monochromatic edge, in attempt order, then the
         # end of the batch
-        for t in np.flatnonzero(~mono.any(axis=1)).tolist() + [len(mono)]:
+        for t, k in clean + [(size, None)]:
             if t > prev:
                 diagnostics["mono-edge"] += t - prev
                 rejected = start + t - 1
-            if t == len(mono):
+            if k is None:
                 break
             prev = t + 1
             attempt = start + t
             if batch is None:
-                init, coloring = None, Coloring._trusted(r, colors[t], list(targets))
+                init, coloring = None, Coloring._trusted(r, colors[k], list(targets))
             else:
-                init = batch.row(t)
+                init = batch.row(k)
                 coloring = init.coloring
 
             if is_equitable(h, coloring):
@@ -352,42 +357,69 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
     return report(outcome, None, cfg.max_restarts, oracle_feasible=oracle_feasible)
 
 
+def _screens_large_blocks(h: Hypergraph, partition: IntervalPartition) -> bool:
+    """Whether ``_batches`` rejects two-stage rows with an edge inside one
+    large block before the kernel: when the expected number of such edges
+    per attempt, |E| r ((1 - p) / r)^n, is at least 1.  Under the paper's
+    edge bound it is far below 1 and the screen would cost a second slot
+    pass on rows that nearly all go to the kernel anyway."""
+    big = (1.0 - partition.p) / partition.r
+    return len(h.edge_array) * partition.r * big**h.n >= 1.0
+
+
 def _batches(
     h: Hypergraph, targets: Sequence[int], partition: Optional[IntervalPartition], cfg: SolveConfig
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, Optional[InitialColoringBatch]]]:
+) -> Iterator[tuple[int, int, list, Optional[np.ndarray], Optional[InitialColoringBatch]]]:
     """The solve's attempts in batches, each drawn, colored and screened as
-    arrays: (first attempt, mask, colors, record).  Two-stage attempts run
-    when ``partition`` is given, balanced ones at ``targets`` otherwise.
+    arrays: (first attempt, size, clean rows, colors, record).  Two-stage
+    attempts run when ``partition`` is given, balanced ones at ``targets``
+    otherwise.
 
-    A two-stage batch draws its ``sample_weights`` rows and is colored by
-    one ``run_interval_coloring`` call, whose ``InitialColoringBatch`` is
-    the record.  A balanced batch is drawn and colored by one
-    ``_balanced_colors`` call per generator it spans; its record is None.
-    Both color in ``_color_dtype(r)``, one row per attempt, and the mask is
-    their (T, |E|) mask of monochromatic edges from one ``_mono_edges``
-    call.  The caller builds a coloring only for the rows it reads, through
+    A two-stage batch draws its ``sample_weights`` rows.  When
+    ``_screens_large_blocks`` holds, a rule that reads only the instance and
+    the partition, ``intervals._large_block_rows`` flags the rows with an
+    edge inside one large block; each is a ``mono-edge`` reject, with no
+    stage 2 and no edge scan.  The other rows, every row when the rule is
+    off, are colored by one ``run_interval_coloring`` call, whose
+    ``InitialColoringBatch`` is the record; a batch with no such row makes
+    no call, and its colors and record are None.  A balanced batch is drawn
+    and colored by one ``_balanced_colors`` call per generator it spans;
+    its record is None.  Both color in ``_color_dtype(r)``, one row per
+    colored attempt, and one ``_mono_edges`` call scans the colored rows.
+    The clean rows are the (attempt offset, row of colors) pairs of the
+    colored rows with no monochromatic edge, in attempt order.  The caller
+    builds a coloring only for the rows it reads, through
     ``Coloring._trusted``, which copies the row.
 
     Batches hold 1, 4, 16, ... attempts, at most ``_SUB_BATCH_CELLS`` //
     max(m, n |E|) of them (at least one), and stop at cfg.max_restarts.
-    The batch sizes change no draw (see ``seeding``).  A solve that
-    succeeds on attempt 1 draws one attempt; one that stops inside a batch
-    has drawn and colored the rest of that batch for nothing.  Growing
-    fourfold rather than twofold draws more such rows but makes fewer
-    kernel calls, each of which costs as much as several rows.
+    The batch sizes and the screen change no draw (see ``seeding``), and a
+    kernel row does not depend on the rows that share its call.  A solve
+    that succeeds on attempt 1 draws one attempt; one that stops inside a
+    batch has drawn and colored the rest of that batch for nothing.
+    Growing fourfold rather than twofold draws more such rows but makes
+    fewer kernel calls, each of which costs as much as several rows.
     """
     cap = max(1, _SUB_BATCH_CELLS // max(1, h.m, h.edge_array.size))
     role = ROLE_BALANCED if partition is None else ROLE_WEIGHTS
+    screen = partition is not None and _screens_large_blocks(h, partition)
     streams = _streams(lambda b: derive(cfg.seed, b, role), _BLOCK)
     start, size = 0, 1
     while start < cfg.max_restarts:
         size = min(size, cfg.max_restarts - start)
+        rows, colors, batch = np.arange(size), None, None
         if partition is None:
-            batch = None
             colors = _draw_rows(streams, size, lambda rng, k: _balanced_colors(rng, k, targets))
         else:
             weights = _draw_rows(streams, size, lambda rng, k: sample_weights(h.m, rng, k))
-            batch = run_interval_coloring(h, partition.r, partition, weights)
-            colors = batch.colors
-        yield start, _mono_edges(h, colors), colors, batch
+            if screen:
+                rows = np.flatnonzero(~_large_block_rows(h, partition, weights))
+                weights = weights[rows]
+            if len(rows):
+                batch = run_interval_coloring(h, partition.r, partition, weights)
+                colors = batch.colors
+        clean = []
+        if colors is not None:
+            clean = np.flatnonzero(~_mono_edges(h, colors).any(axis=1)).tolist()
+        yield start, size, list(zip(rows[clean].tolist(), clean)), colors, batch
         start, size = start + size, min(4 * size, cap)

@@ -353,8 +353,9 @@ def test_edge_values_on_edgeless_hypergraph():
 
 
 def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
-    # each module that gathers edge values is counted apart: the kernel in
-    # intervals, the mono-edge screen in hypergraph, the rebalance scan
+    # each module that gathers edge values is counted apart: the
+    # large-block screen and the kernel in intervals, the mono-edge screen
+    # in hypergraph, the rebalance scan
     from eqcolor import hypergraph, intervals, rebalance, solver
 
     calls = []
@@ -368,21 +369,88 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
     h = generate_random(1000, 6, 1200, seed=1)
     partition = intervals.IntervalPartition(intervals.choose_p(h.n, 3), 3)
     cfg = solver.SolveConfig(seed=0, max_restarts=5)
-    sizes = []
-    for _, mono, colors, batch in solver._batches(h, class_targets(h.m, 3), partition, cfg):
-        sizes.append(len(batch))
-        assert mono.shape == (len(batch), len(h.edge_array))
-        # one gather in the kernel, one in the screen, both on the narrow colors
-        assert calls == [("eqcolor.intervals", np.int8), ("eqcolor.hypergraph", np.int8)]
-        # the screen's mask is the one the int64 colors of the rows give
-        rows = np.stack([batch.row(t).coloring.colors for t in range(len(batch))])
-        assert np.array_equal(rows, colors)
-        assert np.array_equal(mono, _mono_edges(h, rows.astype(np.int64)))
+    sizes, colored = [], None
+    for _, size, clean, colors, batch in solver._batches(h, class_targets(h.m, 3), partition, cfg):
+        sizes.append(size)
+        if batch is None:
+            # every row held an edge inside one large block: the screen's
+            # gather alone, on the narrow slots
+            assert colors is None and clean == []
+            assert calls == [("eqcolor.intervals", np.int8)]
+        else:
+            # one gather in the screen, one in the kernel, one in the scan,
+            # all on the narrow slots and colors
+            assert calls == [("eqcolor.intervals", np.int8)] * 2 + [("eqcolor.hypergraph", np.int8)]
+            # the scan's clean rows are the ones the int64 colors of the
+            # rows give
+            rows = np.stack([batch.row(t).coloring.colors for t in range(len(batch))])
+            assert np.array_equal(rows, colors)
+            mono = _mono_edges(h, rows.astype(np.int64))
+            assert [k for _, k in clean] == np.flatnonzero(~mono.any(axis=1)).tolist()
+            colored = batch
         calls.clear()
-    assert sizes == [1, 4]
-    rebalance.build_rebalance_plan(h, batch.row(0), class_targets(h.m, 3), seed=0)
+    assert sizes == [1, 4] and colored is not None
+    rebalance.build_rebalance_plan(h, colored.row(0), class_targets(h.m, 3), seed=0)
     # one gather of the per-vertex state, in int8
     assert calls == [("eqcolor.rebalance", np.int8)]
+
+
+def test_class_sizes_match_bincount_on_both_sides_of_the_crossover():
+    from eqcolor.hypergraph import _PASS_COLORS, _PASS_VERTICES, _class_sizes
+
+    rng = np.random.default_rng(0)
+    for r in (2, 3, _PASS_COLORS, _PASS_COLORS + 1, 64, 65, 25_600):
+        for m in {r, _PASS_VERTICES * r - 1, _PASS_VERTICES * r, 30_000}:
+            colors = rng.integers(1, r + 1, m).astype(_color_dtype(r))
+            sizes = _class_sizes(colors, r)
+            assert sizes == np.bincount(colors, minlength=r + 1)[1:].tolist()
+            assert all(type(k) is int for k in sizes)
+    # the two callers: a validated coloring and a kernel row
+    colors = rng.integers(1, 5, 10**5)
+    assert Coloring(10**5, 4, colors).sizes == np.bincount(colors, minlength=5)[1:].tolist()
+
+
+def test_messages_name_integers_past_the_digit_limit():
+    # repr refuses an int of more than 4300 decimal digits; the message
+    # writes it in hex, cut to 200 characters
+    huge = 10**5000
+    head = hex(huge)[:40]
+    with pytest.raises(FormatError, match=f"edge \\(0, {head}.*has a vertex outside 0..3"):
+        Hypergraph(4, 2, [(0, huge)])
+    with pytest.raises(ValueError, match=f"color {head}.*outside the int64 range"):
+        Coloring(1, 1, [huge])
+    with pytest.raises(ValueError, match=f"m must be at least 0, got -{head}"):
+        class_targets(-huge, 1)
+    with pytest.raises(ValueError, match=f"r = {head}.*exceeds the 3 vertices"):
+        class_targets(3, huge)
+    with pytest.raises(FormatError, match=f"vertex count {head}.*exceeds 2\\^31"):
+        Hypergraph(huge, 2, [])
+    with pytest.raises(ValueError, match="characters\\)") as caught:
+        Coloring(1, 1, [huge])
+    assert len(str(caught.value)) < 300
+
+
+def test_wide_integer_weights_within_2_53_are_cast_as_an_array(monkeypatch):
+    # int64 and uint64 arrays within +-2^53 take one range check and one
+    # cast, never the per-entry reader; a value outside goes entry by
+    # entry and is named as given
+    from eqcolor.hypergraph import _reals
+
+    def per_entry(value, what):
+        raise AssertionError("read entry by entry")
+
+    for values in (np.zeros(10**5, np.int64), np.zeros(10**5, np.uint64),
+                   np.array([-(2**53), 2**53], np.int64), np.array([2**53], np.uint64),
+                   np.zeros((3, 0), np.int64)):
+        with monkeypatch.context() as patch:
+            patch.setattr(hypergraph, "_real", per_entry)
+            out = _reals(values, "weight")
+        assert out.dtype == np.float64 and out.shape == values.shape
+        assert out.tolist() == values.astype(object).astype(float).tolist()
+    assert _reals(np.array([2**60], np.uint64), "weight").tolist() == [2.0**60]
+    for dtype in (np.int64, np.uint64):
+        with pytest.raises(ValueError, match=f"weight .*{2**53 + 1}.* has no exact float64 value"):
+            _reals(np.array([0, 2**53 + 1], dtype), "weight")
 
 
 def test_class_targets_split():

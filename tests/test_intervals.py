@@ -26,7 +26,7 @@ from eqcolor import (
     sample_weights,
 )
 from eqcolor.chains import _chain_event_holds, _conflicting, _first, _last
-from eqcolor.hypergraph import _color_dtype
+from eqcolor.hypergraph import _color_dtype, _mono_edges
 from eqcolor.intervals import _balanced_colors, _weight_slots
 from eqcolor.rebalance import build_rebalance_plan
 
@@ -574,3 +574,23 @@ def test_only_run_interval_coloring_reaches_the_kernel():
         imported = {name for module, name in package_imports(source) if module == "intervals"}
         read = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
         assert not kernel & (imported | read), path.name
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 129])
+def test_large_block_rows_are_rows_stage_two_cannot_save(r):
+    # a row is flagged iff some edge has all its vertices in one large
+    # block, by slot_of, and every flagged row has a monochromatic edge
+    # after both stages; r = 129 takes the searched-slot branch.  The edge
+    # count puts about 1.5 such edges in a row
+    for p in (choose_p(2, r), 0.9):
+        part = IntervalPartition(p, r)
+        edges = math.ceil(1.5 / (r * ((1.0 - p) / r) ** 2))
+        h = generate_random(300, 2, edges, seed=r)
+        weights = sample_weights(h.m, r, rows=100)
+        flagged = intervals._large_block_rows(h, part, weights)
+        slots = np.vectorize(part.slot_of, otypes=[np.int64])(weights)[:, h.edge_array]
+        one_large = (slots[..., 0] == slots[..., 1]) & (slots[..., 0] % 2 == 0)
+        assert np.array_equal(flagged, one_large.any(axis=1))
+        assert 0 < flagged.sum() < len(flagged)
+        colors = run_interval_coloring(h, r, part, weights).colors
+        assert _mono_edges(h, colors)[flagged].any(axis=1).all()

@@ -20,6 +20,7 @@ from eqcolor import (
     is_proper,
     solve_equitable,
 )
+from eqcolor.intervals import IntervalPartition, choose_p
 from eqcolor.solver import (
     AUTO,
     BALANCED_ONLY,
@@ -955,6 +956,71 @@ def test_batch_sizes_change_no_report(monkeypatch):
     assert exhausted["oracle_feasible"] is True and exhausted["chains"] == []
 
 
+def test_large_block_screen_changes_no_report(monkeypatch):
+    # the rule decides only whether a row with an edge inside one large
+    # block is rejected before the kernel or by the edge scan after it:
+    # forced either way, on the cases of test_batch_sizes_change_no_report
+    # plus two graphs, every report is the same at every cell cap
+    from eqcolor import generate_random, solver
+
+    k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    k55 = Hypergraph(10, 2, [(a, b) for a in range(5) for b in range(5, 10)])
+    cycle = Hypergraph(12, 2, [(v, (v + 1) % 12) for v in range(12)])
+    cases = [
+        (k6, 2, SolveConfig(seed=1, max_restarts=300)),
+        (generate_random(1000, 6, 1200, 5), 3, SolveConfig(seed=0)),
+        _accepted_after_failed_row("rebalance-infeasible"),
+        _accepted_after_failed_row("repair-failed"),
+        _accepted_after_rejection_in_earlier_batch(),
+        _accepted_after_failed_rows(),
+        (k55, 2, SolveConfig(seed=2, force_path=BALANCED_ONLY)),
+        (k55, 2, SolveConfig(seed=2, max_restarts=100, force_path=BALANCED_ONLY)),
+        (cycle, 2, SolveConfig(seed=3, force_path=TWO_STAGE_ONLY)),
+        (generate_random(30, 2, 60, 1), 3, SolveConfig(seed=1, max_restarts=500)),
+    ]
+    screen, flagged = solver._large_block_rows, []
+
+    def counting(h, partition, weights):
+        out = screen(h, partition, weights)
+        flagged.append(int(out.sum()))
+        return out
+
+    monkeypatch.setattr(solver, "_large_block_rows", counting)
+    reports = []
+    for on in (False, True):
+        monkeypatch.setattr(solver, "_screens_large_blocks", lambda h, partition: on)
+        for cells in (1, solver._SUB_BATCH_CELLS, 2**24):
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_SUB_BATCH_CELLS", cells)
+                reports.append(
+                    [solve_equitable(h, r, cfg).to_json_dict(explain=True) for h, r, cfg in cases]
+                )
+        # the screen runs only when the rule is on, and then flags rows
+        assert (sum(flagged) > 0) == on
+    assert all(rep == reports[0] for rep in reports)
+
+
+def test_large_block_screen_runs_where_such_edges_are_expected():
+    # on where |E| r ((1 - p) / r)^n >= 1 at the derived p: both
+    # solve-restart shapes and K6; off on solve-sparse's and exact-small's
+    # repair shape, and at or below the paper's edge bound
+    from eqcolor import edge_threshold, generate_random, solver
+
+    def rule(h, r):
+        return solver._screens_large_blocks(h, IntervalPartition(choose_p(h.n, r), r))
+
+    k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
+    assert rule(generate_random(1000, 6, 1200, 0), 3)
+    assert rule(generate_random(1000, 10, 2200, 0), 2)
+    assert rule(k6, 2)
+    sparse = Hypergraph(100_000, 8, np.arange(80_000).reshape(10_000, 8))
+    assert not rule(sparse, 4)
+    assert not rule(generate_random(250, 6, 125, 0), 3)
+    for n, r in ((6, 3), (8, 3), (12, 2), (8, 4), (16, 2)):
+        edges = math.floor(edge_threshold(n, r).value)
+        assert not rule(generate_random(1000, n, edges, 0), r), (n, r, edges)
+
+
 def _recording(monkeypatch, name):
     """Replace ``solver.<name>`` by a wrapper that records (args, result)."""
     from eqcolor import solver
@@ -972,10 +1038,14 @@ def _recording(monkeypatch, name):
 
 
 def test_each_batch_scans_its_edges_once(monkeypatch):
-    # solving scans each batch's edges once; reading the report's chains
+    # solving scans the rows each batch colors once; rows the large-block
+    # screen rejects are neither colored nor scanned, and a batch left with
+    # no row makes no kernel call and no scan.  Reading the report's chains
     # replays the last rejected attempt and scans its row once more
     from eqcolor import generate_random
 
+    draws = _recording(monkeypatch, "_draw_rows")
+    kernels = _recording(monkeypatch, "run_interval_coloring")
     scans = _recording(monkeypatch, "_mono_edges")
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
     cases = [
@@ -983,19 +1053,28 @@ def test_each_batch_scans_its_edges_once(monkeypatch):
         (k6, 2, SolveConfig(seed=0, max_restarts=100), INFEASIBLE),
     ]
     for h, r, cfg, outcome in cases:
-        scans.clear()
+        for calls in (draws, kernels, scans):
+            calls.clear()
         report = solve_equitable(h, r, cfg)
         assert report.outcome == outcome and report.diagnostics["mono-edge"] >= 2
         # the batches whose first attempt is at most the last one run
-        batches = len(_batch_starts(report.attempts - 1, h))
-        assert len(scans) == batches
-        assert report.chains and len(scans) == batches + 1
+        assert len(draws) == len(_batch_starts(report.attempts - 1, h))
+        partition = IntervalPartition(choose_p(h.n, r), r)
+        kept = [w[~_large_block_flags(h, partition, w)] for _, w in draws]
+        assert sum(map(len, kept)) < sum(len(w) for _, w in draws)
+        kept = [w for w in kept if len(w)]
+        # one kernel call and one scan per batch with a kept row, on exactly
+        # those rows
+        assert len(kernels) == len(scans) == len(kept)
+        for w, (args, batch), ((_, colors), _) in zip(kept, kernels, scans):
+            assert np.array_equal(args[3], w) and colors is batch.colors
+        assert report.chains and len(scans) == len(kept) + 1
         # the one row replayed, with one chain per monochromatic edge; a
         # second read keeps the chains and scans nothing
         (_, colors), mask = scans[-1]
         assert colors.shape == (h.m,)
         assert [c.edges[-1] for c in report.chains] == np.flatnonzero(mask).tolist()
-        assert report.chains and len(scans) == batches + 1
+        assert report.chains and len(scans) == len(kept) + 1
 
 
 def test_attempt_64_takes_row_0_of_block_1(monkeypatch):
@@ -1025,10 +1104,12 @@ def test_k6_solve_derives_once_per_block(monkeypatch):
 
 def test_k6_solve_builds_at_most_one_initial_coloring_per_batch(monkeypatch):
     # rejected attempts are screened as arrays and none becomes an
-    # InitialColoring; reading the report's chains replays the last one,
-    # one row in one more kernel call
+    # InitialColoring; the kernel colors only the rows the large-block
+    # screen keeps.  Reading the report's chains replays the last one, one
+    # row in one more kernel call
     from eqcolor.intervals import InitialColoring
 
+    draws = _recording(monkeypatch, "_draw_rows")
     sizes = _record_batch_sizes(monkeypatch)
     built = []
     init = InitialColoring.__init__
@@ -1041,7 +1122,10 @@ def test_k6_solve_builds_at_most_one_initial_coloring_per_batch(monkeypatch):
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
     report = solve_equitable(k6, 2, SolveConfig(seed=11, max_restarts=10_000))
     assert report.outcome == INFEASIBLE
-    assert sum(sizes) == 10_000 and built == []
+    assert sum(len(w) for _, w in draws) == 10_000 and built == []
+    partition = IntervalPartition(choose_p(3, 2), 2)
+    kept = [int((~_large_block_flags(k6, partition, w)).sum()) for _, w in draws]
+    assert sizes == [k for k in kept if k] and sum(sizes) < 10_000
     batches = len(sizes)
     assert report.chains
     assert sizes[batches:] == [1] and len(built) == 1
@@ -1062,6 +1146,16 @@ def test_first_attempt_success_draws_m_weights(monkeypatch):
     assert derives[0][1].bit_generator.state == fresh.bit_generator.state
 
 
+def _large_block_flags(h, partition, weights):
+    """The rows of a (T, m) weight array with an edge whose vertices all
+    lie in one large block (an even slot), by ``IntervalPartition.slot_of``:
+    the rows whose final coloring has that edge monochromatic."""
+    slots = np.vectorize(partition.slot_of, otypes=[np.int64])(weights)
+    edge_slots = slots[:, h.edge_array]
+    one_block = (edge_slots == edge_slots[..., :1]).all(axis=2)
+    return (one_block & (edge_slots[..., 0] % 2 == 0)).any(axis=1)
+
+
 def _record_batch_sizes(monkeypatch):
     from eqcolor import intervals
 
@@ -1079,6 +1173,7 @@ def _record_batch_sizes(monkeypatch):
 def test_attempt_batches_start_at_one_and_respect_the_cell_cap(monkeypatch):
     from eqcolor import generate_random, solver
 
+    draws = _recording(monkeypatch, "_draw_rows")
     sizes = _record_batch_sizes(monkeypatch)
     k6 = Hypergraph(6, 3, list(itertools.combinations(range(6), 3)))
     cases = [
@@ -1089,18 +1184,34 @@ def test_attempt_batches_start_at_one_and_respect_the_cell_cap(monkeypatch):
     ]
     for h, r, cfg in cases:
         sizes.clear()
+        draws.clear()
         report = solve_equitable(h, r, cfg)
+        drawn = [len(w) for _, w in draws]
         width = max(h.m, h.n * len(h.edge_array))
-        assert sizes[0] == 1
-        assert all(t == 1 or t * width <= solver._SUB_BATCH_CELLS for t in sizes), sizes
-        assert sizes == _batch_sizes(report.attempts, cfg.max_restarts, h)
-        assert report.attempts <= sum(sizes)
+        assert drawn[0] == 1
+        assert all(t == 1 or t * width <= solver._SUB_BATCH_CELLS for t in drawn), drawn
+        assert drawn == _batch_sizes(report.attempts, cfg.max_restarts, h)
+        assert report.attempts <= sum(drawn)
+        # the kernel colors the rows the large-block screen keeps, every
+        # row when the rule is off, in one call per batch with such a row
+        partition = IntervalPartition(choose_p(h.n, r), r)
+        screen = solver._screens_large_blocks(h, partition)
+        kept = [
+            int((~_large_block_flags(h, partition, w)).sum()) if screen else len(w)
+            for _, w in draws
+        ]
+        assert sizes == [k for k in kept if k], (sizes, kept)
     # K6 (n |E| = 60 cells per attempt) grows fourfold up to 1024, then is
     # capped at 2184
     sizes.clear()
+    draws.clear()
     solve_equitable(k6, 2, SolveConfig(seed=1, max_restarts=4000))
-    assert sizes == [4**k for k in range(6)] + [solver._SUB_BATCH_CELLS // 60, 4000 - 1365 - 2184]
-    assert sizes == [1, 4, 16, 64, 256, 1024, 2184, 451]
+    drawn = [len(w) for _, w in draws]
+    assert drawn == [4**k for k in range(6)] + [solver._SUB_BATCH_CELLS // 60, 4000 - 1365 - 2184]
+    assert drawn == [1, 4, 16, 64, 256, 1024, 2184, 451]
+    partition = IntervalPartition(choose_p(3, 2), 2)
+    kept = [int((~_large_block_flags(k6, partition, w)).sum()) for _, w in draws]
+    assert sizes == [k for k in kept if k] and sum(sizes) < 4000
 
 
 def test_first_attempt_success_makes_one_kernel_call(monkeypatch):
