@@ -267,22 +267,19 @@ def _echo(value) -> str:
     marked when longer, so no input makes a long error line.  An int past
     Python's int-to-str digit limit, which ``repr`` refuses, is written in
     hex, also inside a tuple or list, so the message still names it."""
-    try:
-        text = repr(value)
-    except ValueError:
-        text = _wide_repr(value)
+    text = _wide_repr(value)
     return text if len(text) <= 200 else f"{text[:200]}... ({len(text)} characters)"
 
 
 def _wide_repr(value) -> str:
-    """``repr`` of a value, a tuple or list of values, with every int that
-    ``repr`` refuses in hex."""
-    if isinstance(value, (tuple, list)):
-        inner = ", ".join(map(_wide_repr, value))
-        return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+    """``repr(value)``, with every int that ``repr`` refuses in hex, also
+    inside a tuple or list."""
     try:
         return repr(value)
     except ValueError:
+        if isinstance(value, (tuple, list)):
+            inner = ", ".join(map(_wide_repr, value))
+            return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
         return hex(value) if isinstance(value, int) else f"<{type(value).__name__}>"
 
 
