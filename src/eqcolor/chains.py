@@ -36,7 +36,7 @@ from typing import Collection, Optional, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _check_colors, _integer, _integers
+from .hypergraph import Hypergraph, _check_colors, _in_float_range, _integer, _integers
 from .intervals import InitialColoring
 
 __all__ = [
@@ -403,8 +403,11 @@ def _chain_event_holds(slots, key, colors, parts, color) -> np.ndarray:
 def chain_probability_bound(n: int, r: int, k: int) -> float:
     """Bound 2 (ln n / n)^(k (r-1)/r) r^(-(n-1)k - 1) on the probability
     that a fixed structurally valid k-tuple forms an ordered chain: an upper
-    bound at the derived p for r < (ln n)^(1/5) and n large, not below."""
+    bound at the derived p for r < (ln n)^(1/5) and n large, not below.
+    ValueError when float64 cannot hold n, r, k or (n - 1) k + 1
+    (``hypergraph._in_float_range``)."""
     n, r, k = _integer(n, "n", 2), _check_colors(r, least=2), _integer(k, "k", 1)
+    _in_float_range(("n", n), ("r", r), ("k", k), ("(n - 1) k + 1", (n - 1) * k + 1))
     ln_n = math.log(n)
     log_val = (
         math.log(2.0)
@@ -421,13 +424,17 @@ def mono_edge_probability_bound() -> float:
 
 
 def expected_deflections_bound(n: int, r: int) -> float:
-    """Bound 0.04 e n / (r ln n) on the expected deflections per small block."""
+    """Bound 0.04 e n / (r ln n) on the expected deflections per small block.
+    ValueError when float64 cannot hold n or r."""
     n, r = _integer(n, "n", 2), _check_colors(r, least=2)
+    _in_float_range(("n", n), ("r", r))
     return 0.04 * math.e * n / (r * math.log(n))
 
 
 def dangerous_count_bound(n: int, r: int) -> float:
     """Tail threshold n / (r ln n) for the number of dangerous edges,
-    exceeded with probability at most 0.02 below the edge-count threshold."""
+    exceeded with probability at most 0.02 below the edge-count threshold.
+    ValueError when float64 cannot hold n or r."""
     n, r = _integer(n, "n", 2), _check_colors(r, least=2)
+    _in_float_range(("n", n), ("r", r))
     return n / (r * math.log(n))

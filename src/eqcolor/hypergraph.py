@@ -412,6 +412,17 @@ def _real(value, what: str) -> float:
     return x
 
 
+def _in_float_range(*named: tuple[str, int]) -> None:
+    """ValueError naming the first of the (name, int) pairs whose int
+    float64 cannot hold, even rounded.  The closed-form bounds compute in
+    float64, where such an int raises OverflowError."""
+    for what, value in named:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{what} = {_echo(value)} is past the float64 range") from None
+
+
 def _integers(values, what: str) -> np.ndarray:
     """The one reader of a sequence of integer ids, each by ``_integer``'s
     rule, as an int64 array.  An integer array (not bool) is read by its
@@ -555,6 +566,7 @@ def generate_random(m: int, n: int, num_edges: int, seed: int) -> Hypergraph:
     """Draw ``num_edges`` distinct uniformly random n-subsets of 0..m-1.
 
     Deterministic for a fixed seed (PCG64 via numpy's default generator).
+    m above 2^31, which ``Hypergraph`` refuses, is refused before any draw.
     Up to _POOL_LIMIT possible edges, they are picked from the list of all
     of them.  Above it, random n-subsets are drawn until enough distinct
     ones are found; that is allowed for at most C(m, n) // 2 edges, so each
@@ -563,6 +575,8 @@ def generate_random(m: int, n: int, num_edges: int, seed: int) -> Hypergraph:
     """
     m, n = _integer(m, "vertex count", 1), _integer(n, "edge size", 2)
     num_edges, seed = _integer(num_edges, "num_edges", 0), _integer(seed, "seed")
+    if m > _MAX_VERTICES:
+        raise ValueError(f"vertex count {_echo(m)} exceeds 2^31: vertex ids are stored as int32")
     if n > m:
         raise ValueError(f"cannot place edges of size {_echo(n)} on {m} vertices")
     # C(m, n) by the multiplicative formula, C(m - k + i, i) after step i of
@@ -603,12 +617,14 @@ def edge_threshold(n: int, r: int) -> ThresholdBound:
     """Edge-count threshold below which equitable r-colorability is guaranteed
     for large n: 0.01 * (n / ln n)^((r-1)/r) * r^(n-1).
 
-    Evaluated in log space so huge n does not overflow intermediates; the
-    returned value may still be inf when the result exceeds float range.
-    The flag reports whether r < (ln n)^(1/5), the regime the guarantee
-    is stated for.  n and r are integers of at least 2 (``_integer``).
+    Evaluated in log space; the returned value is inf when the threshold
+    exceeds the float range.  The flag reports whether r < (ln n)^(1/5),
+    the regime the guarantee is stated for.  n and r are integers of at
+    least 2 (``_integer``) that float64 holds (``_in_float_range``), as
+    the log-space sum takes n - 1 as a float.
     """
     n, r = _integer(n, "n", 2), _check_colors(r, least=2)
+    _in_float_range(("n", n), ("r", r))
     ln_n = math.log(n)
     log_value = math.log(0.01) + (r - 1) / r * (ln_n - math.log(ln_n)) + (n - 1) * math.log(r)
     try:
@@ -648,7 +664,7 @@ def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optiona
     if _power_exceeds(r, m, budget):
         raise BudgetExceeded(f"{r}^{m} assignments exceed the budget of {budget}")
     if r == 1:
-        # the search below recurses once per vertex, which 1^m never bounds
+        # the search below takes a step per vertex, which 1^m never bounds
         return None if len(h.edge_array) else Coloring(m, 1, [1] * m)
     targets = class_targets(m, r)
     degree = np.bincount(h.edge_array.ravel(), minlength=m)
@@ -663,32 +679,37 @@ def brute_force_equitable(h: Hypergraph, r: int, budget: int = 10**8) -> Optiona
     colors = [0] * m
     sizes = [0] * r
     members = [0] * r  # per class, the bitmask of its vertices
-
-    def extend(t: int) -> bool:
-        if t == m:
-            return True
+    # per depth t, the class to try next at vertex order[t], and the target
+    # of the last untouched class tried there
+    nxt, opened = [0] * m, [None] * m
+    t = 0
+    while t < m:
         v = order[t]
-        opened = None  # target of the last untouched class tried
-        for c in range(r):
+        for c in range(nxt[t], r):
             if sizes[c] == targets[c]:
                 continue
             if sizes[c] == 0:
                 # targets do not increase with c, so equal ones are adjacent
-                if targets[c] == opened:
+                if targets[c] == opened[t]:
                     continue
-                opened = targets[c]
+                opened[t] = targets[c]
             grown = members[c] | 1 << v
             if any(e & grown == e for e in checks[t]):
                 continue
             members[c] = grown
             sizes[c] += 1
             colors[v] = c + 1
-            if extend(t + 1):
-                return True
-            members[c] ^= 1 << v
+            nxt[t] = c + 1
+            t += 1
+            break
+        else:
+            # no class left at depth t: reset it, and undo and resume the
+            # vertex before it
+            nxt[t], opened[t] = 0, None
+            t -= 1
+            if t < 0:
+                return None
+            c = nxt[t] - 1
+            members[c] ^= 1 << order[t]
             sizes[c] -= 1
-        return False
-
-    if extend(0):
-        return Coloring(m, r, colors)
-    return None
+    return Coloring(m, r, colors)

@@ -37,6 +37,7 @@ from .hypergraph import (
     _color_dtype,
     _echo,
     _edge_values,
+    _in_float_range,
     _integer,
     _real,
     _reals,
@@ -69,9 +70,11 @@ def choose_p(n: int, r: int) -> float:
 
     Tuned so stage 2 has just enough slack to absorb deflections when the
     edge count is below the colorability threshold.  For integers n, r >= 2
-    p lies in (0, 1), as ln(n / ln n) lies in [1, n).
+    p lies in (0, 1), as ln(n / ln n) lies in [1, n).  ValueError for an n
+    or r that float64 cannot hold (``hypergraph._in_float_range``).
     """
     n, r = _integer(n, "n", 2), _check_colors(r, least=2)
+    _in_float_range(("n", n), ("r", r))
     return (r - 1) / r * math.log(n / math.log(n)) / n
 
 
@@ -275,15 +278,8 @@ def _stage_colors(
     # 1-D take: edge_slots is (n, |E| T), cell (j, e T + t)
     pair_slots = edge_slots.reshape(n, -1).take(eids * trials + rows, axis=1)
     # vertex v of trial t is t * m + v, in int64
-    verts = h.edge_array.T.take(eids, axis=1)
-    keys = verts + rows * m
-    # a take reads a C-contiguous copy of its array: the Monte Carlo
-    # driver's weights for dangerous-count are row views of a wider draw,
-    # so they are read by (row, vertex) instead of copied whole
-    if weights.flags.c_contiguous:
-        pair_weights = weights.take(keys)
-    else:
-        pair_weights = weights[rows, verts]
+    keys = h.edge_array.T.take(eids, axis=1) + rows * m
+    pair_weights = weights.take(keys)
     # edge rows list ids in increasing order: L is the last maximal weight,
     # at flat index ``at`` of every (n, P) array
     at = ((n - 1) - np.argmax(pair_weights[::-1], axis=0)) * count + pairs

@@ -39,6 +39,7 @@ from .hypergraph import (
     _check_colors,
     _check_targets,
     _edge_values,
+    _in_float_range,
     _integer,
     _integers,
     _real,
@@ -135,8 +136,10 @@ def _check_keep(p_tilde: float) -> float:
 
 def compute_q(m: int, n: int, r: int, p: float) -> float:
     """Candidate-set size scale: m p / (r (r-1)) + 2 sqrt(13 m ln r / r)
-    + ((r+1)/r) n / ln n."""
+    + ((r+1)/r) n / ln n.  ValueError when float64 cannot hold m, n, r or
+    r (r - 1) (``hypergraph._in_float_range``)."""
     m, n, r, p = _integer(m, "m", 1), _integer(n, "n", 2), _check_colors(r, least=2), _check_p(p)
+    _in_float_range(("m", m), ("n", n), ("r", r), ("r (r - 1)", r * (r - 1)))
     return (
         m * p / (r * (r - 1))
         + 2.0 * math.sqrt(13.0 * m * math.log(r) / r)
@@ -148,7 +151,8 @@ def compute_p_tilde(m: int, n: int, r: int, p: float) -> float:
     """Per-vertex keep probability q r / ((1-p) m) for candidate sampling,
     with q from ``compute_q``.
 
-    Raises ValueError unless m, n, r, p pass ``compute_q``'s rules, and
+    Raises ValueError unless m, n, r, p pass ``compute_q``'s rules (float64
+    holds m, n, r and r (r - 1) among them), and
     RegimeViolation when the value exceeds 1, which happens whenever m is
     small relative to the q scale; callers may then pass an explicit
     probability instead.

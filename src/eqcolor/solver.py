@@ -8,21 +8,22 @@ the shortage is confined to color r, then a greedy repair.  Every
 candidate is verified before it is returned, so the output is correct
 whenever there is one; only the number of restarts is random.
 
-Attempts of both routes run through one loop, screened as arrays in
-batches of 1, 4, 16, ... attempts.  A route picks only how a batch is drawn
-and colored: ``sample_weights`` rows and one kernel call, or permutations
-cut at the class targets (``intervals._balanced_colors``).  Where an edge
-inside one large block is expected in an attempt (``_screens_large_blocks``),
-the two-stage rows that hold one are rejected from their slots before the
-kernel runs, as stage 2 leaves that edge monochromatic; only the other rows
-are colored.  One edge scan per batch gives a mask of monochromatic edges
-per colored row; the loop takes the rows with none in attempt order and
-keeps the last rejected one's index.  Per-attempt objects are built only
-for the clean rows: the report replays that last rejected two-stage attempt
-through both stages, and builds its chains, only when they are read.
-Attempts are seeded in blocks of ``_BLOCK`` by the rule of ``seeding``, so
-batching and the screen change no report, and any attempt can be drawn
-again on its own.
+Attempts of both routes run through one loop, which reads one stream of
+the attempts with no monochromatic edge (``_proper_attempts``) and counts
+the attempts skipped between them as rejected.  The stream screens its
+attempts as arrays in batches of 1, 4, 16, ... attempts.  A route picks
+only how a batch is drawn and colored: ``sample_weights`` rows and one
+kernel call, or permutations cut at the class targets
+(``intervals._balanced_colors``).  Where an edge inside one large block is
+expected in an attempt (``_screens_large_blocks``), the two-stage rows that
+hold one are rejected from their slots before the kernel runs, as stage 2
+leaves that edge monochromatic; only the other rows are colored.  One edge
+scan per batch finds the proper rows, and a row's record and coloring are
+built only when the loop pulls it.  The report replays the last rejected
+two-stage attempt through both stages, and builds its chains, only when
+they are read.  Attempts are seeded in blocks of ``_BLOCK`` by the rule of
+``seeding``, so batching and the screen change no report, and any attempt
+can be drawn again on its own.
 
 At desk scale the per-attempt success probability carries no guarantee, so
 after exhausting its restarts the solver consults the brute-force oracle
@@ -55,7 +56,7 @@ from .hypergraph import (
     is_proper,
 )
 from .intervals import (
-    InitialColoringBatch,
+    InitialColoring,
     IntervalPartition,
     _balanced_colors,
     _large_block_rows,
@@ -269,11 +270,11 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
 
     Attempt t draws its weights or its balanced coloring by the block rule
     of ``seeding``, and its rebalancing sets from derive(cfg.seed, t,
-    ROLE_VSETS); so identical inputs give an identical report.  Both routes
-    screen their attempts in batches (see ``_batches``), which changes no
-    attempt's draws and no report: one loop walks each batch's rows with no
-    monochromatic edge in attempt order and counts the rejected rows before
-    each, so only the attempts up to the returned one are counted.  Every
+    ROLE_VSETS); so identical inputs give an identical report.  The loop
+    reads the attempts with no monochromatic edge in attempt order (see
+    ``_proper_attempts``) and counts the attempts between them, and after
+    the last one up to cfg.max_restarts, under ``mono-edge``; so only the
+    attempts up to the returned one are counted.  Every
     returned coloring has passed ``is_equitable``; chains come only from
     two-stage attempts.  With strict_divisibility only perfectly balanced
     targets are accepted and r | m is enforced up front; otherwise targets
@@ -307,48 +308,37 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
             outcome, coloring, attempts, path, r, diagnostics, plan, _rejected=replay, **kw
         )
 
-    for start, size, clean, colors, batch in _batches(h, targets, partition, cfg):
-        prev = 0
-        # the rows with no monochromatic edge, in attempt order, then the
-        # end of the batch
-        for t, k in clean + [(size, None)]:
-            if t > prev:
-                diagnostics["mono-edge"] += t - prev
-                rejected = start + t - 1
-            if k is None:
-                break
-            prev = t + 1
-            attempt = start + t
-            if batch is None:
-                init, coloring = None, Coloring._trusted(r, colors[k], list(targets))
+    seen = 0  # attempts counted: each proper one and the rejects before it
+    for attempt, init, coloring in _proper_attempts(h, targets, partition, cfg):
+        if attempt > seen:
+            diagnostics["mono-edge"] += attempt - seen
+            rejected = attempt - 1
+        seen = attempt + 1
+        if is_equitable(h, coloring):
+            return report(SUCCESS, coloring, attempt + 1)
+
+        # at most one rebalanced and one repaired candidate, each
+        # verified once; an attempt with no equitable one counts once,
+        # under ``failure``
+        candidate = None
+        if _excess_pattern_holds(coloring.sizes, targets):
+            try:
+                plan = build_rebalance_plan(h, init, targets, derive(cfg.seed, attempt, ROLE_VSETS))
+            except RegimeViolation:
+                pass
             else:
-                init = batch.row(k)
-                coloring = init.coloring
-
-            if is_equitable(h, coloring):
-                return report(SUCCESS, coloring, attempt + 1)
-
-            # at most one rebalanced and one repaired candidate, each
-            # verified once; an attempt with no equitable one counts once,
-            # under ``failure``
-            candidate = None
-            if _excess_pattern_holds(coloring.sizes, targets):
-                try:
-                    plan = build_rebalance_plan(
-                        h, init, targets, derive(cfg.seed, attempt, ROLE_VSETS)
-                    )
-                except RegimeViolation:
-                    pass
-                else:
-                    if plan.feasible:
-                        candidate = apply_recolor(coloring, plan.wsets)
+                if plan.feasible:
+                    candidate = apply_recolor(coloring, plan.wsets)
+        if candidate is not None and is_equitable(h, candidate):
+            return report(SUCCESS, candidate, attempt + 1)
+        if cfg.allow_fallback_repair:
+            candidate = greedy_repair(h, coloring, targets, weights=init.weights)
             if candidate is not None and is_equitable(h, candidate):
                 return report(SUCCESS, candidate, attempt + 1)
-            if cfg.allow_fallback_repair:
-                candidate = greedy_repair(h, coloring, targets, weights=init.weights)
-                if candidate is not None and is_equitable(h, candidate):
-                    return report(SUCCESS, candidate, attempt + 1)
-            diagnostics[failure] += 1
+        diagnostics[failure] += 1
+    if cfg.max_restarts > seen:
+        diagnostics["mono-edge"] += cfg.max_restarts - seen
+        rejected = cfg.max_restarts - 1
 
     oracle_feasible = None
     if not _power_exceeds(r, h.m, cfg.enumeration_budget):
@@ -358,47 +348,38 @@ def solve_equitable(h: Hypergraph, r: int, cfg: SolveConfig = SolveConfig()) -> 
 
 
 def _screens_large_blocks(h: Hypergraph, partition: IntervalPartition) -> bool:
-    """Whether ``_batches`` rejects two-stage rows with an edge inside one
-    large block before the kernel: when the expected number of such edges
-    per attempt, |E| r ((1 - p) / r)^n, is at least 1.  Under the paper's
-    edge bound it is far below 1 and the screen would cost a second slot
-    pass on rows that nearly all go to the kernel anyway."""
+    """Whether ``_proper_attempts`` rejects two-stage rows with an edge
+    inside one large block before the kernel: when the expected number of
+    such edges per attempt, |E| r ((1 - p) / r)^n, is at least 1.  Under
+    the paper's edge bound it is far below 1 and the screen would cost a
+    second slot pass on rows that nearly all go to the kernel anyway."""
     big = (1.0 - partition.p) / partition.r
     return len(h.edge_array) * partition.r * big**h.n >= 1.0
 
 
-def _batches(
+def _proper_attempts(
     h: Hypergraph, targets: Sequence[int], partition: Optional[IntervalPartition], cfg: SolveConfig
-) -> Iterator[tuple[int, int, list, Optional[np.ndarray], Optional[InitialColoringBatch]]]:
-    """The solve's attempts in batches, each drawn, colored and screened as
-    arrays: (first attempt, size, clean rows, colors, record).  Two-stage
-    attempts run when ``partition`` is given, balanced ones at ``targets``
-    otherwise.
+) -> Iterator[tuple[int, Optional[InitialColoring], Coloring]]:
+    """The solve's attempts with no monochromatic edge, in attempt order, as
+    (attempt, record, coloring).  Two-stage attempts run when ``partition``
+    is given, balanced ones at ``targets`` otherwise; a balanced attempt
+    has no record.
 
-    A two-stage batch draws its ``sample_weights`` rows.  When
-    ``_screens_large_blocks`` holds, a rule that reads only the instance and
-    the partition, ``intervals._large_block_rows`` flags the rows with an
-    edge inside one large block; each is a ``mono-edge`` reject, with no
-    stage 2 and no edge scan.  The other rows, every row when the rule is
-    off, are colored by one ``run_interval_coloring`` call, whose
-    ``InitialColoringBatch`` is the record; a batch with no such row makes
-    no call, and its colors and record are None.  A balanced batch is drawn
-    and colored by one ``_balanced_colors`` call per generator it spans;
-    its record is None.  Both color in ``_color_dtype(r)``, one row per
-    colored attempt, and one ``_mono_edges`` call scans the colored rows.
-    The clean rows are the (attempt offset, row of colors) pairs of the
-    colored rows with no monochromatic edge, in attempt order.  The caller
-    builds a coloring only for the rows it reads, through
-    ``Coloring._trusted``, which copies the row.
-
-    Batches hold 1, 4, 16, ... attempts, at most ``_SUB_BATCH_CELLS`` //
-    max(m, n |E|) of them (at least one), and stop at cfg.max_restarts.
-    The batch sizes and the screen change no draw (see ``seeding``), and a
-    kernel row does not depend on the rows that share its call.  A solve
-    that succeeds on attempt 1 draws one attempt; one that stops inside a
-    batch has drawn and colored the rest of that batch for nothing.
-    Growing fourfold rather than twofold draws more such rows but makes
-    fewer kernel calls, each of which costs as much as several rows.
+    Attempts are drawn, colored and screened as arrays, in batches of 1, 4,
+    16, ... attempts, at most ``_SUB_BATCH_CELLS`` // max(m, n |E|) of them
+    (at least one), up to cfg.max_restarts.  A two-stage batch draws its
+    ``sample_weights`` rows; when ``_screens_large_blocks`` holds,
+    ``intervals._large_block_rows`` drops the rows with an edge inside one
+    large block, and one ``run_interval_coloring`` call colors the rest (a
+    batch left with none makes no call).  A balanced batch is drawn and
+    colored by ``_balanced_colors``.  One ``_mono_edges`` scan per colored
+    batch finds the proper rows; a row's record and coloring are built only
+    when it is pulled.  The batch sizes and the screen change no draw (see
+    ``seeding``), and a kernel row does not depend on the rows that share
+    its call.  A solve that stops inside a batch has drawn and colored the
+    rest of it for nothing; growing fourfold rather than twofold draws more
+    such rows but makes fewer kernel calls, each of which costs as much as
+    several rows.
     """
     cap = max(1, _SUB_BATCH_CELLS // max(1, h.m, h.edge_array.size))
     role = ROLE_BALANCED if partition is None else ROLE_WEIGHTS
@@ -407,7 +388,7 @@ def _batches(
     start, size = 0, 1
     while start < cfg.max_restarts:
         size = min(size, cfg.max_restarts - start)
-        rows, colors, batch = np.arange(size), None, None
+        rows, colors = np.arange(size), None
         if partition is None:
             colors = _draw_rows(streams, size, lambda rng, k: _balanced_colors(rng, k, targets))
         else:
@@ -418,8 +399,11 @@ def _batches(
             if len(rows):
                 batch = run_interval_coloring(h, partition.r, partition, weights)
                 colors = batch.colors
-        clean = []
         if colors is not None:
-            clean = np.flatnonzero(~_mono_edges(h, colors).any(axis=1)).tolist()
-        yield start, size, list(zip(rows[clean].tolist(), clean)), colors, batch
+            for k in np.flatnonzero(~_mono_edges(h, colors).any(axis=1)).tolist():
+                if partition is None:
+                    yield start + k, None, Coloring._trusted(len(targets), colors[k], list(targets))
+                else:
+                    init = batch.row(k)
+                    yield start + int(rows[k]), init, init.coloring
         start, size = start + size, min(4 * size, cap)

@@ -73,6 +73,11 @@ def _a_two_edge_chain(report):
     return any(len(c["edges"]) == 2 and len(c["links"]) == 1 for c in report["chains"])
 
 
+def _split_evenly(report):
+    # a feasible verdict whose coloring splits 1200 vertices 600 / 600
+    return report["feasible"] and report["coloring"]["sizes"] == [600, 600]
+
+
 def _sizes_within_one(coloring):
     sizes = coloring["sizes"]
     return len(sizes) == 25600 and max(sizes) - min(sizes) <= 1
@@ -116,6 +121,21 @@ ROWS = {
     # and -r 1, which passes the budget check (1^m), stops at the vertex cap
     # instead of building an O(m) coloring
     "oracle-one-color": Row("oracle - -r 1", stdin="10000001 2 0\n", status=1, timeout=10),
+    # the search keeps its state per depth, not per recursion level, so
+    # 1200 vertices within a budget of 2^1200 get a coloring, not a
+    # RecursionError
+    "oracle-deep": Row(
+        f"oracle - -r 2 --budget {2**1200} --format json",
+        stdin="1200 2 0\n",
+        check=_split_evenly,
+    ),
+    # an integer flag past the float range is refused by the bound it
+    # reaches first, not met by an OverflowError inside it
+    "bounds-huge-n": Row(f"bounds -n {10**400} -r 2", status=1),
+    "bounds-huge-r": Row(f"bounds -n 10 -r {10**400}", status=1),
+    "bounds-huge-k": Row(f"bounds -n 10 -r 2 -k {10**400}", status=1),
+    "bounds-huge-m": Row(f"bounds -n 10 -r 2 -m {10**400}", status=1),
+    "gen-huge-m": Row(f"gen -m {10**400} -n 2 --edges 1", status=1),
     # greedy repair drops a class from its over- and under-target sets when
     # it reaches its target, so r = 25600 on an edgeless instance costs no
     # rescan per move

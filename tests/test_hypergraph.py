@@ -366,31 +366,50 @@ def test_every_production_edge_gather_goes_through_edge_values(monkeypatch):
             return _edge_values(h, values)
 
         monkeypatch.setattr(module, "_edge_values", counted)
+    # each batch's draw marks where its gathers start; the kernel's batches
+    # are kept by the index of their draw
+    marks, colored = [], {}
+    draw, kernel = solver._draw_rows, solver.run_interval_coloring
+
+    def drawing(streams, size, fn):
+        marks.append((size, len(calls)))
+        return draw(streams, size, fn)
+
+    def coloring(*args):
+        colored[len(marks) - 1] = out = kernel(*args)
+        return out
+
+    monkeypatch.setattr(solver, "_draw_rows", drawing)
+    monkeypatch.setattr(solver, "run_interval_coloring", coloring)
     h = generate_random(1000, 6, 1200, seed=1)
     partition = intervals.IntervalPartition(intervals.choose_p(h.n, 3), 3)
     cfg = solver.SolveConfig(seed=0, max_restarts=5)
-    sizes, colored = [], None
-    for _, size, clean, colors, batch in solver._batches(h, class_targets(h.m, 3), partition, cfg):
-        sizes.append(size)
-        if batch is None:
+    proper = list(solver._proper_attempts(h, class_targets(h.m, 3), partition, cfg))
+    sizes = [size for size, _ in marks]
+    assert sizes == [1, 4] and colored and proper
+    ends = [at for _, at in marks[1:]] + [len(calls)]
+    for i, ((size, at), end) in enumerate(zip(marks, ends)):
+        if i not in colored:
             # every row held an edge inside one large block: the screen's
             # gather alone, on the narrow slots
-            assert colors is None and clean == []
-            assert calls == [("eqcolor.intervals", np.int8)]
-        else:
-            # one gather in the screen, one in the kernel, one in the scan,
-            # all on the narrow slots and colors
-            assert calls == [("eqcolor.intervals", np.int8)] * 2 + [("eqcolor.hypergraph", np.int8)]
-            # the scan's clean rows are the ones the int64 colors of the
-            # rows give
-            rows = np.stack([batch.row(t).coloring.colors for t in range(len(batch))])
-            assert np.array_equal(rows, colors)
-            mono = _mono_edges(h, rows.astype(np.int64))
-            assert [k for _, k in clean] == np.flatnonzero(~mono.any(axis=1)).tolist()
-            colored = batch
-        calls.clear()
-    assert sizes == [1, 4] and colored is not None
-    rebalance.build_rebalance_plan(h, colored.row(0), class_targets(h.m, 3), seed=0)
+            assert calls[at:end] == [("eqcolor.intervals", np.int8)]
+            continue
+        # one gather in the screen, one in the kernel, one in the scan, all
+        # on the narrow slots and colors
+        assert calls[at:end] == [("eqcolor.intervals", np.int8)] * 2 + [
+            ("eqcolor.hypergraph", np.int8)
+        ]
+        # the scan's proper rows are the ones the int64 colors of the rows
+        # give, and the batch's attempts yield exactly those
+        batch = colored[i]
+        rows = np.stack([batch.row(t).coloring.colors for t in range(len(batch))])
+        assert np.array_equal(rows, batch.colors)
+        mono = _mono_edges(h, rows.astype(np.int64))
+        start = sum(sizes[:i])
+        got = [c.colors for t, _, c in proper if start <= t < start + size]
+        assert np.array_equal(np.reshape(got, (-1, h.m)), rows[~mono.any(axis=1)])
+    calls.clear()
+    rebalance.build_rebalance_plan(h, proper[0][1], class_targets(h.m, 3), seed=0)
     # one gather of the per-vertex state, in int8
     assert calls == [("eqcolor.rebalance", np.int8)]
 
@@ -547,6 +566,14 @@ def _no_draws(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
 
 
+def test_generate_random_refuses_more_vertices_than_int32_ids_before_drawing(monkeypatch):
+    # the edges were drawn first and the constructor refused them after
+    _no_draws(monkeypatch)
+    for m in (2**31 + 1, 3 * 10**9, 10**400):
+        with pytest.raises(ValueError, match=r"exceeds 2\^31: vertex ids are stored as int32"):
+            generate_random(m, 2, 1, seed=0)
+
+
 def test_generate_random_bounds_the_rejection_draw(monkeypatch):
     # above 200000 possible edges, edges are drawn until distinct: allowed
     # for at most half of them, checked before any draw
@@ -636,11 +663,19 @@ def test_brute_force_reports_none_on_k4():
 
 def test_brute_force_answers_one_color_directly():
     # one class holds every vertex, so only an edgeless instance is
-    # feasible; m = 1200 is far past the search's recursion depth
+    # feasible; 1^m bounds no search, so m = 1200 runs none
     c = brute_force_equitable(Hypergraph(1200, 2, []), 1)
     assert c is not None and c.sizes == [1200] and is_equitable(Hypergraph(1200, 2, []), c)
     assert brute_force_equitable(Hypergraph(1200, 2, [(0, 1199)]), 1) is None
     assert brute_force_equitable(K4, 1) is None
+
+
+def test_brute_force_search_goes_deeper_than_the_recursion_limit():
+    # the search recursed once per vertex and raised RecursionError from
+    # about 990 vertices on; a perfect matching splits 600 / 600
+    h = Hypergraph(1200, 2, [(2 * i, 2 * i + 1) for i in range(600)])
+    c = brute_force_equitable(h, 2, budget=2**1200)
+    assert c is not None and c.sizes == [600, 600] and is_equitable(h, c)
 
 
 def test_brute_force_respects_budget():

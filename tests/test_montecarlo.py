@@ -915,8 +915,8 @@ def test_kernel_matches_the_replay_at_scale(monkeypatch, shape, r, p, walks):
 @pytest.mark.parametrize("shape, r, p, walks", [((200, 5, 60), 2, choose_p(5, 2), False), SCALE[0]])
 def test_kernel_reads_strided_weights_as_their_contiguous_copy(monkeypatch, shape, r, p, walks):
     # dangerous-count's weights are the left half of each row of 2m draws:
-    # the kernel reads such a view by (row, vertex), a contiguous array by
-    # one take, and both give the same bits
+    # the kernel reads such a view by the one take it reads a contiguous
+    # array by, and both give the same bits
     walked = _walked_trials(monkeypatch)
     h = generate_random(*shape, seed=8)
     wide = np.random.default_rng(9).random((4, 2 * h.m))

@@ -187,6 +187,33 @@ def test_real_parameters_refuse_an_integer_past_the_float_range():
                     call(**{**valid, param.name: 10**400})
 
 
+# the closed forms, which compute in float64
+CLOSED_FORMS = (
+    "chain_probability_bound", "choose_p", "compute_p_tilde", "compute_q",
+    "dangerous_count_bound", "edge_threshold", "expected_deflections_bound",
+)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_forms_refuse_an_integer_past_the_float_range(name):
+    # such an integer, or a product of two that the formula builds, raised
+    # OverflowError, not a ValueError naming it
+    call, valid = getattr(eqcolor, name), VALID_CALLS[name]
+    for param in inspect.signature(call, eval_str=True).parameters.values():
+        if _numeric_kind(param.annotation) is int:
+            with pytest.raises(ValueError, match=f"^{param.name} = 1000.* past the float64 range"):
+                call(**{**valid, param.name: 10**400})
+    products = {
+        "chain_probability_bound": (dict(n=10**200, k=10**200), r"\(n - 1\) k \+ 1"),
+        "compute_q": (dict(r=10**200), r"r \(r - 1\)"),
+        "compute_p_tilde": (dict(r=10**200), r"r \(r - 1\)"),
+    }
+    if name in products:
+        change, what = products[name]
+        with pytest.raises(ValueError, match=f"^{what} = .* past the float64 range"):
+            call(**{**valid, **change})
+
+
 @pytest.mark.parametrize("name, valid, change", SEQUENCE_REFUSED)
 def test_sequence_parameters_refuse_what_they_would_misread_entry_by_entry(name, valid, change):
     call = getattr(eqcolor, name)
